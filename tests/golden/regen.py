@@ -1,11 +1,17 @@
-"""Regenerate the golden --help transcripts.
+"""Regenerate the golden --help transcripts and the golden result CSVs.
 
 Run from the repository root::
 
-    python3 tests/golden/regen.py
+    PYTHONPATH=src python3 tests/golden/regen.py
 
 Help text is captured at a fixed 80-column width so the files are stable
 across terminals; the matching test pins COLUMNS the same way.
+
+The result CSVs pin the bytes of small seeded ensemble experiments (Rabi,
+Ramsey, Hahn echo in mean and max detection) and of a phase-cycled CPMG-2
+program run member by member through ``run_sequence``.  A refactor of the
+experiment engine is judged against these bytes; rewrite them only for a
+deliberate change of the physics or of the random streams.
 """
 
 from __future__ import annotations
@@ -14,14 +20,18 @@ import contextlib
 import io
 import os
 import pathlib
+from typing import Callable
 
-os.environ["COLUMNS"] = "80"
+import numpy as np
 
-from donorsim.cli import main  # noqa: E402
+from donorsim import csvio, noise, pulse, seqdsl
+from donorsim.cli import main
+from donorsim.noise import EnsembleSpec, NoiseModel
+from donorsim.spincore import PHOSPHORUS
 
 HERE = pathlib.Path(__file__).parent
 
-COMMANDS = {
+HELP_COMMANDS = {
     "help_main.txt": ["--help"],
     "help_levels.txt": ["levels", "--help"],
     "help_rf_spectrum.txt": ["rf-spectrum", "--help"],
@@ -34,15 +44,107 @@ COMMANDS = {
     "help_estimate_field.txt": ["estimate-field", "--help"],
 }
 
+# Static + OU noise and an internal-field subpopulation on every ensemble.
+_NOISE = ["--b0-ut", "4", "--static-detuning-khz", "1.5", "--ou-sigma-khz", "0.05",
+          "--ou-tau-c-s", "0.2", "--internal-fraction", "0.3", "--internal-field-ut", "6"]
+_T0 = ["--transition", "T0", "--orientation", "parallel"]
+_TPLUS = ["--transition", "T+", "--orientation", "perpendicular"]
+_RABI = ["rabi", *_NOISE, "--members", "40", "--points", "21", "--max-us", "120",
+         "--seed", "5"]
+_RAMSEY = ["ramsey", *_NOISE, "--members", "40", "--points", "11", "--tau-max-s", "1e-3",
+           "--seed", "6"]
+_HAHN = ["hahn", *_NOISE, "--members", "30", "--points", "6", "--tau-min-s", "0.002",
+         "--tau-max-s", "0.05", "--seed", "7"]
+
+#: Golden CSV name -> CLI argv (``--output`` is appended).
+CLI_CSVS = {
+    "rabi_t0_parallel.csv": _RABI + _T0,
+    "rabi_tplus_perpendicular.csv": _RABI + _TPLUS,
+    "ramsey_t0_parallel.csv": _RAMSEY + _T0,
+    "ramsey_tplus_perpendicular.csv": _RAMSEY + _TPLUS,
+    "hahn_mean_t0_parallel.csv": _HAHN + _T0 + ["--t2-s", "0.2", "--stretching-n", "1.5"],
+    "hahn_mean_tplus_perpendicular.csv": _HAHN + _TPLUS,
+    "hahn_max_tplus_perpendicular.csv": _HAHN + _TPLUS + [
+        "--detection", "max", "--shots", "7", "--workers", "3"],
+}
+
+CPMG2_TEXT = """\
+seq cpmg2 {
+  cycle p1 [0, 180];
+  pulse p1 angle=90 phase=0;
+  delay tau;
+  pulse angle=180 phase=90;
+  delay tau;
+  delay tau;
+  pulse angle=180 phase=90;
+  delay tau;
+  pulse angle=90 phase=0;
+}
+"""
+CPMG2_TAUS_S = (0.0, 0.001, 0.004, 0.01, 0.03)
+
+
+def cpmg2_spec() -> EnsembleSpec:
+    return EnsembleSpec(
+        n_members=25, seed=8,
+        noise=NoiseModel(static_detuning_khz=1.5, ou_sigma_khz=0.05, ou_tau_c_s=0.2,
+                         internal_fraction=0.3, internal_field_ut=6.0),
+        transition="T+", b0_magnitude_ut=4.0, b0_orientation="perpendicular",
+    )
+
+
+def cpmg2_csv() -> str:
+    """Ensemble-mean p_T per tau and phase-cycle shot, one run_sequence call per run."""
+    spec = cpmg2_spec()
+    params = pulse.two_level_params_for(spec, PHOSPHORUS)
+    shots = seqdsl.compile(seqdsl.parse(CPMG2_TEXT)).shots()
+    total = np.zeros((len(CPMG2_TAUS_S), len(shots)))
+    for index in range(spec.n_members):
+        env = noise.draw_member_environment(spec, PHOSPHORUS, index)
+        for k, tau in enumerate(CPMG2_TAUS_S):
+            for c, program in enumerate(shots):
+                total[k, c] += pulse.run_sequence(program.bind({"tau": tau}), params, env)[1]
+    data = np.column_stack([CPMG2_TAUS_S, total / spec.n_members])
+    return csvio.render_csv(["tau_s", "p_t_cycle0", "p_t_cycle180"], data)
+
+
+def hahn_readout_csv() -> str:
+    """Library Hahn echo with a readout gain and offset (not reachable from the CLI)."""
+    spec = cpmg2_spec()
+    series = pulse.hahn_experiment(spec, PHOSPHORUS, np.array([0.002, 0.01, 0.03]),
+                                   readout_gain=1.7, readout_offset=0.3)
+    return csvio.render_csv(["tau_s", "echo"], np.column_stack([series.taus_s, series.values]))
+
+
+#: Golden CSV name -> function returning the CSV text.
+LIBRARY_CSVS: dict[str, Callable[[], str]] = {
+    "cpmg2_run_sequence.csv": cpmg2_csv,
+    "hahn_readout_gain_offset.csv": hahn_readout_csv,
+}
+
+
+def cli_csv(argv: list[str], path: pathlib.Path) -> str:
+    code = main([*argv, "--output", str(path)])
+    assert code == 0, (argv, code)
+    return path.read_text(encoding="utf-8")
+
 
 def regenerate() -> None:
-    for filename, argv in COMMANDS.items():
+    os.environ["COLUMNS"] = "80"
+    for filename, argv in HELP_COMMANDS.items():
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = main(argv)
         assert code == 0, (argv, code)
         (HERE / filename).write_text(buf.getvalue(), encoding="utf-8")
         print(f"wrote {filename} ({len(buf.getvalue())} bytes)")
+    for filename, argv in CLI_CSVS.items():
+        text = cli_csv(argv, HERE / filename)
+        print(f"wrote {filename} ({len(text)} bytes)")
+    for filename, make in LIBRARY_CSVS.items():
+        text = make()
+        (HERE / filename).write_text(text, encoding="utf-8", newline="\n")
+        print(f"wrote {filename} ({len(text)} bytes)")
 
 
 if __name__ == "__main__":
