@@ -43,8 +43,8 @@ Sections and keys::
     stretching_n        = 1.0
 
 Precedence for every setting: command-line flag > config file > default;
-the seed additionally falls back to the ``DONORSIM_SEED`` environment
-variable between file and default.
+for the seed the ``DONORSIM_SEED`` environment variable sits between flag
+and file: flag > ``DONORSIM_SEED`` > config file > default.
 """
 
 from __future__ import annotations
@@ -283,17 +283,17 @@ def load_config(path: str) -> RunConfig:
 
 
 def resolve_seed(flag_seed: int | None, cfg: RunConfig) -> int:
-    """Flag beats file beats DONORSIM_SEED beats the default of 0."""
+    """Flag beats DONORSIM_SEED beats the config file beats the default of 0."""
     if flag_seed is not None:
         return _parse_seed(str(flag_seed))
-    if cfg.seed is not None:
-        return cfg.seed
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:
             return _parse_seed(env)
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV_VAR}: {exc}") from None
+    if cfg.seed is not None:
+        return cfg.seed
     return DEFAULT_SEED
 
 

@@ -193,6 +193,26 @@ def _integral_variance_factor(eps: float) -> float:
     return 2.0 * eps - 3.0 + 4.0 * math.exp(-eps) - math.exp(-2.0 * eps)
 
 
+def _ou_coefficients(
+    dt_s: float, sigma: float, tau_c_s: float
+) -> tuple[float, float, float, float, float]:
+    """Constants of the exact OU step over dt > 0: (mu, sd_x, sd_i, rho, sqrt(1 - rho^2)).
+
+    The step from x is new_x = x mu + sd_x n1 and integral =
+    x tau_c (1 - mu) + sd_i (rho n1 + sqrt(1 - rho^2) n2) for independent
+    standard normals n1, n2.
+    """
+    eps = dt_s / tau_c_s
+    mu = math.exp(-eps)
+    var_x = sigma**2 * (1.0 - mu * mu)
+    var_i = sigma**2 * tau_c_s**2 * _integral_variance_factor(eps)
+    cov = sigma**2 * tau_c_s * (1.0 - mu) ** 2
+    sd_x = math.sqrt(max(var_x, 0.0))
+    sd_i = math.sqrt(max(var_i, 0.0))
+    rho = 0.0 if sd_x == 0.0 or sd_i == 0.0 else min(max(cov / (sd_x * sd_i), -1.0), 1.0)
+    return mu, sd_x, sd_i, rho, math.sqrt(max(0.0, 1.0 - rho * rho))
+
+
 def ou_step(
     x: float, dt_s: float, sigma: float, tau_c_s: float, rng: np.random.Generator
 ) -> tuple[float, float]:
@@ -208,67 +228,12 @@ def ou_step(
         raise ValueError("dt_s must be >= 0")
     if sigma == 0.0 or dt_s == 0.0:
         return (x * math.exp(-dt_s / tau_c_s) if sigma != 0.0 else 0.0, x * 0.0)
-    eps = dt_s / tau_c_s
-    mu = math.exp(-eps)
-    mean_x = x * mu
-    mean_i = x * tau_c_s * (1.0 - mu)
-    var_x = sigma**2 * (1.0 - mu * mu)
-    var_i = sigma**2 * tau_c_s**2 * _integral_variance_factor(eps)
-    cov = sigma**2 * tau_c_s * (1.0 - mu) ** 2
-    sd_x = math.sqrt(max(var_x, 0.0))
-    sd_i = math.sqrt(max(var_i, 0.0))
-    rho = 0.0 if sd_x == 0.0 or sd_i == 0.0 else min(max(cov / (sd_x * sd_i), -1.0), 1.0)
+    mu, sd_x, sd_i, rho, rho_c = _ou_coefficients(dt_s, sigma, tau_c_s)
     n1 = float(rng.standard_normal())
     n2 = float(rng.standard_normal())
-    new_x = mean_x + sd_x * n1
-    integral = mean_i + sd_i * (rho * n1 + math.sqrt(max(0.0, 1.0 - rho * rho)) * n2)
+    new_x = x * mu + sd_x * n1
+    integral = x * tau_c_s * (1.0 - mu) + sd_i * (rho * n1 + rho_c * n2)
     return new_x, integral
-
-
-@dataclass(frozen=True)
-class OuPath:
-    """OU detuning samples plus the accumulated phase at each grid point."""
-
-    times_s: np.ndarray
-    detuning_khz: np.ndarray
-    phase_rad: np.ndarray
-
-
-def sample_ou_path(
-    sigma_khz: float,
-    tau_c_s: float,
-    duration_s: float,
-    dt_s: float,
-    rng: np.random.Generator,
-) -> OuPath:
-    """Sample a stationary OU detuning path and its accumulated phase.
-
-    The path starts from a stationary draw; each step uses the exact joint
-    update, and the phase is 2 pi * 1e3 * integral(detuning_khz dt).
-
-    Args:
-        sigma_khz: stationary standard deviation (kHz); zero gives zero path.
-        tau_c_s: correlation time, > 0.
-        duration_s: total time, >= 0.
-        dt_s: grid spacing, > 0.
-        rng: source stream.
-    """
-    if tau_c_s <= 0 or dt_s <= 0 or duration_s < 0:
-        raise ValueError("need tau_c_s > 0, dt_s > 0, duration_s >= 0")
-    n_steps = max(1, int(math.ceil(duration_s / dt_s - 1e-12))) if duration_s > 0 else 0
-    times = np.arange(n_steps + 1) * dt_s
-    values = np.zeros(n_steps + 1)
-    phases = np.zeros(n_steps + 1)
-    if sigma_khz > 0.0:
-        x = sigma_khz * float(rng.standard_normal())
-        values[0] = x
-        acc = 0.0
-        for k in range(n_steps):
-            x, integral = ou_step(x, dt_s, sigma_khz, tau_c_s, rng)
-            values[k + 1] = x
-            acc += integral
-            phases[k + 1] = 2.0 * math.pi * 1e3 * acc
-    return OuPath(times_s=times, detuning_khz=values, phase_rad=phases)
 
 
 def stretched_envelope(tau_s, t2_s: float, n: float):

@@ -23,6 +23,7 @@ levels, so addressability leakage to T+- is modelled rather than assumed.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -30,7 +31,13 @@ import numpy as np
 
 from . import noise as noise_mod
 from . import spincore
-from .noise import EnsembleSpec, MemberEnvironment, ou_step, stretched_envelope
+from .noise import (
+    EnsembleSpec,
+    MemberEnvironment,
+    _ou_coefficients,
+    ou_step,
+    stretched_envelope,
+)
 from .program import Delay, Pulse, PulseProgram, UnboundSymbolError, hahn_program, ramsey_program
 from .spincore import FieldVector, SpinSystem
 
@@ -263,6 +270,229 @@ def two_level_params_for(spec: EnsembleSpec, system: SpinSystem) -> TwoLevelPara
     )
 
 
+#: Upper bound on members x sweep points x shots x cycles in one engine block;
+#: it keeps each float64 temporary of the ensemble engine near 64 KB.
+_BLOCK_ELEMENTS = 8192
+
+
+def _rotate_arrays(ar, ai, br, bi, nx, ny, nz, angle):
+    """``_rotate`` on real/imaginary arrays, operation for operation.
+
+    Each product and sum is the one CPython's complex arithmetic performs,
+    so every element equals the scalar rotation bit for bit (up to the sign
+    of an exact zero, which no probability can see).
+    """
+    c = np.cos(angle / 2.0)
+    s = np.sin(angle / 2.0)
+    u00r, u00i = c, -s * nz
+    u01r, u01i = -s * ny, -s * nx
+    u10r, u10i = s * ny, -s * nx
+    u11r, u11i = c, s * nz
+    return (
+        (u00r * ar - u00i * ai) + (u01r * br - u01i * bi),
+        (u00r * ai + u00i * ar) + (u01r * bi + u01i * br),
+        (u10r * ar - u10i * ai) + (u11r * br - u11i * bi),
+        (u10r * ai + u10i * ar) + (u11r * bi + u11i * br),
+    )
+
+
+def _phase_arrays(ar, ai, br, bi, phase):
+    """``_rotate_arrays`` about z, without its products with exact zeros.
+
+    Dropping them changes at most the sign of an exact zero.
+    """
+    c = np.cos(phase / 2.0)
+    s = np.sin(phase / 2.0)
+    return c * ar + s * ai, c * ai - s * ar, c * br - s * bi, c * bi + s * br
+
+
+def _squares(values: np.ndarray) -> np.ndarray:
+    """Elementwise ``v ** 2`` through libm pow, as run_sequence squares.
+
+    numpy's own square (x * x) differs from pow in the last bit for about
+    0.1 % of inputs.
+    """
+    flat = values.ravel()
+    squares = map(math.pow, flat.tolist(), itertools.repeat(2.0))
+    return np.fromiter(squares, dtype=float, count=flat.size).reshape(values.shape)
+
+
+def _ensemble_blocks(
+    spec: EnsembleSpec,
+    system: SpinSystem,
+    params: TwoLevelParams,
+    programs: list[list[PulseProgram]],
+    *,
+    shot_phases: np.ndarray | None = None,
+    detuning_during_pulses: bool = False,
+):
+    """Run bound shot programs over the whole ensemble, a member block at a time.
+
+    ``programs[k][c]`` is the cycle-free program of sweep point k and phase
+    cycle entry c; all of them share one event skeleton (the same sequence
+    of pulse and delay events) and differ only in durations, angles and
+    phases.  Each member, in the order of its own stream, runs for every k,
+    every shot j and every c the equivalent of ``run_sequence(programs[k][c],
+    params, env, detuning_during_pulses=...)`` with ``env.shot_phase_rad =
+    shot_phases[k, j]`` (no shot phase when ``shot_phases`` is None).  One
+    batched normal draw per member returns the deviates of the runs' scalar
+    draws, so results equal the scalar runs bit for bit.
+
+    Yields p_T arrays of shape (block members, K, shots, C), members in
+    index order; a block holds at most ``_BLOCK_ELEMENTS`` runs (and at
+    least one member).
+    """
+    n_points = len(programs)
+    n_cycles = len(programs[0]) if programs else 0
+    if n_points * n_cycles == 0:
+        return
+    skeleton = programs[0][0].events
+    for row in programs:
+        if len(row) != n_cycles:
+            raise ValueError("every sweep point needs the same number of cycle programs")
+        for program in row:
+            if program.cycles:
+                raise ValueError("program still has phase cycles; expand with .shots() first")
+            if [type(ev) for ev in program.events] != [type(ev) for ev in skeleton]:
+                raise ValueError("shot programs must share one event skeleton")
+            for ev in program.events:
+                if isinstance(ev, Delay) and ev.symbol is not None:
+                    raise UnboundSymbolError(f"unbound delay symbol {ev.symbol!r}")
+    n_shots = 1 if shot_phases is None else shot_phases.shape[1]
+    omega = params.omega_rad_per_s
+
+    def per_program(e: int, fn) -> np.ndarray:
+        """fn(event e of each program) as a (1, K, 1, C) array."""
+        return np.array([[fn(p.events[e]) for p in row] for row in programs],
+                        dtype=float).reshape(1, n_points, 1, n_cycles)
+
+    def pulse_duration(ev: Pulse) -> float:
+        if ev.duration_s is not None:
+            return ev.duration_s
+        if omega == 0.0:
+            raise ValueError("cannot derive duration from angle at zero Rabi frequency")
+        return ev.angle_rad / omega
+
+    delays = {}  # event index -> durations
+    pulses = {}  # event index -> (duration or angle, cos phase, sin phase)
+    for e, ev in enumerate(skeleton):
+        if isinstance(ev, Delay):
+            delays[e] = per_program(e, lambda d: d.duration_s)
+        else:
+            size = pulse_duration if detuning_during_pulses else (lambda p: p.angle_rad)
+            pulses[e] = (per_program(e, size),
+                         per_program(e, lambda p: math.cos(p.phase_rad)),
+                         per_program(e, lambda p: math.sin(p.phase_rad)))
+    last_pulse = max(pulses, default=None)
+    shot_z = None if shot_phases is None else shot_phases.reshape(1, n_points, n_shots, 1)
+    phase_per_khz_s = 2.0 * math.pi * 1e3
+    ou = None
+
+    block = max(1, _BLOCK_ELEMENTS // (n_points * n_shots * n_cycles))
+    for first in range(0, spec.n_members, block):
+        envs = [
+            noise_mod.draw_member_environment(spec, system, index)
+            for index in range(first, min(first + block, spec.n_members))
+        ]
+        static_khz = np.array([params.detuning_offset_khz + env.static_detuning_khz
+                               for env in envs]).reshape(-1, 1, 1, 1)
+        delta = 2.0 * math.pi * static_khz * 1e3
+        if detuning_during_pulses:
+            n_eff = np.array([math.hypot(omega, d) for d in delta.ravel().tolist()])
+            n_eff = n_eff.reshape(delta.shape)
+            n_safe = np.where(n_eff == 0.0, 1.0, n_eff)  # no drive, no detuning: identity
+            axis_scale, axis_z = omega / n_safe, delta / n_safe
+        sigma, tau_c = envs[0].ou_sigma_khz, envs[0].ou_tau_c_s
+        if ou is None and sigma > 0.0 and delays:
+            ou = _ou_tables(delays, n_shots, sigma, tau_c)
+        if ou is not None:
+            n_draws, start, ou_steps = ou
+            draws = np.stack([env.rng.standard_normal(n_draws) for env in envs])
+            x = sigma * draws[:, start]
+        shape = (len(envs), n_points, n_shots, n_cycles)
+        ar, ai = np.ones(shape), np.zeros(shape)
+        br, bi = np.zeros(shape), np.zeros(shape)
+        for e in range(len(skeleton)):
+            if e in delays:
+                phase = delta * delays[e]
+                if ou is not None:
+                    stepping, slot1, slot2, (mu, sd_x, sd_i, rho, rho_c) = ou_steps[e]
+                    n1, n2 = draws[:, slot1], draws[:, slot2]
+                    integral = x * tau_c * (1.0 - mu) + sd_i * (rho * n1 + rho_c * n2)
+                    x = np.where(stepping, x * mu + sd_x * n1, x)
+                    phase = phase + phase_per_khz_s * np.where(stepping, integral, 0.0)
+                ar, ai, br, bi = _phase_arrays(ar, ai, br, bi, phase)
+                continue
+            if e == last_pulse and shot_z is not None:
+                ar, ai, br, bi = _phase_arrays(ar, ai, br, bi, shot_z)
+            size, cos_phase, sin_phase = pulses[e]
+            if detuning_during_pulses:
+                ar, ai, br, bi = _rotate_arrays(
+                    ar, ai, br, bi, axis_scale * cos_phase, axis_scale * sin_phase, axis_z,
+                    n_eff * size)
+            else:
+                ar, ai, br, bi = _rotate_arrays(ar, ai, br, bi, cos_phase, sin_phase, 0.0, size)
+        p_s = _squares(np.hypot(ar, ai))
+        p_t = _squares(np.hypot(br, bi))
+        total = p_s + p_t
+        lost = np.abs(total - 1.0) > 1e-10
+        if np.any(lost):
+            raise RuntimeError(f"propagation lost norm: {float(total[lost][0])!r}")
+        yield p_t
+
+
+def _ou_tables(delays: dict[int, np.ndarray], n_shots: int, sigma: float, tau_c: float):
+    """Where each OU deviate sits in a member's draws, and the step constants.
+
+    Every run starts from a stationary OU value and takes one exact joint
+    step per delay of nonzero duration (two normals), as ``run_sequence``
+    does with ``ou_step``; zero-length delays draw nothing and leave the
+    process alone.  Runs follow the stream order sweep point, shot, cycle.
+    The step constants depend only on the duration, so they come from
+    ``_ou_coefficients`` once per (sweep point, cycle) entry.
+
+    ``delays`` maps each delay's event index to its (1, K, 1, C) durations.
+    Returns (draws per member, index of each run's first draw, and per
+    delay event: the stepping mask, the indices of n1 and n2, and the
+    constants mu, sd_x, sd_i, rho, sqrt(1 - rho^2)).
+    """
+    durations = [d[0, :, 0, :] for d in delays.values()]
+    n_points, n_cycles = durations[0].shape
+    stepping = np.stack([d > 0.0 for d in durations], axis=-1)
+    runs = np.broadcast_to((1 + 2 * stepping.sum(axis=-1))[:, None, :],
+                           (n_points, n_shots, n_cycles))
+    start = (np.cumsum(runs) - runs.ravel()).reshape(runs.shape)
+    before = np.cumsum(stepping, axis=-1) - stepping  # earlier steps of the run
+    steps = {}
+    for d, e in enumerate(delays):
+        mask = stepping[:, None, :, d]
+        slot = np.where(mask, start + 1 + 2 * before[:, None, :, d], start)
+        coeffs = np.array([
+            [_ou_coefficients(t, sigma, tau_c) if t > 0.0 else (1.0, 0.0, 0.0, 0.0, 1.0)
+             for t in row]
+            for row in durations[d].tolist()
+        ])  # (K, C, 5)
+        steps[e] = (mask[None], slot, np.where(mask, slot + 1, start),
+                    tuple(coeffs[None, :, None, :, i] for i in range(5)))
+    return int(runs.sum()), start, steps
+
+
+def _member_sum(blocks, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum per-member rows one after another in member-index order.
+
+    The first row starts the sum, as in numpy's reduction over members;
+    with no rows at all the sum is zeros of ``shape``.
+    """
+    total = None
+    for block in blocks:
+        for row in block:
+            if total is None:
+                total = row.copy()
+            else:
+                total += row
+    return np.zeros(shape) if total is None else total
+
+
 def rabi_experiment(
     spec: EnsembleSpec, system: SpinSystem, lengths_s: np.ndarray
 ) -> Curve:
@@ -280,17 +510,18 @@ def rabi_experiment(
             f"S -> {spec.transition} is not driven in the {spec.b0_orientation} "
             "geometry (zero matrix element)"
         )
-    ground = np.array([1.0 + 0.0j, 0.0 + 0.0j])
+    driven = np.flatnonzero(lengths != 0.0)  # a zero-length pulse transfers nothing
+    programs = [
+        [PulseProgram(name="rabi", events=(
+            Pulse(angle_rad=0.0, phase_rad=0.0, duration_s=float(lengths[k])),))]
+        for k in driven
+    ]
     total = np.zeros_like(lengths)
-    for index in range(spec.n_members):
-        env = noise_mod.draw_member_environment(spec, system, index)
-        member = replace(params, detuning_offset_khz=env.static_detuning_khz)
-        for k, length in enumerate(lengths):
-            if length == 0.0:
-                continue  # zero-length pulse transfers nothing
-            pulse = Pulse(angle_rad=0.0, phase_rad=0.0, duration_s=float(length))
-            state = propagate_pulse(ground, pulse, member)
-            total[k] += abs(state[1]) ** 2
+    total[driven] = _member_sum(
+        (p_t[:, :, 0, 0] for p_t in _ensemble_blocks(
+            spec, system, params, programs, detuning_during_pulses=True)),
+        driven.shape,
+    )
     return Curve(x=lengths, values=total / spec.n_members)
 
 
@@ -301,14 +532,12 @@ def ramsey_experiment(
     taus = np.asarray(taus_s, dtype=float)
     params = two_level_params_for(spec, system)
     program = ramsey_program()
-    values = np.zeros_like(taus)
-    for index in range(spec.n_members):
-        env = noise_mod.draw_member_environment(spec, system, index)
-        for k, tau in enumerate(taus):
-            bound = program.bind({"tau": float(tau)})
-            _, p_t = run_sequence(bound, params, env)
-            values[k] += p_t
-    return Curve(x=taus, values=values / spec.n_members)
+    programs = [[program.bind({"tau": float(tau)})] for tau in taus]
+    total = _member_sum(
+        (p_t[:, :, 0, 0] for p_t in _ensemble_blocks(spec, system, params, programs)),
+        taus.shape,
+    )
+    return Curve(x=taus, values=total / spec.n_members)
 
 
 def max_magnitude_estimate(shots: np.ndarray) -> np.ndarray | float:
@@ -357,11 +586,13 @@ def hahn_experiment(
     100) shot pairs, each with a fresh common-mode phase drawn uniformly
     from the ensemble-wide stream, and keeps the largest |ensemble-averaged
     cycled signal|; this is the estimator for field-sensitive lines whose
-    echo phase is randomized between shots.
+    echo phase is randomized between shots.  A given ``shots_per_point``
+    must be >= 1 under either detection.
 
-    ``workers`` only partitions members into chunks (evaluated in an
-    arbitrary order); per-member streams make the result identical for any
-    worker count.
+    Members run in blocks of the ensemble engine and are reduced in index
+    order, so memory stays bounded by the block, not the ensemble.
+    ``workers`` is validated (>= 1) but starts no processes: per-member
+    streams make the result identical for any worker count.
     """
     taus = np.asarray(taus_s, dtype=float)
     if np.any(taus <= 0):
@@ -372,43 +603,34 @@ def hahn_experiment(
         raise ValueError("readout_gain must be > 0")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    n_shots = 1 if detection == "mean" else (shots_per_point or 100)
-    if n_shots < 1:
+    if shots_per_point is not None and shots_per_point < 1:
         raise ValueError("shots_per_point must be >= 1")
+    n_shots = 1 if detection == "mean" else (shots_per_point or 100)
 
     params = two_level_params_for(spec, system)
     shot_programs = hahn_program().shots()  # [first pulse +pi/2, first pulse -pi/2]
+    programs = [[p.bind({"tau": float(tau)}) for p in shot_programs] for tau in taus]
     envelope = np.ones_like(taus)
     pheno = spec.noise.phenomenological_t2_s
     if pheno is not None:
         envelope = stretched_envelope(taus, pheno, spec.noise.stretching_n)
 
-    # Common-mode phases per (tau, shot): zero under mean detection.
+    # Common-mode phases per (tau, shot) under max detection.
+    shot_phases = None
     if detection == "max":
         crng = noise_mod.common_rng(spec.seed)
-        common_phases = crng.uniform(0.0, 2.0 * math.pi, size=(taus.size, n_shots))
-    else:
-        common_phases = np.zeros((taus.size, n_shots))
+        shot_phases = crng.uniform(0.0, 2.0 * math.pi, size=(taus.size, n_shots))
 
-    # Accumulate per-member cycled signals indexed by member, then reduce in
-    # index order: the result cannot depend on evaluation schedule.
-    cycled = np.zeros((spec.n_members, taus.size, n_shots))
     ideal_amplitude = -readout_gain  # gain * (p_T(+) - p_T(-)) at zero phase error
-    member_chunks = np.array_split(np.arange(spec.n_members), workers)
-    for chunk in reversed(member_chunks):  # arbitrary schedule, by construction
-        for index in chunk:
-            env = noise_mod.draw_member_environment(spec, system, int(index))
-            for k, tau in enumerate(taus):
-                bound = [p.bind({"tau": float(tau)}) for p in shot_programs]
-                for j in range(n_shots):
-                    env.shot_phase_rad = float(common_phases[k, j])
-                    _, p_plus = run_sequence(bound[0], params, env)
-                    _, p_minus = run_sequence(bound[1], params, env)
-                    r_plus = readout_gain * p_plus + readout_offset
-                    r_minus = readout_gain * p_minus + readout_offset
-                    cycled[index, k, j] = (r_plus - r_minus) / ideal_amplitude
-    per_shot = cycled.mean(axis=0) * envelope[:, None]
 
+    def cycled_blocks():
+        for p_t in _ensemble_blocks(spec, system, params, programs, shot_phases=shot_phases):
+            r_plus = readout_gain * p_t[..., 0] + readout_offset
+            r_minus = readout_gain * p_t[..., 1] + readout_offset
+            yield (r_plus - r_minus) / ideal_amplitude
+
+    cycled = _member_sum(cycled_blocks(), (taus.size, n_shots))
+    per_shot = cycled / spec.n_members * envelope[:, None]
     if detection == "mean":
         values = per_shot[:, 0]
     else:

@@ -22,7 +22,6 @@ fixed by diagonalising at a reference field of 1e-6 uT along z.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -382,8 +381,3 @@ def estimate_field_from_splitting(splitting_khz: float, system: SpinSystem) -> f
     if not math.isfinite(splitting_khz) or splitting_khz <= 0:
         raise ValueError(f"splitting must be finite and > 0, got {splitting_khz!r}")
     return splitting_khz / (system.gamma_s - system.gamma_i)
-
-
-def replace(system: SpinSystem, **kwargs) -> SpinSystem:
-    """Convenience wrapper around dataclasses.replace for SpinSystem."""
-    return dataclasses.replace(system, **kwargs)

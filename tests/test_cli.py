@@ -272,6 +272,20 @@ def test_env_seed_is_lowest_precedence(tmp_path, monkeypatch):
     assert env_run.read_bytes() == flag_run.read_bytes()
 
 
+def test_env_seed_beats_config_seed(tmp_path, monkeypatch):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = 5\n")
+    both, flag_run = tmp_path / "both.csv", tmp_path / "flag.csv"
+    monkeypatch.setenv("DONORSIM_SEED", "11")
+    assert main(HAHN_SMALL + ["--config", str(cfg), "--output", str(both)]) == 0
+    monkeypatch.delenv("DONORSIM_SEED")
+    assert main(HAHN_SMALL + ["--seed", "11", "--output", str(flag_run)]) == 0
+    assert both.read_bytes() == flag_run.read_bytes()
+    config_only = tmp_path / "config.csv"
+    assert main(HAHN_SMALL + ["--config", str(cfg), "--output", str(config_only)]) == 0
+    assert config_only.read_bytes() != both.read_bytes()
+
+
 def test_output_flag_beats_config_output(tmp_path, capsys):
     decoy = tmp_path / "decoy.csv"
     cfg = tmp_path / "run.cfg"
@@ -303,6 +317,17 @@ def test_validation_errors_exit_1(capsys, argv):
     code, _, err = run(capsys, argv)
     assert code == 1
     assert "donorsim: error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--detection", "max", "--shots", "0"],
+    ["--detection", "mean", "--shots", "-5"],
+])
+def test_bad_shot_count_exits_1(capsys, argv):
+    code, out, err = run(capsys, HAHN_SMALL + argv)
+    assert code == 1
+    assert "shots_per_point must be >= 1" in err
+    assert out == ""
 
 
 def test_missing_config_file_exits_2(capsys):

@@ -162,7 +162,7 @@ def test_resolve_seed_precedence(monkeypatch):
     assert resolve_seed(5, RunConfig(seed=9)) == 5
     monkeypatch.setenv(SEED_ENV_VAR, "77")
     assert resolve_seed(None, RunConfig()) == 77
-    assert resolve_seed(None, RunConfig(seed=9)) == 9   # file beats env
+    assert resolve_seed(None, RunConfig(seed=9)) == 77  # env beats file
     assert resolve_seed(5, RunConfig()) == 5            # flag beats env
     monkeypatch.setenv(SEED_ENV_VAR, "charm")
     with pytest.raises(ConfigError) as exc:

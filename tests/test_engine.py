@@ -1,0 +1,220 @@
+"""The block-vectorised ensemble engine against its scalar oracle and closed forms.
+
+``run_sequence`` is the single-run reference: looping it over members,
+sweep points, shots and cycle programs must give the engine's per-member
+p_T bit for bit.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import math
+import pathlib
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from donorsim import csvio, pulse, seqdsl
+from donorsim.noise import EnsembleSpec, NoiseModel, draw_member_environment
+from donorsim.program import Delay, PhaseCycle, Pulse, PulseProgram
+from donorsim.pulse import (
+    hahn_experiment,
+    rabi_experiment,
+    ramsey_experiment,
+    run_sequence,
+    two_level_params_for,
+)
+from donorsim.spincore import PHOSPHORUS
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+_spec = importlib.util.spec_from_file_location("golden_regen", GOLDEN / "regen.py")
+regen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regen)
+
+
+def engine_p_t(spec, programs, **kwargs) -> np.ndarray:
+    params = two_level_params_for(spec, PHOSPHORUS)
+    blocks = pulse._ensemble_blocks(spec, PHOSPHORUS, params, programs, **kwargs)
+    return np.concatenate(list(blocks))
+
+
+def looped_p_t(spec, programs, shot_phases=None, detuning_during_pulses=False) -> np.ndarray:
+    """The scalar reference: one run_sequence call per member, point, shot and cycle."""
+    params = two_level_params_for(spec, PHOSPHORUS)
+    n_shots = 1 if shot_phases is None else shot_phases.shape[1]
+    out = np.zeros((spec.n_members, len(programs), n_shots, len(programs[0])))
+    for i in range(spec.n_members):
+        env = draw_member_environment(spec, PHOSPHORUS, i)
+        for k, row in enumerate(programs):
+            for j in range(n_shots):
+                env.shot_phase_rad = 0.0 if shot_phases is None else float(shot_phases[k, j])
+                for c, program in enumerate(row):
+                    _, out[i, k, j, c] = run_sequence(
+                        program, params, env, detuning_during_pulses=detuning_during_pulses)
+    return out
+
+
+# --- engine == run_sequence, bit for bit ------------------------------------------
+
+_ANGLES = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+_PHASES = st.floats(0.0, 2 * math.pi, allow_nan=False, exclude_max=True)
+_DELAYS = st.one_of(st.just(0.0), st.floats(1e-5, 0.02))
+
+
+@st.composite
+def _sweeps(draw):
+    """Random hard- or finite-pulse program, swept over tau and phase-cycle entries."""
+    kinds = draw(st.permutations(
+        ["pulse"] * draw(st.integers(1, 4)) + ["delay"] * draw(st.integers(0, 3))))
+    finite = draw(st.booleans())
+    events = []
+    for kind in kinds:
+        if kind == "pulse":
+            duration = draw(st.one_of(st.none(), st.floats(1e-6, 1e-4))) if finite else None
+            label = None if any(isinstance(ev, Pulse) for ev in events) else "p1"
+            events.append(Pulse(angle_rad=draw(_ANGLES), phase_rad=draw(_PHASES),
+                                duration_s=duration, label=label))
+        elif draw(st.booleans()):
+            events.append(Delay(symbol="tau"))
+        else:
+            events.append(Delay(duration_s=draw(_DELAYS)))
+    cycles = (PhaseCycle("p1", (0.0, draw(_PHASES))),) if draw(st.booleans()) else ()
+    program = PulseProgram(name="random", events=tuple(events), cycles=cycles)
+    taus = draw(st.lists(_DELAYS, min_size=1, max_size=3))
+    programs = [program.bind({"tau": tau}).shots() for tau in taus]
+    shot_phases = None
+    if draw(st.booleans()):
+        n_shots = draw(st.integers(1, 2))
+        shot_phases = np.array(draw(st.lists(
+            _PHASES, min_size=len(taus) * n_shots, max_size=len(taus) * n_shots,
+        ))).reshape(len(taus), n_shots)
+    spec = EnsembleSpec(
+        n_members=draw(st.integers(1, 4)), seed=draw(st.integers(0, 2**32)),
+        noise=NoiseModel(
+            static_detuning_khz=draw(st.sampled_from([0.0, 2.0])),
+            ou_sigma_khz=draw(st.sampled_from([0.0, 0.3])), ou_tau_c_s=0.01,
+            internal_fraction=draw(st.sampled_from([0.0, 0.5])),
+        ),
+        transition="T+", b0_magnitude_ut=4.0, b0_orientation="perpendicular",
+    )
+    return spec, programs, shot_phases, finite
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sweeps(), st.sampled_from([1, 3, 8192]))
+def test_engine_matches_run_sequence_bit_for_bit(sweep, block_elements):
+    spec, programs, shot_phases, finite = sweep
+    saved = pulse._BLOCK_ELEMENTS
+    pulse._BLOCK_ELEMENTS = block_elements
+    try:
+        got = engine_p_t(spec, programs, shot_phases=shot_phases,
+                         detuning_during_pulses=finite)
+    finally:
+        pulse._BLOCK_ELEMENTS = saved
+    want = looped_p_t(spec, programs, shot_phases, finite)
+    assert got.shape == want.shape
+    assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("finite", [False, True])
+def test_engine_matches_run_sequence_on_a_larger_ensemble(finite):
+    # 6000 runs: enough that a last-bit slip (say x*x for libm's x**2, which
+    # differ on about 0.1 % of inputs) shows somewhere
+    spec = EnsembleSpec(
+        n_members=200, seed=31,
+        noise=NoiseModel(static_detuning_khz=3.0, ou_sigma_khz=0.3, ou_tau_c_s=0.01,
+                         internal_fraction=0.3),
+        transition="T+", b0_magnitude_ut=4.0, b0_orientation="perpendicular",
+    )
+    shots = seqdsl.compile(seqdsl.parse(regen.CPMG2_TEXT)).shots()
+    taus = (0.0, 2e-4, 1e-3, 3e-3, 1e-2)
+    programs = [[p.bind({"tau": tau}) for p in shots] for tau in taus]
+    shot_phases = np.random.default_rng(0).uniform(0.0, 2 * math.pi, (len(taus), 3))
+    got = engine_p_t(spec, programs, shot_phases=shot_phases, detuning_during_pulses=finite)
+    want = looped_p_t(spec, programs, shot_phases, finite)
+    assert got.tolist() == want.tolist()
+
+
+def test_engine_rejects_what_run_sequence_rejects():
+    spec = EnsembleSpec(n_members=1, seed=0)
+    half = Pulse(angle_rad=math.pi / 2, phase_rad=0.0)
+    symbolic = PulseProgram(name="s", events=(half, Delay(symbol="tau"), half))
+    with pytest.raises(pulse.UnboundSymbolError):
+        engine_p_t(spec, [[symbolic]])
+    cycled = PulseProgram(name="c", events=(Pulse(math.pi, 0.0, label="p"),),
+                          cycles=(PhaseCycle("p", (0.0, math.pi)),))
+    with pytest.raises(ValueError, match="phase cycles"):
+        engine_p_t(spec, [[cycled]])
+    other = PulseProgram(name="o", events=(half, half))
+    with pytest.raises(ValueError, match="skeleton"):
+        engine_p_t(spec, [[symbolic.bind({"tau": 1e-3})], [other]])
+
+
+def test_cpmg2_golden_through_the_engine():
+    # the golden was written by looping run_sequence member by member
+    spec = regen.cpmg2_spec()
+    shots = seqdsl.compile(seqdsl.parse(regen.CPMG2_TEXT)).shots()
+    programs = [[p.bind({"tau": tau}) for p in shots] for tau in regen.CPMG2_TAUS_S]
+    p_t = engine_p_t(spec, programs)[:, :, 0, :]
+    mean = pulse._member_sum([p_t], p_t.shape[1:]) / spec.n_members
+    text = csvio.render_csv(["tau_s", "p_t_cycle0", "p_t_cycle180"],
+                            np.column_stack([regen.CPMG2_TAUS_S, mean]))
+    assert text.encode("utf-8") == (GOLDEN / "cpmg2_run_sequence.csv").read_bytes()
+
+
+# --- blocking cannot change a byte ----------------------------------------------
+
+@pytest.mark.parametrize("block", ["one member", "all members"])
+def test_block_size_does_not_change_bytes(tmp_path, monkeypatch, block):
+    for name, argv in sorted(regen.CLI_CSVS.items()):
+        # 1 element gives one member per block; 10**9 puts every member in one
+        monkeypatch.setattr(pulse, "_BLOCK_ELEMENTS", 1 if block == "one member" else 10**9)
+        text = regen.cli_csv(argv, tmp_path / name)
+        assert text.encode("utf-8") == (GOLDEN / name).read_bytes(), name
+
+
+def test_hahn_memory_follows_the_block_not_the_ensemble():
+    def peak_bytes(members):
+        spec = EnsembleSpec(n_members=members, seed=4,
+                            noise=NoiseModel(ou_sigma_khz=0.05, ou_tau_c_s=0.2),
+                            transition="T+", b0_magnitude_ut=4.0,
+                            b0_orientation="perpendicular")
+        tracemalloc.start()
+        try:
+            hahn_experiment(spec, PHOSPHORUS, np.linspace(0.002, 0.02, 4),
+                            detection="max", shots_per_point=50)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # 400 runs per member: 20 members per block, so 10x the members is 10 blocks
+    assert peak_bytes(400) < 1.5 * peak_bytes(40)
+
+
+# --- closed forms ------------------------------------------------------------------
+
+def test_ramsey_matches_gaussian_static_disorder_closed_form():
+    sigma_khz, members = 1.5, 4000
+    spec = EnsembleSpec(n_members=members, seed=12,
+                        noise=NoiseModel(static_detuning_khz=sigma_khz),
+                        transition="T0", b0_magnitude_ut=0.0)
+    taus = np.linspace(0.0, 4e-4, 9)
+    curve = ramsey_experiment(spec, PHOSPHORUS, taus)
+    # p_T = (1 + cos phi)/2 with phi ~ N(0, s^2), s = 2 pi sigma tau
+    s2 = (2 * math.pi * sigma_khz * 1e3 * taus) ** 2
+    mean = (1 + np.exp(-s2 / 2)) / 2
+    var = ((1 + np.exp(-2 * s2)) / 2 - np.exp(-s2)) / 4
+    assert curve.values[0] == 1.0
+    assert np.all(np.abs(curve.values - mean) <= 5 * np.sqrt(var / members) + 1e-12)
+
+
+def test_disorder_free_rabi_is_sin_squared():
+    spec = EnsembleSpec(n_members=5, seed=3, transition="T+", b0_magnitude_ut=4.0,
+                        b0_orientation="perpendicular")
+    omega = two_level_params_for(spec, PHOSPHORUS).omega_rad_per_s
+    lengths = np.linspace(0.0, 3 * 2 * math.pi / omega, 37)
+    curve = rabi_experiment(spec, PHOSPHORUS, lengths)
+    assert np.allclose(curve.values, np.sin(omega * lengths / 2) ** 2, rtol=0, atol=1e-12)

@@ -16,7 +16,6 @@ from donorsim.noise import (
     draw_member_environment,
     member_rng,
     ou_step,
-    sample_ou_path,
     sensitivity_factor,
     stretched_envelope,
 )
@@ -186,26 +185,33 @@ def test_ou_step_zero_sigma_consumes_no_randomness():
     assert rng.standard_normal() == member_rng(3, 0).standard_normal()
 
 
-def test_sample_ou_path_stationarity_and_phase():
+def ou_path_phase(sigma, tau_c, duration, dt, rng):
+    """Final phase of a stationary OU path stepped with ou_step on a dt grid."""
+    x = sigma * float(rng.standard_normal()) if sigma > 0.0 else 0.0
+    acc = 0.0
+    for _ in range(int(math.ceil(duration / dt - 1e-12))):
+        x, integral = ou_step(x, dt, sigma, tau_c, rng)
+        acc += integral
+    return x, 2.0 * math.pi * 1e3 * acc
+
+
+def test_ou_step_path_stationarity_and_phase():
     sigma, tau_c = 2.0, 0.2
     duration, dt = 1.0, 0.05
-    final_phases = []
     rng = np.random.default_rng(5)
-    for _ in range(3000):
-        path = sample_ou_path(sigma, tau_c, duration, dt, rng)
-        final_phases.append(path.phase_rad[-1])
+    final = np.array([ou_path_phase(sigma, tau_c, duration, dt, rng) for _ in range(3000)])
+    # the path stays stationary: the final value keeps variance sigma^2
+    assert np.var(final[:, 0]) == pytest.approx(sigma**2, rel=0.08)
     # free-evolution phase variance: (2 pi 1e3 sigma)^2 * 2 tau_c *
     #   (T - tau_c (1 - exp(-T/tau_c)))
     scale = (2 * math.pi * 1e3 * sigma) ** 2
     expected = scale * 2 * tau_c * (duration - tau_c * (1 - math.exp(-duration / tau_c)))
-    assert np.var(final_phases) == pytest.approx(expected, rel=0.08)
-    assert np.mean(final_phases) == pytest.approx(0.0, abs=4 * math.sqrt(expected / 3000))
+    assert np.var(final[:, 1]) == pytest.approx(expected, rel=0.08)
+    assert np.mean(final[:, 1]) == pytest.approx(0.0, abs=4 * math.sqrt(expected / 3000))
 
 
-def test_sample_ou_path_zero_sigma_is_flat():
-    path = sample_ou_path(0.0, 1.0, 1.0, 0.1, member_rng(0, 0))
-    assert np.all(path.detuning_khz == 0.0)
-    assert np.all(path.phase_rad == 0.0)
+def test_ou_step_zero_sigma_path_is_flat():
+    assert ou_path_phase(0.0, 1.0, 1.0, 0.1, member_rng(0, 0)) == (0.0, 0.0)
 
 
 # --- envelopes and validation ----------------------------------------------------
