@@ -8,10 +8,12 @@ Help text is captured at a fixed 80-column width so the files are stable
 across terminals; the matching test pins COLUMNS the same way.
 
 The result CSVs pin the bytes of small seeded ensemble experiments (Rabi,
-Ramsey, Hahn echo in mean and max detection) and of a phase-cycled CPMG-2
-program run member by member through ``run_sequence``.  A refactor of the
-experiment engine is judged against these bytes; rewrite them only for a
-deliberate change of the physics or of the random streams.
+Ramsey, Hahn echo in mean and max detection, an RF spectrum with an
+internal-field subpopulation), of the level diagram and a pumped optical
+spectrum, and of a phase-cycled CPMG-2 program run member by member through
+``run_sequence``.  Two ``fit`` reports, one per model, pin the text output of
+fitting golden CSVs.  A refactor is judged against these bytes; rewrite them
+only for a deliberate change of the physics or of the random streams.
 """
 
 from __future__ import annotations
@@ -56,8 +58,16 @@ _RAMSEY = ["ramsey", *_NOISE, "--members", "40", "--points", "11", "--tau-max-s"
 _HAHN = ["hahn", *_NOISE, "--members", "30", "--points", "6", "--tau-min-s", "0.002",
          "--tau-max-s", "0.05", "--seed", "7"]
 
-#: Golden CSV name -> CLI argv (``--output`` is appended).
+_RF = ["rf-spectrum", "--b0-ut", "4", "--orientation", "perpendicular",
+       "--internal-fraction", "0.4", "--members", "60", "--offset-min-khz", "-80",
+       "--offset-max-khz", "80", "--points", "161", "--seed", "9"]
+
+#: Golden output name -> CLI argv (``--output`` is appended).  The fit reports
+#: read golden CSVs listed before them.
 CLI_CSVS = {
+    "levels.csv": ["levels", "--points", "21"],
+    "rf_spectrum_internal_perpendicular.csv": _RF,
+    "optical_spectrum_on_t.csv": ["optical-spectrum", "--pump", "on_T", "--points", "41"],
     "rabi_t0_parallel.csv": _RABI + _T0,
     "rabi_tplus_perpendicular.csv": _RABI + _TPLUS,
     "ramsey_t0_parallel.csv": _RAMSEY + _T0,
@@ -66,6 +76,11 @@ CLI_CSVS = {
     "hahn_mean_tplus_perpendicular.csv": _HAHN + _TPLUS,
     "hahn_max_tplus_perpendicular.csv": _HAHN + _TPLUS + [
         "--detection", "max", "--shots", "7", "--workers", "3"],
+    "fit_stretched_hahn_mean_t0_parallel.txt": [
+        "fit", str(HERE / "hahn_mean_t0_parallel.csv"), "--model", "stretched"],
+    "fit_peaks_rf_spectrum_internal_perpendicular.txt": [
+        "fit", str(HERE / "rf_spectrum_internal_perpendicular.csv"), "--model", "peaks",
+        "--k", "2", "--peak=-56,3,0.5", "--peak=56,3,0.5"],
 }
 
 CPMG2_TEXT = """\
