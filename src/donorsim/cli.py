@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from dataclasses import fields
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -30,29 +31,17 @@ from .pulse import (
     rf_spectrum,
 )
 
-_CONFIG_FLAG_ATTRS = (
-    "seed", "output", "b0_ut", "b0_orientation", "b1_amplitude_mt", "transition",
-    "members", "static_detuning_khz", "ou_sigma_khz", "ou_tau_c_s",
-    "internal_fraction", "internal_field_ut", "t2_s", "stretching_n",
-    "pump_rate_s", "pump_rate_t", "auger_rate", "branch_to_s",
-    "randomization_rate", "gain", "optical_linewidth_mhz",
-)
-
 
 def _effective_config(args: argparse.Namespace) -> RunConfig:
+    """The ``--config`` file (or defaults) with every flag named after a field on top."""
     cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-    updates = {
-        attr: getattr(args, attr)
-        for attr in _CONFIG_FLAG_ATTRS
-        if getattr(args, attr, None) is not None
-    }
-    return override(cfg, **updates)
+    return override(cfg, **{f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
 
 
-def _ensemble_spec(cfg: RunConfig, seed: int) -> EnsembleSpec:
+def _ensemble_spec(args: argparse.Namespace, cfg: RunConfig) -> EnsembleSpec:
     return EnsembleSpec(
         n_members=cfg.members,
-        seed=seed,
+        seed=resolve_seed(args.seed, cfg),
         noise=cfg.noise_model(),
         transition=cfg.transition,
         b0_magnitude_ut=cfg.b0_ut,
@@ -61,105 +50,80 @@ def _ensemble_spec(cfg: RunConfig, seed: int) -> EnsembleSpec:
     )
 
 
-def _emit(args: argparse.Namespace, cfg: RunConfig, columns: Sequence[str], data: np.ndarray) -> None:
-    target = args.output if args.output is not None else cfg.output
-    csvio.emit_csv(target if target is not None else sys.stdout, columns, data)
+def _sweep(args: argparse.Namespace, start: float, stop: float) -> np.ndarray:
+    """``--points`` values from start to stop, checked before any work is done."""
+    if args.points < 2:
+        raise ConfigError("--points must be >= 2")
+    if not (np.all(np.isfinite([start, stop])) and start < stop):
+        raise ConfigError(f"sweep needs a finite start below its end, got {start!r} to {stop!r}")
+    return np.linspace(start, stop, args.points)
 
 
 # --- subcommand implementations ---------------------------------------------
+# Each takes the parsed flags, the effective config and the output target
+# (a path or stdout) and returns the exit code.
 
-def _cmd_levels(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args)
-    system = cfg.spin_system()
-    if args.points < 2:
-        raise ConfigError("--points must be >= 2")
-    if not 0.0 <= args.bmin_mt < args.bmax_mt:
-        raise ConfigError("need 0 <= --bmin-mt < --bmax-mt")
-    b_mt = np.linspace(args.bmin_mt, args.bmax_mt, args.points)
-    levels = spincore.breit_rabi_levels(system, b_mt * spincore.UT_PER_MT)
+def _cmd_levels(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -> int:
+    b_mt = _sweep(args, args.bmin_mt, args.bmax_mt)
+    if args.bmin_mt < 0.0:
+        raise ConfigError("need 0 <= --bmin-mt")
+    levels = spincore.breit_rabi_levels(cfg.spin_system(), b_mt * spincore.UT_PER_MT)
     data = np.column_stack([b_mt, levels["S"], levels["T-"], levels["T0"], levels["T+"]])
-    _emit(args, cfg, [
+    csvio.emit_csv(target, [
         "b_mt", "energy_S_mhz", "energy_Tminus_mhz", "energy_T0_mhz", "energy_Tplus_mhz",
     ], data)
     return 0
 
 
-def _cmd_rf_spectrum(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args)
-    system = cfg.spin_system()
-    seed = resolve_seed(args.seed, cfg)
-    if args.points < 2:
-        raise ConfigError("--points must be >= 2")
-    offsets = np.linspace(args.offset_min_khz, args.offset_max_khz, args.points)
-    spec = _ensemble_spec(cfg, seed)
-    curve = rf_spectrum(spec, system, offsets, kernel_fwhm_khz=args.kernel_fwhm_khz)
-    _emit(args, cfg, ["offset_khz", "response"], np.column_stack([curve.x, curve.values]))
+def _cmd_rf_spectrum(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -> int:
+    offsets = _sweep(args, args.offset_min_khz, args.offset_max_khz)
+    curve = rf_spectrum(_ensemble_spec(args, cfg), cfg.spin_system(), offsets,
+                        kernel_fwhm_khz=args.kernel_fwhm_khz)
+    csvio.emit_csv(target, ["offset_khz", "response"], np.column_stack([curve.x, curve.values]))
     return 0
 
 
-def _cmd_optical_spectrum(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args)
-    if args.points < 2:
-        raise ConfigError("--points must be >= 2")
-    grid = np.linspace(args.scan_min_invcm, args.scan_max_invcm, args.points)
-    pcfg = cfg.pump_config()
+def _cmd_optical_spectrum(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -> int:
     signal = pump.optical_spectrum(
-        grid,
+        _sweep(args, args.scan_min_invcm, args.scan_max_invcm),
         line_s_inv_cm=args.line_s_invcm,
         line_t_inv_cm=args.line_t_invcm,
-        cfg=pcfg,
+        cfg=cfg.pump_config(),
         pump_setting=args.pump,
         probe_peak_rate=args.probe_peak_rate,
         pump_peak_rate=args.pump_peak_rate,
         doublet_split_inv_cm=args.doublet_split_invcm,
     )
-    _emit(args, cfg, ["detuning_invcm", "signal"], np.column_stack([grid, signal.values]))
+    csvio.emit_csv(target, ["detuning_invcm", "signal"],
+                   np.column_stack([signal.x, signal.values]))
     return 0
 
 
-def _cmd_rabi(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args)
-    system = cfg.spin_system()
-    seed = resolve_seed(args.seed, cfg)
-    if args.points < 2:
-        raise ConfigError("--points must be >= 2")
-    lengths_s = np.linspace(0.0, args.max_us * 1e-6, args.points)
-    curve = rabi_experiment(_ensemble_spec(cfg, seed), system, lengths_s)
-    _emit(args, cfg, ["pulse_s", "p_transfer"], np.column_stack([curve.x, curve.values]))
+def _cmd_rabi(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -> int:
+    lengths_s = _sweep(args, 0.0, args.max_us * 1e-6)
+    curve = rabi_experiment(_ensemble_spec(args, cfg), cfg.spin_system(), lengths_s)
+    csvio.emit_csv(target, ["pulse_s", "p_transfer"], np.column_stack([curve.x, curve.values]))
     return 0
 
 
-def _cmd_ramsey(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args)
-    system = cfg.spin_system()
-    seed = resolve_seed(args.seed, cfg)
-    if args.points < 2:
-        raise ConfigError("--points must be >= 2")
-    taus_s = np.linspace(args.tau_min_s, args.tau_max_s, args.points)
-    curve = ramsey_experiment(_ensemble_spec(cfg, seed), system, taus_s)
-    _emit(args, cfg, ["tau_s", "p_transfer"], np.column_stack([curve.x, curve.values]))
+def _cmd_ramsey(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -> int:
+    taus_s = _sweep(args, args.tau_min_s, args.tau_max_s)
+    curve = ramsey_experiment(_ensemble_spec(args, cfg), cfg.spin_system(), taus_s)
+    csvio.emit_csv(target, ["tau_s", "p_transfer"], np.column_stack([curve.x, curve.values]))
     return 0
 
 
-def _cmd_hahn(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args)
-    system = cfg.spin_system()
-    seed = resolve_seed(args.seed, cfg)
-    if args.points < 2:
-        raise ConfigError("--points must be >= 2")
-    if not 0 < args.tau_min_s < args.tau_max_s:
-        raise ConfigError("need 0 < --tau-min-s < --tau-max-s")
-    taus_s = np.linspace(args.tau_min_s, args.tau_max_s, args.points)
+def _cmd_hahn(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -> int:
     series = hahn_experiment(
-        _ensemble_spec(cfg, seed),
-        system,
-        taus_s,
+        _ensemble_spec(args, cfg),
+        cfg.spin_system(),
+        _sweep(args, args.tau_min_s, args.tau_max_s),
         detection=args.detection,
         shots_per_point=args.shots,
         workers=args.workers,
     )
-    data = np.column_stack([series.taus_s, series.values, series.shot_counts])
-    _emit(args, cfg, ["tau_s", "echo", "shots"], data)
+    data = np.column_stack([series.x, series.values, np.full_like(series.x, series.shots)])
+    csvio.emit_csv(target, ["tau_s", "echo", "shots"], data)
     return 0
 
 
@@ -174,7 +138,7 @@ def _parse_triple(text: str) -> tuple[float, float, float]:
     return center, width, amp
 
 
-def _cmd_fit(args: argparse.Namespace) -> int:
+def _cmd_fit(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -> int:
     columns, data = csvio.read_csv(args.input)
     if data.shape[0] < 3 or data.shape[1] < 2:
         raise ConfigError(f"{args.input}: need at least 3 rows and 2 columns to fit")
@@ -191,23 +155,18 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         result = fitkit.fit_peaks(
             x, y, args.k, shape=args.shape, initial=peaks, baseline=args.baseline
         )
-    out = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")
-    try:
-        out.write(f"# fit of {columns[1]} vs {columns[0]} ({args.model})\n")
-        for name, value, err in zip(result.names, result.params, result.stderr):
-            out.write(f"{name} = {csvio.format_value(value)} +- {csvio.format_value(err)}\n")
-        out.write(f"rss = {csvio.format_value(result.rss)}\n")
-        out.write(f"iterations = {result.iterations}\n")
-        out.write(f"converged = {str(result.converged).lower()}\n")
-        for note in result.diagnostics:
-            out.write(f"# note: {note}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    lines = [f"# fit of {columns[1]} vs {columns[0]} ({args.model})"]
+    for name, value, err in zip(result.names, result.params, result.stderr):
+        lines.append(f"{name} = {csvio.format_value(value)} +- {csvio.format_value(err)}")
+    lines.append(f"rss = {csvio.format_value(result.rss)}")
+    lines.append(f"iterations = {result.iterations}")
+    lines.append(f"converged = {str(result.converged).lower()}")
+    lines += [f"# note: {note}" for note in result.diagnostics]
+    csvio.write_text(target, "\n".join(lines) + "\n")
     return 0 if result.converged else 2
 
 
-def _cmd_parse(args: argparse.Namespace) -> int:
+def _cmd_parse(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -> int:
     if args.file == "-":
         text = sys.stdin.read()
     else:
@@ -222,15 +181,13 @@ def _cmd_parse(args: argparse.Namespace) -> int:
         print(f"{args.file}:{diag}", file=sys.stderr)
     if any(d.severity == "error" for d in diagnostics):
         return 1
-    sys.stdout.write(seqdsl.pretty_print(ast))
+    csvio.write_text(target, seqdsl.pretty_print(ast))
     return 0
 
 
-def _cmd_estimate_field(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args)
-    system = cfg.spin_system()
-    field_ut = spincore.estimate_field_from_splitting(args.splitting_khz, system)
-    print(f"{field_ut:.3f} µT")
+def _cmd_estimate_field(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -> int:
+    field_ut = spincore.estimate_field_from_splitting(args.splitting_khz, cfg.spin_system())
+    csvio.write_text(target, f"{field_ut:.3f} µT\n")
     return 0
 
 
@@ -428,7 +385,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # validation problems are exit code 1 here.
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        # One run path: flags over the config, then --output > config output > stdout.
+        cfg = _effective_config(args)
+        target = cfg.output if cfg.output is not None else sys.stdout
+        return args.func(args, cfg, target)
     except _RUNTIME_ERRORS as exc:
         print(f"donorsim: error: {exc}", file=sys.stderr)
         return 2

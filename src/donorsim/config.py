@@ -97,6 +97,10 @@ class RunConfig:
     seed: int | None = None
     output: str | None = None
 
+    def __post_init__(self) -> None:
+        if self.seed is not None:
+            _parse_seed(str(self.seed))
+
     def spin_system(self) -> SpinSystem:
         return SpinSystem(
             hyperfine_a=self.hyperfine_a_mhz,

@@ -12,17 +12,50 @@ string that parses back to exactly the same binary value, which makes
 re-reading an emitted file bit-exact and file contents a deterministic
 function of the data.  Line terminator is LF.  Non-finite values are
 refused — a NaN in a data file is always an upstream bug.
+
+``Series`` is the validated x/y result type the experiments return.  It
+lives here because this module imports nothing else from the package, so
+``pump`` and ``pulse`` can both use it.
 """
 
 from __future__ import annotations
 
 import io
+from dataclasses import dataclass
 from typing import Sequence, TextIO
 
 import numpy as np
 
 MAGIC = "# donor-spin-sim v1"
 COLUMNS_PREFIX = "# columns: "
+
+
+@dataclass(frozen=True)
+class Series:
+    """Result values on a strictly increasing x axis.
+
+    x carries the producing experiment's unit (seconds, kHz offsets, cm^-1
+    detunings); ``shots`` is the number of shots behind every value (1 unless
+    an estimator repeats shots per point).
+    """
+
+    x: np.ndarray
+    values: np.ndarray
+    shots: int = 1
+
+    def __post_init__(self) -> None:
+        x = np.asarray(self.x, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        if x.ndim != 1 or x.shape != values.shape:
+            raise ValueError("x and values must be 1-d arrays of equal length")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(values))):
+            raise ValueError("series data must be finite")
+        if x.size > 1 and not np.all(np.diff(x) > 0):
+            raise ValueError("x must be strictly increasing")
+        if self.shots < 1:
+            raise ValueError("shots must be >= 1")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "values", values)
 
 
 def format_value(x: float) -> str:
@@ -53,13 +86,12 @@ def render_csv(columns: Sequence[str], data: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_csv(target: str | TextIO, columns: Sequence[str], data: np.ndarray) -> None:
-    """Write a table to a path or an open text stream.
+def write_text(target: str | TextIO, text: str) -> None:
+    """Write text to a path or an open text stream.
 
-    Paths are written with LF terminators regardless of platform.  An
-    unwritable path surfaces as an OSError naming the path.
+    Paths are written as UTF-8 with LF terminators regardless of platform.
+    An unwritable path surfaces as an OSError naming the path.
     """
-    text = render_csv(columns, data)
     if isinstance(target, (str, bytes)):
         try:
             with open(target, "w", newline="\n", encoding="utf-8") as fh:
@@ -68,6 +100,11 @@ def emit_csv(target: str | TextIO, columns: Sequence[str], data: np.ndarray) -> 
             raise OSError(f"cannot write {target!r}: {exc}") from exc
     else:
         target.write(text)
+
+
+def emit_csv(target: str | TextIO, columns: Sequence[str], data: np.ndarray) -> None:
+    """Write a table to a path or an open text stream (see ``write_text``)."""
+    write_text(target, render_csv(columns, data))
 
 
 def read_csv(source: str | TextIO) -> tuple[list[str], np.ndarray]:

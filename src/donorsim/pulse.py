@@ -31,6 +31,7 @@ import numpy as np
 
 from . import noise as noise_mod
 from . import spincore
+from .csvio import Series
 from .noise import (
     EnsembleSpec,
     MemberEnvironment,
@@ -42,7 +43,7 @@ from .program import Delay, Pulse, PulseProgram, UnboundSymbolError, hahn_progra
 from .spincore import FieldVector, SpinSystem
 
 __all__ = [
-    "TwoLevelParams", "Curve", "DecaySeries", "IntegrationStepError",
+    "TwoLevelParams", "IntegrationStepError",
     "propagate_pulse", "run_sequence", "rabi_experiment", "ramsey_experiment",
     "hahn_experiment", "simulate_4level", "max_magnitude_estimate",
     "rf_spectrum", "two_level_params_for", "hahn_program", "ramsey_program",
@@ -87,51 +88,6 @@ class TwoLevelParams:
     @property
     def detuning_rad_per_s(self) -> float:
         return 2.0 * math.pi * self.detuning_offset_khz * 1e3
-
-
-@dataclass(frozen=True)
-class Curve:
-    """Plain x/y result curve (x strictly increasing)."""
-
-    x: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if x.shape != values.shape or x.ndim != 1:
-            raise ValueError("x and values must be 1-d arrays of equal length")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(values))):
-            raise ValueError("curve data must be finite")
-        if x.size > 1 and not np.all(np.diff(x) > 0):
-            raise ValueError("x must be strictly increasing")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
-class DecaySeries:
-    """Normalized echo amplitude vs pulse spacing tau, with shot counts."""
-
-    taus_s: np.ndarray
-    values: np.ndarray
-    shot_counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        taus = np.asarray(self.taus_s, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        counts = np.asarray(self.shot_counts, dtype=int)
-        if not (taus.shape == values.shape == counts.shape) or taus.ndim != 1:
-            raise ValueError("taus, values and shot_counts must be 1-d, equal length")
-        if not (np.all(np.isfinite(taus)) and np.all(np.isfinite(values))):
-            raise ValueError("decay series must be finite")
-        if taus.size > 1 and not np.all(np.diff(taus) > 0):
-            raise ValueError("taus must be strictly increasing")
-        if np.any(counts < 1):
-            raise ValueError("shot counts must be >= 1")
-        object.__setattr__(self, "taus_s", taus)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "shot_counts", counts)
 
 
 def _rotate(a: complex, b: complex, nx: float, ny: float, nz: float,
@@ -495,7 +451,7 @@ def _member_sum(blocks, shape: tuple[int, ...]) -> np.ndarray:
 
 def rabi_experiment(
     spec: EnsembleSpec, system: SpinSystem, lengths_s: np.ndarray
-) -> Curve:
+) -> Series:
     """Ensemble-averaged population transfer vs pulse length.
 
     Each member sees the drive through its frozen detuning (static disorder
@@ -522,12 +478,12 @@ def rabi_experiment(
             spec, system, params, programs, detuning_during_pulses=True)),
         driven.shape,
     )
-    return Curve(x=lengths, values=total / spec.n_members)
+    return Series(x=lengths, values=total / spec.n_members)
 
 
 def ramsey_experiment(
     spec: EnsembleSpec, system: SpinSystem, taus_s: np.ndarray
-) -> Curve:
+) -> Series:
     """Ensemble-averaged pi/2 : tau : pi/2 fringe (final T population)."""
     taus = np.asarray(taus_s, dtype=float)
     params = two_level_params_for(spec, system)
@@ -537,7 +493,7 @@ def ramsey_experiment(
         (p_t[:, :, 0, 0] for p_t in _ensemble_blocks(spec, system, params, programs)),
         taus.shape,
     )
-    return Curve(x=taus, values=total / spec.n_members)
+    return Series(x=taus, values=total / spec.n_members)
 
 
 def max_magnitude_estimate(shots: np.ndarray) -> np.ndarray | float:
@@ -571,7 +527,7 @@ def hahn_experiment(
     readout_gain: float = 1.0,
     readout_offset: float = 0.0,
     workers: int = 1,
-) -> DecaySeries:
+) -> Series:
     """Phase-cycled Hahn echo decay over an ensemble.
 
     For every tau the +-pi/2 : tau : pi : tau : pi/2 sequence runs twice per
@@ -635,10 +591,7 @@ def hahn_experiment(
         values = per_shot[:, 0]
     else:
         values = np.asarray(max_magnitude_estimate(per_shot))
-    return DecaySeries(
-        taus_s=taus, values=values,
-        shot_counts=np.full(taus.size, n_shots, dtype=int),
-    )
+    return Series(x=taus, values=values, shots=n_shots)
 
 
 def _cf4_step(psi: np.ndarray, t_us: float, dt_us: float, w_mhz: np.ndarray,
@@ -755,7 +708,7 @@ def rf_spectrum(
     offsets_khz: np.ndarray,
     *,
     kernel_fwhm_khz: float = 2.0,
-) -> Curve:
+) -> Series:
     """Ensemble RF absorption spectrum around the hyperfine frequency.
 
     For every member (including its internal field, if drawn) the three
@@ -791,4 +744,4 @@ def rf_spectrum(
                 continue
             u = (offsets - line_khz) / half
             total += weight / (1.0 + u * u)
-    return Curve(x=offsets, values=total / spec.n_members)
+    return Series(x=offsets, values=total / spec.n_members)

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import Series
+
 #: Conversion between wavenumbers and frequency, MHz per cm^-1.
 MHZ_PER_INV_CM = 29979.2458
 
@@ -126,30 +128,6 @@ class PopulationTrajectory:
         return PopulationState(ns / total, nt / total, nx / total)
 
 
-@dataclass(frozen=True)
-class SignalTrace:
-    """Signal samples on a strictly increasing grid.
-
-    The grid is seconds for time traces and cm^-1 for optical spectra; the
-    values are in arbitrary detector units.
-    """
-
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if grid.ndim != 1 or grid.shape != values.shape:
-            raise ValueError("grid and values must be 1-d arrays of equal length")
-        if not np.all(np.isfinite(grid)) or not np.all(np.isfinite(values)):
-            raise ValueError("grid and values must be finite")
-        if grid.size > 1 and not np.all(np.diff(grid) > 0):
-            raise ValueError("grid must be strictly increasing")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-
-
 def rate_matrix(cfg: PumpConfig) -> np.ndarray:
     """3x3 generator on (n_s, n_t, n_x); every column sums to zero.
 
@@ -250,12 +228,12 @@ def steady_state(cfg: PumpConfig) -> PopulationState:
     return PopulationState(float(p[0]), float(p[1]), float(p[2]))
 
 
-def photoconductive_signal(trajectory: PopulationTrajectory, cfg: PumpConfig) -> SignalTrace:
+def photoconductive_signal(trajectory: PopulationTrajectory, cfg: PumpConfig) -> Series:
     """Auger event rate vs time: gain * (pump_rate_s n_S + pump_rate_t n_T)."""
     values = cfg.gain * (
         cfg.pump_rate_s * trajectory.n_s + cfg.pump_rate_t * trajectory.n_t
     )
-    return SignalTrace(grid=trajectory.times_s, values=values)
+    return Series(x=trajectory.times_s, values=values)
 
 
 def _steady_signal(cfg: PumpConfig) -> float:
@@ -263,7 +241,7 @@ def _steady_signal(cfg: PumpConfig) -> float:
     return cfg.gain * (cfg.pump_rate_s * p.n_s + cfg.pump_rate_t * p.n_t)
 
 
-def transient_area(signal: SignalTrace, cfg: PumpConfig) -> float:
+def transient_area(signal: Series, cfg: PumpConfig) -> float:
     """Integral of |signal - steady signal| over the trace (trapezoid rule).
 
     The trace must have settled: the final deviation from the steady signal
@@ -278,7 +256,7 @@ def transient_area(signal: SignalTrace, cfg: PumpConfig) -> float:
             "final signal deviates from the steady value by "
             f"{float(deviation[-1]):.3e} (scale {scale:.3e}); extend the trace"
         )
-    return float(np.trapezoid(deviation, signal.grid))
+    return float(np.trapezoid(deviation, signal.x))
 
 
 def lorentzian_response(detuning_inv_cm, fwhm_inv_cm: float):
@@ -308,7 +286,7 @@ def optical_spectrum(
     probe_peak_rate: float = 1e3,
     pump_peak_rate: float = 2e4,
     doublet_split_inv_cm: float = 0.0,
-) -> SignalTrace:
+) -> Series:
     """Probe photoconductive spectrum with an optional parked pump laser.
 
     For every probe frequency on the scan grid the S and T pump rates are
@@ -358,4 +336,4 @@ def optical_spectrum(
         )
         p = steady_state(point_cfg)
         values[i] = cfg.gain * (probe_s * p.n_s + probe_t * p.n_t)
-    return SignalTrace(grid=grid, values=values)
+    return Series(x=grid, values=values)

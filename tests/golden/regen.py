@@ -128,7 +128,7 @@ def hahn_readout_csv() -> str:
     spec = cpmg2_spec()
     series = pulse.hahn_experiment(spec, PHOSPHORUS, np.array([0.002, 0.01, 0.03]),
                                    readout_gain=1.7, readout_offset=0.3)
-    return csvio.render_csv(["tau_s", "echo"], np.column_stack([series.taus_s, series.values]))
+    return csvio.render_csv(["tau_s", "echo"], np.column_stack([series.x, series.values]))
 
 
 #: Golden CSV name -> function returning the CSV text.

@@ -9,6 +9,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from donorsim import noise
 from donorsim.cli import build_parser, main
 from donorsim.csvio import emit_csv, read_csv
 from donorsim.fitkit import peak_model, stretched_exp_model
@@ -71,6 +72,27 @@ def test_estimate_field_prints_documented_value(capsys):
     code, out, _ = run(capsys, ["estimate-field", "--splitting-khz", "111.819"])
     assert code == 0
     assert out == "4.000 µT\n"
+
+
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("argv, golden", [
+    (["estimate-field", "--splitting-khz", "111.819"], None),
+    (["fit", str(GOLDEN / "hahn_mean_t0_parallel.csv")],
+     "fit_stretched_hahn_mean_t0_parallel.txt"),
+], ids=["estimate-field", "fit"])
+def test_text_output_goes_to_output_target(tmp_path, capsys, argv, golden, via_config):
+    target = tmp_path / "out.txt"
+    if via_config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"output = {target}\n")
+        argv = argv + ["--config", str(cfg)]
+    else:
+        argv = argv + ["--output", str(target)]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out == ""
+    expected = "4.000 µT\n" if golden is None else (GOLDEN / golden).read_text(encoding="utf-8")
+    assert target.read_text(encoding="utf-8") == expected
 
 
 def test_levels_output_values(capsys):
@@ -312,6 +334,10 @@ def test_usage_errors_exit_1(capsys):
     ["hahn", "--tau-min-s", "0", "--tau-max-s", "0.1"],
     ["rf-spectrum", "--members", "0"],
     ["estimate-field", "--splitting-khz", "-5"],
+    ["levels", "--points", "3", "--seed", "-7"],
+    ["optical-spectrum", "--points", "3", "--seed", "-7"],
+    ["fit", str(GOLDEN / "hahn_mean_t0_parallel.csv"), "--seed", "-7"],
+    ["estimate-field", "--splitting-khz", "111.819", "--seed", str(2**63)],
 ])
 def test_validation_errors_exit_1(capsys, argv):
     code, _, err = run(capsys, argv)
@@ -331,9 +357,29 @@ def test_bad_shot_count_exits_1(capsys, argv):
 
 
 def test_missing_config_file_exits_2(capsys):
-    code, _, err = run(capsys, ["levels", "--config", "/no/such/file.cfg"])
-    assert code == 2
-    assert "file.cfg" in err
+    for argv in (["levels"], ["fit", str(GOLDEN / "hahn_mean_t0_parallel.csv")]):
+        code, out, err = run(capsys, argv + ["--config", "/no/such/file.cfg"])
+        assert code == 2, argv
+        assert "file.cfg" in err
+        assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["ramsey", "--members", "3000", "--tau-min-s", "0.002", "--tau-max-s", "0.001"],
+    ["rf-spectrum", "--members", "2000", "--offset-min-khz", "50", "--offset-max-khz", "-50"],
+    ["rf-spectrum", "--members", "2000", "--offset-max-khz", "inf"],
+    ["rabi", "--max-us", "-10"],
+    ["hahn", "--tau-min-s", "0.05", "--tau-max-s", "0.01"],
+])
+def test_bad_sweep_exits_1_before_any_member_is_drawn(monkeypatch, capsys, argv):
+    def draw(*args, **kwargs):
+        raise AssertionError("the ensemble ran before the sweep was checked")
+
+    monkeypatch.setattr(noise, "draw_member_environment", draw)
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "sweep needs a finite start below its end" in err
 
 
 def test_bad_config_value_exits_1(tmp_path, capsys):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from donorsim.csvio import (
     COLUMNS_PREFIX,
     MAGIC,
+    Series,
     emit_csv,
     format_value,
     read_csv,
@@ -120,3 +121,23 @@ def test_unwritable_path_raises_oserror_naming_path(tmp_path):
     with pytest.raises(OSError) as exc:
         emit_csv(target, cols, data)
     assert "out.csv" in str(exc.value)
+
+
+def test_series_converts_and_defaults_to_one_shot():
+    series = Series(x=[0, 1, 2], values=[1, 0.5, 0.25])
+    assert series.x.dtype == series.values.dtype == np.float64
+    assert series.shots == 1
+
+
+@pytest.mark.parametrize("x, values, shots, message", [
+    ([[0.0, 1.0]], [[1.0, 2.0]], 1, "1-d"),
+    ([0.0, 1.0, 2.0], [1.0, 2.0], 1, "equal length"),
+    ([0.0, 1.0], [1.0, np.nan], 1, "finite"),
+    ([0.0, np.inf], [1.0, 2.0], 1, "finite"),
+    ([0.0, 1.0, 1.0], [1.0, 2.0, 3.0], 1, "strictly increasing"),
+    ([1.0, 0.0], [1.0, 2.0], 1, "strictly increasing"),
+    ([0.0, 1.0], [1.0, 2.0], 0, "shots"),
+])
+def test_series_rejects_invalid_data(x, values, shots, message):
+    with pytest.raises(ValueError, match=message):
+        Series(x=x, values=values, shots=shots)
