@@ -282,10 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="RATE", help="probe pump rate at line center, 1/s (default 1e3)")
     p.add_argument("--pump-peak-rate", dest="pump_peak_rate", type=float, default=2e4,
                    metavar="RATE", help="pump rate at line center, 1/s (default 2e4)")
-    p.add_argument("--pump-rate-s", dest="pump_rate_s", type=float, metavar="RATE",
-                   help=argparse.SUPPRESS)
-    p.add_argument("--pump-rate-t", dest="pump_rate_t", type=float, metavar="RATE",
-                   help=argparse.SUPPRESS)
     p.add_argument("--auger-rate", dest="auger_rate", type=float, metavar="RATE",
                    help="Auger decay rate of the excited state, 1/s")
     p.add_argument("--branch-to-s", dest="branch_to_s", type=float, metavar="F",

@@ -22,9 +22,7 @@ Sections and keys::
     transition       = T0         # T0 | T+ | T-
 
     [pump]
-    pump_rate_s = 0.0             # peak optical rates, 1/s
-    pump_rate_t = 0.0
-    auger_rate  = 1e6
+    auger_rate  = 1e6             # rates in 1/s
     branch_to_s = 0.25
     randomization_rate = 0.0
     gain = 1.0
@@ -79,8 +77,6 @@ class RunConfig:
     b0_orientation: str = "parallel"
     b1_amplitude_mt: float = 1e-3
     transition: str = "T0"
-    pump_rate_s: float = 0.0
-    pump_rate_t: float = 0.0
     auger_rate: float = 1e6
     branch_to_s: float = 0.25
     randomization_rate: float = 0.0
@@ -121,8 +117,6 @@ class RunConfig:
 
     def pump_config(self) -> PumpConfig:
         return PumpConfig(
-            pump_rate_s=self.pump_rate_s,
-            pump_rate_t=self.pump_rate_t,
             auger_rate=self.auger_rate,
             branch_to_s=self.branch_to_s,
             randomization_rate=self.randomization_rate,
@@ -214,15 +208,13 @@ _KEY_TABLE: dict[tuple[str, str], tuple[str, Callable[[str], object]]] = {
     ("field", "b0_orientation"): ("b0_orientation", _parse_orientation),
     ("field", "b1_amplitude_mt"): ("b1_amplitude_mt", lambda t: _parse_float(t, _positive)),
     ("field", "transition"): ("transition", _parse_transition),
-    ("pump", "pump_rate_s"): ("pump_rate_s", lambda t: _parse_float(t, _non_negative)),
-    ("pump", "pump_rate_t"): ("pump_rate_t", lambda t: _parse_float(t, _non_negative)),
     ("pump", "auger_rate"): ("auger_rate", lambda t: _parse_float(t, _positive)),
     ("pump", "branch_to_s"): ("branch_to_s", lambda t: _parse_float(t, _fraction)),
     ("pump", "randomization_rate"): ("randomization_rate", lambda t: _parse_float(t, _non_negative)),
     ("pump", "gain"): ("gain", _parse_float),
     ("pump", "optical_linewidth_mhz"): ("optical_linewidth_mhz", lambda t: _parse_float(t, _positive)),
     ("ensemble", "members"): ("members", _parse_members),
-    ("noise", "static_detuning_khz"): ("static_detuning_khz", _parse_float),
+    ("noise", "static_detuning_khz"): ("static_detuning_khz", lambda t: _parse_float(t, _non_negative)),
     ("noise", "ou_sigma_khz"): ("ou_sigma_khz", lambda t: _parse_float(t, _non_negative)),
     ("noise", "ou_tau_c_s"): ("ou_tau_c_s", lambda t: _parse_float(t, _positive)),
     ("noise", "internal_fraction"): ("internal_fraction", lambda t: _parse_float(t, _fraction)),

@@ -69,8 +69,9 @@ class NoiseModel:
             raise ValueError("internal_fraction must lie in [0, 1]")
         if self.internal_field_ut < 0 or not math.isfinite(self.internal_field_ut):
             raise ValueError("internal_field_ut must be finite and >= 0")
-        if self.phenomenological_t2_s is not None and self.phenomenological_t2_s <= 0:
-            raise ValueError("phenomenological_t2_s must be > 0 when set")
+        t2 = self.phenomenological_t2_s
+        if t2 is not None and not (math.isfinite(t2) and t2 > 0):
+            raise ValueError("phenomenological_t2_s must be finite and > 0 when set")
         if self.stretching_n <= 0 or not math.isfinite(self.stretching_n):
             raise ValueError("stretching_n must be finite and > 0")
 

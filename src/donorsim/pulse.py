@@ -22,7 +22,6 @@ levels, so addressability leakage to T+- is modelled rather than assumed.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -657,22 +656,14 @@ def simulate_4level(
             f"integration step {dt_us!r} us violates dt <= 1/(50 a) = {max_dt:.3e} us"
         )
 
-    h = spincore.build_hamiltonian(system, b0)
-    eig = spincore.eigensystem(h, system, b0)
-    basis = np.column_stack([eig.vector(lbl) for lbl in spincore.LABELS])
-    energies = np.array([eig.energy(lbl) for lbl in spincore.LABELS])
-    gaps = energies[:, None] - energies[None, :]
+    eig = spincore.eigensystem(system, b0)
+    gaps = eig.energies[:, None] - eig.energies[None, :]
 
     direction = np.asarray(b1_direction, dtype=float)
     if np.linalg.norm(direction) == 0:
         raise ValueError("b1_direction must be nonzero")
-    direction = direction / np.linalg.norm(direction)
-    op = sum(
-        c * (system.gamma_s * s - system.gamma_i * i)
-        for c, s, i in zip(direction, (spincore.SX, spincore.SY, spincore.SZ),
-                           (spincore.IX, spincore.IY, spincore.IZ))
-    )
-    w = b1_amplitude_mt * (basis.conj().T @ op @ basis)  # MHz in the eigenbasis
+    op = spincore.zeeman_operator(system, direction / np.linalg.norm(direction))
+    w = b1_amplitude_mt * (eig.vectors.conj().T @ op @ eig.vectors)  # MHz, eigenbasis
 
     psi = np.zeros(4, dtype=complex)
     psi[0] = 1.0  # S
@@ -723,8 +714,8 @@ def rf_spectrum(
     magnitude rather than the applied field.
     """
     offsets = np.asarray(offsets_khz, dtype=float)
-    if kernel_fwhm_khz <= 0:
-        raise ValueError("kernel_fwhm_khz must be > 0")
+    if not (math.isfinite(kernel_fwhm_khz) and kernel_fwhm_khz > 0):
+        raise ValueError("kernel_fwhm_khz must be finite and > 0")
     b1_dir = (
         np.array([0.0, 0.0, 1.0])
         if spec.b0_orientation == "parallel"
@@ -734,8 +725,7 @@ def rf_spectrum(
     total = np.zeros_like(offsets)
     for index in range(spec.n_members):
         env = noise_mod.draw_member_environment(spec, system, index)
-        h = spincore.build_hamiltonian(system, env.field)
-        eig = spincore.eigensystem(h, system, env.field)
+        eig = spincore.eigensystem(system, env.field)
         e_s = eig.energy("S")
         for label in spincore.TRIPLET_LABELS:
             line_khz = (eig.energy(label) - e_s - system.hyperfine_a) * 1e3

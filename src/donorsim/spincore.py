@@ -18,6 +18,12 @@ levels are labelled "S", "T-", "T0", "T+" by adiabatic connection to the
 zero-field multiplets (energy order is S < T- < T0 < T+ for every field
 in the operating range).  Exactly at zero field the label assignment is
 fixed by diagonalising at a reference field of 1e-6 uT along z.
+
+``eigensystem(system, field)`` is the one source of that labelled basis:
+it builds H itself and returns the energies and eigenvectors as arrays in
+LABELS order.  ``zeeman_operator`` is the one spelling of
+gamma_s (v.S) - gamma_i (v.I), shared by the static Hamiltonian and the RF
+drive.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ UT_PER_MT = 1000.0
 REFERENCE_FIELD_UT = 1e-6
 
 LABELS = ("S", "T-", "T0", "T+")
+_LABEL_INDEX = {label: k for k, label in enumerate(LABELS)}
 TRIPLET_LABELS = ("T-", "T0", "T+")
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -128,35 +135,28 @@ class FieldVector:
 
 
 @dataclass(frozen=True)
-class Level:
-    """One labelled eigenlevel: energy in MHz, eigenvector in the product basis."""
-
-    label: str
-    energy_mhz: float
-    vector: np.ndarray
-
-
-@dataclass(frozen=True)
 class EigenSystem:
-    """Labelled eigendecomposition at a given field, ordered S, T-, T0, T+."""
+    """Labelled eigendecomposition at a given field.
 
-    levels: tuple[Level, ...]
-    field: FieldVector
+    ``energies`` (MHz, shape 4) and the columns of ``vectors`` (4x4, product
+    basis) are both in LABELS order S, T-, T0, T+.
+    """
+
+    energies: np.ndarray
+    vectors: np.ndarray
 
     def energy(self, label: str) -> float:
-        return self._level(label).energy_mhz
+        return float(self.energies[_label_index(label)])
 
     def vector(self, label: str) -> np.ndarray:
-        return self._level(label).vector
+        return self.vectors[:, _label_index(label)]
 
-    def energies(self) -> dict[str, float]:
-        return {lv.label: lv.energy_mhz for lv in self.levels}
 
-    def _level(self, label: str) -> Level:
-        for lv in self.levels:
-            if lv.label == label:
-                return lv
-        raise KeyError(f"unknown level label {label!r}; expected one of {LABELS}")
+def _label_index(label: str) -> int:
+    try:
+        return _LABEL_INDEX[label]
+    except KeyError:
+        raise KeyError(f"unknown level label {label!r}; expected one of {LABELS}") from None
 
 
 @dataclass(frozen=True)
@@ -174,46 +174,36 @@ class TransitionLine:
     element_perpendicular_mhz_per_mt: float
 
 
+def zeeman_operator(system: SpinSystem, vector: np.ndarray) -> np.ndarray:
+    """gamma_s (v.S) - gamma_i (v.I) in MHz for a vector ``v`` in mT."""
+    return sum(
+        c * (system.gamma_s * s - system.gamma_i * i)
+        for c, s, i in zip(vector, _S_VEC, _I_VEC)
+    )
+
+
 def build_hamiltonian(system: SpinSystem, field: FieldVector) -> np.ndarray:
     """Assemble the 4x4 Hamiltonian (MHz) for a field given in microtesla."""
     b_mt = field.as_array() / UT_PER_MT
-    zeeman = sum(
-        b * (system.gamma_s * s - system.gamma_i * i)
-        for b, s, i in zip(b_mt, _S_VEC, _I_VEC)
-    )
-    return zeeman + system.hyperfine_a * _S_DOT_I
+    return zeeman_operator(system, b_mt) + system.hyperfine_a * _S_DOT_I
 
 
-def _check_hermitian(h: np.ndarray) -> None:
-    if h.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {h.shape}")
-    if not np.all(np.isfinite(h.real)) or not np.all(np.isfinite(h.imag)):
-        raise ValueError("Hamiltonian contains non-finite entries")
-    scale = max(float(np.abs(h).max()), 1.0)
-    if float(np.abs(h - h.conj().T).max()) > 1e-12 * scale:
-        raise ValueError("Hamiltonian is not Hermitian to 1e-12 relative")
+def eigensystem(system: SpinSystem, field: FieldVector) -> EigenSystem:
+    """Diagonalise the Hamiltonian at ``field`` and label S/T-/T0/T+.
 
-
-def eigensystem(h: np.ndarray, system: SpinSystem, field: FieldVector) -> EigenSystem:
-    """Diagonalise ``h`` and attach S/T-/T0/T+ labels by adiabatic connection.
-
-    The spectrum is ordered E(S) < E(T-) < E(T0) < E(T+) for every nonzero
+    Labels follow adiabatic connection to the zero-field multiplets.  The
+    spectrum is ordered E(S) < E(T-) < E(T0) < E(T+) for every nonzero
     field in the operating range, so labels follow the ascending eigenvalue
     order.  For field magnitudes below REFERENCE_FIELD_UT the triplet is
     numerically degenerate and the eigenvectors (and hence the label basis)
     are taken from the reference field 1e-6 uT z instead, while the energies
-    still come from ``h`` itself.
+    still come from the Hamiltonian at ``field``.
     """
-    _check_hermitian(h)
-    energies, vectors = np.linalg.eigh(h)
+    energies, vectors = np.linalg.eigh(build_hamiltonian(system, field))
     if field.magnitude() < REFERENCE_FIELD_UT:
         href = build_hamiltonian(system, FieldVector.along_z(REFERENCE_FIELD_UT))
         _, vectors = np.linalg.eigh(href)
-    levels = tuple(
-        Level(label, float(energies[k]), vectors[:, k].copy())
-        for k, label in enumerate(LABELS)
-    )
-    return EigenSystem(levels=levels, field=field)
+    return EigenSystem(energies=energies, vectors=vectors)
 
 
 def _breit_rabi_arrays(system: SpinSystem, b0_mt):
@@ -288,11 +278,7 @@ def rf_matrix_element(
     norm = float(np.linalg.norm(e))
     if norm == 0.0 or not np.all(np.isfinite(e)):
         raise ValueError("drive direction must be a finite nonzero vector")
-    e = e / norm
-    op = sum(
-        c * (system.gamma_s * s - system.gamma_i * i)
-        for c, s, i in zip(e, _S_VEC, _I_VEC)
-    )
+    op = zeeman_operator(system, e / norm)
     amp = np.vdot(eig.vector(to_label), op @ eig.vector(from_label))
     return float(abs(amp))
 
@@ -322,8 +308,7 @@ def transition_table(system: SpinSystem, field: FieldVector) -> list[TransitionL
     S -> T+- couple only to the perpendicular drive with element
     (gamma_s + gamma_i)/(2 sqrt 2); the forbidden combinations vanish.
     """
-    h = build_hamiltonian(system, field)
-    eig = eigensystem(h, system, field)
+    eig = eigensystem(system, field)
     par, perp = _drive_directions(field)
     lines = []
     for label in TRIPLET_LABELS:

@@ -323,6 +323,7 @@ def test_output_flag_beats_config_output(tmp_path, capsys):
 def test_usage_errors_exit_1(capsys):
     assert main(["no-such-command"]) == 1
     assert main(["levels", "--no-such-flag"]) == 1
+    assert main(["optical-spectrum", "--points", "5", "--pump-rate-s", "123"]) == 1
     assert main([]) == 1
     err = capsys.readouterr().err
     assert "usage:" in err
@@ -338,8 +339,16 @@ def test_usage_errors_exit_1(capsys):
     ["optical-spectrum", "--points", "3", "--seed", "-7"],
     ["fit", str(GOLDEN / "hahn_mean_t0_parallel.csv"), "--seed", "-7"],
     ["estimate-field", "--splitting-khz", "111.819", "--seed", str(2**63)],
+    ["hahn", "--t2-s", "nan"],
+    ["hahn", "--t2-s", "inf"],
+    ["rf-spectrum", "--kernel-fwhm-khz", "nan"],
+    ["rf-spectrum", "--kernel-fwhm-khz", "inf"],
 ])
-def test_validation_errors_exit_1(capsys, argv):
+def test_validation_errors_exit_1(monkeypatch, capsys, argv):
+    def draw(*args, **kwargs):
+        raise AssertionError("the ensemble ran before its inputs were checked")
+
+    monkeypatch.setattr(noise, "draw_member_environment", draw)
     code, _, err = run(capsys, argv)
     assert code == 1
     assert "donorsim: error" in err

@@ -32,8 +32,6 @@ b1_amplitude_mt = 0.002
 transition      = T+
 
 [pump]
-pump_rate_s = 1e3
-pump_rate_t = 2e4
 auger_rate  = 1e6
 branch_to_s = 0.25
 randomization_rate = 10.0
@@ -70,7 +68,6 @@ def test_full_file_parses_every_section():
     assert cfg.b0_ut == 23.0
     assert cfg.b0_orientation == "perpendicular"
     assert cfg.transition == "T+"
-    assert cfg.pump_rate_t == 2e4
     assert cfg.gain == -2.0
     assert cfg.members == 250
     assert cfg.t2_s == 10.0
@@ -95,8 +92,11 @@ def test_comments_and_blank_lines_ignored():
     ("[field]\nb0_orientation = diagonal", 2, "'parallel' or 'perpendicular'"),
     ("[field]\ntransition = T2", 2, "one of T0, T+, T-"),
     ("[pump]\nbranch_to_s = 1.5", 2, "[0, 1]"),
+    ("[pump]\npump_rate_s = 1e3", 2, "unknown key 'pump_rate_s' in [pump]"),
+    ("[pump]\npump_rate_t = 2e4", 2, "unknown key 'pump_rate_t' in [pump]"),
     ("[ensemble]\nmembers = 0", 2, "members must be >= 1"),
     ("[noise]\nou_tau_c_s = 0", 2, "positive"),
+    ("[noise]\nstatic_detuning_khz = -1", 2, "non-negative"),
     ("\n\n[noise]\nt2_s = -3", 4, "positive"),
 ])
 def test_errors_carry_line_numbers(text, lineno, fragment):
@@ -134,7 +134,6 @@ def test_derived_objects_mirror_settings():
     assert noise.ou_sigma_khz == 0.05
     assert noise.phenomenological_t2_s == 10.0
     pump = cfg.pump_config()
-    assert pump.pump_rate_t == 2e4
     assert pump.gain == -2.0
 
 

@@ -33,7 +33,7 @@ GI = GAMMA_I_MHZ_PER_MT
 
 
 def eig_for(field_ut: FieldVector, system: SpinSystem = PHOSPHORUS):
-    return eigensystem(build_hamiltonian(system, field_ut), system, field_ut)
+    return eigensystem(system, field_ut)
 
 
 # --- Hamiltonian basics ------------------------------------------------------
@@ -98,6 +98,8 @@ def test_spectrum_depends_only_on_field_magnitude(b, theta, phi):
         b * math.sin(theta) * math.sin(phi),
         b * math.cos(theta),
     )
+    h = build_hamiltonian(PHOSPHORUS, tilted)
+    assert np.array_equal(h, h.conj().T)
     eig = eig_for(tilted)
     closed = breit_rabi_levels(PHOSPHORUS, b)
     for label in spincore.LABELS:
@@ -110,6 +112,19 @@ def test_level_ordering_is_s_tminus_t0_tplus():
         eig = eig_for(FieldVector(0.0, 0.0, b))
         e = [eig.energy(lbl) for lbl in ("S", "T-", "T0", "T+")]
         assert e[0] < e[1] < e[2] < e[3]
+
+
+def test_eigensystem_arrays_are_in_label_order():
+    eig = eig_for(FieldVector(1.0, -2.0, 23.0))
+    assert eig.energies.shape == (4,) and eig.vectors.shape == (4, 4)
+    assert np.all(np.diff(eig.energies) > 0)
+    for k, label in enumerate(spincore.LABELS):
+        assert np.array_equal(eig.vector(label), eig.vectors[:, k])
+        assert eig.energy(label) == eig.energies[k]
+    with pytest.raises(KeyError, match="unknown level label"):
+        eig.vector("T1")
+    with pytest.raises(KeyError):
+        eig.energy("s")
 
 
 def test_breit_rabi_rejects_bad_input():
