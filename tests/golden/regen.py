@@ -12,7 +12,9 @@ Ramsey, Hahn echo in mean and max detection, an RF spectrum with an
 internal-field subpopulation), of the level diagram and a pumped optical
 spectrum, and of a phase-cycled CPMG-2 program run member by member through
 ``run_sequence``.  Two ``fit`` reports, one per model, pin the text output of
-fitting golden CSVs.  A refactor is judged against these bytes; rewrite them
+fitting golden CSVs.  A three-event program (pulse, delay, pulse at phase 90)
+driven through ``simulate_4level`` near zero field pins the 4-level CF4
+integrator, with pulses of 101 and 601 steps.  A refactor is judged against these bytes; rewrite them
 only for a deliberate change of the physics or of the random streams.
 """
 
@@ -20,16 +22,18 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import os
 import pathlib
 from typing import Callable
 
 import numpy as np
 
-from donorsim import csvio, noise, pulse, seqdsl
+from donorsim import csvio, noise, pulse, seqdsl, spincore
 from donorsim.cli import main
 from donorsim.noise import EnsembleSpec, NoiseModel
-from donorsim.spincore import PHOSPHORUS
+from donorsim.program import Delay, Pulse, PulseProgram
+from donorsim.spincore import PHOSPHORUS, FieldVector
 
 HERE = pathlib.Path(__file__).parent
 
@@ -131,10 +135,37 @@ def hahn_readout_csv() -> str:
     return csvio.render_csv(["tau_s", "echo"], np.column_stack([series.x, series.values]))
 
 
+FOUR_LEVEL_FIELDS_UT = ((0.4, 0.0, 0.0), (0.4, 0.0, 2.0))
+
+
+def four_level_csv() -> str:
+    """Final S/T-/T0/T+ populations of a pulse-delay-pulse program, per field.
+
+    The pulses last 100.5 and 600.3 default steps (so 101 and 601 CF4 steps),
+    the second at phase 90; the tilted drive reaches every level.
+    """
+    dt_s = 1e-6 / (50.0 * PHOSPHORUS.hyperfine_a)
+    program = PulseProgram(name="p0_delay_p90", events=(
+        Pulse(angle_rad=math.pi / 2, phase_rad=0.0, duration_s=100.5 * dt_s),
+        Delay(duration_s=3e-8),
+        Pulse(angle_rad=math.pi, phase_rad=math.pi / 2, duration_s=600.3 * dt_s),
+    ))
+    rows = []
+    for b in FOUR_LEVEL_FIELDS_UT:
+        field = FieldVector(*b)
+        pops = pulse.simulate_4level(
+            program, PHOSPHORUS, field, 0.5, np.array([1.0, 0.0, 1.0]),
+            spincore.transition_frequency(PHOSPHORUS, "T0", field.magnitude()),
+        )
+        rows.append([b[2], *(pops[label] for label in spincore.LABELS)])
+    return csvio.render_csv(["b_z_ut", *spincore.LABELS], np.array(rows))
+
+
 #: Golden CSV name -> function returning the CSV text.
 LIBRARY_CSVS: dict[str, Callable[[], str]] = {
     "cpmg2_run_sequence.csv": cpmg2_csv,
     "hahn_readout_gain_offset.csv": hahn_readout_csv,
+    "simulate_4level_pulse_delay_pulse.csv": four_level_csv,
 }
 
 
