@@ -301,8 +301,12 @@ def optical_spectrum(
     """
     if pump_setting not in PUMP_SETTINGS:
         raise ValueError(f"pump_setting must be one of {PUMP_SETTINGS}, got {pump_setting!r}")
-    if probe_peak_rate <= 0 or pump_peak_rate < 0:
-        raise ValueError("probe_peak_rate must be > 0 and pump_peak_rate >= 0")
+    if not (math.isfinite(probe_peak_rate) and probe_peak_rate > 0
+            and math.isfinite(pump_peak_rate) and pump_peak_rate >= 0):
+        raise ValueError(
+            "probe_peak_rate must be finite and > 0 and pump_peak_rate finite and >= 0, "
+            f"got {probe_peak_rate!r} and {pump_peak_rate!r}"
+        )
     grid = np.asarray(scan_grid_inv_cm, dtype=float)
     fwhm = cfg.optical_linewidth_mhz / MHZ_PER_INV_CM
     if abs(line_s_inv_cm - line_t_inv_cm) < fwhm / 10.0:

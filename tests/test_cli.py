@@ -343,6 +343,9 @@ def test_usage_errors_exit_1(capsys):
     ["hahn", "--t2-s", "inf"],
     ["rf-spectrum", "--kernel-fwhm-khz", "nan"],
     ["rf-spectrum", "--kernel-fwhm-khz", "inf"],
+    ["optical-spectrum", "--points", "3", "--pump-peak-rate", "nan"],
+    ["optical-spectrum", "--points", "3", "--pump-peak-rate", "inf"],
+    ["optical-spectrum", "--points", "3", "--probe-peak-rate", "nan"],
 ])
 def test_validation_errors_exit_1(monkeypatch, capsys, argv):
     def draw(*args, **kwargs):

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from donorsim import pulse, spincore
 from donorsim.csvio import Series
 from donorsim.noise import EnsembleSpec, MemberEnvironment, NoiseModel, member_rng
 from donorsim.program import Delay, PhaseCycle, Pulse, PulseProgram, hahn_program
@@ -354,6 +356,133 @@ def test_4level_rejects_coarse_step_and_unbound_programs():
     with pytest.raises(ValueError):
         simulate_4level(cycled, PHOSPHORUS, b0, 1e-3,
                         np.array([0.0, 0.0, 1.0]), 117.53)
+
+
+# --- 4-level block stepper against the scalar CF4 oracle ---------------------------------
+
+DT_S = 1e-6 / (50.0 * PHOSPHORUS.hyperfine_a)  # the default step, in seconds
+COUPLING = (GAMMA_S_MHZ_PER_MT + GAMMA_I_MHZ_PER_MT) / 2.0
+
+# 11, 8, 301 and (from the nominal angle) 105 steps, with delays and nonzero phases
+MULTI_EVENT = PulseProgram(name="multi", events=(
+    Pulse(angle_rad=math.pi / 2, phase_rad=0.0, duration_s=10.5 * DT_S),
+    Delay(duration_s=2e-8),
+    Pulse(angle_rad=math.pi, phase_rad=math.pi / 2, duration_s=7.2 * DT_S),
+    Pulse(angle_rad=math.pi, phase_rad=2.5, duration_s=300.7 * DT_S),
+    Delay(duration_s=1.3e-9),
+    Pulse(angle_rad=math.pi / 4, phase_rad=1.1),
+))
+
+
+def _cf4_step(psi, t_us, dt_us, w_mhz, gaps_mhz, freq_mhz, phase_rad):
+    """One commutator-free 4th-order Magnus step in the interaction frame."""
+    c1 = 0.5 - math.sqrt(3.0) / 6.0
+    c2 = 0.5 + math.sqrt(3.0) / 6.0
+    alpha1 = 0.25 + math.sqrt(3.0) / 6.0
+    alpha2 = 0.25 - math.sqrt(3.0) / 6.0
+    two_pi = 2.0 * math.pi
+
+    def coupling(t):
+        drive = math.cos(two_pi * freq_mhz * t + phase_rad)
+        return drive * np.exp(1j * two_pi * gaps_mhz * t) * w_mhz
+
+    m1 = coupling(t_us + c1 * dt_us)
+    m2 = coupling(t_us + c2 * dt_us)
+    for mat in ((alpha1 * m1 + alpha2 * m2), (alpha2 * m1 + alpha1 * m2)):
+        x = -1j * two_pi * dt_us * mat
+        x2 = x @ x
+        u = np.eye(4) + x + x2 / 2.0 + (x2 @ x) / 6.0 + (x2 @ x2) / 24.0
+        psi = u @ psi
+    return psi
+
+
+def oracle_4level(program, b0, b1, direction, freq_mhz, coupling):
+    """``simulate_4level`` at the default step, one scalar CF4 step at a time."""
+    dt_us = DT_S * 1e6
+    eig = spincore.eigensystem(PHOSPHORUS, b0)
+    gaps = eig.energies[:, None] - eig.energies[None, :]
+    direction = np.asarray(direction, dtype=float)
+    op = spincore.zeeman_operator(PHOSPHORUS, direction / np.linalg.norm(direction))
+    w = b1 * (eig.vectors.conj().T @ op @ eig.vectors)
+    psi = np.zeros(4, dtype=complex)
+    psi[0] = 1.0
+    t_us = 0.0
+    for event in program.events:
+        if isinstance(event, Delay):
+            t_us += event.duration_s * 1e6
+            continue
+        if event.duration_s is not None:
+            duration_us = event.duration_s * 1e6
+        else:
+            duration_us = event.angle_rad / (2.0 * math.pi * (coupling * b1))
+        n_steps = max(1, int(math.ceil(duration_us / dt_us - 1e-12)))
+        step = duration_us / n_steps
+        for _ in range(n_steps):
+            psi = _cf4_step(psi, t_us, step, w, gaps, freq_mhz, event.phase_rad)
+            t_us += step
+    return {lbl: float(abs(psi[k]) ** 2) for k, lbl in enumerate(spincore.LABELS)}
+
+
+@pytest.mark.parametrize("block", [1, 3, pulse._CF4_BLOCK_STEPS])
+@pytest.mark.parametrize("b", [(0.4, 0.0, 0.0), (0.4, 0.0, 2.0)])
+def test_4level_blocks_match_the_scalar_oracle_exactly(monkeypatch, block, b):
+    b0 = FieldVector(*b)
+    args = (b0, 0.5, [1.0, 0.3, 1.0], transition_frequency(PHOSPHORUS, "T0", b0.magnitude()))
+    monkeypatch.setattr(pulse, "_CF4_BLOCK_STEPS", block)
+    pops = simulate_4level(MULTI_EVENT, PHOSPHORUS, *args, nominal_coupling_mhz_per_mt=COUPLING)
+    assert pops == oracle_4level(MULTI_EVENT, *args, COUPLING)
+    assert 0.01 < pops["T0"] < 0.99 and pops["T+"] > 0.01  # the drive really moved it
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"rf_frequency_mhz": math.nan}, "rf_frequency_mhz must be finite"),
+    ({"rf_frequency_mhz": math.inf}, "rf_frequency_mhz must be finite"),
+    ({"b1_direction": [math.nan, 0.0, 1.0]}, "b1_direction must be a finite nonzero"),
+    ({"b1_direction": [math.inf, 0.0, 1.0]}, "b1_direction must be a finite nonzero"),
+    ({"b1_direction": [0.0, 0.0, 0.0]}, "b1_direction must be a finite nonzero"),
+    ({"b1_direction": [0.0, 1.0]}, "b1_direction must be a finite nonzero"),
+    ({"dt_us": math.nan}, "integration step nan"),
+    ({"nominal_coupling_mhz_per_mt": math.nan}, "pulse without duration needs"),
+    ({"nominal_coupling_mhz_per_mt": math.inf}, "pulse without duration needs"),
+    ({"nominal_coupling_mhz_per_mt": -COUPLING}, "pulse without duration needs"),
+    ({"nominal_coupling_mhz_per_mt": None}, "pulse without duration needs"),
+    ({"b1_amplitude_mt": 0.0}, "pulse without duration needs"),
+    ({"program": PulseProgram(name="neg", events=(Pulse(angle_rad=-math.pi, phase_rad=0.0),))},
+     "pulse duration must be finite and > 0"),
+])
+def test_4level_rejects_bad_inputs_before_integrating(monkeypatch, change, message):
+    def no_steps(*args, **kwargs):
+        raise AssertionError("integration started before the inputs were checked")
+
+    monkeypatch.setattr(pulse, "_cf4_propagators", no_steps)
+    kwargs = dict(program=MULTI_EVENT, system=PHOSPHORUS, b0=FieldVector(0.4, 0.0, 2.0),
+                  b1_amplitude_mt=0.5, b1_direction=[1.0, 0.0, 1.0], rf_frequency_mhz=117.5,
+                  nominal_coupling_mhz_per_mt=COUPLING)
+    kwargs.update(change)
+    with pytest.raises(ValueError, match=message):
+        simulate_4level(**kwargs)
+
+
+def test_4level_norm_check_catches_nan():
+    # a drive far too strong for the step overflows the propagators to NaN
+    with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="lost norm: nan"):
+        simulate_4level(pi_pulse_program(DT_S * 1e6), PHOSPHORUS, FieldVector(0.4, 0.0, 2.0),
+                        1e300, [0.0, 0.0, 1.0], 117.5)
+
+
+def test_4level_memory_follows_the_block_not_the_pulse():
+    def peak_bytes(n_steps):
+        program = pi_pulse_program(n_steps * DT_S * 1e6)
+        tracemalloc.start()
+        try:
+            simulate_4level(program, PHOSPHORUS, FieldVector(0.4, 0.0, 2.0), 0.5,
+                            [1.0, 0.0, 1.0], 117.5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # 8 vs 32 blocks of 256 steps; 8192 step times held as Python floats would add ~260 KB
+    assert peak_bytes(4 * 2048) < 1.05 * peak_bytes(2048)
 
 
 # --- RF spectrum ----------------------------------------------------------------------

@@ -192,3 +192,13 @@ def test_separated_lines_do_not_warn():
         warnings.simplefilter("error", DegenerateLinesWarning)
         optical_spectrum(grid, line_s_inv_cm=0.00392, line_t_inv_cm=0.0,
                          cfg=cfg, pump_setting="off")
+
+
+@pytest.mark.parametrize("probe, pump_rate", [
+    (math.nan, 2e4), (math.inf, 2e4), (0.0, 2e4), (1e3, math.nan), (1e3, math.inf), (1e3, -1.0),
+])
+def test_optical_spectrum_rejects_bad_peak_rates(probe, pump_rate):
+    with pytest.raises(ValueError, match="probe_peak_rate must be finite and > 0"):
+        optical_spectrum(np.linspace(-0.002, 0.006, 3), line_s_inv_cm=0.00392,
+                         line_t_inv_cm=0.0, cfg=PumpConfig(), pump_setting="off",
+                         probe_peak_rate=probe, pump_peak_rate=pump_rate)
