@@ -716,7 +716,8 @@ def simulate_4level(
             continue
         n_steps = max(1, int(math.ceil(duration_us / dt_us - 1e-12)))
         step = duration_us / n_steps
-        # step start times by repeated ``t += step``, one block at a time
+        # step start times by sequential ``t += step`` adds, not t0 + k*step,
+        # so each step sees the times a step-by-step loop would; one block at a time
         clock = itertools.accumulate(itertools.repeat(step, n_steps), initial=t_us)
         for first in range(0, n_steps, _CF4_BLOCK_STEPS):
             n = min(_CF4_BLOCK_STEPS, n_steps - first)
