@@ -18,7 +18,7 @@ errors instead of crashing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -344,12 +344,7 @@ def fit_peaks(
         # (better) minimum, not a rounding-level retread of the same one
         same_minimum = np.allclose(alt.params, result.params, rtol=1e-6, atol=1e-12)
         if not same_minimum and alt.rss < result.rss * (1.0 - 1e-6):
-            result = FitResult(
-                names=alt.names, params=alt.params, stderr=alt.stderr,
-                rss=alt.rss, converged=alt.converged, iterations=alt.iterations,
-                rss_trace=alt.rss_trace,
-                diagnostics=alt.diagnostics + ("extrema-start",),
-            )
+            result = replace(alt, diagnostics=alt.diagnostics + ("extrema-start",))
 
     # report peaks in ascending-center order
     order = np.argsort([result.params[3 * i] for i in range(k)])
@@ -364,13 +359,4 @@ def fit_peaks(
         if centers[i + 1] - centers[i] < 0.5 * (widths[i] + widths[i + 1]):
             notes.append("overlapping-peaks")
             break
-    return FitResult(
-        names=result.names,
-        params=params,
-        stderr=stderr,
-        rss=result.rss,
-        converged=result.converged,
-        iterations=result.iterations,
-        rss_trace=result.rss_trace,
-        diagnostics=tuple(notes),
-    )
+    return replace(result, params=params, stderr=stderr, diagnostics=tuple(notes))

@@ -177,14 +177,19 @@ def draw_member_environment(
         nominal = spincore.transition_frequency(system, spec.transition, b0.magnitude())
         detuning += (shifted - nominal) * 1e3  # MHz -> kHz
 
-    factor = sensitivity_factor(system, spec.transition, spec.b0_magnitude_ut)
     return MemberEnvironment(
         rng=rng,
         static_detuning_khz=detuning,
-        ou_sigma_khz=noise.ou_sigma_khz * factor,
+        ou_sigma_khz=_member_ou_sigma_khz(spec, system),
         ou_tau_c_s=noise.ou_tau_c_s,
         field=field,
     )
+
+
+def _member_ou_sigma_khz(spec: EnsembleSpec, system: SpinSystem) -> float:
+    """The OU sigma every member sees on its driven line (model sigma x sensitivity)."""
+    factor = sensitivity_factor(system, spec.transition, spec.b0_magnitude_ut)
+    return spec.noise.ou_sigma_khz * factor
 
 
 def _integral_variance_factor(eps: float) -> float:
@@ -212,29 +217,6 @@ def _ou_coefficients(
     sd_i = math.sqrt(max(var_i, 0.0))
     rho = 0.0 if sd_x == 0.0 or sd_i == 0.0 else min(max(cov / (sd_x * sd_i), -1.0), 1.0)
     return mu, sd_x, sd_i, rho, math.sqrt(max(0.0, 1.0 - rho * rho))
-
-
-def ou_step(
-    x: float, dt_s: float, sigma: float, tau_c_s: float, rng: np.random.Generator
-) -> tuple[float, float]:
-    """Advance an OU process by dt and return (new value, integral over dt).
-
-    Uses the exact joint Gaussian update of the process and its integral,
-    so the distribution of both is independent of how a time interval is
-    subdivided.  ``sigma`` is the stationary standard deviation; the
-    returned integral has units of sigma * seconds.  A zero-sigma process
-    consumes no randomness.
-    """
-    if dt_s < 0:
-        raise ValueError("dt_s must be >= 0")
-    if sigma == 0.0 or dt_s == 0.0:
-        return (x * math.exp(-dt_s / tau_c_s) if sigma != 0.0 else 0.0, x * 0.0)
-    mu, sd_x, sd_i, rho, rho_c = _ou_coefficients(dt_s, sigma, tau_c_s)
-    n1 = float(rng.standard_normal())
-    n2 = float(rng.standard_normal())
-    new_x = x * mu + sd_x * n1
-    integral = x * tau_c_s * (1.0 - mu) + sd_i * (rho * n1 + rho_c * n2)
-    return new_x, integral
 
 
 def stretched_envelope(tau_s, t2_s: float, n: float):

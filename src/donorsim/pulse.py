@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .noise import (
     EnsembleSpec,
     MemberEnvironment,
     _ou_coefficients,
-    ou_step,
     stretched_envelope,
 )
 from .program import Delay, Pulse, PulseProgram, UnboundSymbolError, hahn_program, ramsey_program
@@ -43,7 +42,7 @@ from .spincore import FieldVector, SpinSystem
 
 __all__ = [
     "TwoLevelParams", "IntegrationStepError",
-    "propagate_pulse", "run_sequence", "rabi_experiment", "ramsey_experiment",
+    "run_sequence", "rabi_experiment", "ramsey_experiment",
     "hahn_experiment", "simulate_4level", "max_magnitude_estimate",
     "rf_spectrum", "two_level_params_for", "hahn_program", "ramsey_program",
 ]
@@ -78,6 +77,8 @@ class TwoLevelParams:
             raise ValueError("two-level parameters must be finite")
         if self.rabi_coupling_mhz_per_mt < 0 or self.b1_amplitude_mt < 0:
             raise ValueError("coupling and RF amplitude must be >= 0")
+        if not math.isfinite(self.omega_rad_per_s):
+            raise ValueError("Rabi frequency 2 pi * coupling * RF amplitude must be finite")
 
     @property
     def omega_rad_per_s(self) -> float:
@@ -87,53 +88,6 @@ class TwoLevelParams:
     @property
     def detuning_rad_per_s(self) -> float:
         return 2.0 * math.pi * self.detuning_offset_khz * 1e3
-
-
-def _rotate(a: complex, b: complex, nx: float, ny: float, nz: float,
-            angle: float) -> tuple[complex, complex]:
-    """Exact SU(2) rotation of the spinor (a, b) about unit axis n by angle."""
-    c = math.cos(angle / 2.0)
-    s = math.sin(angle / 2.0)
-    u00 = complex(c, -s * nz)
-    u01 = complex(-s * ny, -s * nx)
-    u10 = complex(s * ny, -s * nx)
-    u11 = complex(c, s * nz)
-    return u00 * a + u01 * b, u10 * a + u11 * b
-
-
-def propagate_pulse(state: np.ndarray, pulse: Pulse, params: TwoLevelParams) -> np.ndarray:
-    """Apply one finite RF pulse as an exact SU(2) rotation.
-
-    The rotation axis is (Omega cos phi, Omega sin phi, 2 pi detuning) and
-    the angle is the generalized Rabi frequency times the pulse duration.
-    The duration comes from the pulse itself, or from the nominal angle and
-    Omega when the pulse carries none.
-    """
-    state = np.asarray(state, dtype=complex)
-    if state.shape != (2,):
-        raise ValueError("state must be a complex 2-vector")
-    norm = float(np.linalg.norm(state))
-    if not math.isclose(norm, 1.0, rel_tol=0, abs_tol=1e-9):
-        raise ValueError(f"state must be normalized, got |state| = {norm!r}")
-    omega = params.omega_rad_per_s
-    delta = params.detuning_rad_per_s
-    if pulse.duration_s is not None:
-        duration = pulse.duration_s
-    else:
-        if omega == 0.0:
-            raise ValueError("cannot derive duration from angle at zero Rabi frequency")
-        duration = pulse.angle_rad / omega
-    n_eff = math.hypot(omega, delta)
-    if n_eff == 0.0 or duration == 0.0:
-        return state.copy()
-    a, b = _rotate(
-        complex(state[0]), complex(state[1]),
-        (omega / n_eff) * math.cos(pulse.phase_rad),
-        (omega / n_eff) * math.sin(pulse.phase_rad),
-        delta / n_eff,
-        n_eff * duration,
-    )
-    return np.array([a, b], dtype=complex)
 
 
 def run_sequence(
@@ -153,54 +107,20 @@ def run_sequence(
     applied as an extra z rotation just before the final pulse, modelling
     the net uncancelled common-mode phase of one shot.
 
-    Raises UnboundSymbolError for symbolic delays and ValueError for
-    unexpanded phase cycles.
+    This is the ensemble engine on one member, one sweep point and one
+    shot; OU deviates come from ``env.rng``, which later calls continue.
+
+    Raises UnboundSymbolError for symbolic delays, ValueError for
+    unexpanded phase cycles and RuntimeError when the run loses its norm.
     """
-    if program.cycles:
-        raise ValueError("program still has phase cycles; expand with .shots() first")
-    static_khz = params.detuning_offset_khz + (env.static_detuning_khz if env else 0.0)
-    delta_ang = 2.0 * math.pi * static_khz * 1e3
-    a, b = 1.0 + 0.0j, 0.0 + 0.0j
-
-    ou_sigma = env.ou_sigma_khz if env is not None else 0.0
-    ou_x = 0.0
-    if env is not None and ou_sigma > 0.0:
-        ou_x = ou_sigma * float(env.rng.standard_normal())
-
-    last_pulse_index = max(
-        (i for i, ev in enumerate(program.events) if isinstance(ev, Pulse)),
-        default=None,
-    )
-    for index, event in enumerate(program.events):
-        if isinstance(event, Delay):
-            if event.symbol is not None:
-                raise UnboundSymbolError(f"unbound delay symbol {event.symbol!r}")
-            tau = event.duration_s
-            phase = delta_ang * tau
-            if env is not None and ou_sigma > 0.0:
-                ou_x, integral = ou_step(ou_x, tau, ou_sigma, env.ou_tau_c_s, env.rng)
-                phase += 2.0 * math.pi * 1e3 * integral
-            if phase != 0.0:
-                a, b = _rotate(a, b, 0.0, 0.0, 1.0, phase)
-            continue
-        if env is not None and env.shot_phase_rad != 0.0 and index == last_pulse_index:
-            a, b = _rotate(a, b, 0.0, 0.0, 1.0, env.shot_phase_rad)
-        if detuning_during_pulses:
-            member_params = replace(params, detuning_offset_khz=static_khz)
-            state = propagate_pulse(np.array([a, b]), event, member_params)
-            a, b = complex(state[0]), complex(state[1])
-        else:
-            a, b = _rotate(
-                a, b,
-                math.cos(event.phase_rad), math.sin(event.phase_rad), 0.0,
-                event.angle_rad,
-            )
-    p_s = abs(a) ** 2
-    p_t = abs(b) ** 2
-    total = p_s + p_t
-    if abs(total - 1.0) > 1e-10:
-        raise RuntimeError(f"propagation lost norm: {total!r}")
-    return p_s, p_t
+    if env is None:  # no disorder and no stream: nothing draws
+        env = MemberEnvironment(rng=None, static_detuning_khz=0.0, ou_sigma_khz=0.0,
+                                ou_tau_c_s=1.0, field=FieldVector.along_z(0.0))
+    run = _program_runner(params, [[program]], np.array([[env.shot_phase_rad]]),
+                          env.ou_sigma_khz, env.ou_tau_c_s,
+                          detuning_during_pulses=detuning_during_pulses)
+    p_s, p_t = run([env])
+    return float(p_s.item()), float(p_t.item())
 
 
 def two_level_params_for(spec: EnsembleSpec, system: SpinSystem) -> TwoLevelParams:
@@ -231,11 +151,12 @@ _BLOCK_ELEMENTS = 8192
 
 
 def _rotate_arrays(ar, ai, br, bi, nx, ny, nz, angle):
-    """``_rotate`` on real/imaginary arrays, operation for operation.
+    """Exact SU(2) rotation of the spinors (a, b) about unit axis n by angle.
 
-    Each product and sum is the one CPython's complex arithmetic performs,
-    so every element equals the scalar rotation bit for bit (up to the sign
-    of an exact zero, which no probability can see).
+    The spinors come as real/imaginary arrays.  Each product and sum is the
+    one CPython's complex arithmetic performs for u @ (a, b), so every
+    element equals a complex-scalar rotation bit for bit (up to the sign of
+    an exact zero, which no probability can see).
     """
     c = np.cos(angle / 2.0)
     s = np.sin(angle / 2.0)
@@ -262,7 +183,7 @@ def _phase_arrays(ar, ai, br, bi, phase):
 
 
 def _squares(values: np.ndarray) -> np.ndarray:
-    """Elementwise ``v ** 2`` through libm pow, as run_sequence squares.
+    """Elementwise ``v ** 2`` through libm pow, as ``abs(z) ** 2`` squares a complex.
 
     numpy's own square (x * x) differs from pow in the last bit for about
     0.1 % of inputs.
@@ -272,35 +193,34 @@ def _squares(values: np.ndarray) -> np.ndarray:
     return np.fromiter(squares, dtype=float, count=flat.size).reshape(values.shape)
 
 
-def _ensemble_blocks(
-    spec: EnsembleSpec,
-    system: SpinSystem,
+def _program_runner(
     params: TwoLevelParams,
     programs: list[list[PulseProgram]],
+    shot_phases: np.ndarray | None,
+    ou_sigma_khz: float,
+    ou_tau_c_s: float,
     *,
-    shot_phases: np.ndarray | None = None,
-    detuning_during_pulses: bool = False,
+    detuning_during_pulses: bool,
 ):
-    """Run bound shot programs over the whole ensemble, a member block at a time.
+    """Check a non-empty grid of bound shot programs once and tabulate it.
 
     ``programs[k][c]`` is the cycle-free program of sweep point k and phase
     cycle entry c; all of them share one event skeleton (the same sequence
     of pulse and delay events) and differ only in durations, angles and
-    phases.  Each member, in the order of its own stream, runs for every k,
-    every shot j and every c the equivalent of ``run_sequence(programs[k][c],
-    params, env, detuning_during_pulses=...)`` with ``env.shot_phase_rad =
-    shot_phases[k, j]`` (no shot phase when ``shot_phases`` is None).  One
-    batched normal draw per member returns the deviates of the runs' scalar
-    draws, so results equal the scalar runs bit for bit.
+    phases.  ``shot_phases[k, j]`` is the shot phase of shot j at point k
+    (one shot and no shot phase when None).  The OU step constants are
+    built for ``ou_sigma_khz`` and ``ou_tau_c_s``.
 
-    Yields p_T arrays of shape (block members, K, shots, C), members in
-    index order; a block holds at most ``_BLOCK_ELEMENTS`` runs (and at
-    least one member).
+    Returns ``run(envs) -> (p_S, p_T)``, each of shape (members, K, shots,
+    C), for environments that share those OU parameters.  Each member, in
+    the order of its own stream, runs for every k, every shot j and every c
+    the program (k, c) with the shot phase (k, j); the environments' own
+    shot phases are not read.  One batched normal draw per member returns
+    the deviates that one scalar draw per OU start and two per stepped
+    delay would, so the stream ends where such runs leave it.  ``run``
+    raises RuntimeError when a run loses its norm, NaN included.
     """
-    n_points = len(programs)
-    n_cycles = len(programs[0]) if programs else 0
-    if n_points * n_cycles == 0:
-        return
+    n_points, n_cycles = len(programs), len(programs[0])
     skeleton = programs[0][0].events
     for row in programs:
         if len(row) != n_cycles:
@@ -341,14 +261,11 @@ def _ensemble_blocks(
     last_pulse = max(pulses, default=None)
     shot_z = None if shot_phases is None else shot_phases.reshape(1, n_points, n_shots, 1)
     phase_per_khz_s = 2.0 * math.pi * 1e3
-    ou = None
+    if ou_sigma_khz > 0.0:
+        n_draws, start, delay_steps = _ou_tables(delays, (n_points, n_shots, n_cycles),
+                                                 ou_sigma_khz, ou_tau_c_s)
 
-    block = max(1, _BLOCK_ELEMENTS // (n_points * n_shots * n_cycles))
-    for first in range(0, spec.n_members, block):
-        envs = [
-            noise_mod.draw_member_environment(spec, system, index)
-            for index in range(first, min(first + block, spec.n_members))
-        ]
+    def run(envs: list[MemberEnvironment]) -> tuple[np.ndarray, np.ndarray]:
         static_khz = np.array([params.detuning_offset_khz + env.static_detuning_khz
                                for env in envs]).reshape(-1, 1, 1, 1)
         delta = 2.0 * math.pi * static_khz * 1e3
@@ -357,23 +274,19 @@ def _ensemble_blocks(
             n_eff = n_eff.reshape(delta.shape)
             n_safe = np.where(n_eff == 0.0, 1.0, n_eff)  # no drive, no detuning: identity
             axis_scale, axis_z = omega / n_safe, delta / n_safe
-        sigma, tau_c = envs[0].ou_sigma_khz, envs[0].ou_tau_c_s
-        if ou is None and sigma > 0.0 and delays:
-            ou = _ou_tables(delays, n_shots, sigma, tau_c)
-        if ou is not None:
-            n_draws, start, ou_steps = ou
+        if ou_sigma_khz > 0.0:
             draws = np.stack([env.rng.standard_normal(n_draws) for env in envs])
-            x = sigma * draws[:, start]
+            x = ou_sigma_khz * draws[:, start]
         shape = (len(envs), n_points, n_shots, n_cycles)
         ar, ai = np.ones(shape), np.zeros(shape)
         br, bi = np.zeros(shape), np.zeros(shape)
         for e in range(len(skeleton)):
             if e in delays:
                 phase = delta * delays[e]
-                if ou is not None:
-                    stepping, slot1, slot2, (mu, sd_x, sd_i, rho, rho_c) = ou_steps[e]
+                if ou_sigma_khz > 0.0:
+                    stepping, slot1, slot2, (mu, sd_x, sd_i, rho, rho_c) = delay_steps[e]
                     n1, n2 = draws[:, slot1], draws[:, slot2]
-                    integral = x * tau_c * (1.0 - mu) + sd_i * (rho * n1 + rho_c * n2)
+                    integral = x * ou_tau_c_s * (1.0 - mu) + sd_i * (rho * n1 + rho_c * n2)
                     x = np.where(stepping, x * mu + sd_x * n1, x)
                     phase = phase + phase_per_khz_s * np.where(stepping, integral, 0.0)
                 ar, ai, br, bi = _phase_arrays(ar, ai, br, bi, phase)
@@ -390,32 +303,72 @@ def _ensemble_blocks(
         p_s = _squares(np.hypot(ar, ai))
         p_t = _squares(np.hypot(br, bi))
         total = p_s + p_t
-        lost = np.abs(total - 1.0) > 1e-10
+        lost = ~(np.abs(total - 1.0) <= 1e-10)
         if np.any(lost):
             raise RuntimeError(f"propagation lost norm: {float(total[lost][0])!r}")
-        yield p_t
+        return p_s, p_t
+
+    return run
 
 
-def _ou_tables(delays: dict[int, np.ndarray], n_shots: int, sigma: float, tau_c: float):
+def _ensemble_blocks(
+    spec: EnsembleSpec,
+    system: SpinSystem,
+    params: TwoLevelParams,
+    programs: list[list[PulseProgram]],
+    *,
+    shot_phases: np.ndarray | None = None,
+    detuning_during_pulses: bool = False,
+):
+    """Run bound shot programs over the whole ensemble, a member block at a time.
+
+    ``programs`` and ``shot_phases`` form the grid ``_program_runner``
+    checks once; each block of members then runs it.  For member i that
+    equals, bit for bit, ``run_sequence(programs[k][c], params, env_i,
+    detuning_during_pulses=...)`` for every k, every shot j and every c in
+    that order, with ``env_i.shot_phase_rad = shot_phases[k, j]``.
+
+    Yields p_T arrays of shape (block members, K, shots, C), members in
+    index order; a block holds at most ``_BLOCK_ELEMENTS`` runs (and at
+    least one member).
+    """
+    if not (programs and programs[0]):
+        return
+    run = _program_runner(params, programs, shot_phases,
+                          noise_mod._member_ou_sigma_khz(spec, system), spec.noise.ou_tau_c_s,
+                          detuning_during_pulses=detuning_during_pulses)
+    n_shots = 1 if shot_phases is None else shot_phases.shape[1]
+    block = max(1, _BLOCK_ELEMENTS // (len(programs) * n_shots * len(programs[0])))
+    for first in range(0, spec.n_members, block):
+        envs = [
+            noise_mod.draw_member_environment(spec, system, index)
+            for index in range(first, min(first + block, spec.n_members))
+        ]
+        yield run(envs)[1]
+
+
+def _ou_tables(delays: dict[int, np.ndarray], shape: tuple[int, int, int],
+               sigma: float, tau_c: float):
     """Where each OU deviate sits in a member's draws, and the step constants.
 
-    Every run starts from a stationary OU value and takes one exact joint
-    step per delay of nonzero duration (two normals), as ``run_sequence``
-    does with ``ou_step``; zero-length delays draw nothing and leave the
-    process alone.  Runs follow the stream order sweep point, shot, cycle.
-    The step constants depend only on the duration, so they come from
-    ``_ou_coefficients`` once per (sweep point, cycle) entry.
+    Every run starts from a stationary OU value (one normal) and takes one
+    exact joint step per delay of nonzero duration (two normals, n1 then
+    n2); zero-length delays draw nothing and leave the process alone.  Runs
+    follow the stream order sweep point, shot, cycle.  The step constants
+    depend only on the duration, so they come from ``_ou_coefficients`` once
+    per (sweep point, cycle) entry.
 
-    ``delays`` maps each delay's event index to its (1, K, 1, C) durations.
-    Returns (draws per member, index of each run's first draw, and per
-    delay event: the stepping mask, the indices of n1 and n2, and the
-    constants mu, sd_x, sd_i, rho, sqrt(1 - rho^2)).
+    ``delays`` maps each delay's event index to its (1, K, 1, C) durations
+    and ``shape`` is (K, shots, C).  Returns (draws per member, index of
+    each run's first draw, and per delay event: the stepping mask, the
+    indices of n1 and n2, and the constants mu, sd_x, sd_i, rho,
+    sqrt(1 - rho^2)).
     """
+    n_points, _, n_cycles = shape
     durations = [d[0, :, 0, :] for d in delays.values()]
-    n_points, n_cycles = durations[0].shape
-    stepping = np.stack([d > 0.0 for d in durations], axis=-1)
-    runs = np.broadcast_to((1 + 2 * stepping.sum(axis=-1))[:, None, :],
-                           (n_points, n_shots, n_cycles))
+    stepping = np.array([d > 0.0 for d in durations], dtype=bool).reshape(
+        -1, n_points, n_cycles).transpose(1, 2, 0)
+    runs = np.broadcast_to((1 + 2 * stepping.sum(axis=-1))[:, None, :], shape)
     start = (np.cumsum(runs) - runs.ravel()).reshape(runs.shape)
     before = np.cumsum(stepping, axis=-1) - stepping  # earlier steps of the run
     steps = {}

@@ -307,6 +307,12 @@ def optical_spectrum(
             "probe_peak_rate must be finite and > 0 and pump_peak_rate finite and >= 0, "
             f"got {probe_peak_rate!r} and {pump_peak_rate!r}"
         )
+    if not (math.isfinite(line_s_inv_cm) and math.isfinite(line_t_inv_cm)):
+        raise ValueError(
+            f"line positions must be finite, got {line_s_inv_cm!r} and {line_t_inv_cm!r}")
+    if not (math.isfinite(doublet_split_inv_cm) and doublet_split_inv_cm >= 0):
+        raise ValueError(
+            f"doublet_split_inv_cm must be finite and >= 0, got {doublet_split_inv_cm!r}")
     grid = np.asarray(scan_grid_inv_cm, dtype=float)
     fwhm = cfg.optical_linewidth_mhz / MHZ_PER_INV_CM
     if abs(line_s_inv_cm - line_t_inv_cm) < fwhm / 10.0:

@@ -11,11 +11,13 @@ The result CSVs pin the bytes of small seeded ensemble experiments (Rabi,
 Ramsey, Hahn echo in mean and max detection, an RF spectrum with an
 internal-field subpopulation), of the level diagram and a pumped optical
 spectrum, and of a phase-cycled CPMG-2 program run member by member through
-``run_sequence``.  Two ``fit`` reports, one per model, pin the text output of
-fitting golden CSVs.  A three-event program (pulse, delay, pulse at phase 90)
-driven through ``simulate_4level`` near zero field pins the 4-level CF4
-integrator, with pulses of 101 and 601 steps.  A refactor is judged against these bytes; rewrite them
-only for a deliberate change of the physics or of the random streams.
+the scalar oracle's ``run_sequence`` (``tests/scalar_oracle.py``), never
+through the engine that golden pins.  Two ``fit`` reports, one per model,
+pin the text output of fitting golden CSVs.  A three-event program (pulse,
+delay, pulse at phase 90) driven through ``simulate_4level`` near zero field
+pins the 4-level CF4 integrator, with pulses of 101 and 601 steps.  A
+refactor is judged against these bytes; rewrite them only for a deliberate
+change of the physics or of the random streams.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import io
 import math
 import os
 import pathlib
+import sys
 from typing import Callable
 
 import numpy as np
@@ -36,6 +39,8 @@ from donorsim.program import Delay, Pulse, PulseProgram
 from donorsim.spincore import PHOSPHORUS, FieldVector
 
 HERE = pathlib.Path(__file__).parent
+sys.path.insert(0, str(HERE.parent))  # tests/, home of the scalar oracle
+import scalar_oracle  # noqa: E402
 
 HELP_COMMANDS = {
     "help_main.txt": ["--help"],
@@ -113,7 +118,7 @@ def cpmg2_spec() -> EnsembleSpec:
 
 
 def cpmg2_csv() -> str:
-    """Ensemble-mean p_T per tau and phase-cycle shot, one run_sequence call per run."""
+    """Ensemble-mean p_T per tau and phase-cycle shot, one scalar-oracle run per run."""
     spec = cpmg2_spec()
     params = pulse.two_level_params_for(spec, PHOSPHORUS)
     shots = seqdsl.compile(seqdsl.parse(CPMG2_TEXT)).shots()
@@ -122,7 +127,8 @@ def cpmg2_csv() -> str:
         env = noise.draw_member_environment(spec, PHOSPHORUS, index)
         for k, tau in enumerate(CPMG2_TAUS_S):
             for c, program in enumerate(shots):
-                total[k, c] += pulse.run_sequence(program.bind({"tau": tau}), params, env)[1]
+                total[k, c] += scalar_oracle.run_sequence(
+                    program.bind({"tau": tau}), params, env)[1]
     data = np.column_stack([CPMG2_TAUS_S, total / spec.n_members])
     return csvio.render_csv(["tau_s", "p_t_cycle0", "p_t_cycle180"], data)
 

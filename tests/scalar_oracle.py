@@ -1,0 +1,158 @@
+"""Scalar two-level propagation: the test oracle of the block ensemble engine.
+
+One complex spinor, one event and one OU step at a time, in plain Python
+arithmetic.  ``pulse.run_sequence`` and ``pulse._ensemble_blocks`` must
+equal ``run_sequence`` here bit for bit; ``propagate_pulse`` is checked
+against the matrix exponential and ``ou_step`` against brute-force
+Euler-Maruyama moments.  ``tests/golden/regen.py`` builds
+``cpmg2_run_sequence.csv`` through this module, so that golden does not
+depend on the engine it pins.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import replace
+
+import numpy as np
+
+from donorsim.noise import MemberEnvironment, _ou_coefficients
+from donorsim.program import Delay, Pulse, PulseProgram, UnboundSymbolError
+from donorsim.pulse import TwoLevelParams
+
+
+def ou_step(
+    x: float, dt_s: float, sigma: float, tau_c_s: float, rng: np.random.Generator
+) -> tuple[float, float]:
+    """Advance an OU process by dt and return (new value, integral over dt).
+
+    Uses the exact joint Gaussian update of the process and its integral,
+    so the distribution of both is independent of how a time interval is
+    subdivided.  ``sigma`` is the stationary standard deviation; the
+    returned integral has units of sigma * seconds.  A zero-sigma process
+    consumes no randomness.
+    """
+    if dt_s < 0:
+        raise ValueError("dt_s must be >= 0")
+    if sigma == 0.0 or dt_s == 0.0:
+        return (x * math.exp(-dt_s / tau_c_s) if sigma != 0.0 else 0.0, x * 0.0)
+    mu, sd_x, sd_i, rho, rho_c = _ou_coefficients(dt_s, sigma, tau_c_s)
+    n1 = float(rng.standard_normal())
+    n2 = float(rng.standard_normal())
+    new_x = x * mu + sd_x * n1
+    integral = x * tau_c_s * (1.0 - mu) + sd_i * (rho * n1 + rho_c * n2)
+    return new_x, integral
+
+
+def _rotate(a: complex, b: complex, nx: float, ny: float, nz: float,
+            angle: float) -> tuple[complex, complex]:
+    """Exact SU(2) rotation of the spinor (a, b) about unit axis n by angle."""
+    c = math.cos(angle / 2.0)
+    s = math.sin(angle / 2.0)
+    u00 = complex(c, -s * nz)
+    u01 = complex(-s * ny, -s * nx)
+    u10 = complex(s * ny, -s * nx)
+    u11 = complex(c, s * nz)
+    return u00 * a + u01 * b, u10 * a + u11 * b
+
+
+def propagate_pulse(state: np.ndarray, pulse: Pulse, params: TwoLevelParams) -> np.ndarray:
+    """Apply one finite RF pulse as an exact SU(2) rotation.
+
+    The rotation axis is (Omega cos phi, Omega sin phi, 2 pi detuning) and
+    the angle is the generalized Rabi frequency times the pulse duration.
+    The duration comes from the pulse itself, or from the nominal angle and
+    Omega when the pulse carries none.
+    """
+    state = np.asarray(state, dtype=complex)
+    if state.shape != (2,):
+        raise ValueError("state must be a complex 2-vector")
+    norm = float(np.linalg.norm(state))
+    if not math.isclose(norm, 1.0, rel_tol=0, abs_tol=1e-9):
+        raise ValueError(f"state must be normalized, got |state| = {norm!r}")
+    omega = params.omega_rad_per_s
+    delta = params.detuning_rad_per_s
+    if pulse.duration_s is not None:
+        duration = pulse.duration_s
+    else:
+        if omega == 0.0:
+            raise ValueError("cannot derive duration from angle at zero Rabi frequency")
+        duration = pulse.angle_rad / omega
+    n_eff = math.hypot(omega, delta)
+    if n_eff == 0.0 or duration == 0.0:
+        return state.copy()
+    a, b = _rotate(
+        complex(state[0]), complex(state[1]),
+        (omega / n_eff) * math.cos(pulse.phase_rad),
+        (omega / n_eff) * math.sin(pulse.phase_rad),
+        delta / n_eff,
+        n_eff * duration,
+    )
+    return np.array([a, b], dtype=complex)
+
+
+def run_sequence(
+    program: PulseProgram,
+    params: TwoLevelParams,
+    env: MemberEnvironment | None = None,
+    *,
+    detuning_during_pulses: bool = False,
+) -> tuple[float, float]:
+    """Run one bound, cycle-free program from |S> and return (p_S, p_T).
+
+    Delays accumulate z phase from the static detuning (params plus the
+    member's frozen offset) and, when the environment carries OU noise, from
+    the exact OU phase integral over the delay; the OU state persists across
+    the events of one run.  Pulses are ideal nominal rotations by default
+    (see module docstring); the environment's shot phase, when nonzero, is
+    applied as an extra z rotation just before the final pulse, modelling
+    the net uncancelled common-mode phase of one shot.
+
+    Raises UnboundSymbolError for symbolic delays and ValueError for
+    unexpanded phase cycles.
+    """
+    if program.cycles:
+        raise ValueError("program still has phase cycles; expand with .shots() first")
+    static_khz = params.detuning_offset_khz + (env.static_detuning_khz if env else 0.0)
+    delta_ang = 2.0 * math.pi * static_khz * 1e3
+    a, b = 1.0 + 0.0j, 0.0 + 0.0j
+
+    ou_sigma = env.ou_sigma_khz if env is not None else 0.0
+    ou_x = 0.0
+    if env is not None and ou_sigma > 0.0:
+        ou_x = ou_sigma * float(env.rng.standard_normal())
+
+    last_pulse_index = max(
+        (i for i, ev in enumerate(program.events) if isinstance(ev, Pulse)),
+        default=None,
+    )
+    for index, event in enumerate(program.events):
+        if isinstance(event, Delay):
+            if event.symbol is not None:
+                raise UnboundSymbolError(f"unbound delay symbol {event.symbol!r}")
+            tau = event.duration_s
+            phase = delta_ang * tau
+            if env is not None and ou_sigma > 0.0:
+                ou_x, integral = ou_step(ou_x, tau, ou_sigma, env.ou_tau_c_s, env.rng)
+                phase += 2.0 * math.pi * 1e3 * integral
+            if phase != 0.0:
+                a, b = _rotate(a, b, 0.0, 0.0, 1.0, phase)
+            continue
+        if env is not None and env.shot_phase_rad != 0.0 and index == last_pulse_index:
+            a, b = _rotate(a, b, 0.0, 0.0, 1.0, env.shot_phase_rad)
+        if detuning_during_pulses:
+            member_params = replace(params, detuning_offset_khz=static_khz)
+            state = propagate_pulse(np.array([a, b]), event, member_params)
+            a, b = complex(state[0]), complex(state[1])
+        else:
+            a, b = _rotate(
+                a, b,
+                math.cos(event.phase_rad), math.sin(event.phase_rad), 0.0,
+                event.angle_rad,
+            )
+    p_s = abs(a) ** 2
+    p_t = abs(b) ** 2
+    total = p_s + p_t
+    if abs(total - 1.0) > 1e-10:
+        raise RuntimeError(f"propagation lost norm: {total!r}")
+    return p_s, p_t

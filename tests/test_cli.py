@@ -346,6 +346,11 @@ def test_usage_errors_exit_1(capsys):
     ["optical-spectrum", "--points", "3", "--pump-peak-rate", "nan"],
     ["optical-spectrum", "--points", "3", "--pump-peak-rate", "inf"],
     ["optical-spectrum", "--points", "3", "--probe-peak-rate", "nan"],
+    ["optical-spectrum", "--points", "3", "--doublet-split-invcm", "nan"],
+    ["optical-spectrum", "--points", "3", "--doublet-split-invcm", "-0.001"],
+    ["optical-spectrum", "--points", "3", "--line-t-invcm", "inf"],
+    ["optical-spectrum", "--points", "3", "--line-s-invcm", "nan"],
+    ["rabi", "--members", "3", "--points", "3", "--b1-amplitude-mt", "1e306", "--max-us", "1"],
 ])
 def test_validation_errors_exit_1(monkeypatch, capsys, argv):
     def draw(*args, **kwargs):
@@ -355,6 +360,16 @@ def test_validation_errors_exit_1(monkeypatch, capsys, argv):
     code, _, err = run(capsys, argv)
     assert code == 1
     assert "donorsim: error" in err
+
+
+def test_overflowing_delay_phase_fails_the_norm_check_exit_2(capsys):
+    code, out, err = run(capsys, [
+        "ramsey", "--members", "2", "--points", "2", "--static-detuning-khz", "1e300",
+        "--tau-min-s", "1e9", "--tau-max-s", "1e10",
+    ])
+    assert code == 2
+    assert "propagation lost norm: nan" in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,8 +1,9 @@
 """The block-vectorised ensemble engine against its scalar oracle and closed forms.
 
-``run_sequence`` is the single-run reference: looping it over members,
-sweep points, shots and cycle programs must give the engine's per-member
-p_T bit for bit.
+``scalar_oracle.run_sequence`` is the single-run reference: looping it over
+members, sweep points, shots and cycle programs must give the engine's
+per-member p_T bit for bit, and the public ``pulse.run_sequence`` must give
+its (p_S, p_T) and leave the member stream where it does.
 """
 
 from __future__ import annotations
@@ -17,17 +18,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalar_oracle
 from donorsim import csvio, pulse, seqdsl
-from donorsim.noise import EnsembleSpec, NoiseModel, draw_member_environment
+from donorsim.noise import (
+    EnsembleSpec,
+    MemberEnvironment,
+    NoiseModel,
+    draw_member_environment,
+    member_rng,
+)
 from donorsim.program import Delay, PhaseCycle, Pulse, PulseProgram
 from donorsim.pulse import (
+    TwoLevelParams,
     hahn_experiment,
     rabi_experiment,
     ramsey_experiment,
-    run_sequence,
     two_level_params_for,
 )
-from donorsim.spincore import PHOSPHORUS
+from donorsim.spincore import PHOSPHORUS, FieldVector
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 _spec = importlib.util.spec_from_file_location("golden_regen", GOLDEN / "regen.py")
@@ -42,7 +50,7 @@ def engine_p_t(spec, programs, **kwargs) -> np.ndarray:
 
 
 def looped_p_t(spec, programs, shot_phases=None, detuning_during_pulses=False) -> np.ndarray:
-    """The scalar reference: one run_sequence call per member, point, shot and cycle."""
+    """The scalar reference: one oracle run per member, point, shot and cycle."""
     params = two_level_params_for(spec, PHOSPHORUS)
     n_shots = 1 if shot_phases is None else shot_phases.shape[1]
     out = np.zeros((spec.n_members, len(programs), n_shots, len(programs[0])))
@@ -52,7 +60,7 @@ def looped_p_t(spec, programs, shot_phases=None, detuning_during_pulses=False) -
             for j in range(n_shots):
                 env.shot_phase_rad = 0.0 if shot_phases is None else float(shot_phases[k, j])
                 for c, program in enumerate(row):
-                    _, out[i, k, j, c] = run_sequence(
+                    _, out[i, k, j, c] = scalar_oracle.run_sequence(
                         program, params, env, detuning_during_pulses=detuning_during_pulses)
     return out
 
@@ -138,6 +146,55 @@ def test_engine_matches_run_sequence_on_a_larger_ensemble(finite):
     assert got.tolist() == want.tolist()
 
 
+@st.composite
+def _single_runs(draw):
+    """A random bound program and whether its pulses are finite."""
+    finite = draw(st.booleans())
+    events = []
+    for kind in draw(st.lists(st.sampled_from(["pulse", "delay"]), max_size=6)):
+        if kind == "pulse":
+            duration = draw(st.one_of(st.none(), st.floats(1e-6, 1e-4))) if finite else None
+            events.append(Pulse(angle_rad=draw(_ANGLES), phase_rad=draw(_PHASES),
+                                duration_s=duration))
+        else:
+            events.append(Delay(duration_s=draw(_DELAYS)))
+    return PulseProgram(name="random", events=tuple(events)), finite
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    runs=st.lists(_single_runs(), min_size=2, max_size=2),
+    coupling=st.floats(1.0, 30.0), b1=st.floats(1e-4, 5e-3),
+    offset_khz=st.floats(-50.0, 50.0), seed=st.integers(0, 2**32),
+    member=st.one_of(st.none(), st.tuples(
+        st.floats(-5.0, 5.0), st.sampled_from([0.0, 0.3]),
+        st.one_of(st.just(0.0), _PHASES))),
+)
+def test_run_sequence_matches_the_scalar_oracle_bit_for_bit(
+        runs, coupling, b1, offset_khz, seed, member):
+    params = TwoLevelParams(transition_frequency_mhz=117.53, rabi_coupling_mhz_per_mt=coupling,
+                            b1_amplitude_mt=b1, detuning_offset_khz=offset_khz)
+
+    def environment():
+        if member is None:
+            return None
+        static_khz, sigma_khz, shot_phase = member
+        return MemberEnvironment(rng=member_rng(seed, 0), static_detuning_khz=static_khz,
+                                 ou_sigma_khz=sigma_khz, ou_tau_c_s=0.01,
+                                 field=FieldVector.along_z(0.0), shot_phase_rad=shot_phase)
+
+    # two consecutive calls on one environment: the second continues its stream
+    got_env, want_env = environment(), environment()
+    for program, finite in runs:
+        got = pulse.run_sequence(program, params, got_env, detuning_during_pulses=finite)
+        want = scalar_oracle.run_sequence(program, params, want_env,
+                                          detuning_during_pulses=finite)
+        assert got == want
+        assert abs(got[0] + got[1] - 1.0) <= 1e-10
+    if member is not None:  # and both streams go on from the same place
+        assert got_env.rng.standard_normal(3).tolist() == want_env.rng.standard_normal(3).tolist()
+
+
 def test_engine_rejects_what_run_sequence_rejects():
     spec = EnsembleSpec(n_members=1, seed=0)
     half = Pulse(angle_rad=math.pi / 2, phase_rad=0.0)
@@ -154,7 +211,7 @@ def test_engine_rejects_what_run_sequence_rejects():
 
 
 def test_cpmg2_golden_through_the_engine():
-    # the golden was written by looping run_sequence member by member
+    # the golden was written by looping the scalar oracle member by member
     spec = regen.cpmg2_spec()
     shots = seqdsl.compile(seqdsl.parse(regen.CPMG2_TEXT)).shots()
     programs = [[p.bind({"tau": tau}) for p in shots] for tau in regen.CPMG2_TAUS_S]

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scalar_oracle import ou_step
 
 from donorsim.noise import (
     COMMON_STREAM_INDEX,
@@ -15,7 +16,6 @@ from donorsim.noise import (
     common_rng,
     draw_member_environment,
     member_rng,
-    ou_step,
     sensitivity_factor,
     stretched_envelope,
 )

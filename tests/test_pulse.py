@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scalar_oracle import propagate_pulse
 
 from donorsim import pulse, spincore
 from donorsim.csvio import Series
@@ -18,7 +19,6 @@ from donorsim.pulse import (
     TwoLevelParams,
     hahn_experiment,
     max_magnitude_estimate,
-    propagate_pulse,
     rabi_experiment,
     rf_spectrum,
     run_sequence,
@@ -123,6 +123,15 @@ def test_run_sequence_rejects_cycles_and_symbols():
     symbolic = hahn_program().shots()[0]
     with pytest.raises(Exception):
         run_sequence(symbolic, params_for())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_sequence_reports_a_lost_norm_on_overflow():
+    # 1e300 kHz over 1e10 s overflows the delay phase; its NaN must fail the norm check
+    half = Pulse(angle_rad=math.pi / 2, phase_rad=0.0)
+    program = PulseProgram(name="overflow", events=(half, Delay(duration_s=1e10), half))
+    with pytest.raises(RuntimeError, match="propagation lost norm: nan"):
+        run_sequence(program, params_for(detuning_khz=1e300))
 
 
 def test_hahn_refocuses_static_detuning_exactly():

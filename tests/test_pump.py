@@ -202,3 +202,16 @@ def test_optical_spectrum_rejects_bad_peak_rates(probe, pump_rate):
         optical_spectrum(np.linspace(-0.002, 0.006, 3), line_s_inv_cm=0.00392,
                          line_t_inv_cm=0.0, cfg=PumpConfig(), pump_setting="off",
                          probe_peak_rate=probe, pump_peak_rate=pump_rate)
+
+
+@pytest.mark.parametrize("lines, split, message", [
+    ((math.nan, 0.0), 0.0, "line positions must be finite"),
+    ((0.00392, math.inf), 0.0, "line positions must be finite"),
+    ((0.00392, 0.0), math.nan, "doublet_split_inv_cm must be finite and >= 0"),
+    ((0.00392, 0.0), -0.001, "doublet_split_inv_cm must be finite and >= 0"),
+])
+def test_optical_spectrum_rejects_bad_lines_and_split(lines, split, message):
+    with pytest.raises(ValueError, match=message):
+        optical_spectrum(np.linspace(-0.002, 0.006, 3), line_s_inv_cm=lines[0],
+                         line_t_inv_cm=lines[1], cfg=PumpConfig(), pump_setting="off",
+                         doublet_split_inv_cm=split)
