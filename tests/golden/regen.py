@@ -8,8 +8,9 @@ Help text is captured at a fixed 80-column width so the files are stable
 across terminals; the matching test pins COLUMNS the same way.
 
 The result CSVs pin the bytes of small seeded ensemble experiments (Rabi,
-Ramsey, Hahn echo in mean and max detection, an RF spectrum with an
-internal-field subpopulation), of the level diagram and a pumped optical
+Ramsey, Hahn echo in mean and max detection, two RF spectra with an
+internal-field subpopulation, one at zero applied field over more members
+than one block of the spectrum path), of the level diagram and a pumped optical
 spectrum, and of a phase-cycled CPMG-2 program run member by member through
 the scalar oracle's ``run_sequence`` (``tests/scalar_oracle.py``), never
 through the engine that golden pins.  Two ``fit`` reports, one per model,
@@ -70,12 +71,19 @@ _HAHN = ["hahn", *_NOISE, "--members", "30", "--points", "6", "--tau-min-s", "0.
 _RF = ["rf-spectrum", "--b0-ut", "4", "--orientation", "perpendicular",
        "--internal-fraction", "0.4", "--members", "60", "--offset-min-khz", "-80",
        "--offset-max-khz", "80", "--points", "161", "--seed", "9"]
+# Zero applied field: the members without an internal field take the
+# reference-field basis, and 1100 members span more than one member block.
+_RF_ZERO = ["rf-spectrum", "--b0-ut", "0", "--orientation", "parallel",
+            "--internal-fraction", "0.4", "--members", "1100", "--offset-min-khz", "-100",
+            "--offset-max-khz", "100", "--points", "41", "--kernel-fwhm-khz", "4",
+            "--seed", "11"]
 
 #: Golden output name -> CLI argv (``--output`` is appended).  The fit reports
 #: read golden CSVs listed before them.
 CLI_CSVS = {
     "levels.csv": ["levels", "--points", "21"],
     "rf_spectrum_internal_perpendicular.csv": _RF,
+    "rf_spectrum_zero_field_parallel.csv": _RF_ZERO,
     "optical_spectrum_on_t.csv": ["optical-spectrum", "--pump", "on_T", "--points", "41"],
     "rabi_t0_parallel.csv": _RABI + _T0,
     "rabi_tplus_perpendicular.csv": _RABI + _TPLUS,
