@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -140,56 +141,79 @@ def sensitivity_factor(system: SpinSystem, transition: str, b0_ut: float) -> flo
     return abs(slope) / reference
 
 
+class EnvironmentPass:
+    """Draws member environments a block at a time for one ensemble.
+
+    The per-ensemble constants (the OU sigma every member sees on its
+    driven line, the nominal field and line frequency) are computed once,
+    when the pass is made; ``draw`` then only spends per-member work.
+
+    Draw order in each member's private stream (fixed; later draws in the
+    same stream belong to the pulse sequences run on this member): (1)
+    static detuning normal deviate, (2) subpopulation uniform, (3)
+    internal-field direction as z-uniform and azimuth-uniform deviates.
+    Members outside the internal-field subpopulation still consume the
+    direction draws so that membership of other members never shifts
+    anyone's stream.
+    """
+
+    def __init__(self, spec: EnsembleSpec, system: SpinSystem) -> None:
+        self.spec = spec
+        self.system = system
+        factor = sensitivity_factor(system, spec.transition, spec.b0_magnitude_ut)
+        #: The OU sigma every member sees on its driven line (model sigma x sensitivity).
+        self.ou_sigma_khz = spec.noise.ou_sigma_khz * factor
+        self._b0 = FieldVector.along_z(spec.b0_magnitude_ut)
+        self._nominal_mhz = spincore.transition_frequency(
+            system, spec.transition, self._b0.magnitude())
+
+    def blocks(self, size: int) -> Iterator[list[MemberEnvironment]]:
+        """The whole ensemble's environments in index order, at most ``size`` at a time."""
+        n_members = self.spec.n_members
+        for first in range(0, n_members, size):
+            yield self.draw(first, min(first + size, n_members))
+
+    def draw(self, first: int, stop: int) -> list[MemberEnvironment]:
+        """The environments of members ``first`` .. ``stop - 1``, in index order."""
+        spec, system, b0 = self.spec, self.system, self._b0
+        noise = spec.noise
+        internal_ut = noise.internal_field_ut
+        envs = []
+        for index in range(first, stop):
+            rng = member_rng(spec.seed, index)
+            detuning = noise.static_detuning_khz * float(rng.standard_normal())
+            in_subpop = float(rng.random()) < noise.internal_fraction
+            cos_theta = 2.0 * float(rng.random()) - 1.0
+            azimuth = 2.0 * math.pi * float(rng.random())
+
+            field = b0
+            if in_subpop and internal_ut > 0.0:
+                sin_theta = math.sqrt(max(0.0, 1.0 - cos_theta**2))
+                field = FieldVector(b0.bx + sin_theta * math.cos(azimuth) * internal_ut,
+                                    b0.by + sin_theta * math.sin(azimuth) * internal_ut,
+                                    b0.bz + cos_theta * internal_ut)
+                shifted = spincore.transition_frequency(
+                    system, spec.transition, field.magnitude())
+                detuning += (shifted - self._nominal_mhz) * 1e3  # MHz -> kHz
+
+            envs.append(MemberEnvironment(
+                rng=rng,
+                static_detuning_khz=detuning,
+                ou_sigma_khz=self.ou_sigma_khz,
+                ou_tau_c_s=noise.ou_tau_c_s,
+                field=field,
+            ))
+        return envs
+
+
 def draw_member_environment(
     spec: EnsembleSpec, system: SpinSystem, index: int
 ) -> MemberEnvironment:
     """Draw one member's frozen environment from its private stream.
 
-    Draw order (fixed; later draws in the same stream belong to the pulse
-    sequences run on this member): (1) static detuning normal deviate,
-    (2) subpopulation uniform, (3) internal-field direction as z-uniform
-    and azimuth-uniform deviates.  Members outside the internal-field
-    subpopulation still consume the direction draws so that membership of
-    other members never shifts anyone's stream.
+    A one-member ``EnvironmentPass``; its docstring gives the draw order.
     """
-    rng = member_rng(spec.seed, index)
-    noise = spec.noise
-    detuning = noise.static_detuning_khz * float(rng.standard_normal())
-    in_subpop = float(rng.random()) < noise.internal_fraction
-    cos_theta = 2.0 * float(rng.random()) - 1.0
-    azimuth = 2.0 * math.pi * float(rng.random())
-
-    b0 = FieldVector.along_z(spec.b0_magnitude_ut)
-    field = b0
-    if in_subpop and noise.internal_field_ut > 0.0:
-        sin_theta = math.sqrt(max(0.0, 1.0 - cos_theta**2))
-        internal = np.array(
-            [
-                sin_theta * math.cos(azimuth),
-                sin_theta * math.sin(azimuth),
-                cos_theta,
-            ]
-        ) * noise.internal_field_ut
-        field = FieldVector(
-            b0.bx + internal[0], b0.by + internal[1], b0.bz + internal[2]
-        )
-        shifted = spincore.transition_frequency(system, spec.transition, field.magnitude())
-        nominal = spincore.transition_frequency(system, spec.transition, b0.magnitude())
-        detuning += (shifted - nominal) * 1e3  # MHz -> kHz
-
-    return MemberEnvironment(
-        rng=rng,
-        static_detuning_khz=detuning,
-        ou_sigma_khz=_member_ou_sigma_khz(spec, system),
-        ou_tau_c_s=noise.ou_tau_c_s,
-        field=field,
-    )
-
-
-def _member_ou_sigma_khz(spec: EnsembleSpec, system: SpinSystem) -> float:
-    """The OU sigma every member sees on its driven line (model sigma x sensitivity)."""
-    factor = sensitivity_factor(system, spec.transition, spec.b0_magnitude_ut)
-    return spec.noise.ou_sigma_khz * factor
+    return EnvironmentPass(spec, system).draw(index, index + 1)[0]
 
 
 def _integral_variance_factor(eps: float) -> float:

@@ -265,6 +265,8 @@ def _program_runner(
         n_draws, start, delay_steps = _ou_tables(delays, (n_points, n_shots, n_cycles),
                                                  ou_sigma_khz, ou_tau_c_s)
 
+    # an overflowing phase becomes NaN without a warning; the norm check reports it
+    @np.errstate(over="ignore", invalid="ignore")
     def run(envs: list[MemberEnvironment]) -> tuple[np.ndarray, np.ndarray]:
         static_khz = np.array([params.detuning_offset_khz + env.static_detuning_khz
                                for env in envs]).reshape(-1, 1, 1, 1)
@@ -334,17 +336,13 @@ def _ensemble_blocks(
     """
     if not (programs and programs[0]):
         return
-    run = _program_runner(params, programs, shot_phases,
-                          noise_mod._member_ou_sigma_khz(spec, system), spec.noise.ou_tau_c_s,
-                          detuning_during_pulses=detuning_during_pulses)
+    envs = noise_mod.EnvironmentPass(spec, system)
+    run = _program_runner(params, programs, shot_phases, envs.ou_sigma_khz,
+                          spec.noise.ou_tau_c_s, detuning_during_pulses=detuning_during_pulses)
     n_shots = 1 if shot_phases is None else shot_phases.shape[1]
     block = max(1, _BLOCK_ELEMENTS // (len(programs) * n_shots * len(programs[0])))
-    for first in range(0, spec.n_members, block):
-        envs = [
-            noise_mod.draw_member_environment(spec, system, index)
-            for index in range(first, min(first + block, spec.n_members))
-        ]
-        yield run(envs)[1]
+    for members in envs.blocks(block):
+        yield run(members)[1]
 
 
 def _ou_tables(delays: dict[int, np.ndarray], shape: tuple[int, int, int],
@@ -686,6 +684,11 @@ def simulate_4level(
     return {lbl: float(abs(psi[k]) ** 2) for k, lbl in enumerate(spincore.LABELS)}
 
 
+#: Members per block of ``rf_spectrum``: one environment pass and one stacked
+#: eigensolve each; the (members, 4, 4) complex stack stays near 64 KB.
+_RF_BLOCK_MEMBERS = 256
+
+
 def rf_spectrum(
     spec: EnsembleSpec,
     system: SpinSystem,
@@ -705,6 +708,10 @@ def rf_spectrum(
     to B0, S -> T+- perpendicular) and the internal-field subpopulation's
     broad T+- sidebands, whose position is set by the internal field
     magnitude rather than the applied field.
+
+    Members are drawn and diagonalised ``_RF_BLOCK_MEMBERS`` at a time; the
+    lines are then added member by member, in label order, so the result
+    does not depend on the block size.
     """
     offsets = np.asarray(offsets_khz, dtype=float)
     if not (math.isfinite(kernel_fwhm_khz) and kernel_fwhm_khz > 0):
@@ -714,17 +721,17 @@ def rf_spectrum(
         if spec.b0_orientation == "parallel"
         else np.array([1.0, 0.0, 0.0])
     )
+    op = spincore.drive_operator(system, b1_dir)
     half = kernel_fwhm_khz / 2.0
     total = np.zeros_like(offsets)
-    for index in range(spec.n_members):
-        env = noise_mod.draw_member_environment(spec, system, index)
-        eig = spincore.eigensystem(system, env.field)
-        e_s = eig.energy("S")
-        for label in spincore.TRIPLET_LABELS:
-            line_khz = (eig.energy(label) - e_s - system.hyperfine_a) * 1e3
-            weight = spincore.rf_matrix_element(eig, system, b1_dir, label) ** 2
-            if weight == 0.0:
-                continue
-            u = (offsets - line_khz) / half
-            total += weight / (1.0 + u * u)
+    for members in noise_mod.EnvironmentPass(spec, system).blocks(_RF_BLOCK_MEMBERS):
+        energies, vectors = spincore.eigensystems(system, [env.field for env in members])
+        for e, v in zip(energies.tolist(), vectors):
+            v_s = op @ v[:, 0]  # the drive acting on S
+            for k in range(1, 4):  # T-, T0, T+
+                weight = float(abs(np.vdot(v[:, k], v_s))) ** 2
+                if weight == 0.0:
+                    continue
+                u = (offsets - (e[k] - e[0] - system.hyperfine_a) * 1e3) / half
+                total += weight / (1.0 + u * u)
     return Series(x=offsets, values=total / spec.n_members)

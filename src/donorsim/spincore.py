@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -175,17 +176,27 @@ class TransitionLine:
 
 
 def zeeman_operator(system: SpinSystem, vector: np.ndarray) -> np.ndarray:
-    """gamma_s (v.S) - gamma_i (v.I) in MHz for a vector ``v`` in mT."""
-    return sum(
-        c * (system.gamma_s * s - system.gamma_i * i)
-        for c, s, i in zip(vector, _S_VEC, _I_VEC)
-    )
+    """gamma_s (v.S) - gamma_i (v.I) in MHz for a vector ``v`` in mT.
+
+    An (n, 3) stack of vectors gives the (n, 4, 4) stack of operators.  Each
+    is summed as ((0 + v_x K_x) + v_y K_y) + v_z K_z with
+    K = gamma_s S - gamma_i I, so it does not depend on the stack it is in.
+    """
+    total = 0
+    for c, s, i in zip(np.moveaxis(np.asarray(vector, dtype=float), -1, 0), _S_VEC, _I_VEC):
+        total = total + c[..., None, None] * (system.gamma_s * s - system.gamma_i * i)
+    return total
 
 
 def build_hamiltonian(system: SpinSystem, field: FieldVector) -> np.ndarray:
     """Assemble the 4x4 Hamiltonian (MHz) for a field given in microtesla."""
-    b_mt = field.as_array() / UT_PER_MT
-    return zeeman_operator(system, b_mt) + system.hyperfine_a * _S_DOT_I
+    return _hamiltonians(system, [field])[0]
+
+
+def _hamiltonians(system: SpinSystem, fields: Sequence[FieldVector]) -> np.ndarray:
+    """The (n, 4, 4) stack of ``build_hamiltonian`` for n fields."""
+    b_ut = np.array([(f.bx, f.by, f.bz) for f in fields], dtype=float)
+    return zeeman_operator(system, b_ut / UT_PER_MT) + system.hyperfine_a * _S_DOT_I
 
 
 def eigensystem(system: SpinSystem, field: FieldVector) -> EigenSystem:
@@ -199,11 +210,26 @@ def eigensystem(system: SpinSystem, field: FieldVector) -> EigenSystem:
     are taken from the reference field 1e-6 uT z instead, while the energies
     still come from the Hamiltonian at ``field``.
     """
-    energies, vectors = np.linalg.eigh(build_hamiltonian(system, field))
-    if field.magnitude() < REFERENCE_FIELD_UT:
+    energies, vectors = eigensystems(system, [field])
+    return EigenSystem(energies=energies[0], vectors=vectors[0])
+
+
+def eigensystems(
+    system: SpinSystem, fields: Sequence[FieldVector]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``eigensystem`` for n fields through one stacked eigensolve.
+
+    Returns the energies, shape (n, 4), and eigenvectors, shape (n, 4, 4),
+    both in LABELS order.  Row k equals a one-field solve of ``fields[k]``
+    bit for bit, whatever the other fields, and the reference-field rule
+    applies field by field.
+    """
+    energies, vectors = np.linalg.eigh(_hamiltonians(system, fields))
+    small = [k for k, f in enumerate(fields) if f.magnitude() < REFERENCE_FIELD_UT]
+    if small:
         href = build_hamiltonian(system, FieldVector.along_z(REFERENCE_FIELD_UT))
-        _, vectors = np.linalg.eigh(href)
-    return EigenSystem(energies=energies, vectors=vectors)
+        vectors[small] = np.linalg.eigh(href)[1]
+    return energies, vectors
 
 
 def _breit_rabi_arrays(system: SpinSystem, b0_mt):
@@ -262,23 +288,32 @@ def transition_frequency(system: SpinSystem, to_label: str, b0_ut: float) -> flo
     return _transition_frequency_mt(system, to_label, b0_ut / UT_PER_MT)
 
 
+def drive_operator(system: SpinSystem, drive_direction) -> np.ndarray:
+    """gamma_s (e.S) - gamma_i (e.I) in MHz/mT for the unit vector e along a drive."""
+    e = np.asarray(drive_direction, dtype=float)
+    norm = float(np.linalg.norm(e))
+    if norm == 0.0 or not np.all(np.isfinite(e)):
+        raise ValueError("drive direction must be a finite nonzero vector")
+    return zeeman_operator(system, e / norm)
+
+
 def rf_matrix_element(
     eig: EigenSystem,
     system: SpinSystem,
     drive_direction: np.ndarray,
     to_label: str,
     from_label: str = "S",
+    *,
+    operator: np.ndarray | None = None,
 ) -> float:
     """|<to| gamma_s (e.S) - gamma_i (e.I) |from>| for unit drive direction e.
 
     Returned in MHz/mT: multiply by an RF amplitude in mT to get the coupling
-    strength in MHz.
+    strength in MHz.  A caller that needs many elements for one drive passes
+    ``operator=drive_operator(system, drive_direction)``, built once; it is
+    then used as given.
     """
-    e = np.asarray(drive_direction, dtype=float)
-    norm = float(np.linalg.norm(e))
-    if norm == 0.0 or not np.all(np.isfinite(e)):
-        raise ValueError("drive direction must be a finite nonzero vector")
-    op = zeeman_operator(system, e / norm)
+    op = drive_operator(system, drive_direction) if operator is None else operator
     amp = np.vdot(eig.vector(to_label), op @ eig.vector(from_label))
     return float(abs(amp))
 
@@ -310,17 +345,18 @@ def transition_table(system: SpinSystem, field: FieldVector) -> list[TransitionL
     """
     eig = eigensystem(system, field)
     par, perp = _drive_directions(field)
-    lines = []
-    for label in TRIPLET_LABELS:
-        lines.append(
-            TransitionLine(
-                to_label=label,
-                frequency_mhz=eig.energy(label) - eig.energy("S"),
-                element_parallel_mhz_per_mt=rf_matrix_element(eig, system, par, label),
-                element_perpendicular_mhz_per_mt=rf_matrix_element(eig, system, perp, label),
-            )
+    op_par, op_perp = drive_operator(system, par), drive_operator(system, perp)
+    return [
+        TransitionLine(
+            to_label=label,
+            frequency_mhz=eig.energy(label) - eig.energy("S"),
+            element_parallel_mhz_per_mt=rf_matrix_element(
+                eig, system, par, label, operator=op_par),
+            element_perpendicular_mhz_per_mt=rf_matrix_element(
+                eig, system, perp, label, operator=op_perp),
         )
-    return lines
+        for label in TRIPLET_LABELS
+    ]
 
 
 def clock_sensitivity(

@@ -7,6 +7,11 @@ against the matrix exponential and ``ou_step`` against brute-force
 Euler-Maruyama moments.  ``tests/golden/regen.py`` builds
 ``cpmg2_run_sequence.csv`` through this module, so that golden does not
 depend on the engine it pins.
+
+``draw_member_environment`` and ``eigensystem`` are one member's
+environment and one field's eigensolve, one at a time: the oracle of the
+block environment pass (``noise.EnvironmentPass``) and the stacked
+eigensolve (``spincore.eigensystems``).
 """
 
 from __future__ import annotations
@@ -16,9 +21,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from donorsim.noise import MemberEnvironment, _ou_coefficients
+from donorsim import spincore
+from donorsim.noise import EnsembleSpec, MemberEnvironment, _ou_coefficients, member_rng
 from donorsim.program import Delay, Pulse, PulseProgram, UnboundSymbolError
 from donorsim.pulse import TwoLevelParams
+from donorsim.spincore import FieldVector, SpinSystem
 
 
 def ou_step(
@@ -156,3 +163,70 @@ def run_sequence(
     if abs(total - 1.0) > 1e-10:
         raise RuntimeError(f"propagation lost norm: {total!r}")
     return p_s, p_t
+
+
+def draw_member_environment(
+    spec: EnsembleSpec, system: SpinSystem, index: int
+) -> MemberEnvironment:
+    """Draw one member's frozen environment from its private stream.
+
+    Draw order: static detuning normal deviate, subpopulation uniform, then
+    the internal-field direction as z-uniform and azimuth-uniform deviates,
+    which members outside the subpopulation consume too.
+    """
+    rng = member_rng(spec.seed, index)
+    noise = spec.noise
+    detuning = noise.static_detuning_khz * float(rng.standard_normal())
+    in_subpop = float(rng.random()) < noise.internal_fraction
+    cos_theta = 2.0 * float(rng.random()) - 1.0
+    azimuth = 2.0 * math.pi * float(rng.random())
+
+    b0 = FieldVector.along_z(spec.b0_magnitude_ut)
+    field = b0
+    if in_subpop and noise.internal_field_ut > 0.0:
+        sin_theta = math.sqrt(max(0.0, 1.0 - cos_theta**2))
+        internal = np.array(
+            [
+                sin_theta * math.cos(azimuth),
+                sin_theta * math.sin(azimuth),
+                cos_theta,
+            ]
+        ) * noise.internal_field_ut
+        field = FieldVector(
+            b0.bx + internal[0], b0.by + internal[1], b0.bz + internal[2]
+        )
+        shifted = spincore.transition_frequency(system, spec.transition, field.magnitude())
+        nominal = spincore.transition_frequency(system, spec.transition, b0.magnitude())
+        detuning += (shifted - nominal) * 1e3  # MHz -> kHz
+
+    slope, _ = spincore.clock_sensitivity(system, spec.transition, spec.b0_magnitude_ut)
+    factor = abs(slope) / ((system.gamma_s - system.gamma_i) / 2.0)
+    return MemberEnvironment(
+        rng=rng,
+        static_detuning_khz=detuning,
+        ou_sigma_khz=noise.ou_sigma_khz * factor,
+        ou_tau_c_s=noise.ou_tau_c_s,
+        field=field,
+    )
+
+
+def eigensystem(system: SpinSystem, field: FieldVector) -> tuple[np.ndarray, np.ndarray]:
+    """Energies and eigenvectors at one field, from one 4x4 ``eigh``.
+
+    Below REFERENCE_FIELD_UT the eigenvectors come from the reference field
+    along z instead; the energies always come from ``field``.
+    """
+    def hamiltonian(f: FieldVector) -> np.ndarray:
+        b_mt = f.as_array() / spincore.UT_PER_MT
+        zeeman = sum(
+            c * (system.gamma_s * s - system.gamma_i * i)
+            for c, s, i in zip(b_mt, (spincore.SX, spincore.SY, spincore.SZ),
+                               (spincore.IX, spincore.IY, spincore.IZ))
+        )
+        return zeeman + system.hyperfine_a * (
+            spincore.SX @ spincore.IX + spincore.SY @ spincore.IY + spincore.SZ @ spincore.IZ)
+
+    energies, vectors = np.linalg.eigh(hamiltonian(field))
+    if field.magnitude() < spincore.REFERENCE_FIELD_UT:
+        _, vectors = np.linalg.eigh(hamiltonian(FieldVector.along_z(spincore.REFERENCE_FIELD_UT)))
+    return energies, vectors

@@ -229,6 +229,7 @@ def test_block_size_does_not_change_bytes(tmp_path, monkeypatch, block):
     for name, argv in sorted(regen.CLI_CSVS.items()):
         # 1 element gives one member per block; 10**9 puts every member in one
         monkeypatch.setattr(pulse, "_BLOCK_ELEMENTS", 1 if block == "one member" else 10**9)
+        monkeypatch.setattr(pulse, "_RF_BLOCK_MEMBERS", 1 if block == "one member" else 10**9)
         text = regen.cli_csv(argv, tmp_path / name)
         assert text.encode("utf-8") == (GOLDEN / name).read_bytes(), name
 

@@ -6,11 +6,16 @@ import math
 
 import numpy as np
 import pytest
+import scalar_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scalar_oracle import ou_step
 
+from donorsim import pulse
 from donorsim.noise import (
     COMMON_STREAM_INDEX,
     EnsembleSpec,
+    EnvironmentPass,
     NoiseModel,
     _integral_variance_factor,
     common_rng,
@@ -19,7 +24,7 @@ from donorsim.noise import (
     sensitivity_factor,
     stretched_envelope,
 )
-from donorsim.spincore import GAMMA_I_MHZ_PER_MT, GAMMA_S_MHZ_PER_MT, PHOSPHORUS
+from donorsim.spincore import GAMMA_I_MHZ_PER_MT, GAMMA_S_MHZ_PER_MT, PHOSPHORUS, eigensystems
 
 
 # --- streams -----------------------------------------------------------------
@@ -82,6 +87,48 @@ def test_internal_field_adds_vectorially():
     assert min(magnitudes) >= 2.0 - 1e-9   # |6 - 4|
     assert max(magnitudes) <= 10.0 + 1e-9  # 6 + 4
     assert np.std(magnitudes) > 0.5  # directions genuinely random
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    n_members=st.integers(1, 8),
+    b0_ut=st.sampled_from([0.0, 5e-7, 4.0]),
+    fraction=st.floats(0.0, 1.0),
+    internal_ut=st.sampled_from([0.0, 3e-7, 6.0, 40.0]),
+    static_khz=st.sampled_from([0.0, 1.5]),
+    ou_sigma_khz=st.sampled_from([0.0, 0.05]),
+    transition=st.sampled_from(["T-", "T0", "T+"]),
+    block=st.sampled_from([1, 3, "default"]),
+)
+def test_block_pass_matches_per_member_draws_and_eigensolves(
+    seed, n_members, b0_ut, fraction, internal_ut, static_khz, ou_sigma_khz, transition, block
+):
+    spec = EnsembleSpec(
+        n_members=n_members, seed=seed, transition=transition, b0_magnitude_ut=b0_ut,
+        noise=NoiseModel(static_detuning_khz=static_khz, ou_sigma_khz=ou_sigma_khz,
+                         internal_fraction=fraction, internal_field_ut=internal_ut),
+    )
+    size = pulse._RF_BLOCK_MEMBERS if block == "default" else block
+    got = []
+    for members in EnvironmentPass(spec, PHOSPHORUS).blocks(size):
+        assert 1 <= len(members) <= size
+        energies, vectors = eigensystems(PHOSPHORUS, [env.field for env in members])
+        got += zip(members, energies, vectors)
+    assert len(got) == n_members
+    for index, (env, energies, vectors) in enumerate(got):
+        want = scalar_oracle.draw_member_environment(spec, PHOSPHORUS, index)
+        public = draw_member_environment(spec, PHOSPHORUS, index)
+        want_energies, want_vectors = scalar_oracle.eigensystem(PHOSPHORUS, want.field)
+        for other in (want, public):
+            assert env.field.as_array().tolist() == other.field.as_array().tolist()
+            assert (env.static_detuning_khz, env.ou_sigma_khz, env.ou_tau_c_s) == (
+                other.static_detuning_khz, other.ou_sigma_khz, other.ou_tau_c_s)
+        assert energies.tolist() == want_energies.tolist()
+        assert vectors.tolist() == want_vectors.tolist()
+        # every stream stops after the same four draws
+        next_draws = env.rng.random(3).tolist()
+        assert next_draws == want.rng.random(3).tolist() == public.rng.random(3).tolist()
 
 
 def test_ou_sigma_scaled_by_line_sensitivity():

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scalar_oracle import propagate_pulse
 
@@ -350,6 +352,32 @@ def test_4level_matches_two_level_when_well_separated():
     assert abs(sum(pops.values()) - 1.0) < 1e-9
 
 
+_FIELD_COMPONENTS = st.one_of(st.just(0.0), st.floats(-30.0, 30.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    field=st.one_of(st.just((0.0, 0.0, 0.0)),
+                    st.tuples(_FIELD_COMPONENTS, _FIELD_COMPONENTS, _FIELD_COMPONENTS)),
+    phases=st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)),
+    steps=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    delay_us=st.floats(0.0, 0.05),
+    b1_mt=st.floats(0.01, 1.0),
+    direction=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(0.1, 1.0)),
+    rf_offset_mhz=st.floats(-0.5, 0.5),
+)
+def test_4level_populations_sum_to_one(field, phases, steps, delay_us, b1_mt, direction,
+                                       rf_offset_mhz):
+    program = PulseProgram(name="p_delay_p", events=(
+        Pulse(angle_rad=0.0, phase_rad=phases[0], duration_s=steps[0] * DT_S),
+        Delay(duration_s=delay_us * 1e-6),
+        Pulse(angle_rad=0.0, phase_rad=phases[1], duration_s=steps[1] * DT_S),
+    ))
+    pops = simulate_4level(program, PHOSPHORUS, FieldVector(*field), b1_mt, direction,
+                           PHOSPHORUS.hyperfine_a + rf_offset_mhz)
+    assert abs(sum(pops.values()) - 1.0) <= 1e-10
+
+
 def test_4level_rejects_coarse_step_and_unbound_programs():
     b0 = FieldVector(0.0, 0.0, 23.0)
     with pytest.raises(IntegrationStepError):
@@ -536,3 +564,21 @@ def test_rf_spectrum_internal_subpopulation_adds_fixed_sidebands():
         assert abs(band_centroid(spec_vals) - sideband) < 8.0
     # position barely moves while the applied field doubles
     assert abs(band_centroid(lo) - band_centroid(hi)) < 3.0
+
+
+def test_rf_spectrum_memory_follows_the_block_not_the_ensemble(monkeypatch):
+    monkeypatch.setattr(pulse, "_RF_BLOCK_MEMBERS", 32)
+
+    def peak_bytes(members):
+        spec = EnsembleSpec(n_members=members, seed=4, noise=NoiseModel(internal_fraction=0.4),
+                            transition="T0", b0_magnitude_ut=4.0,
+                            b0_orientation="perpendicular")
+        tracemalloc.start()
+        try:
+            rf_spectrum(spec, PHOSPHORUS, np.linspace(-150.0, 150.0, 601))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # 1 vs 10 blocks of 32 members; one block of all 320 would peak near 630 KB, not 90 KB
+    assert peak_bytes(320) < 1.5 * peak_bytes(32)
