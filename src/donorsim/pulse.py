@@ -726,12 +726,12 @@ def rf_spectrum(
     total = np.zeros_like(offsets)
     for members in noise_mod.EnvironmentPass(spec, system).blocks(_RF_BLOCK_MEMBERS):
         energies, vectors = spincore.eigensystems(system, [env.field for env in members])
-        for e, v in zip(energies.tolist(), vectors):
-            v_s = op @ v[:, 0]  # the drive acting on S
-            for k in range(1, 4):  # T-, T0, T+
-                weight = float(abs(np.vdot(v[:, k], v_s))) ** 2
+        for e, v in zip(energies, vectors):
+            eig = spincore.EigenSystem(energies=e, vectors=v)
+            for frequency_mhz, element in spincore.singlet_triplet_lines(eig, op):
+                weight = element ** 2
                 if weight == 0.0:
                     continue
-                u = (offsets - (e[k] - e[0] - system.hyperfine_a) * 1e3) / half
+                u = (offsets - (frequency_mhz - system.hyperfine_a) * 1e3) / half
                 total += weight / (1.0 + u * u)
     return Series(x=offsets, values=total / spec.n_members)

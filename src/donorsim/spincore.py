@@ -19,11 +19,13 @@ zero-field multiplets (energy order is S < T- < T0 < T+ for every field
 in the operating range).  Exactly at zero field the label assignment is
 fixed by diagonalising at a reference field of 1e-6 uT along z.
 
-``eigensystem(system, field)`` is the one source of that labelled basis:
-it builds H itself and returns the energies and eigenvectors as arrays in
-LABELS order.  ``zeeman_operator`` is the one spelling of
+``eigensystem(system, field)``, and ``eigensystems(system, fields)`` for a
+stack of fields through one eigensolve, are the one source of that
+labelled basis: they build H and return the energies and eigenvectors in
+LABELS order, and only ``EigenSystem`` and ``singlet_triplet_lines`` read
+its columns by label.  ``zeeman_operator`` is the one spelling of
 gamma_s (v.S) - gamma_i (v.I), shared by the static Hamiltonian and the RF
-drive.
+drive (``drive_operator``).
 """
 
 from __future__ import annotations
@@ -303,19 +305,27 @@ def rf_matrix_element(
     drive_direction: np.ndarray,
     to_label: str,
     from_label: str = "S",
-    *,
-    operator: np.ndarray | None = None,
 ) -> float:
     """|<to| gamma_s (e.S) - gamma_i (e.I) |from>| for unit drive direction e.
 
     Returned in MHz/mT: multiply by an RF amplitude in mT to get the coupling
-    strength in MHz.  A caller that needs many elements for one drive passes
-    ``operator=drive_operator(system, drive_direction)``, built once; it is
-    then used as given.
+    strength in MHz.
     """
-    op = drive_operator(system, drive_direction) if operator is None else operator
+    op = drive_operator(system, drive_direction)
     amp = np.vdot(eig.vector(to_label), op @ eig.vector(from_label))
     return float(abs(amp))
+
+
+def singlet_triplet_lines(eig: EigenSystem, operator: np.ndarray) -> list[tuple[float, float]]:
+    """(frequency MHz, |<T|operator|S>|) of the S -> T lines, in TRIPLET_LABELS order.
+
+    ``operator`` is a ``drive_operator``; each element equals the
+    ``rf_matrix_element`` of that drive bit for bit.
+    """
+    e_s = eig.energy("S")
+    v_s = operator @ eig.vector("S")
+    return [(eig.energy(label) - e_s, float(abs(np.vdot(eig.vector(label), v_s))))
+            for label in TRIPLET_LABELS]
 
 
 def _drive_directions(field: FieldVector) -> tuple[np.ndarray, np.ndarray]:
@@ -345,17 +355,17 @@ def transition_table(system: SpinSystem, field: FieldVector) -> list[TransitionL
     """
     eig = eigensystem(system, field)
     par, perp = _drive_directions(field)
-    op_par, op_perp = drive_operator(system, par), drive_operator(system, perp)
+    lines_par = singlet_triplet_lines(eig, drive_operator(system, par))
+    lines_perp = singlet_triplet_lines(eig, drive_operator(system, perp))
     return [
         TransitionLine(
             to_label=label,
-            frequency_mhz=eig.energy(label) - eig.energy("S"),
-            element_parallel_mhz_per_mt=rf_matrix_element(
-                eig, system, par, label, operator=op_par),
-            element_perpendicular_mhz_per_mt=rf_matrix_element(
-                eig, system, perp, label, operator=op_perp),
+            frequency_mhz=frequency,
+            element_parallel_mhz_per_mt=element_par,
+            element_perpendicular_mhz_per_mt=element_perp,
         )
-        for label in TRIPLET_LABELS
+        for label, (frequency, element_par), (_, element_perp)
+        in zip(TRIPLET_LABELS, lines_par, lines_perp)
     ]
 
 

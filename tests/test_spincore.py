@@ -197,6 +197,41 @@ def test_transition_table_lists_all_three_lines():
         assert line.element_perpendicular_mhz_per_mt >= 0
 
 
+_COMPONENT_UT = st.sampled_from([0.0, 5e-7, -3.0]) | st.floats(-50.0, 50.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    field=st.builds(FieldVector, _COMPONENT_UT, _COMPONENT_UT, _COMPONENT_UT),
+    drive=st.tuples(_COMPONENT_UT, _COMPONENT_UT, _COMPONENT_UT).filter(
+        lambda d: max(map(abs, d)) > 1e-6),
+)
+def test_singlet_triplet_lines_equal_the_per_label_elements(field, drive):
+    eig = eig_for(field)
+    direction = np.array(drive)
+    lines = spincore.singlet_triplet_lines(eig, spincore.drive_operator(PHOSPHORUS, direction))
+    assert lines == [
+        (eig.energy(label) - eig.energy("S"), rf_matrix_element(eig, PHOSPHORUS, direction, label))
+        for label in spincore.TRIPLET_LABELS
+    ]
+    par, perp = spincore._drive_directions(field)
+    assert [(line.frequency_mhz, line.element_parallel_mhz_per_mt,
+             line.element_perpendicular_mhz_per_mt)
+            for line in transition_table(PHOSPHORUS, field)] == [
+        (eig.energy(label) - eig.energy("S"), rf_matrix_element(eig, PHOSPHORUS, par, label),
+         rf_matrix_element(eig, PHOSPHORUS, perp, label))
+        for label in spincore.TRIPLET_LABELS
+    ]
+
+
+@pytest.mark.parametrize("direction", [(0.0, 0.0, 0.0), (math.nan, 0.0, 1.0), (math.inf, 0, 0)])
+def test_drive_operator_rejects_a_bad_direction(direction):
+    with pytest.raises(ValueError, match="finite nonzero"):
+        spincore.drive_operator(PHOSPHORUS, direction)
+    with pytest.raises(ValueError, match="finite nonzero"):
+        rf_matrix_element(eig_for(FieldVector(0.0, 0.0, 4.0)), PHOSPHORUS, direction, "T0")
+
+
 def test_degenerate_field_uses_reference_quantization_axis():
     # vectors at B=0 come from an infinitesimal z field, so the selection
     # rules stay sharp instead of arbitrary
