@@ -14,7 +14,11 @@ than one block of the spectrum path), of the level diagram and a pumped optical
 spectrum, and of a phase-cycled CPMG-2 program run member by member through
 the scalar oracle's ``run_sequence`` (``tests/scalar_oracle.py``), never
 through the engine that golden pins.  Two ``fit`` reports, one per model,
-pin the text output of fitting golden CSVs.  A three-event program (pulse,
+pin the text output of fitting golden CSVs.  Two more fit the checked-in
+inputs ``fit_rescue_peaks.csv`` (both peak guesses on one line) and
+``fit_rescue_stretched.csv`` (a decay faster than the sampling), on which
+Levenberg-Marquardt stalls and the Nelder-Mead rescue runs; their reports
+carry ``# note: simplex-fallback``.  A three-event program (pulse,
 delay, pulse at phase 90) driven through ``simulate_4level`` near zero field
 pins the 4-level CF4 integrator, with pulses of 101 and 601 steps.  A
 refactor is judged against these bytes; rewrite them only for a deliberate
@@ -79,7 +83,7 @@ _RF_ZERO = ["rf-spectrum", "--b0-ut", "0", "--orientation", "parallel",
             "--seed", "11"]
 
 #: Golden output name -> CLI argv (``--output`` is appended).  The fit reports
-#: read golden CSVs listed before them.
+#: read golden CSVs listed before them or checked-in ``fit_rescue_*.csv`` inputs.
 CLI_CSVS = {
     "levels.csv": ["levels", "--points", "21"],
     "rf_spectrum_internal_perpendicular.csv": _RF,
@@ -98,6 +102,11 @@ CLI_CSVS = {
     "fit_peaks_rf_spectrum_internal_perpendicular.txt": [
         "fit", str(HERE / "rf_spectrum_internal_perpendicular.csv"), "--model", "peaks",
         "--k", "2", "--peak=-56,3,0.5", "--peak=56,3,0.5"],
+    "fit_peaks_simplex_fallback.txt": [
+        "fit", str(HERE / "fit_rescue_peaks.csv"), "--model", "peaks", "--k", "2",
+        "--peak=19.5,9.5,0.7", "--peak=19.5,8.3,0.6"],
+    "fit_stretched_simplex_fallback.txt": [
+        "fit", str(HERE / "fit_rescue_stretched.csv"), "--model", "stretched"],
 }
 
 CPMG2_TEXT = """\

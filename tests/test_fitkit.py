@@ -2,19 +2,25 @@
 
 from __future__ import annotations
 
+import pathlib
+
 import numpy as np
 import pytest
 
+from donorsim import csvio
 from donorsim.fitkit import (
     FitResult,
     RankDeficiencyError,
     fit_peaks,
     fit_stretched_exp,
+    least_squares,
     levenberg_marquardt,
     numeric_jacobian,
     peak_model,
     stretched_exp_model,
 )
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 # --- LM core -----------------------------------------------------------------
@@ -42,6 +48,27 @@ def test_lm_rss_trace_is_monotone_on_rosenbrock():
 def test_lm_rejects_nonfinite_start():
     with pytest.raises(ValueError):
         levenberg_marquardt(lambda p: np.array([np.inf]), [1.0])
+
+
+def rescue_problem(name):
+    """Residual and start of a golden input on which LM stalls (see regen.py)."""
+    _, data = csvio.read_csv(str(GOLDEN / name))
+    x, y = data[:, 0], data[:, 1]
+    if name == "fit_rescue_peaks.csv":
+        p0 = [19.5, 9.5, 0.7, 19.5, 8.3, 0.6, float(np.min(y))]
+        return (lambda p: peak_model(x, p, 2, "lorentzian") - y), p0, x.size
+    p0 = [float(y[0]), 2.0 * float(x[1]), 1.5]  # fit_stretched_exp's own start
+    return (lambda p: stretched_exp_model(x, *p) - y), p0, x.size
+
+
+@pytest.mark.parametrize("name", ["fit_rescue_peaks.csv", "fit_rescue_stretched.csv"])
+def test_simplex_rescue_never_raises_the_stalled_rss(name):
+    residual, p0, n_points = rescue_problem(name)
+    _, stalled_rss, converged, _, _ = levenberg_marquardt(residual, p0)
+    assert not converged
+    fit = least_squares(residual, p0, [f"p{i}" for i in range(len(p0))], n_points)
+    assert "simplex-fallback" in fit.diagnostics
+    assert fit.rss <= stalled_rss
 
 
 def test_numeric_jacobian_matches_analytic():
