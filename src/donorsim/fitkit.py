@@ -4,9 +4,9 @@ The workhorse is a damped Gauss-Newton (Levenberg-Marquardt) loop written
 out explicitly so its convergence record can be inspected: the residual
 sum of squares over accepted iterations is non-increasing by construction
 and is kept in ``FitResult.rss_trace``.  When the loop stalls on an
-ill-conditioned Jacobian, a derivative-free simplex restart
-(scipy's Nelder-Mead) is tried from the best point so far, followed by a
-final Gauss-Newton polish.
+ill-conditioned Jacobian, a derivative-free Nelder-Mead simplex restart
+is tried from the best point so far, followed by a final Gauss-Newton
+polish.
 
 Jacobians are forward finite differences with relative step 1e-6.
 Convergence requires a relative parameter step below 1e-10 or a gradient
@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 JACOBIAN_REL_STEP = 1e-6
 STEP_TOL = 1e-10
@@ -137,6 +136,65 @@ def levenberg_marquardt(
     return p, rss, converged, iterations, trace
 
 
+def _nelder_mead(
+    f: Callable[[np.ndarray], float],
+    x0: np.ndarray,
+    *,
+    maxiter: int,
+    xatol: float,
+    fatol: float,
+) -> tuple[np.ndarray, float, bool]:
+    """Non-adaptive Nelder-Mead; returns (x, f(x), stopped before maxiter).
+
+    Coefficients rho=1, chi=2, psi=0.5, sigma=0.5 (Lagarias, Reeds, Wright &
+    Wright, SIAM J. Optim. 9, 112 (1998)).  The initial simplex, the
+    operation order and the stop test follow scipy's
+    ``minimize(method="Nelder-Mead")`` step for step, so both give the same
+    floats.
+    """
+    def order(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    x0 = np.asarray(x0, dtype=float).ravel()
+    n = x0.size
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    # sorted twice, as scipy does: argsort need not keep tied (e.g. inf) vertices in place
+    sim, fsim = order(*order(sim, np.array([f(v) for v in sim])))
+    iterations = 1
+    while iterations < maxiter and not (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                                        and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+        iterations += 1
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(xc)
+                accept = fxc <= fxr
+            else:  # inside contraction
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink towards the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        sim, fsim = order(sim, fsim)
+    return sim[0], float(np.min(fsim)), iterations < maxiter
+
+
 def least_squares(
     fn: ResidualFn,
     p0: Sequence[float],
@@ -149,23 +207,20 @@ def least_squares(
     p, rss, converged, iterations, trace = levenberg_marquardt(fn, p0)
     notes = list(diagnostics)
     if not converged:
-        res = minimize(
-            lambda q: _safe_residual(fn, q)[1],
-            p,
-            method="Nelder-Mead",
-            options={"maxiter": 2000, "xatol": 1e-12, "fatol": 1e-14},
+        x, fun, success = _nelder_mead(
+            lambda q: _safe_residual(fn, q)[1], p, maxiter=2000, xatol=1e-12, fatol=1e-14
         )
-        if np.isfinite(res.fun) and res.fun <= rss:
+        if np.isfinite(fun) and fun <= rss:
             notes.append("simplex-fallback")
-            p2, rss2, converged, it2, trace2 = levenberg_marquardt(fn, res.x)
-            if rss2 <= res.fun:
+            p2, rss2, converged, it2, trace2 = levenberg_marquardt(fn, x)
+            if rss2 <= fun:
                 p, rss = p2, rss2
                 trace = trace + list(trace2)
                 iterations += it2
             else:
-                p, rss = np.asarray(res.x, dtype=float), float(res.fun)
+                p, rss = x, fun
                 trace = trace + [rss]
-                converged = bool(res.success)
+                converged = success
     return FitResult(
         names=tuple(names),
         params=p,

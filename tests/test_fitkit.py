@@ -11,6 +11,7 @@ from donorsim import csvio
 from donorsim.fitkit import (
     FitResult,
     RankDeficiencyError,
+    _nelder_mead,
     fit_peaks,
     fit_stretched_exp,
     least_squares,
@@ -48,6 +49,34 @@ def test_lm_rss_trace_is_monotone_on_rosenbrock():
 def test_lm_rejects_nonfinite_start():
     with pytest.raises(ValueError):
         levenberg_marquardt(lambda p: np.array([np.inf]), [1.0])
+
+
+# --- Nelder-Mead rescue ----------------------------------------------------------
+
+def rosenbrock(q):
+    return float(np.sum(100.0 * (q[1:] - q[:-1] ** 2) ** 2 + (1.0 - q[:-1]) ** 2))
+
+
+def walled_rosenbrock(q):
+    """inf past a wall, as _safe_residual reports non-finite residuals."""
+    return np.inf if q[0] + q[1] > 2.4 else rosenbrock(q)
+
+
+@pytest.mark.parametrize("f, x0, maxiter, success", [
+    (rosenbrock, [-1.2, 1.0], 2000, True),
+    (rosenbrock, [0.0, 1.0, -0.5], 2000, True),        # zero component: a 0.00025 step
+    (walled_rosenbrock, [1.2, 1.2, 0.5], 2000, True),  # two tied inf vertices at the start
+    (rosenbrock, [-1.2, 1.0], 40, False),              # stops at maxiter
+], ids=["rosenbrock", "zero-component", "inf-wall", "maxiter"])
+def test_nelder_mead_matches_scipy_bit_for_bit(f, x0, maxiter, success):
+    from scipy.optimize import minimize
+
+    options = {"maxiter": maxiter, "xatol": 1e-12, "fatol": 1e-14}
+    ref = minimize(f, x0, method="Nelder-Mead", options=options)
+    x, fun, ok = _nelder_mead(f, np.array(x0), **options)
+    assert x.tobytes() == ref.x.tobytes()
+    assert fun == ref.fun
+    assert ok == ref.success == success
 
 
 def rescue_problem(name):

@@ -1,15 +1,26 @@
-"""Every module-level import in the package is used (the package's lint step)."""
+"""The package's lint step: imports are used, and numpy is the only third party.
+
+Every module-level import in the package is used.  Every import anywhere in
+the package names the standard library, numpy or the package itself, and a
+fit that takes the Nelder-Mead rescue loads no scipy, so no lazy import of it
+can come back unnoticed.
+"""
 
 from __future__ import annotations
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "donorsim"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "donorsim"
 # __init__.py imports only to re-export.
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ALLOWED_TOP_LEVEL = set(sys.stdlib_module_names) | {"numpy", "donorsim"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -26,11 +37,53 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in bound.items() if name not in used]
 
 
+def foreign_imports(source: str) -> list[str]:
+    """Imports, at any depth, of anything but the stdlib, numpy and the package."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if name.split(".")[0] not in ALLOWED_TOP_LEVEL]
+    return found
+
+
 def test_checker_flags_an_unused_import():
     source = "from __future__ import annotations\nimport cmath\nimport math\nmath.pi\n"
     assert unused_imports(source) == ["line 2: cmath"]
 
 
+def test_checker_flags_a_foreign_import_at_any_depth():
+    source = ("import numpy as np\nfrom . import csvio\nimport os.path\n"
+              "def f():\n    from scipy.optimize import minimize\n    import yaml, json\n")
+    assert foreign_imports(source) == ["line 5: scipy.optimize", "line 6: yaml"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_imports_only_stdlib_numpy_and_the_package(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_rescued_fit_loads_no_scipy(tmp_path):
+    report = tmp_path / "fit.txt"
+    script = (
+        "import sys\n"
+        "import donorsim.cli\n"
+        f"code = donorsim.cli.main(['fit', {str(ROOT / 'tests/golden/fit_rescue_stretched.csv')!r},"
+        f" '--output', {str(report)!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert proc.stdout == "0 []\n"
+    assert "# note: simplex-fallback" in report.read_text(encoding="utf-8")

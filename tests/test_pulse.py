@@ -323,6 +323,29 @@ def test_hahn_max_detection_recovers_unity_noiseless():
     assert np.all(series.values > 0.998)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    gain=st.floats(1e-6, 1e6),
+    offset=st.one_of(st.floats(-1e6, 1e6), st.floats(-1e-6, 1e-6)),
+    seed=st.integers(0, 2**32 - 1),
+    detection=st.sampled_from(["mean", "max"]),
+)
+def test_hahn_phase_cycle_cancels_readout_offset_to_rounding(gain, offset, seed, detection):
+    # (g a + c) - (g b + c) is not g a - g b in floating point: adding the
+    # offset rounds each readout by up to eps/2 of (|c| + g), so the cycled
+    # value, normalised by g, may move by a few eps * (|c| + g) / g.
+    spec = clean_spec(n=3, seed=seed, static_detuning_khz=2.0, ou_sigma_khz=0.05,
+                      ou_tau_c_s=0.2)
+    taus = np.array([0.002, 0.01, 0.03])
+
+    def echo(readout_offset):
+        return hahn_experiment(spec, PHOSPHORUS, taus, detection=detection, shots_per_point=4,
+                               readout_gain=gain, readout_offset=readout_offset).values
+
+    tolerance = 8 * np.finfo(float).eps * (abs(offset) + gain) / gain
+    assert np.max(np.abs(echo(offset) - echo(0.0))) <= tolerance
+
+
 # --- 4-level honesty check ----------------------------------------------------------
 
 def pi_pulse_program(duration_us):
