@@ -156,7 +156,7 @@ def _nelder_mead(
         ind = np.argsort(fsim)
         return np.take(sim, ind, 0), np.take(fsim, ind, 0)
 
-    x0 = np.asarray(x0, dtype=float).ravel()
+    x0 = np.asarray(x0, dtype=float)
     n = x0.size
     sim = np.tile(x0, (n + 1, 1))
     for k in range(n):

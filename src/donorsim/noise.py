@@ -23,6 +23,9 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
+# numpy loads numpy.random on first use; importing it here keeps that cost
+# in start-up, not in the first ensemble draw of a run
+from numpy.random import Generator, Philox
 
 from . import spincore
 from .spincore import FieldVector, SpinSystem
@@ -114,7 +117,7 @@ class EnsembleSpec:
 class MemberEnvironment:
     """Frozen per-member disorder plus the member's private random stream."""
 
-    rng: np.random.Generator
+    rng: Generator
     static_detuning_khz: float
     ou_sigma_khz: float
     ou_tau_c_s: float
@@ -122,14 +125,14 @@ class MemberEnvironment:
     shot_phase_rad: float = 0.0
 
 
-def member_rng(seed: int, index: int) -> np.random.Generator:
+def member_rng(seed: int, index: int) -> Generator:
     """Counter-based (Philox) stream for one member, keyed by (seed, index)."""
     if index < 0:
         raise ValueError("member index must be >= 0")
-    return np.random.Generator(np.random.Philox(key=seed + (index << 64)))
+    return Generator(Philox(key=seed + (index << 64)))
 
 
-def common_rng(seed: int) -> np.random.Generator:
+def common_rng(seed: int) -> Generator:
     """Stream for ensemble-wide draws, distinct from every member stream."""
     return member_rng(seed, COMMON_STREAM_INDEX)
 

@@ -482,9 +482,10 @@ def hahn_experiment(
 
     For every tau the +-pi/2 : tau : pi : tau : pi/2 sequence runs twice per
     member (first pulse phase cycled by 180 deg); the readout signals
-    ``gain * p_T + offset`` are subtracted, cancelling the offset, and the
-    cycled difference is normalized by its ideal zero-noise, zero-tau
-    amplitude so a clean echo reads 1.0.  The optional phenomenological
+    ``gain * p_T + offset`` are subtracted, cancelling the offset up to
+    rounding (a few eps * (|offset| + gain) / gain), and the cycled
+    difference is normalized by its ideal zero-noise, zero-tau amplitude
+    so a clean echo reads 1.0.  The optional phenomenological
     envelope multiplies the per-member cycled signal.
 
     detection="mean" averages one cycled difference per member (one shot
