@@ -51,6 +51,19 @@ def test_lm_rejects_nonfinite_start():
         levenberg_marquardt(lambda p: np.array([np.inf]), [1.0])
 
 
+def test_numeric_jacobian_matches_analytic():
+    def residual(p):
+        return np.array([p[0] ** 2 * p[1], np.sin(p[0]) + 3.0 * p[1]])
+
+    p = np.array([0.7, 1.3])
+    jac = numeric_jacobian(residual, p)
+    expected = np.array([
+        [2 * p[0] * p[1], p[0] ** 2],
+        [np.cos(p[0]), 3.0],
+    ])
+    assert np.allclose(jac, expected, atol=1e-5)
+
+
 # --- Nelder-Mead rescue ----------------------------------------------------------
 
 def rosenbrock(q):
@@ -98,19 +111,6 @@ def test_simplex_rescue_never_raises_the_stalled_rss(name):
     fit = least_squares(residual, p0, [f"p{i}" for i in range(len(p0))], n_points)
     assert "simplex-fallback" in fit.diagnostics
     assert fit.rss <= stalled_rss
-
-
-def test_numeric_jacobian_matches_analytic():
-    def residual(p):
-        return np.array([p[0] ** 2 * p[1], np.sin(p[0]) + 3.0 * p[1]])
-
-    p = np.array([0.7, 1.3])
-    jac = numeric_jacobian(residual, p)
-    expected = np.array([
-        [2 * p[0] * p[1], p[0] ** 2],
-        [np.cos(p[0]), 3.0],
-    ])
-    assert np.allclose(jac, expected, atol=1e-5)
 
 
 # --- stretched-exponential fits -------------------------------------------------
