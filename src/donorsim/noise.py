@@ -2,12 +2,18 @@
 
 Every ensemble member owns a counter-based random stream keyed by
 (seed, member index), so results do not depend on how members are
-partitioned across workers.  A member's environment freezes its static
-detuning and (for a configurable subpopulation) an internal field of fixed
-magnitude and isotropic orientation; slow field fluctuations are an
-Ornstein-Uhlenbeck process sampled with the exact joint update of the
-process value and its time integral, making the statistics independent of
-the stepping interval.
+partitioned across workers.  In an ensemble every member stream starts in
+one place: an ``EnvironmentPass`` owns a single Philox generator, re-keys it
+in place to the start of each member's stream (``_restart``) and there
+draws everything the ensemble engine takes from that stream, in one visit.
+``member_rng`` builds the same stream as a generator of its own, for single
+runs (``pulse.run_sequence``) and the ensemble-wide ``common_rng``.
+
+A member's environment freezes its static detuning and (for a
+configurable subpopulation) an internal field of fixed magnitude and
+isotropic orientation; slow field fluctuations are an Ornstein-Uhlenbeck
+process sampled with the exact joint update of the process value and its
+time integral, making the statistics independent of the stepping interval.
 
 Field noise is quoted in detuning units: ``ou_sigma_khz`` is the standard
 deviation the process imprints on a maximally field-sensitive line (slope
@@ -126,7 +132,13 @@ class MemberEnvironment:
 
 
 def member_rng(seed: int, index: int) -> Generator:
-    """Counter-based (Philox) stream for one member, keyed by (seed, index)."""
+    """Counter-based (Philox) stream for one member, keyed by (seed, index).
+
+    A generator of its own, for single runs and ensemble-wide draws; an
+    ``EnvironmentPass`` re-keys one shared generator to the same stream
+    instead (``_restart``), since a new Philox seeds itself from OS entropy
+    before the key replaces that seed.
+    """
     if index < 0:
         raise ValueError("member index must be >= 0")
     return Generator(Philox(key=seed + (index << 64)))
@@ -137,6 +149,27 @@ def common_rng(seed: int) -> Generator:
     return member_rng(seed, COMMON_STREAM_INDEX)
 
 
+_FRESH_WORDS = (0, 0, 0, 0)
+_WORD_MASK = (1 << 64) - 1
+
+
+def _restart(bitgen: Philox, seed: int, index: int) -> None:
+    """Re-key ``bitgen`` in place to the start of member stream (seed, index).
+
+    Sets the state ``Philox(key=seed + (index << 64))`` starts from: counter
+    zero, an empty output buffer (``buffer_pos = 4``) and no buffered
+    32-bit half-word, whatever the previous stream left behind.
+    """
+    if index < 0:
+        raise ValueError("member index must be >= 0")
+    key = seed + (index << 64)
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _FRESH_WORDS, "key": (key & _WORD_MASK, key >> 64)},
+        "buffer": _FRESH_WORDS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+
+
 def sensitivity_factor(system: SpinSystem, transition: str, b0_ut: float) -> float:
     """|dnu/dB0| of a transition relative to the reference slope (gamma_s-gamma_i)/2."""
     slope, _ = spincore.clock_sensitivity(system, transition, b0_ut)
@@ -144,17 +177,36 @@ def sensitivity_factor(system: SpinSystem, transition: str, b0_ut: float) -> flo
     return abs(slope) / reference
 
 
+@dataclass(frozen=True)
+class EnvironmentBlock:
+    """The environments of consecutive ensemble members, in index order.
+
+    Attributes:
+        detunings_khz: (members,) frozen detunings, internal-field line
+            shifts included.
+        fields: each member's total static field.
+        normals: (members, n_draws) standard normals; row i continues member
+            i's stream right after its four environment draws.
+    """
+
+    detunings_khz: np.ndarray
+    fields: list[FieldVector]
+    normals: np.ndarray
+
+
 class EnvironmentPass:
     """Draws member environments a block at a time for one ensemble.
 
     The per-ensemble constants (the OU sigma every member sees on its
     driven line, the nominal field and line frequency) are computed once,
-    when the pass is made; ``draw`` then only spends per-member work.
+    when the pass is made; ``draw`` then only spends per-member work.  The
+    pass owns one Philox generator and re-keys it to each member's stream
+    (``_restart``), so no member costs a generator of its own.
 
-    Draw order in each member's private stream (fixed; later draws in the
-    same stream belong to the pulse sequences run on this member): (1)
-    static detuning normal deviate, (2) subpopulation uniform, (3)
-    internal-field direction as z-uniform and azimuth-uniform deviates.
+    Draw order in each member's private stream (fixed): (1) static
+    detuning normal deviate, (2) subpopulation uniform, (3) internal-field
+    direction as z-uniform and azimuth-uniform deviates, then (4) the
+    ``n_draws`` normals the pulse sequences run on this member take.
     Members outside the internal-field subpopulation still consume the
     direction draws so that membership of other members never shifts
     anyone's stream.
@@ -169,28 +221,29 @@ class EnvironmentPass:
         self._b0 = FieldVector.along_z(spec.b0_magnitude_ut)
         self._nominal_mhz = spincore.transition_frequency(
             system, spec.transition, self._b0.magnitude())
+        self._bitgen = Philox()
+        self._rng = Generator(self._bitgen)
 
-    def blocks(self, size: int) -> Iterator[list[MemberEnvironment]]:
+    def blocks(self, size: int, n_draws: int = 0) -> Iterator[EnvironmentBlock]:
         """The whole ensemble's environments in index order, at most ``size`` at a time."""
         n_members = self.spec.n_members
         for first in range(0, n_members, size):
-            yield self.draw(first, min(first + size, n_members))
+            yield self.draw(first, min(first + size, n_members), n_draws)
 
-    def draw(self, first: int, stop: int) -> list[MemberEnvironment]:
-        """The environments of members ``first`` .. ``stop - 1``, in index order."""
+    def draw(self, first: int, stop: int, n_draws: int = 0) -> EnvironmentBlock:
+        """The environments of members ``first`` .. ``stop - 1`` and ``n_draws`` normals each."""
         spec, system, b0 = self.spec, self.system, self._b0
         noise = spec.noise
         internal_ut = noise.internal_field_ut
-        envs = []
-        for index in range(first, stop):
-            rng = member_rng(spec.seed, index)
-            detuning = noise.static_detuning_khz * float(rng.standard_normal())
-            in_subpop = float(rng.random()) < noise.internal_fraction
-            cos_theta = 2.0 * float(rng.random()) - 1.0
-            azimuth = 2.0 * math.pi * float(rng.random())
-
+        normals = np.empty((stop - first, n_draws))
+        detunings, fields = [], []
+        for index, row in zip(range(first, stop), normals):
+            normal, u_subpop, u_cos, u_azimuth = self._member_draws(index, row)
+            detuning = noise.static_detuning_khz * normal
             field = b0
-            if in_subpop and internal_ut > 0.0:
+            if u_subpop < noise.internal_fraction and internal_ut > 0.0:
+                cos_theta = 2.0 * u_cos - 1.0
+                azimuth = 2.0 * math.pi * u_azimuth
                 sin_theta = math.sqrt(max(0.0, 1.0 - cos_theta**2))
                 field = FieldVector(b0.bx + sin_theta * math.cos(azimuth) * internal_ut,
                                     b0.by + sin_theta * math.sin(azimuth) * internal_ut,
@@ -198,15 +251,25 @@ class EnvironmentPass:
                 shifted = spincore.transition_frequency(
                     system, spec.transition, field.magnitude())
                 detuning += (shifted - self._nominal_mhz) * 1e3  # MHz -> kHz
+            detunings.append(detuning)
+            fields.append(field)
+        return EnvironmentBlock(detunings_khz=np.array(detunings, dtype=float),
+                                fields=fields, normals=normals)
 
-            envs.append(MemberEnvironment(
-                rng=rng,
-                static_detuning_khz=detuning,
-                ou_sigma_khz=self.ou_sigma_khz,
-                ou_tau_c_s=noise.ou_tau_c_s,
-                field=field,
-            ))
-        return envs
+    def _member_draws(self, index: int, normals: np.ndarray) -> tuple[float, float, float, float]:
+        """Everything member ``index``'s stream gives, in the documented order.
+
+        Restarts the pass's generator at the member's stream, returns the
+        four environment deviates and fills ``normals`` with the deviates
+        that follow them.
+        """
+        _restart(self._bitgen, self.spec.seed, index)
+        rng = self._rng
+        normal = rng.standard_normal()
+        u_subpop, u_cos, u_azimuth = rng.random(3).tolist()
+        if normals.size:
+            rng.standard_normal(out=normals)
+        return normal, u_subpop, u_cos, u_azimuth
 
 
 def draw_member_environment(
@@ -215,8 +278,19 @@ def draw_member_environment(
     """Draw one member's frozen environment from its private stream.
 
     A one-member ``EnvironmentPass``; its docstring gives the draw order.
+    The returned ``rng`` is that pass's own generator, left right after the
+    four environment draws, so it continues as ``member_rng(spec.seed,
+    index)`` would after them.
     """
-    return EnvironmentPass(spec, system).draw(index, index + 1)[0]
+    envs = EnvironmentPass(spec, system)
+    block = envs.draw(index, index + 1)
+    return MemberEnvironment(
+        rng=envs._rng,
+        static_detuning_khz=float(block.detunings_khz[0]),
+        ou_sigma_khz=envs.ou_sigma_khz,
+        ou_tau_c_s=spec.noise.ou_tau_c_s,
+        field=block.fields[0],
+    )
 
 
 def _integral_variance_factor(eps: float) -> float:

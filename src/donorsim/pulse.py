@@ -108,7 +108,9 @@ def run_sequence(
     the net uncancelled common-mode phase of one shot.
 
     This is the ensemble engine on one member, one sweep point and one
-    shot; OU deviates come from ``env.rng``, which later calls continue.
+    shot.  Its OU deviates come from ``env.rng`` (one batched draw), which
+    later calls continue; the ensembles draw theirs in the environment pass
+    instead.
 
     Raises UnboundSymbolError for symbolic delays, ValueError for
     unexpanded phase cycles and RuntimeError when the run loses its norm.
@@ -116,10 +118,11 @@ def run_sequence(
     if env is None:  # no disorder and no stream: nothing draws
         env = MemberEnvironment(rng=None, static_detuning_khz=0.0, ou_sigma_khz=0.0,
                                 ou_tau_c_s=1.0, field=FieldVector.along_z(0.0))
-    run = _program_runner(params, [[program]], np.array([[env.shot_phase_rad]]),
-                          env.ou_sigma_khz, env.ou_tau_c_s,
-                          detuning_during_pulses=detuning_during_pulses)
-    p_s, p_t = run([env])
+    n_draws, run = _program_runner(params, [[program]], np.array([[env.shot_phase_rad]]),
+                                   env.ou_sigma_khz, env.ou_tau_c_s,
+                                   detuning_during_pulses=detuning_during_pulses)
+    normals = env.rng.standard_normal((1, n_draws)) if n_draws else np.empty((1, 0))
+    p_s, p_t = run(np.array([env.static_detuning_khz]), normals)
     return float(p_s.item()), float(p_t.item())
 
 
@@ -211,13 +214,14 @@ def _program_runner(
     (one shot and no shot phase when None).  The OU step constants are
     built for ``ou_sigma_khz`` and ``ou_tau_c_s``.
 
-    Returns ``run(envs) -> (p_S, p_T)``, each of shape (members, K, shots,
-    C), for environments that share those OU parameters.  Each member, in
-    the order of its own stream, runs for every k, every shot j and every c
-    the program (k, c) with the shot phase (k, j); the environments' own
-    shot phases are not read.  One batched normal draw per member returns
-    the deviates that one scalar draw per OU start and two per stepped
-    delay would, so the stream ends where such runs leave it.  ``run``
+    Returns ``(n_draws, run)``.  ``run(detunings_khz, normals) -> (p_S,
+    p_T)``, each of shape (members, K, shots, C), runs members that share
+    those OU parameters: member i has the frozen detuning
+    ``detunings_khz[i]`` and runs, for every k, every shot j and every c in
+    that order, the program (k, c) with the shot phase (k, j).  Row i of
+    the (members, n_draws) ``normals`` holds the deviates its stream gives
+    in that order, one per OU start and two per stepped delay; ``n_draws``
+    is 0 without OU noise, and ``run`` then reads no normals.  ``run``
     raises RuntimeError when a run loses its norm, NaN included.
     """
     n_points, n_cycles = len(programs), len(programs[0])
@@ -261,15 +265,15 @@ def _program_runner(
     last_pulse = max(pulses, default=None)
     shot_z = None if shot_phases is None else shot_phases.reshape(1, n_points, n_shots, 1)
     phase_per_khz_s = 2.0 * math.pi * 1e3
+    n_draws = 0
     if ou_sigma_khz > 0.0:
         n_draws, start, delay_steps = _ou_tables(delays, (n_points, n_shots, n_cycles),
                                                  ou_sigma_khz, ou_tau_c_s)
 
     # an overflowing phase becomes NaN without a warning; the norm check reports it
     @np.errstate(over="ignore", invalid="ignore")
-    def run(envs: list[MemberEnvironment]) -> tuple[np.ndarray, np.ndarray]:
-        static_khz = np.array([params.detuning_offset_khz + env.static_detuning_khz
-                               for env in envs]).reshape(-1, 1, 1, 1)
+    def run(detunings_khz: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        static_khz = (params.detuning_offset_khz + detunings_khz).reshape(-1, 1, 1, 1)
         delta = 2.0 * math.pi * static_khz * 1e3
         if detuning_during_pulses:
             n_eff = np.array([math.hypot(omega, d) for d in delta.ravel().tolist()])
@@ -277,9 +281,8 @@ def _program_runner(
             n_safe = np.where(n_eff == 0.0, 1.0, n_eff)  # no drive, no detuning: identity
             axis_scale, axis_z = omega / n_safe, delta / n_safe
         if ou_sigma_khz > 0.0:
-            draws = np.stack([env.rng.standard_normal(n_draws) for env in envs])
-            x = ou_sigma_khz * draws[:, start]
-        shape = (len(envs), n_points, n_shots, n_cycles)
+            x = ou_sigma_khz * normals[:, start]
+        shape = (len(detunings_khz), n_points, n_shots, n_cycles)
         ar, ai = np.ones(shape), np.zeros(shape)
         br, bi = np.zeros(shape), np.zeros(shape)
         for e in range(len(skeleton)):
@@ -287,7 +290,7 @@ def _program_runner(
                 phase = delta * delays[e]
                 if ou_sigma_khz > 0.0:
                     stepping, slot1, slot2, (mu, sd_x, sd_i, rho, rho_c) = delay_steps[e]
-                    n1, n2 = draws[:, slot1], draws[:, slot2]
+                    n1, n2 = normals[:, slot1], normals[:, slot2]
                     integral = x * ou_tau_c_s * (1.0 - mu) + sd_i * (rho * n1 + rho_c * n2)
                     x = np.where(stepping, x * mu + sd_x * n1, x)
                     phase = phase + phase_per_khz_s * np.where(stepping, integral, 0.0)
@@ -310,7 +313,7 @@ def _program_runner(
             raise RuntimeError(f"propagation lost norm: {float(total[lost][0])!r}")
         return p_s, p_t
 
-    return run
+    return n_draws, run
 
 
 def _ensemble_blocks(
@@ -325,7 +328,8 @@ def _ensemble_blocks(
     """Run bound shot programs over the whole ensemble, a member block at a time.
 
     ``programs`` and ``shot_phases`` form the grid ``_program_runner``
-    checks once; each block of members then runs it.  For member i that
+    checks once; each block of members the environment pass draws, OU
+    deviates included, then runs it.  For member i that
     equals, bit for bit, ``run_sequence(programs[k][c], params, env_i,
     detuning_during_pulses=...)`` for every k, every shot j and every c in
     that order, with ``env_i.shot_phase_rad = shot_phases[k, j]``.
@@ -337,12 +341,13 @@ def _ensemble_blocks(
     if not (programs and programs[0]):
         return
     envs = noise_mod.EnvironmentPass(spec, system)
-    run = _program_runner(params, programs, shot_phases, envs.ou_sigma_khz,
-                          spec.noise.ou_tau_c_s, detuning_during_pulses=detuning_during_pulses)
+    n_draws, run = _program_runner(params, programs, shot_phases, envs.ou_sigma_khz,
+                                   spec.noise.ou_tau_c_s,
+                                   detuning_during_pulses=detuning_during_pulses)
     n_shots = 1 if shot_phases is None else shot_phases.shape[1]
     block = max(1, _BLOCK_ELEMENTS // (len(programs) * n_shots * len(programs[0])))
-    for members in envs.blocks(block):
-        yield run(members)[1]
+    for members in envs.blocks(block, n_draws):
+        yield run(members.detunings_khz, members.normals)[1]
 
 
 def _ou_tables(delays: dict[int, np.ndarray], shape: tuple[int, int, int],
@@ -726,7 +731,7 @@ def rf_spectrum(
     half = kernel_fwhm_khz / 2.0
     total = np.zeros_like(offsets)
     for members in noise_mod.EnvironmentPass(spec, system).blocks(_RF_BLOCK_MEMBERS):
-        energies, vectors = spincore.eigensystems(system, [env.field for env in members])
+        energies, vectors = spincore.eigensystems(system, members.fields)
         for e, v in zip(energies, vectors):
             eig = spincore.EigenSystem(energies=e, vectors=v)
             for frequency_mhz, element in spincore.singlet_triplet_lines(eig, op):

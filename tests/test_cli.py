@@ -356,7 +356,7 @@ def test_validation_errors_exit_1(monkeypatch, capsys, argv):
     def draw(*args, **kwargs):
         raise AssertionError("the ensemble ran before its inputs were checked")
 
-    monkeypatch.setattr(noise, "member_rng", draw)  # every member stream is made here
+    monkeypatch.setattr(noise, "_restart", draw)  # every ensemble member's stream starts here
     code, _, err = run(capsys, argv)
     assert code == 1
     assert "donorsim: error" in err
@@ -403,7 +403,7 @@ def test_bad_sweep_exits_1_before_any_member_is_drawn(monkeypatch, capsys, argv)
     def draw(*args, **kwargs):
         raise AssertionError("the ensemble ran before the sweep was checked")
 
-    monkeypatch.setattr(noise, "member_rng", draw)  # every member stream is made here
+    monkeypatch.setattr(noise, "_restart", draw)  # every ensemble member's stream starts here
     code, out, err = run(capsys, argv)
     assert code == 1
     assert out == ""

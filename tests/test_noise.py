@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scalar_oracle import ou_step
 
+from donorsim import noise as noise_mod
 from donorsim import pulse
 from donorsim.noise import (
     COMMON_STREAM_INDEX,
@@ -110,25 +111,90 @@ def test_block_pass_matches_per_member_draws_and_eigensolves(
                          internal_fraction=fraction, internal_field_ut=internal_ut),
     )
     size = pulse._RF_BLOCK_MEMBERS if block == "default" else block
+    envs = EnvironmentPass(spec, PHOSPHORUS)
     got = []
-    for members in EnvironmentPass(spec, PHOSPHORUS).blocks(size):
-        assert 1 <= len(members) <= size
-        energies, vectors = eigensystems(PHOSPHORUS, [env.field for env in members])
-        got += zip(members, energies, vectors)
+    for members in envs.blocks(size):
+        assert 1 <= len(members.fields) <= size
+        assert members.normals.shape == (len(members.fields), 0)
+        energies, vectors = eigensystems(PHOSPHORUS, members.fields)
+        got += zip(members.detunings_khz.tolist(), members.fields, energies, vectors)
     assert len(got) == n_members
-    for index, (env, energies, vectors) in enumerate(got):
+    for index, (detuning, field, energies, vectors) in enumerate(got):
         want = scalar_oracle.draw_member_environment(spec, PHOSPHORUS, index)
         public = draw_member_environment(spec, PHOSPHORUS, index)
         want_energies, want_vectors = scalar_oracle.eigensystem(PHOSPHORUS, want.field)
         for other in (want, public):
-            assert env.field.as_array().tolist() == other.field.as_array().tolist()
-            assert (env.static_detuning_khz, env.ou_sigma_khz, env.ou_tau_c_s) == (
+            assert field.as_array().tolist() == other.field.as_array().tolist()
+            assert (detuning, envs.ou_sigma_khz, spec.noise.ou_tau_c_s) == (
                 other.static_detuning_khz, other.ou_sigma_khz, other.ou_tau_c_s)
         assert energies.tolist() == want_energies.tolist()
         assert vectors.tolist() == want_vectors.tolist()
-        # every stream stops after the same four draws
-        next_draws = env.rng.random(3).tolist()
-        assert next_draws == want.rng.random(3).tolist() == public.rng.random(3).tolist()
+
+
+def _pass_left_mid_buffer(spec: EnsembleSpec, n_random: int) -> EnvironmentPass:
+    """A pass whose previous member stopped halfway through a Philox output
+    block of four words, with a 32-bit half-word buffered."""
+    envs = EnvironmentPass(spec, PHOSPHORUS)
+    envs._rng.random(n_random)
+    envs._rng.integers(2**32, dtype=np.uint32)
+    state = envs._bitgen.state
+    assert (state["buffer_pos"], state["has_uint32"]) == (2, 1)
+    return envs
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    drawn_index=st.integers(0, 2**63 - 1),
+    n_random=st.integers(0, 3).map(lambda n: 4 * n + 1),  # an odd count that ends mid-block
+    n_draws=st.integers(1, 80),
+)
+def test_restarted_pass_generator_is_the_member_stream(seed, drawn_index, n_random, n_draws):
+    spec = EnsembleSpec(n_members=1, seed=seed, b0_magnitude_ut=4.0,
+                        noise=NoiseModel(static_detuning_khz=1.5, internal_fraction=0.5))
+    for index in (drawn_index, 0, 2**63 - 1, COMMON_STREAM_INDEX):
+        envs = _pass_left_mid_buffer(spec, n_random)
+        noise_mod._restart(envs._bitgen, seed, index)
+        fresh = member_rng(seed, index)
+        for draw in (lambda g: g.integers(2**32, dtype=np.uint32, size=5),
+                     lambda g: g.random(29), lambda g: g.standard_normal(30)):
+            assert draw(envs._rng).tolist() == draw(fresh).tolist()
+
+        # the normals that follow a member's four environment draws
+        block = _pass_left_mid_buffer(spec, n_random).draw(index, index + 1, n_draws)
+        want = scalar_oracle.draw_member_environment(spec, PHOSPHORUS, index)
+        public = draw_member_environment(spec, PHOSPHORUS, index)
+        assert block.detunings_khz.tolist() == [want.static_detuning_khz]
+        normals = block.normals[0].tolist()
+        assert normals == want.rng.standard_normal(n_draws).tolist()
+        assert normals == public.rng.standard_normal(n_draws).tolist()
+
+
+def test_an_ensemble_builds_as_many_philox_generators_at_any_size(monkeypatch):
+    built = []
+
+    class Philox(noise_mod.Philox):  # numpy's state setter checks the class name
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(noise_mod, "Philox", Philox)
+    taus = np.linspace(0.01, 0.2, 64)  # 64 members per engine block
+    offsets = np.linspace(-50.0, 50.0, 5)
+    counts = []
+    for n_members in (3, 150):
+        echo = EnsembleSpec(n_members=n_members, seed=4, transition="T+",
+                            b0_magnitude_ut=4.0, b0_orientation="perpendicular",
+                            noise=NoiseModel(static_detuning_khz=0.5, ou_sigma_khz=0.05,
+                                             ou_tau_c_s=0.2))
+        spectrum = EnsembleSpec(n_members=2 * n_members, seed=4, b0_magnitude_ut=4.0,
+                                b0_orientation="perpendicular",
+                                noise=NoiseModel(internal_fraction=0.4))
+        built.clear()
+        pulse.hahn_experiment(echo, PHOSPHORUS, taus)
+        pulse.rf_spectrum(spectrum, PHOSPHORUS, offsets)  # 300 members: two blocks
+        counts.append(len(built))
+    assert counts[0] == counts[1] >= 1
 
 
 def test_ou_sigma_scaled_by_line_sensitivity():
