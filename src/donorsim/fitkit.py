@@ -203,24 +203,24 @@ def least_squares(
     *,
     diagnostics: Sequence[str] = (),
 ) -> FitResult:
-    """LM with a simplex fallback; packages the result with uncertainties."""
+    """LM with a simplex fallback; packages the result with uncertainties.
+
+    When LM stops unconverged, a simplex search from its end point takes
+    over and LM polishes the simplex point.  The polish starts at the
+    simplex value and accepts only steps that do not raise the RSS, so it
+    never ends worse than the simplex.
+    """
     p, rss, converged, iterations, trace = levenberg_marquardt(fn, p0)
     notes = list(diagnostics)
     if not converged:
-        x, fun, success = _nelder_mead(
+        x, fun, _ = _nelder_mead(
             lambda q: _safe_residual(fn, q)[1], p, maxiter=2000, xatol=1e-12, fatol=1e-14
         )
         if np.isfinite(fun) and fun <= rss:
             notes.append("simplex-fallback")
-            p2, rss2, converged, it2, trace2 = levenberg_marquardt(fn, x)
-            if rss2 <= fun:
-                p, rss = p2, rss2
-                trace = trace + list(trace2)
-                iterations += it2
-            else:
-                p, rss = x, fun
-                trace = trace + [rss]
-                converged = success
+            p, rss, converged, polish_iterations, polish_trace = levenberg_marquardt(fn, x)
+            trace = trace + polish_trace
+            iterations += polish_iterations
     return FitResult(
         names=tuple(names),
         params=p,
