@@ -158,7 +158,8 @@ def _restart(bitgen: Philox, seed: int, index: int) -> None:
 
     Sets the state ``Philox(key=seed + (index << 64))`` starts from: counter
     zero, an empty output buffer (``buffer_pos = 4``) and no buffered
-    32-bit half-word, whatever the previous stream left behind.
+    32-bit half-word, whatever the previous stream left behind.  The words
+    are plain tuples: numpy arrays would triple the cost of the setter.
     """
     if index < 0:
         raise ValueError("member index must be >= 0")
