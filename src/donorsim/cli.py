@@ -22,7 +22,6 @@ import numpy as np
 from . import csvio, fitkit, pump, seqdsl, spincore
 from .config import ConfigError, RunConfig, load_config, override, resolve_seed
 from .noise import EnsembleSpec
-from .program import UnboundSymbolError
 from .pulse import (
     IntegrationStepError,
     hahn_experiment,
@@ -362,6 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Caught before ValueError in main: the pump and integrator errors subclass it.
 _RUNTIME_ERRORS = (
     OSError,
     pump.StepSizeError,
@@ -388,8 +388,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _RUNTIME_ERRORS as exc:
         print(f"donorsim: error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, seqdsl.ParseError, seqdsl.CompileError, UnboundSymbolError,
-            fitkit.RankDeficiencyError, ValueError) as exc:
+    except ValueError as exc:
         print(f"donorsim: error: {exc}", file=sys.stderr)
         return 1
 

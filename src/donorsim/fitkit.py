@@ -65,13 +65,13 @@ def _safe_residual(fn: ResidualFn, p: np.ndarray) -> tuple[np.ndarray, float]:
     return r, float(r @ r)
 
 
-def numeric_jacobian(fn: ResidualFn, p: np.ndarray, rel_step: float = JACOBIAN_REL_STEP) -> np.ndarray:
+def numeric_jacobian(fn: ResidualFn, p: np.ndarray) -> np.ndarray:
     """Forward-difference Jacobian of the residual vector."""
     p = np.asarray(p, dtype=float)
     r0, _ = _safe_residual(fn, p)
     jac = np.empty((r0.size, p.size))
     for j in range(p.size):
-        h = rel_step * max(abs(p[j]), 1.0)
+        h = JACOBIAN_REL_STEP * max(abs(p[j]), 1.0)
         shifted = p.copy()
         shifted[j] += h
         rj, _ = _safe_residual(fn, shifted)
@@ -91,10 +91,7 @@ def _stderr(fn: ResidualFn, p: np.ndarray, rss: float, n_points: int) -> np.ndar
 
 
 def levenberg_marquardt(
-    fn: ResidualFn,
-    p0: Sequence[float],
-    *,
-    max_iterations: int = MAX_ITERATIONS,
+    fn: ResidualFn, p0: Sequence[float]
 ) -> tuple[np.ndarray, float, bool, int, list[float]]:
     """Damped least squares; returns (params, rss, converged, iters, rss_trace)."""
     p = np.asarray(p0, dtype=float).copy()
@@ -105,7 +102,7 @@ def levenberg_marquardt(
     trace = [rss]
     converged = False
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         jac = numeric_jacobian(fn, p)
         grad = jac.T @ r
         if np.max(np.abs(grad)) < GRAD_TOL:
@@ -200,8 +197,6 @@ def least_squares(
     p0: Sequence[float],
     names: Sequence[str],
     n_points: int,
-    *,
-    diagnostics: Sequence[str] = (),
 ) -> FitResult:
     """LM with a simplex fallback; packages the result with uncertainties.
 
@@ -211,7 +206,7 @@ def least_squares(
     never ends worse than the simplex.
     """
     p, rss, converged, iterations, trace = levenberg_marquardt(fn, p0)
-    notes = list(diagnostics)
+    notes = []
     if not converged:
         x, fun, _ = _nelder_mead(
             lambda q: _safe_residual(fn, q)[1], p, maxiter=2000, xatol=1e-12, fatol=1e-14

@@ -21,9 +21,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
-from .program import Delay, PhaseCycle, Pulse, PulseProgram, UnboundSymbolError
+from .program import Delay, PhaseCycle, Pulse, PulseProgram
 
 TIME_UNITS = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
 
@@ -45,16 +45,6 @@ class CompileError(ValueError):
 
 
 @dataclass(frozen=True)
-class Span:
-    """Half-open [start, end) character range plus 1-based start position."""
-
-    start: int
-    end: int
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
 class TimeLiteral:
     value: float
     unit: str
@@ -69,11 +59,12 @@ class TimeLiteral:
         return self.value * TIME_UNITS[self.unit]
 
 
+# ``pos`` is the 1-based (line, col) of a statement's keyword.
 @dataclass(frozen=True)
 class CycleStmt:
     label: str
     phases_deg: tuple[float, ...]
-    span: Span | None = field(default=None, compare=False)
+    pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
@@ -82,14 +73,14 @@ class PulseStmt:
     angle_deg: float
     phase_deg: float
     duration: TimeLiteral | None = None
-    span: Span | None = field(default=None, compare=False)
+    pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
 class DelayStmt:
     duration: TimeLiteral | None = None
     symbol: str | None = None
-    span: Span | None = field(default=None, compare=False)
+    pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
     def __post_init__(self) -> None:
         if (self.duration is None) == (self.symbol is None):
@@ -103,7 +94,6 @@ Statement = Union[CycleStmt, PulseStmt, DelayStmt]
 class SequenceAst:
     name: str
     statements: tuple[Statement, ...]
-    span: Span | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -119,77 +109,48 @@ class Diagnostic:
 
 # --- lexer -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # IDENT NUMBER TIME PUNCT EOF
     text: str
-    value: object
-    span: Span
+    value: float | TimeLiteral | None
+    pos: tuple[int, int]
 
 
-_NUMBER_RE = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_PUNCT = set("{}[];,=")
+# A number followed directly by a word is a TIME literal ("250us").
+_TOKEN_RE = re.compile(r"""
+      (?P<NEWLINE> \n )
+    | (?P<SKIP> [ \t\r]+ | \#[^\n]* )
+    | (?P<PUNCT> [{}\[\];,=] )
+    | (?P<NUMBER> -?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)? ) (?P<UNIT> [A-Za-z_][A-Za-z0-9_]* )?
+    | (?P<IDENT> [A-Za-z_][A-Za-z0-9_]* )
+""", re.VERBOSE)
 
 
 def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    pos = 0
-    line = 1
-    line_start = 0
-
-    def here(start: int, end: int) -> Span:
-        return Span(start=start, end=end, line=line, col=start - line_start + 1)
-
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch == "\n":
-            pos += 1
-            line += 1
-            line_start = pos
-            continue
-        if ch in " \t\r":
-            pos += 1
-            continue
-        if ch == "#":
-            while pos < n and text[pos] != "\n":
-                pos += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token("PUNCT", ch, ch, here(pos, pos + 1)))
-            pos += 1
-            continue
-        m = _NUMBER_RE.match(text, pos)
-        if m:
-            number_text = m.group(0)
-            end = m.end()
-            suffix = _IDENT_RE.match(text, end)
-            if suffix:
-                unit = suffix.group(0)
-                if unit not in TIME_UNITS:
-                    raise ParseError(
-                        f"unknown unit {unit!r} (expected one of {sorted(TIME_UNITS)})",
-                        line, end - line_start + 1,
-                    )
-                lit = TimeLiteral(value=float(number_text), unit=unit)
-                tokens.append(
-                    _Token("TIME", text[pos:suffix.end()], lit, here(pos, suffix.end()))
+    pos, line, line_start = 0, 1, 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        col = pos - line_start + 1
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        kind, pos = m.lastgroup, m.end()
+        if kind == "NEWLINE":
+            line, line_start = line + 1, pos
+        elif kind == "UNIT":
+            unit, value = m["UNIT"], float(m["NUMBER"])
+            if unit not in TIME_UNITS:
+                raise ParseError(
+                    f"unknown unit {unit!r} (expected one of {sorted(TIME_UNITS)})",
+                    line, m.start("UNIT") - line_start + 1,
                 )
-                pos = suffix.end()
-            else:
-                tokens.append(
-                    _Token("NUMBER", number_text, float(number_text), here(pos, end))
-                )
-                pos = end
-            continue
-        m = _IDENT_RE.match(text, pos)
-        if m:
-            tokens.append(_Token("IDENT", m.group(0), m.group(0), here(pos, m.end())))
-            pos = m.end()
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, pos - line_start + 1)
-    tokens.append(_Token("EOF", "", None, here(pos, pos)))
+            if not math.isfinite(value):
+                raise ParseError("time value must be finite", line, col)
+            tokens.append(_Token("TIME", m[0], TimeLiteral(value, unit), (line, col)))
+        elif kind != "SKIP":
+            value = float(m[0]) if kind == "NUMBER" else None
+            tokens.append(_Token(kind, m[0], value, (line, col)))
+    tokens.append(_Token("EOF", "", None, (line, pos - line_start + 1)))
     return tokens
 
 
@@ -210,57 +171,33 @@ class _Parser:
         return tok
 
     def error(self, message: str, tok: _Token | None = None) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError(message, tok.span.line, tok.span.col)
+        return ParseError(message, *(tok or self.peek()).pos)
 
-    def expect_punct(self, ch: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "PUNCT" or tok.text != ch:
-            raise self.error(f"expected {ch!r}, found {tok.text or 'end of input'!r}")
+    def at(self, kind: str, text: str | None = None) -> bool:
+        tok = self.tokens[self.pos]
+        return tok.kind == kind and (text is None or tok.text == text)
+
+    def expect(self, kind: str, text: str | None = None, what: str | None = None) -> _Token:
+        """Consume the next token if it matches, else raise "expected WHAT".
+
+        ``what`` defaults to the quoted ``text``.
+        """
+        if not self.at(kind, text):
+            found = self.peek().text or "end of input"
+            raise self.error(f"expected {what or repr(text)}, found {found!r}")
         return self.advance()
-
-    def expect_ident(self, what: str = "identifier") -> _Token:
-        tok = self.peek()
-        if tok.kind != "IDENT":
-            raise self.error(f"expected {what}, found {tok.text or 'end of input'!r}")
-        return self.advance()
-
-    def expect_number(self, what: str = "number") -> _Token:
-        tok = self.peek()
-        if tok.kind != "NUMBER":
-            raise self.error(f"expected {what}, found {tok.text or 'end of input'!r}")
-        return self.advance()
-
-    def expect_keyword(self, word: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "IDENT" or tok.text != word:
-            raise self.error(f"expected {word!r}, found {tok.text or 'end of input'!r}")
-        return self.advance()
-
-    def expect_key_value_number(self, key: str) -> float:
-        tok = self.peek()
-        if tok.kind != "IDENT" or tok.text != key:
-            raise self.error(f"expected '{key}=', found {tok.text or 'end of input'!r}")
-        self.advance()
-        self.expect_punct("=")
-        return float(self.expect_number().value)
 
     def parse_sequence(self) -> SequenceAst:
-        start = self.peek().span
-        self.expect_keyword("seq")
-        name = self.expect_ident("sequence name").text
-        self.expect_punct("{")
+        self.expect("IDENT", "seq")
+        name = self.expect("IDENT", what="sequence name").text
+        self.expect("PUNCT", "{")
         statements: list[Statement] = []
-        while True:
-            tok = self.peek()
-            if tok.kind == "PUNCT" and tok.text == "}":
-                closing = self.advance()
-                break
-            if tok.kind == "EOF":
+        while not self.at("PUNCT", "}"):
+            if self.at("EOF"):
                 raise self.error("unexpected end of input inside sequence body")
             statements.append(self.parse_statement())
-        span = Span(start.start, closing.span.end, start.line, start.col)
-        return SequenceAst(name=name, statements=tuple(statements), span=span)
+        self.advance()
+        return SequenceAst(name=name, statements=tuple(statements))
 
     def parse_statement(self) -> Statement:
         tok = self.peek()
@@ -279,81 +216,67 @@ class _Parser:
         )
 
     def parse_cycle(self) -> CycleStmt:
-        start = self.advance().span  # 'cycle'
-        label = self.expect_ident("cycle label").text
-        self.expect_punct("[")
-        phases = [float(self.expect_number("phase offset").value)]
-        while True:
-            tok = self.peek()
-            if tok.kind == "PUNCT" and tok.text == ",":
-                self.advance()
-                phases.append(float(self.expect_number("phase offset").value))
-                continue
-            break
-        self.expect_punct("]")
-        end = self.expect_punct(";").span
-        return CycleStmt(
-            label=label, phases_deg=tuple(phases),
-            span=Span(start.start, end.end, start.line, start.col),
-        )
+        pos = self.advance().pos  # 'cycle'
+        label = self.expect("IDENT", what="cycle label").text
+        self.expect("PUNCT", "[")
+        phases = [self.expect("NUMBER", what="phase offset").value]
+        while self.at("PUNCT", ","):
+            self.advance()
+            phases.append(self.expect("NUMBER", what="phase offset").value)
+        self.expect("PUNCT", "]")
+        self.expect("PUNCT", ";")
+        return CycleStmt(label=label, phases_deg=tuple(phases), pos=pos)
 
     def parse_pulse(self) -> PulseStmt:
-        start = self.advance().span  # 'pulse'
+        pos = self.advance().pos  # 'pulse'
         label = None
-        tok = self.peek()
-        if tok.kind == "IDENT" and tok.text not in ("angle",):
+        if self.at("IDENT") and not self.at("IDENT", "angle"):
             label = self.advance().text
-        angle = self.expect_key_value_number("angle")
-        phase = self.expect_key_value_number("phase")
+        values = []
+        for key in ("angle", "phase"):
+            self.expect("IDENT", key, what=f"'{key}='")
+            self.expect("PUNCT", "=")
+            values.append(self.expect("NUMBER", what="number").value)
         duration = None
-        tok = self.peek()
-        if tok.kind == "IDENT" and tok.text == "dur":
+        if self.at("IDENT", "dur"):
             self.advance()
-            self.expect_punct("=")
-            time_tok = self.peek()
-            if time_tok.kind != "TIME":
+            self.expect("PUNCT", "=")
+            if not self.at("TIME"):
                 raise self.error(
-                    f"expected time literal (e.g. 250us), found {time_tok.text!r}"
+                    f"expected time literal (e.g. 250us), found {self.peek().text!r}"
                 )
             duration = self.advance().value
-        end = self.expect_punct(";").span
+        self.expect("PUNCT", ";")
+        angle, phase = values
         return PulseStmt(
-            label=label, angle_deg=angle, phase_deg=phase, duration=duration,
-            span=Span(start.start, end.end, start.line, start.col),
+            label=label, angle_deg=angle, phase_deg=phase, duration=duration, pos=pos
         )
 
     def parse_delay(self) -> DelayStmt:
-        start = self.advance().span  # 'delay'
+        pos = self.advance().pos  # 'delay'
         tok = self.peek()
-        if tok.kind == "TIME":
-            self.advance()
-            duration, symbol = tok.value, None
-        elif tok.kind == "IDENT":
-            self.advance()
-            duration, symbol = None, tok.text
-        elif tok.kind == "NUMBER":
-            raise self.error("delay needs a unit (ns, us, ms or s) or a symbol", tok)
-        else:
+        if tok.kind == "NUMBER":
+            raise self.error("delay needs a unit (ns, us, ms or s) or a symbol")
+        if tok.kind not in ("TIME", "IDENT"):
             raise self.error(f"expected time literal or symbol, found {tok.text!r}")
-        end = self.expect_punct(";").span
-        return DelayStmt(
-            duration=duration, symbol=symbol,
-            span=Span(start.start, end.end, start.line, start.col),
-        )
+        self.advance()
+        self.expect("PUNCT", ";")
+        if tok.kind == "TIME":
+            return DelayStmt(duration=tok.value, pos=pos)
+        return DelayStmt(symbol=tok.text, pos=pos)
 
 
 def parse(text: str) -> SequenceAst:
     """Parse exactly one sequence; raises ParseError with line:col positions."""
     parser = _Parser(_lex(text))
     ast = parser.parse_sequence()
-    trailing = parser.peek()
-    if trailing.kind == "IDENT" and trailing.text == "seq":
-        lookahead = parser.tokens[parser.pos + 1]
-        if lookahead.kind == "IDENT" and lookahead.text == ast.name:
-            raise parser.error(f"duplicate sequence name {ast.name!r}", lookahead)
-        raise parser.error("multiple sequences in one document", trailing)
-    if trailing.kind != "EOF":
-        raise parser.error(f"unexpected trailing input {trailing.text!r}", trailing)
+    if parser.at("IDENT", "seq"):
+        name = parser.tokens[parser.pos + 1]
+        if name.kind == "IDENT" and name.text == ast.name:
+            raise parser.error(f"duplicate sequence name {ast.name!r}", name)
+        raise parser.error("multiple sequences in one document")
+    if not parser.at("EOF"):
+        raise parser.error(f"unexpected trailing input {parser.peek().text!r}")
     return ast
 
 
@@ -363,9 +286,6 @@ def validate(ast: SequenceAst) -> list[Diagnostic]:
     """Structural checks beyond the grammar; returns diagnostics, never raises."""
     diags: list[Diagnostic] = []
 
-    def where(span: Span | None) -> tuple[int, int]:
-        return (span.line, span.col) if span else (0, 0)
-
     pulse_labels: dict[str, int] = {}
     for stmt in ast.statements:
         if isinstance(stmt, PulseStmt) and stmt.label:
@@ -373,7 +293,7 @@ def validate(ast: SequenceAst) -> list[Diagnostic]:
 
     seen_cycles: set[str] = set()
     for stmt in ast.statements:
-        line, col = where(stmt.span)
+        line, col = stmt.pos
         if isinstance(stmt, CycleStmt):
             if stmt.label in seen_cycles:
                 diags.append(Diagnostic("error", f"duplicate cycle label {stmt.label!r}", line, col))
@@ -412,7 +332,7 @@ def validate(ast: SequenceAst) -> list[Diagnostic]:
             first = next(
                 s for s in ast.statements if isinstance(s, PulseStmt) and s.label == label
             )
-            line, col = where(first.span)
+            line, col = first.pos
             diags.append(Diagnostic("warning", f"duplicate pulse label {label!r}", line, col))
     return diags
 
@@ -431,8 +351,6 @@ def compile(ast: SequenceAst, bindings: Mapping[str, float] | None = None) -> Pu
         raise CompileError("; ".join(str(d) for d in errors))
     events: list[Pulse | Delay] = []
     for stmt in ast.statements:
-        if isinstance(stmt, CycleStmt):
-            continue
         if isinstance(stmt, PulseStmt):
             events.append(Pulse(
                 angle_rad=math.radians(stmt.angle_deg),
@@ -440,18 +358,11 @@ def compile(ast: SequenceAst, bindings: Mapping[str, float] | None = None) -> Pu
                 duration_s=stmt.duration.seconds() if stmt.duration else None,
                 label=stmt.label,
             ))
-        else:
-            if stmt.symbol is not None:
-                if bindings is None:
-                    events.append(Delay(symbol=stmt.symbol))
-                elif stmt.symbol in bindings:
-                    events.append(Delay(duration_s=float(bindings[stmt.symbol])))
-                else:
-                    raise UnboundSymbolError(
-                        f"unbound delay symbol {stmt.symbol!r} in concrete mode"
-                    )
-            else:
-                events.append(Delay(duration_s=stmt.duration.seconds()))
+        elif isinstance(stmt, DelayStmt):
+            events.append(
+                Delay(symbol=stmt.symbol) if stmt.symbol is not None
+                else Delay(duration_s=stmt.duration.seconds())
+            )
     cycles = tuple(
         PhaseCycle(
             pulse_label=stmt.label,
@@ -459,7 +370,8 @@ def compile(ast: SequenceAst, bindings: Mapping[str, float] | None = None) -> Pu
         )
         for stmt in ast.statements if isinstance(stmt, CycleStmt)
     )
-    return PulseProgram(name=ast.name, events=tuple(events), cycles=cycles)
+    program = PulseProgram(name=ast.name, events=tuple(events), cycles=cycles)
+    return program if bindings is None else program.bind(bindings)
 
 
 # --- canonical form --------------------------------------------------------

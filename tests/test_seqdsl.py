@@ -70,6 +70,7 @@ def test_parse_time_literals_and_durations():
     ("seq s { pulse angle=90", 1, 23, "end of input"),
     ("seq s { cycle a []; }", 1, 18, "expected"),                # empty phase list
     ("seq s { delay @; }", 1, 15, "unexpected character"),
+    ("seq s { delay 1e999us; }", 1, 15, "finite"),
 ])
 def test_parse_error_positions(text, line, col, fragment):
     with pytest.raises(ParseError) as exc:
@@ -79,6 +80,22 @@ def test_parse_error_positions(text, line, col, fragment):
     assert err.col == col
     assert fragment in err.message
     assert str(err).startswith(f"{line}:{col}:")
+
+
+_TOKEN_TEXTS = st.sampled_from([
+    "seq", "s", "{", "}", "pulse", "angle", "=", "90", "-1.5e2", ".5", "phase", "dur",
+    "250us", "1e999us", "5qq", "@", "-", "delay", "tau", "cycle", "[", "]", ",", ";",
+    "\n", "# c\n",
+])
+
+
+@settings(max_examples=500)
+@given(st.lists(_TOKEN_TEXTS, max_size=30), st.sampled_from(["", " "]))
+def test_parse_raises_only_parse_error(tokens, sep):
+    try:
+        parse(sep.join(tokens))
+    except ParseError:
+        pass
 
 
 def test_parse_error_position_on_later_line():
