@@ -174,7 +174,7 @@ class _Parser:
         return ParseError(message, *(tok or self.peek()).pos)
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.tokens[self.pos]
+        tok = self.peek()
         return tok.kind == kind and (text is None or tok.text == text)
 
     def expect(self, kind: str, text: str | None = None, what: str | None = None) -> _Token:
@@ -237,6 +237,7 @@ class _Parser:
             self.expect("IDENT", key, what=f"'{key}='")
             self.expect("PUNCT", "=")
             values.append(self.expect("NUMBER", what="number").value)
+        angle, phase = values
         duration = None
         if self.at("IDENT", "dur"):
             self.advance()
@@ -247,7 +248,6 @@ class _Parser:
                 )
             duration = self.advance().value
         self.expect("PUNCT", ";")
-        angle, phase = values
         return PulseStmt(
             label=label, angle_deg=angle, phase_deg=phase, duration=duration, pos=pos
         )
