@@ -70,6 +70,8 @@ class PhaseCycle:
     def __post_init__(self) -> None:
         if not self.offsets_rad:
             raise ValueError("phase cycle needs at least one offset")
+        if not all(math.isfinite(x) for x in self.offsets_rad):
+            raise ValueError("phase cycle offsets must be finite")
 
 
 @dataclass(frozen=True)

@@ -541,41 +541,48 @@ def hahn_experiment(
     return Series(x=taus, values=values, shots=n_shots)
 
 
-#: Most CF4 steps whose propagators ``simulate_4level`` stacks at once; each
-#: (steps, 4, 4) complex temporary stays near 64 KB.
-_CF4_BLOCK_STEPS = 256
+#: Most CF4 steps whose propagators ``simulate_4level`` stacks at once; both
+#: sub-steps share one (2, steps, 4, 4) stack, so each complex temporary of
+#: that shape stays near 64 KB.
+_CF4_BLOCK_STEPS = 128
 
 # CF4 nodes and weights (Blanes & Moan 2006).
 _CF4_C1 = 0.5 - math.sqrt(3.0) / 6.0
 _CF4_C2 = 0.5 + math.sqrt(3.0) / 6.0
 _CF4_ALPHA1 = 0.25 + math.sqrt(3.0) / 6.0
 _CF4_ALPHA2 = 0.25 - math.sqrt(3.0) / 6.0
+_UPPER = np.triu_indices(4, 1)
 
 
 def _cf4_propagators(times_us: np.ndarray, dt_us: float, igaps: np.ndarray,
-                     w_mhz: np.ndarray, freq_mhz: float,
-                     phase_rad: float) -> tuple[np.ndarray, np.ndarray]:
+                     w_mhz: np.ndarray, freq_mhz: float, phase_rad: float) -> np.ndarray:
     """Both sub-step propagators of the CF4 steps that start at ``times_us``.
 
-    Returns two (steps, 4, 4) stacks ``ua``, ``ub``: step k maps psi to
-    ``ub[k] @ (ua[k] @ psi)``.  ``igaps`` is 2 pi i times the level gaps, so
+    Returns one (2, steps, 4, 4) stack ``u``: step k maps psi to
+    ``u[1, k] @ (u[0, k] @ psi)``.  ``igaps`` is 2 pi i times the level gaps, so
     the interaction-frame coupling at time t is
     ``cos(2 pi f t + phase) * exp(igaps * t) * w``.
     """
     two_pi = 2.0 * math.pi
-
-    def coupling(t):
-        drive = np.fromiter(map(math.cos, two_pi * freq_mhz * t + phase_rad), float, t.size)
-        return drive[:, None, None] * np.exp(igaps * t[:, None, None]) * w_mhz
-
-    m1 = coupling(times_us + _CF4_C1 * dt_us)
-    m2 = coupling(times_us + _CF4_C2 * dt_us)
-    stacks = []
-    for mat in ((_CF4_ALPHA1 * m1 + _CF4_ALPHA2 * m2), (_CF4_ALPHA2 * m1 + _CF4_ALPHA1 * m2)):
-        x = -1j * two_pi * dt_us * mat
-        x2 = x @ x
-        stacks.append(np.eye(4) + x + x2 / 2.0 + (x2 @ x) / 6.0 + (x2 @ x2) / 24.0)
-    return stacks[0], stacks[1]
+    n = times_us.size
+    t = np.concatenate([times_us + _CF4_C1 * dt_us, times_us + _CF4_C2 * dt_us])
+    drive = np.fromiter(map(math.cos, two_pi * freq_mhz * t + phase_rad), float, 2 * n)
+    # igaps is antisymmetric with a zero diagonal, so exp(igaps * t) is 1 on the
+    # diagonal and the conjugate of its upper triangle below it
+    upper = np.exp(igaps[_UPPER] * t[:, None])
+    phases = np.ones((2 * n, 4, 4), dtype=complex)
+    phases[:, _UPPER[0], _UPPER[1]] = upper
+    phases[:, _UPPER[1], _UPPER[0]] = upper.conj()
+    m1, m2 = (drive[:, None, None] * phases * w_mhz).reshape(2, n, 4, 4)
+    mats = np.stack([_CF4_ALPHA1 * m1 + _CF4_ALPHA2 * m2, _CF4_ALPHA2 * m1 + _CF4_ALPHA1 * m2])
+    x = -1j * two_pi * dt_us * mats
+    x2 = x @ x
+    x3_x4 = x2 @ np.concatenate([x, x2], axis=-1)  # x2 @ x and x2 @ x2 in one product
+    u = np.eye(4) + x
+    u += x2 / 2.0
+    u += x3_x4[..., :4] / 6.0
+    u += x3_x4[..., 4:] / 24.0
+    return u
 
 
 def simulate_4level(
@@ -604,11 +611,11 @@ def simulate_4level(
     without explicit durations need ``nominal_coupling_mhz_per_mt`` to
     convert nominal angles to durations.
 
-    The propagators of up to ``_CF4_BLOCK_STEPS`` consecutive steps are built
-    as one stack of arrays and then applied to the state in step order; every
-    step does the same floating-point operations as a step-by-step loop, so
-    the populations do not depend on the block size, and memory stays flat
-    in the pulse length.
+    Both sub-step propagators of up to ``_CF4_BLOCK_STEPS`` consecutive steps
+    are built as one stack of arrays and then applied to the state in step
+    order; every step does the same floating-point operations as a
+    step-by-step loop, so the populations do not depend on the block size,
+    and memory stays flat in the pulse length.
     """
     if program.cycles:
         raise ValueError("expand phase cycles before simulating")
@@ -672,8 +679,7 @@ def simulate_4level(
             times = np.fromiter(itertools.islice(clock, n), float, n)
             ua, ub = _cf4_propagators(times, step, igaps, w, rf_frequency_mhz, event.phase_rad)
             for a, b in zip(ua, ub):
-                psi = a @ psi
-                psi = b @ psi
+                psi = b.dot(a.dot(psi))
         t_us = next(clock)
     norm = float(np.vdot(psi, psi).real)
     if not abs(norm - 1.0) <= 1e-10:

@@ -147,9 +147,13 @@ def _lex(text: str) -> list[_Token]:
             if not math.isfinite(value):
                 raise ParseError("time value must be finite", line, col)
             tokens.append(_Token("TIME", m[0], TimeLiteral(value, unit), (line, col)))
-        elif kind != "SKIP":
-            value = float(m[0]) if kind == "NUMBER" else None
+        elif kind == "NUMBER":
+            value = float(m[0])
+            if not math.isfinite(value):
+                raise ParseError("number must be finite", line, col)
             tokens.append(_Token(kind, m[0], value, (line, col)))
+        elif kind != "SKIP":
+            tokens.append(_Token(kind, m[0], None, (line, col)))
     tokens.append(_Token("EOF", "", None, (line, pos - line_start + 1)))
     return tokens
 

@@ -378,27 +378,43 @@ def test_4level_matches_two_level_when_well_separated():
 _FIELD_COMPONENTS = st.one_of(st.just(0.0), st.floats(-30.0, 30.0))
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    field=st.one_of(st.just((0.0, 0.0, 0.0)),
-                    st.tuples(_FIELD_COMPONENTS, _FIELD_COMPONENTS, _FIELD_COMPONENTS)),
-    phases=st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)),
-    steps=st.tuples(st.integers(1, 40), st.integers(1, 40)),
-    delay_us=st.floats(0.0, 0.05),
-    b1_mt=st.floats(0.01, 1.0),
-    direction=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(0.1, 1.0)),
-    rf_offset_mhz=st.floats(-0.5, 0.5),
-)
-def test_4level_populations_sum_to_one(field, phases, steps, delay_us, b1_mt, direction,
-                                       rf_offset_mhz):
+@st.composite
+def _driven_pulse_delay_pulse(draw):
+    """A pulse-delay-pulse program and the field, b1, direction and frequency that drive it."""
+    field = draw(st.one_of(st.just((0.0, 0.0, 0.0)),
+                           st.tuples(_FIELD_COMPONENTS, _FIELD_COMPONENTS, _FIELD_COMPONENTS)))
+    phases = draw(st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)))
+    steps = draw(st.tuples(st.integers(1, 40), st.integers(1, 40)))
+    delay_us = draw(st.floats(0.0, 0.05))
+    b1_mt = draw(st.floats(0.01, 1.0))
+    direction = draw(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(0.1, 1.0)))
+    rf_offset_mhz = draw(st.floats(-0.5, 0.5))
     program = PulseProgram(name="p_delay_p", events=(
         Pulse(angle_rad=0.0, phase_rad=phases[0], duration_s=steps[0] * DT_S),
         Delay(duration_s=delay_us * 1e-6),
         Pulse(angle_rad=0.0, phase_rad=phases[1], duration_s=steps[1] * DT_S),
     ))
-    pops = simulate_4level(program, PHOSPHORUS, FieldVector(*field), b1_mt, direction,
-                           PHOSPHORUS.hyperfine_a + rf_offset_mhz)
+    return program, (FieldVector(*field), b1_mt, direction,
+                     PHOSPHORUS.hyperfine_a + rf_offset_mhz)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_driven_pulse_delay_pulse())
+def test_4level_populations_sum_to_one(case):
+    program, args = case
+    pops = simulate_4level(program, PHOSPHORUS, *args)
     assert abs(sum(pops.values()) - 1.0) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(_driven_pulse_delay_pulse())
+def test_4level_matches_the_scalar_oracle_bit_for_bit(case):
+    # blocks of 3 steps, so most pulses span several blocks and end in a partial one
+    program, args = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pulse, "_CF4_BLOCK_STEPS", 3)
+        pops = simulate_4level(program, PHOSPHORUS, *args)
+    assert pops == oracle_4level(program, *args, COUPLING)
 
 
 def test_4level_rejects_coarse_step_and_unbound_programs():
@@ -541,7 +557,7 @@ def test_4level_memory_follows_the_block_not_the_pulse():
         finally:
             tracemalloc.stop()
 
-    # 8 vs 32 blocks of 256 steps; 8192 step times held as Python floats would add ~260 KB
+    # 16 vs 64 blocks of 128 steps; 8192 step times held as Python floats would add ~260 KB
     assert peak_bytes(4 * 2048) < 1.05 * peak_bytes(2048)
 
 

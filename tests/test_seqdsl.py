@@ -71,6 +71,8 @@ def test_parse_time_literals_and_durations():
     ("seq s { cycle a []; }", 1, 18, "expected"),                # empty phase list
     ("seq s { delay @; }", 1, 15, "unexpected character"),
     ("seq s { delay 1e999us; }", 1, 15, "finite"),
+    ("seq s { pulse angle=90 phase=1e400; }", 1, 30, "number must be finite"),
+    ("seq s { cycle p [0, -1e400]; }", 1, 21, "number must be finite"),
 ])
 def test_parse_error_positions(text, line, col, fragment):
     with pytest.raises(ParseError) as exc:
@@ -84,8 +86,8 @@ def test_parse_error_positions(text, line, col, fragment):
 
 _TOKEN_TEXTS = st.sampled_from([
     "seq", "s", "{", "}", "pulse", "angle", "=", "90", "-1.5e2", ".5", "phase", "dur",
-    "250us", "1e999us", "5qq", "@", "-", "delay", "tau", "cycle", "[", "]", ",", ";",
-    "\n", "# c\n",
+    "250us", "1e999us", "1e400", "-1e400", "5qq", "@", "-", "delay", "tau", "cycle", "[",
+    "]", ",", ";", "\n", "# c\n",
 ])
 
 
@@ -278,3 +280,6 @@ def test_ast_node_invariants():
         Pulse(angle_rad=math.nan, phase_rad=0.0)
     with pytest.raises(ValueError):
         PhaseCycle("p", ())
+    for offsets in ((math.nan,), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="offsets must be finite"):
+            PhaseCycle("p", offsets)
