@@ -499,7 +499,8 @@ def oracle_4level(program, b0, b1, direction, freq_mhz, coupling):
     return {lbl: float(abs(psi[k]) ** 2) for k, lbl in enumerate(spincore.LABELS)}
 
 
-@pytest.mark.parametrize("block", [1, 3, pulse._CF4_BLOCK_STEPS])
+# 256 is the block of earlier versions, larger than the default: one block may cover a pulse
+@pytest.mark.parametrize("block", [1, 3, pulse._CF4_BLOCK_STEPS, 256])
 @pytest.mark.parametrize("b", [(0.4, 0.0, 0.0), (0.4, 0.0, 2.0)])
 def test_4level_blocks_match_the_scalar_oracle_exactly(monkeypatch, block, b):
     b0 = FieldVector(*b)
