@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from typing import Sequence, TextIO
 
 import numpy as np
 
 from . import csvio, fitkit, pump, seqdsl, spincore
-from .config import ConfigError, RunConfig, load_config, override, resolve_seed
+from .config import ConfigError, RunConfig, load_config, resolve_seed
 from .noise import EnsembleSpec
 from .pulse import (
     IntegrationStepError,
@@ -32,15 +32,24 @@ from .pulse import (
 
 
 def _effective_config(args: argparse.Namespace) -> RunConfig:
-    """The ``--config`` file (or defaults) with every flag named after a field on top."""
+    """The ``--config`` file (or defaults), then every given flag, read by its key's parser."""
     cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-    return override(cfg, **{f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
+    flags = {}
+    for f in fields(RunConfig):
+        text = getattr(args, f.name, None)
+        if text is not None:
+            try:
+                flags[f.name] = f.metadata["parse"](text)
+            except ValueError as exc:
+                raise ConfigError(f"{f.metadata['flag']}: {exc}") from None
+    return replace(cfg, **flags)
 
 
 def _ensemble_spec(args: argparse.Namespace, cfg: RunConfig) -> EnsembleSpec:
     return EnsembleSpec(
         n_members=cfg.members,
-        seed=resolve_seed(args.seed, cfg),
+        # a --seed flag is already parsed into cfg.seed
+        seed=resolve_seed(cfg.seed if args.seed is not None else None, cfg),
         noise=cfg.noise_model(),
         transition=cfg.transition,
         b0_magnitude_ut=cfg.b0_ut,
@@ -113,13 +122,15 @@ def _cmd_ramsey(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) 
 
 
 def _cmd_hahn(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -> int:
+    # --workers starts no processes: per-member streams make every count give the same bytes
+    if args.workers < 1:
+        raise ConfigError("workers must be >= 1")
     series = hahn_experiment(
         _ensemble_spec(args, cfg),
         cfg.spin_system(),
         _sweep(args, args.tau_min_s, args.tau_max_s),
         detection=args.detection,
         shots_per_point=args.shots,
-        workers=args.workers,
     )
     data = np.column_stack([series.x, series.values, np.full_like(series.x, series.shots)])
     csvio.emit_csv(target, ["tau_s", "echo", "shots"], data)
@@ -145,9 +156,15 @@ def _cmd_fit(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -> 
     if args.model == "stretched":
         initial = None
         if args.initial is not None:
-            initial = [float(v) for v in args.initial.split(",")]
+            try:
+                initial = [float(v) for v in args.initial.split(",")]
+            except ValueError:
+                raise ConfigError(
+                    f"--initial values must be numbers, got {args.initial!r}") from None
         result = fitkit.fit_stretched_exp(x, y, initial=initial, fix_n=args.fix_n)
     else:
+        if args.k < 1:
+            raise ConfigError("--k must be >= 1")
         peaks = [_parse_triple(p) for p in args.peak or []]
         if len(peaks) != args.k:
             raise ConfigError(f"--model peaks needs exactly k={args.k} --peak triples")
@@ -192,39 +209,21 @@ def _cmd_estimate_field(args: argparse.Namespace, cfg: RunConfig, target: str | 
 
 # --- parser construction -----------------------------------------------------
 
+def _add_settings(p: argparse.ArgumentParser, *sections: str) -> None:
+    """One text flag per flagged ``RunConfig`` field of these sections, in field order."""
+    for f in fields(RunConfig):
+        meta = f.metadata
+        if meta["flag"] is not None and meta["section"] in sections:
+            p.add_argument(meta["flag"], dest=f.name, metavar=meta["metavar"], help=meta["help"])
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="PATH", help="config file (key = value with [section]s)")
-    p.add_argument("--seed", type=int, metavar="N",
-                   help="RNG seed; beats config file and DONORSIM_SEED")
-    p.add_argument("--output", metavar="PATH", help="write output here instead of stdout")
+    _add_settings(p, "")
 
 
 def _add_ensemble(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--members", type=int, metavar="N", help="ensemble size")
-    p.add_argument("--b0-ut", dest="b0_ut", type=float, metavar="UT",
-                   help="static field magnitude in µT")
-    p.add_argument("--orientation", dest="b0_orientation",
-                   choices=("parallel", "perpendicular"),
-                   help="B0 orientation relative to the drive field B1")
-    p.add_argument("--transition", choices=("T0", "T+", "T-"),
-                   help="driven transition (from the singlet)")
-    p.add_argument("--b1-amplitude-mt", dest="b1_amplitude_mt", type=float, metavar="MT",
-                   help="drive amplitude in mT")
-    p.add_argument("--static-detuning-khz", dest="static_detuning_khz", type=float,
-                   metavar="KHZ", help="per-member static detuning spread (1 sigma)")
-    p.add_argument("--ou-sigma-khz", dest="ou_sigma_khz", type=float, metavar="KHZ",
-                   help="OU field-noise amplitude, quoted as detuning on the "
-                        "maximum-sensitivity line")
-    p.add_argument("--ou-tau-c-s", dest="ou_tau_c_s", type=float, metavar="S",
-                   help="OU noise correlation time in seconds")
-    p.add_argument("--internal-fraction", dest="internal_fraction", type=float,
-                   metavar="F", help="fraction of members with a frozen internal field")
-    p.add_argument("--internal-field-ut", dest="internal_field_ut", type=float,
-                   metavar="UT", help="internal field magnitude in µT")
-    p.add_argument("--t2-s", dest="t2_s", type=float, metavar="S",
-                   help="phenomenological coherence time in seconds")
-    p.add_argument("--stretching-n", dest="stretching_n", type=float, metavar="N",
-                   help="stretching exponent for the phenomenological decay")
+    _add_settings(p, "ensemble", "field", "noise")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,15 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="RATE", help="probe pump rate at line center, 1/s (default 1e3)")
     p.add_argument("--pump-peak-rate", dest="pump_peak_rate", type=float, default=2e4,
                    metavar="RATE", help="pump rate at line center, 1/s (default 2e4)")
-    p.add_argument("--auger-rate", dest="auger_rate", type=float, metavar="RATE",
-                   help="Auger decay rate of the excited state, 1/s")
-    p.add_argument("--branch-to-s", dest="branch_to_s", type=float, metavar="F",
-                   help="fraction of Auger decays landing in the singlet")
-    p.add_argument("--randomization-rate", dest="randomization_rate", type=float,
-                   metavar="RATE", help="singlet/triplet randomization rate, 1/s")
-    p.add_argument("--gain", type=float, metavar="G", help="readout gain")
-    p.add_argument("--optical-linewidth-mhz", dest="optical_linewidth_mhz", type=float,
-                   metavar="MHZ", help="optical line FWHM in MHz")
+    _add_settings(p, "pump")
     p.set_defaults(func=_cmd_optical_spectrum)
 
     p = sub.add_parser("rabi", help="transfer probability vs pulse length (CSV)")

@@ -1,44 +1,26 @@
-"""Plain-text run configuration.
+"""Run settings: one table, read from config files and command-line flags.
+
+Each ``RunConfig`` field is one setting and declares its default, section,
+parser and, where it has one, its flag, metavar and help.  A flag's text
+goes through its key's parser, so both reject a bad value with one message.
 
 Files are ``key = value`` lines grouped under ``[section]`` headers, with
-``#`` comments.  The parser is deliberately hand-written so every error
-can name the offending key and line number — a misspelled key is rejected,
-not ignored.  An empty file yields all defaults.
+``#`` comments.  Every error names the offending key and line number — a
+misspelled or repeated key is rejected, not ignored.  An empty file yields
+all defaults.
 
-Sections and keys::
+A key is its field's name, under its field's section; ``seed`` and
+``output`` come before any section.  For example::
 
-    seed = 42                     # bare keys before any section: seed, output
+    seed = 42
     output = out.csv
 
-    [spin]
-    hyperfine_a_mhz      = 117.53
-    gamma_s_mhz_per_mt   = 27.972
-    gamma_i_mhz_per_mt   = 0.017251
-
     [field]
-    b0_ut            = 4.0        # static field magnitude, µT
-    b0_orientation   = parallel   # parallel | perpendicular (relative to B1)
-    b1_amplitude_mt  = 0.001      # drive amplitude, mT
-    transition       = T0         # T0 | T+ | T-
-
-    [pump]
-    auger_rate  = 1e6             # rates in 1/s
-    branch_to_s = 0.25
-    randomization_rate = 0.0
-    gain = 1.0
-    optical_linewidth_mhz = 29.9792458
-
-    [ensemble]
-    members = 1000
+    b0_ut          = 23.0        # static field magnitude, µT
+    b0_orientation = perpendicular
 
     [noise]
-    static_detuning_khz = 0.0
-    ou_sigma_khz        = 0.0
-    ou_tau_c_s          = 1.0
-    internal_fraction   = 0.0
-    internal_field_ut   = 6.0
-    t2_s                = none    # phenomenological decay, seconds (none = off)
-    stretching_n        = 1.0
+    t2_s = none                  # phenomenological decay, seconds (none or off = no decay)
 
 Precedence for every setting: command-line flag > config file > default;
 for the seed the ``DONORSIM_SEED`` environment variable sits between flag
@@ -49,8 +31,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields, replace
-from typing import Callable
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable
 
 from . import pump as pumpmod
 from . import spincore
@@ -66,32 +48,133 @@ class ConfigError(ValueError):
     """Configuration problem; message carries key name and line number."""
 
 
+# --- value parsers: text in, checked value out, ValueError on bad text ---------
+
+def _number(ok: Callable[[float], bool], need: str) -> Callable[[str], float]:
+    """Parser for a finite float that satisfies ``ok``; ``need`` is the failure message."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise ValueError(f"expected a number, got {text!r}") from None
+        if not (math.isfinite(value) and ok(value)):
+            raise ValueError(need)
+        return value
+    return parse
+
+
+_positive = _number(lambda x: x > 0, "must be a positive finite number")
+_non_negative = _number(lambda x: x >= 0, "must be a non-negative finite number")
+_fraction = _number(lambda x: 0.0 <= x <= 1.0, "must lie in [0, 1]")
+_finite = _number(lambda x: True, "must be finite")
+
+
+def _parse_int(text: str) -> int:
+    try:
+        value = int(text, 10)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {text!r}") from None
+    return value
+
+
+def _parse_seed(text: str) -> int:
+    value = _parse_int(text)
+    if not 0 <= value < 2 ** 63:
+        raise ValueError("seed must lie in [0, 2**63)")
+    return value
+
+
+def _parse_output(text: str) -> str:
+    if not text:
+        raise ValueError("must be a non-empty path")
+    return text
+
+
+def _parse_members(text: str) -> int:
+    value = _parse_int(text)
+    if value < 1:
+        raise ValueError("members must be >= 1")
+    return value
+
+
+def _parse_orientation(text: str) -> str:
+    if text not in ("parallel", "perpendicular"):
+        raise ValueError("must be 'parallel' or 'perpendicular'")
+    return text
+
+
+def _parse_transition(text: str) -> str:
+    if text not in ("T0", "T+", "T-"):
+        raise ValueError("must be one of T0, T+, T-")
+    return text
+
+
+def _parse_optional_seconds(text: str) -> float | None:
+    if text.lower() in ("none", "off"):
+        return None
+    return _positive(text)
+
+
+def _setting(default: object, section: str, parse: Callable[[str], object],
+             flag: str | None = None, metavar: str | None = None,
+             help: str | None = None) -> Any:
+    """One row of the settings table: a field whose metadata says how to read it."""
+    return field(default=default, metadata={
+        "section": section, "parse": parse, "flag": flag, "metavar": metavar, "help": help,
+    })
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated settings shared by the experiment subcommands."""
+    """Validated settings shared by the experiment subcommands.
 
-    hyperfine_a_mhz: float = spincore.HYPERFINE_A_MHZ
-    gamma_s_mhz_per_mt: float = spincore.GAMMA_S_MHZ_PER_MT
-    gamma_i_mhz_per_mt: float = spincore.GAMMA_I_MHZ_PER_MT
-    b0_ut: float = 4.0
-    b0_orientation: str = "parallel"
-    b1_amplitude_mt: float = 1e-3
-    transition: str = "T0"
-    auger_rate: float = 1e6
-    branch_to_s: float = 0.25
-    randomization_rate: float = 0.0
-    gain: float = 1.0
-    optical_linewidth_mhz: float = pumpmod.DEFAULT_OPTICAL_LINEWIDTH_MHZ
-    members: int = 1000
-    static_detuning_khz: float = 0.0
-    ou_sigma_khz: float = 0.0
-    ou_tau_c_s: float = 1.0
-    internal_fraction: float = 0.0
-    internal_field_ut: float = 6.0
-    t2_s: float | None = None
-    stretching_n: float = 1.0
-    seed: int | None = None
-    output: str | None = None
+    The field order is the order of the flags in ``--help``.
+    """
+
+    seed: int | None = _setting(None, "", _parse_seed, "--seed", "N",
+                                "RNG seed; beats config file and DONORSIM_SEED")
+    output: str | None = _setting(None, "", _parse_output, "--output", "PATH",
+                                  "write output here instead of stdout")
+    hyperfine_a_mhz: float = _setting(spincore.HYPERFINE_A_MHZ, "spin", _positive)
+    gamma_s_mhz_per_mt: float = _setting(spincore.GAMMA_S_MHZ_PER_MT, "spin", _positive)
+    gamma_i_mhz_per_mt: float = _setting(spincore.GAMMA_I_MHZ_PER_MT, "spin", _non_negative)
+    members: int = _setting(1000, "ensemble", _parse_members, "--members", "N",
+                            "ensemble size")
+    b0_ut: float = _setting(4.0, "field", _non_negative, "--b0-ut", "UT",
+                            "static field magnitude in µT")
+    b0_orientation: str = _setting("parallel", "field", _parse_orientation, "--orientation",
+                                   "{parallel,perpendicular}",
+                                   "B0 orientation relative to the drive field B1")
+    transition: str = _setting("T0", "field", _parse_transition, "--transition", "{T0,T+,T-}",
+                               "driven transition (from the singlet)")
+    b1_amplitude_mt: float = _setting(1e-3, "field", _positive, "--b1-amplitude-mt", "MT",
+                                      "drive amplitude in mT")
+    static_detuning_khz: float = _setting(0.0, "noise", _non_negative,
+                                          "--static-detuning-khz", "KHZ",
+                                          "per-member static detuning spread (1 sigma)")
+    ou_sigma_khz: float = _setting(0.0, "noise", _non_negative, "--ou-sigma-khz", "KHZ",
+                                   "OU field-noise amplitude, quoted as detuning on the "
+                                   "maximum-sensitivity line")
+    ou_tau_c_s: float = _setting(1.0, "noise", _positive, "--ou-tau-c-s", "S",
+                                 "OU noise correlation time in seconds")
+    internal_fraction: float = _setting(0.0, "noise", _fraction, "--internal-fraction", "F",
+                                        "fraction of members with a frozen internal field")
+    internal_field_ut: float = _setting(6.0, "noise", _non_negative, "--internal-field-ut",
+                                        "UT", "internal field magnitude in µT")
+    t2_s: float | None = _setting(None, "noise", _parse_optional_seconds, "--t2-s", "S",
+                                  "phenomenological coherence time in seconds")
+    stretching_n: float = _setting(1.0, "noise", _positive, "--stretching-n", "N",
+                                   "stretching exponent for the phenomenological decay")
+    auger_rate: float = _setting(1e6, "pump", _positive, "--auger-rate", "RATE",
+                                 "Auger decay rate of the excited state, 1/s")
+    branch_to_s: float = _setting(0.25, "pump", _fraction, "--branch-to-s", "F",
+                                  "fraction of Auger decays landing in the singlet")
+    randomization_rate: float = _setting(0.0, "pump", _non_negative, "--randomization-rate",
+                                         "RATE", "singlet/triplet randomization rate, 1/s")
+    gain: float = _setting(1.0, "pump", _finite, "--gain", "G", "readout gain")
+    optical_linewidth_mhz: float = _setting(pumpmod.DEFAULT_OPTICAL_LINEWIDTH_MHZ, "pump",
+                                            _positive, "--optical-linewidth-mhz", "MHZ",
+                                            "optical line FWHM in MHz")
 
     def __post_init__(self) -> None:
         if self.seed is not None:
@@ -125,110 +208,16 @@ class RunConfig:
         )
 
 
-def _positive(x: float) -> float:
-    if not (math.isfinite(x) and x > 0):
-        raise ValueError("must be a positive finite number")
-    return x
+# (section, key) -> field; a config key is always its field's name
+_SETTINGS = {(f.metadata["section"], f.name): f for f in fields(RunConfig)}
 
-
-def _non_negative(x: float) -> float:
-    if not (math.isfinite(x) and x >= 0):
-        raise ValueError("must be a non-negative finite number")
-    return x
-
-
-def _fraction(x: float) -> float:
-    if not (math.isfinite(x) and 0.0 <= x <= 1.0):
-        raise ValueError("must lie in [0, 1]")
-    return x
-
-
-def _finite(x: float) -> float:
-    if not math.isfinite(x):
-        raise ValueError("must be finite")
-    return x
-
-
-def _parse_float(text: str, check: Callable[[float], float] = _finite) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ValueError(f"expected a number, got {text!r}") from None
-    return check(value)
-
-
-def _parse_int(text: str) -> int:
-    try:
-        value = int(text, 10)
-    except ValueError:
-        raise ValueError(f"expected an integer, got {text!r}") from None
-    return value
-
-
-def _parse_seed(text: str) -> int:
-    value = _parse_int(text)
-    if not 0 <= value < 2 ** 63:
-        raise ValueError("seed must lie in [0, 2**63)")
-    return value
-
-
-def _parse_members(text: str) -> int:
-    value = _parse_int(text)
-    if value < 1:
-        raise ValueError("members must be >= 1")
-    return value
-
-
-def _parse_orientation(text: str) -> str:
-    if text not in ("parallel", "perpendicular"):
-        raise ValueError("must be 'parallel' or 'perpendicular'")
-    return text
-
-
-def _parse_transition(text: str) -> str:
-    if text not in ("T0", "T+", "T-"):
-        raise ValueError("must be one of T0, T+, T-")
-    return text
-
-
-def _parse_optional_seconds(text: str) -> float | None:
-    if text.lower() in ("none", "off"):
-        return None
-    return _parse_float(text, _positive)
-
-
-# (section, key) -> (RunConfig attribute, parser)
-_KEY_TABLE: dict[tuple[str, str], tuple[str, Callable[[str], object]]] = {
-    ("", "seed"): ("seed", _parse_seed),
-    ("", "output"): ("output", str),
-    ("spin", "hyperfine_a_mhz"): ("hyperfine_a_mhz", lambda t: _parse_float(t, _positive)),
-    ("spin", "gamma_s_mhz_per_mt"): ("gamma_s_mhz_per_mt", lambda t: _parse_float(t, _positive)),
-    ("spin", "gamma_i_mhz_per_mt"): ("gamma_i_mhz_per_mt", lambda t: _parse_float(t, _non_negative)),
-    ("field", "b0_ut"): ("b0_ut", lambda t: _parse_float(t, _non_negative)),
-    ("field", "b0_orientation"): ("b0_orientation", _parse_orientation),
-    ("field", "b1_amplitude_mt"): ("b1_amplitude_mt", lambda t: _parse_float(t, _positive)),
-    ("field", "transition"): ("transition", _parse_transition),
-    ("pump", "auger_rate"): ("auger_rate", lambda t: _parse_float(t, _positive)),
-    ("pump", "branch_to_s"): ("branch_to_s", lambda t: _parse_float(t, _fraction)),
-    ("pump", "randomization_rate"): ("randomization_rate", lambda t: _parse_float(t, _non_negative)),
-    ("pump", "gain"): ("gain", _parse_float),
-    ("pump", "optical_linewidth_mhz"): ("optical_linewidth_mhz", lambda t: _parse_float(t, _positive)),
-    ("ensemble", "members"): ("members", _parse_members),
-    ("noise", "static_detuning_khz"): ("static_detuning_khz", lambda t: _parse_float(t, _non_negative)),
-    ("noise", "ou_sigma_khz"): ("ou_sigma_khz", lambda t: _parse_float(t, _non_negative)),
-    ("noise", "ou_tau_c_s"): ("ou_tau_c_s", lambda t: _parse_float(t, _positive)),
-    ("noise", "internal_fraction"): ("internal_fraction", lambda t: _parse_float(t, _fraction)),
-    ("noise", "internal_field_ut"): ("internal_field_ut", lambda t: _parse_float(t, _non_negative)),
-    ("noise", "t2_s"): ("t2_s", _parse_optional_seconds),
-    ("noise", "stretching_n"): ("stretching_n", lambda t: _parse_float(t, _positive)),
-}
-
-KNOWN_SECTIONS = sorted({section for section, _ in _KEY_TABLE})
+KNOWN_SECTIONS = sorted({section for section, _ in _SETTINGS})
 
 
 def parse_config_text(text: str, *, source: str = "<config>") -> RunConfig:
     """Parse config text; every error names the key/section and line."""
     values: dict[str, object] = {}
+    set_on: dict[str, int] = {}
     section = ""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -249,14 +238,16 @@ def parse_config_text(text: str, *, source: str = "<config>") -> RunConfig:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, _, value_text = line.partition("=")
         key = key.strip()
-        value_text = value_text.strip()
-        entry = _KEY_TABLE.get((section, key))
-        if entry is None:
+        setting = _SETTINGS.get((section, key))
+        if setting is None:
             where = f"[{section}]" if section else "top level"
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r} in {where}")
-        attr, parser = entry
+        if key in set_on:
+            raise ConfigError(f"{source}:{lineno}: {key}: repeated key, "
+                              f"first set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
-            values[attr] = parser(value_text)
+            values[key] = setting.metadata["parse"](value_text.strip())
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: {key}: {exc}") from None
     cfg = RunConfig(**values)
@@ -291,13 +282,3 @@ def resolve_seed(flag_seed: int | None, cfg: RunConfig) -> int:
     if cfg.seed is not None:
         return cfg.seed
     return DEFAULT_SEED
-
-
-def override(cfg: RunConfig, **updates: object) -> RunConfig:
-    """Apply non-None keyword overrides (CLI flags) on top of a config."""
-    filtered = {k: v for k, v in updates.items() if v is not None}
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(filtered) - known
-    if unknown:
-        raise ConfigError(f"unknown config overrides: {sorted(unknown)}")
-    return replace(cfg, **filtered)

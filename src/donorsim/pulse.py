@@ -472,7 +472,6 @@ def hahn_experiment(
     shots_per_point: int | None = None,
     readout_gain: float = 1.0,
     readout_offset: float = 0.0,
-    workers: int = 1,
 ) -> Series:
     """Phase-cycled Hahn echo decay over an ensemble.
 
@@ -494,8 +493,6 @@ def hahn_experiment(
 
     Members run in blocks of the ensemble engine and are reduced in index
     order, so memory stays bounded by the block, not the ensemble.
-    ``workers`` is validated (>= 1) but starts no processes: per-member
-    streams make the result identical for any worker count.
     """
     taus = np.asarray(taus_s, dtype=float)
     if np.any(taus <= 0):
@@ -504,8 +501,6 @@ def hahn_experiment(
         raise ValueError(f"detection must be 'mean' or 'max', got {detection!r}")
     if readout_gain <= 0:
         raise ValueError("readout_gain must be > 0")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     if shots_per_point is not None and shots_per_point < 1:
         raise ValueError("shots_per_point must be >= 1")
     n_shots = 1 if detection == "mean" else (shots_per_point or 100)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import pathlib
 
@@ -11,6 +12,7 @@ import pytest
 
 from donorsim import noise
 from donorsim.cli import build_parser, main
+from donorsim.config import RunConfig
 from donorsim.csvio import emit_csv, read_csv
 from donorsim.fitkit import peak_model, stretched_exp_model
 from donorsim.seqdsl import HAHN_TEXT
@@ -351,6 +353,8 @@ def test_usage_errors_exit_1(capsys):
     ["optical-spectrum", "--points", "3", "--line-t-invcm", "inf"],
     ["optical-spectrum", "--points", "3", "--line-s-invcm", "nan"],
     ["rabi", "--members", "3", "--points", "3", "--b1-amplitude-mt", "1e306", "--max-us", "1"],
+    ["levels", "--points", "3", "--output", ""],
+    ["hahn", "--workers", "0"],
 ])
 def test_validation_errors_exit_1(monkeypatch, capsys, argv):
     def draw(*args, **kwargs):
@@ -382,6 +386,72 @@ def test_bad_shot_count_exits_1(capsys, argv):
     assert code == 1
     assert "shots_per_point must be >= 1" in err
     assert out == ""
+
+
+# One bad value per setting flag: a flagged RunConfig field missing here fails its case.
+BAD_SETTING_TEXT = {
+    "seed": "-1",
+    "output": "",
+    "members": "0",
+    "b0_ut": "-1",
+    "b0_orientation": "diagonal",
+    "transition": "T2",
+    "b1_amplitude_mt": "0",
+    "static_detuning_khz": "-1",
+    "ou_sigma_khz": "nan",
+    "ou_tau_c_s": "0",
+    "internal_fraction": "1.5",
+    "internal_field_ut": "-1",
+    "t2_s": "-3",
+    "stretching_n": "fast",
+    "auger_rate": "0",
+    "branch_to_s": "1.5",
+    "randomization_rate": "-1",
+    "gain": "inf",
+    "optical_linewidth_mhz": "0",
+}
+FLAGGED_SETTINGS = [f for f in dataclasses.fields(RunConfig) if f.metadata["flag"]]
+
+
+@pytest.mark.parametrize("setting", FLAGGED_SETTINGS, ids=lambda f: f.name)
+def test_flag_and_config_key_reject_the_same_text(tmp_path, capsys, setting):
+    name, section, flag = setting.name, setting.metadata["section"], setting.metadata["flag"]
+    command = {"": "levels", "pump": "optical-spectrum"}.get(section, "rabi")
+    argv = [command, "--points", "3"]
+    text = BAD_SETTING_TEXT[name]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[{section}]\n{name} = {text}\n" if section else f"{name} = {text}\n")
+
+    code, out, flag_err = run(capsys, argv + [flag, text])
+    assert (code, out) == (1, "")
+    assert flag_err.startswith(f"donorsim: error: {flag}: ")
+    code, out, cfg_err = run(capsys, argv + ["--config", str(cfg)])
+    assert (code, out) == (1, "")
+    line = 2 if section else 1
+    assert cfg_err.startswith(f"donorsim: error: {cfg}:{line}: {name}: ")
+    assert flag_err.split(f"{flag}: ", 1)[1] == cfg_err.split(f"{name}: ", 1)[1]
+
+
+def test_t2_none_flag_runs_like_the_config_key(tmp_path):
+    cfg = tmp_path / "t2.cfg"
+    cfg.write_text("[noise]\nt2_s = none\n")
+    by_flag, by_key = tmp_path / "flag.csv", tmp_path / "key.csv"
+    assert main(HAHN_SMALL + ["--seed", "3", "--t2-s", "none", "--output", str(by_flag)]) == 0
+    assert main(HAHN_SMALL + ["--seed", "3", "--config", str(cfg),
+                              "--output", str(by_key)]) == 0
+    assert by_flag.read_bytes() == by_key.read_bytes()
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--model", "peaks", "--k", "-1"], "--k must be >= 1"),
+    (["--model", "peaks", "--k", "0", "--peak", "1,2,3"], "--k must be >= 1"),
+    (["--initial", "x"], "--initial values must be numbers, got 'x'"),
+    (["--initial", "1.0,,2"], "--initial values must be numbers, got '1.0,,2'"),
+])
+def test_fit_flag_errors_name_the_flag(capsys, extra, message):
+    code, out, err = run(capsys, ["fit", str(GOLDEN / "hahn_mean_t0_parallel.csv")] + extra)
+    assert (code, out) == (1, "")
+    assert err == f"donorsim: error: {message}\n"
 
 
 def test_missing_config_file_exits_2(capsys):

@@ -10,7 +10,6 @@ from donorsim.config import (
     ConfigError,
     RunConfig,
     load_config,
-    override,
     parse_config_text,
     resolve_seed,
 )
@@ -98,6 +97,9 @@ def test_comments_and_blank_lines_ignored():
     ("[noise]\nou_tau_c_s = 0", 2, "positive"),
     ("[noise]\nstatic_detuning_khz = -1", 2, "non-negative"),
     ("\n\n[noise]\nt2_s = -3", 4, "positive"),
+    ("[field]\nb0_ut = 1\nb0_ut = 30", 3, "b0_ut: repeated key, first set on line 2"),
+    ("[field]\nb0_ut = 1\n[noise]\n[field]\nb0_ut = 30", 5, "first set on line 2"),
+    ("output =", 1, "output: must be a non-empty path"),
 ])
 def test_errors_carry_line_numbers(text, lineno, fragment):
     with pytest.raises(ConfigError) as exc:
@@ -168,12 +170,3 @@ def test_resolve_seed_precedence(monkeypatch):
         resolve_seed(None, RunConfig())
     assert SEED_ENV_VAR in str(exc.value)
 
-
-def test_override_applies_only_non_none():
-    cfg = RunConfig()
-    out = override(cfg, b0_ut=23.0, members=None, transition="T+")
-    assert out.b0_ut == 23.0
-    assert out.members == cfg.members
-    assert out.transition == "T+"
-    with pytest.raises(ConfigError):
-        override(cfg, not_a_setting=1)

@@ -258,16 +258,6 @@ def test_hahn_phenomenological_envelope_exact():
     assert np.allclose(series.values, expected, rtol=1e-12, atol=1e-12)
 
 
-def test_hahn_worker_count_invariance_bitexact():
-    spec = clean_spec(n=60, seed=21, ou_sigma_khz=0.08, ou_tau_c_s=0.2,
-                      static_detuning_khz=5.0)
-    taus = np.linspace(0.005, 0.08, 5)
-    base = hahn_experiment(EnsembleSpec(**{**spec.__dict__}), PHOSPHORUS, taus, workers=1)
-    for workers in (2, 3, 7, 60):
-        again = hahn_experiment(spec, PHOSPHORUS, taus, workers=workers)
-        assert np.array_equal(base.values, again.values)
-
-
 def test_hahn_ou_decay_matches_analytic_envelope():
     # Monte-Carlo vs the closed-form filtered OU phase variance:
     #   Var = 2 sigma_ang^2 tau_c [2 tau - tau_c (1-mu)(3-mu)], mu = exp(-tau/tau_c)
