@@ -13,6 +13,7 @@ or convergence failure, fit that did not converge).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import fields, replace
 from typing import Sequence, TextIO
@@ -75,6 +76,8 @@ def _cmd_levels(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) 
     b_mt = _sweep(args, args.bmin_mt, args.bmax_mt)
     if args.bmin_mt < 0.0:
         raise ConfigError("need 0 <= --bmin-mt")
+    if not math.isfinite(args.bmax_mt * spincore.UT_PER_MT):
+        raise ConfigError(f"--bmax-mt {args.bmax_mt!r} overflows when converted to µT")
     levels = spincore.breit_rabi_levels(cfg.spin_system(), b_mt * spincore.UT_PER_MT)
     data = np.column_stack([b_mt, levels["S"], levels["T-"], levels["T0"], levels["T+"]])
     csvio.emit_csv(target, [
@@ -125,6 +128,9 @@ def _cmd_hahn(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) ->
     # --workers starts no processes: per-member streams make every count give the same bytes
     if args.workers < 1:
         raise ConfigError("workers must be >= 1")
+    # a count below 1 is hahn_experiment's error under either detection
+    if args.detection == "mean" and args.shots is not None and args.shots >= 1:
+        raise ConfigError("--shots applies only to --detection max")
     series = hahn_experiment(
         _ensemble_spec(args, cfg),
         cfg.spin_system(),

@@ -82,7 +82,8 @@ def render_csv(columns: Sequence[str], data: np.ndarray) -> str:
             raise ValueError(f"column name {name!r} may not contain ',' or newlines")
     lines = [MAGIC, COLUMNS_PREFIX + ", ".join(columns)]
     for row in table:
-        lines.append(",".join(format_value(v) for v in row))
+        # format_value per cell: tolist() gives Python floats, whose repr it is
+        lines.append(",".join(map(repr, row.tolist())))
     return "\n".join(lines) + "\n"
 
 

@@ -1,19 +1,22 @@
 """Least-squares fitting for decay envelopes and spectral peaks.
 
-The workhorse is a damped Gauss-Newton (Levenberg-Marquardt) loop written
-out explicitly so its convergence record can be inspected: the residual
-sum of squares over accepted iterations is non-increasing by construction
-and is kept in ``FitResult.rss_trace``.  When the loop stalls on an
-ill-conditioned Jacobian, a derivative-free Nelder-Mead simplex restart
-is tried from the best point so far, followed by a final Gauss-Newton
-polish.
+The workhorse is a damped Gauss-Newton (Levenberg-Marquardt; Marquardt,
+J. SIAM 11, 431 (1963)) loop written out explicitly so its convergence
+record can be inspected: the residual sum of squares over accepted
+iterations is non-increasing by construction and is kept in
+``FitResult.rss_trace``.  When the loop stalls on an ill-conditioned
+Jacobian, a derivative-free Nelder-Mead simplex restart is tried from the
+best point so far, followed by a final Gauss-Newton polish.
 
-Jacobians are forward finite differences with relative step 1e-6.
-Convergence requires a relative parameter step below 1e-10 or a gradient
-infinity-norm below 1e-12.  Parameter uncertainties are the usual
-linearized estimate sqrt(RSS/(N-p) * inv(J^T J)_ii), computed with a
-pseudo-inverse so near-degenerate directions report large-but-finite
-errors instead of crashing.
+Residual functions broadcast over a leading axis of parameter vectors:
+a (p,) vector gives (N,) residuals and an (m, p) stack gives (m, N), so
+the forward-difference Jacobian (relative step 1e-6) is one call on the
+stack of p shifted vectors.  Convergence requires a relative parameter
+step below 1e-10 or a gradient infinity-norm below 1e-12.  Parameter
+uncertainties are the usual linearized estimate
+sqrt(RSS/(N-p) * inv(J^T J)_ii), computed with a pseudo-inverse so
+near-degenerate directions report large-but-finite errors instead of
+crashing.
 """
 
 from __future__ import annotations
@@ -65,18 +68,21 @@ def _safe_residual(fn: ResidualFn, p: np.ndarray) -> tuple[np.ndarray, float]:
     return r, float(r @ r)
 
 
-def numeric_jacobian(fn: ResidualFn, p: np.ndarray) -> np.ndarray:
-    """Forward-difference Jacobian of the residual vector."""
+def numeric_jacobian(fn: ResidualFn, p: np.ndarray, r0: np.ndarray | None = None) -> np.ndarray:
+    """Forward-difference Jacobian of the residual vector.
+
+    One ``fn`` call evaluates the residuals of all shifted parameter
+    vectors, stacked one per row.  ``r0`` is the residual at ``p`` when the
+    caller holds it already.
+    """
     p = np.asarray(p, dtype=float)
-    r0, _ = _safe_residual(fn, p)
-    jac = np.empty((r0.size, p.size))
-    for j in range(p.size):
-        h = JACOBIAN_REL_STEP * max(abs(p[j]), 1.0)
-        shifted = p.copy()
-        shifted[j] += h
-        rj, _ = _safe_residual(fn, shifted)
-        jac[:, j] = (rj - r0) / h
-    return jac
+    if r0 is None:
+        r0, _ = _safe_residual(fn, p)
+    h = JACOBIAN_REL_STEP * np.maximum(np.abs(p), 1.0)
+    shifted = np.tile(p, (p.size, 1))
+    shifted[np.diag_indices(p.size)] += h
+    rows = np.asarray(fn(shifted), dtype=float)
+    return np.ascontiguousarray(((rows - r0) / h[:, None]).T)
 
 
 def _stderr(fn: ResidualFn, p: np.ndarray, rss: float, n_points: int) -> np.ndarray:
@@ -103,7 +109,7 @@ def levenberg_marquardt(
     converged = False
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
-        jac = numeric_jacobian(fn, p)
+        jac = numeric_jacobian(fn, p, r)
         grad = jac.T @ r
         if np.max(np.abs(grad)) < GRAD_TOL:
             converged = True
@@ -230,11 +236,24 @@ def least_squares(
 
 # --- decay envelope ---------------------------------------------------------
 
-def stretched_exp_model(tau_s: np.ndarray, amplitude: float, t2_s: float, n: float) -> np.ndarray:
-    """amplitude * exp(-(2 tau / T2)^n) with tau the half-evolution time."""
+def stretched_exp_model(tau_s: np.ndarray, amplitude, t2_s, n) -> np.ndarray:
+    """amplitude * exp(-(2 tau / T2)^n) with tau the half-evolution time.
+
+    Scalar parameters give one curve over the 1-d ``tau_s``; parameter
+    columns of shape (m, 1) give an (m, tau_s.size) stack of curves.
+    """
     tau_s = np.asarray(tau_s, dtype=float)
     with np.errstate(invalid="ignore", over="ignore"):
-        return amplitude * np.exp(-np.power(2.0 * tau_s / t2_s, n))
+        scaled = 2.0 * tau_s / t2_s
+        if np.ndim(n) < 2:
+            powered = np.power(scaled, n)
+        else:
+            # np.power takes a fast path (sqrt, square, reciprocal) for a scalar
+            # exponent of 0.5, 2 or -1 but not for a column, so each curve gets
+            # its exponent as a scalar
+            rows = np.broadcast_to(scaled, (len(n),) + tau_s.shape)
+            powered = np.array([np.power(row, e) for row, e in zip(rows, np.ravel(n))])
+        return amplitude * np.exp(-powered)
 
 
 def fit_stretched_exp(
@@ -276,13 +295,13 @@ def fit_stretched_exp(
         p0 = np.asarray(initial if initial is not None else [a0, t2_guess], dtype=float)
 
         def residual(p: np.ndarray) -> np.ndarray:
-            return stretched_exp_model(x, p[0], p[1], fix_n) - y
+            return stretched_exp_model(x, p[..., 0, None], p[..., 1, None], fix_n) - y
     else:
         names = ("amplitude", "t2_s", "n")
         p0 = np.asarray(initial if initial is not None else [a0, t2_guess, 1.5], dtype=float)
 
         def residual(p: np.ndarray) -> np.ndarray:
-            return stretched_exp_model(x, p[0], p[1], p[2]) - y
+            return stretched_exp_model(x, p[..., 0, None], p[..., 1, None], p[..., 2, None]) - y
 
     if len(p0) != len(names):
         raise ValueError(f"initial must provide {len(names)} values {names}")
@@ -300,11 +319,15 @@ def peak_model(
     k: int,
     shape: str,
 ) -> np.ndarray:
-    """Sum of k unit-shape peaks (center, width, amplitude each) plus baseline."""
+    """Sum of k unit-shape peaks (center, width, amplitude each) plus baseline.
+
+    ``params`` of shape (..., 3k + 1) gives values of shape (..., x.size).
+    """
     x = np.asarray(x, dtype=float)
-    out = np.full(x.shape, float(params[3 * k]))
+    p = np.asarray(params, dtype=float)[..., None]  # the new axis runs along x
+    out = np.broadcast_to(p[..., 3 * k, :], p.shape[:-2] + x.shape)
     for i in range(k):
-        center, width, amp = params[3 * i: 3 * i + 3]
+        center, width, amp = p[..., 3 * i, :], p[..., 3 * i + 1, :], p[..., 3 * i + 2, :]
         u = (x - center) / width
         if shape == "lorentzian":
             out = out + amp / (1.0 + u * u)

@@ -10,14 +10,19 @@ exchanges S and T towards their 1:3 statistical weights.
 Rates are in 1/s, times in seconds, optical frequencies in cm^-1 with
 linewidths quoted in MHz.  The photoconductive observable is the Auger
 event rate, pump_rate_s * n_S + pump_rate_t * n_T, times a detector gain.
+
+Steady states are solved over a leading axis of rate matrices: an optical
+spectrum stacks one generator per probe point and solves them all in one
+SVD call, with ``steady_state``'s checks applied row by row, and
+``steady_state`` itself is a stack of one.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -135,19 +140,28 @@ def rate_matrix(cfg: PumpConfig) -> np.ndarray:
     T -> S so that its fixed point is the 1:3 statistical weight ratio and
     the total S/T exchange relaxation rate equals ``randomization_rate``.
     """
-    m = np.zeros((3, 3))
-    m[2, 0] += cfg.pump_rate_s
-    m[0, 0] -= cfg.pump_rate_s
-    m[2, 1] += cfg.pump_rate_t
-    m[1, 1] -= cfg.pump_rate_t
-    m[0, 2] += cfg.auger_rate * cfg.branch_to_s
-    m[1, 2] += cfg.auger_rate * (1.0 - cfg.branch_to_s)
-    m[2, 2] -= cfg.auger_rate
+    return _rate_matrices(cfg, cfg.pump_rate_s, cfg.pump_rate_t)
+
+
+def _rate_matrices(cfg: PumpConfig, pump_rate_s, pump_rate_t) -> np.ndarray:
+    """Generators for pump-rate arrays of one shape: that shape + (3, 3).
+
+    ``cfg`` supplies every rate but the two pump rates.
+    """
+    pump_rate_s = np.asarray(pump_rate_s, dtype=float)
+    m = np.zeros(pump_rate_s.shape + (3, 3))
+    m[..., 2, 0] += pump_rate_s
+    m[..., 0, 0] -= pump_rate_s
+    m[..., 2, 1] += pump_rate_t
+    m[..., 1, 1] -= pump_rate_t
+    m[..., 0, 2] += cfg.auger_rate * cfg.branch_to_s
+    m[..., 1, 2] += cfg.auger_rate * (1.0 - cfg.branch_to_s)
+    m[..., 2, 2] -= cfg.auger_rate
     r = cfg.randomization_rate
-    m[1, 0] += (1.0 - SINGLET_WEIGHT) * r
-    m[0, 0] -= (1.0 - SINGLET_WEIGHT) * r
-    m[0, 1] += SINGLET_WEIGHT * r
-    m[1, 1] -= SINGLET_WEIGHT * r
+    m[..., 1, 0] += (1.0 - SINGLET_WEIGHT) * r
+    m[..., 0, 0] -= (1.0 - SINGLET_WEIGHT) * r
+    m[..., 0, 1] += SINGLET_WEIGHT * r
+    m[..., 1, 1] -= SINGLET_WEIGHT * r
     return m
 
 
@@ -202,30 +216,59 @@ def steady_state(cfg: PumpConfig) -> PopulationState:
     residual ||M p|| is verified on the rate-normalized generator so the
     check is independent of the absolute rate scale.
     """
-    m = rate_matrix(cfg)
-    scale = float(np.abs(m).max())
-    if scale == 0.0:
-        raise NoUniqueSteadyStateError("all rates are zero")
-    ms = m / scale
-    _, singular_values, vt = np.linalg.svd(ms)
-    null_mask = singular_values < 1e-10
-    if int(null_mask.sum()) != 1:
-        raise NoUniqueSteadyStateError(
-            f"null space dimension {int(null_mask.sum())}, expected 1"
-        )
-    p = vt[-1]
-    total = p.sum()
-    if abs(total) < 1e-12:
-        raise NoUniqueSteadyStateError("null vector is not a population direction")
-    p = p / total
-    if p.min() < -1e-10:
-        raise NoUniqueSteadyStateError(f"null vector has negative entries: {p}")
-    p = np.clip(p, 0.0, None)
-    p = p / p.sum()
-    residual = float(np.abs(ms @ p).max())
-    if residual > 1e-10:
-        raise NoUniqueSteadyStateError(f"steady-state residual {residual:.3e} too large")
-    return PopulationState(float(p[0]), float(p[1]), float(p[2]))
+    p, checks = _steady_states(rate_matrix(cfg)[None])
+    _raise_first_failure(checks)
+    return PopulationState(float(p[0, 0]), float(p[0, 1]), float(p[0, 2]))
+
+
+#: An ordered check over a stack: (failing rows, exception type, message of row i).
+_Check = tuple[np.ndarray, type, Callable[[int], str]]
+
+
+def _steady_states(m: np.ndarray) -> tuple[np.ndarray, list[_Check]]:
+    """Steady states of an (n, 3, 3) stack of generators, from one stacked SVD.
+
+    Returns the (n, 3) populations and the checks ``steady_state`` makes, in
+    its order; a row is valid only where none of its checks fails.  LAPACK
+    solves each stacked matrix as it solves a single one, so every row has
+    the bits of a one-matrix solve.
+    """
+    scale = np.abs(m).max(axis=(1, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows that fail a check
+        ms = m / scale[:, None, None]
+        solvable = np.isfinite(ms).all(axis=(1, 2))
+        _, singular_values, vt = np.linalg.svd(np.where(solvable[:, None, None], ms, 0.0))
+        nullity = (singular_values < 1e-10).sum(axis=1)
+        total = vt[:, -1].sum(axis=1)
+        direction = vt[:, -1] / total[:, None]
+        p = np.clip(direction, 0.0, None)
+        p = p / p.sum(axis=1)[:, None]
+        residual = np.abs(np.matmul(ms, p[:, :, None])[:, :, 0]).max(axis=1)
+    p_total = p.sum(axis=1)
+    return p, [
+        (scale == 0.0, NoUniqueSteadyStateError, lambda i: "all rates are zero"),
+        (~solvable, np.linalg.LinAlgError, lambda i: "SVD did not converge"),
+        (nullity != 1, NoUniqueSteadyStateError,
+         lambda i: f"null space dimension {nullity[i]}, expected 1"),
+        (np.abs(total) < 1e-12, NoUniqueSteadyStateError,
+         lambda i: "null vector is not a population direction"),
+        (direction.min(axis=1) < -1e-10, NoUniqueSteadyStateError,
+         lambda i: f"null vector has negative entries: {direction[i]}"),
+        (residual > 1e-10, NoUniqueSteadyStateError,
+         lambda i: f"steady-state residual {residual[i]:.3e} too large"),
+        (~np.isfinite(p).all(axis=1), ValueError, lambda i: "populations must be finite"),
+        (np.abs(p_total - 1.0) > 1e-9, ValueError,
+         lambda i: f"populations must sum to 1 +- 1e-9, got {float(p_total[i])!r}"),
+    ]
+
+
+def _raise_first_failure(checks: list[_Check]) -> None:
+    """Raise the first failing check of the first row that fails one."""
+    failing = np.logical_or.reduce([mask for mask, _, _ in checks])
+    if failing.any():
+        i = int(np.argmax(failing))
+        error, message = next((e, msg) for mask, e, msg in checks if mask[i])
+        raise error(message(i))
 
 
 def photoconductive_signal(trajectory: PopulationTrajectory, cfg: PumpConfig) -> Series:
@@ -336,14 +379,13 @@ def optical_spectrum(
         ls, lt = overlaps(line_s_inv_cm)
         pump_s, pump_t = pump_peak_rate * ls, pump_peak_rate * lt
 
-    values = np.empty_like(grid)
-    for i, freq in enumerate(grid):
-        ls, lt = overlaps(freq)
-        probe_s = probe_peak_rate * float(ls)
-        probe_t = probe_peak_rate * float(lt)
-        point_cfg = dataclasses.replace(
-            cfg, pump_rate_s=probe_s + pump_s, pump_rate_t=probe_t + pump_t
-        )
-        p = steady_state(point_cfg)
-        values[i] = cfg.gain * (probe_s * p.n_s + probe_t * p.n_t)
-    return Series(x=grid, values=values)
+    probe_s, probe_t = (probe_peak_rate * overlap for overlap in overlaps(grid))
+    with np.errstate(over="ignore"):  # an overflowing rate fails its check below
+        rate_s, rate_t = probe_s + pump_s, probe_t + pump_t
+    p, checks = _steady_states(_rate_matrices(cfg, rate_s, rate_t))
+    _raise_first_failure([
+        (~(np.isfinite(rate) & (rate >= 0)), ValueError,
+         lambda i, name=name, rate=rate: f"{name} must be finite and >= 0, got {float(rate[i])!r}")
+        for name, rate in (("pump_rate_s", rate_s), ("pump_rate_t", rate_t))
+    ] + checks)
+    return Series(x=grid, values=cfg.gain * (probe_s * p[:, 0] + probe_t * p[:, 1]))

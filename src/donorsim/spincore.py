@@ -266,7 +266,11 @@ def breit_rabi_levels(system: SpinSystem, b0_ut):
         raise ValueError("field magnitude must be finite")
     if np.any(b0 < 0):
         raise ValueError("field magnitude must be >= 0")
-    e_s, e_tm, e_t0, e_tp = _breit_rabi_arrays(system, b0 / UT_PER_MT)
+    with np.errstate(over="ignore"):  # an overflowing energy fails the check below
+        e_s, e_tm, e_t0, e_tp = _breit_rabi_arrays(system, b0 / UT_PER_MT)
+    if not np.all(np.isfinite(e_s)):
+        raise ValueError(
+            f"field magnitude up to {float(b0.max())!r} µT overflows the level energies")
     if np.isscalar(b0_ut):
         return {
             "S": float(e_s), "T-": float(e_tm), "T0": float(e_t0), "T+": float(e_tp)

@@ -12,6 +12,11 @@ depend on the engine it pins.
 environment and one field's eigensolve, one at a time: the oracle of the
 block environment pass (``noise.EnvironmentPass``) and the stacked
 eigensolve (``spincore.eigensystems``).
+
+``steady_state``/``optical_spectrum`` solve one probe point's rate matrix
+at a time, and ``numeric_jacobian`` shifts one parameter per residual
+call: the oracles of the stacked steady states in ``pump`` and the
+one-call Jacobian in ``fitkit``.
 """
 
 from __future__ import annotations
@@ -21,10 +26,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from donorsim import spincore
+from donorsim import pump, spincore
+from donorsim.fitkit import JACOBIAN_REL_STEP, ResidualFn, _safe_residual
 from donorsim.noise import EnsembleSpec, MemberEnvironment, _ou_coefficients, member_rng
 from donorsim.program import Delay, Pulse, PulseProgram, UnboundSymbolError
 from donorsim.pulse import TwoLevelParams
+from donorsim.pump import NoUniqueSteadyStateError, PopulationState, PumpConfig
 from donorsim.spincore import FieldVector, SpinSystem
 
 
@@ -230,3 +237,89 @@ def eigensystem(system: SpinSystem, field: FieldVector) -> tuple[np.ndarray, np.
     if field.magnitude() < spincore.REFERENCE_FIELD_UT:
         _, vectors = np.linalg.eigh(hamiltonian(FieldVector.along_z(spincore.REFERENCE_FIELD_UT)))
     return energies, vectors
+
+
+def steady_state(cfg: PumpConfig) -> PopulationState:
+    """Unique normalized null vector of one rate matrix, from one 3x3 SVD."""
+    m = pump.rate_matrix(cfg)
+    scale = float(np.abs(m).max())
+    if scale == 0.0:
+        raise NoUniqueSteadyStateError("all rates are zero")
+    ms = m / scale
+    _, singular_values, vt = np.linalg.svd(ms)
+    null_mask = singular_values < 1e-10
+    if int(null_mask.sum()) != 1:
+        raise NoUniqueSteadyStateError(
+            f"null space dimension {int(null_mask.sum())}, expected 1"
+        )
+    p = vt[-1]
+    total = p.sum()
+    if abs(total) < 1e-12:
+        raise NoUniqueSteadyStateError("null vector is not a population direction")
+    p = p / total
+    if p.min() < -1e-10:
+        raise NoUniqueSteadyStateError(f"null vector has negative entries: {p}")
+    p = np.clip(p, 0.0, None)
+    p = p / p.sum()
+    residual = float(np.abs(ms @ p).max())
+    if residual > 1e-10:
+        raise NoUniqueSteadyStateError(f"steady-state residual {residual:.3e} too large")
+    return PopulationState(float(p[0]), float(p[1]), float(p[2]))
+
+
+def optical_spectrum(
+    scan_grid_inv_cm: np.ndarray,
+    line_s_inv_cm: float,
+    line_t_inv_cm: float,
+    cfg: PumpConfig,
+    pump_setting: str,
+    probe_peak_rate: float = 1e3,
+    pump_peak_rate: float = 2e4,
+    doublet_split_inv_cm: float = 0.0,
+) -> np.ndarray:
+    """Probe signal at each grid point from its own config and steady state.
+
+    Takes valid arguments only: ``pump.optical_spectrum`` checks them.
+    """
+    grid = np.asarray(scan_grid_inv_cm, dtype=float)
+    fwhm = cfg.optical_linewidth_mhz / pump.MHZ_PER_INV_CM
+
+    def overlaps(freq):
+        return (
+            pump._line_profile(freq, line_s_inv_cm, fwhm, doublet_split_inv_cm),
+            pump._line_profile(freq, line_t_inv_cm, fwhm, doublet_split_inv_cm),
+        )
+
+    pump_s = pump_t = 0.0
+    if pump_setting == "on_T":
+        ls, lt = overlaps(line_t_inv_cm)
+        pump_s, pump_t = pump_peak_rate * ls, pump_peak_rate * lt
+    elif pump_setting == "on_S":
+        ls, lt = overlaps(line_s_inv_cm)
+        pump_s, pump_t = pump_peak_rate * ls, pump_peak_rate * lt
+
+    values = np.empty_like(grid)
+    for i, freq in enumerate(grid):
+        ls, lt = overlaps(freq)
+        probe_s = probe_peak_rate * float(ls)
+        probe_t = probe_peak_rate * float(lt)
+        point_cfg = replace(
+            cfg, pump_rate_s=probe_s + pump_s, pump_rate_t=probe_t + pump_t
+        )
+        p = steady_state(point_cfg)
+        values[i] = cfg.gain * (probe_s * p.n_s + probe_t * p.n_t)
+    return values
+
+
+def numeric_jacobian(fn: ResidualFn, p: np.ndarray) -> np.ndarray:
+    """Forward-difference Jacobian, one shifted parameter per residual call."""
+    p = np.asarray(p, dtype=float)
+    r0, _ = _safe_residual(fn, p)
+    jac = np.empty((r0.size, p.size))
+    for j in range(p.size):
+        h = JACOBIAN_REL_STEP * max(abs(p[j]), 1.0)
+        shifted = p.copy()
+        shifted[j] += h
+        rj, _ = _safe_residual(fn, shifted)
+        jac[:, j] = (rj - r0) / h
+    return jac

@@ -355,6 +355,7 @@ def test_usage_errors_exit_1(capsys):
     ["rabi", "--members", "3", "--points", "3", "--b1-amplitude-mt", "1e306", "--max-us", "1"],
     ["levels", "--points", "3", "--output", ""],
     ["hahn", "--workers", "0"],
+    ["hahn", "--detection", "mean", "--shots", "5"],
 ])
 def test_validation_errors_exit_1(monkeypatch, capsys, argv):
     def draw(*args, **kwargs):
@@ -374,6 +375,23 @@ def test_overflowing_delay_phase_fails_the_norm_check_exit_2(capsys):
     ])
     assert code == 2
     assert err == "donorsim: error: propagation lost norm: nan\n"
+    assert out == ""
+
+
+@pytest.mark.filterwarnings("error")  # a numpy overflow warning would reach stderr
+@pytest.mark.parametrize("argv, message", [
+    (["levels", "--points", "3", "--bmax-mt", "1e308"],
+     "--bmax-mt 1e+308 overflows when converted to µT"),
+    (["levels", "--points", "3", "--bmax-mt", "1e200"],
+     "field magnitude up to 1e+203 µT overflows the level energies"),
+    (HAHN_SMALL + ["--detection", "mean", "--shots", "5"],
+     "--shots applies only to --detection max"),
+])
+def test_rejected_run_prints_only_the_error_line(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert err == f"donorsim: error: {message}\n"
+    assert "RuntimeWarning" not in err
     assert out == ""
 
 

@@ -58,6 +58,21 @@ def test_roundtrip_bit_exact_property(rows):
     assert roundtrip_equal(["a", "b", "c"], data)
 
 
+_CELL = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),  # subnormals included
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308]),
+    st.integers(-2**70, 2**70),
+)
+
+
+@given(st.lists(st.lists(_CELL, min_size=3, max_size=3), min_size=1, max_size=20))
+def test_render_csv_formats_every_cell_with_format_value(rows):
+    data = np.asarray(rows, dtype=float)
+    expected = [MAGIC, COLUMNS_PREFIX + "a, b, c"]
+    expected += [",".join(format_value(v) for v in row) for row in data]
+    assert render_csv(["a", "b", "c"], data) == "\n".join(expected) + "\n"
+
+
 def test_file_roundtrip_and_lf_terminators(tmp_path):
     cols, data = small_table()
     path = tmp_path / "out.csv"

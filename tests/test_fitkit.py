@@ -6,9 +6,13 @@ import pathlib
 
 import numpy as np
 import pytest
+import scalar_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from donorsim import csvio
+from donorsim import csvio, fitkit
 from donorsim.fitkit import (
+    PEAK_SHAPES,
     FitResult,
     RankDeficiencyError,
     _nelder_mead,
@@ -30,7 +34,7 @@ def test_lm_solves_linear_problem_immediately():
     a = np.array([[2.0, 1.0], [1.0, 3.0], [0.5, -1.0], [4.0, 0.2]])
     b = np.array([1.0, 2.0, 0.3, -1.0])
     exact, *_ = np.linalg.lstsq(a, b, rcond=None)
-    p, rss, converged, _, trace = levenberg_marquardt(lambda p: a @ p - b, [0.0, 0.0])
+    p, rss, converged, _, trace = levenberg_marquardt(lambda p: p @ a.T - b, [0.0, 0.0])
     assert converged
     assert np.allclose(p, exact, atol=1e-8)
     assert trace == sorted(trace, reverse=True)
@@ -38,7 +42,7 @@ def test_lm_solves_linear_problem_immediately():
 
 def test_lm_rss_trace_is_monotone_on_rosenbrock():
     def residual(p):
-        return np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0]])
+        return np.stack([10.0 * (p[..., 1] - p[..., 0] ** 2), 1.0 - p[..., 0]], axis=-1)
 
     p, rss, converged, _, trace = levenberg_marquardt(residual, [-1.2, 1.0])
     assert np.all(np.diff(trace) <= 0.0)
@@ -53,7 +57,8 @@ def test_lm_rejects_nonfinite_start():
 
 def test_numeric_jacobian_matches_analytic():
     def residual(p):
-        return np.array([p[0] ** 2 * p[1], np.sin(p[0]) + 3.0 * p[1]])
+        return np.stack([p[..., 0] ** 2 * p[..., 1], np.sin(p[..., 0]) + 3.0 * p[..., 1]],
+                        axis=-1)
 
     p = np.array([0.7, 1.3])
     jac = numeric_jacobian(residual, p)
@@ -62,6 +67,103 @@ def test_numeric_jacobian_matches_analytic():
         [np.cos(p[0]), 3.0],
     ])
     assert np.allclose(jac, expected, atol=1e-5)
+
+
+_X = np.linspace(-6.0, 6.0, 121)
+# np.power computes the exponents 0.5 and 2 by fast paths of their own
+_EXPONENT = st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.3, 3.0))
+_PEAK = st.tuples(st.floats(-6.0, 6.0), st.floats(0.05, 5.0), st.floats(-10.0, 10.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from(PEAK_SHAPES), peaks=st.lists(_PEAK, min_size=1, max_size=3),
+       baseline=st.floats(-5.0, 5.0), seed=st.integers(0, 2**32 - 1))
+def test_numeric_jacobian_of_peaks_equals_column_oracle(shape, peaks, baseline, seed):
+    y = np.random.default_rng(seed).normal(size=_X.size)
+    k = len(peaks)
+    p = np.array([v for peak in peaks for v in peak] + [baseline])
+
+    def residual(q):
+        return peak_model(_X, q, k, shape) - y
+
+    expected = scalar_oracle.numeric_jacobian(residual, p)
+    assert numeric_jacobian(residual, p).tobytes() == expected.tobytes()
+    assert numeric_jacobian(residual, p, residual(p)).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(amplitude=st.floats(-5.0, 5.0), t2=st.floats(0.05, 20.0), n=_EXPONENT,
+       fix_n=st.one_of(st.none(), _EXPONENT), seed=st.integers(0, 2**32 - 1))
+def test_numeric_jacobian_of_stretched_decay_equals_column_oracle(amplitude, t2, n, fix_n, seed):
+    taus = np.linspace(0.01, 10.0, 50)
+    y = np.random.default_rng(seed).normal(size=taus.size)
+    if fix_n is None:
+        p = np.array([amplitude, t2, n])
+
+        def residual(q):
+            return stretched_exp_model(taus, q[..., 0, None], q[..., 1, None], q[..., 2, None]) - y
+    else:
+        p = np.array([amplitude, t2])
+
+        def residual(q):
+            return stretched_exp_model(taus, q[..., 0, None], q[..., 1, None], fix_n) - y
+
+    expected = scalar_oracle.numeric_jacobian(residual, p)
+    assert numeric_jacobian(residual, p).tobytes() == expected.tobytes()
+
+
+def test_numeric_jacobian_makes_one_residual_call():
+    calls = []
+    p = np.array([-1.0, 0.8, 2.0, 1.5, 0.5, -1.0, 0.1])
+
+    def residual(q):
+        calls.append(np.shape(q))
+        return peak_model(_X, q, 2, "gaussian")
+
+    numeric_jacobian(residual, p, residual(p))
+    assert calls == [(7,), (7, 7)]
+
+
+def test_lm_never_recomputes_the_residual_it_holds():
+    x, y = _X, peak_model(_X, [0.3, 1.2, 2.0, 0.5], 1, "lorentzian")
+    seen = []
+
+    def residual(q):
+        seen.append(np.array(q))
+        return peak_model(x, q, 1, "lorentzian") - y
+
+    _, _, converged, iterations, trace = levenberg_marquardt(residual, [0.0, 1.0, 1.0, 0.0])
+    assert converged
+    stacks = [q for q in seen if q.ndim == 2]
+    vectors = [q.tobytes() for q in seen if q.ndim == 1]
+    assert len(stacks) == iterations  # one residual call per Jacobian
+    assert len(set(vectors)) == len(vectors)  # no vector evaluated twice
+    assert len(vectors) >= len(trace)
+
+
+_RESCUE_PEAKS = [(19.5, 9.5, 0.7), (19.5, 8.3, 0.6)]
+
+
+@pytest.mark.parametrize("name, fit", [
+    ("fit_rescue_peaks.csv",
+     lambda x, y: fit_peaks(x, y, 2, shape="lorentzian", initial=_RESCUE_PEAKS)),
+    ("fit_rescue_peaks.csv",
+     lambda x, y: fit_peaks(x, y, 2, shape="gaussian", initial=_RESCUE_PEAKS)),
+    ("fit_rescue_stretched.csv", lambda x, y: fit_stretched_exp(x, y)),
+    ("fit_rescue_stretched.csv", lambda x, y: fit_stretched_exp(x, y, fix_n=2.0)),
+    ("hahn_mean_t0_parallel.csv", lambda x, y: fit_stretched_exp(x, y, initial=[1.0, 0.1, 2.0])),
+], ids=["lorentzian", "gaussian", "stretched", "stretched-fix-n", "stretched-n-2"])
+def test_fit_with_the_column_oracle_jacobian_is_bit_identical(monkeypatch, fit, name):
+    _, data = csvio.read_csv(str(GOLDEN / name))
+    x, y = data[:, 0], data[:, 1]
+    got = fit(x, y)
+    monkeypatch.setattr(fitkit, "numeric_jacobian",
+                        lambda fn, p, r0=None: scalar_oracle.numeric_jacobian(fn, p))
+    expected = fit(x, y)
+    assert got.params.tobytes() == expected.params.tobytes()
+    assert got.stderr.tobytes() == expected.stderr.tobytes()
+    assert (got.rss, got.iterations, got.rss_trace, got.diagnostics) == (
+        expected.rss, expected.iterations, expected.rss_trace, expected.diagnostics)
 
 
 # --- Nelder-Mead rescue ----------------------------------------------------------
@@ -100,7 +202,7 @@ def rescue_problem(name):
         p0 = [19.5, 9.5, 0.7, 19.5, 8.3, 0.6, float(np.min(y))]
         return (lambda p: peak_model(x, p, 2, "lorentzian") - y), p0, x.size
     p0 = [float(y[0]), 2.0 * float(x[1]), 1.5]  # fit_stretched_exp's own start
-    return (lambda p: stretched_exp_model(x, *p) - y), p0, x.size
+    return (lambda p: stretched_exp_model(x, *np.moveaxis(p, -1, 0)[..., None]) - y), p0, x.size
 
 
 @pytest.mark.parametrize("name", ["fit_rescue_peaks.csv", "fit_rescue_stretched.csv"])

@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+import scalar_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from donorsim import pump
 from donorsim.pump import (
     DegenerateLinesWarning,
+    NoUniqueSteadyStateError,
     PopulationState,
     PumpConfig,
     StepSizeError,
@@ -215,3 +220,88 @@ def test_optical_spectrum_rejects_bad_lines_and_split(lines, split, message):
         optical_spectrum(np.linspace(-0.002, 0.006, 3), line_s_inv_cm=lines[0],
                          line_t_inv_cm=lines[1], cfg=PumpConfig(), pump_setting="off",
                          doublet_split_inv_cm=split)
+
+
+# --- stacked steady states against the per-point oracle ----------------------------
+
+def assert_same_outcome(got_fn, oracle_fn, *args):
+    """Check that both raise alike; else return (our result, the oracle's)."""
+    try:
+        expected = oracle_fn(*args)
+    except ValueError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            got_fn(*args)
+        return None
+    got = got_fn(*args)
+    return got, expected
+
+
+_RATE = st.floats(0.0, 1e7)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pump_rate_s=_RATE, pump_rate_t=_RATE, auger_rate=_RATE,
+       branch_to_s=st.floats(0.0, 1.0), randomization_rate=_RATE)
+def test_steady_state_equals_oracle_bit_for_bit(pump_rate_s, pump_rate_t, auger_rate,
+                                                branch_to_s, randomization_rate):
+    cfg = PumpConfig(pump_rate_s=pump_rate_s, pump_rate_t=pump_rate_t, auger_rate=auger_rate,
+                     branch_to_s=branch_to_s, randomization_rate=randomization_rate)
+    outcome = assert_same_outcome(steady_state, scalar_oracle.steady_state, cfg)
+    if outcome is not None:
+        got, expected = outcome
+        assert got.as_array().tobytes() == expected.as_array().tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pump_setting=st.sampled_from(pump.PUMP_SETTINGS),
+    doublet_split=st.one_of(st.just(0.0), st.floats(1e-5, 0.002)),
+    points=st.integers(1, 80),
+    line_s=st.floats(0.002, 0.006),
+    probe_peak_rate=st.floats(1.0, 1e5),
+    pump_peak_rate=st.floats(0.0, 1e6),
+    branch_to_s=st.floats(0.0, 1.0),
+    randomization_rate=st.floats(0.0, 1e3),
+    linewidth_mhz=st.floats(1.0, 100.0),
+    gain=st.floats(-10.0, 10.0),
+)
+def test_optical_spectrum_equals_per_point_oracle_bit_for_bit(
+        pump_setting, doublet_split, points, line_s, probe_peak_rate, pump_peak_rate,
+        branch_to_s, randomization_rate, linewidth_mhz, gain):
+    cfg = PumpConfig(branch_to_s=branch_to_s, randomization_rate=randomization_rate,
+                     gain=gain, optical_linewidth_mhz=linewidth_mhz)
+    args = (np.linspace(-0.002, 0.008, points), line_s, 0.0, cfg, pump_setting,
+            probe_peak_rate, pump_peak_rate, doublet_split)
+    outcome = assert_same_outcome(optical_spectrum, scalar_oracle.optical_spectrum, *args)
+    if outcome is not None:
+        got, expected = outcome
+        assert got.values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("auger_rate, message", [
+    (1e6, "null space dimension 2, expected 1"),
+    (0.0, "all rates are zero"),
+])
+def test_no_unique_steady_state_anywhere_raises_the_oracle_error(auger_rate, message):
+    # a 1e-300 MHz line underflows every probe overlap to 0
+    cfg = PumpConfig(optical_linewidth_mhz=1e-300, auger_rate=auger_rate)
+    args = (np.linspace(1.0, 2.0, 3), 0.00392, 0.0, cfg, "off")
+    for spectrum in (optical_spectrum, scalar_oracle.optical_spectrum):
+        with pytest.raises(NoUniqueSteadyStateError, match=f"^{message}$"):
+            spectrum(*args)
+
+
+@pytest.mark.parametrize("points", [3, 801])
+def test_optical_spectrum_makes_one_svd_call(monkeypatch, points):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    optical_spectrum(np.linspace(-0.002, 0.006, points), line_s_inv_cm=0.00392,
+                     line_t_inv_cm=0.0, cfg=PumpConfig(), pump_setting="on_T")
+    assert calls == [(points, 3, 3)]
