@@ -13,6 +13,7 @@ or convergence failure, fit that did not converge).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import fields, replace
@@ -232,7 +233,13 @@ def _add_ensemble(p: argparse.ArgumentParser) -> None:
     _add_settings(p, "ensemble", "field", "noise")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``donorsim`` parser, built once per process and shared by every ``main`` call.
+
+    Parsing leaves it unchanged: each call gets a fresh namespace and copies
+    append defaults, and help text is laid out at print time.
+    """
     parser = argparse.ArgumentParser(
         prog="donorsim",
         description="Donor electron-nuclear spin simulator: energy levels, "

@@ -686,6 +686,10 @@ def simulate_4level(
 #: eigensolve each; the (members, 4, 4) complex stack stays near 64 KB.
 _RF_BLOCK_MEMBERS = 256
 
+#: Lines per ordered reduction of ``rf_spectrum``: each (lines + 1, points)
+#: term table stays near 235 KB at 601 points.
+_RF_LINE_RUN = 48
+
 
 def rf_spectrum(
     spec: EnsembleSpec,
@@ -707,9 +711,15 @@ def rf_spectrum(
     broad T+- sidebands, whose position is set by the internal field
     magnitude rather than the applied field.
 
-    Members are drawn and diagonalised ``_RF_BLOCK_MEMBERS`` at a time; the
-    lines are then added member by member, in label order, so the result
-    does not depend on the block size.
+    Members are drawn and diagonalised ``_RF_BLOCK_MEMBERS`` at a time, and
+    each block's lines come from one ``singlet_triplet_lines`` call.  Lines
+    of zero weight are skipped.  The others are added ``_RF_LINE_RUN`` at a
+    time: their Lorentzian terms fill the rows below the running total, and
+    ``np.add.reduce`` over axis 0 adds the rows in order, one after the
+    other.  So the sum is the member-by-member, label-order sum, and the
+    result depends on neither size.  A term whose ``u * u`` overflows is
+    exactly 0 (its line is too narrow to reach the point), so overflow is
+    silenced there.
     """
     offsets = np.asarray(offsets_khz, dtype=float)
     if not (math.isfinite(kernel_fwhm_khz) and kernel_fwhm_khz > 0):
@@ -721,15 +731,22 @@ def rf_spectrum(
     )
     op = spincore.drive_operator(system, b1_dir)
     half = kernel_fwhm_khz / 2.0
-    total = np.zeros_like(offsets)
+    terms = np.zeros((_RF_LINE_RUN + 1, offsets.size))
     for members in noise_mod.EnvironmentPass(spec, system).blocks(_RF_BLOCK_MEMBERS):
-        energies, vectors = spincore.eigensystems(system, members.fields)
-        for e, v in zip(energies, vectors):
-            eig = spincore.EigenSystem(energies=e, vectors=v)
-            for frequency_mhz, element in spincore.singlet_triplet_lines(eig, op):
-                weight = element ** 2
-                if weight == 0.0:
-                    continue
-                u = (offsets - (frequency_mhz - system.hyperfine_a) * 1e3) / half
-                total += weight / (1.0 + u * u)
-    return Series(x=offsets, values=total / spec.n_members)
+        frequencies, elements = spincore.singlet_triplet_lines(
+            *spincore.eigensystems(system, members.fields), op)
+        weights = np.float_power(elements, 2.0).ravel()
+        keep = weights != 0.0
+        centers = (frequencies.ravel()[keep] - system.hyperfine_a) * 1e3
+        weights = weights[keep]
+        for start in range(0, weights.size, _RF_LINE_RUN):
+            n = min(_RF_LINE_RUN, weights.size - start)
+            u = terms[1:n + 1]
+            np.subtract(offsets, centers[start:start + n, None], out=u)
+            with np.errstate(over="ignore"):
+                np.divide(u, half, out=u)
+                np.multiply(u, u, out=u)
+            np.add(1.0, u, out=u)
+            np.divide(weights[start:start + n, None], u, out=u)
+            terms[0] = np.add.reduce(terms[:n + 1], axis=0)
+    return Series(x=offsets, values=terms[0] / spec.n_members)

@@ -303,9 +303,14 @@ def transient_area(signal: Series, cfg: PumpConfig) -> float:
 
 
 def lorentzian_response(detuning_inv_cm, fwhm_inv_cm: float):
-    """Unit-peak Lorentzian spectral overlap, FWHM given in cm^-1."""
-    u = 2.0 * np.asarray(detuning_inv_cm, dtype=float) / fwhm_inv_cm
-    return 1.0 / (1.0 + u * u)
+    """Unit-peak Lorentzian spectral overlap, FWHM given in cm^-1.
+
+    A detuning too far out for ``u * u`` overflows to an overlap of exactly
+    0, the limit of 1 / (1 + u^2), so that overflow is silenced.
+    """
+    with np.errstate(over="ignore"):
+        u = 2.0 * np.asarray(detuning_inv_cm, dtype=float) / fwhm_inv_cm
+        return 1.0 / (1.0 + u * u)
 
 
 def _line_profile(freq_inv_cm, center_inv_cm: float, fwhm_inv_cm: float,

@@ -22,8 +22,10 @@ fixed by diagonalising at a reference field of 1e-6 uT along z.
 ``eigensystem(system, field)``, and ``eigensystems(system, fields)`` for a
 stack of fields through one eigensolve, are the one source of that
 labelled basis: they build H and return the energies and eigenvectors in
-LABELS order, and only ``EigenSystem`` and ``singlet_triplet_lines`` read
-its columns by label.  ``zeeman_operator`` is the one spelling of
+LABELS order.  Only ``EigenSystem`` (one field) and
+``singlet_triplet_lines`` read its columns by label; the latter reads the
+S -> T line frequencies and drive elements of a whole stack in a few array
+calls, bit for bit the per-field ``rf_matrix_element``.  ``zeeman_operator`` is the one spelling of
 gamma_s (v.S) - gamma_i (v.I), shared by the static Hamiltonian and the RF
 drive (``drive_operator``).
 """
@@ -320,16 +322,24 @@ def rf_matrix_element(
     return float(abs(amp))
 
 
-def singlet_triplet_lines(eig: EigenSystem, operator: np.ndarray) -> list[tuple[float, float]]:
-    """(frequency MHz, |<T|operator|S>|) of the S -> T lines, in TRIPLET_LABELS order.
+def singlet_triplet_lines(
+    energies: np.ndarray, vectors: np.ndarray, operator: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies (MHz) and |<T|operator|S>| of the S -> T lines of a stack of fields.
 
-    ``operator`` is a ``drive_operator``; each element equals the
-    ``rf_matrix_element`` of that drive bit for bit.
+    Takes the ``eigensystems`` output of m fields and returns two (m, 3)
+    arrays whose columns follow TRIPLET_LABELS.  ``operator`` is a
+    ``drive_operator``; row k equals the per-field ``rf_matrix_element``
+    of that drive and the ``EigenSystem`` energy differences bit for bit.
+    The spellings are chosen for that: ``matmul`` on an (m, 4, 1) column
+    stack makes the same 4x4 product per field as ``op @ v``, ``vecdot``
+    the same sum as ``vdot``, and ``hypot`` the same magnitude as a
+    scalar ``abs`` (``np.abs`` differs from it in the last bit).
     """
-    e_s = eig.energy("S")
-    v_s = operator @ eig.vector("S")
-    return [(eig.energy(label) - e_s, float(abs(np.vdot(eig.vector(label), v_s))))
-            for label in TRIPLET_LABELS]
+    s, t = _LABEL_INDEX["S"], [_LABEL_INDEX[label] for label in TRIPLET_LABELS]
+    frequencies = energies[:, t] - energies[:, s, None]
+    amplitudes = np.vecdot(vectors[:, :, t], np.matmul(operator, vectors[:, :, s, None]), axis=-2)
+    return frequencies, np.hypot(amplitudes.real, amplitudes.imag)
 
 
 def _drive_directions(field: FieldVector) -> tuple[np.ndarray, np.ndarray]:
@@ -357,19 +367,20 @@ def transition_table(system: SpinSystem, field: FieldVector) -> list[TransitionL
     S -> T+- couple only to the perpendicular drive with element
     (gamma_s + gamma_i)/(2 sqrt 2); the forbidden combinations vanish.
     """
-    eig = eigensystem(system, field)
+    energies, vectors = eigensystems(system, [field])
     par, perp = _drive_directions(field)
-    lines_par = singlet_triplet_lines(eig, drive_operator(system, par))
-    lines_perp = singlet_triplet_lines(eig, drive_operator(system, perp))
+    frequencies, elements_par = singlet_triplet_lines(
+        energies, vectors, drive_operator(system, par))
+    _, elements_perp = singlet_triplet_lines(energies, vectors, drive_operator(system, perp))
     return [
         TransitionLine(
             to_label=label,
-            frequency_mhz=frequency,
-            element_parallel_mhz_per_mt=element_par,
-            element_perpendicular_mhz_per_mt=element_perp,
+            frequency_mhz=float(frequency),
+            element_parallel_mhz_per_mt=float(element_par),
+            element_perpendicular_mhz_per_mt=float(element_perp),
         )
-        for label, (frequency, element_par), (_, element_perp)
-        in zip(TRIPLET_LABELS, lines_par, lines_perp)
+        for label, frequency, element_par, element_perp
+        in zip(TRIPLET_LABELS, frequencies[0], elements_par[0], elements_perp[0])
     ]
 
 

@@ -17,6 +17,10 @@ eigensolve (``spincore.eigensystems``).
 at a time, and ``numeric_jacobian`` shifts one parameter per residual
 call: the oracles of the stacked steady states in ``pump`` and the
 one-call Jacobian in ``fitkit``.
+
+``rf_spectrum`` adds one member's S -> T lines at a time, each from its own
+``vdot``: the oracle of the stacked line pass and ordered reduction of
+``pulse.rf_spectrum``.
 """
 
 from __future__ import annotations
@@ -323,3 +327,39 @@ def numeric_jacobian(fn: ResidualFn, p: np.ndarray) -> np.ndarray:
         rj, _ = _safe_residual(fn, shifted)
         jac[:, j] = (rj - r0) / h
     return jac
+
+
+def rf_spectrum(
+    spec: EnsembleSpec,
+    system: SpinSystem,
+    offsets_khz: np.ndarray,
+    *,
+    kernel_fwhm_khz: float = 2.0,
+) -> np.ndarray:
+    """Ensemble RF spectrum values, one member and one S -> T line at a time.
+
+    Each member's field comes from ``draw_member_environment`` and its
+    eigensystem from ``eigensystem``; each line's element is
+    ``abs(vdot(v_T, op @ v_S))`` and its Lorentzian is added to the running
+    total with ``+=``, skipping lines of zero weight.  Takes valid
+    arguments only: ``pulse.rf_spectrum`` checks them.
+    """
+    offsets = np.asarray(offsets_khz, dtype=float)
+    b1_dir = [0.0, 0.0, 1.0] if spec.b0_orientation == "parallel" else [1.0, 0.0, 0.0]
+    op = spincore.drive_operator(system, b1_dir)
+    half = kernel_fwhm_khz / 2.0
+    total = np.zeros_like(offsets)
+    for index in range(spec.n_members):
+        field = draw_member_environment(spec, system, index).field
+        energies, vectors = eigensystem(system, field)
+        v_s = op @ vectors[:, 0]
+        for k in (1, 2, 3):
+            frequency_mhz = float(energies[k]) - float(energies[0])
+            element = float(abs(np.vdot(vectors[:, k], v_s)))
+            weight = element ** 2
+            if weight == 0.0:
+                continue
+            with np.errstate(over="ignore"):
+                u = (offsets - (frequency_mhz - system.hyperfine_a) * 1e3) / half
+                total += weight / (1.0 + u * u)
+    return total / spec.n_members

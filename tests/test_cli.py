@@ -395,6 +395,21 @@ def test_rejected_run_prints_only_the_error_line(capsys, argv, message):
     assert out == ""
 
 
+@pytest.mark.filterwarnings("error")  # a numpy overflow warning would reach stderr
+@pytest.mark.parametrize("argv, want_code, want_err", [
+    (["optical-spectrum", "--points", "3", "--optical-linewidth-mhz", "1e-300"],
+     2, "donorsim: error: null space dimension 2, expected 1\n"),
+    (["rf-spectrum", "--kernel-fwhm-khz", "1e-300", "--members", "3", "--points", "5"],
+     0, ""),
+])
+def test_tiny_lorentzian_width_prints_no_overflow_warning(capsys, argv, want_code, want_err):
+    # 1 / (1 + u*u) with an overflowing u*u is exactly 0, the Lorentzian's limit
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (want_code, want_err)
+    if code == 0:
+        assert [row.split(",")[1] for row in out.splitlines()[2:]] == ["0.0"] * 5
+
+
 @pytest.mark.parametrize("argv", [
     ["--detection", "max", "--shots", "0"],
     ["--detection", "mean", "--shots", "-5"],
@@ -530,3 +545,37 @@ def test_fit_foreign_csv_exits_1(tmp_path, capsys):
 def test_parse_missing_file_exits_2(capsys):
     code, _, err = run(capsys, ["parse", "/no/such/file.seq"])
     assert code == 2
+
+
+# --- one parser per process --------------------------------------------------------
+
+def test_repeated_calls_share_one_parser_and_match_fresh_calls(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    x = np.linspace(-100.0, 100.0, 401)
+    y = peak_model(x, np.array([-55.9, 4.0, 1.0, 55.9, 4.0, 0.8, 0.0]), 2, "lorentzian")
+    path = tmp_path / "spec.csv"
+    emit_csv(str(path), ["offset_khz", "response"], np.column_stack([x, y]))
+    two_peaks = ["fit", str(path), "--model", "peaks", "--k", "2",
+                 "--peak=-50,3,0.7", "--peak=50,3,0.7"]
+    calls = [
+        two_peaks,
+        two_peaks,  # the append action must not carry the first call's peaks over
+        ["fit", str(path), "--model", "peaks", "--peak=-50,3,0.7"],
+        ["levels", "--no-such-flag"],
+        ["rf-spectrum", "--members", "x"],
+        ["estimate-field", "--splitting-khz", "111.819"],
+        ["fit", "--help"],
+        ["--help"],
+    ]
+
+    def fresh(argv):
+        build_parser.cache_clear()
+        return run(capsys, argv)
+
+    want = [fresh(argv) for argv in calls]
+    build_parser.cache_clear()
+    got = [run(capsys, argv) for argv in calls]
+    assert build_parser.cache_info().misses == 1
+    assert got == want
+    assert [code for code, _, _ in got] == [0, 0, 0, 1, 1, 0, 0, 0]
+    assert got[0][1] != got[2][1]

@@ -4,6 +4,8 @@
 members, sweep points, shots and cycle programs must give the engine's
 per-member p_T bit for bit, and the public ``pulse.run_sequence`` must give
 its (p_S, p_T) and leave the member stream where it does.
+``scalar_oracle.rf_spectrum`` is the reference of the stacked RF spectrum,
+one member and one line at a time.
 """
 
 from __future__ import annotations
@@ -12,10 +14,11 @@ import importlib.util
 import math
 import pathlib
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalar_oracle
@@ -33,6 +36,7 @@ from donorsim.pulse import (
     hahn_experiment,
     rabi_experiment,
     ramsey_experiment,
+    rf_spectrum,
     two_level_params_for,
 )
 from donorsim.spincore import PHOSPHORUS, FieldVector
@@ -250,6 +254,37 @@ def test_hahn_memory_follows_the_block_not_the_ensemble():
 
     # 400 runs per member: 20 members per block, so 10x the members is 10 blocks
     assert peak_bytes(400) < 1.5 * peak_bytes(40)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    n_members=st.integers(1, 12),
+    b0_ut=st.sampled_from([0.0, 5e-7]) | st.floats(2.0, 23.0),
+    orientation=st.sampled_from(["parallel", "perpendicular"]),
+    fraction=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    internal_ut=st.sampled_from([0.0, 6.0]) | st.floats(0.5, 20.0),
+    kernel_khz=st.sampled_from([2.0, 1e-300]) | st.floats(0.01, 100.0),
+    block=st.sampled_from([1, 5, pulse._RF_BLOCK_MEMBERS]),
+    run=st.sampled_from([1, 7, pulse._RF_LINE_RUN]),
+)
+# a member whose squared element differs in the last bit between
+# element ** 2 (np.float_power) and element * element
+@example(seed=64, n_members=12, b0_ut=4.0, orientation="perpendicular", fraction=1.0,
+         internal_ut=6.0, kernel_khz=2.0, block=5, run=7)
+def test_rf_spectrum_matches_the_per_member_oracle(
+    seed, n_members, b0_ut, orientation, fraction, internal_ut, kernel_khz, block, run
+):
+    spec = EnsembleSpec(n_members=n_members, seed=seed, transition="T0",
+                        b0_magnitude_ut=b0_ut, b0_orientation=orientation,
+                        noise=NoiseModel(internal_fraction=fraction,
+                                         internal_field_ut=internal_ut))
+    offsets = np.linspace(-700.0, 700.0, 301)
+    want = scalar_oracle.rf_spectrum(spec, PHOSPHORUS, offsets, kernel_fwhm_khz=kernel_khz)
+    with mock.patch.object(pulse, "_RF_BLOCK_MEMBERS", block), \
+            mock.patch.object(pulse, "_RF_LINE_RUN", run):
+        got = rf_spectrum(spec, PHOSPHORUS, offsets, kernel_fwhm_khz=kernel_khz)
+    assert got.values.tobytes() == want.tobytes()
 
 
 # --- closed forms ------------------------------------------------------------------

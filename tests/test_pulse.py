@@ -597,8 +597,6 @@ def test_rf_spectrum_internal_subpopulation_adds_fixed_sidebands():
 
 
 def test_rf_spectrum_memory_follows_the_block_not_the_ensemble(monkeypatch):
-    monkeypatch.setattr(pulse, "_RF_BLOCK_MEMBERS", 32)
-
     def peak_bytes(members):
         spec = EnsembleSpec(n_members=members, seed=4, noise=NoiseModel(internal_fraction=0.4),
                             transition="T0", b0_magnitude_ut=4.0,
@@ -610,5 +608,10 @@ def test_rf_spectrum_memory_follows_the_block_not_the_ensemble(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    # 1 vs 10 blocks of 32 members; one block of all 320 would peak near 630 KB, not 90 KB
+    # default sizes: one block of 200 members against 8 blocks of up to 256,
+    # near 490 and 570 KB; one block of all 2000 would peak near 1.9 MB
+    assert peak_bytes(2000) < peak_bytes(200) + 128 * 1024
+    monkeypatch.setattr(pulse, "_RF_BLOCK_MEMBERS", 32)
+    # 1 vs 10 blocks of 32 members, both near 375 KB; one block of all 320
+    # would peak near 620 KB
     assert peak_bytes(320) < 1.5 * peak_bytes(32)

@@ -200,24 +200,33 @@ def test_transition_table_lists_all_three_lines():
 _COMPONENT_UT = st.sampled_from([0.0, 5e-7, -3.0]) | st.floats(-50.0, 50.0)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
-    field=st.builds(FieldVector, _COMPONENT_UT, _COMPONENT_UT, _COMPONENT_UT),
+    fields=st.lists(st.builds(FieldVector, _COMPONENT_UT, _COMPONENT_UT, _COMPONENT_UT),
+                    min_size=1, max_size=8),
     drive=st.tuples(_COMPONENT_UT, _COMPONENT_UT, _COMPONENT_UT).filter(
         lambda d: max(map(abs, d)) > 1e-6),
 )
-def test_singlet_triplet_lines_equal_the_per_label_elements(field, drive):
-    eig = eig_for(field)
+def test_singlet_triplet_lines_equal_the_per_label_elements(fields, drive):
+    # the stacked line pass equals the per-field elements and energy
+    # differences bit for bit; np.abs in place of np.hypot fails here
     direction = np.array(drive)
-    lines = spincore.singlet_triplet_lines(eig, spincore.drive_operator(PHOSPHORUS, direction))
-    assert lines == [
-        (eig.energy(label) - eig.energy("S"), rf_matrix_element(eig, PHOSPHORUS, direction, label))
-        for label in spincore.TRIPLET_LABELS
-    ]
-    par, perp = spincore._drive_directions(field)
+    energies, vectors = spincore.eigensystems(PHOSPHORUS, fields)
+    frequencies, elements = spincore.singlet_triplet_lines(
+        energies, vectors, spincore.drive_operator(PHOSPHORUS, direction))
+    assert frequencies.shape == elements.shape == (len(fields), 3)
+    for k, field in enumerate(fields):
+        eig = eig_for(field)
+        assert frequencies[k].tolist() == [
+            eig.energy(label) - eig.energy("S") for label in spincore.TRIPLET_LABELS]
+        assert elements[k].tolist() == [
+            rf_matrix_element(eig, PHOSPHORUS, direction, label)
+            for label in spincore.TRIPLET_LABELS]
+    eig = eig_for(fields[0])
+    par, perp = spincore._drive_directions(fields[0])
     assert [(line.frequency_mhz, line.element_parallel_mhz_per_mt,
              line.element_perpendicular_mhz_per_mt)
-            for line in transition_table(PHOSPHORUS, field)] == [
+            for line in transition_table(PHOSPHORUS, fields[0])] == [
         (eig.energy(label) - eig.energy("S"), rf_matrix_element(eig, PHOSPHORUS, par, label),
          rf_matrix_element(eig, PHOSPHORUS, perp, label))
         for label in spincore.TRIPLET_LABELS
