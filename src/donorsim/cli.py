@@ -17,12 +17,12 @@ import functools
 import math
 import sys
 from dataclasses import fields, replace
-from typing import Sequence, TextIO
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
 from . import csvio, fitkit, pump, seqdsl, spincore
-from .config import ConfigError, RunConfig, load_config, resolve_seed
+from .config import ConfigError, RunConfig, load_config, parse_int, parse_number, resolve_seed
 from .noise import EnsembleSpec
 from .pulse import (
     IntegrationStepError,
@@ -224,6 +224,25 @@ def _add_settings(p: argparse.ArgumentParser, *sections: str) -> None:
             p.add_argument(meta["flag"], dest=f.name, metavar=meta["metavar"], help=meta["help"])
 
 
+class _NumberFlag(argparse.Action):
+    """A subcommand's own numeric flag, read by a ``config`` parser as setting flags are."""
+
+    def __init__(self, option_strings, dest, *, parse: Callable[[str], float], **kwargs):
+        super().__init__(option_strings, dest, **kwargs)
+        self.parse = parse
+
+    def __call__(self, parser, namespace, text, option_string=None):
+        try:
+            setattr(namespace, self.dest, self.parse(text))
+        except ValueError as exc:
+            raise ConfigError(f"{option_string}: {exc}") from None
+
+
+def _add_number(p: argparse.ArgumentParser, flag: str, parse: Callable[[str], float],
+                **kwargs) -> None:
+    p.add_argument(flag, action=_NumberFlag, parse=parse, **kwargs)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="PATH", help="config file (key = value with [section]s)")
     _add_settings(p, "")
@@ -249,25 +268,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("levels", help="singlet/triplet energies vs field (CSV)")
     _add_common(p)
-    p.add_argument("--bmin-mt", dest="bmin_mt", type=float, default=0.0, metavar="MT",
-                   help="sweep start in mT (default 0)")
-    p.add_argument("--bmax-mt", dest="bmax_mt", type=float, default=5.0, metavar="MT",
-                   help="sweep end in mT (default 5)")
-    p.add_argument("--points", type=int, default=500, metavar="N",
-                   help="number of field points (default 500)")
+    _add_number(p, "--bmin-mt", parse_number, default=0.0, metavar="MT",
+                help="sweep start in mT (default 0)")
+    _add_number(p, "--bmax-mt", parse_number, default=5.0, metavar="MT",
+                help="sweep end in mT (default 5)")
+    _add_number(p, "--points", parse_int, default=500, metavar="N",
+                help="number of field points (default 500)")
     p.set_defaults(func=_cmd_levels)
 
     p = sub.add_parser("rf-spectrum", help="ensemble RF response vs frequency offset (CSV)")
     _add_common(p)
     _add_ensemble(p)
-    p.add_argument("--offset-min-khz", dest="offset_min_khz", type=float, default=-150.0,
-                   metavar="KHZ", help="scan start, offset from the hyperfine frequency")
-    p.add_argument("--offset-max-khz", dest="offset_max_khz", type=float, default=150.0,
-                   metavar="KHZ", help="scan end (default 150)")
-    p.add_argument("--points", type=int, default=601, metavar="N",
-                   help="number of scan points (default 601)")
-    p.add_argument("--kernel-fwhm-khz", dest="kernel_fwhm_khz", type=float, default=2.0,
-                   metavar="KHZ", help="display kernel width (default 2)")
+    _add_number(p, "--offset-min-khz", parse_number, default=-150.0,
+                metavar="KHZ", help="scan start, offset from the hyperfine frequency")
+    _add_number(p, "--offset-max-khz", parse_number, default=150.0,
+                metavar="KHZ", help="scan end (default 150)")
+    _add_number(p, "--points", parse_int, default=601, metavar="N",
+                help="number of scan points (default 601)")
+    _add_number(p, "--kernel-fwhm-khz", parse_number, default=2.0,
+                metavar="KHZ", help="display kernel width (default 2)")
     p.set_defaults(func=_cmd_rf_spectrum)
 
     p = sub.add_parser("optical-spectrum",
@@ -275,62 +294,61 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--pump", choices=pump.PUMP_SETTINGS, default="off",
                    help="hold a pump laser on one line while the probe scans")
-    p.add_argument("--scan-min-invcm", dest="scan_min_invcm", type=float, default=-0.003,
-                   metavar="CM1", help="probe scan start, cm^-1 (default -0.003)")
-    p.add_argument("--scan-max-invcm", dest="scan_max_invcm", type=float, default=0.007,
-                   metavar="CM1", help="probe scan end, cm^-1 (default 0.007)")
-    p.add_argument("--points", type=int, default=801, metavar="N",
-                   help="number of scan points (default 801)")
-    p.add_argument("--line-s-invcm", dest="line_s_invcm", type=float,
-                   default=spincore.HYPERFINE_A_MHZ / pump.MHZ_PER_INV_CM, metavar="CM1",
-                   help="singlet line position (default: hyperfine splitting above T)")
-    p.add_argument("--line-t-invcm", dest="line_t_invcm", type=float, default=0.0,
-                   metavar="CM1", help="triplet line position (default 0)")
-    p.add_argument("--doublet-split-invcm", dest="doublet_split_invcm", type=float,
-                   default=0.0, metavar="CM1",
-                   help="split each line into an equal doublet (default 0 = single lines)")
-    p.add_argument("--probe-peak-rate", dest="probe_peak_rate", type=float, default=1e3,
-                   metavar="RATE", help="probe pump rate at line center, 1/s (default 1e3)")
-    p.add_argument("--pump-peak-rate", dest="pump_peak_rate", type=float, default=2e4,
-                   metavar="RATE", help="pump rate at line center, 1/s (default 2e4)")
+    _add_number(p, "--scan-min-invcm", parse_number, default=-0.003,
+                metavar="CM1", help="probe scan start, cm^-1 (default -0.003)")
+    _add_number(p, "--scan-max-invcm", parse_number, default=0.007,
+                metavar="CM1", help="probe scan end, cm^-1 (default 0.007)")
+    _add_number(p, "--points", parse_int, default=801, metavar="N",
+                help="number of scan points (default 801)")
+    _add_number(p, "--line-s-invcm", parse_number,
+                default=spincore.HYPERFINE_A_MHZ / pump.MHZ_PER_INV_CM, metavar="CM1",
+                help="singlet line position (default: hyperfine splitting above T)")
+    _add_number(p, "--line-t-invcm", parse_number, default=0.0,
+                metavar="CM1", help="triplet line position (default 0)")
+    _add_number(p, "--doublet-split-invcm", parse_number, default=0.0, metavar="CM1",
+                help="split each line into an equal doublet (default 0 = single lines)")
+    _add_number(p, "--probe-peak-rate", parse_number, default=1e3,
+                metavar="RATE", help="probe pump rate at line center, 1/s (default 1e3)")
+    _add_number(p, "--pump-peak-rate", parse_number, default=2e4,
+                metavar="RATE", help="pump rate at line center, 1/s (default 2e4)")
     _add_settings(p, "pump")
     p.set_defaults(func=_cmd_optical_spectrum)
 
     p = sub.add_parser("rabi", help="transfer probability vs pulse length (CSV)")
     _add_common(p)
     _add_ensemble(p)
-    p.add_argument("--max-us", dest="max_us", type=float, default=200.0, metavar="US",
-                   help="longest pulse in µs (default 200)")
-    p.add_argument("--points", type=int, default=201, metavar="N",
-                   help="number of pulse lengths (default 201)")
+    _add_number(p, "--max-us", parse_number, default=200.0, metavar="US",
+                help="longest pulse in µs (default 200)")
+    _add_number(p, "--points", parse_int, default=201, metavar="N",
+                help="number of pulse lengths (default 201)")
     p.set_defaults(func=_cmd_rabi)
 
     p = sub.add_parser("ramsey", help="two-pulse fringe signal vs free evolution (CSV)")
     _add_common(p)
     _add_ensemble(p)
-    p.add_argument("--tau-min-s", dest="tau_min_s", type=float, default=0.0, metavar="S",
-                   help="shortest free-evolution time (default 0)")
-    p.add_argument("--tau-max-s", dest="tau_max_s", type=float, default=2e-3, metavar="S",
-                   help="longest free-evolution time (default 2e-3)")
-    p.add_argument("--points", type=int, default=101, metavar="N",
-                   help="number of delays (default 101)")
+    _add_number(p, "--tau-min-s", parse_number, default=0.0, metavar="S",
+                help="shortest free-evolution time (default 0)")
+    _add_number(p, "--tau-max-s", parse_number, default=2e-3, metavar="S",
+                help="longest free-evolution time (default 2e-3)")
+    _add_number(p, "--points", parse_int, default=101, metavar="N",
+                help="number of delays (default 101)")
     p.set_defaults(func=_cmd_ramsey)
 
     p = sub.add_parser("hahn", help="phase-cycled echo amplitude vs tau (CSV)")
     _add_common(p)
     _add_ensemble(p)
-    p.add_argument("--tau-min-s", dest="tau_min_s", type=float, default=1e-3, metavar="S",
-                   help="shortest half-evolution time (default 1e-3)")
-    p.add_argument("--tau-max-s", dest="tau_max_s", type=float, default=0.12, metavar="S",
-                   help="longest half-evolution time (default 0.12)")
-    p.add_argument("--points", type=int, default=12, metavar="N",
-                   help="number of tau points (default 12)")
+    _add_number(p, "--tau-min-s", parse_number, default=1e-3, metavar="S",
+                help="shortest half-evolution time (default 1e-3)")
+    _add_number(p, "--tau-max-s", parse_number, default=0.12, metavar="S",
+                help="longest half-evolution time (default 0.12)")
+    _add_number(p, "--points", parse_int, default=12, metavar="N",
+                help="number of tau points (default 12)")
     p.add_argument("--detection", choices=("mean", "max"), default="mean",
                    help="ensemble-mean readout or max-magnitude over random-phase shots")
-    p.add_argument("--shots", type=int, default=None, metavar="N",
-                   help="shots per point for max detection (default 100)")
-    p.add_argument("--workers", type=int, default=1, metavar="N",
-                   help="worker count; results are identical for any value")
+    _add_number(p, "--shots", parse_int, default=None, metavar="N",
+                help="shots per point for max detection (default 100)")
+    _add_number(p, "--workers", parse_int, default=1, metavar="N",
+                help="worker count; results are identical for any value")
     p.set_defaults(func=_cmd_hahn)
 
     p = sub.add_parser("fit", help="fit a stretched exponential or peaks to a CSV file")
@@ -340,16 +358,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="model family (default stretched)")
     p.add_argument("--initial", metavar="A,T2[,N]",
                    help="initial guesses for the stretched model")
-    p.add_argument("--fix-n", dest="fix_n", type=float, metavar="N",
-                   help="hold the stretching exponent fixed")
-    p.add_argument("--k", type=int, default=1, metavar="K",
-                   help="number of peaks for --model peaks (default 1)")
+    _add_number(p, "--fix-n", parse_number, metavar="N",
+                help="hold the stretching exponent fixed")
+    _add_number(p, "--k", parse_int, default=1, metavar="K",
+                help="number of peaks for --model peaks (default 1)")
     p.add_argument("--shape", choices=fitkit.PEAK_SHAPES, default="lorentzian",
                    help="peak shape (default lorentzian)")
     p.add_argument("--peak", action="append", metavar="C,W,A",
                    help="initial center,width,amplitude; repeat k times")
-    p.add_argument("--baseline", type=float, metavar="B",
-                   help="initial baseline (default: minimum of the data)")
+    _add_number(p, "--baseline", parse_number, metavar="B",
+                help="initial baseline (default: minimum of the data)")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("parse", help="check a sequence file and print its canonical form")
@@ -358,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate-field", help="infer field magnitude from a line splitting")
     _add_common(p)
-    p.add_argument("--splitting-khz", dest="splitting_khz", type=float, required=True,
-                   metavar="KHZ", help="measured splitting between the outer lines")
+    _add_number(p, "--splitting-khz", parse_number, required=True,
+                metavar="KHZ", help="measured splitting between the outer lines")
     p.set_defaults(func=_cmd_estimate_field)
 
     return parser
@@ -384,6 +402,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # argparse exits 0 for --help and 2 for usage errors; usage and
         # validation problems are exit code 1 here.
         return 0 if exc.code in (0, None) else 1
+    except ConfigError as exc:  # a subcommand's numeric flag
+        print(f"donorsim: error: {exc}", file=sys.stderr)
+        return 1
     try:
         # One run path: flags over the config, then --output > config output > stdout.
         cfg = _effective_config(args)

@@ -50,13 +50,18 @@ class ConfigError(ValueError):
 
 # --- value parsers: text in, checked value out, ValueError on bad text ---------
 
+def parse_number(text: str) -> float:
+    """Any float, inf and nan included; the caller checks its range."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"expected a number, got {text!r}") from None
+
+
 def _number(ok: Callable[[float], bool], need: str) -> Callable[[str], float]:
     """Parser for a finite float that satisfies ``ok``; ``need`` is the failure message."""
     def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            raise ValueError(f"expected a number, got {text!r}") from None
+        value = parse_number(text)
         if not (math.isfinite(value) and ok(value)):
             raise ValueError(need)
         return value
@@ -69,7 +74,8 @@ _fraction = _number(lambda x: 0.0 <= x <= 1.0, "must lie in [0, 1]")
 _finite = _number(lambda x: True, "must be finite")
 
 
-def _parse_int(text: str) -> int:
+def parse_int(text: str) -> int:
+    """Any base-10 integer; the caller checks its range."""
     try:
         value = int(text, 10)
     except ValueError:
@@ -78,7 +84,7 @@ def _parse_int(text: str) -> int:
 
 
 def _parse_seed(text: str) -> int:
-    value = _parse_int(text)
+    value = parse_int(text)
     if not 0 <= value < 2 ** 63:
         raise ValueError("seed must lie in [0, 2**63)")
     return value
@@ -91,7 +97,7 @@ def _parse_output(text: str) -> str:
 
 
 def _parse_members(text: str) -> int:
-    value = _parse_int(text)
+    value = parse_int(text)
     if value < 1:
         raise ValueError("members must be >= 1")
     return value

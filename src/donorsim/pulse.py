@@ -149,7 +149,8 @@ def two_level_params_for(spec: EnsembleSpec, system: SpinSystem) -> TwoLevelPara
 
 
 #: Upper bound on members x sweep points x shots x cycles in one engine block;
-#: it keeps each float64 temporary of the ensemble engine near 64 KB.
+#: it keeps each float64 temporary of the ensemble engine near 64 KB, whatever
+#: the block's (K, C, members, shots) shape.
 _BLOCK_ELEMENTS = 8192
 
 
@@ -204,14 +205,21 @@ def _program_runner(
     built for ``ou_sigma_khz`` and ``ou_tau_c_s``.
 
     Returns ``(n_draws, run)``.  ``run(detunings_khz, normals) -> (p_S,
-    p_T)``, each of shape (members, K, shots, C), runs members that share
-    those OU parameters: member i has the frozen detuning
-    ``detunings_khz[i]`` and runs, for every k, every shot j and every c in
-    that order, the program (k, c) with the shot phase (k, j).  Row i of
-    the (members, n_draws) ``normals`` holds the deviates its stream gives
-    in that order, one per OU start and two per stepped delay; ``n_draws``
-    is 0 without OU noise, and ``run`` then reads no normals.  ``run``
-    raises RuntimeError when a run loses its norm, NaN included.
+    p_T)`` runs members that share those OU parameters: member i has the
+    frozen detuning ``detunings_khz[i]`` and runs, for every k, every shot
+    j and every c in that order, the program (k, c) with the shot phase
+    (k, j).  Row i of the (members, n_draws) ``normals`` holds the deviates
+    its stream gives in that order, one per OU start and two per stepped
+    delay; ``n_draws`` is 0 without OU noise, and ``run`` then reads no
+    normals.  ``run`` raises RuntimeError when a run loses its norm, NaN
+    included, naming the first such run in that order.
+
+    The engine's one layout is (K, C, members, shots): the spinors and
+    ``run``'s (p_S, p_T) have that shape, every per-program table is
+    (K, C, 1, 1), the shot-phase and OU slot tables are (K, C, 1, shots)
+    and the per-member columns are (members, 1).  So each ufunc's inner
+    loop runs over members x shots with the per-(k, c) coefficients as
+    scalars, and no element's operations depend on the layout.
     """
     n_points, n_cycles = len(programs), len(programs[0])
     skeleton = programs[0][0].events
@@ -230,9 +238,9 @@ def _program_runner(
     omega = params.omega_rad_per_s
 
     def per_program(e: int, fn) -> np.ndarray:
-        """fn(event e of each program) as a (1, K, 1, C) array."""
+        """fn(event e of each program) as a (K, C, 1, 1) array."""
         return np.array([[fn(p.events[e]) for p in row] for row in programs],
-                        dtype=float).reshape(1, n_points, 1, n_cycles)
+                        dtype=float).reshape(n_points, n_cycles, 1, 1)
 
     def pulse_duration(ev: Pulse) -> float:
         if ev.duration_s is not None:
@@ -252,17 +260,19 @@ def _program_runner(
                          per_program(e, lambda p: math.cos(p.phase_rad)),
                          per_program(e, lambda p: math.sin(p.phase_rad)))
     last_pulse = max(pulses, default=None)
-    shot_z = None if shot_phases is None else shot_phases.reshape(1, n_points, n_shots, 1)
+    shot_z = None if shot_phases is None else shot_phases.reshape(n_points, 1, 1, n_shots)
     phase_per_khz_s = 2.0 * math.pi * 1e3
     n_draws = 0
     if ou_sigma_khz > 0.0:
-        n_draws, start, delay_steps = _ou_tables(delays, (n_points, n_shots, n_cycles),
-                                                 ou_sigma_khz, ou_tau_c_s)
+        n_draws, slots, delay_steps = _ou_tables(
+            delays, (n_points, n_cycles, n_shots), ou_sigma_khz, ou_tau_c_s)
+    flat_slots = {}  # members per block -> slots as flat indices into its normals
 
     # an overflowing phase becomes NaN without a warning; the norm check reports it
     @np.errstate(over="ignore", invalid="ignore")
     def run(detunings_khz: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        static_khz = (params.detuning_offset_khz + detunings_khz).reshape(-1, 1, 1, 1)
+        n_members = len(detunings_khz)
+        static_khz = (params.detuning_offset_khz + detunings_khz).reshape(n_members, 1)
         delta = 2.0 * math.pi * static_khz * 1e3
         if detuning_during_pulses:
             n_eff = np.array([math.hypot(omega, d) for d in delta.ravel().tolist()])
@@ -270,16 +280,19 @@ def _program_runner(
             n_safe = np.where(n_eff == 0.0, 1.0, n_eff)  # no drive, no detuning: identity
             axis_scale, axis_z = omega / n_safe, delta / n_safe
         if ou_sigma_khz > 0.0:
-            x = ou_sigma_khz * normals[:, start]
-        shape = (len(detunings_khz), n_points, n_shots, n_cycles)
+            if n_members not in flat_slots:  # at most two sizes: full blocks and the last
+                flat_slots[n_members] = slots + n_draws * np.arange(n_members).reshape(-1, 1)
+            index = flat_slots[n_members]
+            x = ou_sigma_khz * normals.take(index[0])
+        shape = (n_points, n_cycles, n_members, n_shots)
         ar, ai = np.ones(shape), np.zeros(shape)
         br, bi = np.zeros(shape), np.zeros(shape)
         for e in range(len(skeleton)):
             if e in delays:
                 phase = delta * delays[e]
                 if ou_sigma_khz > 0.0:
-                    stepping, slot1, slot2, (mu, sd_x, sd_i, rho, rho_c) = delay_steps[e]
-                    n1, n2 = normals[:, slot1], normals[:, slot2]
+                    stepping, g, (mu, sd_x, sd_i, rho, rho_c) = delay_steps[e]
+                    n1, n2 = normals.take(index[g]), normals.take(index[g + 1])
                     integral = x * ou_tau_c_s * (1.0 - mu) + sd_i * (rho * n1 + rho_c * n2)
                     x = np.where(stepping, x * mu + sd_x * n1, x)
                     phase = phase + phase_per_khz_s * np.where(stepping, integral, 0.0)
@@ -301,7 +314,9 @@ def _program_runner(
         total = p_s + p_t
         lost = ~(np.abs(total - 1.0) <= 1e-10)
         if np.any(lost):
-            raise RuntimeError(f"propagation lost norm: {float(total[lost][0])!r}")
+            in_run_order = (2, 0, 3, 1)  # (members, K, shots, C)
+            first = total.transpose(in_run_order)[lost.transpose(in_run_order)][0]
+            raise RuntimeError(f"propagation lost norm: {float(first)!r}")
         return p_s, p_t
 
     return n_draws, run
@@ -325,9 +340,9 @@ def _ensemble_blocks(
     detuning_during_pulses=...)`` for every k, every shot j and every c in
     that order, with ``env_i.shot_phase_rad = shot_phases[k, j]``.
 
-    Yields p_T arrays of shape (block members, K, shots, C), members in
-    index order; a block holds at most ``_BLOCK_ELEMENTS`` runs (and at
-    least one member).
+    Yields p_T arrays in the engine's layout, (K, C, block members, shots),
+    blocks in member-index order; a block holds at most
+    ``_BLOCK_ELEMENTS`` runs (and at least one member).
     """
     if not (programs and programs[0]):
         return
@@ -352,46 +367,55 @@ def _ou_tables(delays: dict[int, np.ndarray], shape: tuple[int, int, int],
     depend only on the duration, so they come from ``_ou_coefficients`` once
     per (sweep point, cycle) entry.
 
-    ``delays`` maps each delay's event index to its (1, K, 1, C) durations
-    and ``shape`` is (K, shots, C).  Returns (draws per member, index of
-    each run's first draw, and per delay event: the stepping mask, the
-    indices of n1 and n2, and the constants mu, sd_x, sd_i, rho,
-    sqrt(1 - rho^2)).
+    ``delays`` maps each delay's event index to its (K, C, 1, 1) durations
+    and ``shape`` is (K, C, shots).  Returns the draws per member, the
+    (1 + 2 delays, K, C, 1, shots) slot table (the index of each run's first
+    draw, then the indices of n1 and n2 of each delay in turn), and per delay
+    event: its (K, C, 1, 1) stepping mask, the slot-table row g of its n1
+    (n2 is row g + 1), and its (K, C, 1, 1) constants mu, sd_x, sd_i, rho,
+    sqrt(1 - rho^2).
     """
-    n_points, _, n_cycles = shape
-    durations = [d[0, :, 0, :] for d in delays.values()]
+    n_points, n_cycles, n_shots = shape
+    durations = [d[:, :, 0, 0] for d in delays.values()]
     stepping = np.array([d > 0.0 for d in durations], dtype=bool).reshape(
-        -1, n_points, n_cycles).transpose(1, 2, 0)
-    runs = np.broadcast_to((1 + 2 * stepping.sum(axis=-1))[:, None, :], shape)
-    start = (np.cumsum(runs) - runs.ravel()).reshape(runs.shape)
-    before = np.cumsum(stepping, axis=-1) - stepping  # earlier steps of the run
+        -1, 1, n_points, n_cycles, 1, 1)
+    runs = 1 + 2 * stepping.sum(axis=0)  # (1, K, C, 1, 1) draws per run
+    per_shot = runs.sum(axis=2, keepdims=True)  # draws per shot of each sweep point
+    # a run's first draw follows the earlier points, the point's earlier shots
+    # and the shot's earlier cycles
+    start = (np.cumsum(per_shot * n_shots, axis=1) - per_shot * n_shots
+             + per_shot * np.arange(n_shots) + np.cumsum(runs, axis=2) - runs)
+    slots = [start]
+    for mask, before in zip(stepping, np.cumsum(stepping, axis=0) - stepping):
+        n1 = np.where(mask, start + 1 + 2 * before, start)  # after the run's earlier steps
+        slots += [n1, np.where(mask, n1 + 1, start)]
     steps = {}
     for d, e in enumerate(delays):
-        mask = stepping[:, None, :, d]
-        slot = np.where(mask, start + 1 + 2 * before[:, None, :, d], start)
         coeffs = np.array([
             [_ou_coefficients(t, sigma, tau_c) if t > 0.0 else (1.0, 0.0, 0.0, 0.0, 1.0)
              for t in row]
             for row in durations[d].tolist()
         ])  # (K, C, 5)
-        steps[e] = (mask[None], slot, np.where(mask, slot + 1, start),
-                    tuple(coeffs[None, :, None, :, i] for i in range(5)))
-    return int(runs.sum()), start, steps
+        steps[e] = (stepping[d, 0], 1 + 2 * d,
+                    tuple(coeffs[:, :, None, None, i] for i in range(5)))
+    return int(per_shot.sum()) * n_shots, np.concatenate(slots), steps
 
 
 def _member_sum(blocks, shape: tuple[int, ...]) -> np.ndarray:
     """Sum per-member rows one after another in member-index order.
 
-    The first row starts the sum, as in numpy's reduction over members;
-    with no rows at all the sum is zeros of ``shape``.
+    Each block holds its members on axis 1, after the sweep point, as the
+    engine's blocks do once their cycle axis is reduced or picked.  The
+    running total goes in front of a block's rows and ``np.add.accumulate``
+    adds the rows along that axis one after the other, so the first row
+    starts the sum and the blocking cannot change a bit.  With no rows at
+    all the sum is zeros of ``shape``.
     """
     total = None
     for block in blocks:
-        for row in block:
-            if total is None:
-                total = row.copy()
-            else:
-                total += row
+        if total is not None:
+            block = np.concatenate([total[:, None], block], axis=1)
+        total = np.add.accumulate(block, axis=1)[:, -1]
     return np.zeros(shape) if total is None else total
 
 
@@ -420,7 +444,7 @@ def rabi_experiment(
     ]
     total = np.zeros_like(lengths)
     total[driven] = _member_sum(
-        (p_t[:, :, 0, 0] for p_t in _ensemble_blocks(
+        (p_t[:, 0, :, 0] for p_t in _ensemble_blocks(
             spec, system, params, programs, detuning_during_pulses=True)),
         driven.shape,
     )
@@ -436,7 +460,7 @@ def ramsey_experiment(
     program = ramsey_program()
     programs = [[program.bind({"tau": float(tau)})] for tau in taus]
     total = _member_sum(
-        (p_t[:, :, 0, 0] for p_t in _ensemble_blocks(spec, system, params, programs)),
+        (p_t[:, 0, :, 0] for p_t in _ensemble_blocks(spec, system, params, programs)),
         taus.shape,
     )
     return Series(x=taus, values=total / spec.n_members)
@@ -523,8 +547,8 @@ def hahn_experiment(
 
     def cycled_blocks():
         for p_t in _ensemble_blocks(spec, system, params, programs, shot_phases=shot_phases):
-            r_plus = readout_gain * p_t[..., 0] + readout_offset
-            r_minus = readout_gain * p_t[..., 1] + readout_offset
+            r_plus = readout_gain * p_t[:, 0] + readout_offset
+            r_minus = readout_gain * p_t[:, 1] + readout_offset
             yield (r_plus - r_minus) / ideal_amplitude
 
     cycled = _member_sum(cycled_blocks(), (taus.size, n_shots))
@@ -722,15 +746,16 @@ def rf_spectrum(
     silenced there.
     """
     offsets = np.asarray(offsets_khz, dtype=float)
-    if not (math.isfinite(kernel_fwhm_khz) and kernel_fwhm_khz > 0):
-        raise ValueError("kernel_fwhm_khz must be finite and > 0")
+    half = kernel_fwhm_khz / 2.0
+    if not (math.isfinite(kernel_fwhm_khz) and half > 0):  # a half of 0 would divide by zero
+        raise ValueError(f"kernel_fwhm_khz must be finite and > 0, also when halved, "
+                         f"got {kernel_fwhm_khz!r}")
     b1_dir = (
         np.array([0.0, 0.0, 1.0])
         if spec.b0_orientation == "parallel"
         else np.array([1.0, 0.0, 0.0])
     )
     op = spincore.drive_operator(system, b1_dir)
-    half = kernel_fwhm_khz / 2.0
     terms = np.zeros((_RF_LINE_RUN + 1, offsets.size))
     for members in noise_mod.EnvironmentPass(spec, system).blocks(_RF_BLOCK_MEMBERS):
         frequencies, elements = spincore.singlet_triplet_lines(

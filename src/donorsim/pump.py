@@ -82,8 +82,11 @@ class PumpConfig:
             raise ValueError(f"branch_to_s must lie in [0, 1], got {self.branch_to_s}")
         if not math.isfinite(self.gain):
             raise ValueError("gain must be finite")
-        if not math.isfinite(self.optical_linewidth_mhz) or self.optical_linewidth_mhz <= 0:
-            raise ValueError("optical_linewidth_mhz must be finite and > 0")
+        # a width whose cm^-1 value underflows to 0 would divide by zero
+        if not (math.isfinite(self.optical_linewidth_mhz)
+                and self.optical_linewidth_mhz / MHZ_PER_INV_CM > 0):
+            raise ValueError("optical_linewidth_mhz must be finite and > 0, also in cm^-1, "
+                             f"got {self.optical_linewidth_mhz!r}")
 
 
 @dataclass(frozen=True)

@@ -356,6 +356,36 @@ def test_usage_errors_exit_1(capsys):
     ["levels", "--points", "3", "--output", ""],
     ["hahn", "--workers", "0"],
     ["hahn", "--detection", "mean", "--shots", "5"],
+    # a subcommand's own numeric flags: text that is no number is the flag's error
+    ["levels", "--bmin-mt", "x"],
+    ["levels", "--bmax-mt", "1e3x"],
+    ["levels", "--points", "2.5"],
+    ["rf-spectrum", "--offset-min-khz", "x"],
+    ["rf-spectrum", "--offset-max-khz", ""],
+    ["rf-spectrum", "--points", "x"],
+    ["rf-spectrum", "--kernel-fwhm-khz", "x"],
+    ["optical-spectrum", "--scan-min-invcm", "x"],
+    ["optical-spectrum", "--scan-max-invcm", "x"],
+    ["optical-spectrum", "--points", "1e3"],
+    ["optical-spectrum", "--line-s-invcm", "x"],
+    ["optical-spectrum", "--line-t-invcm", "x"],
+    ["optical-spectrum", "--doublet-split-invcm", "x"],
+    ["optical-spectrum", "--probe-peak-rate", "x"],
+    ["optical-spectrum", "--pump-peak-rate", "x"],
+    ["rabi", "--max-us", "x"],
+    ["rabi", "--points", "x"],
+    ["ramsey", "--tau-min-s", "x"],
+    ["ramsey", "--tau-max-s", "x"],
+    ["ramsey", "--points", "x"],
+    ["hahn", "--tau-min-s", "x"],
+    ["hahn", "--tau-max-s", "x"],
+    ["hahn", "--points", "x"],
+    ["hahn", "--detection", "max", "--shots", "x"],
+    ["hahn", "--workers", "two"],
+    ["fit", str(GOLDEN / "hahn_mean_t0_parallel.csv"), "--fix-n", "x"],
+    ["fit", str(GOLDEN / "hahn_mean_t0_parallel.csv"), "--model", "peaks", "--k", "x"],
+    ["fit", str(GOLDEN / "hahn_mean_t0_parallel.csv"), "--model", "peaks", "--baseline", "x"],
+    ["estimate-field", "--splitting-khz", "x"],
 ])
 def test_validation_errors_exit_1(monkeypatch, capsys, argv):
     def draw(*args, **kwargs):
@@ -386,6 +416,14 @@ def test_overflowing_delay_phase_fails_the_norm_check_exit_2(capsys):
      "field magnitude up to 1e+203 µT overflows the level energies"),
     (HAHN_SMALL + ["--detection", "mean", "--shots", "5"],
      "--shots applies only to --detection max"),
+    # a width whose half (or cm^-1 value) underflows to 0 would divide by zero
+    (["rf-spectrum", "--kernel-fwhm-khz", "5e-324", "--members", "3", "--points", "5"],
+     "kernel_fwhm_khz must be finite and > 0, also when halved, got 5e-324"),
+    (["optical-spectrum", "--points", "3", "--optical-linewidth-mhz", "5e-324"],
+     "optical_linewidth_mhz must be finite and > 0, also in cm^-1, got 5e-324"),
+    (["rf-spectrum", "--kernel-fwhm-khz", "x"],
+     "--kernel-fwhm-khz: expected a number, got 'x'"),
+    (["hahn", "--points", "x"], "--points: expected an integer, got 'x'"),
 ])
 def test_rejected_run_prints_only_the_error_line(capsys, argv, message):
     code, out, err = run(capsys, argv)

@@ -50,7 +50,8 @@ _spec.loader.exec_module(regen)
 def engine_p_t(spec, programs, **kwargs) -> np.ndarray:
     params = two_level_params_for(spec, PHOSPHORUS)
     blocks = pulse._ensemble_blocks(spec, PHOSPHORUS, params, programs, **kwargs)
-    return np.concatenate(list(blocks))
+    # blocks are (K, C, members, shots); the reference is (members, K, shots, C)
+    return np.concatenate(list(blocks), axis=2).transpose(2, 0, 3, 1)
 
 
 def looped_p_t(spec, programs, shot_phases=None, detuning_during_pulses=False) -> np.ndarray:
@@ -99,7 +100,7 @@ def _sweeps(draw):
     programs = [program.bind({"tau": tau}).shots() for tau in taus]
     shot_phases = None
     if draw(st.booleans()):
-        n_shots = draw(st.integers(1, 2))
+        n_shots = draw(st.integers(1, 3))
         shot_phases = np.array(draw(st.lists(
             _PHASES, min_size=len(taus) * n_shots, max_size=len(taus) * n_shots,
         ))).reshape(len(taus), n_shots)
@@ -131,12 +132,19 @@ def test_engine_matches_run_sequence_bit_for_bit(sweep, block_elements):
     assert got.tolist() == want.tolist()
 
 
-@pytest.mark.parametrize("finite", [False, True])
-def test_engine_matches_run_sequence_on_a_larger_ensemble(finite):
-    # 6000 runs: enough that a last-bit slip (say x*x for libm's x**2, which
-    # differ on about 0.1 % of inputs) shows somewhere
+@pytest.mark.parametrize("finite, members, n_shots, block_members", [
+    pytest.param(False, 200, 3, None, id="False"),
+    pytest.param(True, 200, 3, None, id="True"),
+    # echo-max's shape: OU noise, two cycles, many shots, three members a block
+    # and a last block of one
+    pytest.param(False, 61, 24, 3, id="echo-max-shape"),
+])
+def test_engine_matches_run_sequence_on_a_larger_ensemble(
+        monkeypatch, finite, members, n_shots, block_members):
+    # 6000 runs or more: enough that a last-bit slip (say x*x for libm's x**2,
+    # which differ on about 0.1 % of inputs) shows somewhere
     spec = EnsembleSpec(
-        n_members=200, seed=31,
+        n_members=members, seed=31,
         noise=NoiseModel(static_detuning_khz=3.0, ou_sigma_khz=0.3, ou_tau_c_s=0.01,
                          internal_fraction=0.3),
         transition="T+", b0_magnitude_ut=4.0, b0_orientation="perpendicular",
@@ -144,7 +152,9 @@ def test_engine_matches_run_sequence_on_a_larger_ensemble(finite):
     shots = seqdsl.compile(seqdsl.parse(regen.CPMG2_TEXT)).shots()
     taus = (0.0, 2e-4, 1e-3, 3e-3, 1e-2)
     programs = [[p.bind({"tau": tau}) for p in shots] for tau in taus]
-    shot_phases = np.random.default_rng(0).uniform(0.0, 2 * math.pi, (len(taus), 3))
+    shot_phases = np.random.default_rng(0).uniform(0.0, 2 * math.pi, (len(taus), n_shots))
+    if block_members is not None:
+        monkeypatch.setattr(pulse, "_BLOCK_ELEMENTS", block_members * len(taus) * n_shots * 2)
     got = engine_p_t(spec, programs, shot_phases=shot_phases, detuning_during_pulses=finite)
     want = looped_p_t(spec, programs, shot_phases, finite)
     assert got.tolist() == want.tolist()
@@ -219,8 +229,8 @@ def test_cpmg2_golden_through_the_engine():
     spec = regen.cpmg2_spec()
     shots = seqdsl.compile(seqdsl.parse(regen.CPMG2_TEXT)).shots()
     programs = [[p.bind({"tau": tau}) for p in shots] for tau in regen.CPMG2_TAUS_S]
-    p_t = engine_p_t(spec, programs)[:, :, 0, :]
-    mean = pulse._member_sum([p_t], p_t.shape[1:]) / spec.n_members
+    p_t = engine_p_t(spec, programs)[:, :, 0, :]  # (members, K, C)
+    mean = pulse._member_sum([p_t.swapaxes(0, 1)], p_t.shape[1:]) / spec.n_members
     text = csvio.render_csv(["tau_s", "p_t_cycle0", "p_t_cycle180"],
                             np.column_stack([regen.CPMG2_TAUS_S, mean]))
     assert text.encode("utf-8") == (GOLDEN / "cpmg2_run_sequence.csv").read_bytes()
