@@ -21,6 +21,7 @@ crashing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -336,12 +337,18 @@ def peak_model(
     return out
 
 
+def _median(values: list[float]) -> float:
+    """``np.median`` of a few floats, without the ``numpy.ma`` import its first call costs."""
+    ordered, half = sorted(values), len(values) // 2
+    return ordered[half] if len(ordered) % 2 else (ordered[half - 1] + ordered[half]) / 2.0
+
+
 def _extrema_start(
     xv: np.ndarray, yv: np.ndarray, k: int, widths: np.ndarray, base: float
 ) -> np.ndarray | None:
     """Alternative start: centers at the k strongest well-separated extrema."""
     signal = yv - base
-    min_gap = 3.0 * float(np.median(widths))
+    min_gap = 3.0 * _median(widths.tolist())
     chosen: list[int] = []
     for idx in np.argsort(-np.abs(signal)):
         if all(abs(xv[idx] - xv[j]) >= min_gap for j in chosen):
@@ -396,6 +403,9 @@ def fit_peaks(
 
     p0 = np.empty(3 * k + 1)
     for i, (center, width, amp) in enumerate(initial):
+        if not all(map(math.isfinite, (center, width, amp))):
+            raise ValueError(f"initial peak {i + 1} (center, width, amplitude) must be finite, "
+                             f"got {(center, width, amp)!r}")
         if width <= 0:
             raise ValueError("initial peak widths must be > 0")
         p0[3 * i: 3 * i + 3] = (center, width, amp)

@@ -6,8 +6,10 @@ partitioned across workers.  In an ensemble every member stream starts in
 one place: an ``EnvironmentPass`` owns a single Philox generator, re-keys it
 in place to the start of each member's stream (``_restart``) and there
 draws everything the ensemble engine takes from that stream, in one visit.
-``member_rng`` builds the same stream as a generator of its own, for single
-runs (``pulse.run_sequence``) and the ensemble-wide ``common_rng``.
+The member fields and line shifts that follow from those draws are then
+computed for a whole block at once, as arrays.  ``member_rng`` builds the
+same stream as a generator of its own, for single runs
+(``pulse.run_sequence``) and the ensemble-wide ``common_rng``.
 
 A member's environment freezes its static detuning and (for a
 configurable subpopulation) an internal field of fixed magnitude and
@@ -117,6 +119,12 @@ class EnsembleSpec:
             raise ValueError(f"b0_orientation must be one of {ORIENTATIONS}")
         if self.b1_amplitude_mt <= 0 or not math.isfinite(self.b1_amplitude_mt):
             raise ValueError("b1_amplitude_mt must be finite and > 0")
+        # the largest components a member's field can take: B0 + B_int along z,
+        # B_int across; their squares must sum without overflow
+        across_ut = self.noise.internal_field_ut if self.noise.internal_fraction > 0.0 else 0.0
+        reach_ut = self.b0_magnitude_ut + across_ut
+        if not math.isfinite(reach_ut * reach_ut + 2.0 * (across_ut * across_ut)):
+            raise ValueError(f"field magnitude up to {reach_ut!r} µT overflows its square")
 
 
 @dataclass
@@ -185,13 +193,14 @@ class EnvironmentBlock:
     Attributes:
         detunings_khz: (members,) frozen detunings, internal-field line
             shifts included.
-        fields: each member's total static field.
+        fields: (members, 3) total static fields, components (x, y, z) in
+            uT; row i holds the ``FieldVector`` components of member i.
         normals: (members, n_draws) standard normals; row i continues member
             i's stream right after its four environment draws.
     """
 
     detunings_khz: np.ndarray
-    fields: list[FieldVector]
+    fields: np.ndarray
     normals: np.ndarray
 
 
@@ -200,9 +209,11 @@ class EnvironmentPass:
 
     The per-ensemble constants (the OU sigma every member sees on its
     driven line, the nominal field and line frequency) are computed once,
-    when the pass is made; ``draw`` then only spends per-member work.  The
-    pass owns one Philox generator and re-keys it to each member's stream
-    (``_restart``), so no member costs a generator of its own.
+    when the pass is made.  The pass owns one Philox generator and re-keys
+    it to each member's stream (``_restart``), so no member costs a
+    generator of its own.  Per member, ``draw`` only re-keys and draws;
+    fields and line shifts are then computed for the whole block in array
+    calls, each the exact spelling of the scalar step it replaces.
 
     Draw order in each member's private stream (fixed): (1) static
     detuning normal deviate, (2) subpopulation uniform, (3) internal-field
@@ -219,9 +230,8 @@ class EnvironmentPass:
         factor = sensitivity_factor(system, spec.transition, spec.b0_magnitude_ut)
         #: The OU sigma every member sees on its driven line (model sigma x sensitivity).
         self.ou_sigma_khz = spec.noise.ou_sigma_khz * factor
-        self._b0 = FieldVector.along_z(spec.b0_magnitude_ut)
         self._nominal_mhz = spincore.transition_frequency(
-            system, spec.transition, self._b0.magnitude())
+            system, spec.transition, FieldVector.along_z(spec.b0_magnitude_ut).magnitude())
         self._bitgen = Philox()
         self._rng = Generator(self._bitgen)
 
@@ -233,44 +243,36 @@ class EnvironmentPass:
 
     def draw(self, first: int, stop: int, n_draws: int = 0) -> EnvironmentBlock:
         """The environments of members ``first`` .. ``stop - 1`` and ``n_draws`` normals each."""
-        spec, system, b0 = self.spec, self.system, self._b0
-        noise = spec.noise
-        internal_ut = noise.internal_field_ut
+        spec, noise = self.spec, self.spec.noise
+        bitgen, rng, seed = self._bitgen, self._rng, spec.seed
+        # per member: (normal, subpopulation, z, azimuth) deviates, then the normals
+        deviates = np.empty((stop - first, 4))
         normals = np.empty((stop - first, n_draws))
-        detunings, fields = [], []
-        for index, row in zip(range(first, stop), normals):
-            normal, u_subpop, u_cos, u_azimuth = self._member_draws(index, row)
-            detuning = noise.static_detuning_khz * normal
-            field = b0
-            if u_subpop < noise.internal_fraction and internal_ut > 0.0:
-                cos_theta = 2.0 * u_cos - 1.0
-                azimuth = 2.0 * math.pi * u_azimuth
-                sin_theta = math.sqrt(max(0.0, 1.0 - cos_theta**2))
-                field = FieldVector(b0.bx + sin_theta * math.cos(azimuth) * internal_ut,
-                                    b0.by + sin_theta * math.sin(azimuth) * internal_ut,
-                                    b0.bz + cos_theta * internal_ut)
-                shifted = spincore.transition_frequency(
-                    system, spec.transition, field.magnitude())
-                detuning += (shifted - self._nominal_mhz) * 1e3  # MHz -> kHz
-            detunings.append(detuning)
-            fields.append(field)
-        return EnvironmentBlock(detunings_khz=np.array(detunings, dtype=float),
-                                fields=fields, normals=normals)
-
-    def _member_draws(self, index: int, normals: np.ndarray) -> tuple[float, float, float, float]:
-        """Everything member ``index``'s stream gives, in the documented order.
-
-        Restarts the pass's generator at the member's stream, returns the
-        four environment deviates and fills ``normals`` with the deviates
-        that follow them.
-        """
-        _restart(self._bitgen, self.spec.seed, index)
-        rng = self._rng
-        normal = rng.standard_normal()
-        u_subpop, u_cos, u_azimuth = rng.random(3).tolist()
-        if normals.size:
-            rng.standard_normal(out=normals)
-        return normal, u_subpop, u_cos, u_azimuth
+        for index, row, more in zip(range(first, stop), deviates, normals):
+            _restart(bitgen, seed, index)
+            row[0] = rng.standard_normal()
+            rng.random(out=row[1:])
+            if n_draws:
+                rng.standard_normal(out=more)
+        detunings = noise.static_detuning_khz * deviates[:, 0]
+        fields = np.zeros((stop - first, 3))
+        fields[:, 2] = spec.b0_magnitude_ut
+        internal_ut = noise.internal_field_ut
+        inside = deviates[:, 1] < noise.internal_fraction
+        if internal_ut > 0.0 and inside.any():
+            cos_theta = 2.0 * deviates[inside, 2] - 1.0
+            azimuth = 2.0 * math.pi * deviates[inside, 3]
+            sin_theta = np.sqrt(np.maximum(0.0, 1.0 - np.float_power(cos_theta, 2.0)))
+            shifted = fields[inside]
+            shifted[:, 0] += (sin_theta * np.cos(azimuth)) * internal_ut
+            shifted[:, 1] += (sin_theta * np.sin(azimuth)) * internal_ut
+            shifted[:, 2] += cos_theta * internal_ut
+            fields[inside] = shifted
+            levels = spincore._breit_rabi_arrays(
+                self.system, spincore.field_magnitudes(shifted) / spincore.UT_PER_MT)
+            line_mhz = levels[spincore.LABELS.index(spec.transition)] - levels[0]
+            detunings[inside] += (line_mhz - self._nominal_mhz) * 1e3  # MHz -> kHz
+        return EnvironmentBlock(detunings_khz=detunings, fields=fields, normals=normals)
 
 
 def draw_member_environment(
@@ -290,7 +292,7 @@ def draw_member_environment(
         static_detuning_khz=float(block.detunings_khz[0]),
         ou_sigma_khz=envs.ou_sigma_khz,
         ou_tau_c_s=spec.noise.ou_tau_c_s,
-        field=block.fields[0],
+        field=FieldVector(*block.fields[0].tolist()),
     )
 
 

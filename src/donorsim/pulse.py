@@ -740,10 +740,11 @@ def rf_spectrum(
     of zero weight are skipped.  The others are added ``_RF_LINE_RUN`` at a
     time: their Lorentzian terms fill the rows below the running total, and
     ``np.add.reduce`` over axis 0 adds the rows in order, one after the
-    other.  So the sum is the member-by-member, label-order sum, and the
-    result depends on neither size.  A term whose ``u * u`` overflows is
-    exactly 0 (its line is too narrow to reach the point), so overflow is
-    silenced there.
+    other.  (A lone offset is computed twice, as two columns: over one
+    column numpy would sum the rows pairwise.)  So the sum is the
+    member-by-member, label-order sum, and the result depends on neither
+    size.  A term whose ``u * u`` overflows is exactly 0 (its line is too
+    narrow to reach the point), so overflow is silenced there.
     """
     offsets = np.asarray(offsets_khz, dtype=float)
     half = kernel_fwhm_khz / 2.0
@@ -756,7 +757,8 @@ def rf_spectrum(
         else np.array([1.0, 0.0, 0.0])
     )
     op = spincore.drive_operator(system, b1_dir)
-    terms = np.zeros((_RF_LINE_RUN + 1, offsets.size))
+    columns = np.repeat(offsets, 2) if offsets.size == 1 else offsets
+    terms = np.zeros((_RF_LINE_RUN + 1, columns.size))
     for members in noise_mod.EnvironmentPass(spec, system).blocks(_RF_BLOCK_MEMBERS):
         frequencies, elements = spincore.singlet_triplet_lines(
             *spincore.eigensystems(system, members.fields), op)
@@ -767,11 +769,11 @@ def rf_spectrum(
         for start in range(0, weights.size, _RF_LINE_RUN):
             n = min(_RF_LINE_RUN, weights.size - start)
             u = terms[1:n + 1]
-            np.subtract(offsets, centers[start:start + n, None], out=u)
+            np.subtract(columns, centers[start:start + n, None], out=u)
             with np.errstate(over="ignore"):
                 np.divide(u, half, out=u)
                 np.multiply(u, u, out=u)
             np.add(1.0, u, out=u)
             np.divide(weights[start:start + n, None], u, out=u)
             terms[0] = np.add.reduce(terms[:n + 1], axis=0)
-    return Series(x=offsets, values=terms[0] / spec.n_members)
+    return Series(x=offsets, values=terms[0, :offsets.size] / spec.n_members)

@@ -19,8 +19,8 @@ zero-field multiplets (energy order is S < T- < T0 < T+ for every field
 in the operating range).  Exactly at zero field the label assignment is
 fixed by diagonalising at a reference field of 1e-6 uT along z.
 
-``eigensystem(system, field)``, and ``eigensystems(system, fields)`` for a
-stack of fields through one eigensolve, are the one source of that
+``eigensystem(system, field)``, and ``eigensystems(system, fields_ut)`` for an
+(n, 3) array of fields through one eigensolve, are the one source of that
 labelled basis: they build H and return the energies and eigenvectors in
 LABELS order.  Only ``EigenSystem`` (one field) and
 ``singlet_triplet_lines`` read its columns by label; the latter reads the
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -192,15 +191,24 @@ def zeeman_operator(system: SpinSystem, vector: np.ndarray) -> np.ndarray:
     return total
 
 
+def field_magnitudes(fields: np.ndarray) -> np.ndarray:
+    """|B| of each row of an (n, 3) field array, bit for bit ``FieldVector.magnitude``.
+
+    ``np.float_power(b, 2.0)`` is libm's ``pow``, as ``b**2`` is (``b * b``
+    differs from it in the last bit), and the squares add in component order.
+    """
+    squares = np.float_power(fields, 2.0)
+    return np.sqrt((squares[:, 0] + squares[:, 1]) + squares[:, 2])
+
+
 def build_hamiltonian(system: SpinSystem, field: FieldVector) -> np.ndarray:
     """Assemble the 4x4 Hamiltonian (MHz) for a field given in microtesla."""
-    return _hamiltonians(system, [field])[0]
+    return _hamiltonians(system, field.as_array()[None])[0]
 
 
-def _hamiltonians(system: SpinSystem, fields: Sequence[FieldVector]) -> np.ndarray:
-    """The (n, 4, 4) stack of ``build_hamiltonian`` for n fields."""
-    b_ut = np.array([(f.bx, f.by, f.bz) for f in fields], dtype=float)
-    return zeeman_operator(system, b_ut / UT_PER_MT) + system.hyperfine_a * _S_DOT_I
+def _hamiltonians(system: SpinSystem, fields_ut: np.ndarray) -> np.ndarray:
+    """The (n, 4, 4) stack of ``build_hamiltonian`` for an (n, 3) field array in uT."""
+    return zeeman_operator(system, fields_ut / UT_PER_MT) + system.hyperfine_a * _S_DOT_I
 
 
 def eigensystem(system: SpinSystem, field: FieldVector) -> EigenSystem:
@@ -214,23 +222,23 @@ def eigensystem(system: SpinSystem, field: FieldVector) -> EigenSystem:
     are taken from the reference field 1e-6 uT z instead, while the energies
     still come from the Hamiltonian at ``field``.
     """
-    energies, vectors = eigensystems(system, [field])
+    energies, vectors = eigensystems(system, field.as_array()[None])
     return EigenSystem(energies=energies[0], vectors=vectors[0])
 
 
-def eigensystems(
-    system: SpinSystem, fields: Sequence[FieldVector]
-) -> tuple[np.ndarray, np.ndarray]:
+def eigensystems(system: SpinSystem, fields_ut: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``eigensystem`` for n fields through one stacked eigensolve.
 
-    Returns the energies, shape (n, 4), and eigenvectors, shape (n, 4, 4),
-    both in LABELS order.  Row k equals a one-field solve of ``fields[k]``
-    bit for bit, whatever the other fields, and the reference-field rule
-    applies field by field.
+    ``fields_ut`` is an (n, 3) array of field components (x, y, z) in uT,
+    such as an ``EnvironmentBlock``'s fields.  Returns the energies, shape
+    (n, 4), and eigenvectors, shape (n, 4, 4), both in LABELS order.  Row k
+    equals a one-field solve of ``FieldVector(*fields_ut[k])`` bit for bit,
+    whatever the other fields, and the reference-field rule applies field
+    by field, on the ``field_magnitudes`` of the rows.
     """
-    energies, vectors = np.linalg.eigh(_hamiltonians(system, fields))
-    small = [k for k, f in enumerate(fields) if f.magnitude() < REFERENCE_FIELD_UT]
-    if small:
+    energies, vectors = np.linalg.eigh(_hamiltonians(system, fields_ut))
+    small = field_magnitudes(fields_ut) < REFERENCE_FIELD_UT
+    if small.any():
         href = build_hamiltonian(system, FieldVector.along_z(REFERENCE_FIELD_UT))
         vectors[small] = np.linalg.eigh(href)[1]
     return energies, vectors
@@ -367,7 +375,7 @@ def transition_table(system: SpinSystem, field: FieldVector) -> list[TransitionL
     S -> T+- couple only to the perpendicular drive with element
     (gamma_s + gamma_i)/(2 sqrt 2); the forbidden combinations vanish.
     """
-    energies, vectors = eigensystems(system, [field])
+    energies, vectors = eigensystems(system, field.as_array()[None])
     par, perp = _drive_directions(field)
     frequencies, elements_par = singlet_triplet_lines(
         energies, vectors, drive_operator(system, par))

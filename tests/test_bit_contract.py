@@ -1,0 +1,102 @@
+"""The floating-point spellings the byte contract relies on, one test each.
+
+Every array spelling below replaces a Python-scalar computation that an
+oracle in ``scalar_oracle.py`` or a golden still pins; each test compares
+the two with ``==`` on inputs like those the package feeds them, and names
+the code that depends on the spelling.  If numpy or libm changes one of
+them, the failure names the spelling instead of showing up as a golden diff.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from donorsim import fitkit, spincore
+from donorsim.spincore import PHOSPHORUS, FieldVector
+
+#: Uniform deviates in [0, 1) as the environment pass draws them, plus the ends.
+UNIFORMS = np.concatenate([
+    np.random.Generator(np.random.Philox(key=7)).random(20_003),
+    [0.0, 5e-324, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0)],
+])
+
+
+def test_np_cos_and_sin_equal_math_cos_and_sin_on_azimuths():
+    # noise.EnvironmentPass.draw: the internal field's azimuthal components
+    azimuths = 2.0 * math.pi * UNIFORMS
+    assert np.cos(azimuths).tolist() == [math.cos(a) for a in azimuths.tolist()]
+    assert np.sin(azimuths).tolist() == [math.sin(a) for a in azimuths.tolist()]
+
+
+def test_numpy_sin_theta_equals_math_sqrt_of_max():
+    # noise.EnvironmentPass.draw: sin(theta) from cos(theta) = 2u - 1
+    cos_theta = 2.0 * UNIFORMS - 1.0
+    got = np.sqrt(np.maximum(0.0, 1.0 - np.float_power(cos_theta, 2.0)))
+    assert got.tolist() == [math.sqrt(max(0.0, 1.0 - c**2)) for c in cos_theta.tolist()]
+
+
+def _squares_that_a_product_rounds_differently() -> np.ndarray:
+    rng = np.random.Generator(np.random.Philox(key=11))
+    values = rng.standard_normal(200_000) * 20.0
+    return np.array([v for v in values.tolist() if v * v != v**2])
+
+
+def test_float_power_square_is_libm_pow_not_a_product():
+    # spincore.field_magnitudes and pulse.rf_spectrum's squared elements: b ** 2
+    # is libm's pow, which rounds some squares differently from b * b
+    values = _squares_that_a_product_rounds_differently()
+    assert values.size > 0
+    assert np.float_power(values, 2.0).tolist() == [v**2 for v in values.tolist()]
+    assert (values * values).tolist() != [v**2 for v in values.tolist()]
+
+
+def test_float_power_square_sum_and_sqrt_equal_field_vector_magnitude():
+    # spincore.field_magnitudes: |B| of the environment pass and of the
+    # reference-field mask in spincore.eigensystems
+    awkward = _squares_that_a_product_rounds_differently()[:300]
+    rng = np.random.Generator(np.random.Philox(key=12))
+    fields = np.concatenate([
+        rng.standard_normal((3000, 3)) * 10.0,
+        awkward.reshape(-1, 3),
+        [[0.0, 0.0, 0.0], [0.0, 0.0, 5e-7], [3e-7, -4e-7, 0.0], [-0.0, 0.0, 4.0]],
+    ])
+    want = [FieldVector(*row).magnitude() for row in fields.tolist()]
+    assert spincore.field_magnitudes(fields).tolist() == want
+
+
+@pytest.mark.parametrize("label", spincore.TRIPLET_LABELS)
+def test_stacked_breit_rabi_equals_scalar_transition_frequency(label):
+    # noise.EnvironmentPass.draw: one closed-form call for a block's line shifts
+    rng = np.random.Generator(np.random.Philox(key=13))
+    b_ut = np.concatenate([rng.random(5000) * 60.0, [0.0, 5e-7, 1e-6, 4.0, 23.0]])
+    levels = spincore._breit_rabi_arrays(PHOSPHORUS, b_ut / spincore.UT_PER_MT)
+    got = levels[spincore.LABELS.index(label)] - levels[0]
+    assert got.tolist() == [spincore.transition_frequency(PHOSPHORUS, label, b)
+                            for b in b_ut.tolist()]
+
+
+def test_add_reduce_over_a_lone_long_axis_is_pairwise():
+    # why pulse._member_sum adds with np.add.accumulate and pulse.rf_spectrum
+    # pads a lone offset to two columns: np.add.reduce over an axis that is
+    # the only long one sums pairwise, not in order
+    column = np.array([1.0] + [1e-16] * 15)[:, None]
+    ordered = 0.0
+    for value in column[:, 0].tolist():
+        ordered += value
+    assert ordered == 1.0
+    assert np.add.reduce(column, axis=0).tolist() != [ordered]
+    assert np.add.reduce(np.repeat(column, 2, axis=1), axis=0).tolist() == [ordered, ordered]
+    assert np.add.accumulate(column, axis=0)[-1].tolist() == [ordered]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(1e-300, 1e300) | st.sampled_from([0.5, 1.5, 2.5]),
+                min_size=1, max_size=7))
+def test_sorted_list_median_equals_np_median(widths):
+    # fitkit._extrema_start's minimum peak gap, taken without np.median
+    assert fitkit._median(widths) == float(np.median(widths))

@@ -249,6 +249,9 @@ HAHN_SMALL = [
     "--transition", "T+", "--orientation", "perpendicular",
 ]
 
+#: A two-peak fit of the rescue input, before its ``--peak`` starts.
+PEAKS_FIT = ["fit", str(GOLDEN / "fit_rescue_peaks.csv"), "--model", "peaks", "--k", "2"]
+
 
 def test_same_seed_is_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -386,6 +389,15 @@ def test_usage_errors_exit_1(capsys):
     ["fit", str(GOLDEN / "hahn_mean_t0_parallel.csv"), "--model", "peaks", "--k", "x"],
     ["fit", str(GOLDEN / "hahn_mean_t0_parallel.csv"), "--model", "peaks", "--baseline", "x"],
     ["estimate-field", "--splitting-khz", "x"],
+    # a field whose squared components overflow, nominal or with the internal field
+    ["rf-spectrum", "--b0-ut", "1e160", "--internal-fraction", "1", "--members", "3",
+     "--points", "3"],
+    ["hahn", "--b0-ut", "1e200", "--members", "3", "--points", "3"],
+    # a non-finite start peak, named before any fit
+    PEAKS_FIT + ["--peak=19.5,inf,0.7", "--peak=19.5,8.3,0.6"],
+    PEAKS_FIT + ["--peak=nan,9.5,0.7", "--peak=19.5,8.3,0.6"],
+    PEAKS_FIT + ["--peak=19.5,9.5,0.7", "--peak=19.5,nan,0.6"],
+    PEAKS_FIT + ["--peak=19.5,9.5,nan", "--peak=19.5,8.3,0.6"],
 ])
 def test_validation_errors_exit_1(monkeypatch, capsys, argv):
     def draw(*args, **kwargs):
@@ -424,6 +436,13 @@ def test_overflowing_delay_phase_fails_the_norm_check_exit_2(capsys):
     (["rf-spectrum", "--kernel-fwhm-khz", "x"],
      "--kernel-fwhm-khz: expected a number, got 'x'"),
     (["hahn", "--points", "x"], "--points: expected an integer, got 'x'"),
+    (["rf-spectrum", "--b0-ut", "1e160", "--internal-fraction", "1", "--members", "3",
+      "--points", "3"],
+     "field magnitude up to 1e+160 µT overflows its square"),
+    (["hahn", "--b0-ut", "1e200", "--members", "3", "--points", "3"],
+     "field magnitude up to 1e+200 µT overflows its square"),
+    (PEAKS_FIT + ["--peak=19.5,inf,0.7", "--peak=19.5,8.3,0.6"],
+     "initial peak 1 (center, width, amplitude) must be finite, got (19.5, inf, 0.7)"),
 ])
 def test_rejected_run_prints_only_the_error_line(capsys, argv, message):
     code, out, err = run(capsys, argv)

@@ -277,19 +277,24 @@ def test_hahn_memory_follows_the_block_not_the_ensemble():
     kernel_khz=st.sampled_from([2.0, 1e-300]) | st.floats(0.01, 100.0),
     block=st.sampled_from([1, 5, pulse._RF_BLOCK_MEMBERS]),
     run=st.sampled_from([1, 7, pulse._RF_LINE_RUN]),
+    one_offset=st.none() | st.floats(-100.0, 100.0),
 )
 # a member whose squared element differs in the last bit between
 # element ** 2 (np.float_power) and element * element
 @example(seed=64, n_members=12, b0_ut=4.0, orientation="perpendicular", fraction=1.0,
-         internal_ut=6.0, kernel_khz=2.0, block=5, run=7)
+         internal_ut=6.0, kernel_khz=2.0, block=5, run=7, one_offset=None)
+# one offset: a lone column of terms, which np.add.reduce would sum pairwise
+@example(seed=1, n_members=12, b0_ut=4.0, orientation="perpendicular", fraction=1.0,
+         internal_ut=6.0, kernel_khz=2.0, block=5, run=pulse._RF_LINE_RUN, one_offset=3.7)
 def test_rf_spectrum_matches_the_per_member_oracle(
-    seed, n_members, b0_ut, orientation, fraction, internal_ut, kernel_khz, block, run
+    seed, n_members, b0_ut, orientation, fraction, internal_ut, kernel_khz, block, run,
+    one_offset,
 ):
     spec = EnsembleSpec(n_members=n_members, seed=seed, transition="T0",
                         b0_magnitude_ut=b0_ut, b0_orientation=orientation,
                         noise=NoiseModel(internal_fraction=fraction,
                                          internal_field_ut=internal_ut))
-    offsets = np.linspace(-700.0, 700.0, 301)
+    offsets = np.linspace(-700.0, 700.0, 301) if one_offset is None else np.array([one_offset])
     want = scalar_oracle.rf_spectrum(spec, PHOSPHORUS, offsets, kernel_fwhm_khz=kernel_khz)
     with mock.patch.object(pulse, "_RF_BLOCK_MEMBERS", block), \
             mock.patch.object(pulse, "_RF_LINE_RUN", run):

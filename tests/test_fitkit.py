@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import pathlib
 
 import numpy as np
@@ -365,6 +366,23 @@ def test_fit_peaks_validation():
         fit_peaks(x[:5], y[:5], 2, initial=[(-50, 3, 1), (50, 3, 1)])
     with pytest.raises(RankDeficiencyError):
         fit_peaks(x, np.zeros_like(y), 1, initial=[(0, 3, 1)])
+
+
+@pytest.mark.parametrize("bad", [
+    (50, math.inf, 1),  # every residual of an infinite width is finite
+    (math.nan, 3, 1),
+    (50, math.nan, 1),
+    (50, 3, math.nan),
+])
+def test_fit_peaks_rejects_a_non_finite_start_by_name(monkeypatch, bad):
+    def fit(*args, **kwargs):
+        raise AssertionError("a fit ran before the start was checked")
+
+    monkeypatch.setattr(fitkit, "least_squares", fit)
+    x, y, _ = two_peak_data()
+    with pytest.raises(ValueError, match=r"^initial peak 2 \(center, width, amplitude\) "
+                                         r"must be finite"):
+        fit_peaks(x, y, 2, initial=[(-50, 3, 1), bad])
 
 
 def test_fit_peaks_fixed_baseline_option():

@@ -3,7 +3,8 @@
 Every module-level import in the package is used.  Every import anywhere in
 the package names the standard library, numpy or the package itself, and a
 fit that takes the Nelder-Mead rescue loads no scipy, so no lazy import of it
-can come back unnoticed.
+can come back unnoticed.  A peak fit loads no ``numpy.ma``, which the first
+``np.median`` call of a process imports.
 """
 
 from __future__ import annotations
@@ -73,17 +74,31 @@ def test_imports_only_stdlib_numpy_and_the_package(path):
     assert foreign_imports(path.read_text(encoding="utf-8")) == []
 
 
-def test_a_rescued_fit_loads_no_scipy(tmp_path):
-    report = tmp_path / "fit.txt"
+def _fit_loading(argv: list[str], package: str) -> str:
+    """``donorsim.cli.main(argv)`` in a fresh process: its exit code and the
+    modules of ``package`` (itself included) that it loaded."""
     script = (
         "import sys\n"
         "import donorsim.cli\n"
-        f"code = donorsim.cli.main(['fit', {str(ROOT / 'tests/golden/fit_rescue_stretched.csv')!r},"
-        f" '--output', {str(report)!r}])\n"
-        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        f"code = donorsim.cli.main({argv!r})\n"
+        f"print(code, sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r})))\n"
     )
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, check=True)
-    assert proc.stdout == "0 []\n"
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True).stdout
+
+
+def test_a_rescued_fit_loads_no_scipy(tmp_path):
+    report = tmp_path / "fit.txt"
+    argv = ["fit", str(ROOT / "tests/golden/fit_rescue_stretched.csv"), "--output", str(report)]
+    assert _fit_loading(argv, "scipy") == "0 []\n"
     assert "# note: simplex-fallback" in report.read_text(encoding="utf-8")
+
+
+def test_a_peak_fit_loads_no_numpy_ma(tmp_path):
+    # fitkit._extrema_start takes its median without np.median
+    report = tmp_path / "fit.txt"
+    argv = ["fit", str(ROOT / "tests/golden/fit_rescue_peaks.csv"), "--model", "peaks",
+            "--k", "2", "--peak=19.5,9.5,0.7", "--peak=19.5,8.3,0.6", "--output", str(report)]
+    assert _fit_loading(argv, "numpy.ma") == "0 []\n"
+    assert "width_1 = " in report.read_text(encoding="utf-8")

@@ -7,12 +7,12 @@ import math
 import numpy as np
 import pytest
 import scalar_oracle
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scalar_oracle import ou_step
 
 from donorsim import noise as noise_mod
-from donorsim import pulse
+from donorsim import pulse, spincore
 from donorsim.noise import (
     COMMON_STREAM_INDEX,
     EnsembleSpec,
@@ -124,11 +124,63 @@ def test_block_pass_matches_per_member_draws_and_eigensolves(
         public = draw_member_environment(spec, PHOSPHORUS, index)
         want_energies, want_vectors = scalar_oracle.eigensystem(PHOSPHORUS, want.field)
         for other in (want, public):
-            assert field.as_array().tolist() == other.field.as_array().tolist()
+            assert field.tolist() == other.field.as_array().tolist()
             assert (detuning, envs.ou_sigma_khz, spec.noise.ou_tau_c_s) == (
                 other.static_detuning_khz, other.ou_sigma_khz, other.ou_tau_c_s)
         assert energies.tolist() == want_energies.tolist()
         assert vectors.tolist() == want_vectors.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    n_members=st.integers(1, 80),
+    b0_ut=st.sampled_from([0.0, 5e-7]) | st.floats(0.0, 30.0),
+    fraction=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    internal_ut=st.sampled_from([0.0, 5e-7, 6.0]) | st.floats(0.0, 50.0),
+    static_khz=st.sampled_from([0.0, 1.5]),
+    transition=st.sampled_from(["T-", "T0", "T+"]),
+    size=st.sampled_from([1, 7, 80]),
+)
+# member 10's cos(theta) squares differently as c * c and as c ** 2, and its
+# sin(theta) differs with them
+@example(seed=96, n_members=11, b0_ut=4.0, fraction=1.0, internal_ut=6.0, static_khz=1.5,
+         transition="T+", size=7)
+def test_block_arrays_equal_the_per_member_oracle(
+    seed, n_members, b0_ut, fraction, internal_ut, static_khz, transition, size
+):
+    # the array pass of EnvironmentPass.draw against the scalar draws, on
+    # blocks long enough for numpy's vector loops
+    spec = EnsembleSpec(
+        n_members=n_members, seed=seed, transition=transition, b0_magnitude_ut=b0_ut,
+        noise=NoiseModel(static_detuning_khz=static_khz, internal_fraction=fraction,
+                         internal_field_ut=internal_ut),
+    )
+    blocks = list(EnvironmentPass(spec, PHOSPHORUS).blocks(size))
+    want = [scalar_oracle.draw_member_environment(spec, PHOSPHORUS, index)
+            for index in range(n_members)]
+    fields = np.concatenate([members.fields for members in blocks])
+    detunings = np.concatenate([members.detunings_khz for members in blocks])
+    assert fields.tobytes() == np.array([env.field.as_array() for env in want]).tobytes()
+    assert detunings.tobytes() == np.array([env.static_detuning_khz for env in want]).tobytes()
+
+
+def test_the_pass_draws_without_a_transition_frequency_call(monkeypatch):
+    # the line shifts of a block come from one stacked closed-form call
+    spec = EnsembleSpec(n_members=300, seed=8, b0_magnitude_ut=4.0, transition="T+",
+                        noise=NoiseModel(internal_fraction=1.0))
+    envs = EnvironmentPass(spec, PHOSPHORUS)
+    calls, transition_frequency = [], spincore.transition_frequency
+
+    def counted(*args):
+        calls.append(args)
+        return transition_frequency(*args)
+
+    monkeypatch.setattr(noise_mod.spincore, "transition_frequency", counted)
+    blocks = list(envs.blocks(256))
+    assert calls == []
+    shifts = np.concatenate([members.detunings_khz for members in blocks])
+    assert np.count_nonzero(shifts) == spec.n_members  # every member's line moved
 
 
 def _pass_left_mid_buffer(spec: EnsembleSpec, n_random: int) -> EnvironmentPass:
@@ -358,3 +410,14 @@ def test_ensemble_spec_validation():
         EnsembleSpec(n_members=1, seed=0, transition="X")
     with pytest.raises(ValueError):
         EnsembleSpec(n_members=1, seed=0, b0_orientation="diagonal")
+
+
+def test_ensemble_spec_rejects_a_field_whose_square_overflows():
+    with pytest.raises(ValueError, match="field magnitude up to 1e\\+160 µT overflows"):
+        EnsembleSpec(n_members=1, seed=0, b0_magnitude_ut=1e160)
+    with pytest.raises(ValueError, match="overflows its square"):
+        EnsembleSpec(n_members=1, seed=0, b0_magnitude_ut=1e150,
+                     noise=NoiseModel(internal_fraction=0.1, internal_field_ut=1e154))
+    # no member carries the internal field, and the nominal one squares finely
+    EnsembleSpec(n_members=1, seed=0, b0_magnitude_ut=1e154,
+                 noise=NoiseModel(internal_fraction=0.0, internal_field_ut=1e160))

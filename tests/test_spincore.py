@@ -211,7 +211,7 @@ def test_singlet_triplet_lines_equal_the_per_label_elements(fields, drive):
     # the stacked line pass equals the per-field elements and energy
     # differences bit for bit; np.abs in place of np.hypot fails here
     direction = np.array(drive)
-    energies, vectors = spincore.eigensystems(PHOSPHORUS, fields)
+    energies, vectors = spincore.eigensystems(PHOSPHORUS, np.array([f.as_array() for f in fields]))
     frequencies, elements = spincore.singlet_triplet_lines(
         energies, vectors, spincore.drive_operator(PHOSPHORUS, direction))
     assert frequencies.shape == elements.shape == (len(fields), 3)
