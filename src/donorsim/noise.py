@@ -19,9 +19,14 @@ time integral, making the statistics independent of the stepping interval.
 
 Field noise is quoted in detuning units: ``ou_sigma_khz`` is the standard
 deviation the process imprints on a maximally field-sensitive line (slope
-(gamma_s - gamma_i)/2, the S -> T+- value).  Each member scales it by the
-ratio of its own transition's |dnu/dB0| to that reference slope, which is
-how a clock transition is protected from the same field noise.
+(gamma_s - gamma_i)/2, the S -> T+- value).  Every member scales it by
+one factor, ``sensitivity_factor``: the ratio of the driven transition's
+|dnu/dB0| at the nominal field B0 to that reference slope, which is how a
+clock transition is protected from the same field noise.  Members with an
+internal field keep that nominal-field factor, although their line sits
+at |B0 + B_int|: on the clock line at B0 = 0 their echo does not decay at
+all.  A factor at each member's own field is open work (ROADMAP.md, the
+per-member field sensitivity of the OU noise).
 """
 
 from __future__ import annotations

@@ -122,7 +122,8 @@ def run_sequence(
                                    env.ou_sigma_khz, env.ou_tau_c_s,
                                    detuning_during_pulses=detuning_during_pulses)
     normals = env.rng.standard_normal((1, n_draws)) if n_draws else np.empty((1, 0))
-    p_s, p_t = run(np.array([env.static_detuning_khz]), normals)
+    ar, ai, p_t = run(np.array([env.static_detuning_khz]), normals)
+    p_s = np.float_power(np.hypot(ar, ai), 2.0)
     return float(p_s.item()), float(p_t.item())
 
 
@@ -154,6 +155,12 @@ def two_level_params_for(spec: EnsembleSpec, system: SpinSystem) -> TwoLevelPara
 _BLOCK_ELEMENTS = 8192
 
 
+def _half_angle(angle):
+    """cos and sin of ``angle / 2``, with the halved angle freed on return."""
+    half = angle / 2.0
+    return np.cos(half), np.sin(half)
+
+
 def _rotate_arrays(ar, ai, br, bi, nx, ny, nz, angle):
     """Exact SU(2) rotation of the spinors (a, b) about unit axis n by angle.
 
@@ -162,8 +169,7 @@ def _rotate_arrays(ar, ai, br, bi, nx, ny, nz, angle):
     element equals a complex-scalar rotation bit for bit (up to the sign of
     an exact zero, which no probability can see).
     """
-    c = np.cos(angle / 2.0)
-    s = np.sin(angle / 2.0)
+    c, s = _half_angle(angle)
     u00r, u00i = c, -s * nz
     u01r, u01i = -s * ny, -s * nx
     u10r, u10i = s * ny, -s * nx
@@ -181,9 +187,42 @@ def _phase_arrays(ar, ai, br, bi, phase):
 
     Dropping them changes at most the sign of an exact zero.
     """
-    c = np.cos(phase / 2.0)
-    s = np.sin(phase / 2.0)
+    c, s = _half_angle(phase)
     return c * ar + s * ai, c * ai - s * ar, c * br - s * bi, c * bi + s * br
+
+
+def _first_column(nx, ny, nz, angle):
+    """``_rotate_arrays`` of |S> = (1, 0, 0, 0): the rotation's first column.
+
+    It skips the products with the exact ones and zeros of |S>, so it equals
+    ``_rotate_arrays`` up to the sign of an exact zero.
+    """
+    c, s = _half_angle(angle)
+    return c, -s * nz, s * ny, -s * nx
+
+
+#: Margin of the norm screen: ``(ar*ar + ai*ai) + p_T`` and the exact total
+#: ``float_power(hypot(ar, ai), 2.0) + p_T`` differ by a few ulp(1), far below
+#: it, so a run the screen passes also passes the exact rule.
+_NORM_SCREEN = 1e-10 - 1e-14
+
+
+def _check_norm(ar, ai, p_t, shape: tuple[int, int, int, int]) -> None:
+    """Raise RuntimeError when a run's p_S + p_T is not within 1e-10 of 1, NaN included.
+
+    The state and p_T broadcast to the engine's (K, C, members, shots)
+    ``shape``; the message names the first such run in run order.  A cheap
+    screen passes almost every block; any other block goes through the exact
+    total, so the decision and the message are those of the exact rule.
+    """
+    if np.all(np.abs((ar * ar + ai * ai) + p_t - 1.0) < _NORM_SCREEN):
+        return
+    total = np.broadcast_to(np.float_power(np.hypot(ar, ai), 2.0) + p_t, shape)
+    lost = ~(np.abs(total - 1.0) <= 1e-10)
+    if np.any(lost):
+        in_run_order = (2, 0, 3, 1)  # (members, K, shots, C)
+        first = total.transpose(in_run_order)[lost.transpose(in_run_order)][0]
+        raise RuntimeError(f"propagation lost norm: {float(first)!r}")
 
 
 def _program_runner(
@@ -204,22 +243,27 @@ def _program_runner(
     (one shot and no shot phase when None).  The OU step constants are
     built for ``ou_sigma_khz`` and ``ou_tau_c_s``.
 
-    Returns ``(n_draws, run)``.  ``run(detunings_khz, normals) -> (p_S,
-    p_T)`` runs members that share those OU parameters: member i has the
-    frozen detuning ``detunings_khz[i]`` and runs, for every k, every shot
-    j and every c in that order, the program (k, c) with the shot phase
+    Returns ``(n_draws, run)``.  ``run(detunings_khz, normals) -> (a_re,
+    a_im, p_T)`` runs members that share those OU parameters: member i has
+    the frozen detuning ``detunings_khz[i]`` and runs, for every k, every
+    shot j and every c in that order, the program (k, c) with the shot phase
     (k, j).  Row i of the (members, n_draws) ``normals`` holds the deviates
     its stream gives in that order, one per OU start and two per stepped
     delay; ``n_draws`` is 0 without OU noise, and ``run`` then reads no
     normals.  ``run`` raises RuntimeError when a run loses its norm, NaN
     included, naming the first such run in that order.
 
-    The engine's one layout is (K, C, members, shots): the spinors and
-    ``run``'s (p_S, p_T) have that shape, every per-program table is
-    (K, C, 1, 1), the shot-phase and OU slot tables are (K, C, 1, shots)
-    and the per-member columns are (members, 1).  So each ufunc's inner
-    loop runs over members x shots with the per-(k, c) coefficients as
-    scalars, and no element's operations depend on the layout.
+    The engine's one layout is (K, C, members, shots): every per-program
+    table is (K, C, 1, 1), the shot-phase table (K, 1, 1, shots), the OU
+    slot tables (K, C, 1, shots) and the per-member columns (members, 1).
+    So each ufunc's inner loop runs over members x shots with the per-(k, c)
+    coefficients as scalars, and no element's operations depend on the
+    layout.  The state starts as the scalars of |S> and takes the shape its
+    events give it: a program of hard pulses never widens to the members.
+    A first pulse from |S> is its rotation's first column.  Only p_T leaves
+    ``run`` in the full layout (a broadcast view); the |S> amplitude
+    (a_re, a_im) leaves in the state's own shape, for ``run_sequence``'s
+    p_S, and no ensemble squares it.
     """
     n_points, n_cycles = len(programs), len(programs[0])
     skeleton = programs[0][0].events
@@ -284,9 +328,7 @@ def _program_runner(
                 flat_slots[n_members] = slots + n_draws * np.arange(n_members).reshape(-1, 1)
             index = flat_slots[n_members]
             x = ou_sigma_khz * normals.take(index[0])
-        shape = (n_points, n_cycles, n_members, n_shots)
-        ar, ai = np.ones(shape), np.zeros(shape)
-        br, bi = np.zeros(shape), np.zeros(shape)
+        ar, ai, br, bi = 1.0, 0.0, 0.0, 0.0  # |S>; it takes the shape its events give it
         for e in range(len(skeleton)):
             if e in delays:
                 phase = delta * delays[e]
@@ -294,30 +336,32 @@ def _program_runner(
                     stepping, g, (mu, sd_x, sd_i, rho, rho_c) = delay_steps[e]
                     n1, n2 = normals.take(index[g]), normals.take(index[g + 1])
                     integral = x * ou_tau_c_s * (1.0 - mu) + sd_i * (rho * n1 + rho_c * n2)
-                    x = np.where(stepping, x * mu + sd_x * n1, x)
-                    phase = phase + phase_per_khz_s * np.where(stepping, integral, 0.0)
+                    if stepping is None:  # every run steps
+                        x = x * mu + sd_x * n1
+                    else:
+                        x = np.where(stepping, x * mu + sd_x * n1, x)
+                        integral = np.where(stepping, integral, 0.0)
+                    phase = phase + phase_per_khz_s * integral
                 ar, ai, br, bi = _phase_arrays(ar, ai, br, bi, phase)
                 continue
-            if e == last_pulse and shot_z is not None:
+            shot = e == last_pulse and shot_z is not None
+            if shot:
                 ar, ai, br, bi = _phase_arrays(ar, ai, br, bi, shot_z)
             size, cos_phase, sin_phase = pulses[e]
             if detuning_during_pulses:
-                ar, ai, br, bi = _rotate_arrays(
-                    ar, ai, br, bi, axis_scale * cos_phase, axis_scale * sin_phase, axis_z,
-                    n_eff * size)
+                axis = (axis_scale * cos_phase, axis_scale * sin_phase, axis_z, n_eff * size)
             else:
-                ar, ai, br, bi = _rotate_arrays(ar, ai, br, bi, cos_phase, sin_phase, 0.0, size)
+                axis = (cos_phase, sin_phase, 0.0, size)
+            if e == 0 and not shot:  # the state is still exactly |S>
+                ar, ai, br, bi = _first_column(*axis)
+            else:
+                ar, ai, br, bi = _rotate_arrays(ar, ai, br, bi, *axis)
         # float_power squares through libm pow, as abs(z) ** 2 does; numpy's
         # square (x * x) differs from it in the last bit for ~0.1 % of inputs.
-        p_s = np.float_power(np.hypot(ar, ai), 2.0)
         p_t = np.float_power(np.hypot(br, bi), 2.0)
-        total = p_s + p_t
-        lost = ~(np.abs(total - 1.0) <= 1e-10)
-        if np.any(lost):
-            in_run_order = (2, 0, 3, 1)  # (members, K, shots, C)
-            first = total.transpose(in_run_order)[lost.transpose(in_run_order)][0]
-            raise RuntimeError(f"propagation lost norm: {float(first)!r}")
-        return p_s, p_t
+        shape = (n_points, n_cycles, n_members, n_shots)
+        _check_norm(ar, ai, p_t, shape)
+        return ar, ai, np.broadcast_to(p_t, shape)
 
     return n_draws, run
 
@@ -353,7 +397,7 @@ def _ensemble_blocks(
     n_shots = 1 if shot_phases is None else shot_phases.shape[1]
     block = max(1, _BLOCK_ELEMENTS // (len(programs) * n_shots * len(programs[0])))
     for members in envs.blocks(block, n_draws):
-        yield run(members.detunings_khz, members.normals)[1]
+        yield run(members.detunings_khz, members.normals)[2]
 
 
 def _ou_tables(delays: dict[int, np.ndarray], shape: tuple[int, int, int],
@@ -371,9 +415,9 @@ def _ou_tables(delays: dict[int, np.ndarray], shape: tuple[int, int, int],
     and ``shape`` is (K, C, shots).  Returns the draws per member, the
     (1 + 2 delays, K, C, 1, shots) slot table (the index of each run's first
     draw, then the indices of n1 and n2 of each delay in turn), and per delay
-    event: its (K, C, 1, 1) stepping mask, the slot-table row g of its n1
-    (n2 is row g + 1), and its (K, C, 1, 1) constants mu, sd_x, sd_i, rho,
-    sqrt(1 - rho^2).
+    event: its (K, C, 1, 1) stepping mask (None when every entry steps), the
+    slot-table row g of its n1 (n2 is row g + 1), and its (K, C, 1, 1)
+    constants mu, sd_x, sd_i, rho, sqrt(1 - rho^2).
     """
     n_points, n_cycles, n_shots = shape
     durations = [d[:, :, 0, 0] for d in delays.values()]
@@ -396,7 +440,8 @@ def _ou_tables(delays: dict[int, np.ndarray], shape: tuple[int, int, int],
              for t in row]
             for row in durations[d].tolist()
         ])  # (K, C, 5)
-        steps[e] = (stepping[d, 0], 1 + 2 * d,
+        mask = stepping[d, 0]
+        steps[e] = (None if mask.all() else mask, 1 + 2 * d,
                     tuple(coeffs[:, :, None, None, i] for i in range(5)))
     return int(per_shot.sum()) * n_shots, np.concatenate(slots), steps
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from donorsim import fitkit, spincore
+from donorsim import fitkit, pulse, spincore
 from donorsim.spincore import PHOSPHORUS, FieldVector
 
 #: Uniform deviates in [0, 1) as the environment pass draws them, plus the ends.
@@ -100,3 +100,77 @@ def test_add_reduce_over_a_lone_long_axis_is_pairwise():
 def test_sorted_list_median_equals_np_median(widths):
     # fitkit._extrema_start's minimum peak gap, taken without np.median
     assert fitkit._median(widths) == float(np.median(widths))
+
+
+def _unit_spinors(n: int, key: int) -> np.ndarray:
+    """(4, n) real and imaginary parts (a_re, a_im, b_re, b_im) of random unit spinors."""
+    z = np.random.Generator(np.random.Philox(key=key)).standard_normal((4, n))
+    return z / np.sqrt(np.sum(z * z, axis=0))
+
+
+def test_float_power_of_hypot_equals_abs_complex_squared():
+    # pulse._program_runner's p_T and pulse.run_sequence's p_S against
+    # scalar_oracle.run_sequence's abs(b) ** 2; np.abs of a complex array is
+    # not Python's abs, so the engine squares np.hypot of the parts instead
+    ar, ai, br, bi = _unit_spinors(50_000, key=21)
+    re = np.concatenate([ar, br, [0.0, -0.0, 1.0, 5e-324, 1e-200, 0.6]])
+    im = np.concatenate([ai, bi, [0.0, 0.0, -0.0, 0.0, 3e-201, 0.8]])
+    want = [abs(complex(r, i)) ** 2 for r, i in zip(re.tolist(), im.tolist())]
+    assert np.float_power(np.hypot(re, im), 2.0).tolist() == want
+    assert np.float_power(np.abs(re + 1j * im), 2.0).tolist() != want
+
+
+def test_first_column_equals_rotate_arrays_of_the_singlet():
+    # pulse._program_runner: a first pulse from |S> is its rotation's first
+    # column; == holds +0.0 and -0.0 equal, the one difference allowed
+    rng = np.random.Generator(np.random.Philox(key=22))
+    n = 20_000
+    phase = 2.0 * math.pi * rng.random(n)
+    tilt = rng.random(n)  # finite pulses: an axis with a z part
+    scale = np.sqrt(1.0 - np.float_power(tilt, 2.0))
+    axes = {
+        "hard": (np.cos(phase), np.sin(phase), 0.0),
+        "finite": (scale * np.cos(phase), scale * np.sin(phase), tilt),
+    }
+    angle = np.concatenate([4.0 * math.pi * rng.random(n - 4) - 2.0 * math.pi,
+                            [0.0, math.pi, -math.pi, 2.0 * math.pi]])
+    ones, zeros = np.ones(n), np.zeros(n)
+    for nx, ny, nz in axes.values():
+        got = pulse._first_column(nx, ny, nz, angle)
+        want = pulse._rotate_arrays(ones, zeros, zeros, zeros, nx, ny, nz, angle)
+        for g, w in zip(got, want):
+            assert g.tolist() == w.tolist()
+
+
+def test_singlet_as_scalars_equals_arrays_of_ones_and_zeros():
+    # pulse._program_runner starts from the Python floats 1.0 and 0.0: numpy
+    # treats them as float64 operands, so a rotation or a delay phase gives
+    # the bits, zero signs included, that full arrays of ones and zeros give
+    rng = np.random.Generator(np.random.Philox(key=23))
+    n = 20_000
+    phase = np.concatenate([1e3 * rng.standard_normal(n - 3), [0.0, -0.0, math.pi]])
+    ones, zeros = np.ones(n), np.zeros(n)
+    cases = [
+        (pulse._phase_arrays(1.0, 0.0, 0.0, 0.0, phase),
+         pulse._phase_arrays(ones, zeros, zeros, zeros, phase)),
+        (pulse._rotate_arrays(1.0, 0.0, 0.0, 0.0, np.cos(phase), np.sin(phase), 0.0, phase),
+         pulse._rotate_arrays(ones, zeros, zeros, zeros, np.cos(phase), np.sin(phase), 0.0,
+                              phase)),
+    ]
+    for got, want in cases:
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+            assert np.array_equal(np.signbit(g), np.signbit(w))
+
+
+def test_norm_screen_stays_far_below_its_margin():
+    # pulse._check_norm: the screen (ar*ar + ai*ai) + p_T against the exact
+    # total float_power(hypot(ar, ai), 2.0) + p_T; the 1e-14 margin of
+    # pulse._NORM_SCREEN must hold the largest gap many times over
+    ar, ai, br, bi = _unit_spinors(1_000_000, key=24)
+    p_t = np.float_power(np.hypot(br, bi), 2.0)
+    screen = (ar * ar + ai * ai) + p_t
+    exact = np.float_power(np.hypot(ar, ai), 2.0) + p_t
+    gap = float(np.max(np.abs(screen - exact)))
+    assert gap <= 2.0 * np.spacing(1.0)
+    assert gap < (1e-10 - pulse._NORM_SCREEN) / 10.0

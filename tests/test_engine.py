@@ -116,8 +116,36 @@ def _sweeps(draw):
     return spec, programs, shot_phases, finite
 
 
+def _pinned_sweep(events, *, finite, taus=(0.0,), shot_phases=None, **noise):
+    """A fixed sweep of one program over ``taus`` for the examples below."""
+    program = PulseProgram(name="pinned", events=events)
+    spec = EnsembleSpec(
+        n_members=3, seed=5, noise=NoiseModel(ou_tau_c_s=0.01, **noise),
+        transition="T+", b0_magnitude_ut=4.0, b0_orientation="perpendicular",
+    )
+    return spec, [program.bind({"tau": tau}).shots() for tau in taus], shot_phases, finite
+
+
+# The cases the engine's short cuts from |S> must get right: a shot phase
+# before a program's only pulse (so that pulse does not act on |S>), a delay
+# before the first pulse, and hard pulses that never widen the state to the
+# members.
+_ONE_PULSE = (Pulse(angle_rad=1.1, phase_rad=0.4, duration_s=3e-5),)
+_DELAY_FIRST = (Delay(symbol="tau"), Pulse(angle_rad=1.3, phase_rad=0.2),
+                Delay(duration_s=2e-3), Pulse(angle_rad=0.9, phase_rad=1.0))
+_HARD_PULSES = (Pulse(angle_rad=math.pi / 2, phase_rad=0.0),
+                Pulse(angle_rad=math.pi, phase_rad=1.2))
+
+
 @settings(max_examples=150, deadline=None)
 @given(_sweeps(), st.sampled_from([1, 3, 8192]))
+@example(_pinned_sweep(_ONE_PULSE, finite=False, shot_phases=np.array([[0.7, 2.9]]),
+                       static_detuning_khz=2.0), 8192)
+@example(_pinned_sweep(_ONE_PULSE, finite=True, shot_phases=np.array([[0.7, 2.9]]),
+                       static_detuning_khz=2.0), 3)
+@example(_pinned_sweep(_DELAY_FIRST, finite=True, taus=(0.0, 1e-3), static_detuning_khz=2.0,
+                       ou_sigma_khz=0.3), 8192)
+@example(_pinned_sweep(_HARD_PULSES, finite=False, taus=(0.0, 1e-3)), 8192)
 def test_engine_matches_run_sequence_bit_for_bit(sweep, block_elements):
     spec, programs, shot_phases, finite = sweep
     saved = pulse._BLOCK_ELEMENTS
@@ -175,6 +203,10 @@ def _single_runs(draw):
     return PulseProgram(name="random", events=tuple(events)), finite
 
 
+def _program(events) -> PulseProgram:
+    return PulseProgram(name="pinned", events=events)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     runs=st.lists(_single_runs(), min_size=2, max_size=2),
@@ -184,6 +216,13 @@ def _single_runs(draw):
         st.floats(-5.0, 5.0), st.sampled_from([0.0, 0.3]),
         st.one_of(st.just(0.0), _PHASES))),
 )
+@example(runs=[(_program(_ONE_PULSE), False), (_program(_ONE_PULSE), True)], coupling=10.0,
+         b1=1e-3, offset_khz=3.0, seed=7, member=(1.5, 0.0, 0.7))
+@example(runs=[(_program(_DELAY_FIRST).bind({"tau": 1e-3}), False),
+               (_program(_DELAY_FIRST).bind({"tau": 1e-3}), True)],
+         coupling=10.0, b1=1e-3, offset_khz=3.0, seed=7, member=(-2.0, 0.3, 0.0))
+@example(runs=[(_program(_HARD_PULSES), False), (_program(_HARD_PULSES[:1]), False)],
+         coupling=10.0, b1=1e-3, offset_khz=0.0, seed=7, member=None)
 def test_run_sequence_matches_the_scalar_oracle_bit_for_bit(
         runs, coupling, b1, offset_khz, seed, member):
     params = TwoLevelParams(transition_frequency_mhz=117.53, rabi_coupling_mhz_per_mt=coupling,
@@ -207,6 +246,70 @@ def test_run_sequence_matches_the_scalar_oracle_bit_for_bit(
         assert abs(got[0] + got[1] - 1.0) <= 1e-10
     if member is not None:  # and both streams go on from the same place
         assert got_env.rng.standard_normal(3).tolist() == want_env.rng.standard_normal(3).tolist()
+
+
+def _exact_norm_rule(ar, ai, p_t, shape):
+    """The message of the unscreened norm check on p_S + p_T, or None when it passes."""
+    total = np.broadcast_to(np.float_power(np.hypot(ar, ai), 2.0) + p_t, shape)
+    lost = ~(np.abs(total - 1.0) <= 1e-10)
+    if not np.any(lost):
+        return None
+    in_run_order = (2, 0, 3, 1)
+    first = total.transpose(in_run_order)[lost.transpose(in_run_order)][0]
+    return f"propagation lost norm: {float(first)!r}"
+
+
+def _screened_norm_check(ar, ai, p_t, shape):
+    try:
+        pulse._check_norm(ar, ai, p_t, shape)
+    except RuntimeError as exc:
+        return str(exc)
+    return None
+
+
+def test_norm_screen_decides_and_reports_as_the_exact_rule():
+    # totals a few ulp either side of 1 +- 1e-10, from several |S> amplitudes
+    cases = []
+    for edge in (1.0 + 1e-10, 1.0 - 1e-10):
+        total = edge
+        for _ in range(4):
+            total = np.nextafter(total, -np.inf)
+        for _ in range(9):
+            for ar, ai in [(0.0, 0.0), (1.0, 0.0), (0.6, -0.3), (-0.25, 0.5)]:
+                cases.append((ar, ai, total - float(np.float_power(math.hypot(ar, ai), 2.0))))
+            total = np.nextafter(total, np.inf)
+    nan, inf = float("nan"), float("inf")
+    cases += [(nan, 0.0, 0.5), (0.0, nan, 1.0), (0.0, 0.0, nan), (inf, 0.0, 0.0),
+              (0.0, -inf, 0.5), (0.0, 0.0, inf), (0.0, 0.0, -inf), (0.6, 0.3, -inf)]
+    messages = []
+    for ar, ai, p_t in cases:
+        want = _exact_norm_rule(ar, ai, p_t, (1, 1, 1, 1))
+        assert _screened_norm_check(ar, ai, np.float64(p_t), (1, 1, 1, 1)) == want
+        messages.append(want)
+    assert None in messages  # both decisions occur at the boundary
+    assert "propagation lost norm: 1.0000000001000002" in messages
+    for text in ("nan", "inf", "-inf"):
+        assert f"propagation lost norm: {text}" in messages
+
+
+def test_norm_screen_names_the_first_lost_run_in_run_order():
+    shape = (2, 2, 3, 2)  # (K, C, members, shots)
+    ar, ai, br, bi = np.random.default_rng(3).standard_normal((4, *shape))
+    norm = np.sqrt(ar * ar + ai * ai + br * br + bi * bi)
+    ar, ai, br, bi = ar / norm, ai / norm, br / norm, bi / norm
+    p_t = np.float_power(np.hypot(br, bi), 2.0)
+    assert _screened_norm_check(ar, ai, p_t, shape) is None
+    p_t[1, 0, 0, 1] += 3e-10  # later in run order than the entry below
+    want = _exact_norm_rule(ar, ai, p_t, shape)
+    assert want is not None
+    assert _screened_norm_check(ar, ai, p_t, shape) == want
+    ar[0, 1, 0, 1] = np.nan
+    want = _exact_norm_rule(ar, ai, p_t, shape)
+    assert want == "propagation lost norm: nan"
+    assert _screened_norm_check(ar, ai, p_t, shape) == want
+    # a state that stayed (K, C, 1, 1) is checked as the runs it stands for
+    small = ar[:, :, :1, 1:], ai[:, :, :1, 1:], p_t[:, :, :1, 1:]
+    assert _screened_norm_check(*small, shape) == _exact_norm_rule(*small, shape) == want
 
 
 def test_engine_rejects_what_run_sequence_rejects():
