@@ -17,20 +17,15 @@ import functools
 import math
 import sys
 from dataclasses import fields, replace
-from typing import Callable, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 
 import numpy as np
 
-from . import csvio, fitkit, pump, seqdsl, spincore
+from . import fitkit
 from .config import ConfigError, RunConfig, load_config, parse_int, parse_number, resolve_seed
-from .noise import EnsembleSpec
-from .pulse import (
-    IntegrationStepError,
-    hahn_experiment,
-    rabi_experiment,
-    ramsey_experiment,
-    rf_spectrum,
-)
+
+if TYPE_CHECKING:
+    from .noise import EnsembleSpec
 
 
 def _effective_config(args: argparse.Namespace) -> RunConfig:
@@ -48,6 +43,8 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _ensemble_spec(args: argparse.Namespace, cfg: RunConfig) -> EnsembleSpec:
+    from .noise import EnsembleSpec
+
     return EnsembleSpec(
         n_members=cfg.members,
         # a --seed flag is already parsed into cfg.seed
@@ -71,9 +68,12 @@ def _sweep(args: argparse.Namespace, start: float, stop: float) -> np.ndarray:
 
 # --- subcommand implementations ---------------------------------------------
 # Each takes the parsed flags, the effective config and the output target
-# (a path or stdout) and returns the exit code.
+# (a path or stdout) and returns the exit code.  Each imports the modules it
+# runs, so a process loads only what its subcommand needs.
 
 def _cmd_levels(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -> int:
+    from . import csvio, spincore
+
     b_mt = _sweep(args, args.bmin_mt, args.bmax_mt)
     if args.bmin_mt < 0.0:
         raise ConfigError("need 0 <= --bmin-mt")
@@ -88,6 +88,9 @@ def _cmd_levels(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) 
 
 
 def _cmd_rf_spectrum(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -> int:
+    from . import csvio
+    from .pulse import rf_spectrum
+
     offsets = _sweep(args, args.offset_min_khz, args.offset_max_khz)
     curve = rf_spectrum(_ensemble_spec(args, cfg), cfg.spin_system(), offsets,
                         kernel_fwhm_khz=args.kernel_fwhm_khz)
@@ -96,9 +99,14 @@ def _cmd_rf_spectrum(args: argparse.Namespace, cfg: RunConfig, target: str | Tex
 
 
 def _cmd_optical_spectrum(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -> int:
+    from . import csvio, pump
+
+    line_s_invcm = args.line_s_invcm
+    if line_s_invcm is None:  # the configured hyperfine splitting above the T line
+        line_s_invcm = cfg.hyperfine_a_mhz / pump.MHZ_PER_INV_CM
     signal = pump.optical_spectrum(
         _sweep(args, args.scan_min_invcm, args.scan_max_invcm),
-        line_s_inv_cm=args.line_s_invcm,
+        line_s_inv_cm=line_s_invcm,
         line_t_inv_cm=args.line_t_invcm,
         cfg=cfg.pump_config(),
         pump_setting=args.pump,
@@ -112,6 +120,9 @@ def _cmd_optical_spectrum(args: argparse.Namespace, cfg: RunConfig, target: str 
 
 
 def _cmd_rabi(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -> int:
+    from . import csvio
+    from .pulse import rabi_experiment
+
     lengths_s = _sweep(args, 0.0, args.max_us * 1e-6)
     curve = rabi_experiment(_ensemble_spec(args, cfg), cfg.spin_system(), lengths_s)
     csvio.emit_csv(target, ["pulse_s", "p_transfer"], np.column_stack([curve.x, curve.values]))
@@ -119,6 +130,9 @@ def _cmd_rabi(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) ->
 
 
 def _cmd_ramsey(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -> int:
+    from . import csvio
+    from .pulse import ramsey_experiment
+
     taus_s = _sweep(args, args.tau_min_s, args.tau_max_s)
     curve = ramsey_experiment(_ensemble_spec(args, cfg), cfg.spin_system(), taus_s)
     csvio.emit_csv(target, ["tau_s", "p_transfer"], np.column_stack([curve.x, curve.values]))
@@ -126,6 +140,9 @@ def _cmd_ramsey(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) 
 
 
 def _cmd_hahn(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -> int:
+    from . import csvio
+    from .pulse import hahn_experiment
+
     # --workers starts no processes: per-member streams make every count give the same bytes
     if args.workers < 1:
         raise ConfigError("workers must be >= 1")
@@ -156,6 +173,8 @@ def _parse_triple(text: str) -> tuple[float, float, float]:
 
 
 def _cmd_fit(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -> int:
+    from . import csvio
+
     columns, data = csvio.read_csv(args.input)
     if data.shape[0] < 3 or data.shape[1] < 2:
         raise ConfigError(f"{args.input}: need at least 3 rows and 2 columns to fit")
@@ -190,6 +209,8 @@ def _cmd_fit(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -> 
 
 
 def _cmd_parse(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -> int:
+    from . import csvio, seqdsl
+
     if args.file == "-":
         text = sys.stdin.read()
     else:
@@ -209,12 +230,19 @@ def _cmd_parse(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -
 
 
 def _cmd_estimate_field(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -> int:
+    from . import csvio, spincore
+
     field_ut = spincore.estimate_field_from_splitting(args.splitting_khz, cfg.spin_system())
     csvio.write_text(target, f"{field_ut:.3f} µT\n")
     return 0
 
 
 # --- parser construction -----------------------------------------------------
+
+#: ``pump.PUMP_SETTINGS``, written out so the parser loads no ``pump``;
+#: tests/test_cli.py pins the two equal.
+_PUMP_SETTINGS = ("off", "on_T", "on_S")
+
 
 def _add_settings(p: argparse.ArgumentParser, *sections: str) -> None:
     """One text flag per flagged ``RunConfig`` field of these sections, in field order."""
@@ -292,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optical-spectrum",
                        help="photoconductive signal vs probe detuning (CSV)")
     _add_common(p)
-    p.add_argument("--pump", choices=pump.PUMP_SETTINGS, default="off",
+    p.add_argument("--pump", choices=_PUMP_SETTINGS, default="off",
                    help="hold a pump laser on one line while the probe scans")
     _add_number(p, "--scan-min-invcm", parse_number, default=-0.003,
                 metavar="CM1", help="probe scan start, cm^-1 (default -0.003)")
@@ -300,8 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
                 metavar="CM1", help="probe scan end, cm^-1 (default 0.007)")
     _add_number(p, "--points", parse_int, default=801, metavar="N",
                 help="number of scan points (default 801)")
-    _add_number(p, "--line-s-invcm", parse_number,
-                default=spincore.HYPERFINE_A_MHZ / pump.MHZ_PER_INV_CM, metavar="CM1",
+    _add_number(p, "--line-s-invcm", parse_number, metavar="CM1",
                 help="singlet line position (default: hyperfine splitting above T)")
     _add_number(p, "--line-t-invcm", parse_number, default=0.0,
                 metavar="CM1", help="triplet line position (default 0)")
@@ -383,18 +410,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Caught before ValueError in main: the pump and integrator errors subclass it.
-_RUNTIME_ERRORS = (
-    OSError,
-    pump.StepSizeError,
-    pump.ConvergenceError,
-    pump.NoUniqueSteadyStateError,
-    IntegrationStepError,
-    RuntimeError,
-)
+#: Exit code 2: I/O and runtime failures, and these ValueErrors of the pump and
+#: integrator modules.  A module that is not loaded has raised none of them.
+_RUNTIME_ERRORS = {
+    "donorsim.pump": ("StepSizeError", "ConvergenceError", "NoUniqueSteadyStateError"),
+    "donorsim.pulse": ("IntegrationStepError",),
+}
+
+
+def _runtime_errors() -> tuple[type[Exception], ...]:
+    """The exception types ``main`` reports with exit code 2, caught before ValueError."""
+    found = [OSError, RuntimeError]
+    for name, classes in _RUNTIME_ERRORS.items():
+        module = sys.modules.get(name)
+        if module is not None:
+            found += [getattr(module, cls) for cls in classes]
+    return tuple(found)
+
+
+#: glibc's M_TOP_PAD (malloc.h) and the bytes ``main`` keeps mapped above the heap top.
+_M_TOP_PAD = -2
+_HEAP_TOP_PAD = 1 << 20
+
+
+@functools.cache
+def _pad_heap_top() -> None:
+    """Keep ``_HEAP_TOP_PAD`` bytes mapped when glibc trims the heap, once per process.
+
+    Without the pad, every member block of the ensemble engine frees its
+    arrays back to the system and faults their pages in again.  Skipped
+    where the C library has no ``mallopt``.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no C library, or one without mallopt
+        return
+    mallopt(_M_TOP_PAD, _HEAP_TOP_PAD)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    _pad_heap_top()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -410,7 +467,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = _effective_config(args)
         target = cfg.output if cfg.output is not None else sys.stdout
         return args.func(args, cfg, target)
-    except _RUNTIME_ERRORS as exc:
+    except _runtime_errors() as exc:
         print(f"donorsim: error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

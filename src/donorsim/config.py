@@ -32,13 +32,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
-from . import pump as pumpmod
-from . import spincore
-from .noise import NoiseModel
-from .pump import PumpConfig
-from .spincore import SpinSystem
+if TYPE_CHECKING:  # the builders import them on call, so the parser loads no physics
+    from .noise import NoiseModel
+    from .pump import PumpConfig
+    from .spincore import SpinSystem
 
 DEFAULT_SEED = 0
 SEED_ENV_VAR = "DONORSIM_SEED"
@@ -141,9 +140,11 @@ class RunConfig:
                                 "RNG seed; beats config file and DONORSIM_SEED")
     output: str | None = _setting(None, "", _parse_output, "--output", "PATH",
                                   "write output here instead of stdout")
-    hyperfine_a_mhz: float = _setting(spincore.HYPERFINE_A_MHZ, "spin", _positive)
-    gamma_s_mhz_per_mt: float = _setting(spincore.GAMMA_S_MHZ_PER_MT, "spin", _positive)
-    gamma_i_mhz_per_mt: float = _setting(spincore.GAMMA_I_MHZ_PER_MT, "spin", _non_negative)
+    # spincore.PHOSPHORUS's constants and, below, pump's default linewidth, written
+    # out so the parser loads no physics module; tests/test_config.py pins them
+    hyperfine_a_mhz: float = _setting(117.53, "spin", _positive)
+    gamma_s_mhz_per_mt: float = _setting(27.972, "spin", _positive)
+    gamma_i_mhz_per_mt: float = _setting(0.017251, "spin", _non_negative)
     members: int = _setting(1000, "ensemble", _parse_members, "--members", "N",
                             "ensemble size")
     b0_ut: float = _setting(4.0, "field", _non_negative, "--b0-ut", "UT",
@@ -178,7 +179,7 @@ class RunConfig:
     randomization_rate: float = _setting(0.0, "pump", _non_negative, "--randomization-rate",
                                          "RATE", "singlet/triplet randomization rate, 1/s")
     gain: float = _setting(1.0, "pump", _finite, "--gain", "G", "readout gain")
-    optical_linewidth_mhz: float = _setting(pumpmod.DEFAULT_OPTICAL_LINEWIDTH_MHZ, "pump",
+    optical_linewidth_mhz: float = _setting(0.001 * 29979.2458, "pump",  # 0.001 cm^-1
                                             _positive, "--optical-linewidth-mhz", "MHZ",
                                             "optical line FWHM in MHz")
 
@@ -187,6 +188,8 @@ class RunConfig:
             _parse_seed(str(self.seed))
 
     def spin_system(self) -> SpinSystem:
+        from .spincore import SpinSystem
+
         return SpinSystem(
             hyperfine_a=self.hyperfine_a_mhz,
             gamma_s=self.gamma_s_mhz_per_mt,
@@ -194,6 +197,8 @@ class RunConfig:
         )
 
     def noise_model(self) -> NoiseModel:
+        from .noise import NoiseModel
+
         return NoiseModel(
             static_detuning_khz=self.static_detuning_khz,
             ou_sigma_khz=self.ou_sigma_khz,
@@ -205,6 +210,8 @@ class RunConfig:
         )
 
     def pump_config(self) -> PumpConfig:
+        from .pump import PumpConfig
+
         return PumpConfig(
             auger_rate=self.auger_rate,
             branch_to_s=self.branch_to_s,

@@ -118,7 +118,9 @@ def run_sequence(
     if env is None:  # no disorder and no stream: nothing draws
         env = MemberEnvironment(rng=None, static_detuning_khz=0.0, ou_sigma_khz=0.0,
                                 ou_tau_c_s=1.0, field=FieldVector.along_z(0.0))
-    n_draws, run = _program_runner(params, [[program]], np.array([[env.shot_phase_rad]]),
+    # no shot-phase table at phase 0, so a first pulse takes the first-column path
+    shot_phases = None if env.shot_phase_rad == 0.0 else np.array([[env.shot_phase_rad]])
+    n_draws, run = _program_runner(params, [[program]], shot_phases,
                                    env.ou_sigma_khz, env.ou_tau_c_s,
                                    detuning_during_pulses=detuning_during_pulses)
     normals = env.rng.standard_normal((1, n_draws)) if n_draws else np.empty((1, 0))
@@ -630,7 +632,7 @@ def _cf4_propagators(times_us: np.ndarray, dt_us: float, igaps: np.ndarray,
     two_pi = 2.0 * math.pi
     n = times_us.size
     t = np.concatenate([times_us + _CF4_C1 * dt_us, times_us + _CF4_C2 * dt_us])
-    drive = np.fromiter(map(math.cos, two_pi * freq_mhz * t + phase_rad), float, 2 * n)
+    drive = np.cos(two_pi * freq_mhz * t + phase_rad)
     # igaps is antisymmetric with a zero diagonal, so exp(igaps * t) is 1 on the
     # diagonal and the conjugate of its upper triangle below it
     upper = np.exp(igaps[_UPPER] * t[:, None])

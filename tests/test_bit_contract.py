@@ -9,6 +9,7 @@ them, the failure names the spelling instead of showing up as a golden diff.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from donorsim import fitkit, pulse, spincore
-from donorsim.spincore import PHOSPHORUS, FieldVector
+from donorsim.spincore import LABELS, PHOSPHORUS, TRIPLET_LABELS, FieldVector
 
 #: Uniform deviates in [0, 1) as the environment pass draws them, plus the ends.
 UNIFORMS = np.concatenate([
@@ -174,3 +175,57 @@ def test_norm_screen_stays_far_below_its_margin():
     gap = float(np.max(np.abs(screen - exact)))
     assert gap <= 2.0 * np.spacing(1.0)
     assert gap < (1e-10 - pulse._NORM_SCREEN) / 10.0
+
+
+def _drive_4level_node_phases() -> np.ndarray:
+    """The CF4 drive phases 2 pi f t of the benchmark's drive-4level pi pulses.
+
+    The pulse is acceptance test 8's: b1 a tenth of the T+/T0 gap at 23 uT,
+    at the fields (0.4, 0, 23) and (0.4, 0, 0) uT; the node times are built
+    as ``simulate_4level`` and ``_cf4_propagators`` build them.
+    """
+    coupling = (PHOSPHORUS.gamma_s + PHOSPHORUS.gamma_i) / 2.0
+    gap = (spincore.transition_frequency(PHOSPHORUS, "T+", 23.0)
+           - spincore.transition_frequency(PHOSPHORUS, "T0", 23.0))
+    duration_us = 0.5 / (coupling * (gap / 10.0 / coupling))
+    dt_us = 1.0 / (50.0 * PHOSPHORUS.hyperfine_a)
+    n_steps = max(1, int(math.ceil(duration_us / dt_us - 1e-12)))
+    step = duration_us / n_steps
+    clock = itertools.accumulate(itertools.repeat(step, n_steps - 1), initial=0.0)
+    times = np.fromiter(clock, float, n_steps)
+    t = np.concatenate([times + pulse._CF4_C1 * step, times + pulse._CF4_C2 * step])
+    phases = []
+    for b in ((0.4, 0.0, 23.0), (0.4, 0.0, 0.0)):
+        freq = spincore.transition_frequency(PHOSPHORUS, "T0", FieldVector(*b).magnitude())
+        phases.append(2.0 * math.pi * freq * t + 0.0)
+    return np.concatenate(phases)
+
+
+def test_np_cos_equals_math_cos_on_the_cf4_drive_phases():
+    # pulse._cf4_propagators: the drive cos(2 pi f t + phase) of both CF4
+    # nodes of a block, against the per-step math.cos of the scalar CF4
+    # oracle (tests/test_pulse.py); about 366 600 phases
+    phases = _drive_4level_node_phases()
+    assert phases.size > 300_000
+    assert np.cos(phases).tolist() == [math.cos(x) for x in phases.tolist()]
+
+
+def test_stacked_matmul_and_vecdot_equal_the_per_field_products():
+    # spincore.singlet_triplet_lines: matmul on the (m, 4, 1) singlet columns
+    # and vecdot over the triplet columns, against rf_matrix_element's
+    # per-field op @ v and np.vdot
+    rng = np.random.Generator(np.random.Philox(key=25))
+    fields = np.concatenate([rng.standard_normal((300, 3)) * 10.0,
+                             [[0.0, 0.0, 0.0], [0.0, 0.0, 5e-7], [0.4, 0.0, 23.0]]])
+    energies, vectors = spincore.eigensystems(PHOSPHORUS, fields)
+    s, t = LABELS.index("S"), [LABELS.index(label) for label in TRIPLET_LABELS]
+    eigs = [spincore.eigensystem(PHOSPHORUS, FieldVector(*row)) for row in fields.tolist()]
+    for direction in ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.6, -0.3, 0.8]):
+        op = spincore.drive_operator(PHOSPHORUS, direction)
+        columns = np.matmul(op, vectors[:, :, s, None])
+        per_field = [op @ eig.vector("S") for eig in eigs]
+        assert columns[..., 0].tolist() == [v.tolist() for v in per_field]
+        got = np.vecdot(vectors[:, :, t], columns, axis=-2)
+        want = [[complex(np.vdot(eig.vector(label), v)) for label in TRIPLET_LABELS]
+                for eig, v in zip(eigs, per_field)]
+        assert got.tolist() == want

@@ -10,12 +10,13 @@ import pathlib
 import numpy as np
 import pytest
 
-from donorsim import noise
+from donorsim import cli, noise, pump
 from donorsim.cli import build_parser, main
 from donorsim.config import RunConfig
 from donorsim.csvio import emit_csv, read_csv
 from donorsim.fitkit import peak_model, stretched_exp_model
 from donorsim.seqdsl import HAHN_TEXT
+from donorsim.spincore import PHOSPHORUS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -135,6 +136,25 @@ def test_optical_spectrum_runs(capsys):
     assert cols == ["detuning_invcm", "signal"]
     assert data.shape == (41, 2)
     assert np.all(np.isfinite(data))
+
+
+def test_optical_spectrum_singlet_line_follows_the_configured_hyperfine(tmp_path, capsys):
+    config = tmp_path / "spin.ini"
+    config.write_text("[spin]\nhyperfine_a_mhz = 100.0\n", encoding="utf-8")
+    scan = ["optical-spectrum", "--points", "41", "--pump", "on_S"]
+    code, configured, _ = run(capsys, [*scan, "--config", str(config)])
+    assert code == 0
+    line_s = repr(100.0 / pump.MHZ_PER_INV_CM)
+    assert run(capsys, [*scan, "--line-s-invcm", line_s]) == (0, configured, "")
+    # the default line is A / MHZ_PER_INV_CM at the default A too
+    _, default, _ = run(capsys, scan)
+    assert default != configured
+    line_s = repr(PHOSPHORUS.hyperfine_a / pump.MHZ_PER_INV_CM)
+    assert run(capsys, [*scan, "--line-s-invcm", line_s]) == (0, default, "")
+
+
+def test_parser_pump_settings_are_the_pump_modules():
+    assert cli._PUMP_SETTINGS == pump.PUMP_SETTINGS
 
 
 def test_parse_canonicalizes(tmp_path, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from donorsim import pump, spincore
 from donorsim.config import (
     DEFAULT_SEED,
     SEED_ENV_VAR,
@@ -137,6 +138,14 @@ def test_derived_objects_mirror_settings():
     assert noise.phenomenological_t2_s == 10.0
     pump = cfg.pump_config()
     assert pump.gain == -2.0
+
+
+def test_defaults_are_the_physics_modules_defaults():
+    # config writes these defaults out so that building the parser loads no physics
+    cfg = RunConfig()
+    assert cfg.spin_system() == spincore.PHOSPHORUS
+    assert cfg.pump_config() == pump.PumpConfig()
+    assert cfg.optical_linewidth_mhz == pump.DEFAULT_OPTICAL_LINEWIDTH_MHZ
 
 
 def test_load_config_file_roundtrip(tmp_path):

@@ -218,6 +218,9 @@ def _program(events) -> PulseProgram:
 )
 @example(runs=[(_program(_ONE_PULSE), False), (_program(_ONE_PULSE), True)], coupling=10.0,
          b1=1e-3, offset_khz=3.0, seed=7, member=(1.5, 0.0, 0.7))
+# a zero shot phase passes no shot-phase table, so the one pulse is a first column
+@example(runs=[(_program(_ONE_PULSE), False), (_program(_ONE_PULSE), True)], coupling=10.0,
+         b1=1e-3, offset_khz=3.0, seed=7, member=(1.5, 0.3, 0.0))
 @example(runs=[(_program(_DELAY_FIRST).bind({"tau": 1e-3}), False),
                (_program(_DELAY_FIRST).bind({"tau": 1e-3}), True)],
          coupling=10.0, b1=1e-3, offset_khz=3.0, seed=7, member=(-2.0, 0.3, 0.0))
@@ -246,6 +249,20 @@ def test_run_sequence_matches_the_scalar_oracle_bit_for_bit(
         assert abs(got[0] + got[1] - 1.0) <= 1e-10
     if member is not None:  # and both streams go on from the same place
         assert got_env.rng.standard_normal(3).tolist() == want_env.rng.standard_normal(3).tolist()
+
+
+@pytest.mark.parametrize("shot_phase, first_columns", [(0.0, 1), (-0.0, 1), (0.7, 0)])
+def test_run_sequence_applies_a_shot_phase_only_when_nonzero(shot_phase, first_columns):
+    # as scalar_oracle.run_sequence: no z rotation at phase 0, so one pulse
+    # from |S> is its rotation's first column
+    params = TwoLevelParams(transition_frequency_mhz=117.53, rabi_coupling_mhz_per_mt=10.0,
+                            b1_amplitude_mt=1e-3)
+    env = MemberEnvironment(rng=member_rng(7, 0), static_detuning_khz=1.5, ou_sigma_khz=0.0,
+                            ou_tau_c_s=1.0, field=FieldVector.along_z(0.0),
+                            shot_phase_rad=shot_phase)
+    with mock.patch.object(pulse, "_first_column", wraps=pulse._first_column) as first:
+        pulse.run_sequence(_program(_ONE_PULSE), params, env)
+    assert first.call_count == first_columns
 
 
 def _exact_norm_rule(ar, ai, p_t, shape):
