@@ -7,7 +7,10 @@ everything is deterministic for a fixed seed and worker count.
 
 Exit codes: 0 success, 1 validation/usage error (bad flag, bad config
 value, malformed input data), 2 runtime error (I/O failure, integration
-or convergence failure, fit that did not converge).
+or convergence failure, fit that did not converge).  The exception class
+decides the code: ``OSError`` and ``RuntimeError`` give 2, any other
+``ValueError`` gives 1.  The integration and convergence errors of
+``pump`` and ``pulse`` are both, and give 2.
 """
 
 from __future__ import annotations
@@ -172,9 +175,17 @@ def _parse_triple(text: str) -> tuple[float, float, float]:
     return center, width, amp
 
 
+#: Each fit model's own flags, by ``args`` attribute; the other model rejects them.
+_MODEL_FLAGS = {"stretched": ("initial", "fix_n"), "peaks": ("k", "shape", "peak", "baseline")}
+
+
 def _cmd_fit(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -> int:
     from . import csvio
 
+    other = "peaks" if args.model == "stretched" else "stretched"
+    for name in _MODEL_FLAGS[other]:
+        if getattr(args, name) is not None:
+            raise ConfigError(f"--{name.replace('_', '-')} applies only to --model {other}")
     columns, data = csvio.read_csv(args.input)
     if data.shape[0] < 3 or data.shape[1] < 2:
         raise ConfigError(f"{args.input}: need at least 3 rows and 2 columns to fit")
@@ -189,13 +200,14 @@ def _cmd_fit(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -> 
                     f"--initial values must be numbers, got {args.initial!r}") from None
         result = fitkit.fit_stretched_exp(x, y, initial=initial, fix_n=args.fix_n)
     else:
-        if args.k < 1:
+        k = 1 if args.k is None else args.k
+        if k < 1:
             raise ConfigError("--k must be >= 1")
         peaks = [_parse_triple(p) for p in args.peak or []]
-        if len(peaks) != args.k:
-            raise ConfigError(f"--model peaks needs exactly k={args.k} --peak triples")
+        if len(peaks) != k:
+            raise ConfigError(f"--model peaks needs exactly k={k} --peak triples")
         result = fitkit.fit_peaks(
-            x, y, args.k, shape=args.shape, initial=peaks, baseline=args.baseline
+            x, y, k, shape=args.shape or "lorentzian", initial=peaks, baseline=args.baseline
         )
     lines = [f"# fit of {columns[1]} vs {columns[0]} ({args.model})"]
     for name, value, err in zip(result.names, result.params, result.stderr):
@@ -387,9 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="initial guesses for the stretched model")
     _add_number(p, "--fix-n", parse_number, metavar="N",
                 help="hold the stretching exponent fixed")
-    _add_number(p, "--k", parse_int, default=1, metavar="K",
+    _add_number(p, "--k", parse_int, metavar="K",
                 help="number of peaks for --model peaks (default 1)")
-    p.add_argument("--shape", choices=fitkit.PEAK_SHAPES, default="lorentzian",
+    p.add_argument("--shape", choices=fitkit.PEAK_SHAPES,
                    help="peak shape (default lorentzian)")
     p.add_argument("--peak", action="append", metavar="C,W,A",
                    help="initial center,width,amplitude; repeat k times")
@@ -408,24 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_estimate_field)
 
     return parser
-
-
-#: Exit code 2: I/O and runtime failures, and these ValueErrors of the pump and
-#: integrator modules.  A module that is not loaded has raised none of them.
-_RUNTIME_ERRORS = {
-    "donorsim.pump": ("StepSizeError", "ConvergenceError", "NoUniqueSteadyStateError"),
-    "donorsim.pulse": ("IntegrationStepError",),
-}
-
-
-def _runtime_errors() -> tuple[type[Exception], ...]:
-    """The exception types ``main`` reports with exit code 2, caught before ValueError."""
-    found = [OSError, RuntimeError]
-    for name, classes in _RUNTIME_ERRORS.items():
-        module = sys.modules.get(name)
-        if module is not None:
-            found += [getattr(module, cls) for cls in classes]
-    return tuple(found)
 
 
 #: glibc's M_TOP_PAD (malloc.h) and the bytes ``main`` keeps mapped above the heap top.
@@ -452,22 +446,17 @@ def _pad_heap_top() -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     _pad_heap_top()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 0 for --help and 2 for usage errors; usage and
-        # validation problems are exit code 1 here.
-        return 0 if exc.code in (0, None) else 1
-    except ConfigError as exc:  # a subcommand's numeric flag
-        print(f"donorsim: error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         # One run path: flags over the config, then --output > config output > stdout.
         cfg = _effective_config(args)
         target = cfg.output if cfg.output is not None else sys.stdout
         return args.func(args, cfg, target)
-    except _runtime_errors() as exc:
+    except SystemExit as exc:
+        # argparse exits 0 for --help and 2 for usage errors; usage and
+        # validation problems are exit code 1 here.
+        return 0 if exc.code in (0, None) else 1
+    except (OSError, RuntimeError) as exc:
         print(f"donorsim: error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

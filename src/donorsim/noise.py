@@ -36,8 +36,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-# numpy loads numpy.random on first use; importing it here keeps that cost
-# in start-up, not in the first ensemble draw of a run
 from numpy.random import Generator, Philox
 
 from . import spincore

@@ -48,8 +48,8 @@ __all__ = [
 ]
 
 
-class IntegrationStepError(ValueError):
-    """Integration step too coarse for the requested accuracy."""
+class IntegrationStepError(ValueError, RuntimeError):
+    """Integration step too coarse for the requested accuracy; a RuntimeError, so CLI exit 2."""
 
 
 @dataclass(frozen=True)

@@ -43,16 +43,16 @@ PUMP_SETTINGS = ("off", "on_T", "on_S")
 SINGLET_WEIGHT = 0.25
 
 
-class StepSizeError(ValueError):
-    """Integration step too coarse for the requested local accuracy."""
+class StepSizeError(ValueError, RuntimeError):
+    """Integration step too coarse for the local accuracy; a RuntimeError, so CLI exit 2."""
 
 
-class ConvergenceError(ValueError):
-    """Trajectory has not settled close enough to the steady state."""
+class ConvergenceError(ValueError, RuntimeError):
+    """Trajectory not settled near the steady state; a RuntimeError, so CLI exit 2."""
 
 
-class NoUniqueSteadyStateError(ValueError):
-    """The rate matrix does not have a one-dimensional null space."""
+class NoUniqueSteadyStateError(ValueError, RuntimeError):
+    """Rate matrix without a one-dimensional null space; a RuntimeError, so CLI exit 2."""
 
 
 class DegenerateLinesWarning(UserWarning):

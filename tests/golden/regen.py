@@ -23,6 +23,13 @@ delay, pulse at phase 90) driven through ``simulate_4level`` near zero field
 pins the 4-level CF4 integrator, with pulses of 101 and 601 steps.  A
 refactor is judged against these bytes; rewrite them only for a deliberate
 change of the physics or of the random streams.
+
+The bytes are pinned to the numpy, BLAS and libc that wrote them (the
+CF4 steps go through BLAS, the closed forms through libm), as the
+benchmark references are pinned to the versions in
+``perfbench/reference/seed0/environment.json``.  ``regenerate`` prints
+those three versions before it writes; the files in this directory match
+numpy 2.4.6, OpenBLAS 0.3.31 (scipy-openblas) and glibc 2.36 on x86-64.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ import io
 import math
 import os
 import pathlib
+import platform
 import sys
 from typing import Callable
 
@@ -198,7 +206,15 @@ def cli_csv(argv: list[str], path: pathlib.Path) -> str:
     return path.read_text(encoding="utf-8")
 
 
+def environment() -> str:
+    """The numpy, BLAS and libc versions the goldens are written with."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    libc = " ".join(platform.libc_ver()).strip() or "unknown"
+    return f"numpy {np.__version__}, BLAS {blas['name']} {blas['version']}, libc {libc}"
+
+
 def regenerate() -> None:
+    print(f"writing goldens with {environment()}")
     os.environ["COLUMNS"] = "80"
     for filename, argv in HELP_COMMANDS.items():
         buf = io.StringIO()

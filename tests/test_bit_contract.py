@@ -229,3 +229,23 @@ def test_stacked_matmul_and_vecdot_equal_the_per_field_products():
         want = [[complex(np.vdot(eig.vector(label), v)) for label in TRIPLET_LABELS]
                 for eig, v in zip(eigs, per_field)]
         assert got.tolist() == want
+
+
+def test_np_power_per_row_scalar_exponent_equals_the_single_curve_stretched_exp_model():
+    # fitkit.stretched_exp_model: a stacked Jacobian's curves each take their
+    # exponent as a scalar, so every row equals that curve's single call.
+    # Python's x ** n is no reference here: at n = 1.5, where np.power has
+    # no fast path, it still differs from np.power in the last bit.
+    taus = np.random.default_rng(0).uniform(0.0, 10.0, 1000)
+    exponents = [0.5, 1.5, 2.0, -1.0]
+    column = np.array(exponents)[:, None]
+    t2 = np.full_like(column, 2.0)  # so that 2 tau / T2 is tau itself
+    stacked = fitkit.stretched_exp_model(taus, np.ones_like(column), t2, column)
+    for row, n in zip(stacked, exponents):
+        assert row.tolist() == fitkit.stretched_exp_model(taus, 1.0, 2.0, n).tolist()
+    # the trap: a broadcast exponent column misses np.power's scalar fast
+    # path (sqrt, square, reciprocal) for 0.5, 2 and -1
+    broadcast = np.power(2.0 * taus / t2, column)
+    for row, n in zip(broadcast, exponents):
+        if n != 1.5:
+            assert row.tolist() != np.power(taus, n).tolist(), n

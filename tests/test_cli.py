@@ -10,7 +10,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from donorsim import cli, noise, pump
+from donorsim import cli, noise, pulse, pump, spincore
 from donorsim.cli import build_parser, main
 from donorsim.config import RunConfig
 from donorsim.csvio import emit_csv, read_csv
@@ -557,6 +557,15 @@ def test_t2_none_flag_runs_like_the_config_key(tmp_path):
     (["--model", "peaks", "--k", "0", "--peak", "1,2,3"], "--k must be >= 1"),
     (["--initial", "x"], "--initial values must be numbers, got 'x'"),
     (["--initial", "1.0,,2"], "--initial values must be numbers, got '1.0,,2'"),
+    # a flag of the other model, even at its default value
+    (["--model", "peaks", "--peak=1,2,3", "--initial", "1,2"],
+     "--initial applies only to --model stretched"),
+    (["--model", "peaks", "--peak=1,2,3", "--fix-n", "3"],
+     "--fix-n applies only to --model stretched"),
+    (["--k", "1"], "--k applies only to --model peaks"),
+    (["--model", "stretched", "--shape", "lorentzian"], "--shape applies only to --model peaks"),
+    (["--peak=1,2,3"], "--peak applies only to --model peaks"),
+    (["--baseline", "4"], "--baseline applies only to --model peaks"),
 ])
 def test_fit_flag_errors_name_the_flag(capsys, extra, message):
     code, out, err = run(capsys, ["fit", str(GOLDEN / "hahn_mean_t0_parallel.csv")] + extra)
@@ -622,6 +631,26 @@ def test_fit_foreign_csv_exits_1(tmp_path, capsys):
 def test_parse_missing_file_exits_2(capsys):
     code, _, err = run(capsys, ["parse", "/no/such/file.seq"])
     assert code == 2
+
+
+@pytest.mark.parametrize("error, code", [
+    (pump.StepSizeError, 2),
+    (pump.ConvergenceError, 2),
+    (pump.NoUniqueSteadyStateError, 2),
+    (pulse.IntegrationStepError, 2),
+    (ValueError, 1),
+])
+def test_the_exception_class_decides_the_exit_code(capsys, monkeypatch, error, code):
+    # the integration and convergence errors stay ValueErrors for library callers
+    assert issubclass(error, ValueError)
+    assert issubclass(error, RuntimeError) == (code == 2)
+
+    def fail(*args):
+        raise error("did not settle")
+
+    monkeypatch.setattr(spincore, "estimate_field_from_splitting", fail)
+    assert run(capsys, ["estimate-field", "--splitting-khz", "111.819"]) == (
+        code, "", "donorsim: error: did not settle\n")
 
 
 # --- one parser per process --------------------------------------------------------
