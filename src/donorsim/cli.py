@@ -32,17 +32,10 @@ if TYPE_CHECKING:
 
 
 def _effective_config(args: argparse.Namespace) -> RunConfig:
-    """The ``--config`` file (or defaults), then every given flag, read by its key's parser."""
+    """The ``--config`` file (or defaults), then every given setting flag, already parsed."""
     cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-    flags = {}
-    for f in fields(RunConfig):
-        text = getattr(args, f.name, None)
-        if text is not None:
-            try:
-                flags[f.name] = f.metadata["parse"](text)
-            except ValueError as exc:
-                raise ConfigError(f"{f.metadata['flag']}: {exc}") from None
-    return replace(cfg, **flags)
+    return replace(cfg, **{f.name: getattr(args, f.name)
+                           for f in fields(RunConfig) if hasattr(args, f.name)})
 
 
 def _ensemble_spec(args: argparse.Namespace, cfg: RunConfig) -> EnsembleSpec:
@@ -50,8 +43,7 @@ def _ensemble_spec(args: argparse.Namespace, cfg: RunConfig) -> EnsembleSpec:
 
     return EnsembleSpec(
         n_members=cfg.members,
-        # a --seed flag is already parsed into cfg.seed
-        seed=resolve_seed(cfg.seed if args.seed is not None else None, cfg),
+        seed=resolve_seed(getattr(args, "seed", None), cfg),
         noise=cfg.noise_model(),
         transition=cfg.transition,
         b0_magnitude_ut=cfg.b0_ut,
@@ -64,7 +56,7 @@ def _sweep(args: argparse.Namespace, start: float, stop: float) -> np.ndarray:
     """``--points`` values from start to stop, checked before any work is done."""
     if args.points < 2:
         raise ConfigError("--points must be >= 2")
-    if not (np.all(np.isfinite([start, stop])) and start < stop):
+    if not (np.all(np.isfinite([start, stop, stop - start])) and start < stop):
         raise ConfigError(f"sweep needs a finite start below its end, got {start!r} to {stop!r}")
     return np.linspace(start, stop, args.points)
 
@@ -261,11 +253,12 @@ def _add_settings(p: argparse.ArgumentParser, *sections: str) -> None:
     for f in fields(RunConfig):
         meta = f.metadata
         if meta["flag"] is not None and meta["section"] in sections:
-            p.add_argument(meta["flag"], dest=f.name, metavar=meta["metavar"], help=meta["help"])
+            p.add_argument(meta["flag"], action=_ParsedFlag, parse=meta["parse"], dest=f.name,
+                           default=argparse.SUPPRESS, metavar=meta["metavar"], help=meta["help"])
 
 
-class _NumberFlag(argparse.Action):
-    """A subcommand's own numeric flag, read by a ``config`` parser as setting flags are."""
+class _ParsedFlag(argparse.Action):
+    """A flag whose text a ``config`` parser reads as it is given; a bad text is exit 1."""
 
     def __init__(self, option_strings, dest, *, parse: Callable[[str], float], **kwargs):
         super().__init__(option_strings, dest, **kwargs)
@@ -280,7 +273,7 @@ class _NumberFlag(argparse.Action):
 
 def _add_number(p: argparse.ArgumentParser, flag: str, parse: Callable[[str], float],
                 **kwargs) -> None:
-    p.add_argument(flag, action=_NumberFlag, parse=parse, **kwargs)
+    p.add_argument(flag, action=_ParsedFlag, parse=parse, **kwargs)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

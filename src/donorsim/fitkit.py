@@ -323,17 +323,21 @@ def peak_model(
     """Sum of k unit-shape peaks (center, width, amplitude each) plus baseline.
 
     ``params`` of shape (..., 3k + 1) gives values of shape (..., x.size).
+    Overflow is silenced: a point too far out for ``u * u`` gives a peak
+    term of exactly 0, the limit of either shape, and a sum past the float
+    range is infinite, which a fit rejects as it does any non-finite residual.
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(params, dtype=float)[..., None]  # the new axis runs along x
     out = np.broadcast_to(p[..., 3 * k, :], p.shape[:-2] + x.shape)
-    for i in range(k):
-        center, width, amp = p[..., 3 * i, :], p[..., 3 * i + 1, :], p[..., 3 * i + 2, :]
-        u = (x - center) / width
-        if shape == "lorentzian":
-            out = out + amp / (1.0 + u * u)
-        else:
-            out = out + amp * np.exp(-0.5 * u * u)
+    with np.errstate(over="ignore"):  # once per call, not per peak: fits call this often
+        for i in range(k):
+            center, width, amp = p[..., 3 * i, :], p[..., 3 * i + 1, :], p[..., 3 * i + 2, :]
+            u = (x - center) / width
+            if shape == "lorentzian":
+                out = out + amp / (1.0 + u * u)
+            else:
+                out = out + amp * np.exp(-0.5 * u * u)
     return out
 
 

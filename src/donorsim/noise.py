@@ -324,8 +324,3 @@ def _ou_coefficients(
     sd_i = math.sqrt(max(var_i, 0.0))
     rho = 0.0 if sd_x == 0.0 or sd_i == 0.0 else min(max(cov / (sd_x * sd_i), -1.0), 1.0)
     return mu, sd_x, sd_i, rho, math.sqrt(max(0.0, 1.0 - rho * rho))
-
-
-def stretched_envelope(tau_s, t2_s: float, n: float):
-    """Phenomenological echo envelope exp(-(2 tau / T2)^n)."""
-    return np.exp(-((2.0 * np.asarray(tau_s, dtype=float) / t2_s) ** n))

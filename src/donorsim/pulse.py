@@ -31,12 +31,8 @@ import numpy as np
 from . import noise as noise_mod
 from . import spincore
 from .csvio import Series
-from .noise import (
-    EnsembleSpec,
-    MemberEnvironment,
-    _ou_coefficients,
-    stretched_envelope,
-)
+from .fitkit import stretched_exp_model
+from .noise import EnsembleSpec, MemberEnvironment, _ou_coefficients
 from .program import Delay, Pulse, PulseProgram, UnboundSymbolError, hahn_program, ramsey_program
 from .spincore import FieldVector, SpinSystem
 
@@ -371,7 +367,6 @@ def _program_runner(
 def _ensemble_blocks(
     spec: EnsembleSpec,
     system: SpinSystem,
-    params: TwoLevelParams,
     programs: list[list[PulseProgram]],
     *,
     shot_phases: np.ndarray | None = None,
@@ -379,17 +374,25 @@ def _ensemble_blocks(
 ):
     """Run bound shot programs over the whole ensemble, a member block at a time.
 
-    ``programs`` and ``shot_phases`` form the grid ``_program_runner``
-    checks once; each block of members the environment pass draws, OU
-    deviates included, then runs it.  For member i that
-    equals, bit for bit, ``run_sequence(programs[k][c], params, env_i,
-    detuning_during_pulses=...)`` for every k, every shot j and every c in
-    that order, with ``env_i.shot_phase_rad = shot_phases[k, j]``.
+    The driven line's ``params`` come from ``two_level_params_for``; a line
+    the geometry does not drive (zero Rabi frequency) raises ValueError
+    before any member is drawn.  ``programs`` and ``shot_phases`` form the
+    grid ``_program_runner`` checks once; each block of members the
+    environment pass draws, OU deviates included, then runs it.  For member
+    i that equals, bit for bit, ``run_sequence(programs[k][c], params,
+    env_i, detuning_during_pulses=...)`` for every k, every shot j and every
+    c in that order, with ``env_i.shot_phase_rad = shot_phases[k, j]``.
 
     Yields p_T arrays in the engine's layout, (K, C, block members, shots),
     blocks in member-index order; a block holds at most
     ``_BLOCK_ELEMENTS`` runs (and at least one member).
     """
+    params = two_level_params_for(spec, system)
+    if params.omega_rad_per_s == 0.0:
+        raise ValueError(
+            f"S -> {spec.transition} is not driven in the {spec.b0_orientation} "
+            "geometry (zero matrix element)"
+        )
     if not (programs and programs[0]):
         return
     envs = noise_mod.EnvironmentPass(spec, system)
@@ -448,22 +451,24 @@ def _ou_tables(delays: dict[int, np.ndarray], shape: tuple[int, int, int],
     return int(per_shot.sum()) * n_shots, np.concatenate(slots), steps
 
 
-def _member_sum(blocks, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum per-member rows one after another in member-index order.
+def _ensemble_mean(spec: EnsembleSpec, system: SpinSystem, programs: list[list[PulseProgram]],
+                   signal, shape: tuple[int, ...], **engine) -> np.ndarray:
+    """Mean over the members of ``signal`` of each ``_ensemble_blocks`` block.
 
-    Each block holds its members on axis 1, after the sweep point, as the
-    engine's blocks do once their cycle axis is reduced or picked.  The
-    running total goes in front of a block's rows and ``np.add.accumulate``
-    adds the rows along that axis one after the other, so the first row
-    starts the sum and the blocking cannot change a bit.  With no rows at
-    all the sum is zeros of ``shape``.
+    ``signal`` maps a p_T block to per-member rows with the members on axis
+    1, after the sweep point.  The running total goes in front of a block's
+    rows and ``np.add.accumulate`` adds the rows along that axis one after
+    the other, so the first row starts the sum and the blocking cannot
+    change a bit; the sum is then divided by ``spec.n_members``.  With no
+    programs the mean is zeros of ``shape``.
     """
     total = None
-    for block in blocks:
+    for p_t in _ensemble_blocks(spec, system, programs, **engine):
+        block = signal(p_t)
         if total is not None:
             block = np.concatenate([total[:, None], block], axis=1)
         total = np.add.accumulate(block, axis=1)[:, -1]
-    return np.zeros(shape) if total is None else total
+    return (np.zeros(shape) if total is None else total) / spec.n_members
 
 
 def rabi_experiment(
@@ -477,25 +482,16 @@ def rabi_experiment(
     damps the averaged oscillation.
     """
     lengths = np.asarray(lengths_s, dtype=float)
-    params = two_level_params_for(spec, system)
-    if params.omega_rad_per_s == 0.0:
-        raise ValueError(
-            f"S -> {spec.transition} is not driven in the {spec.b0_orientation} "
-            "geometry (zero matrix element)"
-        )
     driven = np.flatnonzero(lengths != 0.0)  # a zero-length pulse transfers nothing
     programs = [
         [PulseProgram(name="rabi", events=(
             Pulse(angle_rad=0.0, phase_rad=0.0, duration_s=float(lengths[k])),))]
         for k in driven
     ]
-    total = np.zeros_like(lengths)
-    total[driven] = _member_sum(
-        (p_t[:, 0, :, 0] for p_t in _ensemble_blocks(
-            spec, system, params, programs, detuning_during_pulses=True)),
-        driven.shape,
-    )
-    return Series(x=lengths, values=total / spec.n_members)
+    mean = np.zeros_like(lengths)
+    mean[driven] = _ensemble_mean(spec, system, programs, lambda p_t: p_t[:, 0, :, 0],
+                                  driven.shape, detuning_during_pulses=True)
+    return Series(x=lengths, values=mean)
 
 
 def ramsey_experiment(
@@ -503,14 +499,10 @@ def ramsey_experiment(
 ) -> Series:
     """Ensemble-averaged pi/2 : tau : pi/2 fringe (final T population)."""
     taus = np.asarray(taus_s, dtype=float)
-    params = two_level_params_for(spec, system)
     program = ramsey_program()
     programs = [[program.bind({"tau": float(tau)})] for tau in taus]
-    total = _member_sum(
-        (p_t[:, 0, :, 0] for p_t in _ensemble_blocks(spec, system, params, programs)),
-        taus.shape,
-    )
-    return Series(x=taus, values=total / spec.n_members)
+    mean = _ensemble_mean(spec, system, programs, lambda p_t: p_t[:, 0, :, 0], taus.shape)
+    return Series(x=taus, values=mean)
 
 
 def max_magnitude_estimate(shots: np.ndarray) -> np.ndarray | float:
@@ -576,13 +568,12 @@ def hahn_experiment(
         raise ValueError("shots_per_point must be >= 1")
     n_shots = 1 if detection == "mean" else (shots_per_point or 100)
 
-    params = two_level_params_for(spec, system)
     shot_programs = hahn_program().shots()  # [first pulse +pi/2, first pulse -pi/2]
     programs = [[p.bind({"tau": float(tau)}) for p in shot_programs] for tau in taus]
     envelope = np.ones_like(taus)
     pheno = spec.noise.phenomenological_t2_s
     if pheno is not None:
-        envelope = stretched_envelope(taus, pheno, spec.noise.stretching_n)
+        envelope = stretched_exp_model(taus, 1.0, pheno, spec.noise.stretching_n)
 
     # Common-mode phases per (tau, shot) under max detection.
     shot_phases = None
@@ -592,14 +583,13 @@ def hahn_experiment(
 
     ideal_amplitude = -readout_gain  # gain * (p_T(+) - p_T(-)) at zero phase error
 
-    def cycled_blocks():
-        for p_t in _ensemble_blocks(spec, system, params, programs, shot_phases=shot_phases):
-            r_plus = readout_gain * p_t[:, 0] + readout_offset
-            r_minus = readout_gain * p_t[:, 1] + readout_offset
-            yield (r_plus - r_minus) / ideal_amplitude
+    def cycled(p_t):
+        r_plus = readout_gain * p_t[:, 0] + readout_offset
+        r_minus = readout_gain * p_t[:, 1] + readout_offset
+        return (r_plus - r_minus) / ideal_amplitude
 
-    cycled = _member_sum(cycled_blocks(), (taus.size, n_shots))
-    per_shot = cycled / spec.n_members * envelope[:, None]
+    per_shot = _ensemble_mean(spec, system, programs, cycled, (taus.size, n_shots),
+                              shot_phases=shot_phases) * envelope[:, None]
     if detection == "mean":
         values = per_shot[:, 0]
     else:

@@ -82,7 +82,7 @@ def test_stacked_breit_rabi_equals_scalar_transition_frequency(label):
 
 
 def test_add_reduce_over_a_lone_long_axis_is_pairwise():
-    # why pulse._member_sum adds with np.add.accumulate and pulse.rf_spectrum
+    # why pulse._ensemble_mean adds with np.add.accumulate and pulse.rf_spectrum
     # pads a lone offset to two columns: np.add.reduce over an axis that is
     # the only long one sums pairwise, not in order
     column = np.array([1.0] + [1e-16] * 15)[:, None]
@@ -249,3 +249,18 @@ def test_np_power_per_row_scalar_exponent_equals_the_single_curve_stretched_exp_
     for row, n in zip(broadcast, exponents):
         if n != 1.5:
             assert row.tolist() != np.power(taus, n).tolist(), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.05, 5.0))
+def test_np_power_stretched_exp_model_equals_ndarray_power_envelope(random_n):
+    # pulse.hahn_experiment's phenomenological envelope: stretched_exp_model
+    # at amplitude 1 calls np.power, where the envelope it replaced spelled
+    # exp(-((2 tau / T2) ** n)); the two reach numpy's scalar-exponent fast
+    # paths (sqrt, square) by different routes, and the Hahn golden pins n = 1.5 only
+    taus = np.concatenate([np.random.default_rng(1).uniform(0.0, 0.2, 500),
+                           [0.0, 5e-324, 1e-3, 0.12]])
+    for n in (0.5, 1.0, 1.5, 2.0, 3.0, random_n):
+        for t2 in (1e-3, 0.05, 0.3, 7.0):
+            want = np.exp(-((2.0 * taus / t2) ** n))
+            assert fitkit.stretched_exp_model(taus, 1.0, t2, n).tolist() == want.tolist(), n

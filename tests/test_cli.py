@@ -418,6 +418,14 @@ def test_usage_errors_exit_1(capsys):
     PEAKS_FIT + ["--peak=nan,9.5,0.7", "--peak=19.5,8.3,0.6"],
     PEAKS_FIT + ["--peak=19.5,9.5,0.7", "--peak=19.5,nan,0.6"],
     PEAKS_FIT + ["--peak=19.5,9.5,nan", "--peak=19.5,8.3,0.6"],
+    # a line the geometry does not drive
+    ["ramsey", "--transition", "T+", "--orientation", "parallel", "--members", "5",
+     "--points", "3"],
+    ["hahn", "--transition", "T0", "--orientation", "perpendicular", "--members", "5",
+     "--points", "3"],
+    # a bad setting text is the flag's error, also when a later repeat is good
+    ["hahn", "--t2-s", "banana", "--t2-s", "none"],
+    ["hahn", "--members", "x", "--members", "3", "--points", "2"],
 ])
 def test_validation_errors_exit_1(monkeypatch, capsys, argv):
     def draw(*args, **kwargs):
@@ -463,6 +471,12 @@ def test_overflowing_delay_phase_fails_the_norm_check_exit_2(capsys):
      "field magnitude up to 1e+200 µT overflows its square"),
     (PEAKS_FIT + ["--peak=19.5,inf,0.7", "--peak=19.5,8.3,0.6"],
      "initial peak 1 (center, width, amplitude) must be finite, got (19.5, inf, 0.7)"),
+    (["ramsey", "--transition", "T+", "--orientation", "parallel", "--members", "5",
+      "--points", "3"],
+     "S -> T+ is not driven in the parallel geometry (zero matrix element)"),
+    (["hahn", "--transition", "T0", "--orientation", "perpendicular", "--members", "5",
+      "--points", "3"],
+     "S -> T0 is not driven in the perpendicular geometry (zero matrix element)"),
 ])
 def test_rejected_run_prints_only_the_error_line(capsys, argv, message):
     code, out, err = run(capsys, argv)
@@ -485,6 +499,21 @@ def test_tiny_lorentzian_width_prints_no_overflow_warning(capsys, argv, want_cod
     assert (code, err) == (want_code, want_err)
     if code == 0:
         assert [row.split(",")[1] for row in out.splitlines()[2:]] == ["0.0"] * 5
+
+
+@pytest.mark.filterwarnings("error")  # a numpy overflow warning would reach stderr
+@pytest.mark.parametrize("argv, want_code", [
+    # exp(-(2 tau / T2)^n) with an overflowing power is exactly 0
+    (["hahn", "--members", "3", "--points", "2", "--t2-s", "1e-300", "--stretching-n", "2"], 0),
+    # a peak term whose u * u overflows is exactly 0, under either shape
+    (["fit", str(GOLDEN / "rf_spectrum_internal_perpendicular.csv"), "--model", "peaks",
+      "--k", "1", "--peak=0,1e-300,1", "--shape", "lorentzian"], 0),
+    (["fit", str(GOLDEN / "rf_spectrum_internal_perpendicular.csv"), "--model", "peaks",
+      "--k", "1", "--peak=0,1e-300,1", "--shape", "gaussian"], 2),
+])
+def test_overflowing_model_term_prints_no_warning(capsys, argv, want_code):
+    code, _, err = run(capsys, argv)
+    assert (code, err) == (want_code, "")
 
 
 @pytest.mark.parametrize("argv", [
@@ -587,6 +616,11 @@ def test_missing_config_file_exits_2(capsys):
     ["rf-spectrum", "--members", "2000", "--offset-max-khz", "inf"],
     ["rabi", "--max-us", "-10"],
     ["hahn", "--tau-min-s", "0.05", "--tau-max-s", "0.01"],
+    # finite ends whose span overflows
+    ["rf-spectrum", "--offset-min-khz=-1.7e308", "--offset-max-khz", "1.7e308", "--points", "3",
+     "--members", "2"],
+    ["optical-spectrum", "--scan-min-invcm=-1.7e308", "--scan-max-invcm", "1.7e308",
+     "--points", "3"],
 ])
 def test_bad_sweep_exits_1_before_any_member_is_drawn(monkeypatch, capsys, argv):
     def draw(*args, **kwargs):

@@ -48,8 +48,7 @@ _spec.loader.exec_module(regen)
 
 
 def engine_p_t(spec, programs, **kwargs) -> np.ndarray:
-    params = two_level_params_for(spec, PHOSPHORUS)
-    blocks = pulse._ensemble_blocks(spec, PHOSPHORUS, params, programs, **kwargs)
+    blocks = pulse._ensemble_blocks(spec, PHOSPHORUS, programs, **kwargs)
     # blocks are (K, C, members, shots); the reference is (members, K, shots, C)
     return np.concatenate(list(blocks), axis=2).transpose(2, 0, 3, 1)
 
@@ -349,8 +348,10 @@ def test_cpmg2_golden_through_the_engine():
     spec = regen.cpmg2_spec()
     shots = seqdsl.compile(seqdsl.parse(regen.CPMG2_TEXT)).shots()
     programs = [[p.bind({"tau": tau}) for p in shots] for tau in regen.CPMG2_TAUS_S]
-    p_t = engine_p_t(spec, programs)[:, :, 0, :]  # (members, K, C)
-    mean = pulse._member_sum([p_t.swapaxes(0, 1)], p_t.shape[1:]) / spec.n_members
+    # blocks are (K, C, members, shots); the mean adds (K, members, C) rows
+    mean = pulse._ensemble_mean(spec, PHOSPHORUS, programs,
+                                lambda p_t: p_t[:, :, :, 0].swapaxes(1, 2),
+                                (len(programs), len(programs[0])))
     text = csvio.render_csv(["tau_s", "p_t_cycle0", "p_t_cycle180"],
                             np.column_stack([regen.CPMG2_TAUS_S, mean]))
     assert text.encode("utf-8") == (GOLDEN / "cpmg2_run_sequence.csv").read_bytes()

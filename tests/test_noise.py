@@ -13,6 +13,7 @@ from scalar_oracle import ou_step
 
 from donorsim import noise as noise_mod
 from donorsim import pulse, spincore
+from donorsim.fitkit import stretched_exp_model
 from donorsim.noise import (
     COMMON_STREAM_INDEX,
     EnsembleSpec,
@@ -23,7 +24,6 @@ from donorsim.noise import (
     draw_member_environment,
     member_rng,
     sensitivity_factor,
-    stretched_envelope,
 )
 from donorsim.spincore import GAMMA_I_MHZ_PER_MT, GAMMA_S_MHZ_PER_MT, PHOSPHORUS, eigensystems
 
@@ -382,12 +382,13 @@ def test_ou_step_zero_sigma_path_is_flat():
 # --- envelopes and validation ----------------------------------------------------
 
 def test_stretched_envelope_values():
-    assert stretched_envelope(0.0, 10.0, 1.8) == pytest.approx(1.0)
-    assert stretched_envelope(5.0, 10.0, 1.8) == pytest.approx(math.exp(-1.0))
-    assert stretched_envelope(5.0, 10.0, 1.0) == pytest.approx(math.exp(-1.0))
+    # hahn_experiment's phenomenological envelope: the fitted law at amplitude 1
+    assert stretched_exp_model(0.0, 1.0, 10.0, 1.8) == pytest.approx(1.0)
+    assert stretched_exp_model(5.0, 1.0, 10.0, 1.8) == pytest.approx(math.exp(-1.0))
+    assert stretched_exp_model(5.0, 1.0, 10.0, 1.0) == pytest.approx(math.exp(-1.0))
     # n > 1 decays slower before T2/2 and faster after
-    assert stretched_envelope(2.0, 10.0, 1.8) > stretched_envelope(2.0, 10.0, 1.0)
-    assert stretched_envelope(9.0, 10.0, 1.8) < stretched_envelope(9.0, 10.0, 1.0)
+    assert stretched_exp_model(2.0, 1.0, 10.0, 1.8) > stretched_exp_model(2.0, 1.0, 10.0, 1.0)
+    assert stretched_exp_model(9.0, 1.0, 10.0, 1.8) < stretched_exp_model(9.0, 1.0, 10.0, 1.0)
 
 
 def test_noise_model_validation():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from donorsim.pulse import (
     hahn_experiment,
     max_magnitude_estimate,
     rabi_experiment,
+    ramsey_experiment,
     rf_spectrum,
     run_sequence,
     simulate_4level,
@@ -217,6 +219,20 @@ def test_forbidden_geometry_is_rejected():
                        b1_amplitude_mt=1e-3)
     with pytest.raises(ValueError):
         rabi_experiment(bad, PHOSPHORUS, np.array([0.0, 1e-5]))
+
+
+@pytest.mark.parametrize("experiment", [ramsey_experiment, hahn_experiment])
+@pytest.mark.parametrize("transition, orientation", [("T+", "parallel"),
+                                                     ("T0", "perpendicular")])
+def test_forbidden_geometry_is_rejected_by_the_pulsed_experiments(
+        experiment, transition, orientation):
+    # hard pulses rotate by their nominal angle, so an undriven line would read a clean 1.0
+    bad = EnsembleSpec(n_members=2, seed=0, noise=NoiseModel(), transition=transition,
+                       b0_magnitude_ut=4.0, b0_orientation=orientation,
+                       b1_amplitude_mt=1e-3)
+    message = f"S -> {transition} is not driven in the {orientation} geometry"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        experiment(bad, PHOSPHORUS, np.array([1e-3, 2e-3]))
 
 
 def test_rabi_oscillation_matches_formula():
