@@ -20,7 +20,6 @@ lives here because this module imports nothing else from the package, so
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Sequence, TextIO
 
@@ -142,9 +141,3 @@ def read_csv(source: str | TextIO) -> tuple[list[str], np.ndarray]:
         raise ValueError("file contains non-finite values")
     return columns, data
 
-
-def roundtrip_equal(columns: Sequence[str], data: np.ndarray) -> bool:
-    """True when rendering then parsing reproduces the data bit-exactly."""
-    buf = io.StringIO(render_csv(columns, data))
-    _, back = read_csv(buf)
-    return np.array_equal(back, np.atleast_2d(np.asarray(data, dtype=float)))

@@ -294,15 +294,13 @@ def fit_stretched_exp(
             raise ValueError("fix_n must be a positive finite exponent")
         names = ("amplitude", "t2_s")
         p0 = np.asarray(initial if initial is not None else [a0, t2_guess], dtype=float)
-
-        def residual(p: np.ndarray) -> np.ndarray:
-            return stretched_exp_model(x, p[..., 0, None], p[..., 1, None], fix_n) - y
     else:
         names = ("amplitude", "t2_s", "n")
         p0 = np.asarray(initial if initial is not None else [a0, t2_guess, 1.5], dtype=float)
 
-        def residual(p: np.ndarray) -> np.ndarray:
-            return stretched_exp_model(x, p[..., 0, None], p[..., 1, None], p[..., 2, None]) - y
+    def residual(p: np.ndarray) -> np.ndarray:
+        n = p[..., 2, None] if fix_n is None else fix_n
+        return stretched_exp_model(x, p[..., 0, None], p[..., 1, None], n) - y
 
     if len(p0) != len(names):
         raise ValueError(f"initial must provide {len(names)} values {names}")

@@ -36,13 +36,6 @@ from .noise import EnsembleSpec, MemberEnvironment, _ou_coefficients
 from .program import Delay, Pulse, PulseProgram, UnboundSymbolError, hahn_program, ramsey_program
 from .spincore import FieldVector, SpinSystem
 
-__all__ = [
-    "TwoLevelParams", "IntegrationStepError",
-    "run_sequence", "rabi_experiment", "ramsey_experiment",
-    "hahn_experiment", "simulate_4level", "max_magnitude_estimate",
-    "rf_spectrum", "two_level_params_for", "hahn_program", "ramsey_program",
-]
-
 
 class IntegrationStepError(ValueError, RuntimeError):
     """Integration step too coarse for the requested accuracy; a RuntimeError, so CLI exit 2."""

@@ -22,12 +22,12 @@ fixed by diagonalising at a reference field of 1e-6 uT along z.
 ``eigensystem(system, field)``, and ``eigensystems(system, fields_ut)`` for an
 (n, 3) array of fields through one eigensolve, are the one source of that
 labelled basis: they build H and return the energies and eigenvectors in
-LABELS order.  Only ``EigenSystem`` (one field) and
-``singlet_triplet_lines`` read its columns by label; the latter reads the
-S -> T line frequencies and drive elements of a whole stack in a few array
-calls, bit for bit the per-field ``rf_matrix_element``.  ``zeeman_operator`` is the one spelling of
-gamma_s (v.S) - gamma_i (v.I), shared by the static Hamiltonian and the RF
-drive (``drive_operator``).
+LABELS order.  ``singlet_triplet_lines`` is the one reader of its columns
+by label: it reads the S -> T line frequencies and drive elements of a
+whole stack in a few array calls, bit for bit the per-field oracle
+``rf_matrix_element`` in ``tests/scalar_oracle.py``.  ``zeeman_operator``
+is the one spelling of gamma_s (v.S) - gamma_i (v.I), shared by the static
+Hamiltonian and the RF drive (``drive_operator``).
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ UT_PER_MT = 1000.0
 REFERENCE_FIELD_UT = 1e-6
 
 LABELS = ("S", "T-", "T0", "T+")
-_LABEL_INDEX = {label: k for k, label in enumerate(LABELS)}
 TRIPLET_LABELS = ("T-", "T0", "T+")
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -148,19 +147,6 @@ class EigenSystem:
 
     energies: np.ndarray
     vectors: np.ndarray
-
-    def energy(self, label: str) -> float:
-        return float(self.energies[_label_index(label)])
-
-    def vector(self, label: str) -> np.ndarray:
-        return self.vectors[:, _label_index(label)]
-
-
-def _label_index(label: str) -> int:
-    try:
-        return _LABEL_INDEX[label]
-    except KeyError:
-        raise KeyError(f"unknown level label {label!r}; expected one of {LABELS}") from None
 
 
 @dataclass(frozen=True)
@@ -313,23 +299,6 @@ def drive_operator(system: SpinSystem, drive_direction) -> np.ndarray:
     return zeeman_operator(system, e / norm)
 
 
-def rf_matrix_element(
-    eig: EigenSystem,
-    system: SpinSystem,
-    drive_direction: np.ndarray,
-    to_label: str,
-    from_label: str = "S",
-) -> float:
-    """|<to| gamma_s (e.S) - gamma_i (e.I) |from>| for unit drive direction e.
-
-    Returned in MHz/mT: multiply by an RF amplitude in mT to get the coupling
-    strength in MHz.
-    """
-    op = drive_operator(system, drive_direction)
-    amp = np.vdot(eig.vector(to_label), op @ eig.vector(from_label))
-    return float(abs(amp))
-
-
 def singlet_triplet_lines(
     energies: np.ndarray, vectors: np.ndarray, operator: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -337,14 +306,15 @@ def singlet_triplet_lines(
 
     Takes the ``eigensystems`` output of m fields and returns two (m, 3)
     arrays whose columns follow TRIPLET_LABELS.  ``operator`` is a
-    ``drive_operator``; row k equals the per-field ``rf_matrix_element``
-    of that drive and the ``EigenSystem`` energy differences bit for bit.
+    ``drive_operator``; row k equals the per-field oracle
+    ``rf_matrix_element`` (``tests/scalar_oracle.py``) of that drive and the
+    ``EigenSystem`` energy differences bit for bit.
     The spellings are chosen for that: ``matmul`` on an (m, 4, 1) column
     stack makes the same 4x4 product per field as ``op @ v``, ``vecdot``
     the same sum as ``vdot``, and ``hypot`` the same magnitude as a
     scalar ``abs`` (``np.abs`` differs from it in the last bit).
     """
-    s, t = _LABEL_INDEX["S"], [_LABEL_INDEX[label] for label in TRIPLET_LABELS]
+    s, t = LABELS.index("S"), [LABELS.index(label) for label in TRIPLET_LABELS]
     frequencies = energies[:, t] - energies[:, s, None]
     amplitudes = np.vecdot(vectors[:, :, t], np.matmul(operator, vectors[:, :, s, None]), axis=-2)
     return frequencies, np.hypot(amplitudes.real, amplitudes.imag)

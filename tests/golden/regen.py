@@ -12,8 +12,9 @@ Ramsey, Hahn echo in mean and max detection, two RF spectra with an
 internal-field subpopulation, one at zero applied field over more members
 than one block of the spectrum path), of the level diagram and a pumped optical
 spectrum, and of a phase-cycled CPMG-2 program run member by member through
-the scalar oracle's ``run_sequence`` (``tests/scalar_oracle.py``), never
-through the engine that golden pins.  Two ``fit`` reports, one per model,
+the scalar oracle's ``draw_member_environment`` and ``run_sequence``
+(``tests/scalar_oracle.py``), never through the environment pass or the
+engine that golden pins.  Two ``fit`` reports, one per model,
 pin the text output of fitting golden CSVs.  Two more fit the checked-in
 inputs ``fit_rescue_peaks.csv`` (both peak guesses on one line) and
 ``fit_rescue_stretched.csv`` (a decay faster than the sampling), on which
@@ -45,7 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from donorsim import csvio, noise, pulse, seqdsl, spincore
+from donorsim import csvio, pulse, seqdsl, spincore
 from donorsim.cli import main
 from donorsim.noise import EnsembleSpec, NoiseModel
 from donorsim.program import Delay, Pulse, PulseProgram
@@ -149,7 +150,7 @@ def cpmg2_csv() -> str:
     shots = seqdsl.compile(seqdsl.parse(CPMG2_TEXT)).shots()
     total = np.zeros((len(CPMG2_TAUS_S), len(shots)))
     for index in range(spec.n_members):
-        env = noise.draw_member_environment(spec, PHOSPHORUS, index)
+        env = scalar_oracle.draw_member_environment(spec, PHOSPHORUS, index)
         for k, tau in enumerate(CPMG2_TAUS_S):
             for c, program in enumerate(shots):
                 total[k, c] += scalar_oracle.run_sequence(

@@ -20,7 +20,9 @@ one-call Jacobian in ``fitkit``.
 
 ``rf_spectrum`` adds one member's S -> T lines at a time, each from its own
 ``vdot``: the oracle of the stacked line pass and ordered reduction of
-``pulse.rf_spectrum``.
+``pulse.rf_spectrum``.  ``rf_matrix_element`` is one field's drive element
+of one line, ``op @ v``, ``vdot`` and a scalar ``abs``: the oracle of
+``spincore.singlet_triplet_lines``.
 """
 
 from __future__ import annotations
@@ -241,6 +243,24 @@ def eigensystem(system: SpinSystem, field: FieldVector) -> tuple[np.ndarray, np.
     if field.magnitude() < spincore.REFERENCE_FIELD_UT:
         _, vectors = np.linalg.eigh(hamiltonian(FieldVector.along_z(spincore.REFERENCE_FIELD_UT)))
     return energies, vectors
+
+
+def rf_matrix_element(
+    eig: spincore.EigenSystem,
+    system: SpinSystem,
+    drive_direction: np.ndarray,
+    to_label: str,
+    from_label: str = "S",
+) -> float:
+    """|<to| gamma_s (e.S) - gamma_i (e.I) |from>| for unit drive direction e.
+
+    Returned in MHz/mT: multiply by an RF amplitude in mT to get the coupling
+    strength in MHz.  The columns of ``eig.vectors`` follow ``spincore.LABELS``.
+    """
+    op = spincore.drive_operator(system, drive_direction)
+    column = spincore.LABELS.index
+    amp = np.vdot(eig.vectors[:, column(to_label)], op @ eig.vectors[:, column(from_label)])
+    return float(abs(amp))
 
 
 def steady_state(cfg: PumpConfig) -> PopulationState:

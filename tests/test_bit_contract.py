@@ -212,8 +212,8 @@ def test_np_cos_equals_math_cos_on_the_cf4_drive_phases():
 
 def test_stacked_matmul_and_vecdot_equal_the_per_field_products():
     # spincore.singlet_triplet_lines: matmul on the (m, 4, 1) singlet columns
-    # and vecdot over the triplet columns, against rf_matrix_element's
-    # per-field op @ v and np.vdot
+    # and vecdot over the triplet columns, against the per-field op @ v and
+    # np.vdot of scalar_oracle.rf_matrix_element
     rng = np.random.Generator(np.random.Philox(key=25))
     fields = np.concatenate([rng.standard_normal((300, 3)) * 10.0,
                              [[0.0, 0.0, 0.0], [0.0, 0.0, 5e-7], [0.4, 0.0, 23.0]]])
@@ -223,10 +223,10 @@ def test_stacked_matmul_and_vecdot_equal_the_per_field_products():
     for direction in ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.6, -0.3, 0.8]):
         op = spincore.drive_operator(PHOSPHORUS, direction)
         columns = np.matmul(op, vectors[:, :, s, None])
-        per_field = [op @ eig.vector("S") for eig in eigs]
+        per_field = [op @ eig.vectors[:, s] for eig in eigs]
         assert columns[..., 0].tolist() == [v.tolist() for v in per_field]
         got = np.vecdot(vectors[:, :, t], columns, axis=-2)
-        want = [[complex(np.vdot(eig.vector(label), v)) for label in TRIPLET_LABELS]
+        want = [[complex(np.vdot(eig.vectors[:, k], v)) for k in t]
                 for eig, v in zip(eigs, per_field)]
         assert got.tolist() == want
 

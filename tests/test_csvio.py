@@ -17,7 +17,6 @@ from donorsim.csvio import (
     format_value,
     read_csv,
     render_csv,
-    roundtrip_equal,
 )
 
 
@@ -43,7 +42,6 @@ def test_format_value_is_shortest_roundtrip():
 
 def test_roundtrip_bit_exact():
     cols, data = small_table()
-    assert roundtrip_equal(cols, data)
     back_cols, back = read_csv(io.StringIO(render_csv(cols, data)))
     assert back_cols == cols
     assert np.array_equal(back, data)
@@ -55,7 +53,8 @@ def test_roundtrip_bit_exact():
 ))
 def test_roundtrip_bit_exact_property(rows):
     data = np.asarray(rows, dtype=float)
-    assert roundtrip_equal(["a", "b", "c"], data)
+    _, back = read_csv(io.StringIO(render_csv(["a", "b", "c"], data)))
+    assert np.array_equal(back, data)
 
 
 _CELL = st.one_of(

@@ -1,4 +1,5 @@
-"""The package's lint step: imports are used, and numpy is the only third party.
+"""The package's lint steps: imports are used, numpy is the only third party,
+and every definition is reachable.
 
 Every import in the package is used in its scope: the module, or the
 function whose body holds it.  Every import anywhere in the package names
@@ -10,11 +11,26 @@ call of a process imports.
 Start-up is lazy: ``import donorsim`` loads no submodule, building the CLI
 parser loads only the modules the parser needs, and a subcommand loads only
 the modules it runs.
+
+Reachability: every module-level function and class of the package, and
+every method of those classes, is reached from a root by a chain of
+references.  The roots are the names in ``donorsim.__all__`` with the
+public methods of the classes among them, ``cli.main``, and the
+module-level code of every module.  Reached code references a function or
+class through a ``Name`` or an attribute of that name, and a method of a
+reached class only through an attribute; an ``import ... as`` alias
+references the name it renames.  Dunders of a class or module count as
+reached with it.  The check reads the AST, so a reference in a branch that
+never runs still counts, and code that only tests call does not.
+``UNREACHED_ALLOWED`` names the unreached code that an open ROADMAP item
+will call or delete, with that item; an entry that is reached or no longer
+defined fails, so the list cannot go stale.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 import os
 import pathlib
 import subprocess
@@ -30,6 +46,17 @@ PACKAGE = ROOT / "src" / "donorsim"
 MODULES = sorted(PACKAGE.glob("*.py"))
 ALLOWED_TOP_LEVEL = set(sys.stdlib_module_names) | {"numpy", "donorsim"}
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFINITIONS = (*_FUNCTIONS, ast.ClassDef)
+
+#: Qualified name -> the open ROADMAP item that will call or delete it.
+UNREACHED_ALLOWED = {
+    "noise.draw_member_environment": "ROADMAP item 5",
+    "pump.ConvergenceError": "ROADMAP item 12",
+    "pump.PopulationTrajectory.final_state": "ROADMAP item 12",
+    "pump._steady_signal": "ROADMAP item 12",
+    "pump.photoconductive_signal": "ROADMAP item 12",
+    "pump.transient_area": "ROADMAP item 12",
+}
 
 
 def _unused_in(scope: ast.AST, imports: list[ast.stmt]) -> list[str]:
@@ -80,6 +107,78 @@ def foreign_imports(source: str) -> list[str]:
     return found
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _runs_when_reached(node: ast.AST) -> list[ast.AST]:
+    """The code a definition brings along: a function's whole node, or a
+    class's decorators, bases and body without its methods."""
+    if isinstance(node, ast.ClassDef):
+        return [*node.decorator_list, *node.bases, *node.keywords,
+                *(item for item in node.body if not isinstance(item, _FUNCTIONS))]
+    return [node]
+
+
+def unreached(sources: dict[str, str], roots: set[str]) -> dict[str, int]:
+    """The definitions of ``sources`` (module name -> source) that no root
+    reaches, as qualified name -> line, by the rule in the module docstring.
+
+    ``roots`` are qualified names such as ``"cli.main"``; a root class's
+    public methods are roots too, and module-level code always is.
+    """
+    defs: dict[str, tuple[ast.AST, str | None]] = {}  # qualname -> (node, its class)
+    pending: list[ast.AST] = []  # reached code whose references are not read yet
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, _DEFINITIONS):
+                pending.append(node)
+                continue
+            qualname = f"{module}.{node.name}"
+            defs[qualname] = (node, None)
+            if isinstance(node, ast.ClassDef):
+                defs.update((f"{qualname}.{item.name}", (item, qualname))
+                            for item in node.body if isinstance(item, _FUNCTIONS))
+
+    def is_root(qualname: str, name: str, owner: str | None) -> bool:
+        if owner is None:
+            return qualname in roots or _is_dunder(name)
+        return owner in roots and not name.startswith("_")
+
+    names: set[str] = set()
+    attributes: set[str] = set()
+    reached: set[str] = set()
+    while pending:
+        for node in (n for top in pending for n in ast.walk(top)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.alias) and node.asname:
+                names.add(node.name)
+        pending = []
+        for qualname, (node, owner) in defs.items():
+            if qualname not in reached and (
+                    is_root(qualname, node.name, owner)
+                    or (owner is None and node.name in names | attributes)
+                    or (owner in reached and (_is_dunder(node.name)
+                                              or node.name in attributes))):
+                reached.add(qualname)
+                pending += _runs_when_reached(node)
+    return {qualname: node.lineno for qualname, (node, _) in defs.items()
+            if qualname not in reached}
+
+
+def _package_unreached() -> dict[str, int]:
+    """``unreached`` on the package, from ``cli.main`` and ``donorsim.__all__``."""
+    roots = {"cli.main"}
+    for name in donorsim.__all__:
+        value = getattr(donorsim, name)
+        if inspect.isclass(value) or inspect.isfunction(value):
+            roots.add(f"{value.__module__.removeprefix('donorsim.')}.{value.__qualname__}")
+    return unreached({path.stem: path.read_text(encoding="utf-8") for path in MODULES}, roots)
+
+
 def test_checker_flags_an_unused_import():
     source = "from __future__ import annotations\nimport cmath\nimport math\nmath.pi\n"
     assert unused_imports(source) == ["line 2: cmath"]
@@ -98,6 +197,38 @@ def test_checker_flags_a_foreign_import_at_any_depth():
     source = ("import numpy as np\nfrom . import csvio\nimport os.path\n"
               "def f():\n    from scipy.optimize import minimize\n    import yaml, json\n")
     assert foreign_imports(source) == ["line 5: scipy.optimize", "line 6: yaml"]
+
+
+def test_checker_follows_names_attributes_and_dunders():
+    sources = {
+        "a": ("from b import helper as renamed\n"
+              "def api():\n    return Box().size, renamed()\n"
+              "class Box:\n    def __init__(self):\n        self.n = _count()\n"
+              "    @property\n    def size(self):\n        return self.n\n"
+              "    def unused(self):\n        return _orphan()\n"
+              "def _count():\n    return 1\n"
+              "def _orphan():\n    return 2\n"),
+        "b": ("def helper():\n    return 3\n"
+              "class Public:\n    def shown(self):\n        return 4\n"
+              "    def _hidden(self):\n        return 5\n"
+              "def size():\n    return 6\n"
+              "def __getattr__(name):\n    return name\n"),
+    }
+    assert unreached(sources, {"a.api", "b.Public"}) == {
+        "a.Box.unused": 10, "a._orphan": 14, "b.Public._hidden": 6}
+
+
+def test_every_definition_is_reached_or_waits_on_an_open_item():
+    found = [f"src/donorsim/{qualname.split('.')[0]}.py:{line}: {qualname}"
+             for qualname, line in _package_unreached().items()
+             if qualname not in UNREACHED_ALLOWED]
+    assert not found, "reached from no root:\n" + "\n".join(found)
+
+
+@pytest.mark.parametrize("qualname", sorted(UNREACHED_ALLOWED))
+def test_every_allowed_definition_is_still_defined_and_unreached(qualname):
+    assert qualname in _package_unreached(), \
+        f"{qualname} is reached or gone; delete its UNREACHED_ALLOWED entry"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
