@@ -19,7 +19,7 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 
 import numpy as np
@@ -52,90 +52,67 @@ def _ensemble_spec(args: argparse.Namespace, cfg: RunConfig) -> EnsembleSpec:
     )
 
 
-def _sweep(args: argparse.Namespace, start: float, stop: float) -> np.ndarray:
-    """``--points`` values from start to stop, checked before any work is done."""
+# --- subcommand implementations ---------------------------------------------
+
+def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -> int:
+    """A CSV row: ``--points`` x over its span, checked before any work, then its y columns."""
+    from . import csvio
+
+    row = _COMMANDS[args.command]
+    start, stop = row.span(args)
     if args.points < 2:
         raise ConfigError("--points must be >= 2")
     if not (np.all(np.isfinite([start, stop, stop - start])) and start < stop):
         raise ConfigError(f"sweep needs a finite start below its end, got {start!r} to {stop!r}")
-    return np.linspace(start, stop, args.points)
+    x = np.linspace(start, stop, args.points)
+    csvio.emit_csv(target, row.columns, np.column_stack([x, *row.compute(args, cfg, x)]))
+    return 0
 
 
-# --- subcommand implementations ---------------------------------------------
-# Each takes the parsed flags, the effective config and the output target
-# (a path or stdout) and returns the exit code.  Each imports the modules it
-# runs, so a process loads only what its subcommand needs.
+def _levels(args: argparse.Namespace, cfg: RunConfig, b_mt: np.ndarray) -> list[np.ndarray]:
+    from . import spincore
 
-def _cmd_levels(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -> int:
-    from . import csvio, spincore
-
-    b_mt = _sweep(args, args.bmin_mt, args.bmax_mt)
     if args.bmin_mt < 0.0:
         raise ConfigError("need 0 <= --bmin-mt")
     if not math.isfinite(args.bmax_mt * spincore.UT_PER_MT):
         raise ConfigError(f"--bmax-mt {args.bmax_mt!r} overflows when converted to µT")
     levels = spincore.breit_rabi_levels(cfg.spin_system(), b_mt * spincore.UT_PER_MT)
-    data = np.column_stack([b_mt, levels["S"], levels["T-"], levels["T0"], levels["T+"]])
-    csvio.emit_csv(target, [
-        "b_mt", "energy_S_mhz", "energy_Tminus_mhz", "energy_T0_mhz", "energy_Tplus_mhz",
-    ], data)
-    return 0
+    return [levels[label] for label in spincore.LABELS]
 
 
-def _cmd_rf_spectrum(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -> int:
-    from . import csvio
+def _rf_spectrum(args: argparse.Namespace, cfg: RunConfig, x: np.ndarray) -> list[np.ndarray]:
     from .pulse import rf_spectrum
 
-    offsets = _sweep(args, args.offset_min_khz, args.offset_max_khz)
-    curve = rf_spectrum(_ensemble_spec(args, cfg), cfg.spin_system(), offsets,
-                        kernel_fwhm_khz=args.kernel_fwhm_khz)
-    csvio.emit_csv(target, ["offset_khz", "response"], np.column_stack([curve.x, curve.values]))
-    return 0
+    return [rf_spectrum(_ensemble_spec(args, cfg), cfg.spin_system(), x,
+                        kernel_fwhm_khz=args.kernel_fwhm_khz).values]
 
 
-def _cmd_optical_spectrum(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -> int:
-    from . import csvio, pump
+def _optical_spectrum(args: argparse.Namespace, cfg: RunConfig, x: np.ndarray) -> list[np.ndarray]:
+    from . import pump
 
     line_s_invcm = args.line_s_invcm
     if line_s_invcm is None:  # the configured hyperfine splitting above the T line
         line_s_invcm = cfg.hyperfine_a_mhz / pump.MHZ_PER_INV_CM
-    signal = pump.optical_spectrum(
-        _sweep(args, args.scan_min_invcm, args.scan_max_invcm),
-        line_s_inv_cm=line_s_invcm,
-        line_t_inv_cm=args.line_t_invcm,
-        cfg=cfg.pump_config(),
-        pump_setting=args.pump,
-        probe_peak_rate=args.probe_peak_rate,
-        pump_peak_rate=args.pump_peak_rate,
-        doublet_split_inv_cm=args.doublet_split_invcm,
-    )
-    csvio.emit_csv(target, ["detuning_invcm", "signal"],
-                   np.column_stack([signal.x, signal.values]))
-    return 0
+    return [pump.optical_spectrum(
+        x, line_s_inv_cm=line_s_invcm, line_t_inv_cm=args.line_t_invcm, cfg=cfg.pump_config(),
+        pump_setting=args.pump, probe_peak_rate=args.probe_peak_rate,
+        pump_peak_rate=args.pump_peak_rate, doublet_split_inv_cm=args.doublet_split_invcm,
+    ).values]
 
 
-def _cmd_rabi(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -> int:
-    from . import csvio
+def _rabi(args: argparse.Namespace, cfg: RunConfig, lengths_s: np.ndarray) -> list[np.ndarray]:
     from .pulse import rabi_experiment
 
-    lengths_s = _sweep(args, 0.0, args.max_us * 1e-6)
-    curve = rabi_experiment(_ensemble_spec(args, cfg), cfg.spin_system(), lengths_s)
-    csvio.emit_csv(target, ["pulse_s", "p_transfer"], np.column_stack([curve.x, curve.values]))
-    return 0
+    return [rabi_experiment(_ensemble_spec(args, cfg), cfg.spin_system(), lengths_s).values]
 
 
-def _cmd_ramsey(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -> int:
-    from . import csvio
+def _ramsey(args: argparse.Namespace, cfg: RunConfig, taus_s: np.ndarray) -> list[np.ndarray]:
     from .pulse import ramsey_experiment
 
-    taus_s = _sweep(args, args.tau_min_s, args.tau_max_s)
-    curve = ramsey_experiment(_ensemble_spec(args, cfg), cfg.spin_system(), taus_s)
-    csvio.emit_csv(target, ["tau_s", "p_transfer"], np.column_stack([curve.x, curve.values]))
-    return 0
+    return [ramsey_experiment(_ensemble_spec(args, cfg), cfg.spin_system(), taus_s).values]
 
 
-def _cmd_hahn(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -> int:
-    from . import csvio
+def _hahn(args: argparse.Namespace, cfg: RunConfig, taus_s: np.ndarray) -> list[np.ndarray]:
     from .pulse import hahn_experiment
 
     # --workers starts no processes: per-member streams make every count give the same bytes
@@ -144,16 +121,9 @@ def _cmd_hahn(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) ->
     # a count below 1 is hahn_experiment's error under either detection
     if args.detection == "mean" and args.shots is not None and args.shots >= 1:
         raise ConfigError("--shots applies only to --detection max")
-    series = hahn_experiment(
-        _ensemble_spec(args, cfg),
-        cfg.spin_system(),
-        _sweep(args, args.tau_min_s, args.tau_max_s),
-        detection=args.detection,
-        shots_per_point=args.shots,
-    )
-    data = np.column_stack([series.x, series.values, np.full_like(series.x, series.shots)])
-    csvio.emit_csv(target, ["tau_s", "echo", "shots"], data)
-    return 0
+    echo = hahn_experiment(_ensemble_spec(args, cfg), cfg.spin_system(), taus_s,
+                           detection=args.detection, shots_per_point=args.shots)
+    return [echo.values, np.full_like(taus_s, echo.shots)]
 
 
 def _parse_triple(text: str) -> tuple[float, float, float]:
@@ -241,20 +211,11 @@ def _cmd_estimate_field(args: argparse.Namespace, cfg: RunConfig, target: str | 
     return 0
 
 
-# --- parser construction -----------------------------------------------------
+# --- the subcommand table ----------------------------------------------------
 
 #: ``pump.PUMP_SETTINGS``, written out so the parser loads no ``pump``;
 #: tests/test_cli.py pins the two equal.
 _PUMP_SETTINGS = ("off", "on_T", "on_S")
-
-
-def _add_settings(p: argparse.ArgumentParser, *sections: str) -> None:
-    """One text flag per flagged ``RunConfig`` field of these sections, in field order."""
-    for f in fields(RunConfig):
-        meta = f.metadata
-        if meta["flag"] is not None and meta["section"] in sections:
-            p.add_argument(meta["flag"], action=_ParsedFlag, parse=meta["parse"], dest=f.name,
-                           default=argparse.SUPPRESS, metavar=meta["metavar"], help=meta["help"])
 
 
 class _ParsedFlag(argparse.Action):
@@ -271,23 +232,131 @@ class _ParsedFlag(argparse.Action):
             raise ConfigError(f"{option_string}: {exc}") from None
 
 
-def _add_number(p: argparse.ArgumentParser, flag: str, parse: Callable[[str], float],
-                **kwargs) -> None:
-    p.add_argument(flag, action=_ParsedFlag, parse=parse, **kwargs)
+@dataclass(frozen=True)
+class _Command:
+    """One subcommand: its help line, its flags in ``--help`` order, and how it runs.
+
+    A flag is a dict of ``add_argument`` keywords with its ``name`` (a
+    ``parse`` keyword reads the text through ``_ParsedFlag``), or a tuple of
+    ``RunConfig`` sections, whose setting flags it adds in field order.  A CSV
+    row writes the x swept over ``span(args)`` and ``compute(args, cfg, x)``
+    under ``columns``; any other row runs ``run(args, cfg, target)``.  Each
+    function imports the modules it runs, so a process loads only what its
+    subcommand needs.
+    """
+
+    help: str
+    flags: tuple[dict | tuple[str, ...], ...]
+    columns: tuple[str, ...] = ()
+    span: Callable[[argparse.Namespace], tuple[float, float]] | None = None
+    compute: Callable[[argparse.Namespace, RunConfig, np.ndarray], list[np.ndarray]] | None = None
+    run: Callable[[argparse.Namespace, RunConfig, str | TextIO], int] = _cmd_sweep
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", metavar="PATH", help="config file (key = value with [section]s)")
-    _add_settings(p, "")
+#: The first flags of every subcommand but ``parse``, and the ensemble subcommands' sections.
+_COMMON = (dict(name="--config", metavar="PATH", help="config file (key = value with [section]s)"),
+           ("",))
+_ENSEMBLE = ("ensemble", "field", "noise")
 
-
-def _add_ensemble(p: argparse.ArgumentParser) -> None:
-    _add_settings(p, "ensemble", "field", "noise")
+_COMMANDS = {
+    "levels": _Command("singlet/triplet energies vs field (CSV)", (*_COMMON,
+        dict(name="--bmin-mt", parse=parse_number, default=0.0, metavar="MT",
+             help="sweep start in mT (default 0)"),
+        dict(name="--bmax-mt", parse=parse_number, default=5.0, metavar="MT",
+             help="sweep end in mT (default 5)"),
+        dict(name="--points", parse=parse_int, default=500, metavar="N",
+             help="number of field points (default 500)"),
+    ), ("b_mt", "energy_S_mhz", "energy_Tminus_mhz", "energy_T0_mhz", "energy_Tplus_mhz"),
+        lambda args: (args.bmin_mt, args.bmax_mt), _levels),
+    "rf-spectrum": _Command("ensemble RF response vs frequency offset (CSV)", (*_COMMON, _ENSEMBLE,
+        dict(name="--offset-min-khz", parse=parse_number, default=-150.0, metavar="KHZ",
+             help="scan start, offset from the hyperfine frequency"),
+        dict(name="--offset-max-khz", parse=parse_number, default=150.0, metavar="KHZ",
+             help="scan end (default 150)"),
+        dict(name="--points", parse=parse_int, default=601, metavar="N",
+             help="number of scan points (default 601)"),
+        dict(name="--kernel-fwhm-khz", parse=parse_number, default=2.0, metavar="KHZ",
+             help="display kernel width (default 2)"),
+    ), ("offset_khz", "response"),
+        lambda args: (args.offset_min_khz, args.offset_max_khz), _rf_spectrum),
+    "optical-spectrum": _Command("photoconductive signal vs probe detuning (CSV)", (*_COMMON,
+        dict(name="--pump", choices=_PUMP_SETTINGS, default="off",
+             help="hold a pump laser on one line while the probe scans"),
+        dict(name="--scan-min-invcm", parse=parse_number, default=-0.003, metavar="CM1",
+             help="probe scan start, cm^-1 (default -0.003)"),
+        dict(name="--scan-max-invcm", parse=parse_number, default=0.007, metavar="CM1",
+             help="probe scan end, cm^-1 (default 0.007)"),
+        dict(name="--points", parse=parse_int, default=801, metavar="N",
+             help="number of scan points (default 801)"),
+        dict(name="--line-s-invcm", parse=parse_number, metavar="CM1",
+             help="singlet line position (default: hyperfine splitting above T)"),
+        dict(name="--line-t-invcm", parse=parse_number, default=0.0, metavar="CM1",
+             help="triplet line position (default 0)"),
+        dict(name="--doublet-split-invcm", parse=parse_number, default=0.0, metavar="CM1",
+             help="split each line into an equal doublet (default 0 = single lines)"),
+        dict(name="--probe-peak-rate", parse=parse_number, default=1e3, metavar="RATE",
+             help="probe pump rate at line center, 1/s (default 1e3)"),
+        dict(name="--pump-peak-rate", parse=parse_number, default=2e4, metavar="RATE",
+             help="pump rate at line center, 1/s (default 2e4)"),
+        ("pump",),
+    ), ("detuning_invcm", "signal"),
+        lambda args: (args.scan_min_invcm, args.scan_max_invcm), _optical_spectrum),
+    "rabi": _Command("transfer probability vs pulse length (CSV)", (*_COMMON, _ENSEMBLE,
+        dict(name="--max-us", parse=parse_number, default=200.0, metavar="US",
+             help="longest pulse in µs (default 200)"),
+        dict(name="--points", parse=parse_int, default=201, metavar="N",
+             help="number of pulse lengths (default 201)"),
+    ), ("pulse_s", "p_transfer"), lambda args: (0.0, args.max_us * 1e-6), _rabi),
+    "ramsey": _Command("two-pulse fringe signal vs free evolution (CSV)", (*_COMMON, _ENSEMBLE,
+        dict(name="--tau-min-s", parse=parse_number, default=0.0, metavar="S",
+             help="shortest free-evolution time (default 0)"),
+        dict(name="--tau-max-s", parse=parse_number, default=2e-3, metavar="S",
+             help="longest free-evolution time (default 2e-3)"),
+        dict(name="--points", parse=parse_int, default=101, metavar="N",
+             help="number of delays (default 101)"),
+    ), ("tau_s", "p_transfer"), lambda args: (args.tau_min_s, args.tau_max_s), _ramsey),
+    "hahn": _Command("phase-cycled echo amplitude vs tau (CSV)", (*_COMMON, _ENSEMBLE,
+        dict(name="--tau-min-s", parse=parse_number, default=1e-3, metavar="S",
+             help="shortest half-evolution time (default 1e-3)"),
+        dict(name="--tau-max-s", parse=parse_number, default=0.12, metavar="S",
+             help="longest half-evolution time (default 0.12)"),
+        dict(name="--points", parse=parse_int, default=12, metavar="N",
+             help="number of tau points (default 12)"),
+        dict(name="--detection", choices=("mean", "max"), default="mean",
+             help="ensemble-mean readout or max-magnitude over random-phase shots"),
+        dict(name="--shots", parse=parse_int, default=None, metavar="N",
+             help="shots per point for max detection (default 100)"),
+        dict(name="--workers", parse=parse_int, default=1, metavar="N",
+             help="worker count; results are identical for any value"),
+    ), ("tau_s", "echo", "shots"), lambda args: (args.tau_min_s, args.tau_max_s), _hahn),
+    "fit": _Command("fit a stretched exponential or peaks to a CSV file", (*_COMMON,
+        dict(name="input", metavar="CSV", help="input file (x in column 1, y in column 2)"),
+        dict(name="--model", choices=("stretched", "peaks"), default="stretched",
+             help="model family (default stretched)"),
+        dict(name="--initial", metavar="A,T2[,N]", help="initial guesses for the stretched model"),
+        dict(name="--fix-n", parse=parse_number, metavar="N",
+             help="hold the stretching exponent fixed"),
+        dict(name="--k", parse=parse_int, metavar="K",
+             help="number of peaks for --model peaks (default 1)"),
+        dict(name="--shape", choices=fitkit.PEAK_SHAPES, help="peak shape (default lorentzian)"),
+        dict(name="--peak", action="append", metavar="C,W,A",
+             help="initial center,width,amplitude; repeat k times"),
+        dict(name="--baseline", parse=parse_number, metavar="B",
+             help="initial baseline (default: minimum of the data)"),
+    ), run=_cmd_fit),
+    "parse": _Command("check a sequence file and print its canonical form", (
+        dict(name="file", metavar="FILE", help="sequence source path, or - for stdin"),
+    ), run=_cmd_parse),
+    "estimate-field": _Command("infer field magnitude from a line splitting", (*_COMMON,
+        dict(name="--splitting-khz", parse=parse_number, required=True, metavar="KHZ",
+             help="measured splitting between the outer lines"),
+    ), run=_cmd_estimate_field),
+}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The ``donorsim`` parser, built once per process and shared by every ``main`` call.
+    """The ``donorsim`` parser of ``_COMMANDS``, built once per process for every ``main`` call.
 
     Parsing leaves it unchanged: each call gets a fresh namespace and copies
     append defaults, and help text is laid out at print time.
@@ -298,120 +367,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "spectra, pulsed experiments, fitting.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p = sub.add_parser("levels", help="singlet/triplet energies vs field (CSV)")
-    _add_common(p)
-    _add_number(p, "--bmin-mt", parse_number, default=0.0, metavar="MT",
-                help="sweep start in mT (default 0)")
-    _add_number(p, "--bmax-mt", parse_number, default=5.0, metavar="MT",
-                help="sweep end in mT (default 5)")
-    _add_number(p, "--points", parse_int, default=500, metavar="N",
-                help="number of field points (default 500)")
-    p.set_defaults(func=_cmd_levels)
-
-    p = sub.add_parser("rf-spectrum", help="ensemble RF response vs frequency offset (CSV)")
-    _add_common(p)
-    _add_ensemble(p)
-    _add_number(p, "--offset-min-khz", parse_number, default=-150.0,
-                metavar="KHZ", help="scan start, offset from the hyperfine frequency")
-    _add_number(p, "--offset-max-khz", parse_number, default=150.0,
-                metavar="KHZ", help="scan end (default 150)")
-    _add_number(p, "--points", parse_int, default=601, metavar="N",
-                help="number of scan points (default 601)")
-    _add_number(p, "--kernel-fwhm-khz", parse_number, default=2.0,
-                metavar="KHZ", help="display kernel width (default 2)")
-    p.set_defaults(func=_cmd_rf_spectrum)
-
-    p = sub.add_parser("optical-spectrum",
-                       help="photoconductive signal vs probe detuning (CSV)")
-    _add_common(p)
-    p.add_argument("--pump", choices=_PUMP_SETTINGS, default="off",
-                   help="hold a pump laser on one line while the probe scans")
-    _add_number(p, "--scan-min-invcm", parse_number, default=-0.003,
-                metavar="CM1", help="probe scan start, cm^-1 (default -0.003)")
-    _add_number(p, "--scan-max-invcm", parse_number, default=0.007,
-                metavar="CM1", help="probe scan end, cm^-1 (default 0.007)")
-    _add_number(p, "--points", parse_int, default=801, metavar="N",
-                help="number of scan points (default 801)")
-    _add_number(p, "--line-s-invcm", parse_number, metavar="CM1",
-                help="singlet line position (default: hyperfine splitting above T)")
-    _add_number(p, "--line-t-invcm", parse_number, default=0.0,
-                metavar="CM1", help="triplet line position (default 0)")
-    _add_number(p, "--doublet-split-invcm", parse_number, default=0.0, metavar="CM1",
-                help="split each line into an equal doublet (default 0 = single lines)")
-    _add_number(p, "--probe-peak-rate", parse_number, default=1e3,
-                metavar="RATE", help="probe pump rate at line center, 1/s (default 1e3)")
-    _add_number(p, "--pump-peak-rate", parse_number, default=2e4,
-                metavar="RATE", help="pump rate at line center, 1/s (default 2e4)")
-    _add_settings(p, "pump")
-    p.set_defaults(func=_cmd_optical_spectrum)
-
-    p = sub.add_parser("rabi", help="transfer probability vs pulse length (CSV)")
-    _add_common(p)
-    _add_ensemble(p)
-    _add_number(p, "--max-us", parse_number, default=200.0, metavar="US",
-                help="longest pulse in µs (default 200)")
-    _add_number(p, "--points", parse_int, default=201, metavar="N",
-                help="number of pulse lengths (default 201)")
-    p.set_defaults(func=_cmd_rabi)
-
-    p = sub.add_parser("ramsey", help="two-pulse fringe signal vs free evolution (CSV)")
-    _add_common(p)
-    _add_ensemble(p)
-    _add_number(p, "--tau-min-s", parse_number, default=0.0, metavar="S",
-                help="shortest free-evolution time (default 0)")
-    _add_number(p, "--tau-max-s", parse_number, default=2e-3, metavar="S",
-                help="longest free-evolution time (default 2e-3)")
-    _add_number(p, "--points", parse_int, default=101, metavar="N",
-                help="number of delays (default 101)")
-    p.set_defaults(func=_cmd_ramsey)
-
-    p = sub.add_parser("hahn", help="phase-cycled echo amplitude vs tau (CSV)")
-    _add_common(p)
-    _add_ensemble(p)
-    _add_number(p, "--tau-min-s", parse_number, default=1e-3, metavar="S",
-                help="shortest half-evolution time (default 1e-3)")
-    _add_number(p, "--tau-max-s", parse_number, default=0.12, metavar="S",
-                help="longest half-evolution time (default 0.12)")
-    _add_number(p, "--points", parse_int, default=12, metavar="N",
-                help="number of tau points (default 12)")
-    p.add_argument("--detection", choices=("mean", "max"), default="mean",
-                   help="ensemble-mean readout or max-magnitude over random-phase shots")
-    _add_number(p, "--shots", parse_int, default=None, metavar="N",
-                help="shots per point for max detection (default 100)")
-    _add_number(p, "--workers", parse_int, default=1, metavar="N",
-                help="worker count; results are identical for any value")
-    p.set_defaults(func=_cmd_hahn)
-
-    p = sub.add_parser("fit", help="fit a stretched exponential or peaks to a CSV file")
-    _add_common(p)
-    p.add_argument("input", metavar="CSV", help="input file (x in column 1, y in column 2)")
-    p.add_argument("--model", choices=("stretched", "peaks"), default="stretched",
-                   help="model family (default stretched)")
-    p.add_argument("--initial", metavar="A,T2[,N]",
-                   help="initial guesses for the stretched model")
-    _add_number(p, "--fix-n", parse_number, metavar="N",
-                help="hold the stretching exponent fixed")
-    _add_number(p, "--k", parse_int, metavar="K",
-                help="number of peaks for --model peaks (default 1)")
-    p.add_argument("--shape", choices=fitkit.PEAK_SHAPES,
-                   help="peak shape (default lorentzian)")
-    p.add_argument("--peak", action="append", metavar="C,W,A",
-                   help="initial center,width,amplitude; repeat k times")
-    _add_number(p, "--baseline", parse_number, metavar="B",
-                help="initial baseline (default: minimum of the data)")
-    p.set_defaults(func=_cmd_fit)
-
-    p = sub.add_parser("parse", help="check a sequence file and print its canonical form")
-    p.add_argument("file", metavar="FILE", help="sequence source path, or - for stdin")
-    p.set_defaults(func=_cmd_parse)
-
-    p = sub.add_parser("estimate-field", help="infer field magnitude from a line splitting")
-    _add_common(p)
-    _add_number(p, "--splitting-khz", parse_number, required=True,
-                metavar="KHZ", help="measured splitting between the outer lines")
-    p.set_defaults(func=_cmd_estimate_field)
-
+    for command, row in _COMMANDS.items():
+        p = sub.add_parser(command, help=row.help)
+        for flag in row.flags:
+            if isinstance(flag, dict):
+                kwargs = {"action": _ParsedFlag, **flag} if "parse" in flag else dict(flag)
+                p.add_argument(kwargs.pop("name"), **kwargs)
+                continue
+            for f in fields(RunConfig):  # the setting flags of these sections
+                meta = f.metadata
+                if meta["flag"] is not None and meta["section"] in flag:
+                    p.add_argument(meta["flag"], action=_ParsedFlag, parse=meta["parse"],
+                                   dest=f.name, default=argparse.SUPPRESS,
+                                   metavar=meta["metavar"], help=meta["help"])
+        p.set_defaults(func=row.run)
     return parser
 
 

@@ -278,27 +278,6 @@ class EnvironmentPass:
         return EnvironmentBlock(detunings_khz=detunings, fields=fields, normals=normals)
 
 
-def draw_member_environment(
-    spec: EnsembleSpec, system: SpinSystem, index: int
-) -> MemberEnvironment:
-    """Draw one member's frozen environment from its private stream.
-
-    A one-member ``EnvironmentPass``; its docstring gives the draw order.
-    The returned ``rng`` is that pass's own generator, left right after the
-    four environment draws, so it continues as ``member_rng(spec.seed,
-    index)`` would after them.
-    """
-    envs = EnvironmentPass(spec, system)
-    block = envs.draw(index, index + 1)
-    return MemberEnvironment(
-        rng=envs._rng,
-        static_detuning_khz=float(block.detunings_khz[0]),
-        ou_sigma_khz=envs.ou_sigma_khz,
-        ou_tau_c_s=spec.noise.ou_tau_c_s,
-        field=FieldVector(*block.fields[0].tolist()),
-    )
-
-
 def _integral_variance_factor(eps: float) -> float:
     """2*eps - 3 + 4*exp(-eps) - exp(-2*eps), series-stabilised for small eps."""
     if eps < 0.01:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib.util
 import io
 import pathlib
 
@@ -19,19 +20,9 @@ from donorsim.seqdsl import HAHN_TEXT
 from donorsim.spincore import PHOSPHORUS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
-
-HELP_CASES = {
-    "help_main.txt": ["--help"],
-    "help_levels.txt": ["levels", "--help"],
-    "help_rf_spectrum.txt": ["rf-spectrum", "--help"],
-    "help_optical_spectrum.txt": ["optical-spectrum", "--help"],
-    "help_rabi.txt": ["rabi", "--help"],
-    "help_ramsey.txt": ["ramsey", "--help"],
-    "help_hahn.txt": ["hahn", "--help"],
-    "help_fit.txt": ["fit", "--help"],
-    "help_parse.txt": ["parse", "--help"],
-    "help_estimate_field.txt": ["estimate-field", "--help"],
-}
+_spec = importlib.util.spec_from_file_location("golden_regen", GOLDEN / "regen.py")
+regen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regen)
 
 
 def run(capsys, argv):
@@ -42,7 +33,7 @@ def run(capsys, argv):
 
 # --- help text ---------------------------------------------------------------
 
-@pytest.mark.parametrize("golden_name, argv", sorted(HELP_CASES.items()))
+@pytest.mark.parametrize("golden_name, argv", sorted(regen.HELP_COMMANDS.items()))
 def test_help_matches_golden(monkeypatch, capsys, golden_name, argv):
     monkeypatch.setenv("COLUMNS", "80")
     code, out, _ = run(capsys, argv)
@@ -56,10 +47,9 @@ def test_every_flag_appears_in_its_help(monkeypatch):
     subactions = next(
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     )
-    assert set(subactions.choices) == {
-        "levels", "rf-spectrum", "optical-spectrum", "rabi", "ramsey", "hahn",
-        "fit", "parse", "estimate-field",
-    }
+    # every subcommand has a golden --help transcript
+    assert sorted([name, "--help"] for name in subactions.choices) == \
+        sorted(argv for argv in regen.HELP_COMMANDS.values() if len(argv) == 2)
     for name, sub in subactions.choices.items():
         help_text = sub.format_help()
         for action in sub._actions:
@@ -310,13 +300,24 @@ def test_flag_beats_config_beats_default(tmp_path):
     assert from_config.read_bytes() != overridden.read_bytes()
 
 
-def test_env_seed_is_lowest_precedence(tmp_path, monkeypatch):
+def test_env_seed_applies_without_a_seed_flag(tmp_path, monkeypatch):
     env_run, flag_run = tmp_path / "env.csv", tmp_path / "flag.csv"
     monkeypatch.setenv("DONORSIM_SEED", "11")
     assert main(HAHN_SMALL + ["--output", str(env_run)]) == 0
     monkeypatch.delenv("DONORSIM_SEED")
     assert main(HAHN_SMALL + ["--seed", "11", "--output", str(flag_run)]) == 0
     assert env_run.read_bytes() == flag_run.read_bytes()
+
+
+def test_seed_flag_beats_env_seed(tmp_path, monkeypatch):
+    both, env_run, flag_run = (tmp_path / f"{name}.csv" for name in ("both", "env", "flag"))
+    monkeypatch.setenv("DONORSIM_SEED", "11")
+    assert main(HAHN_SMALL + ["--seed", "5", "--output", str(both)]) == 0
+    assert main(HAHN_SMALL + ["--output", str(env_run)]) == 0
+    monkeypatch.delenv("DONORSIM_SEED")
+    assert main(HAHN_SMALL + ["--seed", "5", "--output", str(flag_run)]) == 0
+    assert both.read_bytes() == flag_run.read_bytes()
+    assert both.read_bytes() != env_run.read_bytes()
 
 
 def test_env_seed_beats_config_seed(tmp_path, monkeypatch):
@@ -477,6 +478,10 @@ def test_overflowing_delay_phase_fails_the_norm_check_exit_2(capsys):
     (["hahn", "--transition", "T0", "--orientation", "perpendicular", "--members", "5",
       "--points", "3"],
      "S -> T0 is not driven in the perpendicular geometry (zero matrix element)"),
+    # every CSV subcommand checks its sweep before its other inputs
+    (["hahn", "--workers", "0", "--points", "1"], "--points must be >= 2"),
+    (["hahn", "--b0-ut", "1e200", "--tau-min-s", "0.05", "--tau-max-s", "0.01"],
+     "sweep needs a finite start below its end, got 0.05 to 0.01"),
 ])
 def test_rejected_run_prints_only_the_error_line(capsys, argv, message):
     code, out, err = run(capsys, argv)
@@ -631,6 +636,34 @@ def test_bad_sweep_exits_1_before_any_member_is_drawn(monkeypatch, capsys, argv)
     assert code == 1
     assert out == ""
     assert "sweep needs a finite start below its end" in err
+
+
+#: A reversed span of each CSV subcommand's sweep; every CSV row of the table has one.
+REVERSED_SPAN = {
+    "levels": ["--bmin-mt", "3", "--bmax-mt", "1"],
+    "rf-spectrum": ["--offset-min-khz", "50", "--offset-max-khz", "-50"],
+    "optical-spectrum": ["--scan-min-invcm", "0.007", "--scan-max-invcm", "-0.003"],
+    "rabi": ["--max-us", "-10"],
+    "ramsey": ["--tau-min-s", "0.002", "--tau-max-s", "0.001"],
+    "hahn": ["--tau-min-s", "0.05", "--tau-max-s", "0.01"],
+}
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--points", "1"], "--points must be >= 2"),
+    (None, "sweep needs a finite start below its end"),
+], ids=["one-point", "reversed"])
+@pytest.mark.parametrize("command", [name for name, row in cli._COMMANDS.items()
+                                     if row.compute is not None])
+def test_every_csv_subcommand_checks_its_sweep_before_any_member(
+        monkeypatch, capsys, command, flags, message):
+    def draw(*args, **kwargs):
+        raise AssertionError("the ensemble ran before the sweep was checked")
+
+    monkeypatch.setattr(noise, "_restart", draw)  # every ensemble member's stream starts here
+    code, out, err = run(capsys, [command, *(REVERSED_SPAN[command] if flags is None else flags)])
+    assert (code, out) == (1, "")
+    assert message in err
 
 
 def test_bad_config_value_exits_1(tmp_path, capsys):

@@ -27,7 +27,6 @@ from donorsim.noise import (
     EnsembleSpec,
     MemberEnvironment,
     NoiseModel,
-    draw_member_environment,
     member_rng,
 )
 from donorsim.program import Delay, PhaseCycle, Pulse, PulseProgram
@@ -59,7 +58,7 @@ def looped_p_t(spec, programs, shot_phases=None, detuning_during_pulses=False) -
     n_shots = 1 if shot_phases is None else shot_phases.shape[1]
     out = np.zeros((spec.n_members, len(programs), n_shots, len(programs[0])))
     for i in range(spec.n_members):
-        env = draw_member_environment(spec, PHOSPHORUS, i)
+        env = scalar_oracle.draw_member_environment(spec, PHOSPHORUS, i)
         for k, row in enumerate(programs):
             for j in range(n_shots):
                 env.shot_phase_rad = 0.0 if shot_phases is None else float(shot_phases[k, j])

@@ -39,7 +39,7 @@ import sys
 import pytest
 
 import donorsim
-from donorsim import seqdsl, spincore
+from donorsim import cli, seqdsl, spincore
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "donorsim"
@@ -50,7 +50,6 @@ _DEFINITIONS = (*_FUNCTIONS, ast.ClassDef)
 
 #: Qualified name -> the open ROADMAP item that will call or delete it.
 UNREACHED_ALLOWED = {
-    "noise.draw_member_environment": "ROADMAP item 5",
     "pump.ConvergenceError": "ROADMAP item 12",
     "pump.PopulationTrajectory.final_state": "ROADMAP item 12",
     "pump._steady_signal": "ROADMAP item 12",
@@ -260,11 +259,14 @@ def _loaded(package: str) -> str:
 
 def _main_loading(argv: list[str], package: str) -> str:
     """``donorsim.cli.main(argv)`` in a fresh process: its exit code and the
-    modules of ``package`` (itself included) that it loaded."""
+    modules of ``package`` (itself included) that it loaded.  What the run
+    writes to stdout is dropped."""
     return _fresh_process(
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "import donorsim.cli\n"
-        f"print(donorsim.cli.main({argv!r}), end=' ')\n" + _loaded(package))
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = donorsim.cli.main({argv!r})\n"
+        "print(code, end=' ')\n" + _loaded(package))
 
 
 def test_import_donorsim_loads_no_submodule():
@@ -300,12 +302,36 @@ def test_the_parser_loads_only_config_and_fitkit(call):
         "['donorsim', 'donorsim.cli', 'donorsim.config', 'donorsim.fitkit']\n"
 
 
-def test_hahn_loads_no_sequence_text_or_pump_module(tmp_path):
-    argv = ["hahn", "--members", "3", "--points", "3", "--output", str(tmp_path / "echo.csv")]
-    code, loaded = _main_loading(argv, "donorsim").split(" ", 1)
-    assert code == "0"
-    assert "donorsim.pulse" in loaded
-    assert "donorsim.seqdsl" not in loaded and "donorsim.pump" not in loaded
+#: Subcommand -> the flags of a small run of it, and the package modules
+#: besides ``cli``, ``config``, ``csvio`` and ``fitkit`` that the run loads.
+#: ``SEQUENCE`` stands for a file holding ``seqdsl.HAHN_TEXT``.
+_ENSEMBLE_RUN = ["--members", "3", "--points", "3"]
+SUBCOMMAND_RUNS = {
+    "levels": (["--points", "3"], ["spincore"]),
+    "rf-spectrum": (_ENSEMBLE_RUN, ["noise", "program", "pulse", "spincore"]),
+    "optical-spectrum": (["--points", "3"], ["pump"]),
+    "rabi": (_ENSEMBLE_RUN, ["noise", "program", "pulse", "spincore"]),
+    "ramsey": (_ENSEMBLE_RUN, ["noise", "program", "pulse", "spincore"]),
+    "hahn": (_ENSEMBLE_RUN, ["noise", "program", "pulse", "spincore"]),
+    "fit": ([str(ROOT / "tests/golden/hahn_mean_t0_parallel.csv")], []),
+    "parse": (["SEQUENCE"], ["program", "seqdsl"]),
+    "estimate-field": (["--splitting-khz", "111.819"], ["spincore"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_RUNS))
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, command):
+    sequence = tmp_path / "hahn.seq"
+    sequence.write_text(seqdsl.HAHN_TEXT, encoding="utf-8")
+    flags, modules = SUBCOMMAND_RUNS[command]
+    argv = [command, *(str(sequence) if flag == "SEQUENCE" else flag for flag in flags)]
+    want = sorted(["donorsim", *(f"donorsim.{m}" for m in
+                                 ["cli", "config", "csvio", "fitkit", *modules])])
+    assert _main_loading(argv, "donorsim") == f"0 {want}\n"
+
+
+def test_every_subcommand_has_a_pinned_run():
+    assert set(SUBCOMMAND_RUNS) == set(cli._COMMANDS)
 
 
 def test_a_rescued_fit_loads_no_scipy(tmp_path):

@@ -21,11 +21,21 @@ from donorsim.noise import (
     NoiseModel,
     _integral_variance_factor,
     common_rng,
-    draw_member_environment,
     member_rng,
     sensitivity_factor,
 )
-from donorsim.spincore import GAMMA_I_MHZ_PER_MT, GAMMA_S_MHZ_PER_MT, PHOSPHORUS, eigensystems
+from donorsim.spincore import (
+    GAMMA_I_MHZ_PER_MT,
+    GAMMA_S_MHZ_PER_MT,
+    PHOSPHORUS,
+    eigensystems,
+    field_magnitudes,
+)
+
+
+def draw_one(spec: EnsembleSpec, index: int) -> noise_mod.EnvironmentBlock:
+    """Member ``index``'s environment, drawn by a pass of its own."""
+    return EnvironmentPass(spec, PHOSPHORUS).draw(index, index + 1)
 
 
 # --- streams -----------------------------------------------------------------
@@ -54,10 +64,9 @@ def test_member_environment_independent_of_ensemble_size():
     small = EnsembleSpec(n_members=10, seed=9, noise=noise, b0_magnitude_ut=4.0)
     large = EnsembleSpec(n_members=10_000, seed=9, noise=noise, b0_magnitude_ut=4.0)
     for index in (0, 3, 9):
-        env_a = draw_member_environment(small, PHOSPHORUS, index)
-        env_b = draw_member_environment(large, PHOSPHORUS, index)
-        assert env_a.static_detuning_khz == env_b.static_detuning_khz
-        assert env_a.field.as_array().tolist() == env_b.field.as_array().tolist()
+        env_a, env_b = draw_one(small, index), draw_one(large, index)
+        assert env_a.detunings_khz.tolist() == env_b.detunings_khz.tolist()
+        assert env_a.fields.tolist() == env_b.fields.tolist()
 
 
 def test_static_draw_unchanged_by_internal_subpopulation_setting():
@@ -69,22 +78,20 @@ def test_static_draw_unchanged_by_internal_subpopulation_setting():
     spec_a = EnsembleSpec(n_members=4, seed=11, noise=base, b0_magnitude_ut=4.0)
     spec_b = EnsembleSpec(n_members=4, seed=11, noise=with_pop, b0_magnitude_ut=4.0)
     for index in range(4):
-        env_a = draw_member_environment(spec_a, PHOSPHORUS, index)
-        env_b = draw_member_environment(spec_b, PHOSPHORUS, index)
+        env_a, env_b = draw_one(spec_a, index), draw_one(spec_b, index)
+        magnitude_a = field_magnitudes(env_a.fields)[0]
+        magnitude_b = field_magnitudes(env_b.fields)[0]
         # member b sees an extra line shift on top of the same deviate, and
         # the extra shift comes only from its internal field
-        assert env_b.static_detuning_khz != pytest.approx(env_a.static_detuning_khz) or \
-            env_b.field.magnitude() == pytest.approx(4.0)
-        assert env_a.field.magnitude() == pytest.approx(4.0)
+        assert env_b.detunings_khz[0] != pytest.approx(env_a.detunings_khz[0]) or \
+            magnitude_b == pytest.approx(4.0)
+        assert magnitude_a == pytest.approx(4.0)
 
 
 def test_internal_field_adds_vectorially():
     noise = NoiseModel(internal_fraction=1.0, internal_field_ut=6.0)
     spec = EnsembleSpec(n_members=64, seed=1, noise=noise, b0_magnitude_ut=4.0)
-    magnitudes = [
-        draw_member_environment(spec, PHOSPHORUS, i).field.magnitude()
-        for i in range(spec.n_members)
-    ]
+    magnitudes = field_magnitudes(EnvironmentPass(spec, PHOSPHORUS).draw(0, spec.n_members).fields)
     assert min(magnitudes) >= 2.0 - 1e-9   # |6 - 4|
     assert max(magnitudes) <= 10.0 + 1e-9  # 6 + 4
     assert np.std(magnitudes) > 0.5  # directions genuinely random
@@ -121,12 +128,12 @@ def test_block_pass_matches_per_member_draws_and_eigensolves(
     assert len(got) == n_members
     for index, (detuning, field, energies, vectors) in enumerate(got):
         want = scalar_oracle.draw_member_environment(spec, PHOSPHORUS, index)
-        public = draw_member_environment(spec, PHOSPHORUS, index)
+        one = draw_one(spec, index)
         want_energies, want_vectors = scalar_oracle.eigensystem(PHOSPHORUS, want.field)
-        for other in (want, public):
-            assert field.tolist() == other.field.as_array().tolist()
-            assert (detuning, envs.ou_sigma_khz, spec.noise.ou_tau_c_s) == (
-                other.static_detuning_khz, other.ou_sigma_khz, other.ou_tau_c_s)
+        assert field.tolist() == want.field.as_array().tolist() == one.fields[0].tolist()
+        assert (detuning, envs.ou_sigma_khz, spec.noise.ou_tau_c_s) == (
+            want.static_detuning_khz, want.ou_sigma_khz, want.ou_tau_c_s)
+        assert one.detunings_khz.tolist() == [detuning]
         assert energies.tolist() == want_energies.tolist()
         assert vectors.tolist() == want_vectors.tolist()
 
@@ -215,11 +222,13 @@ def test_restarted_pass_generator_is_the_member_stream(seed, drawn_index, n_rand
         # the normals that follow a member's four environment draws
         block = _pass_left_mid_buffer(spec, n_random).draw(index, index + 1, n_draws)
         want = scalar_oracle.draw_member_environment(spec, PHOSPHORUS, index)
-        public = draw_member_environment(spec, PHOSPHORUS, index)
         assert block.detunings_khz.tolist() == [want.static_detuning_khz]
         normals = block.normals[0].tolist()
         assert normals == want.rng.standard_normal(n_draws).tolist()
-        assert normals == public.rng.standard_normal(n_draws).tolist()
+        # a fresh pass's generator, left after one member's four environment draws
+        own_pass = EnvironmentPass(spec, PHOSPHORUS)
+        own_pass.draw(index, index + 1)
+        assert normals == own_pass._rng.standard_normal(n_draws).tolist()
 
 
 def test_an_ensemble_builds_as_many_philox_generators_at_any_size(monkeypatch):
@@ -255,11 +264,12 @@ def test_ou_sigma_scaled_by_line_sensitivity():
                          b0_magnitude_ut=4.0)
     sensitive = EnsembleSpec(n_members=1, seed=0, noise=noise, transition="T+",
                              b0_magnitude_ut=4.0)
-    env_clock = draw_member_environment(clock, PHOSPHORUS, 0)
-    env_plus = draw_member_environment(sensitive, PHOSPHORUS, 0)
+    # every member of a pass sees the pass's sigma
+    sigma_clock = EnvironmentPass(clock, PHOSPHORUS).ou_sigma_khz
+    sigma_plus = EnvironmentPass(sensitive, PHOSPHORUS).ou_sigma_khz
     # T+- slope ~ (gs-gi)/2 => factor ~1; T0 at 4 µT is ~500x protected
-    assert env_plus.ou_sigma_khz == pytest.approx(1.0, rel=2e-3)
-    assert env_clock.ou_sigma_khz < 3e-3
+    assert sigma_plus == pytest.approx(1.0, rel=2e-3)
+    assert sigma_clock < 3e-3
 
 
 def test_sensitivity_factor_values():
