@@ -126,15 +126,17 @@ def _hahn(args: argparse.Namespace, cfg: RunConfig, taus_s: np.ndarray) -> list[
     return [echo.values, np.full_like(taus_s, echo.shots)]
 
 
-def _parse_triple(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"--peak needs 'center,width,amplitude', got {text!r}")
+def _parse_numbers(text: str) -> list[float]:
     try:
-        center, width, amp = (float(p) for p in parts)
+        return [float(part) for part in text.split(",")]
     except ValueError:
-        raise ConfigError(f"--peak values must be numbers, got {text!r}") from None
-    return center, width, amp
+        raise ValueError(f"values must be numbers, got {text!r}") from None
+
+
+def _parse_triple(text: str) -> tuple[float, float, float]:
+    if text.count(",") != 2:
+        raise ValueError(f"needs 'center,width,amplitude', got {text!r}")
+    return tuple(_parse_numbers(text))
 
 
 #: Each fit model's own flags, by ``args`` attribute; the other model rejects them.
@@ -153,19 +155,12 @@ def _cmd_fit(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -> 
         raise ConfigError(f"{args.input}: need at least 3 rows and 2 columns to fit")
     x, y = data[:, 0], data[:, 1]
     if args.model == "stretched":
-        initial = None
-        if args.initial is not None:
-            try:
-                initial = [float(v) for v in args.initial.split(",")]
-            except ValueError:
-                raise ConfigError(
-                    f"--initial values must be numbers, got {args.initial!r}") from None
-        result = fitkit.fit_stretched_exp(x, y, initial=initial, fix_n=args.fix_n)
+        result = fitkit.fit_stretched_exp(x, y, initial=args.initial, fix_n=args.fix_n)
     else:
         k = 1 if args.k is None else args.k
         if k < 1:
             raise ConfigError("--k must be >= 1")
-        peaks = [_parse_triple(p) for p in args.peak or []]
+        peaks = args.peak or []
         if len(peaks) != k:
             raise ConfigError(f"--model peaks needs exactly k={k} --peak triples")
         result = fitkit.fit_peaks(
@@ -219,17 +214,20 @@ _PUMP_SETTINGS = ("off", "on_T", "on_S")
 
 
 class _ParsedFlag(argparse.Action):
-    """A flag whose text a ``config`` parser reads as it is given; a bad text is exit 1."""
+    """A flag whose text ``parse`` reads as it is given; a bad text is exit 1."""
 
-    def __init__(self, option_strings, dest, *, parse: Callable[[str], float], **kwargs):
+    def __init__(self, option_strings, dest, *, parse: Callable, append=False, **kwargs):
         super().__init__(option_strings, dest, **kwargs)
-        self.parse = parse
+        self.parse, self.append = parse, append
 
     def __call__(self, parser, namespace, text, option_string=None):
         try:
-            setattr(namespace, self.dest, self.parse(text))
+            value = self.parse(text)
         except ValueError as exc:
             raise ConfigError(f"{option_string}: {exc}") from None
+        if self.append:
+            value = [*(getattr(namespace, self.dest) or []), value]
+        setattr(namespace, self.dest, value)
 
 
 @dataclass(frozen=True)
@@ -237,10 +235,11 @@ class _Command:
     """One subcommand: its help line, its flags in ``--help`` order, and how it runs.
 
     A flag is a dict of ``add_argument`` keywords with its ``name`` (a
-    ``parse`` keyword reads the text through ``_ParsedFlag``), or a tuple of
-    ``RunConfig`` sections, whose setting flags it adds in field order.  A CSV
-    row writes the x swept over ``span(args)`` and ``compute(args, cfg, x)``
-    under ``columns``; any other row runs ``run(args, cfg, target)``.  Each
+    ``parse`` keyword reads the text through ``_ParsedFlag``, whose ``append``
+    lists a repeated flag's values in order), or a tuple of ``RunConfig``
+    sections, whose setting flags it adds in field order.  A CSV row writes
+    the x swept over ``span(args)`` and ``compute(args, cfg, x)`` under
+    ``columns``; any other row runs ``run(args, cfg, target)``.  Each
     function imports the modules it runs, so a process loads only what its
     subcommand needs.
     """
@@ -333,13 +332,14 @@ _COMMANDS = {
         dict(name="input", metavar="CSV", help="input file (x in column 1, y in column 2)"),
         dict(name="--model", choices=("stretched", "peaks"), default="stretched",
              help="model family (default stretched)"),
-        dict(name="--initial", metavar="A,T2[,N]", help="initial guesses for the stretched model"),
+        dict(name="--initial", parse=_parse_numbers, metavar="A,T2[,N]",
+             help="initial guesses for the stretched model"),
         dict(name="--fix-n", parse=parse_number, metavar="N",
              help="hold the stretching exponent fixed"),
         dict(name="--k", parse=parse_int, metavar="K",
              help="number of peaks for --model peaks (default 1)"),
         dict(name="--shape", choices=fitkit.PEAK_SHAPES, help="peak shape (default lorentzian)"),
-        dict(name="--peak", action="append", metavar="C,W,A",
+        dict(name="--peak", parse=_parse_triple, append=True, metavar="C,W,A",
              help="initial center,width,amplitude; repeat k times"),
         dict(name="--baseline", parse=parse_number, metavar="B",
              help="initial baseline (default: minimum of the data)"),

@@ -8,8 +8,8 @@ in place to the start of each member's stream (``_restart``) and there
 draws everything the ensemble engine takes from that stream, in one visit.
 The member fields and line shifts that follow from those draws are then
 computed for a whole block at once, as arrays.  ``member_rng`` builds the
-same stream as a generator of its own, for single runs
-(``pulse.run_sequence``) and the ensemble-wide ``common_rng``.
+same stream as a generator of its own; in the package only ``common_rng``
+calls it, for the ensemble-wide stream.
 
 A member's environment freezes its static detuning and (for a
 configurable subpopulation) an internal field of fixed magnitude and
@@ -45,7 +45,8 @@ from .spincore import FieldVector, SpinSystem
 #: shot-to-shot common-mode echo phase).  Member indices must stay below it.
 COMMON_STREAM_INDEX = 2**63
 
-ORIENTATIONS = ("parallel", "perpendicular")
+#: The unit RF drive direction of each geometry, with B0 along z.
+DRIVE_DIRECTIONS = {"parallel": (0.0, 0.0, 1.0), "perpendicular": (1.0, 0.0, 0.0)}
 
 
 @dataclass(frozen=True)
@@ -95,8 +96,8 @@ class NoiseModel:
 class EnsembleSpec:
     """Which transition is driven, at what field, over how many members.
 
-    The static field B0 lies along z; the RF field direction is z for
-    ``b0_orientation="parallel"`` and x for "perpendicular".
+    The static field B0 lies along z; ``b0_orientation`` names the RF
+    drive direction in ``DRIVE_DIRECTIONS``.
     """
 
     n_members: int
@@ -118,8 +119,8 @@ class EnsembleSpec:
             )
         if self.b0_magnitude_ut < 0 or not math.isfinite(self.b0_magnitude_ut):
             raise ValueError("b0_magnitude_ut must be finite and >= 0")
-        if self.b0_orientation not in ORIENTATIONS:
-            raise ValueError(f"b0_orientation must be one of {ORIENTATIONS}")
+        if self.b0_orientation not in DRIVE_DIRECTIONS:
+            raise ValueError(f"b0_orientation must be one of {tuple(DRIVE_DIRECTIONS)}")
         if self.b1_amplitude_mt <= 0 or not math.isfinite(self.b1_amplitude_mt):
             raise ValueError("b1_amplitude_mt must be finite and > 0")
         # the largest components a member's field can take: B0 + B_int along z,
@@ -271,9 +272,8 @@ class EnvironmentPass:
             shifted[:, 1] += (sin_theta * np.sin(azimuth)) * internal_ut
             shifted[:, 2] += cos_theta * internal_ut
             fields[inside] = shifted
-            levels = spincore._breit_rabi_arrays(
-                self.system, spincore.field_magnitudes(shifted) / spincore.UT_PER_MT)
-            line_mhz = levels[spincore.LABELS.index(spec.transition)] - levels[0]
+            line_mhz = spincore._line_mhz(self.system, spec.transition,
+                                          spincore.field_magnitudes(shifted) / spincore.UT_PER_MT)
             detunings[inside] += (line_mhz - self._nominal_mhz) * 1e3  # MHz -> kHz
         return EnvironmentBlock(detunings_khz=detunings, fields=fields, normals=normals)
 

@@ -121,21 +121,16 @@ def run_sequence(
 def two_level_params_for(spec: EnsembleSpec, system: SpinSystem) -> TwoLevelParams:
     """Reduce an ensemble spec to driven-line parameters via the level model.
 
-    The line frequency and RF matrix element come from the transition table
-    at the nominal field; the coupling is the parallel or perpendicular
-    element, chosen by ``spec.b0_orientation``.
+    The line's frequency and RF matrix element at the nominal field along z,
+    read for the drive of ``spec.b0_orientation`` as ``rf_spectrum`` reads lines.
     """
-    field = FieldVector.along_z(spec.b0_magnitude_ut)
-    lines = {t.to_label: t for t in spincore.transition_table(system, field)}
-    line = lines[spec.transition]
-    coupling = (
-        line.element_parallel_mhz_per_mt
-        if spec.b0_orientation == "parallel"
-        else line.element_perpendicular_mhz_per_mt
-    )
+    frequencies, elements = spincore.singlet_triplet_lines(
+        *spincore.eigensystems(system, np.array([[0.0, 0.0, spec.b0_magnitude_ut]])),
+        spincore.drive_operator(system, noise_mod.DRIVE_DIRECTIONS[spec.b0_orientation]))
+    line = spincore.TRIPLET_LABELS.index(spec.transition)
     return TwoLevelParams(
-        transition_frequency_mhz=line.frequency_mhz,
-        rabi_coupling_mhz_per_mt=coupling,
+        transition_frequency_mhz=float(frequencies[0, line]),
+        rabi_coupling_mhz_per_mt=float(elements[0, line]),
         b1_amplitude_mt=spec.b1_amplitude_mt,
     )
 
@@ -545,7 +540,7 @@ def hahn_experiment(
     from the ensemble-wide stream, and keeps the largest |ensemble-averaged
     cycled signal|; this is the estimator for field-sensitive lines whose
     echo phase is randomized between shots.  A given ``shots_per_point``
-    must be >= 1 under either detection.
+    must be >= 1, and under detection="mean" it is an error.
 
     Members run in blocks of the ensemble engine and are reduced in index
     order, so memory stays bounded by the block, not the ensemble.
@@ -559,6 +554,8 @@ def hahn_experiment(
         raise ValueError("readout_gain must be > 0")
     if shots_per_point is not None and shots_per_point < 1:
         raise ValueError("shots_per_point must be >= 1")
+    if detection == "mean" and shots_per_point is not None:
+        raise ValueError("shots_per_point applies only to detection='max'")
     n_shots = 1 if detection == "mean" else (shots_per_point or 100)
 
     shot_programs = hahn_program().shots()  # [first pulse +pi/2, first pulse -pi/2]
@@ -781,12 +778,7 @@ def rf_spectrum(
     if not (math.isfinite(kernel_fwhm_khz) and half > 0):  # a half of 0 would divide by zero
         raise ValueError(f"kernel_fwhm_khz must be finite and > 0, also when halved, "
                          f"got {kernel_fwhm_khz!r}")
-    b1_dir = (
-        np.array([0.0, 0.0, 1.0])
-        if spec.b0_orientation == "parallel"
-        else np.array([1.0, 0.0, 0.0])
-    )
-    op = spincore.drive_operator(system, b1_dir)
+    op = spincore.drive_operator(system, noise_mod.DRIVE_DIRECTIONS[spec.b0_orientation])
     columns = np.repeat(offsets, 2) if offsets.size == 1 else offsets
     terms = np.zeros((_RF_LINE_RUN + 1, columns.size))
     for members in noise_mod.EnvironmentPass(spec, system).blocks(_RF_BLOCK_MEMBERS):

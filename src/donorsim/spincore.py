@@ -274,20 +274,19 @@ def breit_rabi_levels(system: SpinSystem, b0_ut):
     return {"S": e_s, "T-": e_tm, "T0": e_t0, "T+": e_tp}
 
 
-def _transition_frequency_mt(system: SpinSystem, to_label: str, b0_mt: float) -> float:
-    """f(S -> to_label) in MHz from the closed form, field in mT (any sign)."""
-    e_s, e_tm, e_t0, e_tp = _breit_rabi_arrays(system, b0_mt)
-    upper = {"T-": e_tm, "T0": e_t0, "T+": e_tp}
-    if to_label not in upper:
+def _line_mhz(system: SpinSystem, to_label: str, b_mt):
+    """f(S -> to_label) in MHz from the closed form, field in mT (any sign, scalar or array)."""
+    if to_label not in TRIPLET_LABELS:
         raise ValueError(f"transition label must be one of {TRIPLET_LABELS}, got {to_label!r}")
-    return float(upper[to_label] - e_s)
+    levels = _breit_rabi_arrays(system, b_mt)
+    return levels[LABELS.index(to_label)] - levels[0]
 
 
 def transition_frequency(system: SpinSystem, to_label: str, b0_ut: float) -> float:
     """Closed-form S -> T* transition frequency (MHz) at field b0_ut >= 0 (uT)."""
     if b0_ut < 0:
         raise ValueError("field magnitude must be >= 0")
-    return _transition_frequency_mt(system, to_label, b0_ut / UT_PER_MT)
+    return float(_line_mhz(system, to_label, b0_ut / UT_PER_MT))
 
 
 def drive_operator(system: SpinSystem, drive_direction) -> np.ndarray:
@@ -386,9 +385,8 @@ def clock_sensitivity(
     b_mt = b0_ut / UT_PER_MT
     scale_mt = system.hyperfine_a / (system.gamma_s + system.gamma_i)
     h = 1e-4 * scale_mt
-    f_plus = _transition_frequency_mt(system, to_label, b_mt + h)
-    f_minus = _transition_frequency_mt(system, to_label, b_mt - h)
-    f_mid = _transition_frequency_mt(system, to_label, b_mt)
+    f_plus, f_minus, f_mid = _line_mhz(
+        system, to_label, np.array([b_mt + h, b_mt - h, b_mt])).tolist()
     slope_mhz_per_mt = (f_plus - f_minus) / (2.0 * h)
     curv_mhz_per_mt2 = (f_plus + f_minus - 2.0 * f_mid) / (h * h)
     # MHz/mT is numerically kHz/uT; curvature picks up a factor 1e-3.

@@ -14,11 +14,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from donorsim import fitkit, pulse, spincore
-from donorsim.spincore import LABELS, PHOSPHORUS, TRIPLET_LABELS, FieldVector
+from donorsim import fitkit, noise, pulse, spincore
+from donorsim.noise import EnsembleSpec
+from donorsim.spincore import LABELS, PHOSPHORUS, REFERENCE_FIELD_UT, TRIPLET_LABELS, FieldVector
 
 #: Uniform deviates in [0, 1) as the environment pass draws them, plus the ends.
 UNIFORMS = np.concatenate([
@@ -72,13 +73,53 @@ def test_float_power_square_sum_and_sqrt_equal_field_vector_magnitude():
 
 @pytest.mark.parametrize("label", spincore.TRIPLET_LABELS)
 def test_stacked_breit_rabi_equals_scalar_transition_frequency(label):
-    # noise.EnvironmentPass.draw: one closed-form call for a block's line shifts
+    # noise.EnvironmentPass.draw: one spincore._line_mhz call for a block's line shifts
     rng = np.random.Generator(np.random.Philox(key=13))
     b_ut = np.concatenate([rng.random(5000) * 60.0, [0.0, 5e-7, 1e-6, 4.0, 23.0]])
-    levels = spincore._breit_rabi_arrays(PHOSPHORUS, b_ut / spincore.UT_PER_MT)
-    got = levels[spincore.LABELS.index(label)] - levels[0]
+    got = spincore._line_mhz(PHOSPHORUS, label, b_ut / spincore.UT_PER_MT)
     assert got.tolist() == [spincore.transition_frequency(PHOSPHORUS, label, b)
                             for b in b_ut.tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 1e150), st.sampled_from(TRIPLET_LABELS))
+@example(0.0, "T0")
+@example(REFERENCE_FIELD_UT, "T+")
+@example(4.0, "T-")
+def test_one_closed_form_call_over_three_fields_equals_three_scalar_calls(b_ut, label):
+    # spincore.clock_sensitivity: one spincore._line_mhz call over
+    # [b + h, b - h, b], where it made one scalar call per field
+    b_mt = b_ut / spincore.UT_PER_MT
+    h = 1e-4 * (PHOSPHORUS.hyperfine_a / (PHOSPHORUS.gamma_s + PHOSPHORUS.gamma_i))
+    points = [b_mt + h, b_mt - h, b_mt]
+    f_plus, f_minus, f_mid = (float(spincore._line_mhz(PHOSPHORUS, label, b)) for b in points)
+    got = spincore._line_mhz(PHOSPHORUS, label, np.array(points))
+    assert got.tolist() == [f_plus, f_minus, f_mid]
+    assert spincore.clock_sensitivity(PHOSPHORUS, label, b_ut) == (
+        (f_plus - f_minus) / (2.0 * h), (f_plus + f_minus - 2.0 * f_mid) / (h * h) * 1e-3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.0, 1e150))
+@example(0.0)
+@example(1e-7)
+@example(float(np.nextafter(REFERENCE_FIELD_UT, 0.0)))
+@example(REFERENCE_FIELD_UT)
+@example(1.0000001e-6)
+@example(4.0)
+@example(1e150)
+def test_line_read_along_z_equals_the_transition_table(b_ut):
+    # pulse.two_level_params_for: one line read through spincore.eigensystems,
+    # singlet_triplet_lines and a drive of noise.DRIVE_DIRECTIONS, where it
+    # picked one element of spincore.transition_table at a field along z
+    table = spincore.transition_table(PHOSPHORUS, FieldVector.along_z(b_ut))
+    for orientation in noise.DRIVE_DIRECTIONS:
+        for line in table:
+            spec = EnsembleSpec(n_members=1, seed=0, transition=line.to_label,
+                                b0_magnitude_ut=b_ut, b0_orientation=orientation)
+            params = pulse.two_level_params_for(spec, PHOSPHORUS)
+            want = (line.frequency_mhz, getattr(line, f"element_{orientation}_mhz_per_mt"))
+            assert (params.transition_frequency_mhz, params.rabi_coupling_mhz_per_mt) == want
 
 
 def test_add_reduce_over_a_lone_long_axis_is_pairwise():

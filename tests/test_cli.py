@@ -589,8 +589,8 @@ def test_t2_none_flag_runs_like_the_config_key(tmp_path):
 @pytest.mark.parametrize("extra, message", [
     (["--model", "peaks", "--k", "-1"], "--k must be >= 1"),
     (["--model", "peaks", "--k", "0", "--peak", "1,2,3"], "--k must be >= 1"),
-    (["--initial", "x"], "--initial values must be numbers, got 'x'"),
-    (["--initial", "1.0,,2"], "--initial values must be numbers, got '1.0,,2'"),
+    (["--initial", "x"], "--initial: values must be numbers, got 'x'"),
+    (["--initial", "1.0,,2"], "--initial: values must be numbers, got '1.0,,2'"),
     # a flag of the other model, even at its default value
     (["--model", "peaks", "--peak=1,2,3", "--initial", "1,2"],
      "--initial applies only to --model stretched"),
@@ -600,6 +600,13 @@ def test_t2_none_flag_runs_like_the_config_key(tmp_path):
     (["--model", "stretched", "--shape", "lorentzian"], "--shape applies only to --model peaks"),
     (["--peak=1,2,3"], "--peak applies only to --model peaks"),
     (["--baseline", "4"], "--baseline applies only to --model peaks"),
+    (["--model", "peaks", "--peak=1,x,3"], "--peak: values must be numbers, got '1,x,3'"),
+    # each text is read where argparse meets it: a later valid repeat or --help hides no error
+    (["--initial", "banana", "--initial", "1,0.05,1.5"],
+     "--initial: values must be numbers, got 'banana'"),
+    (["--initial", "x", "--help"], "--initial: values must be numbers, got 'x'"),
+    (["--model", "peaks", "--peak=1,2", "--help"],
+     "--peak: needs 'center,width,amplitude', got '1,2'"),
 ])
 def test_fit_flag_errors_name_the_flag(capsys, extra, message):
     code, out, err = run(capsys, ["fit", str(GOLDEN / "hahn_mean_t0_parallel.csv")] + extra)
@@ -615,12 +622,9 @@ def test_missing_config_file_exits_2(capsys):
         assert out == ""
 
 
+# the reversed spans are in test_every_csv_subcommand_checks_its_sweep_before_any_member
 @pytest.mark.parametrize("argv", [
-    ["ramsey", "--members", "3000", "--tau-min-s", "0.002", "--tau-max-s", "0.001"],
-    ["rf-spectrum", "--members", "2000", "--offset-min-khz", "50", "--offset-max-khz", "-50"],
     ["rf-spectrum", "--members", "2000", "--offset-max-khz", "inf"],
-    ["rabi", "--max-us", "-10"],
-    ["hahn", "--tau-min-s", "0.05", "--tau-max-s", "0.01"],
     # finite ends whose span overflows
     ["rf-spectrum", "--offset-min-khz=-1.7e308", "--offset-max-khz", "1.7e308", "--points", "3",
      "--members", "2"],

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
-from donorsim import pump, spincore
+from donorsim import cli, config, noise, pulse, pump, spincore
 from donorsim.config import (
     DEFAULT_SEED,
     SEED_ENV_VAR,
@@ -141,11 +143,29 @@ def test_derived_objects_mirror_settings():
 
 
 def test_defaults_are_the_physics_modules_defaults():
-    # config writes these defaults out so that building the parser loads no physics
+    # config and cli write these facts out so that building the parser loads no physics
     cfg = RunConfig()
     assert cfg.spin_system() == spincore.PHOSPHORUS
     assert cfg.pump_config() == pump.PumpConfig()
     assert cfg.optical_linewidth_mhz == pump.DEFAULT_OPTICAL_LINEWIDTH_MHZ
+    # the geometries and lines a setting accepts, and names when it rejects a text
+    candidates = {*noise.DRIVE_DIRECTIONS, *spincore.LABELS, "antiparallel", "T2", ""}
+    for parse, names in ((config._parse_orientation, noise.DRIVE_DIRECTIONS),
+                         (config._parse_transition, spincore.TRIPLET_LABELS)):
+        assert [parse(name) for name in names] == list(names)
+        for text in candidates.difference(names):
+            with pytest.raises(ValueError) as exc:
+                parse(text)
+            assert all(name in str(exc.value) for name in names)
+    # the parser's defaults of the physics functions' keywords
+    rf = inspect.signature(pulse.rf_spectrum).parameters
+    optical = inspect.signature(pump.optical_spectrum).parameters
+    args = cli.build_parser().parse_args(["rf-spectrum"])
+    assert args.kernel_fwhm_khz == rf["kernel_fwhm_khz"].default
+    args = cli.build_parser().parse_args(["optical-spectrum"])
+    assert (args.probe_peak_rate, args.pump_peak_rate, args.doublet_split_invcm) == tuple(
+        optical[name].default
+        for name in ("probe_peak_rate", "pump_peak_rate", "doublet_split_inv_cm"))
 
 
 def test_load_config_file_roundtrip(tmp_path):

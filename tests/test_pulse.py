@@ -329,6 +329,13 @@ def test_hahn_max_detection_recovers_unity_noiseless():
     assert np.all(series.values > 0.998)
 
 
+def test_hahn_mean_detection_rejects_a_shot_count():
+    # mean detection runs one shot pair per tau, so a shot count there is an error
+    with pytest.raises(ValueError, match="shots_per_point applies only to detection='max'"):
+        hahn_experiment(clean_spec(n=3), PHOSPHORUS, [1e-3], detection="mean",
+                        shots_per_point=7)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     gain=st.floats(1e-6, 1e6),
@@ -345,7 +352,8 @@ def test_hahn_phase_cycle_cancels_readout_offset_to_rounding(gain, offset, seed,
     taus = np.array([0.002, 0.01, 0.03])
 
     def echo(readout_offset):
-        return hahn_experiment(spec, PHOSPHORUS, taus, detection=detection, shots_per_point=4,
+        shots = 4 if detection == "max" else None
+        return hahn_experiment(spec, PHOSPHORUS, taus, detection=detection, shots_per_point=shots,
                                readout_gain=gain, readout_offset=readout_offset).values
 
     tolerance = 8 * np.finfo(float).eps * (abs(offset) + gain) / gain
