@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Callable, Sequence, TextIO
@@ -354,6 +355,11 @@ _COMMANDS = {
 }
 
 
+#: "-" and a digit, ".", "inf" or "nan" starts a value, not a flag.  This replaces argparse's
+#: private ``_negative_number_matcher``, which takes only "-\d+" and "-\d*\.\d+" as values.
+_NEGATIVE_VALUE = re.compile(r"-(?:[\d.]|inf|nan)", re.IGNORECASE)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``donorsim`` parser of ``_COMMANDS``, built once per process for every ``main`` call.
@@ -366,9 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Donor electron-nuclear spin simulator: energy levels, "
                     "spectra, pulsed experiments, fitting.",
     )
+    parser._negative_number_matcher = _NEGATIVE_VALUE
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     for command, row in _COMMANDS.items():
         p = sub.add_parser(command, help=row.help)
+        p._negative_number_matcher = _NEGATIVE_VALUE
         for flag in row.flags:
             if isinstance(flag, dict):
                 kwargs = {"action": _ParsedFlag, **flag} if "parse" in flag else dict(flag)

@@ -19,6 +19,11 @@ class UnboundSymbolError(ValueError):
     """A symbolic delay was not bound to a concrete duration."""
 
 
+def _require_bound(missing: list[str] | tuple[str, ...]) -> None:
+    if missing:
+        raise UnboundSymbolError(f"unbound delay symbol(s): {', '.join(missing)}")
+
+
 @dataclass(frozen=True)
 class Pulse:
     """RF pulse event.
@@ -88,14 +93,15 @@ class PulseProgram:
                 seen.append(ev.symbol)
         return tuple(seen)
 
-    def is_bound(self) -> bool:
-        return not self.symbols()
+    def check_runnable(self) -> None:
+        """Raise unless an engine can run this as is: no phase cycles left, every delay bound."""
+        if self.cycles:
+            raise ValueError("program still has phase cycles; expand with .shots() first")
+        _require_bound(self.symbols())
 
     def bind(self, bindings: Mapping[str, float]) -> "PulseProgram":
         """Resolve symbolic delays; every symbol in the program must be bound."""
-        missing = [s for s in self.symbols() if s not in bindings]
-        if missing:
-            raise UnboundSymbolError(f"unbound delay symbol(s): {', '.join(missing)}")
+        _require_bound([s for s in self.symbols() if s not in bindings])
         events = tuple(
             Delay(duration_s=float(bindings[ev.symbol]))
             if isinstance(ev, Delay) and ev.symbol is not None
@@ -107,24 +113,23 @@ class PulseProgram:
     def shots(self) -> list["PulseProgram"]:
         """Expand phase cycles into concrete per-shot programs.
 
-        Each cycle must designate exactly one pulse by label.  Multiple
-        cycles combine as a cartesian product in declaration order; programs
-        without cycles expand to a single shot.
+        Each cycle must designate exactly one pulse by label, and no two
+        cycles the same one.  Multiple cycles combine as a cartesian product
+        in declaration order; programs without cycles expand to a single shot.
         """
-        for cycle in self.cycles:
-            hits = [
-                ev for ev in self.events
-                if isinstance(ev, Pulse) and ev.label == cycle.pulse_label
-            ]
+        labels = [cycle.pulse_label for cycle in self.cycles]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ValueError(f"duplicate cycle label {label!r}")
+            hits = [ev for ev in self.events if isinstance(ev, Pulse) and ev.label == label]
             if len(hits) != 1:
                 raise ValueError(
-                    f"phase cycle {cycle.pulse_label!r} must match exactly one "
-                    f"pulse, found {len(hits)}"
+                    f"phase cycle {label!r} must match exactly one pulse, found {len(hits)}"
                 )
         expanded = []
         offset_lists = [cycle.offsets_rad for cycle in self.cycles]
         for combo in itertools.product(*offset_lists):
-            offsets = dict(zip((c.pulse_label for c in self.cycles), combo))
+            offsets = dict(zip(labels, combo))
             events = tuple(
                 replace(ev, phase_rad=ev.phase_rad + offsets[ev.label])
                 if isinstance(ev, Pulse) and ev.label in offsets

@@ -33,7 +33,7 @@ from . import spincore
 from .csvio import Series
 from .fitkit import stretched_exp_model
 from .noise import EnsembleSpec, MemberEnvironment, _ou_coefficients
-from .program import Delay, Pulse, PulseProgram, UnboundSymbolError, hahn_program, ramsey_program
+from .program import Delay, Pulse, PulseProgram, hahn_program, ramsey_program
 from .spincore import FieldVector, SpinSystem
 
 
@@ -257,13 +257,9 @@ def _program_runner(
         if len(row) != n_cycles:
             raise ValueError("every sweep point needs the same number of cycle programs")
         for program in row:
-            if program.cycles:
-                raise ValueError("program still has phase cycles; expand with .shots() first")
+            program.check_runnable()
             if [type(ev) for ev in program.events] != [type(ev) for ev in skeleton]:
                 raise ValueError("shot programs must share one event skeleton")
-            for ev in program.events:
-                if isinstance(ev, Delay) and ev.symbol is not None:
-                    raise UnboundSymbolError(f"unbound delay symbol {ev.symbol!r}")
     n_shots = 1 if shot_phases is None else shot_phases.shape[1]
     omega = params.omega_rad_per_s
 
@@ -663,18 +659,12 @@ def simulate_4level(
     step-by-step loop, so the populations do not depend on the block size,
     and memory stays flat in the pulse length.
     """
-    if program.cycles:
-        raise ValueError("expand phase cycles before simulating")
-    if not program.is_bound():
-        raise UnboundSymbolError(f"unbound delay symbol(s): {program.symbols()}")
+    program.check_runnable()
     if b1_amplitude_mt < 0 or not math.isfinite(b1_amplitude_mt):
         raise ValueError("b1_amplitude_mt must be finite and >= 0")
     if not math.isfinite(rf_frequency_mhz):
         raise ValueError(f"rf_frequency_mhz must be finite, got {rf_frequency_mhz!r}")
-    direction = np.asarray(b1_direction, dtype=float)
-    length = np.linalg.norm(direction)
-    if direction.shape != (3,) or not (math.isfinite(length) and length > 0):
-        raise ValueError("b1_direction must be a finite nonzero 3-vector")
+    op = spincore.drive_operator(system, b1_direction)
     max_dt = 1.0 / (50.0 * system.hyperfine_a)
     if dt_us is None:
         dt_us = max_dt
@@ -705,7 +695,6 @@ def simulate_4level(
 
     eig = spincore.eigensystem(system, b0)
     igaps = 1j * (2.0 * math.pi) * (eig.energies[:, None] - eig.energies[None, :])
-    op = spincore.zeeman_operator(system, direction / length)
     w = b1_amplitude_mt * (eig.vectors.conj().T @ op @ eig.vectors)  # MHz, eigenbasis
 
     psi = np.zeros(4, dtype=complex)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Union
 
@@ -284,97 +285,78 @@ def parse(text: str) -> SequenceAst:
     return ast
 
 
-# --- validation ------------------------------------------------------------
+# --- lowering --------------------------------------------------------------
 
-def validate(ast: SequenceAst) -> list[Diagnostic]:
-    """Structural checks beyond the grammar; returns diagnostics, never raises."""
+def _lower(ast: SequenceAst) -> tuple[PulseProgram | None, list[Diagnostic]]:
+    """The program (None on any error) and the diagnostics of one walk; never raises.
+
+    Each statement's ``Pulse``, ``Delay`` or ``PhaseCycle`` is built where the
+    walk meets it, and its constructor's ``ValueError`` is an error at that
+    statement: the IR judges the values, the walk only the rules of the text.
+    """
     diags: list[Diagnostic] = []
-
-    pulse_labels: dict[str, int] = {}
-    for stmt in ast.statements:
-        if isinstance(stmt, PulseStmt) and stmt.label:
-            pulse_labels[stmt.label] = pulse_labels.get(stmt.label, 0) + 1
-
+    pulse_labels = Counter(s.label for s in ast.statements if isinstance(s, PulseStmt) and s.label)
+    events: list[Pulse | Delay] = []
+    cycles: list[PhaseCycle] = []
     seen_cycles: set[str] = set()
     for stmt in ast.statements:
-        line, col = stmt.pos
-        if isinstance(stmt, CycleStmt):
-            if stmt.label in seen_cycles:
-                diags.append(Diagnostic("error", f"duplicate cycle label {stmt.label!r}", line, col))
-            seen_cycles.add(stmt.label)
-            count = pulse_labels.get(stmt.label, 0)
-            if count != 1:
-                diags.append(Diagnostic(
-                    "error",
-                    f"cycle {stmt.label!r} must reference exactly one pulse, found {count}",
-                    line, col,
+        found = []  # (severity, message) of this statement
+        try:
+            if isinstance(stmt, CycleStmt):
+                if stmt.label in seen_cycles:
+                    found.append(("error", f"duplicate cycle label {stmt.label!r}"))
+                seen_cycles.add(stmt.label)
+                count = pulse_labels[stmt.label]
+                if count != 1:
+                    found.append(("error", f"cycle {stmt.label!r} must reference exactly one "
+                                           f"pulse, found {count}"))
+                cycles.append(PhaseCycle(stmt.label, tuple(map(math.radians, stmt.phases_deg))))
+            elif isinstance(stmt, PulseStmt):
+                if not 0.0 < stmt.angle_deg <= 360.0:
+                    found.append(("error", "pulse angle must lie in (0, 360] degrees, "
+                                           f"got {stmt.angle_deg:g}"))
+                events.append(Pulse(
+                    angle_rad=math.radians(stmt.angle_deg),
+                    phase_rad=math.radians(stmt.phase_deg),
+                    duration_s=stmt.duration.seconds() if stmt.duration else None,
+                    label=stmt.label,
                 ))
-            if any(not math.isfinite(p) for p in stmt.phases_deg):
-                diags.append(Diagnostic("error", "cycle phases must be finite", line, col))
-        elif isinstance(stmt, PulseStmt):
-            if not 0.0 < stmt.angle_deg <= 360.0:
-                diags.append(Diagnostic(
-                    "error",
-                    f"pulse angle must lie in (0, 360] degrees, got {stmt.angle_deg:g}",
-                    line, col,
-                ))
-            if not math.isfinite(stmt.phase_deg):
-                diags.append(Diagnostic("error", "pulse phase must be finite", line, col))
-            if stmt.duration is not None and stmt.duration.seconds() <= 0:
-                diags.append(Diagnostic("error", "pulse duration must be > 0", line, col))
-        elif isinstance(stmt, DelayStmt):
-            if stmt.duration is not None and stmt.duration.seconds() < 0:
-                diags.append(Diagnostic("error", "delay duration must be >= 0", line, col))
-            if stmt.symbol is not None and stmt.symbol in seen_cycles:
-                diags.append(Diagnostic(
-                    "warning",
-                    f"delay symbol {stmt.symbol!r} shadows a cycle label",
-                    line, col,
-                ))
+            else:
+                if stmt.symbol is not None and stmt.symbol in seen_cycles:
+                    found.append(("warning",
+                                  f"delay symbol {stmt.symbol!r} shadows a cycle label"))
+                events.append(Delay(stmt.duration.seconds() if stmt.duration else None,
+                                    stmt.symbol))
+        except ValueError as exc:
+            found.append(("error", str(exc)))
+        diags += (Diagnostic(severity, message, *stmt.pos) for severity, message in found)
     for label, count in pulse_labels.items():
         if count > 1 and label not in seen_cycles:
             first = next(
                 s for s in ast.statements if isinstance(s, PulseStmt) and s.label == label
             )
-            line, col = first.pos
-            diags.append(Diagnostic("warning", f"duplicate pulse label {label!r}", line, col))
-    return diags
+            diags.append(Diagnostic("warning", f"duplicate pulse label {label!r}", *first.pos))
+    if any(d.severity == "error" for d in diags):
+        return None, diags
+    return PulseProgram(name=ast.name, events=tuple(events), cycles=tuple(cycles)), diags
 
 
-# --- lowering --------------------------------------------------------------
+def validate(ast: SequenceAst) -> list[Diagnostic]:
+    """Rules of the text and the IR's value checks, with positions; never raises."""
+    return _lower(ast)[1]
+
 
 def compile(ast: SequenceAst, bindings: Mapping[str, float] | None = None) -> PulseProgram:  # noqa: A001
     """Lower an AST to a PulseProgram (degrees -> radians, TIME -> seconds).
 
-    With ``bindings=None`` symbolic delays stay symbolic; passing a mapping
-    (even an empty one) requests concrete timing, and any symbol missing
-    from it raises UnboundSymbolError.
+    Raises CompileError naming every error ``validate`` reports.  With
+    ``bindings=None`` symbolic delays stay symbolic; passing a mapping (even
+    an empty one) requests concrete timing, and any symbol missing from it
+    raises UnboundSymbolError.
     """
-    errors = [d for d in validate(ast) if d.severity == "error"]
-    if errors:
-        raise CompileError("; ".join(str(d) for d in errors))
-    events: list[Pulse | Delay] = []
-    for stmt in ast.statements:
-        if isinstance(stmt, PulseStmt):
-            events.append(Pulse(
-                angle_rad=math.radians(stmt.angle_deg),
-                phase_rad=math.radians(stmt.phase_deg),
-                duration_s=stmt.duration.seconds() if stmt.duration else None,
-                label=stmt.label,
-            ))
-        elif isinstance(stmt, DelayStmt):
-            events.append(
-                Delay(symbol=stmt.symbol) if stmt.symbol is not None
-                else Delay(duration_s=stmt.duration.seconds())
-            )
-    cycles = tuple(
-        PhaseCycle(
-            pulse_label=stmt.label,
-            offsets_rad=tuple(math.radians(p) for p in stmt.phases_deg),
-        )
-        for stmt in ast.statements if isinstance(stmt, CycleStmt)
-    )
-    program = PulseProgram(name=ast.name, events=tuple(events), cycles=cycles)
+    program, diags = _lower(ast)
+    if program is None:
+        raise CompileError("; ".join(str(d) for d in diags if d.severity == "error"))
     return program if bindings is None else program.bind(bindings)
 
 

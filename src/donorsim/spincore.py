@@ -290,11 +290,12 @@ def transition_frequency(system: SpinSystem, to_label: str, b0_ut: float) -> flo
 
 
 def drive_operator(system: SpinSystem, drive_direction) -> np.ndarray:
-    """gamma_s (e.S) - gamma_i (e.I) in MHz/mT for the unit vector e along a drive."""
+    """gamma_s (e.S) - gamma_i (e.I) in MHz/mT for e along a finite nonzero 3-vector drive."""
     e = np.asarray(drive_direction, dtype=float)
-    norm = float(np.linalg.norm(e))
-    if norm == 0.0 or not np.all(np.isfinite(e)):
-        raise ValueError("drive direction must be a finite nonzero vector")
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected as infinite
+        norm = float(np.linalg.norm(e)) if e.shape == (3,) else math.nan
+    if not (math.isfinite(norm) and norm > 0.0):
+        raise ValueError(f"drive direction must be a finite nonzero 3-vector, got {e.tolist()}")
     return zeeman_operator(system, e / norm)
 
 

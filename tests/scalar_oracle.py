@@ -35,7 +35,7 @@ import numpy as np
 from donorsim import pump, spincore
 from donorsim.fitkit import JACOBIAN_REL_STEP, ResidualFn, _safe_residual
 from donorsim.noise import EnsembleSpec, MemberEnvironment, _ou_coefficients, member_rng
-from donorsim.program import Delay, Pulse, PulseProgram, UnboundSymbolError
+from donorsim.program import Delay, Pulse, PulseProgram
 from donorsim.pulse import TwoLevelParams
 from donorsim.pump import NoUniqueSteadyStateError, PopulationState, PumpConfig
 from donorsim.spincore import FieldVector, SpinSystem
@@ -128,11 +128,10 @@ def run_sequence(
     applied as an extra z rotation just before the final pulse, modelling
     the net uncancelled common-mode phase of one shot.
 
-    Raises UnboundSymbolError for symbolic delays and ValueError for
-    unexpanded phase cycles.
+    Rejects a program that ``PulseProgram.check_runnable`` rejects, with its
+    errors, before drawing anything.
     """
-    if program.cycles:
-        raise ValueError("program still has phase cycles; expand with .shots() first")
+    program.check_runnable()
     static_khz = params.detuning_offset_khz + (env.static_detuning_khz if env else 0.0)
     delta_ang = 2.0 * math.pi * static_khz * 1e3
     a, b = 1.0 + 0.0j, 0.0 + 0.0j
@@ -148,8 +147,6 @@ def run_sequence(
     )
     for index, event in enumerate(program.events):
         if isinstance(event, Delay):
-            if event.symbol is not None:
-                raise UnboundSymbolError(f"unbound delay symbol {event.symbol!r}")
             tau = event.duration_s
             phase = delta_ang * tau
             if env is not None and ou_sigma > 0.0:

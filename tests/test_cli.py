@@ -229,7 +229,7 @@ def test_fit_peaks_pipeline_with_negative_center(tmp_path, capsys):
     y = peak_model(x, np.array([-55.9, 4.0, 1.0, 55.9, 4.0, 0.8, 0.0]), 2, "lorentzian")
     path = tmp_path / "spec.csv"
     emit_csv(str(path), ["offset_khz", "response"], np.column_stack([x, y]))
-    # leading-dash values must use the --peak=... form
+    # the --flag=VALUE form; the space-separated form is checked below
     code, out, _ = run(capsys, [
         "fit", str(path), "--model", "peaks", "--k", "2",
         "--peak=-50,3,0.7", "--peak=50,3,0.7",
@@ -238,6 +238,34 @@ def test_fit_peaks_pipeline_with_negative_center(tmp_path, capsys):
     values = parse_fit_output(out)
     assert float(values["center_1"]) == pytest.approx(-55.9, abs=1e-4)
     assert float(values["center_2"]) == pytest.approx(55.9, abs=1e-4)
+
+
+_RF = ["rf-spectrum", "--members", "2", "--points", "3"]
+_FIT_PEAKS = ["fit", str(GOLDEN / "rf_spectrum_internal_perpendicular.csv"), "--model", "peaks",
+              "--k", "1"]
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["optical-spectrum", "--points", "3"], "--scan-min-invcm", "-3e-3"),
+    (_RF, "--offset-min-khz", "-.5e2"),
+    (_RF, "--offset-min-khz", "-NaN"),
+    (_FIT_PEAKS, "--peak", "-50,3,0.7"),
+])
+def test_a_negative_value_reads_the_same_without_equals(capsys, argv, flag, value):
+    assert run(capsys, [*argv, flag, value]) == run(capsys, [*argv, f"{flag}={value}"])
+
+
+def test_every_parser_reads_negative_values_as_values():
+    # the pattern replaces argparse's private ``_negative_number_matcher``, so pin that it exists
+    assert hasattr(argparse.ArgumentParser(), "_negative_number_matcher")
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert all(p._negative_number_matcher is cli._NEGATIVE_VALUE
+               for p in [parser, *sub.choices.values()])
+    for text in ["-3", "-3e-3", "-.5", "-50,3,0.7", "-inf", "-Infinity", "-nan"]:
+        assert cli._NEGATIVE_VALUE.match(text)
+    for text in ["-h", "--points", "-x"]:
+        assert not cli._NEGATIVE_VALUE.match(text)
 
 
 def test_fit_writes_report_to_output_file(tmp_path, capsys):
@@ -482,6 +510,9 @@ def test_overflowing_delay_phase_fails_the_norm_check_exit_2(capsys):
     (["hahn", "--workers", "0", "--points", "1"], "--points must be >= 2"),
     (["hahn", "--b0-ut", "1e200", "--tau-min-s", "0.05", "--tau-max-s", "0.01"],
      "sweep needs a finite start below its end, got 0.05 to 0.01"),
+    # a leading "-" and "inf" is a value, not a flag
+    (["rf-spectrum", "--members", "2", "--points", "3", "--offset-min-khz", "-inf"],
+     "sweep needs a finite start below its end, got -inf to 150.0"),
 ])
 def test_rejected_run_prints_only_the_error_line(capsys, argv, message):
     code, out, err = run(capsys, argv)

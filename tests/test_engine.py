@@ -29,7 +29,7 @@ from donorsim.noise import (
     NoiseModel,
     member_rng,
 )
-from donorsim.program import Delay, PhaseCycle, Pulse, PulseProgram
+from donorsim.program import Delay, PhaseCycle, Pulse, PulseProgram, UnboundSymbolError
 from donorsim.pulse import (
     TwoLevelParams,
     hahn_experiment,
@@ -331,7 +331,7 @@ def test_engine_rejects_what_run_sequence_rejects():
     spec = EnsembleSpec(n_members=1, seed=0)
     half = Pulse(angle_rad=math.pi / 2, phase_rad=0.0)
     symbolic = PulseProgram(name="s", events=(half, Delay(symbol="tau"), half))
-    with pytest.raises(pulse.UnboundSymbolError):
+    with pytest.raises(UnboundSymbolError):
         engine_p_t(spec, [[symbolic]])
     cycled = PulseProgram(name="c", events=(Pulse(math.pi, 0.0, label="p"),),
                           cycles=(PhaseCycle("p", (0.0, math.pi)),))
@@ -340,6 +340,32 @@ def test_engine_rejects_what_run_sequence_rejects():
     other = PulseProgram(name="o", events=(half, half))
     with pytest.raises(ValueError, match="skeleton"):
         engine_p_t(spec, [[symbolic.bind({"tau": 1e-3})], [other]])
+
+
+_SYMBOLIC = PulseProgram(name="s", events=(Pulse(math.pi, 0.0, duration_s=1e-8),
+                                           Delay(symbol="tau"), Delay(symbol="t2")))
+_CYCLED = PulseProgram(name="c", events=(Pulse(math.pi, 0.0, duration_s=1e-8, label="p"),),
+                       cycles=(PhaseCycle("p", (0.0, math.pi)),))
+
+
+@pytest.mark.parametrize("program, error, message", [
+    (_SYMBOLIC, UnboundSymbolError, "unbound delay symbol(s): tau, t2"),
+    (_CYCLED, ValueError, "program still has phase cycles; expand with .shots() first"),
+])
+def test_every_engine_rejects_an_unrunnable_program_with_one_message(program, error, message):
+    params = two_level_params_for(EnsembleSpec(n_members=1, seed=0), PHOSPHORUS)
+    runs = [
+        program.check_runnable,
+        lambda: engine_p_t(EnsembleSpec(n_members=1, seed=0), [[program]]),
+        lambda: pulse.run_sequence(program, params),
+        lambda: scalar_oracle.run_sequence(program, params),
+        lambda: pulse.simulate_4level(program, PHOSPHORUS, FieldVector(0.0, 0.0, 23.0), 1e-3,
+                                      (0.0, 0.0, 1.0), 117.53),
+    ]
+    for run in runs:
+        with pytest.raises(error) as exc:
+            run()
+        assert str(exc.value) == message
 
 
 def test_cpmg2_golden_through_the_engine():

@@ -528,10 +528,10 @@ def test_4level_blocks_match_the_scalar_oracle_exactly(monkeypatch, block, b):
 @pytest.mark.parametrize("change, message", [
     ({"rf_frequency_mhz": math.nan}, "rf_frequency_mhz must be finite"),
     ({"rf_frequency_mhz": math.inf}, "rf_frequency_mhz must be finite"),
-    ({"b1_direction": [math.nan, 0.0, 1.0]}, "b1_direction must be a finite nonzero"),
-    ({"b1_direction": [math.inf, 0.0, 1.0]}, "b1_direction must be a finite nonzero"),
-    ({"b1_direction": [0.0, 0.0, 0.0]}, "b1_direction must be a finite nonzero"),
-    ({"b1_direction": [0.0, 1.0]}, "b1_direction must be a finite nonzero"),
+    ({"b1_direction": [math.nan, 0.0, 1.0]}, "drive direction must be a finite nonzero"),
+    ({"b1_direction": [math.inf, 0.0, 1.0]}, "drive direction must be a finite nonzero"),
+    ({"b1_direction": [0.0, 0.0, 0.0]}, "drive direction must be a finite nonzero"),
+    ({"b1_direction": [0.0, 1.0]}, "drive direction must be a finite nonzero"),
     ({"dt_us": math.nan}, "integration step nan"),
     ({"nominal_coupling_mhz_per_mt": math.nan}, "pulse without duration needs"),
     ({"nominal_coupling_mhz_per_mt": math.inf}, "pulse without duration needs"),

@@ -5,10 +5,17 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from donorsim.program import Delay, PhaseCycle, Pulse, UnboundSymbolError, hahn_program
+from donorsim.program import (
+    Delay,
+    PhaseCycle,
+    Pulse,
+    PulseProgram,
+    UnboundSymbolError,
+    hahn_program,
+)
 from donorsim.seqdsl import (
     HAHN_TEXT,
     TIME_UNITS,
@@ -216,6 +223,58 @@ def test_validate_warnings():
     assert any("duplicate pulse label" in d.message for d in dup)
 
 
+# Hand-built statements whose values the IR may reject: NaN, inf, negative
+# durations and empty cycles, on a few shared labels so cycles find their pulses.
+_LABELS = st.sampled_from(["p", "q", "tau"])
+_ANY_FLOAT = st.one_of(st.sampled_from([0.0, 90.0, 360.0, -1.0]), st.floats())
+_ANY_TIMES = st.builds(TimeLiteral, value=st.floats(-10.0, 10.0),
+                       unit=st.sampled_from(sorted(TIME_UNITS)))
+_ANY_STATEMENTS = st.one_of(
+    st.builds(PulseStmt, label=st.one_of(st.none(), _LABELS), angle_deg=_ANY_FLOAT,
+              phase_deg=_ANY_FLOAT, duration=st.one_of(st.none(), _ANY_TIMES),
+              pos=st.tuples(st.integers(1, 9), st.integers(1, 9))),
+    st.builds(DelayStmt, duration=_ANY_TIMES),
+    st.builds(DelayStmt, symbol=_LABELS),
+    st.builds(CycleStmt, label=_LABELS,
+              phases_deg=st.lists(_ANY_FLOAT, max_size=3).map(tuple)),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(_ANY_STATEMENTS, max_size=5).map(tuple))
+@example((CycleStmt("p", ()), PulseStmt("p", 90.0, 0.0)))
+def test_validate_reports_an_error_exactly_when_compile_raises(statements):
+    ast = SequenceAst(name="s", statements=statements)
+    diags = validate(ast)
+    try:
+        compile_seq(ast)
+    except CompileError as exc:
+        errors = [str(d) for d in diags if d.severity == "error"]
+        assert errors and str(exc) == "; ".join(errors)
+    else:
+        assert all(d.severity == "warning" for d in diags)
+
+
+def test_empty_cycle_is_a_positioned_error():
+    ast = SequenceAst(name="s", statements=(
+        CycleStmt("p", (), pos=(2, 3)), PulseStmt("p", 90.0, 0.0, pos=(3, 3))))
+    assert [str(d) for d in validate(ast)] == [
+        "2:3: error: phase cycle needs at least one offset"]
+    with pytest.raises(CompileError, match="^2:3: error: phase cycle needs at least one offset$"):
+        compile_seq(ast)
+
+
+@pytest.mark.parametrize("stmt, message", [
+    (PulseStmt(None, 90.0, math.nan), "pulse angle and phase must be finite"),
+    (PulseStmt(None, 90.0, 0.0, TimeLiteral(-1.0, "us")), "pulse duration must be > 0, got -1e-06"),
+    (DelayStmt(TimeLiteral(-2.0, "ms")), "delay duration must be >= 0, got -0.002"),
+    (CycleStmt("p", (0.0, math.inf)), "phase cycle offsets must be finite"),
+])
+def test_validate_reports_the_ir_message(stmt, message):
+    ast = SequenceAst(name="s", statements=(PulseStmt("p", 90.0, 0.0), stmt))
+    assert [(d.severity, d.message) for d in validate(ast)] == [("error", message)]
+
+
 def test_diagnostic_str_and_position():
     assert str(Diagnostic("warning", "look here", 3, 7)) == "3:7: warning: look here"
     diags = validate(parse("seq s {\n  delay -2us;\n}"))
@@ -267,6 +326,14 @@ def test_hahn_text_expands_to_two_inverted_shots():
     assert shots[0].events[1:] == shots[1].events[1:]
     assert shots[0].events[1] == Delay(duration_s=2.5e-3)
     assert all(not s.cycles for s in shots)
+
+
+def test_shots_rejects_two_cycles_on_one_label():
+    program = PulseProgram(
+        name="s", events=(Pulse(math.pi / 2, 0.0, label="a"),),
+        cycles=(PhaseCycle("a", (0.0, math.pi)), PhaseCycle("a", (0.0, math.pi / 2))))
+    with pytest.raises(ValueError, match="^duplicate cycle label 'a'$"):
+        program.shots()
 
 
 def test_ast_node_invariants():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -225,10 +226,15 @@ def test_singlet_triplet_lines_equal_the_per_label_elements(fields, drive):
     ]
 
 
-@pytest.mark.parametrize("direction", [(0.0, 0.0, 0.0), (math.nan, 0.0, 1.0), (math.inf, 0, 0)])
+# an overflowing norm, too few and too many components are rejected too, without a warning
+@pytest.mark.parametrize("direction", [(0.0, 0.0, 0.0), (math.nan, 0.0, 1.0), (math.inf, 0, 0),
+                                       (1e300, 1e300, 1e300), (1.0, 0.0), (0.0, 0.0, 1.0, 1.0)])
 def test_drive_operator_rejects_a_bad_direction(direction):
-    with pytest.raises(ValueError, match="finite nonzero"):
-        spincore.drive_operator(PHOSPHORUS, direction)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"drive direction must be a finite nonzero 3-vector, "
+                                             r"got \["):
+            spincore.drive_operator(PHOSPHORUS, direction)
 
 
 def test_degenerate_field_uses_reference_quantization_axis():
