@@ -39,7 +39,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from . import spincore
-from .spincore import FieldVector, SpinSystem
+from .spincore import SpinSystem
 
 #: Reserved stream index for draws shared by the whole ensemble (e.g. the
 #: shot-to-shot common-mode echo phase).  Member indices must stay below it.
@@ -139,7 +139,6 @@ class MemberEnvironment:
     static_detuning_khz: float
     ou_sigma_khz: float
     ou_tau_c_s: float
-    field: FieldVector
     shot_phase_rad: float = 0.0
 
 
@@ -235,7 +234,7 @@ class EnvironmentPass:
         #: The OU sigma every member sees on its driven line (model sigma x sensitivity).
         self.ou_sigma_khz = spec.noise.ou_sigma_khz * factor
         self._nominal_mhz = spincore.transition_frequency(
-            system, spec.transition, FieldVector.along_z(spec.b0_magnitude_ut).magnitude())
+            system, spec.transition, spec.b0_magnitude_ut)
         self._bitgen = Philox()
         self._rng = Generator(self._bitgen)
 

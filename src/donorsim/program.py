@@ -26,10 +26,11 @@ def _require_bound(missing: list[str] | tuple[str, ...]) -> None:
 
 @dataclass(frozen=True)
 class Pulse:
-    """RF pulse event.
+    """RF pulse event: finite with a ``duration_s``, hard without one.
 
-    ``duration_s`` is optional: when absent the engine derives the duration
-    from the nominal angle and the calibrated Rabi frequency.
+    A finite pulse runs for its duration about the axis the detuning tilts;
+    a hard pulse is a rotation by ``angle_rad`` about its in-plane phase
+    axis.  ``simulate_4level`` gives a hard pulse a duration from a nominal coupling.
     """
 
     angle_rad: float

@@ -6,13 +6,13 @@ exact SU(2) rotation about the axis (Omega cos phi, Omega sin phi,
 delay is a z rotation by the accumulated detuning phase (static offsets
 plus the member's OU phase integral).
 
-Sequence execution defaults to the hard-pulse idealisation: pulses act as
-instantaneous rotations by their nominal angle about the in-plane phase
-axis, and detuning evolves only during delays.  This keeps the textbook
-echo identities exact (a Hahn echo refocuses frozen disorder completely);
-``detuning_during_pulses=True`` switches to finite pulses whose rotation
-axis tilts with detuning, which is also what ``rabi_experiment`` and the
-four-level simulation use.
+Each pulse's duration decides how it runs.  A pulse without one is hard:
+an instantaneous rotation by its nominal angle about the in-plane phase
+axis, so detuning acts only during delays and the textbook echo identities
+stay exact (a Hahn echo refocuses frozen disorder completely).  A pulse
+with a duration is finite: it runs for that time about the axis the
+detuning tilts, as ``rabi_experiment``'s pulses do.  The four-level
+simulation runs every pulse for a time.
 
 The four-level simulation integrates the full product-basis Hamiltonian
 with a cosine drive in the interaction frame (commutator-free 4th-order
@@ -83,15 +83,13 @@ def run_sequence(
     program: PulseProgram,
     params: TwoLevelParams,
     env: MemberEnvironment | None = None,
-    *,
-    detuning_during_pulses: bool = False,
 ) -> tuple[float, float]:
     """Run one bound, cycle-free program from |S> and return (p_S, p_T).
 
     Delays accumulate z phase from the static detuning (params plus the
     member's frozen offset) and, when the environment carries OU noise, from
     the exact OU phase integral over the delay; the OU state persists across
-    the events of one run.  Pulses are ideal nominal rotations by default
+    the events of one run.  A pulse is hard or finite as its duration says
     (see module docstring); the environment's shot phase, when nonzero, is
     applied as an extra z rotation just before the final pulse, modelling
     the net uncancelled common-mode phase of one shot.
@@ -106,12 +104,11 @@ def run_sequence(
     """
     if env is None:  # no disorder and no stream: nothing draws
         env = MemberEnvironment(rng=None, static_detuning_khz=0.0, ou_sigma_khz=0.0,
-                                ou_tau_c_s=1.0, field=FieldVector.along_z(0.0))
+                                ou_tau_c_s=1.0)
     # no shot-phase table at phase 0, so a first pulse takes the first-column path
     shot_phases = None if env.shot_phase_rad == 0.0 else np.array([[env.shot_phase_rad]])
     n_draws, run = _program_runner(params, [[program]], shot_phases,
-                                   env.ou_sigma_khz, env.ou_tau_c_s,
-                                   detuning_during_pulses=detuning_during_pulses)
+                                   env.ou_sigma_khz, env.ou_tau_c_s)
     normals = env.rng.standard_normal((1, n_draws)) if n_draws else np.empty((1, 0))
     ar, ai, p_t = run(np.array([env.static_detuning_khz]), normals)
     p_s = np.float_power(np.hypot(ar, ai), 2.0)
@@ -217,17 +214,15 @@ def _program_runner(
     shot_phases: np.ndarray | None,
     ou_sigma_khz: float,
     ou_tau_c_s: float,
-    *,
-    detuning_during_pulses: bool,
 ):
     """Check a non-empty grid of bound shot programs once and tabulate it.
 
     ``programs[k][c]`` is the cycle-free program of sweep point k and phase
     cycle entry c; all of them share one event skeleton (the same sequence
-    of pulse and delay events) and differ only in durations, angles and
-    phases.  ``shot_phases[k, j]`` is the shot phase of shot j at point k
-    (one shot and no shot phase when None).  The OU step constants are
-    built for ``ou_sigma_khz`` and ``ou_tau_c_s``.
+    of delays, hard pulses and finite pulses) and differ only in durations,
+    angles and phases.  ``shot_phases[k, j]`` is the shot phase of shot j
+    at point k (one shot and no shot phase when None).  The OU step
+    constants are built for ``ou_sigma_khz`` and ``ou_tau_c_s``.
 
     Returns ``(n_draws, run)``.  ``run(detunings_khz, normals) -> (a_re,
     a_im, p_T)`` runs members that share those OU parameters: member i has
@@ -253,12 +248,16 @@ def _program_runner(
     """
     n_points, n_cycles = len(programs), len(programs[0])
     skeleton = programs[0][0].events
+
+    def kinds(events) -> list[tuple[type, bool]]:  # a pulse without a duration is hard
+        return [(type(ev), ev.duration_s is None) for ev in events]
+
     for row in programs:
         if len(row) != n_cycles:
             raise ValueError("every sweep point needs the same number of cycle programs")
         for program in row:
             program.check_runnable()
-            if [type(ev) for ev in program.events] != [type(ev) for ev in skeleton]:
+            if kinds(program.events) != kinds(skeleton):
                 raise ValueError("shot programs must share one event skeleton")
     n_shots = 1 if shot_phases is None else shot_phases.shape[1]
     omega = params.omega_rad_per_s
@@ -268,23 +267,18 @@ def _program_runner(
         return np.array([[fn(p.events[e]) for p in row] for row in programs],
                         dtype=float).reshape(n_points, n_cycles, 1, 1)
 
-    def pulse_duration(ev: Pulse) -> float:
-        if ev.duration_s is not None:
-            return ev.duration_s
-        if omega == 0.0:
-            raise ValueError("cannot derive duration from angle at zero Rabi frequency")
-        return ev.angle_rad / omega
-
     delays = {}  # event index -> durations
-    pulses = {}  # event index -> (duration or angle, cos phase, sin phase)
+    pulses = {}  # event index -> (finite, duration or angle, cos phase, sin phase)
     for e, ev in enumerate(skeleton):
         if isinstance(ev, Delay):
             delays[e] = per_program(e, lambda d: d.duration_s)
         else:
-            size = pulse_duration if detuning_during_pulses else (lambda p: p.angle_rad)
-            pulses[e] = (per_program(e, size),
+            finite = ev.duration_s is not None
+            size = (lambda p: p.duration_s) if finite else (lambda p: p.angle_rad)
+            pulses[e] = (finite, per_program(e, size),
                          per_program(e, lambda p: math.cos(p.phase_rad)),
                          per_program(e, lambda p: math.sin(p.phase_rad)))
+    any_finite = any(finite for finite, *_ in pulses.values())
     last_pulse = max(pulses, default=None)
     shot_z = None if shot_phases is None else shot_phases.reshape(n_points, 1, 1, n_shots)
     phase_per_khz_s = 2.0 * math.pi * 1e3
@@ -300,7 +294,7 @@ def _program_runner(
         n_members = len(detunings_khz)
         static_khz = (params.detuning_offset_khz + detunings_khz).reshape(n_members, 1)
         delta = 2.0 * math.pi * static_khz * 1e3
-        if detuning_during_pulses:
+        if any_finite:
             n_eff = np.array([math.hypot(omega, d) for d in delta.ravel().tolist()])
             n_eff = n_eff.reshape(delta.shape)
             n_safe = np.where(n_eff == 0.0, 1.0, n_eff)  # no drive, no detuning: identity
@@ -329,8 +323,8 @@ def _program_runner(
             shot = e == last_pulse and shot_z is not None
             if shot:
                 ar, ai, br, bi = _phase_arrays(ar, ai, br, bi, shot_z)
-            size, cos_phase, sin_phase = pulses[e]
-            if detuning_during_pulses:
+            finite, size, cos_phase, sin_phase = pulses[e]
+            if finite:
                 axis = (axis_scale * cos_phase, axis_scale * sin_phase, axis_z, n_eff * size)
             else:
                 axis = (cos_phase, sin_phase, 0.0, size)
@@ -354,7 +348,6 @@ def _ensemble_blocks(
     programs: list[list[PulseProgram]],
     *,
     shot_phases: np.ndarray | None = None,
-    detuning_during_pulses: bool = False,
 ):
     """Run bound shot programs over the whole ensemble, a member block at a time.
 
@@ -364,8 +357,9 @@ def _ensemble_blocks(
     grid ``_program_runner`` checks once; each block of members the
     environment pass draws, OU deviates included, then runs it.  For member
     i that equals, bit for bit, ``run_sequence(programs[k][c], params,
-    env_i, detuning_during_pulses=...)`` for every k, every shot j and every
-    c in that order, with ``env_i.shot_phase_rad = shot_phases[k, j]``.
+    env_i)`` for every k, every shot j and every c in that order, with
+    ``env_i.shot_phase_rad = shot_phases[k, j]``; event e is the same kind
+    (delay, hard or finite pulse) in every program.
 
     Yields p_T arrays in the engine's layout, (K, C, block members, shots),
     blocks in member-index order; a block holds at most
@@ -381,8 +375,7 @@ def _ensemble_blocks(
         return
     envs = noise_mod.EnvironmentPass(spec, system)
     n_draws, run = _program_runner(params, programs, shot_phases, envs.ou_sigma_khz,
-                                   spec.noise.ou_tau_c_s,
-                                   detuning_during_pulses=detuning_during_pulses)
+                                   spec.noise.ou_tau_c_s)
     n_shots = 1 if shot_phases is None else shot_phases.shape[1]
     block = max(1, _BLOCK_ELEMENTS // (len(programs) * n_shots * len(programs[0])))
     for members in envs.blocks(block, n_draws):
@@ -474,7 +467,7 @@ def rabi_experiment(
     ]
     mean = np.zeros_like(lengths)
     mean[driven] = _ensemble_mean(spec, system, programs, lambda p_t: p_t[:, 0, :, 0],
-                                  driven.shape, detuning_during_pulses=True)
+                                  driven.shape)
     return Series(x=lengths, values=mean)
 
 

@@ -10,9 +10,10 @@ Grammar (whitespace-insensitive, ``#`` starts a line comment)::
     TIME     :=  NUMBER ("ns" | "us" | "ms" | "s")
 
 Angles and phases are degrees in source text and radians in compiled
-programs.  A TIME literal attaches its unit directly to the number
-("250us").  ``pretty_print`` emits a canonical form (one statement per
-line, numbers without trailing zeros) and ``parse`` inverts it exactly:
+programs.  A pulse with ``dur=`` is finite and one without is hard (see
+``program.Pulse``).  A TIME literal attaches its unit directly to the
+number ("250us").  ``pretty_print`` emits a canonical form (one statement
+per line, numbers without trailing zeros) and ``parse`` inverts it exactly:
 ``parse(pretty_print(ast))`` is structurally identical to ``ast``.
 """
 
@@ -24,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Union
 
-from .program import Delay, PhaseCycle, Pulse, PulseProgram
+from .program import Delay, PhaseCycle, Pulse, PulseProgram, UnboundSymbolError
 
 TIME_UNITS = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
 
@@ -351,12 +352,17 @@ def compile(ast: SequenceAst, bindings: Mapping[str, float] | None = None) -> Pu
 
     Raises CompileError naming every error ``validate`` reports.  With
     ``bindings=None`` symbolic delays stay symbolic; passing a mapping (even
-    an empty one) requests concrete timing, and any symbol missing from it
-    raises UnboundSymbolError.
+    an empty one) requests concrete timing, and a symbol missing from it
+    raises UnboundSymbolError at the first ``delay`` statement that names it.
     """
     program, diags = _lower(ast)
     if program is None:
         raise CompileError("; ".join(str(d) for d in diags if d.severity == "error"))
+    missing = [] if bindings is None else [s for s in program.symbols() if s not in bindings]
+    if missing:
+        first = {s.symbol: s.pos for s in reversed(ast.statements) if isinstance(s, DelayStmt)}
+        raise UnboundSymbolError("; ".join(
+            str(Diagnostic("error", f"unbound delay symbol {s!r}", *first[s])) for s in missing))
     return program if bindings is None else program.bind(bindings)
 
 

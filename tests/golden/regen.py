@@ -150,7 +150,7 @@ def cpmg2_csv() -> str:
     shots = seqdsl.compile(seqdsl.parse(CPMG2_TEXT)).shots()
     total = np.zeros((len(CPMG2_TAUS_S), len(shots)))
     for index in range(spec.n_members):
-        env = scalar_oracle.draw_member_environment(spec, PHOSPHORUS, index)
+        env, _ = scalar_oracle.draw_member_environment(spec, PHOSPHORUS, index)
         for k, tau in enumerate(CPMG2_TAUS_S):
             for c, program in enumerate(shots):
                 total[k, c] += scalar_oracle.run_sequence(

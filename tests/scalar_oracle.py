@@ -9,7 +9,7 @@ Euler-Maruyama moments.  ``tests/golden/regen.py`` builds
 depend on the engine it pins.
 
 ``draw_member_environment`` and ``eigensystem`` are one member's
-environment and one field's eigensolve, one at a time: the oracle of the
+environment and field and one field's eigensolve, one at a time: the oracle of the
 block environment pass (``noise.EnvironmentPass``) and the stacked
 eigensolve (``spincore.eigensystems``).
 
@@ -115,18 +115,18 @@ def run_sequence(
     program: PulseProgram,
     params: TwoLevelParams,
     env: MemberEnvironment | None = None,
-    *,
-    detuning_during_pulses: bool = False,
 ) -> tuple[float, float]:
     """Run one bound, cycle-free program from |S> and return (p_S, p_T).
 
     Delays accumulate z phase from the static detuning (params plus the
     member's frozen offset) and, when the environment carries OU noise, from
     the exact OU phase integral over the delay; the OU state persists across
-    the events of one run.  Pulses are ideal nominal rotations by default
-    (see module docstring); the environment's shot phase, when nonzero, is
-    applied as an extra z rotation just before the final pulse, modelling
-    the net uncancelled common-mode phase of one shot.
+    the events of one run.  A pulse with a duration is finite
+    (``propagate_pulse`` at the member's detuning); one without is a hard
+    rotation by its nominal angle about its phase axis.  The environment's
+    shot phase, when nonzero, is applied as an extra z rotation just before
+    the final pulse, modelling the net uncancelled common-mode phase of one
+    shot.
 
     Rejects a program that ``PulseProgram.check_runnable`` rejects, with its
     errors, before drawing anything.
@@ -157,7 +157,7 @@ def run_sequence(
             continue
         if env is not None and env.shot_phase_rad != 0.0 and index == last_pulse_index:
             a, b = _rotate(a, b, 0.0, 0.0, 1.0, env.shot_phase_rad)
-        if detuning_during_pulses:
+        if event.duration_s is not None:
             member_params = replace(params, detuning_offset_khz=static_khz)
             state = propagate_pulse(np.array([a, b]), event, member_params)
             a, b = complex(state[0]), complex(state[1])
@@ -177,8 +177,8 @@ def run_sequence(
 
 def draw_member_environment(
     spec: EnsembleSpec, system: SpinSystem, index: int
-) -> MemberEnvironment:
-    """Draw one member's frozen environment from its private stream.
+) -> tuple[MemberEnvironment, FieldVector]:
+    """Draw one member's frozen environment and total static field from its private stream.
 
     Draw order: static detuning normal deviate, subpopulation uniform, then
     the internal-field direction as z-uniform and azimuth-uniform deviates,
@@ -216,8 +216,7 @@ def draw_member_environment(
         static_detuning_khz=detuning,
         ou_sigma_khz=noise.ou_sigma_khz * factor,
         ou_tau_c_s=noise.ou_tau_c_s,
-        field=field,
-    )
+    ), field
 
 
 def eigensystem(system: SpinSystem, field: FieldVector) -> tuple[np.ndarray, np.ndarray]:
@@ -367,7 +366,7 @@ def rf_spectrum(
     half = kernel_fwhm_khz / 2.0
     total = np.zeros_like(offsets)
     for index in range(spec.n_members):
-        field = draw_member_environment(spec, system, index).field
+        _, field = draw_member_environment(spec, system, index)
         energies, vectors = eigensystem(system, field)
         v_s = op @ vectors[:, 0]
         for k in (1, 2, 3):

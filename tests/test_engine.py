@@ -14,6 +14,7 @@ import importlib.util
 import math
 import pathlib
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -22,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalar_oracle
-from donorsim import csvio, pulse, seqdsl
+from donorsim import csvio, noise, pulse, seqdsl
 from donorsim.noise import (
     EnsembleSpec,
     MemberEnvironment,
@@ -52,19 +53,18 @@ def engine_p_t(spec, programs, **kwargs) -> np.ndarray:
     return np.concatenate(list(blocks), axis=2).transpose(2, 0, 3, 1)
 
 
-def looped_p_t(spec, programs, shot_phases=None, detuning_during_pulses=False) -> np.ndarray:
+def looped_p_t(spec, programs, shot_phases=None) -> np.ndarray:
     """The scalar reference: one oracle run per member, point, shot and cycle."""
     params = two_level_params_for(spec, PHOSPHORUS)
     n_shots = 1 if shot_phases is None else shot_phases.shape[1]
     out = np.zeros((spec.n_members, len(programs), n_shots, len(programs[0])))
     for i in range(spec.n_members):
-        env = scalar_oracle.draw_member_environment(spec, PHOSPHORUS, i)
+        env, _ = scalar_oracle.draw_member_environment(spec, PHOSPHORUS, i)
         for k, row in enumerate(programs):
             for j in range(n_shots):
                 env.shot_phase_rad = 0.0 if shot_phases is None else float(shot_phases[k, j])
                 for c, program in enumerate(row):
-                    _, out[i, k, j, c] = scalar_oracle.run_sequence(
-                        program, params, env, detuning_during_pulses=detuning_during_pulses)
+                    _, out[i, k, j, c] = scalar_oracle.run_sequence(program, params, env)
     return out
 
 
@@ -73,21 +73,21 @@ def looped_p_t(spec, programs, shot_phases=None, detuning_during_pulses=False) -
 _ANGLES = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
 _PHASES = st.floats(0.0, 2 * math.pi, allow_nan=False, exclude_max=True)
 _DELAYS = st.one_of(st.just(0.0), st.floats(1e-5, 0.02))
+#: A pulse's duration: none for a hard pulse, or a finite pulse's length.
+_DURATIONS = st.one_of(st.none(), st.floats(1e-6, 1e-4))
 
 
 @st.composite
 def _sweeps(draw):
-    """Random hard- or finite-pulse program, swept over tau and phase-cycle entries."""
+    """Random program of hard and finite pulses, swept over tau and phase-cycle entries."""
     kinds = draw(st.permutations(
         ["pulse"] * draw(st.integers(1, 4)) + ["delay"] * draw(st.integers(0, 3))))
-    finite = draw(st.booleans())
     events = []
     for kind in kinds:
         if kind == "pulse":
-            duration = draw(st.one_of(st.none(), st.floats(1e-6, 1e-4))) if finite else None
             label = None if any(isinstance(ev, Pulse) for ev in events) else "p1"
             events.append(Pulse(angle_rad=draw(_ANGLES), phase_rad=draw(_PHASES),
-                                duration_s=duration, label=label))
+                                duration_s=draw(_DURATIONS), label=label))
         elif draw(st.booleans()):
             events.append(Delay(symbol="tau"))
         else:
@@ -111,25 +111,26 @@ def _sweeps(draw):
         ),
         transition="T+", b0_magnitude_ut=4.0, b0_orientation="perpendicular",
     )
-    return spec, programs, shot_phases, finite
+    return spec, programs, shot_phases
 
 
-def _pinned_sweep(events, *, finite, taus=(0.0,), shot_phases=None, **noise):
+def _pinned_sweep(events, *, taus=(0.0,), shot_phases=None, **noise):
     """A fixed sweep of one program over ``taus`` for the examples below."""
     program = PulseProgram(name="pinned", events=events)
     spec = EnsembleSpec(
         n_members=3, seed=5, noise=NoiseModel(ou_tau_c_s=0.01, **noise),
         transition="T+", b0_magnitude_ut=4.0, b0_orientation="perpendicular",
     )
-    return spec, [program.bind({"tau": tau}).shots() for tau in taus], shot_phases, finite
+    return spec, [program.bind({"tau": tau}).shots() for tau in taus], shot_phases
 
 
 # The cases the engine's short cuts from |S> must get right: a shot phase
 # before a program's only pulse (so that pulse does not act on |S>), a delay
-# before the first pulse, and hard pulses that never widen the state to the
-# members.
+# before the first pulse (a finite one, then a hard one), and hard pulses
+# that never widen the state to the members.
 _ONE_PULSE = (Pulse(angle_rad=1.1, phase_rad=0.4, duration_s=3e-5),)
-_DELAY_FIRST = (Delay(symbol="tau"), Pulse(angle_rad=1.3, phase_rad=0.2),
+_ONE_HARD_PULSE = (Pulse(angle_rad=1.1, phase_rad=0.4),)
+_DELAY_FIRST = (Delay(symbol="tau"), Pulse(angle_rad=1.3, phase_rad=0.2, duration_s=2e-5),
                 Delay(duration_s=2e-3), Pulse(angle_rad=0.9, phase_rad=1.0))
 _HARD_PULSES = (Pulse(angle_rad=math.pi / 2, phase_rad=0.0),
                 Pulse(angle_rad=math.pi, phase_rad=1.2))
@@ -137,23 +138,22 @@ _HARD_PULSES = (Pulse(angle_rad=math.pi / 2, phase_rad=0.0),
 
 @settings(max_examples=150, deadline=None)
 @given(_sweeps(), st.sampled_from([1, 3, 8192]))
-@example(_pinned_sweep(_ONE_PULSE, finite=False, shot_phases=np.array([[0.7, 2.9]]),
+@example(_pinned_sweep(_ONE_HARD_PULSE, shot_phases=np.array([[0.7, 2.9]]),
                        static_detuning_khz=2.0), 8192)
-@example(_pinned_sweep(_ONE_PULSE, finite=True, shot_phases=np.array([[0.7, 2.9]]),
+@example(_pinned_sweep(_ONE_PULSE, shot_phases=np.array([[0.7, 2.9]]),
                        static_detuning_khz=2.0), 3)
-@example(_pinned_sweep(_DELAY_FIRST, finite=True, taus=(0.0, 1e-3), static_detuning_khz=2.0,
+@example(_pinned_sweep(_DELAY_FIRST, taus=(0.0, 1e-3), static_detuning_khz=2.0,
                        ou_sigma_khz=0.3), 8192)
-@example(_pinned_sweep(_HARD_PULSES, finite=False, taus=(0.0, 1e-3)), 8192)
+@example(_pinned_sweep(_HARD_PULSES, taus=(0.0, 1e-3)), 8192)
 def test_engine_matches_run_sequence_bit_for_bit(sweep, block_elements):
-    spec, programs, shot_phases, finite = sweep
+    spec, programs, shot_phases = sweep
     saved = pulse._BLOCK_ELEMENTS
     pulse._BLOCK_ELEMENTS = block_elements
     try:
-        got = engine_p_t(spec, programs, shot_phases=shot_phases,
-                         detuning_during_pulses=finite)
+        got = engine_p_t(spec, programs, shot_phases=shot_phases)
     finally:
         pulse._BLOCK_ELEMENTS = saved
-    want = looped_p_t(spec, programs, shot_phases, finite)
+    want = looped_p_t(spec, programs, shot_phases)
     assert got.shape == want.shape
     assert got.tolist() == want.tolist()
 
@@ -176,29 +176,32 @@ def test_engine_matches_run_sequence_on_a_larger_ensemble(
         transition="T+", b0_magnitude_ut=4.0, b0_orientation="perpendicular",
     )
     shots = seqdsl.compile(seqdsl.parse(regen.CPMG2_TEXT)).shots()
+    if finite:  # each pulse lasts its nominal angle at the line's Rabi frequency
+        omega = two_level_params_for(spec, PHOSPHORUS).omega_rad_per_s
+        shots = [replace(p, events=tuple(
+            replace(ev, duration_s=ev.angle_rad / omega) if isinstance(ev, Pulse) else ev
+            for ev in p.events)) for p in shots]
     taus = (0.0, 2e-4, 1e-3, 3e-3, 1e-2)
     programs = [[p.bind({"tau": tau}) for p in shots] for tau in taus]
     shot_phases = np.random.default_rng(0).uniform(0.0, 2 * math.pi, (len(taus), n_shots))
     if block_members is not None:
         monkeypatch.setattr(pulse, "_BLOCK_ELEMENTS", block_members * len(taus) * n_shots * 2)
-    got = engine_p_t(spec, programs, shot_phases=shot_phases, detuning_during_pulses=finite)
-    want = looped_p_t(spec, programs, shot_phases, finite)
+    got = engine_p_t(spec, programs, shot_phases=shot_phases)
+    want = looped_p_t(spec, programs, shot_phases)
     assert got.tolist() == want.tolist()
 
 
 @st.composite
 def _single_runs(draw):
-    """A random bound program and whether its pulses are finite."""
-    finite = draw(st.booleans())
+    """A random bound program of hard and finite pulses."""
     events = []
     for kind in draw(st.lists(st.sampled_from(["pulse", "delay"]), max_size=6)):
         if kind == "pulse":
-            duration = draw(st.one_of(st.none(), st.floats(1e-6, 1e-4))) if finite else None
             events.append(Pulse(angle_rad=draw(_ANGLES), phase_rad=draw(_PHASES),
-                                duration_s=duration))
+                                duration_s=draw(_DURATIONS)))
         else:
             events.append(Delay(duration_s=draw(_DELAYS)))
-    return PulseProgram(name="random", events=tuple(events)), finite
+    return PulseProgram(name="random", events=tuple(events))
 
 
 def _program(events) -> PulseProgram:
@@ -214,15 +217,15 @@ def _program(events) -> PulseProgram:
         st.floats(-5.0, 5.0), st.sampled_from([0.0, 0.3]),
         st.one_of(st.just(0.0), _PHASES))),
 )
-@example(runs=[(_program(_ONE_PULSE), False), (_program(_ONE_PULSE), True)], coupling=10.0,
+@example(runs=[_program(_ONE_HARD_PULSE), _program(_ONE_PULSE)], coupling=10.0,
          b1=1e-3, offset_khz=3.0, seed=7, member=(1.5, 0.0, 0.7))
 # a zero shot phase passes no shot-phase table, so the one pulse is a first column
-@example(runs=[(_program(_ONE_PULSE), False), (_program(_ONE_PULSE), True)], coupling=10.0,
+@example(runs=[_program(_ONE_HARD_PULSE), _program(_ONE_PULSE)], coupling=10.0,
          b1=1e-3, offset_khz=3.0, seed=7, member=(1.5, 0.3, 0.0))
-@example(runs=[(_program(_DELAY_FIRST).bind({"tau": 1e-3}), False),
-               (_program(_DELAY_FIRST).bind({"tau": 1e-3}), True)],
+@example(runs=[_program(_DELAY_FIRST).bind({"tau": 1e-3}),
+               _program(_DELAY_FIRST[1:]).bind({"tau": 1e-3})],
          coupling=10.0, b1=1e-3, offset_khz=3.0, seed=7, member=(-2.0, 0.3, 0.0))
-@example(runs=[(_program(_HARD_PULSES), False), (_program(_HARD_PULSES[:1]), False)],
+@example(runs=[_program(_HARD_PULSES), _program(_HARD_PULSES[:1])],
          coupling=10.0, b1=1e-3, offset_khz=0.0, seed=7, member=None)
 def test_run_sequence_matches_the_scalar_oracle_bit_for_bit(
         runs, coupling, b1, offset_khz, seed, member):
@@ -235,14 +238,13 @@ def test_run_sequence_matches_the_scalar_oracle_bit_for_bit(
         static_khz, sigma_khz, shot_phase = member
         return MemberEnvironment(rng=member_rng(seed, 0), static_detuning_khz=static_khz,
                                  ou_sigma_khz=sigma_khz, ou_tau_c_s=0.01,
-                                 field=FieldVector.along_z(0.0), shot_phase_rad=shot_phase)
+                                 shot_phase_rad=shot_phase)
 
     # two consecutive calls on one environment: the second continues its stream
     got_env, want_env = environment(), environment()
-    for program, finite in runs:
-        got = pulse.run_sequence(program, params, got_env, detuning_during_pulses=finite)
-        want = scalar_oracle.run_sequence(program, params, want_env,
-                                          detuning_during_pulses=finite)
+    for program in runs:
+        got = pulse.run_sequence(program, params, got_env)
+        want = scalar_oracle.run_sequence(program, params, want_env)
         assert got == want
         assert abs(got[0] + got[1] - 1.0) <= 1e-10
     if member is not None:  # and both streams go on from the same place
@@ -256,10 +258,9 @@ def test_run_sequence_applies_a_shot_phase_only_when_nonzero(shot_phase, first_c
     params = TwoLevelParams(transition_frequency_mhz=117.53, rabi_coupling_mhz_per_mt=10.0,
                             b1_amplitude_mt=1e-3)
     env = MemberEnvironment(rng=member_rng(7, 0), static_detuning_khz=1.5, ou_sigma_khz=0.0,
-                            ou_tau_c_s=1.0, field=FieldVector.along_z(0.0),
-                            shot_phase_rad=shot_phase)
+                            ou_tau_c_s=1.0, shot_phase_rad=shot_phase)
     with mock.patch.object(pulse, "_first_column", wraps=pulse._first_column) as first:
-        pulse.run_sequence(_program(_ONE_PULSE), params, env)
+        pulse.run_sequence(_program(_ONE_HARD_PULSE), params, env)
     assert first.call_count == first_columns
 
 
@@ -340,6 +341,24 @@ def test_engine_rejects_what_run_sequence_rejects():
     other = PulseProgram(name="o", events=(half, half))
     with pytest.raises(ValueError, match="skeleton"):
         engine_p_t(spec, [[symbolic.bind({"tau": 1e-3})], [other]])
+
+
+@pytest.mark.parametrize("grid", ["sweep points", "cycle entries"])
+def test_a_sweep_mixing_hard_and_finite_pulses_at_one_event_draws_no_member(monkeypatch, grid):
+    def draw(*args, **kwargs):
+        raise AssertionError("a member was drawn before the sweep was checked")
+
+    monkeypatch.setattr(noise, "_restart", draw)  # every ensemble member's stream starts here
+    spec = EnsembleSpec(n_members=2, seed=0, transition="T+", b0_magnitude_ut=4.0,
+                        b0_orientation="perpendicular")
+    hard, finite = (
+        seqdsl.compile(seqdsl.parse(
+            f"seq s {{ pulse angle=90 phase=0{dur}; delay tau; pulse angle=90 phase=0; }}"),
+            bindings={"tau": 1e-3})
+        for dur in ("", " dur=25us"))
+    programs = [[hard], [finite]] if grid == "sweep points" else [[hard, finite]]
+    with pytest.raises(ValueError, match="^shot programs must share one event skeleton$"):
+        engine_p_t(spec, programs)
 
 
 _SYMBOLIC = PulseProgram(name="s", events=(Pulse(math.pi, 0.0, duration_s=1e-8),
@@ -463,6 +482,22 @@ def test_ramsey_matches_gaussian_static_disorder_closed_form():
     var = ((1 + np.exp(-2 * s2)) / 2 - np.exp(-s2)) / 4
     assert curve.values[0] == 1.0
     assert np.all(np.abs(curve.values - mean) <= 5 * np.sqrt(var / members) + 1e-12)
+
+
+def test_a_compiled_dur_pulse_follows_the_generalized_rabi_formula():
+    # dur= makes a finite pulse: it turns about the axis the member's detuning tilts
+    params = TwoLevelParams(transition_frequency_mhz=117.53, rabi_coupling_mhz_per_mt=10.0,
+                            b1_amplitude_mt=1e-3)
+    omega = params.omega_rad_per_s
+    n_eff = math.hypot(omega, 2 * math.pi * 7e3)
+    for dur in ("10us", "50us", "200us"):
+        program = seqdsl.compile(seqdsl.parse(f"seq s {{ pulse angle=90 phase=0 dur={dur}; }}"))
+        env = MemberEnvironment(rng=member_rng(7, 0), static_detuning_khz=7.0,
+                                ou_sigma_khz=0.0, ou_tau_c_s=1.0)
+        _, p_t = pulse.run_sequence(program, params, env)
+        t = program.events[0].duration_s
+        assert p_t == pytest.approx((omega / n_eff) ** 2 * math.sin(n_eff * t / 2) ** 2,
+                                    abs=1e-12)
 
 
 def test_disorder_free_rabi_is_sin_squared():

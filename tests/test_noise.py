@@ -28,6 +28,7 @@ from donorsim.spincore import (
     GAMMA_I_MHZ_PER_MT,
     GAMMA_S_MHZ_PER_MT,
     PHOSPHORUS,
+    FieldVector,
     eigensystems,
     field_magnitudes,
 )
@@ -127,10 +128,10 @@ def test_block_pass_matches_per_member_draws_and_eigensolves(
         got += zip(members.detunings_khz.tolist(), members.fields, energies, vectors)
     assert len(got) == n_members
     for index, (detuning, field, energies, vectors) in enumerate(got):
-        want = scalar_oracle.draw_member_environment(spec, PHOSPHORUS, index)
+        want, want_field = scalar_oracle.draw_member_environment(spec, PHOSPHORUS, index)
         one = draw_one(spec, index)
-        want_energies, want_vectors = scalar_oracle.eigensystem(PHOSPHORUS, want.field)
-        assert field.tolist() == want.field.as_array().tolist() == one.fields[0].tolist()
+        want_energies, want_vectors = scalar_oracle.eigensystem(PHOSPHORUS, want_field)
+        assert field.tolist() == want_field.as_array().tolist() == one.fields[0].tolist()
         assert (detuning, envs.ou_sigma_khz, spec.noise.ou_tau_c_s) == (
             want.static_detuning_khz, want.ou_sigma_khz, want.ou_tau_c_s)
         assert one.detunings_khz.tolist() == [detuning]
@@ -168,8 +169,8 @@ def test_block_arrays_equal_the_per_member_oracle(
             for index in range(n_members)]
     fields = np.concatenate([members.fields for members in blocks])
     detunings = np.concatenate([members.detunings_khz for members in blocks])
-    assert fields.tobytes() == np.array([env.field.as_array() for env in want]).tobytes()
-    assert detunings.tobytes() == np.array([env.static_detuning_khz for env in want]).tobytes()
+    assert fields.tobytes() == np.array([field.as_array() for _, field in want]).tobytes()
+    assert detunings.tobytes() == np.array([env.static_detuning_khz for env, _ in want]).tobytes()
 
 
 def test_the_pass_draws_without_a_transition_frequency_call(monkeypatch):
@@ -188,6 +189,17 @@ def test_the_pass_draws_without_a_transition_frequency_call(monkeypatch):
     assert calls == []
     shifts = np.concatenate([members.detunings_khz for members in blocks])
     assert np.count_nonzero(shifts) == spec.n_members  # every member's line moved
+
+
+@pytest.mark.parametrize("transition", ["T-", "T0", "T+"])
+@pytest.mark.parametrize("b0_ut", [0.0, 5e-7, 1e-160, 4.0, 1e150])
+def test_nominal_line_is_the_line_at_the_magnitude_of_b0_along_z(b0_ut, transition):
+    # at 1e-160 µT the square under FieldVector.magnitude() is subnormal, so that
+    # magnitude is not b0; the line it gives is the same
+    spec = EnsembleSpec(n_members=1, seed=0, transition=transition, b0_magnitude_ut=b0_ut)
+    want = spincore.transition_frequency(PHOSPHORUS, transition,
+                                         FieldVector.along_z(b0_ut).magnitude())
+    assert EnvironmentPass(spec, PHOSPHORUS)._nominal_mhz == want
 
 
 def _pass_left_mid_buffer(spec: EnsembleSpec, n_random: int) -> EnvironmentPass:
@@ -221,7 +233,7 @@ def test_restarted_pass_generator_is_the_member_stream(seed, drawn_index, n_rand
 
         # the normals that follow a member's four environment draws
         block = _pass_left_mid_buffer(spec, n_random).draw(index, index + 1, n_draws)
-        want = scalar_oracle.draw_member_environment(spec, PHOSPHORUS, index)
+        want, _ = scalar_oracle.draw_member_environment(spec, PHOSPHORUS, index)
         assert block.detunings_khz.tolist() == [want.static_detuning_khz]
         normals = block.normals[0].tolist()
         assert normals == want.rng.standard_normal(n_draws).tolist()

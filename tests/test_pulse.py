@@ -143,8 +143,7 @@ def test_hahn_refocuses_static_detuning_exactly():
     params = params_for()
     for detuning in (0.0, 3.7, -12.0):
         env = MemberEnvironment(rng=member_rng(0, 0), static_detuning_khz=detuning,
-                                ou_sigma_khz=0.0, ou_tau_c_s=1.0,
-                                field=FieldVector.along_z(4.0))
+                                ou_sigma_khz=0.0, ou_tau_c_s=1.0)
         plus, minus = bound_hahn(0.01)
         _, p_plus = run_sequence(plus, params, env)
         _, p_minus = run_sequence(minus, params, env)
@@ -180,7 +179,6 @@ def test_shot_phase_rotation_modulates_cycled_signal():
     for psi in (0.0, math.pi / 3, math.pi / 2, 2.2):
         env = MemberEnvironment(rng=member_rng(0, 0), static_detuning_khz=0.0,
                                 ou_sigma_khz=0.0, ou_tau_c_s=1.0,
-                                field=FieldVector.along_z(4.0),
                                 shot_phase_rad=psi)
         plus, minus = bound_hahn(0.001)
         _, p_plus = run_sequence(plus, params, env)

@@ -308,6 +308,18 @@ def test_compile_binding_modes():
         compile_seq(ast, bindings={})
 
 
+@pytest.mark.parametrize("bindings, message", [
+    ({}, "3:3: error: unbound delay symbol 'tau'; 5:3: error: unbound delay symbol 't2'"),
+    ({"tau": 1e-3}, "5:3: error: unbound delay symbol 't2'"),
+])
+def test_unbound_symbols_name_their_first_delay(bindings, message):
+    ast = parse("seq s {\n  pulse angle=90 phase=0;\n  delay tau;\n  delay tau;\n"
+                "  delay t2;\n  delay 1ms;\n  delay t2;\n}")
+    with pytest.raises(UnboundSymbolError) as exc:
+        compile_seq(ast, bindings=bindings)
+    assert str(exc.value) == message
+
+
 def test_compile_rejects_invalid_ast_with_position():
     ast = parse("seq s {\n  cycle p [0];\n  pulse angle=90 phase=0;\n}")
     with pytest.raises(CompileError) as exc:
