@@ -30,7 +30,7 @@ class Pulse:
 
     A finite pulse runs for its duration about the axis the detuning tilts;
     a hard pulse is a rotation by ``angle_rad`` about its in-plane phase
-    axis.  ``simulate_4level`` gives a hard pulse a duration from a nominal coupling.
+    axis.  ``simulate_4level`` runs finite pulses only and rejects a hard one.
     """
 
     angle_rad: float

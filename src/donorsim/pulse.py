@@ -12,7 +12,7 @@ axis, so detuning acts only during delays and the textbook echo identities
 stay exact (a Hahn echo refocuses frozen disorder completely).  A pulse
 with a duration is finite: it runs for that time about the axis the
 detuning tilts, as ``rabi_experiment``'s pulses do.  The four-level
-simulation runs every pulse for a time.
+simulation runs every pulse for its duration and rejects one without.
 
 The four-level simulation integrates the full product-basis Hamiltonian
 with a cosine drive in the interaction frame (commutator-free 4th-order
@@ -73,10 +73,6 @@ class TwoLevelParams:
     def omega_rad_per_s(self) -> float:
         """Angular Rabi frequency, 2 pi * coupling * amplitude."""
         return 2.0 * math.pi * self.rabi_coupling_mhz_per_mt * self.b1_amplitude_mt * 1e6
-
-    @property
-    def detuning_rad_per_s(self) -> float:
-        return 2.0 * math.pi * self.detuning_offset_khz * 1e3
 
 
 def run_sequence(
@@ -510,18 +506,14 @@ def hahn_experiment(
     *,
     detection: str = "mean",
     shots_per_point: int | None = None,
-    readout_gain: float = 1.0,
-    readout_offset: float = 0.0,
 ) -> Series:
     """Phase-cycled Hahn echo decay over an ensemble.
 
     For every tau the +-pi/2 : tau : pi : tau : pi/2 sequence runs twice per
-    member (first pulse phase cycled by 180 deg); the readout signals
-    ``gain * p_T + offset`` are subtracted, cancelling the offset up to
-    rounding (a few eps * (|offset| + gain) / gain), and the cycled
-    difference is normalized by its ideal zero-noise, zero-tau amplitude
-    so a clean echo reads 1.0.  The optional phenomenological
-    envelope multiplies the per-member cycled signal.
+    member (first pulse phase cycled by 180 deg); the two p_T readouts are
+    subtracted and the difference is normalized by its ideal zero-noise,
+    zero-tau value of -1, so a clean echo reads 1.0.  The optional
+    phenomenological envelope multiplies the per-member cycled signal.
 
     detection="mean" averages one cycled difference per member (one shot
     pair per tau).  detection="max" repeats ``shots_per_point`` (default
@@ -539,8 +531,6 @@ def hahn_experiment(
         raise ValueError("tau values must be > 0")
     if detection not in ("mean", "max"):
         raise ValueError(f"detection must be 'mean' or 'max', got {detection!r}")
-    if readout_gain <= 0:
-        raise ValueError("readout_gain must be > 0")
     if shots_per_point is not None and shots_per_point < 1:
         raise ValueError("shots_per_point must be >= 1")
     if detection == "mean" and shots_per_point is not None:
@@ -560,15 +550,9 @@ def hahn_experiment(
         crng = noise_mod.common_rng(spec.seed)
         shot_phases = crng.uniform(0.0, 2.0 * math.pi, size=(taus.size, n_shots))
 
-    ideal_amplitude = -readout_gain  # gain * (p_T(+) - p_T(-)) at zero phase error
-
-    def cycled(p_t):
-        r_plus = readout_gain * p_t[:, 0] + readout_offset
-        r_minus = readout_gain * p_t[:, 1] + readout_offset
-        return (r_plus - r_minus) / ideal_amplitude
-
-    per_shot = _ensemble_mean(spec, system, programs, cycled, (taus.size, n_shots),
-                              shot_phases=shot_phases) * envelope[:, None]
+    # the cycled difference p_T(+) - p_T(-) is -1 at zero phase error, so negate it
+    per_shot = _ensemble_mean(spec, system, programs, lambda p_t: -(p_t[:, 0] - p_t[:, 1]),
+                              (taus.size, n_shots), shot_phases=shot_phases) * envelope[:, None]
     if detection == "mean":
         values = per_shot[:, 0]
     else:
@@ -629,7 +613,6 @@ def simulate_4level(
     rf_frequency_mhz: float,
     *,
     dt_us: float | None = None,
-    nominal_coupling_mhz_per_mt: float | None = None,
 ) -> dict[str, float]:
     """Drive the full 4-level system and return final level populations.
 
@@ -642,9 +625,10 @@ def simulate_4level(
     pulse-to-pulse phase coherence.
 
     The step must satisfy dt <= 1/(50 a); with the default step the local
-    error per step stays below 1e-8 for drives weak compared to a.  Pulses
-    without explicit durations need ``nominal_coupling_mhz_per_mt`` to
-    convert nominal angles to durations.
+    error per step stays below 1e-8 for drives weak compared to a.  Every
+    pulse runs for its ``duration_s``, and its angle is not read: a
+    lab-frame integrator has no hard pulse, so a pulse without a duration
+    is rejected.
 
     Both sub-step propagators of up to ``_CF4_BLOCK_STEPS`` consecutive steps
     are built as one stack of arrays and then applied to the state in step
@@ -665,26 +649,12 @@ def simulate_4level(
         raise IntegrationStepError(
             f"integration step {dt_us!r} us violates 0 < dt <= 1/(50 a) = {max_dt:.3e} us"
         )
-    durations_us = []
-    for event in program.events:
-        if isinstance(event, Delay):
-            durations_us.append(event.duration_s * 1e6)
-            continue
-        if event.duration_s is not None:
-            duration_us = event.duration_s * 1e6
-        else:
-            coupling = nominal_coupling_mhz_per_mt
-            if coupling is None or not (math.isfinite(coupling) and coupling > 0
-                                        and b1_amplitude_mt > 0):
-                raise ValueError(
-                    "pulse without duration needs a finite nominal_coupling_mhz_per_mt > 0"
-                    " and b1_amplitude_mt > 0"
-                )
-            rabi_mhz = coupling * b1_amplitude_mt
-            duration_us = event.angle_rad / (2.0 * math.pi * rabi_mhz)
-        if not (math.isfinite(duration_us) and duration_us > 0):
-            raise ValueError(f"pulse duration must be finite and > 0, got {duration_us!r} us")
-        durations_us.append(duration_us)
+    if any(event.duration_s is None for event in program.events):  # delays are bound
+        raise ValueError("pulse without duration needs a duration_s: simulate_4level "
+                         "has no hard pulses")
+    durations_us = [event.duration_s * 1e6 for event in program.events]
+    if not all(map(math.isfinite, durations_us)):  # math.ceil would overflow on inf
+        raise ValueError("event durations must be finite in microseconds")
 
     eig = spincore.eigensystem(system, b0)
     igaps = 1j * (2.0 * math.pi) * (eig.energies[:, None] - eig.energies[None, :])

@@ -159,14 +159,6 @@ def cpmg2_csv() -> str:
     return csvio.render_csv(["tau_s", "p_t_cycle0", "p_t_cycle180"], data)
 
 
-def hahn_readout_csv() -> str:
-    """Library Hahn echo with a readout gain and offset (not reachable from the CLI)."""
-    spec = cpmg2_spec()
-    series = pulse.hahn_experiment(spec, PHOSPHORUS, np.array([0.002, 0.01, 0.03]),
-                                   readout_gain=1.7, readout_offset=0.3)
-    return csvio.render_csv(["tau_s", "echo"], np.column_stack([series.x, series.values]))
-
-
 FOUR_LEVEL_FIELDS_UT = ((0.4, 0.0, 0.0), (0.4, 0.0, 2.0))
 
 
@@ -196,7 +188,6 @@ def four_level_csv() -> str:
 #: Golden CSV name -> function returning the CSV text.
 LIBRARY_CSVS: dict[str, Callable[[], str]] = {
     "cpmg2_run_sequence.csv": cpmg2_csv,
-    "hahn_readout_gain_offset.csv": hahn_readout_csv,
     "simulate_4level_pulse_delay_pulse.csv": four_level_csv,
 }
 

@@ -81,8 +81,7 @@ def propagate_pulse(state: np.ndarray, pulse: Pulse, params: TwoLevelParams) -> 
 
     The rotation axis is (Omega cos phi, Omega sin phi, 2 pi detuning) and
     the angle is the generalized Rabi frequency times the pulse duration.
-    The duration comes from the pulse itself, or from the nominal angle and
-    Omega when the pulse carries none.
+    A pulse without a duration is hard, and a hard pulse is an error here.
     """
     state = np.asarray(state, dtype=complex)
     if state.shape != (2,):
@@ -90,23 +89,19 @@ def propagate_pulse(state: np.ndarray, pulse: Pulse, params: TwoLevelParams) -> 
     norm = float(np.linalg.norm(state))
     if not math.isclose(norm, 1.0, rel_tol=0, abs_tol=1e-9):
         raise ValueError(f"state must be normalized, got |state| = {norm!r}")
+    if pulse.duration_s is None:
+        raise ValueError("pulse without duration is hard; propagate_pulse runs finite pulses")
     omega = params.omega_rad_per_s
-    delta = params.detuning_rad_per_s
-    if pulse.duration_s is not None:
-        duration = pulse.duration_s
-    else:
-        if omega == 0.0:
-            raise ValueError("cannot derive duration from angle at zero Rabi frequency")
-        duration = pulse.angle_rad / omega
+    delta = 2.0 * math.pi * params.detuning_offset_khz * 1e3
     n_eff = math.hypot(omega, delta)
-    if n_eff == 0.0 or duration == 0.0:
+    if n_eff == 0.0:
         return state.copy()
     a, b = _rotate(
         complex(state[0]), complex(state[1]),
         (omega / n_eff) * math.cos(pulse.phase_rad),
         (omega / n_eff) * math.sin(pulse.phase_rad),
         delta / n_eff,
-        n_eff * duration,
+        n_eff * pulse.duration_s,
     )
     return np.array([a, b], dtype=complex)
 

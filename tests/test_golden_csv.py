@@ -28,3 +28,11 @@ def test_cli_csv_matches_golden(tmp_path, name):
 def test_library_csv_matches_golden(name):
     text = regen.LIBRARY_CSVS[name]()
     assert text.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+def test_every_golden_file_has_a_writer():
+    # a writer deleted from regen.py must take its golden file with it
+    inputs = {path.name for path in GOLDEN.glob("fit_rescue_*.csv")}
+    written = {*regen.HELP_COMMANDS, *regen.CLI_CSVS, *regen.LIBRARY_CSVS}
+    on_disk = {path.name for path in GOLDEN.iterdir() if path.is_file()}
+    assert on_disk == {"regen.py", *inputs, *written}
