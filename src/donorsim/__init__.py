@@ -37,8 +37,8 @@ _EXPORTS = {
              "steady_state"),
     "seqdsl": ("compile_sequence", "parse_sequence", "pretty_print"),
     "spincore": ("PHOSPHORUS", "FieldVector", "SpinSystem", "breit_rabi_levels",
-                 "build_hamiltonian", "clock_sensitivity", "eigensystem",
-                 "estimate_field_from_splitting", "transition_frequency", "transition_table"),
+                 "clock_sensitivity", "eigensystems", "estimate_field_from_splitting",
+                 "hamiltonians", "transition_frequency", "transition_table"),
 }
 #: Exported names that their submodule defines under another name.
 _RENAMED = {"compile_sequence": "compile", "parse_sequence": "parse"}

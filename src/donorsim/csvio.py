@@ -43,18 +43,29 @@ class Series:
     shots: int = 1
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=float)
+        x = series_axis(self.x)
         values = np.asarray(self.values, dtype=float)
-        if x.ndim != 1 or x.shape != values.shape:
+        if x.shape != values.shape:
             raise ValueError("x and values must be 1-d arrays of equal length")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(values))):
+        if not np.all(np.isfinite(values)):
             raise ValueError("series data must be finite")
-        if x.size > 1 and not np.all(np.diff(x) > 0):
-            raise ValueError("x must be strictly increasing")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "values", values)
+
+
+def series_axis(x) -> np.ndarray:
+    """``x`` as a ``Series`` axis: 1-d, finite and strictly increasing.  The
+    experiments check their sweep with it before any member is drawn."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("x must be a 1-d array")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("series data must be finite")
+    if x.size > 1 and not np.all(np.diff(x) > 0):
+        raise ValueError("x must be strictly increasing")
+    return x
 
 
 def format_value(x: float) -> str:

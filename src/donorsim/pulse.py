@@ -30,7 +30,7 @@ import numpy as np
 
 from . import noise as noise_mod
 from . import spincore
-from .csvio import Series
+from .csvio import Series, series_axis
 from .fitkit import stretched_exp_model
 from .noise import EnsembleSpec, MemberEnvironment, _ou_coefficients
 from .program import Delay, Pulse, PulseProgram, hahn_program, ramsey_program
@@ -454,7 +454,7 @@ def rabi_experiment(
     Rabi formula member by member; disorder comparable to the Rabi frequency
     damps the averaged oscillation.
     """
-    lengths = np.asarray(lengths_s, dtype=float)
+    lengths = series_axis(lengths_s)
     driven = np.flatnonzero(lengths != 0.0)  # a zero-length pulse transfers nothing
     programs = [
         [PulseProgram(name="rabi", events=(
@@ -471,7 +471,7 @@ def ramsey_experiment(
     spec: EnsembleSpec, system: SpinSystem, taus_s: np.ndarray
 ) -> Series:
     """Ensemble-averaged pi/2 : tau : pi/2 fringe (final T population)."""
-    taus = np.asarray(taus_s, dtype=float)
+    taus = series_axis(taus_s)
     program = ramsey_program()
     programs = [[program.bind({"tau": float(tau)})] for tau in taus]
     mean = _ensemble_mean(spec, system, programs, lambda p_t: p_t[:, 0, :, 0], taus.shape)
@@ -488,15 +488,13 @@ def max_magnitude_estimate(shots: np.ndarray) -> np.ndarray | float:
     amplitude from below as the shot count grows.
     """
     arr = np.asarray(shots, dtype=float)
-    if arr.size == 0 or arr.shape[-1] == 0:
+    if arr.ndim not in (1, 2):
+        raise ValueError("shots must be 1-d or 2-d")
+    if arr.shape[-1] == 0:  # no tau points is an empty answer, no shots is an error
         raise ValueError("need at least one shot per tau point")
     if not np.all(np.isfinite(arr)):
         raise ValueError("shots must be finite")
-    if arr.ndim == 1:
-        return float(np.abs(arr).max())
-    if arr.ndim == 2:
-        return np.abs(arr).max(axis=-1)
-    raise ValueError("shots must be 1-d or 2-d")
+    return float(np.abs(arr).max()) if arr.ndim == 1 else np.abs(arr).max(axis=-1)
 
 
 def hahn_experiment(
@@ -521,18 +519,23 @@ def hahn_experiment(
     from the ensemble-wide stream, and keeps the largest |ensemble-averaged
     cycled signal|; this is the estimator for field-sensitive lines whose
     echo phase is randomized between shots.  A given ``shots_per_point``
-    must be >= 1, and under detection="mean" it is an error.
+    must be an int >= 1, and under detection="mean" it is an error.  Taus
+    must be finite, > 0 and increasing.  All is checked before any member runs.
 
     Members run in blocks of the ensemble engine and are reduced in index
     order, so memory stays bounded by the block, not the ensemble.
     """
     taus = np.asarray(taus_s, dtype=float)
-    if np.any(taus <= 0):
-        raise ValueError("tau values must be > 0")
+    if not np.all(np.isfinite(taus) & (taus > 0)):
+        raise ValueError("taus_s must be finite and > 0")
+    taus = series_axis(taus)
     if detection not in ("mean", "max"):
         raise ValueError(f"detection must be 'mean' or 'max', got {detection!r}")
-    if shots_per_point is not None and shots_per_point < 1:
-        raise ValueError("shots_per_point must be >= 1")
+    if shots_per_point is not None:
+        if isinstance(shots_per_point, bool) or not isinstance(shots_per_point, (int, np.integer)):
+            raise ValueError(f"shots_per_point must be an int, got {shots_per_point!r}")
+        if shots_per_point < 1:
+            raise ValueError("shots_per_point must be >= 1")
     if detection == "mean" and shots_per_point is not None:
         raise ValueError("shots_per_point applies only to detection='max'")
     n_shots = 1 if detection == "mean" else (shots_per_point or 100)
@@ -656,9 +659,10 @@ def simulate_4level(
     if not all(map(math.isfinite, durations_us)):  # math.ceil would overflow on inf
         raise ValueError("event durations must be finite in microseconds")
 
-    eig = spincore.eigensystem(system, b0)
-    igaps = 1j * (2.0 * math.pi) * (eig.energies[:, None] - eig.energies[None, :])
-    w = b1_amplitude_mt * (eig.vectors.conj().T @ op @ eig.vectors)  # MHz, eigenbasis
+    energies, vectors = spincore.eigensystems(system, b0.as_array()[None])
+    energies, vectors = energies[0], vectors[0]
+    igaps = 1j * (2.0 * math.pi) * (energies[:, None] - energies[None, :])
+    w = b1_amplitude_mt * (vectors.conj().T @ op @ vectors)  # MHz, eigenbasis
 
     psi = np.zeros(4, dtype=complex)
     psi[0] = 1.0  # S
@@ -725,7 +729,7 @@ def rf_spectrum(
     size.  A term whose ``u * u`` overflows is exactly 0 (its line is too
     narrow to reach the point), so overflow is silenced there.
     """
-    offsets = np.asarray(offsets_khz, dtype=float)
+    offsets = series_axis(offsets_khz)
     half = kernel_fwhm_khz / 2.0
     if not (math.isfinite(kernel_fwhm_khz) and half > 0):  # a half of 0 would divide by zero
         raise ValueError(f"kernel_fwhm_khz must be finite and > 0, also when halved, "

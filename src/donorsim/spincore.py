@@ -19,15 +19,15 @@ zero-field multiplets (energy order is S < T- < T0 < T+ for every field
 in the operating range).  Exactly at zero field the label assignment is
 fixed by diagonalising at a reference field of 1e-6 uT along z.
 
-``eigensystem(system, field)``, and ``eigensystems(system, fields_ut)`` for an
-(n, 3) array of fields through one eigensolve, are the one source of that
-labelled basis: they build H and return the energies and eigenvectors in
-LABELS order.  ``singlet_triplet_lines`` is the one reader of its columns
-by label: it reads the S -> T line frequencies and drive elements of a
-whole stack in a few array calls, bit for bit the per-field oracle
-``rf_matrix_element`` in ``tests/scalar_oracle.py``.  ``zeeman_operator``
-is the one spelling of gamma_s (v.S) - gamma_i (v.I), shared by the static
-Hamiltonian and the RF drive (``drive_operator``).
+``eigensystems(system, fields_ut)``, for an (n, 3) array of fields through
+one eigensolve, is the one source of that labelled basis: it builds H
+(``hamiltonians``) and returns the energies and eigenvectors in LABELS
+order; one field is a one-row stack.  ``singlet_triplet_lines`` is the
+one reader of its columns by label: it reads the S -> T line frequencies
+and drive elements of a whole stack in a few array calls, bit for bit the
+per-field oracle ``rf_matrix_element`` in ``tests/scalar_oracle.py``.
+``zeeman_operator`` is the one spelling of gamma_s (v.S) - gamma_i (v.I),
+shared by the static Hamiltonian and the RF drive (``drive_operator``).
 """
 
 from __future__ import annotations
@@ -130,24 +130,6 @@ class FieldVector:
     def as_array(self) -> np.ndarray:
         return np.array([self.bx, self.by, self.bz], dtype=float)
 
-    def unit(self) -> np.ndarray:
-        mag = self.magnitude()
-        if mag == 0.0:
-            raise ValueError("cannot normalise a zero field vector")
-        return self.as_array() / mag
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Labelled eigendecomposition at a given field.
-
-    ``energies`` (MHz, shape 4) and the columns of ``vectors`` (4x4, product
-    basis) are both in LABELS order S, T-, T0, T+.
-    """
-
-    energies: np.ndarray
-    vectors: np.ndarray
-
 
 @dataclass(frozen=True)
 class TransitionLine:
@@ -187,45 +169,27 @@ def field_magnitudes(fields: np.ndarray) -> np.ndarray:
     return np.sqrt((squares[:, 0] + squares[:, 1]) + squares[:, 2])
 
 
-def build_hamiltonian(system: SpinSystem, field: FieldVector) -> np.ndarray:
-    """Assemble the 4x4 Hamiltonian (MHz) for a field given in microtesla."""
-    return _hamiltonians(system, field.as_array()[None])[0]
-
-
-def _hamiltonians(system: SpinSystem, fields_ut: np.ndarray) -> np.ndarray:
-    """The (n, 4, 4) stack of ``build_hamiltonian`` for an (n, 3) field array in uT."""
+def hamiltonians(system: SpinSystem, fields_ut: np.ndarray) -> np.ndarray:
+    """The (n, 4, 4) Hamiltonians (MHz) of an (n, 3) field array in uT."""
     return zeeman_operator(system, fields_ut / UT_PER_MT) + system.hyperfine_a * _S_DOT_I
 
 
-def eigensystem(system: SpinSystem, field: FieldVector) -> EigenSystem:
-    """Diagonalise the Hamiltonian at ``field`` and label S/T-/T0/T+.
-
-    Labels follow adiabatic connection to the zero-field multiplets.  The
-    spectrum is ordered E(S) < E(T-) < E(T0) < E(T+) for every nonzero
-    field in the operating range, so labels follow the ascending eigenvalue
-    order.  For field magnitudes below REFERENCE_FIELD_UT the triplet is
-    numerically degenerate and the eigenvectors (and hence the label basis)
-    are taken from the reference field 1e-6 uT z instead, while the energies
-    still come from the Hamiltonian at ``field``.
-    """
-    energies, vectors = eigensystems(system, field.as_array()[None])
-    return EigenSystem(energies=energies[0], vectors=vectors[0])
-
-
 def eigensystems(system: SpinSystem, fields_ut: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``eigensystem`` for n fields through one stacked eigensolve.
+    """Diagonalise n fields in one eigensolve, labelled S/T-/T0/T+.
 
-    ``fields_ut`` is an (n, 3) array of field components (x, y, z) in uT,
-    such as an ``EnvironmentBlock``'s fields.  Returns the energies, shape
-    (n, 4), and eigenvectors, shape (n, 4, 4), both in LABELS order.  Row k
-    equals a one-field solve of ``FieldVector(*fields_ut[k])`` bit for bit,
-    whatever the other fields, and the reference-field rule applies field
-    by field, on the ``field_magnitudes`` of the rows.
+    ``fields_ut`` is an (n, 3) array of fields (x, y, z) in uT; one field is
+    a one-row stack.  Returns the energies, shape (n, 4), and eigenvectors,
+    shape (n, 4, 4), both in LABELS order, which is ascending energy for
+    every nonzero field in the operating range (adiabatic connection to the
+    zero-field multiplets).  A row whose ``field_magnitudes`` is below
+    REFERENCE_FIELD_UT takes its eigenvectors from the reference field along
+    z, as the triplet is degenerate there; its energies are its own.  Row k
+    is the same bits whatever the other rows.
     """
-    energies, vectors = np.linalg.eigh(_hamiltonians(system, fields_ut))
+    energies, vectors = np.linalg.eigh(hamiltonians(system, fields_ut))
     small = field_magnitudes(fields_ut) < REFERENCE_FIELD_UT
     if small.any():
-        href = build_hamiltonian(system, FieldVector.along_z(REFERENCE_FIELD_UT))
+        href = hamiltonians(system, np.array([[0.0, 0.0, REFERENCE_FIELD_UT]]))[0]
         vectors[small] = np.linalg.eigh(href)[1]
     return energies, vectors
 
@@ -308,7 +272,7 @@ def singlet_triplet_lines(
     arrays whose columns follow TRIPLET_LABELS.  ``operator`` is a
     ``drive_operator``; row k equals the per-field oracle
     ``rf_matrix_element`` (``tests/scalar_oracle.py``) of that drive and the
-    ``EigenSystem`` energy differences bit for bit.
+    energy differences of row k bit for bit.
     The spellings are chosen for that: ``matmul`` on an (m, 4, 1) column
     stack makes the same 4x4 product per field as ``op @ v``, ``vecdot``
     the same sum as ``vdot``, and ``hypot`` the same magnitude as a
@@ -325,7 +289,7 @@ def _drive_directions(field: FieldVector) -> tuple[np.ndarray, np.ndarray]:
     z = np.array([0.0, 0.0, 1.0])
     if field.magnitude() < REFERENCE_FIELD_UT:
         return z, np.array([1.0, 0.0, 0.0])
-    par = field.unit()
+    par = field.as_array() / field.magnitude()
     perp = np.cross(z, par)
     norm = np.linalg.norm(perp)
     if norm < 1e-12:  # field along +-z
@@ -336,7 +300,7 @@ def _drive_directions(field: FieldVector) -> tuple[np.ndarray, np.ndarray]:
 def transition_table(system: SpinSystem, field: FieldVector) -> list[TransitionLine]:
     """All three S -> T* lines at the given field.
 
-    Frequencies come from the numeric eigensystem; each line carries RF
+    Frequencies come from the labelled eigensolve; each line carries RF
     matrix elements for drive parallel and perpendicular to the field
     direction (z and x at zero field).
 

@@ -237,7 +237,7 @@ def eigensystem(system: SpinSystem, field: FieldVector) -> tuple[np.ndarray, np.
 
 
 def rf_matrix_element(
-    eig: spincore.EigenSystem,
+    vectors: np.ndarray,
     system: SpinSystem,
     drive_direction: np.ndarray,
     to_label: str,
@@ -246,11 +246,12 @@ def rf_matrix_element(
     """|<to| gamma_s (e.S) - gamma_i (e.I) |from>| for unit drive direction e.
 
     Returned in MHz/mT: multiply by an RF amplitude in mT to get the coupling
-    strength in MHz.  The columns of ``eig.vectors`` follow ``spincore.LABELS``.
+    strength in MHz.  The columns of the 4x4 eigenvectors ``vectors`` (one
+    row of ``spincore.eigensystems``) follow ``spincore.LABELS``.
     """
     op = spincore.drive_operator(system, drive_direction)
     column = spincore.LABELS.index
-    amp = np.vdot(eig.vectors[:, column(to_label)], op @ eig.vectors[:, column(from_label)])
+    amp = np.vdot(vectors[:, column(to_label)], op @ vectors[:, column(from_label)])
     return float(abs(amp))
 
 

@@ -14,7 +14,7 @@ from scipy.linalg import expm
 import scalar_oracle
 from scalar_oracle import propagate_pulse
 
-from donorsim import pulse, spincore
+from donorsim import noise, pulse, spincore
 from donorsim.csvio import Series
 from donorsim.noise import EnsembleSpec, MemberEnvironment, NoiseModel, member_rng
 from donorsim.program import Delay, PhaseCycle, Pulse, PulseProgram, hahn_program
@@ -337,6 +337,47 @@ def test_hahn_mean_detection_rejects_a_shot_count():
                         shots_per_point=7)
 
 
+@pytest.fixture
+def no_member_drawn(monkeypatch):
+    def draw(*args, **kwargs):
+        raise AssertionError("a member was drawn before the inputs were checked")
+
+    monkeypatch.setattr(noise, "_restart", draw)  # every ensemble member's stream starts here
+
+
+@pytest.mark.parametrize("taus, shots, message", [
+    ([1e-3], 2.5, "shots_per_point must be an int, got 2.5"),
+    ([1e-3], True, "shots_per_point must be an int, got True"),
+    ([1e-3, math.inf], 5, "taus_s must be finite and > 0"),
+    ([math.nan], 5, "taus_s must be finite and > 0"),
+    ([0.0, 1e-3], 5, "taus_s must be finite and > 0"),
+])
+def test_hahn_names_a_bad_argument_before_any_member_is_drawn(no_member_drawn, taus, shots,
+                                                               message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        hahn_experiment(clean_spec(n=500), PHOSPHORUS, taus, detection="max",
+                        shots_per_point=shots)
+
+
+@pytest.mark.parametrize("shots, want", [(None, 100), (7, 7)])
+def test_hahn_max_detection_of_an_empty_sweep_is_an_empty_series(shots, want):
+    series = hahn_experiment(clean_spec(n=3), PHOSPHORUS, [], detection="max",
+                             shots_per_point=shots)
+    assert (series.x.size, series.values.size, series.shots) == (0, 0, want)
+
+
+@pytest.mark.parametrize("run", [
+    lambda spec: ramsey_experiment(spec, PHOSPHORUS, [2e-3, 1e-3]),
+    lambda spec: rabi_experiment(spec, PHOSPHORUS, [2e-6, 1e-6]),
+    lambda spec: hahn_experiment(spec, PHOSPHORUS, [2e-3, 1e-3]),
+    lambda spec: hahn_experiment(spec, PHOSPHORUS, [2e-3, 1e-3], detection="max"),
+    lambda spec: rf_spectrum(spec, PHOSPHORUS, [5.0, -5.0]),
+], ids=["ramsey", "rabi", "hahn-mean", "hahn-max", "rf-spectrum"])
+def test_an_unsorted_sweep_fails_before_any_member_is_drawn(no_member_drawn, run):
+    with pytest.raises(ValueError, match="^x must be strictly increasing$"):
+        run(clean_spec(n=500))
+
+
 # --- 4-level honesty check ----------------------------------------------------------
 
 def pi_pulse_program(duration_us):
@@ -465,11 +506,12 @@ def _cf4_step(psi, t_us, dt_us, w_mhz, gaps_mhz, freq_mhz, phase_rad):
 def oracle_4level(program, b0, b1, direction, freq_mhz):
     """``simulate_4level`` at the default step, one scalar CF4 step at a time."""
     dt_us = DT_S * 1e6
-    eig = spincore.eigensystem(PHOSPHORUS, b0)
-    gaps = eig.energies[:, None] - eig.energies[None, :]
+    energies, vectors = spincore.eigensystems(PHOSPHORUS, b0.as_array()[None])
+    energies, vectors = energies[0], vectors[0]
+    gaps = energies[:, None] - energies[None, :]
     direction = np.asarray(direction, dtype=float)
     op = spincore.zeeman_operator(PHOSPHORUS, direction / np.linalg.norm(direction))
-    w = b1 * (eig.vectors.conj().T @ op @ eig.vectors)
+    w = b1 * (vectors.conj().T @ op @ vectors)
     psi = np.zeros(4, dtype=complex)
     psi[0] = 1.0
     t_us = 0.0

@@ -19,10 +19,10 @@ from donorsim.spincore import (
     FieldVector,
     SpinSystem,
     breit_rabi_levels,
-    build_hamiltonian,
     clock_sensitivity,
-    eigensystem,
+    eigensystems,
     estimate_field_from_splitting,
+    hamiltonians,
     transition_frequency,
     transition_table,
 )
@@ -34,13 +34,15 @@ GI = GAMMA_I_MHZ_PER_MT
 
 
 def eig_for(field_ut: FieldVector, system: SpinSystem = PHOSPHORUS):
-    return eigensystem(system, field_ut)
+    """Energies (4,) and eigenvectors (4, 4) at one field: a one-row ``eigensystems``."""
+    energies, vectors = eigensystems(system, field_ut.as_array()[None])
+    return energies[0], vectors[0]
 
 
 # --- Hamiltonian basics ------------------------------------------------------
 
 def test_hamiltonian_is_hermitian_and_traceless_at_zero_field():
-    h = build_hamiltonian(PHOSPHORUS, FieldVector(0.0, 0.0, 0.0))
+    h = hamiltonians(PHOSPHORUS, np.zeros((1, 3)))[0]
     assert np.allclose(h, h.conj().T)
     assert abs(np.trace(h)) < 1e-12
 
@@ -56,7 +58,7 @@ def test_spin_operator_algebra():
 
 
 def test_zero_field_structure():
-    energies = eig_for(FieldVector(0.0, 0.0, 0.0)).energies
+    energies, _ = eig_for(FieldVector(0.0, 0.0, 0.0))
     assert abs(energies[0] - (-0.75 * A)) / A < 1e-12
     assert np.allclose(energies[1:], 0.25 * A, rtol=1e-12)
     # splitting equals the hyperfine constant exactly
@@ -70,8 +72,8 @@ def test_closed_form_matches_diagonalization_across_operating_range():
     b_ut = np.linspace(0.0, 5000.0, 301)
     closed = breit_rabi_levels(PHOSPHORUS, b_ut)
     for b, i in zip(b_ut, range(b_ut.size)):
-        eig = eig_for(FieldVector(0.0, 0.0, b))
-        for label, energy in zip(spincore.LABELS, eig.energies):
+        energies, _ = eig_for(FieldVector(0.0, 0.0, b))
+        for label, energy in zip(spincore.LABELS, energies):
             reference = closed[label][i]
             scale = max(abs(reference), 1.0)
             assert abs(energy - reference) / scale < 1e-9
@@ -98,26 +100,25 @@ def test_spectrum_depends_only_on_field_magnitude(b, theta, phi):
         b * math.sin(theta) * math.sin(phi),
         b * math.cos(theta),
     )
-    h = build_hamiltonian(PHOSPHORUS, tilted)
+    h = hamiltonians(PHOSPHORUS, tilted.as_array()[None])[0]
     assert np.array_equal(h, h.conj().T)
-    eig = eig_for(tilted)
+    energies, _ = eig_for(tilted)
     closed = breit_rabi_levels(PHOSPHORUS, b)
-    for label, energy in zip(spincore.LABELS, eig.energies):
+    for label, energy in zip(spincore.LABELS, energies):
         scale = max(abs(closed[label]), 1.0)
         assert abs(energy - closed[label]) / scale < 1e-9
 
 
 def test_level_ordering_is_s_tminus_t0_tplus():
     for b in (0.5, 4.0, 100.0, 5000.0):
-        eig = eig_for(FieldVector(0.0, 0.0, b))
-        e = eig.energies  # LABELS order: S, T-, T0, T+
+        e, _ = eig_for(FieldVector(0.0, 0.0, b))  # LABELS order: S, T-, T0, T+
         assert e[0] < e[1] < e[2] < e[3]
 
 
 def test_eigensystem_arrays_are_in_label_order():
-    eig = eig_for(FieldVector(1.0, -2.0, 23.0))
-    assert eig.energies.shape == (4,) and eig.vectors.shape == (4, 4)
-    assert np.all(np.diff(eig.energies) > 0)
+    energies, vectors = eigensystems(PHOSPHORUS, np.array([[1.0, -2.0, 23.0], [0.0, 0.0, 4.0]]))
+    assert energies.shape == (2, 4) and vectors.shape == (2, 4, 4)
+    assert np.all(np.diff(energies, axis=1) > 0)
 
 
 def test_breit_rabi_rejects_bad_input():
@@ -149,14 +150,14 @@ def test_transition_frequencies_at_4ut():
 
 def test_selection_rules_parallel_vs_perpendicular():
     field = FieldVector(0.0, 0.0, 23.0)
-    eig = eig_for(field)
+    _, vectors = eig_for(field)
     z = np.array([0.0, 0.0, 1.0])
     x = np.array([1.0, 0.0, 0.0])
-    par_t0 = rf_matrix_element(eig, PHOSPHORUS, z, "T0")
-    par_tp = rf_matrix_element(eig, PHOSPHORUS, z, "T+")
-    par_tm = rf_matrix_element(eig, PHOSPHORUS, z, "T-")
-    perp_t0 = rf_matrix_element(eig, PHOSPHORUS, x, "T0")
-    perp_tp = rf_matrix_element(eig, PHOSPHORUS, x, "T+")
+    par_t0 = rf_matrix_element(vectors, PHOSPHORUS, z, "T0")
+    par_tp = rf_matrix_element(vectors, PHOSPHORUS, z, "T+")
+    par_tm = rf_matrix_element(vectors, PHOSPHORUS, z, "T-")
+    perp_t0 = rf_matrix_element(vectors, PHOSPHORUS, x, "T0")
+    perp_tp = rf_matrix_element(vectors, PHOSPHORUS, x, "T+")
     # allowed elements sit near their B->0 limits; at 23 µT the Zeeman
     # admixture x = (gs+gi)B/A ~ 5.5e-3 shifts them at the per-mille level
     assert math.isclose(par_t0, (GS + GI) / 2.0, rel_tol=5e-3)
@@ -169,14 +170,14 @@ def test_selection_rules_parallel_vs_perpendicular():
 
 def test_matrix_elements_reach_closed_form_limits_at_vanishing_field():
     field = FieldVector(0.0, 0.0, 0.001)  # 1 nT: essentially zero-field mixing
-    eig = eig_for(field)
+    _, vectors = eig_for(field)
     z = np.array([0.0, 0.0, 1.0])
     x = np.array([1.0, 0.0, 0.0])
-    assert math.isclose(rf_matrix_element(eig, PHOSPHORUS, z, "T0"),
+    assert math.isclose(rf_matrix_element(vectors, PHOSPHORUS, z, "T0"),
                         (GS + GI) / 2.0, rel_tol=1e-6)
-    assert math.isclose(rf_matrix_element(eig, PHOSPHORUS, x, "T+"),
+    assert math.isclose(rf_matrix_element(vectors, PHOSPHORUS, x, "T+"),
                         (GS + GI) / (2.0 * math.sqrt(2.0)), rel_tol=1e-6)
-    assert math.isclose(rf_matrix_element(eig, PHOSPHORUS, x, "T-"),
+    assert math.isclose(rf_matrix_element(vectors, PHOSPHORUS, x, "T-"),
                         (GS + GI) / (2.0 * math.sqrt(2.0)), rel_tol=1e-6)
 
 
@@ -209,20 +210,20 @@ def test_singlet_triplet_lines_equal_the_per_label_elements(fields, drive):
         energies, vectors, spincore.drive_operator(PHOSPHORUS, direction))
     assert frequencies.shape == elements.shape == (len(fields), 3)
     for k, field in enumerate(fields):
-        eig = eig_for(field)
+        one_energies, one_vectors = eig_for(field)
         assert frequencies[k].tolist() == [
-            energy - eig.energies[0] for energy in eig.energies[1:]]
+            energy - one_energies[0] for energy in one_energies[1:]]
         assert elements[k].tolist() == [
-            rf_matrix_element(eig, PHOSPHORUS, direction, label)
+            rf_matrix_element(one_vectors, PHOSPHORUS, direction, label)
             for label in spincore.TRIPLET_LABELS]
-    eig = eig_for(fields[0])
+    one_energies, one_vectors = eig_for(fields[0])
     par, perp = spincore._drive_directions(fields[0])
     assert [(line.frequency_mhz, line.element_parallel_mhz_per_mt,
              line.element_perpendicular_mhz_per_mt)
             for line in transition_table(PHOSPHORUS, fields[0])] == [
-        (energy - eig.energies[0], rf_matrix_element(eig, PHOSPHORUS, par, label),
-         rf_matrix_element(eig, PHOSPHORUS, perp, label))
-        for label, energy in zip(spincore.TRIPLET_LABELS, eig.energies[1:])
+        (energy - one_energies[0], rf_matrix_element(one_vectors, PHOSPHORUS, par, label),
+         rf_matrix_element(one_vectors, PHOSPHORUS, perp, label))
+        for label, energy in zip(spincore.TRIPLET_LABELS, one_energies[1:])
     ]
 
 
@@ -240,9 +241,9 @@ def test_drive_operator_rejects_a_bad_direction(direction):
 def test_degenerate_field_uses_reference_quantization_axis():
     # vectors at B=0 come from an infinitesimal z field, so the selection
     # rules stay sharp instead of arbitrary
-    eig = eig_for(FieldVector(0.0, 0.0, 0.0))
+    _, vectors = eig_for(FieldVector(0.0, 0.0, 0.0))
     z = np.array([0.0, 0.0, 1.0])
-    val = rf_matrix_element(eig, PHOSPHORUS, z, "T0")
+    val = rf_matrix_element(vectors, PHOSPHORUS, z, "T0")
     assert math.isclose(val, (GS + GI) / 2.0, rel_tol=1e-6)
 
 
@@ -296,7 +297,7 @@ def test_labels_connect_adiabatically_through_small_fields():
     # slowly (no sudden swaps), confirming labels track adiabatic branches
     previous = None
     for b in np.linspace(23.0, 0.001, 47):
-        vectors = eig_for(FieldVector(0.0, 0.0, b)).vectors
+        _, vectors = eig_for(FieldVector(0.0, 0.0, b))
         if previous is not None:
             overlaps = np.abs(np.sum(previous.conj() * vectors, axis=0))
             assert np.all(overlaps > 0.999)
