@@ -4,8 +4,8 @@ Subpackage map:
 
 - ``spincore``: Hamiltonian, closed-form levels, transition elements,
   field sensitivity, field estimation.
-- ``pump``: optical pumping rate equations, steady states,
-  photoconductive spectra.
+- ``pump``: optical pumping rate equations, steady states, the
+  closed-form re-pump transient, photoconductive spectra.
 - ``program`` / ``seqdsl``: pulse-sequence data model and its text format.
 - ``noise``: ensemble specification, member RNG streams, static and
   Ornstein-Uhlenbeck detuning noise.
@@ -33,8 +33,7 @@ _EXPORTS = {
                 "ramsey_program"),
     "pulse": ("TwoLevelParams", "hahn_experiment", "rabi_experiment", "ramsey_experiment",
               "rf_spectrum", "run_sequence", "simulate_4level"),
-    "pump": ("PopulationState", "PumpConfig", "evolve_populations", "optical_spectrum",
-             "steady_state"),
+    "pump": ("PopulationState", "PumpConfig", "optical_spectrum", "steady_state"),
     "seqdsl": ("compile_sequence", "parse_sequence", "pretty_print"),
     "spincore": ("PHOSPHORUS", "FieldVector", "SpinSystem", "breit_rabi_levels",
                  "clock_sensitivity", "eigensystems", "estimate_field_from_splitting",

@@ -387,7 +387,8 @@ def _ou_tables(delays: dict[int, np.ndarray], shape: tuple[int, int, int],
     n2); zero-length delays draw nothing and leave the process alone.  Runs
     follow the stream order sweep point, shot, cycle.  The step constants
     depend only on the duration, so they come from ``_ou_coefficients`` once
-    per (sweep point, cycle) entry.
+    per (sweep point, cycle) entry, and a constant that overflows raises
+    ValueError before any member is drawn.
 
     ``delays`` maps each delay's event index to its (K, C, 1, 1) durations
     and ``shape`` is (K, C, shots).  Returns the draws per member, the
@@ -414,14 +415,25 @@ def _ou_tables(delays: dict[int, np.ndarray], shape: tuple[int, int, int],
     steps = {}
     for d, e in enumerate(delays):
         coeffs = np.array([
-            [_ou_coefficients(t, sigma, tau_c) if t > 0.0 else (1.0, 0.0, 0.0, 0.0, 1.0)
-             for t in row]
+            [_ou_step(t, sigma, tau_c) if t > 0.0 else (1.0, 0.0, 0.0, 0.0, 1.0) for t in row]
             for row in durations[d].tolist()
         ])  # (K, C, 5)
         mask = stepping[d, 0]
         steps[e] = (None if mask.all() else mask, 1 + 2 * d,
                     tuple(coeffs[:, :, None, None, i] for i in range(5)))
     return int(per_shot.sum()) * n_shots, np.concatenate(slots), steps
+
+
+def _ou_step(t: float, sigma: float, tau_c: float) -> tuple[float, ...]:
+    """``_ou_coefficients`` for one delay, or ValueError if a constant overflows."""
+    try:
+        coeffs = _ou_coefficients(t, sigma, tau_c)
+    except OverflowError:  # float ** raises where * gives inf
+        coeffs = (math.inf,)
+    if not all(map(math.isfinite, coeffs)):
+        raise ValueError(f"OU step constants overflow: driven-line sigma {sigma!r} kHz, "
+                         f"correlation time {tau_c!r} s, delay {t!r} s")
+    return coeffs
 
 
 def _ensemble_mean(spec: EnsembleSpec, system: SpinSystem, programs: list[list[PulseProgram]],
@@ -735,6 +747,8 @@ def rf_spectrum(
         raise ValueError(f"kernel_fwhm_khz must be finite and > 0, also when halved, "
                          f"got {kernel_fwhm_khz!r}")
     op = spincore.drive_operator(system, noise_mod.DRIVE_DIRECTIONS[spec.b0_orientation])
+    if offsets.size == 0:
+        return Series(x=offsets, values=offsets)
     columns = np.repeat(offsets, 2) if offsets.size == 1 else offsets
     terms = np.zeros((_RF_LINE_RUN + 1, columns.size))
     for members in noise_mod.EnvironmentPass(spec, system).blocks(_RF_BLOCK_MEMBERS):

@@ -10,6 +10,9 @@ exchanges S and T towards their 1:3 statistical weights.
 Rates are in 1/s, times in seconds, optical frequencies in cm^-1 with
 linewidths quoted in MHz.  The photoconductive observable is the Auger
 event rate, pump_rate_s * n_S + pump_rate_t * n_T, times a detector gain.
+It is linear in the populations, so its steady value and the re-pump
+transient's integrated excess (``transient_area``) are closed forms of the
+rate matrix: no readout needs a trajectory.
 
 Steady states are solved over a leading axis of rate matrices: an optical
 spectrum stacks one generator per probe point and solves them all in one
@@ -41,14 +44,6 @@ PUMP_SETTINGS = ("off", "on_T", "on_S")
 
 #: Statistical weights the randomization channel drives (n_S, n_T) towards.
 SINGLET_WEIGHT = 0.25
-
-
-class StepSizeError(ValueError, RuntimeError):
-    """Integration step too coarse for the local accuracy; a RuntimeError, so CLI exit 2."""
-
-
-class ConvergenceError(ValueError, RuntimeError):
-    """Trajectory not settled near the steady state; a RuntimeError, so CLI exit 2."""
 
 
 class NoUniqueSteadyStateError(ValueError, RuntimeError):
@@ -111,31 +106,6 @@ class PopulationState:
         return np.array([self.n_s, self.n_t, self.n_x], dtype=float)
 
 
-@dataclass(frozen=True)
-class PopulationTrajectory:
-    """Populations on a uniform time grid; row k is (n_s, n_t, n_x) at times[k]."""
-
-    times_s: np.ndarray
-    populations: np.ndarray
-
-    @property
-    def n_s(self) -> np.ndarray:
-        return self.populations[:, 0]
-
-    @property
-    def n_t(self) -> np.ndarray:
-        return self.populations[:, 1]
-
-    @property
-    def n_x(self) -> np.ndarray:
-        return self.populations[:, 2]
-
-    def final_state(self) -> PopulationState:
-        ns, nt, nx = (max(float(v), 0.0) for v in self.populations[-1])
-        total = ns + nt + nx
-        return PopulationState(ns / total, nt / total, nx / total)
-
-
 def rate_matrix(cfg: PumpConfig) -> np.ndarray:
     """3x3 generator on (n_s, n_t, n_x); every column sums to zero.
 
@@ -166,49 +136,6 @@ def _rate_matrices(cfg: PumpConfig, pump_rate_s, pump_rate_t) -> np.ndarray:
     m[..., 0, 1] += SINGLET_WEIGHT * r
     m[..., 1, 1] -= SINGLET_WEIGHT * r
     return m
-
-
-def _rk4_transfer(m: np.ndarray, dt: float) -> np.ndarray:
-    """One-step transfer matrix of classic RK4 on p' = M p (= 4th-order Taylor)."""
-    k = m * dt
-    k2 = k @ k
-    return np.eye(3) + k + k2 / 2.0 + (k2 @ k) / 6.0 + (k2 @ k2) / 24.0
-
-
-def evolve_populations(
-    initial: PopulationState, cfg: PumpConfig, duration_s: float, dt_s: float
-) -> PopulationTrajectory:
-    """Integrate the rate equations with fixed-step 4th-order (RK4) stepping.
-
-    The local error is estimated up front by comparing one full step against
-    two half steps of the constant-coefficient transfer matrix; if the
-    largest entry difference exceeds 1e-6 a StepSizeError is raised.
-
-    Args:
-        initial: starting populations.
-        cfg: rate parameters.
-        duration_s: total integration time, >= dt_s.
-        dt_s: step size, > 0.
-    """
-    if not math.isfinite(dt_s) or dt_s <= 0:
-        raise ValueError(f"dt_s must be finite and > 0, got {dt_s!r}")
-    if not math.isfinite(duration_s) or duration_s < dt_s:
-        raise ValueError("duration_s must be finite and >= dt_s")
-    m = rate_matrix(cfg)
-    step = _rk4_transfer(m, dt_s)
-    half = _rk4_transfer(m, dt_s / 2.0)
-    local_error = float(np.abs(step - half @ half).max())
-    if local_error > 1e-6:
-        raise StepSizeError(
-            f"local error estimate {local_error:.3e} exceeds 1e-6; reduce dt_s"
-        )
-    n_steps = int(math.ceil(duration_s / dt_s - 1e-9))
-    out = np.empty((n_steps + 1, 3))
-    out[0] = initial.as_array()
-    for k in range(n_steps):
-        out[k + 1] = step @ out[k]
-    times = np.arange(n_steps + 1) * dt_s
-    return PopulationTrajectory(times_s=times, populations=out)
 
 
 def steady_state(cfg: PumpConfig) -> PopulationState:
@@ -274,35 +201,24 @@ def _raise_first_failure(checks: list[_Check]) -> None:
         raise error(message(i))
 
 
-def photoconductive_signal(trajectory: PopulationTrajectory, cfg: PumpConfig) -> Series:
-    """Auger event rate vs time: gain * (pump_rate_s n_S + pump_rate_t n_T)."""
-    values = cfg.gain * (
-        cfg.pump_rate_s * trajectory.n_s + cfg.pump_rate_t * trajectory.n_t
-    )
-    return Series(x=trajectory.times_s, values=values)
+def transient_area(initial: PopulationState, cfg: PumpConfig) -> float:
+    """Integrated excess photoconductive signal while the pump relaxes ``initial``.
 
-
-def _steady_signal(cfg: PumpConfig) -> float:
-    p = steady_state(cfg)
-    return cfg.gain * (cfg.pump_rate_s * p.n_s + cfg.pump_rate_t * p.n_t)
-
-
-def transient_area(signal: Series, cfg: PumpConfig) -> float:
-    """Integral of |signal - steady signal| over the trace (trapezoid rule).
-
-    The trace must have settled: the final deviation from the steady signal
-    has to be within 1e-4 of the deviation scale (the larger of the steady
-    signal magnitude and the peak deviation), otherwise ConvergenceError.
+    gain * integral over [0, inf) of r . (p(t) - p_inf) dt, with
+    r = (pump_rate_s, pump_rate_t, 0): the expected number of extra Auger
+    events per donor.  For d = p(0) - p_inf, the integral of exp(M t) d is
+    the y with M y = -d and sum(y) = 0, one bordered 4 x 3 solve.  The area
+    is signed (an undershoot counts negative), linear in ``initial`` and 0 at
+    the steady state; it raises what ``steady_state`` raises.  It equals the
+    integral of |signal - steady signal| only where the signal relaxes
+    monotonically from above.
     """
-    s_inf = _steady_signal(cfg)
-    deviation = np.abs(signal.values - s_inf)
-    scale = max(abs(s_inf), float(deviation.max()))
-    if scale > 0.0 and float(deviation[-1]) > 1e-4 * scale:
-        raise ConvergenceError(
-            "final signal deviates from the steady value by "
-            f"{float(deviation[-1]):.3e} (scale {scale:.3e}); extend the trace"
-        )
-    return float(np.trapezoid(deviation, signal.x))
+    m = rate_matrix(cfg)
+    p, checks = _steady_states(m[None])
+    _raise_first_failure(checks)
+    bordered = np.vstack([m, np.ones(3)])
+    y = np.linalg.lstsq(bordered, np.append(p[0] - initial.as_array(), 0.0), rcond=None)[0]
+    return float(cfg.gain * (cfg.pump_rate_s * y[0] + cfg.pump_rate_t * y[1]))
 
 
 def lorentzian_response(detuning_inv_cm, fwhm_inv_cm: float):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import importlib.util
 import io
@@ -10,6 +11,8 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from donorsim import cli, noise, pulse, pump, spincore
 from donorsim.cli import build_parser, main
@@ -455,6 +458,12 @@ def test_usage_errors_exit_1(capsys):
     # a bad setting text is the flag's error, also when a later repeat is good
     ["hahn", "--t2-s", "banana", "--t2-s", "none"],
     ["hahn", "--members", "x", "--members", "3", "--points", "2"],
+    # OU step constants that overflow, or come out inf or nan, before any member
+    ["hahn", "--members", "2", "--points", "2", "--ou-sigma-khz", "1e160"],
+    ["hahn", "--members", "2", "--points", "2", "--ou-sigma-khz", "1", "--ou-tau-c-s", "1e160"],
+    ["hahn", "--members", "2", "--points", "2", "--ou-sigma-khz", "1e100",
+     "--ou-tau-c-s", "1e100"],
+    ["hahn", "--members", "2", "--points", "2", "--ou-sigma-khz", "1", "--ou-tau-c-s", "1e-320"],
 ])
 def test_validation_errors_exit_1(monkeypatch, capsys, argv):
     def draw(*args, **kwargs):
@@ -513,6 +522,10 @@ def test_overflowing_delay_phase_fails_the_norm_check_exit_2(capsys):
     # a leading "-" and "inf" is a value, not a flag
     (["rf-spectrum", "--members", "2", "--points", "3", "--offset-min-khz", "-inf"],
      "sweep needs a finite start below its end, got -inf to 150.0"),
+    # an OU step constant that overflows names the sigma, correlation time and delay
+    (["hahn", "--members", "2", "--points", "2", "--ou-sigma-khz", "1", "--ou-tau-c-s", "1e160"],
+     "OU step constants overflow: driven-line sigma 0.001907515204447196 kHz, "
+     "correlation time 1e+160 s, delay 0.001 s"),
 ])
 def test_rejected_run_prints_only_the_error_line(capsys, argv, message):
     code, out, err = run(capsys, argv)
@@ -561,6 +574,41 @@ def test_bad_shot_count_exits_1(capsys, argv):
     assert code == 1
     assert "shots_per_point must be >= 1" in err
     assert out == ""
+
+
+#: Small runs of the ensemble subcommands, with every detection.
+SMALL_RUNS = [
+    ["rabi", "--members", "2", "--points", "2"],
+    ["ramsey", "--members", "2", "--points", "3"],
+    ["hahn", "--members", "2", "--points", "2", "--detection", "mean"],
+    ["hahn", "--members", "2", "--points", "3", "--detection", "max", "--shots", "2"],
+    ["rf-spectrum", "--members", "2", "--points", "3"],
+]
+PHYSICS_FLAGS = ["--b0-ut", "--b1-amplitude-mt", "--static-detuning-khz", "--ou-sigma-khz",
+                 "--ou-tau-c-s", "--internal-fraction", "--internal-field-ut", "--t2-s",
+                 "--stretching-n"]
+EXTREME_VALUES = st.one_of(
+    st.floats(-1.7e308, 1.7e308),  # finite, subnormals included
+    st.sampled_from([5e-324, 1e-320, 1e154, 1e160, 1e300]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(run_argv=st.sampled_from(SMALL_RUNS),
+       values=st.dictionaries(st.sampled_from(PHYSICS_FLAGS), EXTREME_VALUES,
+                              min_size=1, max_size=4))
+@example(run_argv=SMALL_RUNS[2], values={"--ou-sigma-khz": 1e160})
+@example(run_argv=SMALL_RUNS[0], values={"--ou-sigma-khz": 1.0, "--ou-tau-c-s": 1e160})
+def test_no_finite_setting_crashes_the_cli(run_argv, values):
+    argv = run_argv + [text for flag, value in values.items() for text in (flag, repr(value))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code != 0:
+        assert err.getvalue().count("donorsim: error: ") == 1
+        assert err.getvalue().startswith("donorsim: error: ")
+        assert err.getvalue().endswith("\n") and err.getvalue().count("\n") == 1
 
 
 # One bad value per setting flag: a flagged RunConfig field missing here fails its case.
@@ -736,8 +784,6 @@ def test_parse_missing_file_exits_2(capsys):
 
 
 @pytest.mark.parametrize("error, code", [
-    (pump.StepSizeError, 2),
-    (pump.ConvergenceError, 2),
     (pump.NoUniqueSteadyStateError, 2),
     (pulse.IntegrationStepError, 2),
     (ValueError, 1),

@@ -54,21 +54,10 @@ UNREACHED_ALLOWED = {
     # the one public way to run a user program until ``donorsim run`` lands
     "noise.MemberEnvironment": "ROADMAP items 2 and 14",
     "pulse.run_sequence": "ROADMAP items 2 and 14",
-    # the pump dynamics, which the optical readout chain keeps or deletes
-    "pump.ConvergenceError": "ROADMAP item 12",
+    # the pump populations and closed forms, which the optical readout chain will call
     "pump.PopulationState": "ROADMAP item 12",
     "pump.PopulationState.__post_init__": "ROADMAP item 12",
     "pump.PopulationState.as_array": "ROADMAP item 12",
-    "pump.PopulationTrajectory": "ROADMAP item 12",
-    "pump.PopulationTrajectory.final_state": "ROADMAP item 12",
-    "pump.PopulationTrajectory.n_s": "ROADMAP item 12",
-    "pump.PopulationTrajectory.n_t": "ROADMAP item 12",
-    "pump.PopulationTrajectory.n_x": "ROADMAP item 12",
-    "pump.StepSizeError": "ROADMAP item 12",
-    "pump._rk4_transfer": "ROADMAP item 12",
-    "pump._steady_signal": "ROADMAP item 12",
-    "pump.evolve_populations": "ROADMAP item 12",
-    "pump.photoconductive_signal": "ROADMAP item 12",
     "pump.rate_matrix": "ROADMAP item 12",
     "pump.steady_state": "ROADMAP item 12",
     "pump.transient_area": "ROADMAP item 12",

@@ -378,6 +378,18 @@ def test_an_unsorted_sweep_fails_before_any_member_is_drawn(no_member_drawn, run
         run(clean_spec(n=500))
 
 
+@pytest.mark.parametrize("run", [
+    lambda spec: ramsey_experiment(spec, PHOSPHORUS, []),
+    lambda spec: rabi_experiment(spec, PHOSPHORUS, []),
+    lambda spec: hahn_experiment(spec, PHOSPHORUS, []),
+    lambda spec: hahn_experiment(spec, PHOSPHORUS, [], detection="max"),
+    lambda spec: rf_spectrum(spec, PHOSPHORUS, []),
+], ids=["ramsey", "rabi", "hahn-mean", "hahn-max", "rf-spectrum"])
+def test_an_empty_sweep_is_an_empty_series_with_no_member_drawn(no_member_drawn, run):
+    series = run(clean_spec(n=500))
+    assert (series.x.size, series.values.size) == (0, 0)
+
+
 # --- 4-level honesty check ----------------------------------------------------------
 
 def pi_pulse_program(duration_us):

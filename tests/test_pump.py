@@ -1,4 +1,4 @@
-"""Optical pumping rate model: integrator, steady states, spectra."""
+"""Optical pumping rate model: steady states, the re-pump transient, spectra."""
 
 from __future__ import annotations
 
@@ -19,11 +19,8 @@ from donorsim.pump import (
     NoUniqueSteadyStateError,
     PopulationState,
     PumpConfig,
-    StepSizeError,
-    evolve_populations,
     lorentzian_response,
     optical_spectrum,
-    photoconductive_signal,
     rate_matrix,
     steady_state,
     transient_area,
@@ -50,46 +47,9 @@ def test_population_state_validation():
         PopulationState(n_s=-0.2, n_t=1.2, n_x=0.0)
 
 
-@pytest.mark.parametrize("cfg", [
-    PumpConfig(pump_rate_s=0.0, pump_rate_t=0.0),
-    PumpConfig(pump_rate_s=2e4, pump_rate_t=0.0),
-    PumpConfig(pump_rate_s=0.0, pump_rate_t=2e4, randomization_rate=100.0),
-    PumpConfig(pump_rate_s=5e3, pump_rate_t=1e4, branch_to_s=0.7,
-               randomization_rate=10.0),
-])
-def test_trajectory_matches_matrix_exponential_oracle(cfg):
-    duration = 2e-3
-    trajectory = evolve_populations(EQUILIBRIUM, cfg, duration_s=duration, dt_s=1e-7)
-    m = rate_matrix(cfg)
-    start = np.array([0.25, 0.75, 0.0])
-    for i in (0, len(trajectory.times_s) // 2, len(trajectory.times_s) - 1):
-        t = trajectory.times_s[i]
-        oracle = expm(m * t) @ start
-        assert np.allclose(trajectory.populations[i], oracle, atol=1e-6)
-
-
-def test_trajectory_conserves_population():
-    cfg = PumpConfig(pump_rate_s=2e4, randomization_rate=30.0)
-    trajectory = evolve_populations(EQUILIBRIUM, cfg, duration_s=5e-3, dt_s=1e-7)
-    totals = trajectory.populations.sum(axis=1)
-    assert np.max(np.abs(totals - 1.0)) < 1e-9
-    assert np.min(trajectory.populations) > -1e-9
-
-
-def test_coarse_step_is_rejected():
-    cfg = PumpConfig(pump_rate_s=2e4, auger_rate=1e6)
-    with pytest.raises(StepSizeError):
-        evolve_populations(EQUILIBRIUM, cfg, duration_s=1e-3, dt_s=2e-5)
-
-
 def test_randomization_fixed_point_is_statistical_weights():
     # randomization alone drives populations to 1/4 singlet, 3/4 triplet
-    # (slow Auger keeps the generator norm small so a coarse step is legal)
     cfg = PumpConfig(randomization_rate=100.0, auger_rate=1e3)
-    skewed = PopulationState(n_s=0.9, n_t=0.1, n_x=0.0)
-    final = evolve_populations(skewed, cfg, duration_s=0.2, dt_s=1e-4).final_state()
-    assert math.isclose(final.n_s, 0.25, abs_tol=1e-6)
-    assert math.isclose(final.n_t, 0.75, abs_tol=1e-6)
     fixed = steady_state(cfg)
     assert math.isclose(fixed.n_s, 0.25, abs_tol=1e-10)
     assert math.isclose(fixed.n_t, 0.75, abs_tol=1e-10)
@@ -117,25 +77,61 @@ def test_pumping_the_singlet_empties_it():
     assert fixed.n_t > 0.95
 
 
-def test_photoconductive_signal_tracks_excited_state():
-    cfg = PumpConfig(pump_rate_s=2e4, gain=2.0)
-    trajectory = evolve_populations(EQUILIBRIUM, cfg, duration_s=2e-3, dt_s=1e-7)
-    signal = photoconductive_signal(trajectory, cfg)
-    # signal = gain * (rate_S * n_S + rate_T * n_T): positive while S still
-    # populated, decaying toward the tiny steady leak
-    assert signal.values[0] == pytest.approx(2.0 * 2e4 * 0.25)
-    assert signal.values[-1] < signal.values[0] * 0.05
+# --- the re-pump transient in closed form -------------------------------------------
+
+def van_loan_area(initial, cfg):
+    """gain * r . integral of exp(M t) d over [0, T], T = 60 slowest decay times.
+
+    The top-right block of expm([[M, d], [0, 0]] T) is that integral (Van Loan,
+    IEEE Trans. Autom. Control 23, 395 (1978)); by T every mode but the steady
+    state has decayed by e^-60.
+    """
+    m = rate_matrix(cfg)
+    d = initial.as_array() - steady_state(cfg).as_array()
+    rates = -np.linalg.eigvals(m).real
+    slowest = rates[rates > 1e-9 * np.abs(m).max()].min()
+    block = np.zeros((4, 4))
+    block[:3, :3], block[:3, 3] = m, d
+    y = expm(block * (60.0 / slowest))[:3, 3]
+    return cfg.gain * (cfg.pump_rate_s * y[0] + cfg.pump_rate_t * y[1])
 
 
-def test_transient_area_is_finite_and_settled():
-    cfg = PumpConfig(pump_rate_s=2e4)
-    trajectory = evolve_populations(EQUILIBRIUM, cfg, duration_s=5e-3, dt_s=1e-7)
-    area = transient_area(photoconductive_signal(trajectory, cfg), cfg)
-    assert area > 0
-    # truncating the trajectory before it settles is reported
-    short = evolve_populations(EQUILIBRIUM, cfg, duration_s=2e-5, dt_s=1e-7)
-    with pytest.raises(pump.ConvergenceError):
-        transient_area(photoconductive_signal(short, cfg), cfg)
+@pytest.mark.parametrize("initial, cfg", [
+    (EQUILIBRIUM, PumpConfig(pump_rate_s=2e4)),
+    (EQUILIBRIUM, PumpConfig(pump_rate_s=2e4, pump_rate_t=3e3, randomization_rate=30.0)),
+    (PopulationState(0.1, 0.5, 0.4),
+     PumpConfig(pump_rate_s=5e3, pump_rate_t=1e4, branch_to_s=0.7, randomization_rate=10.0,
+                gain=2.0)),
+    (PopulationState(0.9, 0.1, 0.0), PumpConfig(pump_rate_t=1e4, randomization_rate=100.0)),
+    (PopulationState(1.0, 0.0, 0.0), PumpConfig(pump_rate_t=1e4, randomization_rate=10.0)),
+    (PopulationState(0.0, 0.2, 0.8),
+     PumpConfig(pump_rate_s=1e4, pump_rate_t=1e4, branch_to_s=0.7, gain=-0.5)),
+])
+def test_transient_area_matches_the_van_loan_oracle(initial, cfg):
+    assert transient_area(initial, cfg) == pytest.approx(van_loan_area(initial, cfg), rel=1e-9)
+
+
+def test_transient_area_counts_the_extra_singlet_excitations():
+    # pumping S only: each singlet donor is excited 4/3 times on average (it
+    # returns to S with probability 1/4) before it lands in T, where it stays
+    area = transient_area(EQUILIBRIUM, PumpConfig(pump_rate_s=2e4))
+    assert area == pytest.approx(1.0 / 3.0, rel=1e-12, abs=0.0)
+
+
+def test_transient_area_is_linear_in_the_start_and_zero_at_the_steady_state():
+    cfg = PumpConfig(pump_rate_t=1e4, branch_to_s=0.7, randomization_rate=10.0, gain=2.0)
+    a, b = PopulationState(1.0, 0.0, 0.0), PopulationState(0.0, 0.6, 0.4)
+    mixed = PopulationState(*(0.3 * a.as_array() + 0.7 * b.as_array()))
+    assert transient_area(mixed, cfg) == pytest.approx(
+        0.3 * transient_area(a, cfg) + 0.7 * transient_area(b, cfg), rel=1e-12)
+    # signed: the all-S start signals less than the steady state all the way
+    assert transient_area(a, cfg) < 0 < transient_area(b, cfg)
+    assert transient_area(steady_state(cfg), cfg) == 0.0
+
+
+def test_transient_area_raises_what_steady_state_raises():
+    with pytest.raises(NoUniqueSteadyStateError, match="^null space dimension 2, expected 1$"):
+        transient_area(EQUILIBRIUM, PumpConfig())
 
 
 def test_lorentzian_response_unit_peak_and_fwhm():
