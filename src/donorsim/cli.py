@@ -238,8 +238,9 @@ class _Command:
     A flag is a dict of ``add_argument`` keywords with its ``name`` (a
     ``parse`` keyword reads the text through ``_ParsedFlag``, whose ``append``
     lists a repeated flag's values in order), or a tuple of ``RunConfig``
-    sections, whose setting flags it adds in field order.  A CSV row writes
-    the x swept over ``span(args)`` and ``compute(args, cfg, x)`` under
+    fields the subcommand reads, whose flags it adds in field order; a
+    setting it does not read has no flag there.  A CSV row writes the x
+    swept over ``span(args)`` and ``compute(args, cfg, x)`` under
     ``columns``; any other row runs ``run(args, cfg, target)``.  Each
     function imports the modules it runs, so a process loads only what its
     subcommand needs.
@@ -253,10 +254,15 @@ class _Command:
     run: Callable[[argparse.Namespace, RunConfig, str | TextIO], int] = _cmd_sweep
 
 
-#: The first flags of every subcommand but ``parse``, and the ensemble subcommands' sections.
-_COMMON = (dict(name="--config", metavar="PATH", help="config file (key = value with [section]s)"),
-           ("",))
-_ENSEMBLE = ("ensemble", "field", "noise")
+#: The first flags of every subcommand but ``parse``, and the settings each ensemble
+#: subcommand reads: the spectrum's members and fields, then what each experiment adds.
+_CONFIG = dict(name="--config", metavar="PATH", help="config file (key = value with [section]s)")
+_COMMON = (_CONFIG, ("output",))
+_SPECTRUM = ("seed", "output", "members", "b0_ut", "b0_orientation", "internal_fraction",
+             "internal_field_ut")
+_RABI = (*_SPECTRUM, "transition", "b1_amplitude_mt", "static_detuning_khz")
+_RAMSEY = (*_SPECTRUM, "transition", "static_detuning_khz", "ou_sigma_khz", "ou_tau_c_s")
+_HAHN = (*_RAMSEY, "t2_s", "stretching_n")
 
 _COMMANDS = {
     "levels": _Command("singlet/triplet energies vs field (CSV)", (*_COMMON,
@@ -268,7 +274,7 @@ _COMMANDS = {
              help="number of field points (default 500)"),
     ), ("b_mt", "energy_S_mhz", "energy_Tminus_mhz", "energy_T0_mhz", "energy_Tplus_mhz"),
         lambda args: (args.bmin_mt, args.bmax_mt), _levels),
-    "rf-spectrum": _Command("ensemble RF response vs frequency offset (CSV)", (*_COMMON, _ENSEMBLE,
+    "rf-spectrum": _Command("ensemble RF response vs frequency offset (CSV)", (_CONFIG, _SPECTRUM,
         dict(name="--offset-min-khz", parse=parse_number, default=-150.0, metavar="KHZ",
              help="scan start, offset from the hyperfine frequency"),
         dict(name="--offset-max-khz", parse=parse_number, default=150.0, metavar="KHZ",
@@ -298,16 +304,16 @@ _COMMANDS = {
              help="probe pump rate at line center, 1/s (default 1e3)"),
         dict(name="--pump-peak-rate", parse=parse_number, default=2e4, metavar="RATE",
              help="pump rate at line center, 1/s (default 2e4)"),
-        ("pump",),
+        ("auger_rate", "branch_to_s", "randomization_rate", "gain", "optical_linewidth_mhz"),
     ), ("detuning_invcm", "signal"),
         lambda args: (args.scan_min_invcm, args.scan_max_invcm), _optical_spectrum),
-    "rabi": _Command("transfer probability vs pulse length (CSV)", (*_COMMON, _ENSEMBLE,
+    "rabi": _Command("transfer probability vs pulse length (CSV)", (_CONFIG, _RABI,
         dict(name="--max-us", parse=parse_number, default=200.0, metavar="US",
              help="longest pulse in µs (default 200)"),
         dict(name="--points", parse=parse_int, default=201, metavar="N",
              help="number of pulse lengths (default 201)"),
     ), ("pulse_s", "p_transfer"), lambda args: (0.0, args.max_us * 1e-6), _rabi),
-    "ramsey": _Command("two-pulse fringe signal vs free evolution (CSV)", (*_COMMON, _ENSEMBLE,
+    "ramsey": _Command("two-pulse fringe signal vs free evolution (CSV)", (_CONFIG, _RAMSEY,
         dict(name="--tau-min-s", parse=parse_number, default=0.0, metavar="S",
              help="shortest free-evolution time (default 0)"),
         dict(name="--tau-max-s", parse=parse_number, default=2e-3, metavar="S",
@@ -315,7 +321,7 @@ _COMMANDS = {
         dict(name="--points", parse=parse_int, default=101, metavar="N",
              help="number of delays (default 101)"),
     ), ("tau_s", "p_transfer"), lambda args: (args.tau_min_s, args.tau_max_s), _ramsey),
-    "hahn": _Command("phase-cycled echo amplitude vs tau (CSV)", (*_COMMON, _ENSEMBLE,
+    "hahn": _Command("phase-cycled echo amplitude vs tau (CSV)", (_CONFIG, _HAHN,
         dict(name="--tau-min-s", parse=parse_number, default=1e-3, metavar="S",
              help="shortest half-evolution time (default 1e-3)"),
         dict(name="--tau-max-s", parse=parse_number, default=0.12, metavar="S",
@@ -382,9 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
                 kwargs = {"action": _ParsedFlag, **flag} if "parse" in flag else dict(flag)
                 p.add_argument(kwargs.pop("name"), **kwargs)
                 continue
-            for f in fields(RunConfig):  # the setting flags of these sections
+            for f in fields(RunConfig):  # the flags of these settings
                 meta = f.metadata
-                if meta["flag"] is not None and meta["section"] in flag:
+                if f.name in flag:
                     p.add_argument(meta["flag"], action=_ParsedFlag, parse=meta["parse"],
                                    dest=f.name, default=argparse.SUPPRESS,
                                    metavar=meta["metavar"], help=meta["help"])

@@ -55,9 +55,6 @@ class FitResult:
     def __getitem__(self, name: str) -> float:
         return float(self.params[self.names.index(name)])
 
-    def error(self, name: str) -> float:
-        return float(self.stderr[self.names.index(name)])
-
 
 ResidualFn = Callable[[np.ndarray], np.ndarray]
 
@@ -268,7 +265,8 @@ def fit_stretched_exp(
 
     Parameters are ("amplitude", "t2_s", "n"); with fix_n the exponent is
     held fixed and only the first two are free.  Completely flat data has
-    no decay information and raises RankDeficiencyError.
+    no decay information and raises RankDeficiencyError.  A tau below 0, or an
+    ``initial`` not finite or with T2 or a free n <= 0, raises ValueError.
     """
     x = np.asarray(taus_s, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -276,6 +274,8 @@ def fit_stretched_exp(
         raise ValueError("need matching 1-d arrays with at least 3 points")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("data must be finite")
+    if np.min(x) < 0.0:  # tau is a half-evolution time
+        raise ValueError(f"taus must be >= 0, got {float(np.min(x))!r}")
     if np.ptp(y) == 0.0:
         raise RankDeficiencyError("flat data cannot constrain a decay time")
 
@@ -289,21 +289,23 @@ def fit_stretched_exp(
     if t2_guess <= 0:
         t2_guess = float(np.max(x)) or 1.0
 
-    if fix_n is not None:
-        if not np.isfinite(fix_n) or fix_n <= 0:
-            raise ValueError("fix_n must be a positive finite exponent")
-        names = ("amplitude", "t2_s")
-        p0 = np.asarray(initial if initial is not None else [a0, t2_guess], dtype=float)
-    else:
-        names = ("amplitude", "t2_s", "n")
-        p0 = np.asarray(initial if initial is not None else [a0, t2_guess, 1.5], dtype=float)
+    if fix_n is not None and not (np.isfinite(fix_n) and fix_n > 0):
+        raise ValueError("fix_n must be a positive finite exponent")
+    names = ("amplitude", "t2_s", "n")[:2 if fix_n is not None else 3]
+    p0 = np.array([a0, t2_guess, 1.5][:len(names)])
+    if initial is not None:
+        p0 = np.asarray(initial, dtype=float)
+        if len(p0) != len(names):
+            raise ValueError(f"initial must provide {len(names)} values {names}")
+        for name, value in zip(names, p0):
+            if not math.isfinite(value) or (name != "amplitude" and value <= 0):
+                need = "finite" if name == "amplitude" else "finite and > 0"
+                raise ValueError(f"initial {name} must be {need}, got {float(value)!r}")
 
     def residual(p: np.ndarray) -> np.ndarray:
         n = p[..., 2, None] if fix_n is None else fix_n
         return stretched_exp_model(x, p[..., 0, None], p[..., 1, None], n) - y
 
-    if len(p0) != len(names):
-        raise ValueError(f"initial must provide {len(names)} values {names}")
     return least_squares(residual, p0, names, n_points=x.size)
 
 

@@ -11,8 +11,10 @@ an instantaneous rotation by its nominal angle about the in-plane phase
 axis, so detuning acts only during delays and the textbook echo identities
 stay exact (a Hahn echo refocuses frozen disorder completely).  A pulse
 with a duration is finite: it runs for that time about the axis the
-detuning tilts, as ``rabi_experiment``'s pulses do.  The four-level
-simulation runs every pulse for its duration and rejects one without.
+detuning tilts, as ``rabi_experiment``'s pulses do.  The OU phase enters
+through delays only, not a finite pulse's axis: a Rabi program has no delay,
+so it reads no OU noise, though each member still draws its OU start.  The
+four-level simulation runs every pulse for its duration and rejects one without.
 
 The four-level simulation integrates the full product-basis Hamiltonian
 with a cosine drive in the interaction frame (commutator-free 4th-order

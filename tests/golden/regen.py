@@ -69,12 +69,14 @@ HELP_COMMANDS = {
     "help_estimate_field.txt": ["estimate-field", "--help"],
 }
 
-# Static + OU noise and an internal-field subpopulation on every ensemble.
-_NOISE = ["--b0-ut", "4", "--static-detuning-khz", "1.5", "--ou-sigma-khz", "0.05",
-          "--ou-tau-c-s", "0.2", "--internal-fraction", "0.3", "--internal-field-ut", "6"]
+# Static noise and an internal-field subpopulation on every ensemble, and OU noise
+# where the experiment has delays for it to act over.
+_STATIC = ["--b0-ut", "4", "--static-detuning-khz", "1.5", "--internal-fraction", "0.3",
+           "--internal-field-ut", "6"]
+_NOISE = [*_STATIC, "--ou-sigma-khz", "0.05", "--ou-tau-c-s", "0.2"]
 _T0 = ["--transition", "T0", "--orientation", "parallel"]
 _TPLUS = ["--transition", "T+", "--orientation", "perpendicular"]
-_RABI = ["rabi", *_NOISE, "--members", "40", "--points", "21", "--max-us", "120",
+_RABI = ["rabi", *_STATIC, "--members", "40", "--points", "21", "--max-us", "120",
          "--seed", "5"]
 _RAMSEY = ["ramsey", *_NOISE, "--members", "40", "--points", "11", "--tau-max-s", "1e-3",
            "--seed", "6"]

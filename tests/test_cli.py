@@ -34,6 +34,16 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def subparsers() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def offered_flags(command: str) -> set[str]:
+    return {option for action in subparsers()[command]._actions
+            for option in action.option_strings}
+
+
 # --- help text ---------------------------------------------------------------
 
 @pytest.mark.parametrize("golden_name, argv", sorted(regen.HELP_COMMANDS.items()))
@@ -46,14 +56,10 @@ def test_help_matches_golden(monkeypatch, capsys, golden_name, argv):
 
 def test_every_flag_appears_in_its_help(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    parser = build_parser()
-    subactions = next(
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    )
     # every subcommand has a golden --help transcript
-    assert sorted([name, "--help"] for name in subactions.choices) == \
+    assert sorted([name, "--help"] for name in subparsers()) == \
         sorted(argv for argv in regen.HELP_COMMANDS.values() if len(argv) == 2)
-    for name, sub in subactions.choices.items():
+    for name, sub in subparsers().items():
         help_text = sub.format_help()
         for action in sub._actions:
             if action.help is argparse.SUPPRESS:
@@ -206,6 +212,12 @@ def write_decay_csv(path):
     emit_csv(str(path), ["tau_s", "echo"], np.column_stack([taus, y]))
 
 
+def write_fit_input(path, x):
+    """A ``fit`` input with y = 1, 0.5, 0.2, 0.1 at ``x``."""
+    emit_csv(str(path), ["tau_s", "echo"], np.column_stack([x, [1.0, 0.5, 0.2, 0.1][:len(x)]]))
+    return str(path)
+
+
 def parse_fit_output(out):
     values = {}
     for line in out.splitlines():
@@ -261,10 +273,8 @@ def test_a_negative_value_reads_the_same_without_equals(capsys, argv, flag, valu
 def test_every_parser_reads_negative_values_as_values():
     # the pattern replaces argparse's private ``_negative_number_matcher``, so pin that it exists
     assert hasattr(argparse.ArgumentParser(), "_negative_number_matcher")
-    parser = build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert all(p._negative_number_matcher is cli._NEGATIVE_VALUE
-               for p in [parser, *sub.choices.values()])
+               for p in [build_parser(), *subparsers().values()])
     for text in ["-3", "-3e-3", "-.5", "-50,3,0.7", "-inf", "-Infinity", "-nan"]:
         assert cli._NEGATIVE_VALUE.match(text)
     for text in ["-h", "--points", "-x"]:
@@ -382,6 +392,11 @@ def test_usage_errors_exit_1(capsys):
     assert main(["levels", "--no-such-flag"]) == 1
     assert main(["optical-spectrum", "--points", "5", "--pump-rate-s", "123"]) == 1
     assert main([]) == 1
+    # a setting that a subcommand does not read is no flag of it
+    assert main(["levels", "--points", "3", "--seed", "3"]) == 1
+    assert main(["rf-spectrum", "--members", "2", "--points", "3", "--t2-s", "1"]) == 1
+    assert main(["rabi", "--members", "2", "--points", "2", "--ou-sigma-khz", "1"]) == 1
+    assert main(["hahn", "--members", "2", "--points", "2", "--b1-amplitude-mt", "2e-3"]) == 1
     err = capsys.readouterr().err
     assert "usage:" in err
 
@@ -392,10 +407,10 @@ def test_usage_errors_exit_1(capsys):
     ["hahn", "--tau-min-s", "0", "--tau-max-s", "0.1"],
     ["rf-spectrum", "--members", "0"],
     ["estimate-field", "--splitting-khz", "-5"],
-    ["levels", "--points", "3", "--seed", "-7"],
-    ["optical-spectrum", "--points", "3", "--seed", "-7"],
-    ["fit", str(GOLDEN / "hahn_mean_t0_parallel.csv"), "--seed", "-7"],
-    ["estimate-field", "--splitting-khz", "111.819", "--seed", str(2**63)],
+    ["rf-spectrum", "--points", "3", "--seed", "-7"],
+    ["rabi", "--points", "3", "--seed", "-7"],
+    ["ramsey", "--points", "3", "--seed", "-7"],
+    ["hahn", "--points", "3", "--seed", str(2**63)],
     ["hahn", "--t2-s", "nan"],
     ["hahn", "--t2-s", "inf"],
     ["rf-spectrum", "--kernel-fwhm-khz", "nan"],
@@ -526,8 +541,18 @@ def test_overflowing_delay_phase_fails_the_norm_check_exit_2(capsys):
     (["hahn", "--members", "2", "--points", "2", "--ou-sigma-khz", "1", "--ou-tau-c-s", "1e160"],
      "OU step constants overflow: driven-line sigma 0.001907515204447196 kHz, "
      "correlation time 1e+160 s, delay 0.001 s"),
+    # a stretched fit from a start or on taus its model cannot take; a tuple is the x of
+    # an input written for the case
+    (["fit", str(GOLDEN / "hahn_mean_t0_parallel.csv"), "--initial", "1,0,1"],
+     "initial t2_s must be finite and > 0, got 0.0"),
+    (["fit", (0.0, 1.0, 2.0, 3.0), "--initial", "1,1,-1"],
+     "initial n must be finite and > 0, got -1.0"),
+    (["fit", (-1.0, -2.0, -3.0)], "taus must be >= 0, got -3.0"),
+    (["fit", (-1.0, 0.0, 1.0, 2.0)], "taus must be >= 0, got -1.0"),
 ])
-def test_rejected_run_prints_only_the_error_line(capsys, argv, message):
+def test_rejected_run_prints_only_the_error_line(tmp_path, capsys, argv, message):
+    argv = [write_fit_input(tmp_path / "in.csv", a) if isinstance(a, tuple) else a
+            for a in argv]
     code, out, err = run(capsys, argv)
     assert code == 1
     assert err == f"donorsim: error: {message}\n"
@@ -593,13 +618,19 @@ EXTREME_VALUES = st.one_of(
 )
 
 
+def settings_of(run_argv: list[str]) -> st.SearchStrategy:
+    """The run with one to four of the physics flags its subcommand offers, at extreme values."""
+    flags = sorted(offered_flags(run_argv[0]).intersection(PHYSICS_FLAGS))
+    return st.tuples(st.just(run_argv), st.dictionaries(st.sampled_from(flags), EXTREME_VALUES,
+                                                        min_size=1, max_size=4))
+
+
 @settings(max_examples=60, deadline=None)
-@given(run_argv=st.sampled_from(SMALL_RUNS),
-       values=st.dictionaries(st.sampled_from(PHYSICS_FLAGS), EXTREME_VALUES,
-                              min_size=1, max_size=4))
-@example(run_argv=SMALL_RUNS[2], values={"--ou-sigma-khz": 1e160})
-@example(run_argv=SMALL_RUNS[0], values={"--ou-sigma-khz": 1.0, "--ou-tau-c-s": 1e160})
-def test_no_finite_setting_crashes_the_cli(run_argv, values):
+@given(run=st.sampled_from(SMALL_RUNS).flatmap(settings_of))
+@example(run=(SMALL_RUNS[2], {"--ou-sigma-khz": 1e160}))
+@example(run=(SMALL_RUNS[1], {"--ou-sigma-khz": 1.0, "--ou-tau-c-s": 1e160}))
+def test_no_finite_setting_crashes_the_cli(run):
+    run_argv, values = run
     argv = run_argv + [text for flag, value in values.items() for text in (flag, repr(value))]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -639,7 +670,7 @@ FLAGGED_SETTINGS = [f for f in dataclasses.fields(RunConfig) if f.metadata["flag
 @pytest.mark.parametrize("setting", FLAGGED_SETTINGS, ids=lambda f: f.name)
 def test_flag_and_config_key_reject_the_same_text(tmp_path, capsys, setting):
     name, section, flag = setting.name, setting.metadata["section"], setting.metadata["flag"]
-    command = {"": "levels", "pump": "optical-spectrum"}.get(section, "rabi")
+    command = next(cmd for cmd in subparsers() if flag in offered_flags(cmd))
     argv = [command, "--points", "3"]
     text = BAD_SETTING_TEXT[name]
     cfg = tmp_path / "bad.cfg"
@@ -653,6 +684,71 @@ def test_flag_and_config_key_reject_the_same_text(tmp_path, capsys, setting):
     line = 2 if section else 1
     assert cfg_err.startswith(f"donorsim: error: {cfg}:{line}: {name}: ")
     assert flag_err.split(f"{flag}: ", 1)[1] == cfg_err.split(f"{name}: ", 1)[1]
+
+
+#: A small run of each subcommand that takes settings (all but ``parse``), before its
+#: noise is switched on.
+PROBE_RUNS = {
+    "levels": ["--points", "3"],
+    "rf-spectrum": ["--members", "3", "--points", "5"],
+    "optical-spectrum": ["--points", "5", "--pump", "on_T"],
+    "rabi": ["--members", "3", "--points", "3"],
+    "ramsey": ["--members", "3", "--points", "3"],
+    "hahn": ["--members", "3", "--points", "2"],
+    "fit": [str(GOLDEN / "hahn_mean_t0_parallel.csv")],
+    "estimate-field": ["--splitting-khz", "111.819"],
+}
+#: The noise of every base run, each setting where it is offered.
+NOISE_ON = {"static_detuning_khz": "1.5", "ou_sigma_khz": "0.05", "ou_tau_c_s": "0.2",
+            "internal_fraction": "0.5", "t2_s": "0.05"}
+#: A good value of each setting flag, other than its value in the base runs.
+PROBE_TEXT = {
+    "seed": "3", "members": "4", "b0_ut": "6", "b0_orientation": "perpendicular",
+    "transition": "T+", "b1_amplitude_mt": "2e-3", "static_detuning_khz": "3",
+    "ou_sigma_khz": "0.5", "ou_tau_c_s": "0.01", "internal_fraction": "0",
+    "internal_field_ut": "20", "t2_s": "0.01", "stretching_n": "2", "auger_rate": "1e5",
+    "branch_to_s": "0.5", "randomization_rate": "100", "gain": "2",
+    "optical_linewidth_mhz": "60",
+}
+
+
+def config_text(values: dict[str, str]) -> str:
+    """A config file setting ``values``, each key under its section."""
+    lines: dict[str, list[str]] = {}
+    for f in dataclasses.fields(RunConfig):
+        if f.name in values:
+            lines.setdefault(f.metadata["section"], []).append(f"{f.name} = {values[f.name]}\n")
+    return "".join(f"[{section}]\n" * bool(section) + "".join(keys)
+                   for section, keys in sorted(lines.items()))
+
+
+@pytest.mark.parametrize("command", sorted(PROBE_RUNS))
+def test_each_subcommand_offers_exactly_the_settings_it_reads(
+        tmp_path, monkeypatch, capsys, command):
+    monkeypatch.delenv("DONORSIM_SEED", raising=False)
+    assert set(PROBE_RUNS) == {cmd for cmd in subparsers() if "--output" in offered_flags(cmd)}
+    flags = offered_flags(command)
+    offered = [f for f in FLAGGED_SETTINGS if f.metadata["flag"] in flags]
+    others = [f for f in FLAGGED_SETTINGS if f not in offered]
+    base = [command, *PROBE_RUNS[command]]
+    for f in offered:
+        if f.name in NOISE_ON:
+            base += [f.metadata["flag"], NOISE_ON[f.name]]
+    want = run(capsys, base)[:2]
+    assert want[0] == 0
+    # every offered setting flag but --output moves stdout or the exit status
+    unread = [f.metadata["flag"] for f in offered if f.name != "output"
+              and run(capsys, [*base, f.metadata["flag"], PROBE_TEXT[f.name]])[:2] == want]
+    # and no setting that is not offered does, given in a config file with the other
+    # settings not offered switched on
+    config = tmp_path / "others.ini"
+    other_noise = {f.name: NOISE_ON[f.name] for f in others if f.name in NOISE_ON}
+    read = []
+    for f in others:
+        config.write_text(config_text({**other_noise, f.name: PROBE_TEXT[f.name]}))
+        if run(capsys, [*base, "--config", str(config)])[:2] != want:
+            read.append(f.name)
+    assert (unread, read) == ([], []), f"{command}: flags unread {unread}, keys read {read}"
 
 
 def test_t2_none_flag_runs_like_the_config_key(tmp_path):

@@ -242,7 +242,7 @@ def test_stretched_fit_recovers_under_noise_within_errorbars():
     fit = fit_stretched_exp(taus, y)
     assert fit.converged
     for name, truth in (("amplitude", 0.97), ("t2_s", 8.0), ("n", 1.6)):
-        err = fit.error(name)
+        err = fit.stderr[fit.names.index(name)]
         assert np.isfinite(err) and err > 0
         assert abs(fit[name] - truth) < 5 * err
 
@@ -271,6 +271,30 @@ def test_stretched_fit_input_validation():
         fit_stretched_exp([1.0, 2.0], [1.0, 0.5])
     with pytest.raises(ValueError):
         fit_stretched_exp([1.0, 2.0, 3.0], [1.0, np.nan, 0.2])
+
+
+@pytest.mark.parametrize("x, kwargs, message", [
+    # T2 = 0 makes the model 0 at every tau > 0, so the fit would start on a zero gradient
+    ([0.0, 1.0, 2.0, 3.0], dict(initial=[1.0, 0.0, 1.0]),
+     "initial t2_s must be finite and > 0, got 0.0"),
+    ([0.0, 1.0, 2.0, 3.0], dict(initial=[1.0, 1.0, -1.0]),
+     "initial n must be finite and > 0, got -1.0"),
+    ([0.0, 1.0, 2.0, 3.0], dict(initial=[math.inf, 1.0, 1.0]),
+     "initial amplitude must be finite, got inf"),
+    ([0.0, 1.0, 2.0, 3.0], dict(initial=[1.0, -2.0], fix_n=2.0),
+     "initial t2_s must be finite and > 0, got -2.0"),
+    # tau is a half-evolution time; the default T2 guess from negative taus is negative
+    ([-1.0, -2.0, -3.0, -4.0], {}, "taus must be >= 0, got -4.0"),
+    ([-1.0, 0.0, 1.0, 2.0], {}, "taus must be >= 0, got -1.0"),
+])
+def test_stretched_fit_rejects_inputs_its_model_cannot_take(monkeypatch, x, kwargs, message):
+    def fit(*args, **kw):
+        raise AssertionError("the fit ran before its inputs were checked")
+
+    monkeypatch.setattr(fitkit, "least_squares", fit)
+    with pytest.raises(ValueError) as exc:
+        fit_stretched_exp(x, [1.0, 0.5, 0.2, 0.1], **kwargs)
+    assert str(exc.value) == message
 
 
 def test_fit_result_lookup():
