@@ -6,11 +6,11 @@ sequence-text tools.  Numeric results are emitted as CSV (see csvio);
 everything is deterministic for a fixed seed and worker count.
 
 Exit codes: 0 success, 1 validation/usage error (bad flag, bad config
-value, malformed input data), 2 runtime error (I/O failure, integration
-or convergence failure, fit that did not converge).  The exception class
+value, malformed input data), 2 runtime error (I/O failure, lost norm,
+convergence failure, fit that did not converge).  The exception class
 decides the code: ``OSError`` and ``RuntimeError`` give 2, any other
-``ValueError`` gives 1.  The integration and convergence errors of
-``pump`` and ``pulse`` are both, and give 2.
+``ValueError`` gives 1.  The convergence error of ``pump`` is both, and
+gives 2.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ stay exact (a Hahn echo refocuses frozen disorder completely).  A pulse
 with a duration is finite: it runs for that time about the axis the
 detuning tilts, as ``rabi_experiment``'s pulses do.  The OU phase enters
 through delays only, not a finite pulse's axis: a Rabi program has no delay,
-so it reads no OU noise, though each member still draws its OU start.  The
-four-level simulation runs every pulse for its duration and rejects one without.
+so it reads no OU noise and draws no OU start.  The four-level simulation
+runs every pulse for its duration and rejects one without.
 
 The four-level simulation integrates the full product-basis Hamiltonian
 with a cosine drive in the interaction frame (commutator-free 4th-order
@@ -39,31 +39,20 @@ from .program import Delay, Pulse, PulseProgram, hahn_program, ramsey_program
 from .spincore import FieldVector, SpinSystem
 
 
-class IntegrationStepError(ValueError, RuntimeError):
-    """Integration step too coarse for the requested accuracy; a RuntimeError, so CLI exit 2."""
-
-
 @dataclass(frozen=True)
 class TwoLevelParams:
     """Driven-transition parameters.
 
     Attributes:
-        transition_frequency_mhz: the S -> T* line frequency.
         rabi_coupling_mhz_per_mt: RF matrix element of the line.
         b1_amplitude_mt: RF amplitude.
-        detuning_offset_khz: RF frequency minus line frequency.
     """
 
-    transition_frequency_mhz: float
     rabi_coupling_mhz_per_mt: float
     b1_amplitude_mt: float
-    detuning_offset_khz: float = 0.0
 
     def __post_init__(self) -> None:
-        values = (
-            self.transition_frequency_mhz, self.rabi_coupling_mhz_per_mt,
-            self.b1_amplitude_mt, self.detuning_offset_khz,
-        )
+        values = (self.rabi_coupling_mhz_per_mt, self.b1_amplitude_mt)
         if any(not math.isfinite(v) for v in values):
             raise ValueError("two-level parameters must be finite")
         if self.rabi_coupling_mhz_per_mt < 0 or self.b1_amplitude_mt < 0:
@@ -84,18 +73,18 @@ def run_sequence(
 ) -> tuple[float, float]:
     """Run one bound, cycle-free program from |S> and return (p_S, p_T).
 
-    Delays accumulate z phase from the static detuning (params plus the
-    member's frozen offset) and, when the environment carries OU noise, from
-    the exact OU phase integral over the delay; the OU state persists across
-    the events of one run.  A pulse is hard or finite as its duration says
-    (see module docstring); the environment's shot phase, when nonzero, is
-    applied as an extra z rotation just before the final pulse, modelling
-    the net uncancelled common-mode phase of one shot.
+    Delays accumulate z phase from the member's frozen detuning and, when
+    the environment carries OU noise, from the exact OU phase integral over
+    the delay; the OU state persists across the events of one run.  A pulse
+    is hard or finite as its duration says (see module docstring); the
+    environment's shot phase, when nonzero, is applied as an extra z
+    rotation just before the final pulse, modelling the net uncancelled
+    common-mode phase of one shot.
 
     This is the ensemble engine on one member, one sweep point and one
     shot.  Its OU deviates come from ``env.rng`` (one batched draw), which
-    later calls continue; the ensembles draw theirs in the environment pass
-    instead.
+    later calls continue; a program without a delay draws none.  The
+    ensembles draw theirs in the environment pass instead.
 
     Raises UnboundSymbolError for symbolic delays, ValueError for
     unexpanded phase cycles and RuntimeError when the run loses its norm.
@@ -116,15 +105,14 @@ def run_sequence(
 def two_level_params_for(spec: EnsembleSpec, system: SpinSystem) -> TwoLevelParams:
     """Reduce an ensemble spec to driven-line parameters via the level model.
 
-    The line's frequency and RF matrix element at the nominal field along z,
-    read for the drive of ``spec.b0_orientation`` as ``rf_spectrum`` reads lines.
+    The line's RF matrix element at the nominal field along z, read for the
+    drive of ``spec.b0_orientation`` as ``rf_spectrum`` reads lines.
     """
-    frequencies, elements = spincore.singlet_triplet_lines(
+    _, elements = spincore.singlet_triplet_lines(
         *spincore.eigensystems(system, np.array([[0.0, 0.0, spec.b0_magnitude_ut]])),
         spincore.drive_operator(system, noise_mod.DRIVE_DIRECTIONS[spec.b0_orientation]))
     line = spincore.TRIPLET_LABELS.index(spec.transition)
     return TwoLevelParams(
-        transition_frequency_mhz=float(frequencies[0, line]),
         rabi_coupling_mhz_per_mt=float(elements[0, line]),
         b1_amplitude_mt=spec.b1_amplitude_mt,
     )
@@ -228,9 +216,9 @@ def _program_runner(
     shot j and every c in that order, the program (k, c) with the shot phase
     (k, j).  Row i of the (members, n_draws) ``normals`` holds the deviates
     its stream gives in that order, one per OU start and two per stepped
-    delay; ``n_draws`` is 0 without OU noise, and ``run`` then reads no
-    normals.  ``run`` raises RuntimeError when a run loses its norm, NaN
-    included, naming the first such run in that order.
+    delay; ``n_draws`` is 0 without OU noise or without a delay, and ``run``
+    then reads no normals.  ``run`` raises RuntimeError when a run loses its
+    norm, NaN included, naming the first such run in that order.
 
     The engine's one layout is (K, C, members, shots): every per-program
     table is (K, C, 1, 1), the shot-phase table (K, 1, 1, shots), the OU
@@ -281,7 +269,8 @@ def _program_runner(
     shot_z = None if shot_phases is None else shot_phases.reshape(n_points, 1, 1, n_shots)
     phase_per_khz_s = 2.0 * math.pi * 1e3
     n_draws = 0
-    if ou_sigma_khz > 0.0:
+    ou = ou_sigma_khz > 0.0 and bool(delays)  # without a delay no run reads the process
+    if ou:
         n_draws, slots, delay_steps = _ou_tables(
             delays, (n_points, n_cycles, n_shots), ou_sigma_khz, ou_tau_c_s)
     flat_slots = {}  # members per block -> slots as flat indices into its normals
@@ -290,14 +279,13 @@ def _program_runner(
     @np.errstate(over="ignore", invalid="ignore")
     def run(detunings_khz: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n_members = len(detunings_khz)
-        static_khz = (params.detuning_offset_khz + detunings_khz).reshape(n_members, 1)
-        delta = 2.0 * math.pi * static_khz * 1e3
+        delta = 2.0 * math.pi * detunings_khz.reshape(n_members, 1) * 1e3
         if any_finite:
             n_eff = np.array([math.hypot(omega, d) for d in delta.ravel().tolist()])
             n_eff = n_eff.reshape(delta.shape)
             n_safe = np.where(n_eff == 0.0, 1.0, n_eff)  # no drive, no detuning: identity
             axis_scale, axis_z = omega / n_safe, delta / n_safe
-        if ou_sigma_khz > 0.0:
+        if ou:
             if n_members not in flat_slots:  # at most two sizes: full blocks and the last
                 flat_slots[n_members] = slots + n_draws * np.arange(n_members).reshape(-1, 1)
             index = flat_slots[n_members]
@@ -306,7 +294,7 @@ def _program_runner(
         for e in range(len(skeleton)):
             if e in delays:
                 phase = delta * delays[e]
-                if ou_sigma_khz > 0.0:
+                if ou:
                     stepping, g, (mu, sd_x, sd_i, rho, rho_c) = delay_steps[e]
                     n1, n2 = normals.take(index[g]), normals.take(index[g + 1])
                     integral = x * ou_tau_c_s * (1.0 - mu) + sd_i * (rho * n1 + rho_c * n2)
@@ -628,8 +616,6 @@ def simulate_4level(
     b1_amplitude_mt: float,
     b1_direction,
     rf_frequency_mhz: float,
-    *,
-    dt_us: float | None = None,
 ) -> dict[str, float]:
     """Drive the full 4-level system and return final level populations.
 
@@ -641,11 +627,11 @@ def simulate_4level(
     simulated honestly.  Delays advance the carrier clock, preserving
     pulse-to-pulse phase coherence.
 
-    The step must satisfy dt <= 1/(50 a); with the default step the local
-    error per step stays below 1e-8 for drives weak compared to a.  Every
-    pulse runs for its ``duration_s``, and its angle is not read: a
-    lab-frame integrator has no hard pulse, so a pulse without a duration
-    is rejected.
+    The step is fixed: each pulse takes the fewest equal steps of at most
+    1/(50 a), and the local error per step stays below 1e-8 for drives weak
+    compared to a.  Every pulse runs for its ``duration_s``, and its angle
+    is not read: a lab-frame integrator has no hard pulse, so a pulse
+    without a duration is rejected.
 
     Both sub-step propagators of up to ``_CF4_BLOCK_STEPS`` consecutive steps
     are built as one stack of arrays and then applied to the state in step
@@ -659,13 +645,6 @@ def simulate_4level(
     if not math.isfinite(rf_frequency_mhz):
         raise ValueError(f"rf_frequency_mhz must be finite, got {rf_frequency_mhz!r}")
     op = spincore.drive_operator(system, b1_direction)
-    max_dt = 1.0 / (50.0 * system.hyperfine_a)
-    if dt_us is None:
-        dt_us = max_dt
-    if not 0 < dt_us <= max_dt:
-        raise IntegrationStepError(
-            f"integration step {dt_us!r} us violates 0 < dt <= 1/(50 a) = {max_dt:.3e} us"
-        )
     if any(event.duration_s is None for event in program.events):  # delays are bound
         raise ValueError("pulse without duration needs a duration_s: simulate_4level "
                          "has no hard pulses")
@@ -673,6 +652,7 @@ def simulate_4level(
     if not all(map(math.isfinite, durations_us)):  # math.ceil would overflow on inf
         raise ValueError("event durations must be finite in microseconds")
 
+    dt_us = 1.0 / (50.0 * system.hyperfine_a)
     energies, vectors = spincore.eigensystems(system, b0.as_array()[None])
     energies, vectors = energies[0], vectors[0]
     igaps = 1j * (2.0 * math.pi) * (energies[:, None] - energies[None, :])

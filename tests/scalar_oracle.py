@@ -76,7 +76,8 @@ def _rotate(a: complex, b: complex, nx: float, ny: float, nz: float,
     return u00 * a + u01 * b, u10 * a + u11 * b
 
 
-def propagate_pulse(state: np.ndarray, pulse: Pulse, params: TwoLevelParams) -> np.ndarray:
+def propagate_pulse(state: np.ndarray, pulse: Pulse, params: TwoLevelParams,
+                    detuning_khz: float = 0.0) -> np.ndarray:
     """Apply one finite RF pulse as an exact SU(2) rotation.
 
     The rotation axis is (Omega cos phi, Omega sin phi, 2 pi detuning) and
@@ -92,7 +93,7 @@ def propagate_pulse(state: np.ndarray, pulse: Pulse, params: TwoLevelParams) -> 
     if pulse.duration_s is None:
         raise ValueError("pulse without duration is hard; propagate_pulse runs finite pulses")
     omega = params.omega_rad_per_s
-    delta = 2.0 * math.pi * params.detuning_offset_khz * 1e3
+    delta = 2.0 * math.pi * detuning_khz * 1e3
     n_eff = math.hypot(omega, delta)
     if n_eff == 0.0:
         return state.copy()
@@ -113,12 +114,12 @@ def run_sequence(
 ) -> tuple[float, float]:
     """Run one bound, cycle-free program from |S> and return (p_S, p_T).
 
-    Delays accumulate z phase from the static detuning (params plus the
-    member's frozen offset) and, when the environment carries OU noise, from
-    the exact OU phase integral over the delay; the OU state persists across
-    the events of one run.  A pulse with a duration is finite
-    (``propagate_pulse`` at the member's detuning); one without is a hard
-    rotation by its nominal angle about its phase axis.  The environment's
+    Delays accumulate z phase from the member's frozen detuning and, when
+    the environment carries OU noise, from the exact OU phase integral over
+    the delay; the OU state persists across the events of one run, and a
+    program without a delay draws no OU start.  A pulse with a duration is
+    finite (``propagate_pulse`` at the member's detuning); one without is a
+    hard rotation by its nominal angle about its phase axis.  The environment's
     shot phase, when nonzero, is applied as an extra z rotation just before
     the final pulse, modelling the net uncancelled common-mode phase of one
     shot.
@@ -127,13 +128,14 @@ def run_sequence(
     errors, before drawing anything.
     """
     program.check_runnable()
-    static_khz = params.detuning_offset_khz + (env.static_detuning_khz if env else 0.0)
+    static_khz = env.static_detuning_khz if env else 0.0
     delta_ang = 2.0 * math.pi * static_khz * 1e3
     a, b = 1.0 + 0.0j, 0.0 + 0.0j
 
     ou_sigma = env.ou_sigma_khz if env is not None else 0.0
     ou_x = 0.0
-    if env is not None and ou_sigma > 0.0:
+    has_delay = any(isinstance(ev, Delay) for ev in program.events)
+    if env is not None and ou_sigma > 0.0 and has_delay:
         ou_x = ou_sigma * float(env.rng.standard_normal())
 
     last_pulse_index = max(
@@ -153,8 +155,7 @@ def run_sequence(
         if env is not None and env.shot_phase_rad != 0.0 and index == last_pulse_index:
             a, b = _rotate(a, b, 0.0, 0.0, 1.0, env.shot_phase_rad)
         if event.duration_s is not None:
-            member_params = replace(params, detuning_offset_khz=static_khz)
-            state = propagate_pulse(np.array([a, b]), event, member_params)
+            state = propagate_pulse(np.array([a, b]), event, params, static_khz)
             a, b = complex(state[0]), complex(state[1])
         else:
             a, b = _rotate(

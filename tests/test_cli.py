@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from donorsim import cli, noise, pulse, pump, spincore
+from donorsim import cli, noise, pump, spincore
 from donorsim.cli import build_parser, main
 from donorsim.config import RunConfig
 from donorsim.csvio import emit_csv, read_csv
@@ -881,11 +881,10 @@ def test_parse_missing_file_exits_2(capsys):
 
 @pytest.mark.parametrize("error, code", [
     (pump.NoUniqueSteadyStateError, 2),
-    (pulse.IntegrationStepError, 2),
     (ValueError, 1),
 ])
 def test_the_exception_class_decides_the_exit_code(capsys, monkeypatch, error, code):
-    # the integration and convergence errors stay ValueErrors for library callers
+    # the convergence error stays a ValueError for library callers
     assert issubclass(error, ValueError)
     assert issubclass(error, RuntimeError) == (code == 2)
 

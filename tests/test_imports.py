@@ -20,12 +20,24 @@ from its AST), the public methods of the classes among them, and the
 module-level code of every module; an export alone keeps nothing alive.
 Reached code references a function or class through a ``Name`` or an
 attribute of that name, and a method of a reached class only through an
-attribute; an ``import ... as`` alias references the name it renames.
-Dunders of a class or module count as reached with it.  The check reads the AST, so a reference in a branch that
-never runs still counts, and code that only tests call does not.
-``UNREACHED_ALLOWED`` names the unreached code that an open ROADMAP item
-will call or delete, with that item; an entry that is reached or no longer
-defined fails, so the list cannot go stale.
+attribute; ``self.<name>`` in a method references the ``<name>`` of that
+method's class only.  An ``import ... as`` alias references the name it
+renames.  Dunders of a class or module count as reached with it.  The check
+reads the AST, so a reference in a branch that never runs still counts, and
+code that only tests call does not.  ``UNREACHED_ALLOWED`` names the
+unreached code that an open ROADMAP item will call or delete, with that
+item; an entry that is reached or no longer defined fails, so the list
+cannot go stale.
+
+Values: every parameter with a default, on a reached function or dataclass
+constructor, is passed by at least one reached call (by keyword, by
+position, or through ``*`` or ``**``), and every field of a reached
+dataclass is read by reached code other than its own class's
+``__post_init__``.  Calls and reads match by name, as references do, and
+the benchmark's workload code counts as reached.  Dunder methods are not
+checked, since the runtime calls them.  ``VALUES_ALLOWED`` names the values
+that an open ROADMAP item will set, read or delete, and it cannot go stale
+either.
 """
 
 from __future__ import annotations
@@ -61,6 +73,21 @@ UNREACHED_ALLOWED = {
     "pump.rate_matrix": "ROADMAP item 12",
     "pump.steady_state": "ROADMAP item 12",
     "pump.transient_area": "ROADMAP item 12",
+}
+
+#: ``module.function(parameter)`` or ``module.Class.field`` -> the open
+#: ROADMAP item that will set, read or delete that value.
+VALUES_ALLOWED = {
+    # the pump rates of a readout; optical_spectrum passes its rates apart
+    "pump.PumpConfig.pump_rate_s": "ROADMAP item 12",
+    "pump.PumpConfig.pump_rate_t": "ROADMAP item 12",
+    # the health line of the stats report
+    "fitkit.FitResult.rss_trace": "ROADMAP item 4",
+    # documented library results, read by library callers; the CLI writes
+    # its own sweep axis and the benchmark reads one element
+    "csvio.Series.x": "ROADMAP item 14",
+    "spincore.TransitionLine.frequency_mhz": "ROADMAP item 14",
+    "spincore.TransitionLine.element_perpendicular_mhz_per_mt": "ROADMAP item 14",
 }
 
 
@@ -125,19 +152,32 @@ def _runs_when_reached(node: ast.AST) -> list[ast.AST]:
     return [node]
 
 
-def unreached(sources: dict[str, str], roots: set[str]) -> dict[str, int]:
-    """The definitions of ``sources`` (module name -> source) that no root
-    reaches, as qualified name -> line, by the rule in the module docstring.
+#: A piece of reached code: its node, the class whose method it is (else
+#: None) and the qualified name of the function it is (else None).
+_Code = tuple[ast.AST, "str | None", "str | None"]
 
-    ``roots`` are qualified names such as ``"cli.main"``; a root class's
-    public methods are roots too, and module-level code always is.
+
+def _reference(node: ast.Attribute, owner: str | None) -> tuple[str, ...]:
+    """What an attribute names: ``self.<name>`` in a method of ``owner`` is
+    ``(owner, name)``, any other ``<x>.<name>`` is ``(name,)``."""
+    if owner is not None and isinstance(node.value, ast.Name) and node.value.id == "self":
+        return owner, node.attr
+    return (node.attr,)
+
+
+def _reach(sources: dict[str, str], roots: set[str]):
+    """The reachability walk of the module docstring over ``sources``.
+
+    Returns ``(defs, reached, code)``: qualified name -> (node, its class)
+    for every definition, the reached qualified names, and the reached code
+    as ``_Code`` pieces.
     """
     defs: dict[str, tuple[ast.AST, str | None]] = {}  # qualname -> (node, its class)
-    pending: list[ast.AST] = []  # reached code whose references are not read yet
+    pending: list[_Code] = []  # reached code whose references are not read yet
     for module, source in sources.items():
         for node in ast.parse(source).body:
             if not isinstance(node, _DEFINITIONS):
-                pending.append(node)
+                pending.append((node, None, None))
                 continue
             qualname = f"{module}.{node.name}"
             defs[qualname] = (node, None)
@@ -151,27 +191,129 @@ def unreached(sources: dict[str, str], roots: set[str]) -> dict[str, int]:
         return owner in roots and not name.startswith("_")
 
     names: set[str] = set()
-    attributes: set[str] = set()
+    attributes: set[tuple[str, ...]] = set()
     reached: set[str] = set()
-    while pending:
-        for node in (n for top in pending for n in ast.walk(top)):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                attributes.add(node.attr)
-            elif isinstance(node, ast.alias) and node.asname:
-                names.add(node.name)
+    code: list[_Code] = []
+    while True:  # roots are reached even where no module-level code is pending
+        for top, owner, _ in pending:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    attributes.add(_reference(node, owner))
+                elif isinstance(node, ast.alias) and node.asname:
+                    names.add(node.name)
+        code += pending
         pending = []
         for qualname, (node, owner) in defs.items():
             if qualname not in reached and (
                     is_root(qualname, node.name, owner)
-                    or (owner is None and node.name in names | attributes)
+                    or (owner is None and (node.name in names or (node.name,) in attributes))
                     or (owner in reached and (_is_dunder(node.name)
-                                              or node.name in attributes))):
+                                              or (node.name,) in attributes
+                                              or (owner, node.name) in attributes))):
                 reached.add(qualname)
-                pending += _runs_when_reached(node)
+                function = qualname if isinstance(node, _FUNCTIONS) else None
+                pending += [(part, owner, function) for part in _runs_when_reached(node)]
+        if not pending:
+            return defs, reached, code
+
+
+def unreached(sources: dict[str, str], roots: set[str]) -> dict[str, int]:
+    """The definitions of ``sources`` (module name -> source) that no root
+    reaches, as qualified name -> line, by the rule in the module docstring.
+
+    ``roots`` are qualified names such as ``"cli.main"``; a root class's
+    public methods are roots too, and module-level code always is.
+    """
+    defs, reached, _ = _reach(sources, roots)
     return {qualname: node.lineno for qualname, (node, _) in defs.items()
             if qualname not in reached}
+
+
+def _is_dataclass(node: ast.AST) -> bool:
+    return isinstance(node, ast.ClassDef) and any(
+        ast.unparse(d).partition("(")[0] == "dataclass" for d in node.decorator_list)
+
+
+def _fields(node: ast.ClassDef) -> list[ast.AnnAssign]:
+    """A dataclass's fields, in constructor order."""
+    return [item for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+
+
+def _parameters(node: ast.AST, owner: str | None) -> list[tuple[str, int | None, bool, int]]:
+    """A callable's parameters as (name, position in a call or None when
+    keyword-only, whether it has a default, line).  A method's first
+    parameter is bound by the attribute it is called through, so it is not
+    listed; a dataclass's parameters are its fields."""
+    if isinstance(node, ast.ClassDef):
+        return [(item.target.id, i, item.value is not None, item.lineno)
+                for i, item in enumerate(_fields(node))]
+    args = node.args
+    positional = [*args.posonlyargs, *args.args]
+    defaulted = len(positional) - len(args.defaults)
+    listed = [(a.arg, i, i >= defaulted, a.lineno) for i, a in enumerate(positional)]
+    if owner is not None:
+        listed = [(name, i - 1, default, line) for name, i, default, line in listed[1:]]
+    return listed + [(a.arg, None, d is not None, a.lineno)
+                     for a, d in zip(args.kwonlyargs, args.kw_defaults)]
+
+
+def _passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether ``call`` passes the parameter ``name`` at ``position``:
+    by keyword, by position, or through ``*`` or ``**``."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return position is not None and any(isinstance(arg, ast.Starred) or i == position
+                                        for i, arg in enumerate(call.args))
+
+
+def unused_values(sources: dict[str, str], roots: set[str],
+                  extra: dict[str, str] | None = None) -> dict[str, int]:
+    """The values of reached definitions that no reached code sets or reads,
+    as name -> line, by the value rule of the module docstring.
+
+    ``sources`` and ``roots`` are those of ``unreached``.  The code of
+    ``extra`` (name -> source) is reached as a whole: its calls and reads
+    count.  A parameter is named ``module.function(parameter)`` and a
+    dataclass field ``module.Class.field``.
+    """
+    defs, reached, code = _reach(sources, roots)
+    code += [(ast.parse(source), None, None) for source in (extra or {}).values()]
+    calls: dict[tuple[str, ...], list[ast.Call]] = {}  # callee -> reached calls of it
+    reads: dict[tuple[str, ...], set[str | None]] = {}  # attribute -> functions reading it
+    for top, owner, function in code:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                callee = (_reference(func, owner) if isinstance(func, ast.Attribute)
+                          else (func.id,) if isinstance(func, ast.Name) else None)
+                calls.setdefault(callee, []).append(node)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(_reference(node, owner), set()).add(function)
+
+    found = {}
+    for qualname in sorted(reached):
+        node, owner = defs[qualname]
+        if isinstance(node, ast.ClassDef):
+            if not _is_dataclass(node):
+                continue
+            callers = calls.get((node.name,), [])
+            for item in _fields(node):
+                field = item.target.id
+                readers = reads.get((field,), set()) | reads.get((qualname, field), set())
+                if not readers - {f"{qualname}.__post_init__"}:
+                    found[f"{qualname}.{field}"] = item.lineno
+        elif _is_dunder(node.name):  # the runtime calls these, not the package's code
+            continue
+        else:
+            callers = calls.get((node.name,), []) + calls.get((owner, node.name), [])
+        for name, position, default, line in _parameters(node, owner):
+            if default and not any(_passes(call, name, position) for call in callers):
+                found.setdefault(f"{qualname}.{name}" if isinstance(node, ast.ClassDef)
+                                 else f"{qualname}({name})", line)
+    return found
 
 
 def workload_roots(source: str) -> set[str]:
@@ -192,10 +334,27 @@ def workload_roots(source: str) -> set[str]:
                     and node.value.id in modules}
 
 
+def value_failures(found: dict[str, int], allowed: dict[str, str]) -> list[str]:
+    """The value rule's failures: each found value that ``allowed`` does not
+    name, and each entry of ``allowed`` that is no longer found."""
+    return ([f"line {line}: {name} is never passed or never read by reached code"
+             for name, line in found.items() if name not in allowed]
+            + [f"{name} is set and read, or gone; delete its VALUES_ALLOWED entry"
+               for name in allowed if name not in found])
+
+
+def _package() -> tuple[dict[str, str], set[str], str]:
+    """The package's sources, its roots (``cli.main`` and the names the
+    benchmark's workloads read) and the workloads' source."""
+    workloads = WORKLOADS.read_text(encoding="utf-8")
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    return sources, {"cli.main"} | workload_roots(workloads), workloads
+
+
 def _package_unreached() -> dict[str, int]:
-    """``unreached`` on the package, from ``cli.main`` and the benchmark's workloads."""
-    roots = {"cli.main"} | workload_roots(WORKLOADS.read_text(encoding="utf-8"))
-    return unreached({path.stem: path.read_text(encoding="utf-8") for path in MODULES}, roots)
+    """``unreached`` on the package."""
+    sources, roots, _ = _package()
+    return unreached(sources, roots)
 
 
 def test_checker_flags_an_unused_import():
@@ -237,6 +396,48 @@ def test_checker_follows_names_attributes_and_dunders():
         "a.Box.unused": 10, "a._orphan": 14, "b.Public._hidden": 6}
 
 
+def test_checker_reads_self_attributes_on_their_own_class():
+    # B.close is read only as self.close inside A, which names A.close
+    source = ("def api():\n    return A().run(), B()\n"
+              "class A:\n    def run(self):\n        return self.close()\n"
+              "    def close(self):\n        return 1\n"
+              "class B:\n    def close(self):\n        return 2\n")
+    assert unreached({"a": source}, {"a.api"}) == {"a.B.close": 9}
+
+
+def test_value_checker_flags_unpassed_parameters_and_unread_fields():
+    source = ("from dataclasses import dataclass, field\n"
+              "@dataclass(frozen=True)\n"
+              "class Box:\n"
+              "    width: int\n"
+              "    size: int = 1\n"
+              "    color: str = 'red'\n"
+              "    tag: str = field(default='')\n"
+              "    def __post_init__(self):\n"
+              "        if self.color not in ('red', 'blue'):\n"
+              "            raise ValueError(self.tag)\n"
+              "    def grow(self, by=1, *, twice=False):\n"
+              "        return self.size + by\n"
+              "def scale(x, factor=2.0):\n    return x * factor\n"
+              "def shift(x, dx=0.0, dy=0.0):\n    return x + dx + dy\n"
+              "def pad(x=0, *, margin=1):\n    return x + margin\n"
+              "def api(args, kwargs):\n"
+              "    box = Box(1, 2, tag='t')\n"
+              "    return box.width, box.grow(3), scale(1.0), shift(*args), pad(**kwargs)\n")
+    found = unused_values({"a": source}, {"a.api"})
+    assert found == {"a.Box.color": 6, "a.Box.tag": 7, "a.Box.grow(twice)": 11,
+                     "a.scale(factor)": 13}
+    # a caller in the extra code passes factor
+    assert "a.scale(factor)" not in unused_values({"a": source}, {"a.api"},
+                                                  {"bench": "a.scale(1.0, 3.0)\n"})
+    allowed = {"a.Box.color": "item 1", "a.Box.tag": "item 1", "a.shift(dx)": "item 2"}
+    assert value_failures(found, allowed) == [
+        "line 11: a.Box.grow(twice) is never passed or never read by reached code",
+        "line 13: a.scale(factor) is never passed or never read by reached code",
+        "a.shift(dx) is set and read, or gone; delete its VALUES_ALLOWED entry",
+    ]
+
+
 def test_workload_roots_read_module_attributes_and_from_imports():
     source = ("from donorsim import cli, pulse as p\nfrom donorsim.spincore import PHOSPHORUS\n"
               "import math\n"
@@ -256,6 +457,13 @@ def test_every_definition_is_reached_or_waits_on_an_open_item():
 def test_every_allowed_definition_is_still_defined_and_unreached(qualname):
     assert qualname in _package_unreached(), \
         f"{qualname} is reached or gone; delete its UNREACHED_ALLOWED entry"
+
+
+def test_every_value_is_passed_and_read_or_waits_on_an_open_item():
+    sources, roots, workloads = _package()
+    failures = value_failures(unused_values(sources, roots, {"workloads": workloads}),
+                              VALUES_ALLOWED)
+    assert not failures, "values of reached code:\n" + "\n".join(failures)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

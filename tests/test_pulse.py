@@ -19,7 +19,6 @@ from donorsim.csvio import Series
 from donorsim.noise import EnsembleSpec, MemberEnvironment, NoiseModel, member_rng
 from donorsim.program import Delay, PhaseCycle, Pulse, PulseProgram, hahn_program
 from donorsim.pulse import (
-    IntegrationStepError,
     TwoLevelParams,
     hahn_experiment,
     max_magnitude_estimate,
@@ -45,13 +44,14 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 GROUND = np.array([1.0 + 0.0j, 0.0j])
 
 
-def params_for(coupling=10.0, b1=1e-3, detuning_khz=0.0):
-    return TwoLevelParams(
-        transition_frequency_mhz=117.53,
-        rabi_coupling_mhz_per_mt=coupling,
-        b1_amplitude_mt=b1,
-        detuning_offset_khz=detuning_khz,
-    )
+def params_for(coupling=10.0, b1=1e-3):
+    return TwoLevelParams(rabi_coupling_mhz_per_mt=coupling, b1_amplitude_mt=b1)
+
+
+def detuned(detuning_khz):
+    """A member with this frozen detuning and no noise."""
+    return MemberEnvironment(rng=None, static_detuning_khz=detuning_khz, ou_sigma_khz=0.0,
+                             ou_tau_c_s=1.0)
 
 
 # --- single pulses against the matrix-exponential oracle ----------------------
@@ -64,10 +64,10 @@ def test_propagate_pulse_matches_expm_oracle(case):
     detuning_khz = rng.uniform(-50.0, 50.0)
     phase = rng.uniform(0.0, 2 * math.pi)
     duration = rng.uniform(1e-6, 2e-4)
-    params = params_for(coupling, b1, detuning_khz)
+    params = params_for(coupling, b1)
     pulse = Pulse(angle_rad=1.0, phase_rad=phase, duration_s=duration)
 
-    state = propagate_pulse(GROUND, pulse, params)
+    state = propagate_pulse(GROUND, pulse, params, detuning_khz)
 
     omega = params.omega_rad_per_s
     delta = 2.0 * math.pi * detuning_khz * 1e3
@@ -90,9 +90,8 @@ def test_resonant_pi_pulse_inverts():
 def test_nominal_angle_used_when_no_duration():
     # a pulse without a duration is a hard rotation by its angle, in the engine and the oracle
     program = PulseProgram(name="hard", events=(Pulse(angle_rad=math.pi / 2, phase_rad=0.0),))
-    params = params_for(detuning_khz=7.0)
     for run in (run_sequence, scalar_oracle.run_sequence):
-        assert run(program, params)[1] == pytest.approx(0.5, abs=1e-12)
+        assert run(program, params_for(), detuned(7.0))[1] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_propagate_pulse_rejects_bad_state():
@@ -107,13 +106,13 @@ def test_propagate_pulse_rejects_bad_state():
 
 def test_generalized_rabi_formula_reproduced():
     # detuned drive: transfer follows (Omega^2/Omega_eff^2) sin^2(Omega_eff t/2)
-    params = params_for(coupling=10.0, b1=1e-3, detuning_khz=7.0)
+    params = params_for(coupling=10.0, b1=1e-3)
     omega = params.omega_rad_per_s
     delta = 2.0 * math.pi * 7.0 * 1e3
     n_eff = math.hypot(omega, delta)
     for t in (1e-5, 5e-5, 2e-4):
         state = propagate_pulse(GROUND, Pulse(angle_rad=1.0, phase_rad=0.0,
-                                              duration_s=t), params)
+                                              duration_s=t), params, 7.0)
         expected = (omega / n_eff) ** 2 * math.sin(n_eff * t / 2.0) ** 2
         assert abs(state[1]) ** 2 == pytest.approx(expected, abs=1e-12)
 
@@ -138,7 +137,7 @@ def test_run_sequence_reports_a_lost_norm_on_overflow():
     half = Pulse(angle_rad=math.pi / 2, phase_rad=0.0)
     program = PulseProgram(name="overflow", events=(half, Delay(duration_s=1e10), half))
     with pytest.raises(RuntimeError, match="propagation lost norm: nan"):
-        run_sequence(program, params_for(detuning_khz=1e300))
+        run_sequence(program, params_for(), detuned(1e300))
 
 
 def test_hahn_refocuses_static_detuning_exactly():
@@ -154,7 +153,7 @@ def test_hahn_refocuses_static_detuning_exactly():
 
 
 def test_ramsey_fringe_oscillates_with_static_detuning():
-    params = params_for(detuning_khz=10.0)  # 10 kHz: period 100 µs
+    params = params_for()
     program = PulseProgram(
         name="fringe",
         events=(
@@ -167,7 +166,7 @@ def test_ramsey_fringe_oscillates_with_static_detuning():
     for tau in (0.0, 25e-6, 50e-6, 100e-6):
         prog = PulseProgram(name="fringe", events=(
             program.events[0], Delay(duration_s=tau), program.events[2]))
-        _, p_t = run_sequence(prog, params)
+        _, p_t = run_sequence(prog, params, detuned(10.0))  # 10 kHz: period 100 µs
         values.append(p_t)
     assert values[0] == pytest.approx(1.0, abs=1e-12)   # 2 * pi/2 = pi
     assert values[1] == pytest.approx(0.5, abs=1e-12)   # quarter fringe
@@ -210,8 +209,6 @@ def test_two_level_params_from_geometry():
     # 1e-3 headroom: at 4 µT the Zeeman admixture shifts the element by ~5e-4
     assert perp.rabi_coupling_mhz_per_mt == pytest.approx(
         (GAMMA_S_MHZ_PER_MT + GAMMA_I_MHZ_PER_MT) / (2 * math.sqrt(2)), rel=1e-3)
-    assert perp.transition_frequency_mhz == pytest.approx(
-        transition_frequency(PHOSPHORUS, "T+", 4.0), rel=1e-12)
 
 
 def test_forbidden_geometry_is_rejected():
@@ -461,11 +458,8 @@ def test_4level_matches_the_scalar_oracle_bit_for_bit(case):
     assert pops == oracle_4level(program, *args)
 
 
-def test_4level_rejects_coarse_step_and_unbound_programs():
+def test_4level_rejects_unbound_programs():
     b0 = FieldVector(0.0, 0.0, 23.0)
-    with pytest.raises(IntegrationStepError):
-        simulate_4level(pi_pulse_program(1.0), PHOSPHORUS, b0, 1e-3,
-                        np.array([0.0, 0.0, 1.0]), 117.53, dt_us=1.0)
     symbolic = PulseProgram(name="s", events=(Delay(symbol="tau"),))
     with pytest.raises(Exception):
         simulate_4level(symbolic, PHOSPHORUS, b0, 1e-3,
@@ -515,9 +509,9 @@ def _cf4_step(psi, t_us, dt_us, w_mhz, gaps_mhz, freq_mhz, phase_rad):
     return psi
 
 
-def oracle_4level(program, b0, b1, direction, freq_mhz):
-    """``simulate_4level`` at the default step, one scalar CF4 step at a time."""
-    dt_us = DT_S * 1e6
+def oracle_4level(program, b0, b1, direction, freq_mhz, dt_us=DT_S * 1e6):
+    """``simulate_4level`` one scalar CF4 step at a time, each pulse in the
+    fewest equal steps of at most ``dt_us`` (by default ``simulate_4level``'s)."""
     energies, vectors = spincore.eigensystems(PHOSPHORUS, b0.as_array()[None])
     energies, vectors = energies[0], vectors[0]
     gaps = energies[:, None] - energies[None, :]
@@ -540,6 +534,21 @@ def oracle_4level(program, b0, b1, direction, freq_mhz):
     return {lbl: float(abs(psi[k]) ** 2) for k, lbl in enumerate(spincore.LABELS)}
 
 
+@pytest.mark.parametrize("b", [(0.4, 0.0, 23.0), (0.4, 0.0, 0.0)])
+def test_4level_step_error_is_below_1e_10_against_half_the_step(b):
+    # the drive-4level drive (b1 a tenth of the T+/T0 gap at 23 µT) for 2000 steps
+    coupling = (GAMMA_S_MHZ_PER_MT + GAMMA_I_MHZ_PER_MT) / 2.0
+    gap_mhz = (transition_frequency(PHOSPHORUS, "T+", 23.0)
+               - transition_frequency(PHOSPHORUS, "T0", 23.0))
+    b0 = FieldVector(*b)
+    args = (b0, gap_mhz / 10.0 / coupling, [0.0, 0.0, 1.0],
+            transition_frequency(PHOSPHORUS, "T0", b0.magnitude()))
+    program = pi_pulse_program(2000 * DT_S * 1e6)
+    pops = simulate_4level(program, PHOSPHORUS, *args)
+    halved = oracle_4level(program, *args, dt_us=DT_S * 1e6 / 2.0)
+    assert max(abs(pops[k] - halved[k]) for k in pops) < 1e-10
+
+
 # 256 is the block of earlier versions, larger than the default: one block may cover a pulse
 @pytest.mark.parametrize("block", [1, 3, pulse._CF4_BLOCK_STEPS, 256])
 @pytest.mark.parametrize("b", [(0.4, 0.0, 0.0), (0.4, 0.0, 2.0)])
@@ -559,7 +568,9 @@ def test_4level_blocks_match_the_scalar_oracle_exactly(monkeypatch, block, b):
     ({"b1_direction": [math.inf, 0.0, 1.0]}, "drive direction must be a finite nonzero"),
     ({"b1_direction": [0.0, 0.0, 0.0]}, "drive direction must be a finite nonzero"),
     ({"b1_direction": [0.0, 1.0]}, "drive direction must be a finite nonzero"),
-    ({"dt_us": math.nan}, "integration step nan"),
+    ({"program": PulseProgram(name="cycled", events=(
+        Pulse(angle_rad=1.0, phase_rad=0.0, duration_s=DT_S, label="p"),),
+        cycles=(PhaseCycle("p", (0.0, math.pi)),))}, "program still has phase cycles"),
     ({"program": PulseProgram(name="hard", events=(Pulse(angle_rad=math.pi, phase_rad=0.0),))},
      "pulse without duration needs a duration_s: simulate_4level has no hard pulses"),
     ({"program": PulseProgram(name="hard_last", events=(
