@@ -23,12 +23,12 @@ import sys
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 
-import numpy as np
-
-from . import fitkit
-from .config import ConfigError, RunConfig, load_config, parse_int, parse_number, resolve_seed
+from .config import (PEAK_SHAPES, PUMP_SETTINGS, ConfigError, RunConfig, load_config, parse_int,
+                     parse_number, resolve_seed)
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .noise import EnsembleSpec
 
 
@@ -57,14 +57,16 @@ def _ensemble_spec(args: argparse.Namespace, cfg: RunConfig) -> EnsembleSpec:
 
 def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -> int:
     """A CSV row: ``--points`` x over its span, checked before any work, then its y columns."""
-    from . import csvio
-
     row = _COMMANDS[args.command]
     start, stop = row.span(args)
     if args.points < 2:
         raise ConfigError("--points must be >= 2")
-    if not (np.all(np.isfinite([start, stop, stop - start])) and start < stop):
+    if not (all(map(math.isfinite, (start, stop, stop - start))) and start < stop):
         raise ConfigError(f"sweep needs a finite start below its end, got {start!r} to {stop!r}")
+    import numpy as np
+
+    from . import csvio
+
     x = np.linspace(start, stop, args.points)
     csvio.emit_csv(target, row.columns, np.column_stack([x, *row.compute(args, cfg, x)]))
     return 0
@@ -114,6 +116,8 @@ def _ramsey(args: argparse.Namespace, cfg: RunConfig, taus_s: np.ndarray) -> lis
 
 
 def _hahn(args: argparse.Namespace, cfg: RunConfig, taus_s: np.ndarray) -> list[np.ndarray]:
+    import numpy as np
+
     from .pulse import hahn_experiment
 
     # --workers starts no processes: per-member streams make every count give the same bytes
@@ -145,7 +149,7 @@ _MODEL_FLAGS = {"stretched": ("initial", "fix_n"), "peaks": ("k", "shape", "peak
 
 
 def _cmd_fit(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -> int:
-    from . import csvio
+    from . import csvio, fitkit
 
     other = "peaks" if args.model == "stretched" else "stretched"
     for name in _MODEL_FLAGS[other]:
@@ -209,11 +213,6 @@ def _cmd_estimate_field(args: argparse.Namespace, cfg: RunConfig, target: str | 
 
 # --- the subcommand table ----------------------------------------------------
 
-#: ``pump.PUMP_SETTINGS``, written out so the parser loads no ``pump``;
-#: tests/test_cli.py pins the two equal.
-_PUMP_SETTINGS = ("off", "on_T", "on_S")
-
-
 class _ParsedFlag(argparse.Action):
     """A flag whose text ``parse`` reads as it is given; a bad text is exit 1."""
 
@@ -243,7 +242,9 @@ class _Command:
     swept over ``span(args)`` and ``compute(args, cfg, x)`` under
     ``columns``; any other row runs ``run(args, cfg, target)``.  Each
     function imports the modules it runs, so a process loads only what its
-    subcommand needs.
+    subcommand needs: the table itself needs only ``config``, and numpy
+    loads once a subcommand has accepted its argv, its config and, for a
+    CSV row, its points and span.
     """
 
     help: str
@@ -286,7 +287,7 @@ _COMMANDS = {
     ), ("offset_khz", "response"),
         lambda args: (args.offset_min_khz, args.offset_max_khz), _rf_spectrum),
     "optical-spectrum": _Command("photoconductive signal vs probe detuning (CSV)", (*_COMMON,
-        dict(name="--pump", choices=_PUMP_SETTINGS, default="off",
+        dict(name="--pump", choices=PUMP_SETTINGS, default="off",
              help="hold a pump laser on one line while the probe scans"),
         dict(name="--scan-min-invcm", parse=parse_number, default=-0.003, metavar="CM1",
              help="probe scan start, cm^-1 (default -0.003)"),
@@ -345,7 +346,7 @@ _COMMANDS = {
              help="hold the stretching exponent fixed"),
         dict(name="--k", parse=parse_int, metavar="K",
              help="number of peaks for --model peaks (default 1)"),
-        dict(name="--shape", choices=fitkit.PEAK_SHAPES, help="peak shape (default lorentzian)"),
+        dict(name="--shape", choices=PEAK_SHAPES, help="peak shape (default lorentzian)"),
         dict(name="--peak", parse=_parse_triple, append=True, metavar="C,W,A",
              help="initial center,width,amplitude; repeat k times"),
         dict(name="--baseline", parse=parse_number, metavar="B",
@@ -421,12 +422,12 @@ def _pad_heap_top() -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    _pad_heap_top()
     try:
         args = build_parser().parse_args(argv)
         # One run path: flags over the config, then --output > config output > stdout.
         cfg = _effective_config(args)
         target = cfg.output if cfg.output is not None else sys.stdout
+        _pad_heap_top()
         return args.func(args, cfg, target)
     except SystemExit as exc:
         # argparse exits 0 for --help and 2 for usage errors; usage and

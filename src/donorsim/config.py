@@ -42,6 +42,11 @@ if TYPE_CHECKING:  # the builders import them on call, so the parser loads no ph
 DEFAULT_SEED = 0
 SEED_ENV_VAR = "DONORSIM_SEED"
 
+#: The name sets that the parser offers and the physics modules check against,
+#: stated here so that building the parser loads no numpy.
+PEAK_SHAPES = ("lorentzian", "gaussian")
+PUMP_SETTINGS = ("off", "on_T", "on_S")
+
 
 class ConfigError(ValueError):
     """Configuration problem; message carries key name and line number."""

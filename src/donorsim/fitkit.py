@@ -27,6 +27,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import PEAK_SHAPES
+
 JACOBIAN_REL_STEP = 1e-6
 STEP_TOL = 1e-10
 GRAD_TOL = 1e-12
@@ -310,9 +312,6 @@ def fit_stretched_exp(
 
 
 # --- spectral peaks ---------------------------------------------------------
-
-PEAK_SHAPES = ("lorentzian", "gaussian")
-
 
 def peak_model(
     x: np.ndarray,

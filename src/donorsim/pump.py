@@ -29,6 +29,7 @@ from typing import Callable
 
 import numpy as np
 
+from .config import PUMP_SETTINGS
 from .csvio import Series
 
 #: Conversion between wavenumbers and frequency, MHz per cm^-1.
@@ -39,8 +40,6 @@ DEFAULT_OPTICAL_LINEWIDTH_MHZ = 0.001 * MHZ_PER_INV_CM
 
 #: Fine-structure doublet separation (cm^-1) resolvable in high-resolution scans.
 DOUBLET_SPLITTING_INV_CM = 0.0008
-
-PUMP_SETTINGS = ("off", "on_T", "on_S")
 
 #: Statistical weights the randomization channel drives (n_S, n_T) towards.
 SINGLET_WEIGHT = 0.25

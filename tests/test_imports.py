@@ -9,8 +9,8 @@ unnoticed.  A peak fit loads no ``numpy.ma``, which the first ``np.median``
 call of a process imports.
 
 Start-up is lazy: ``import donorsim`` loads no submodule, building the CLI
-parser loads only the modules the parser needs, and a subcommand loads only
-the modules it runs.
+parser loads only ``config``, a run rejected before any work loads no
+numpy, and a subcommand loads only the modules it runs.
 
 Reachability: every module-level function and class of the package, and
 every method of those classes, is reached from a root by a chain of
@@ -529,27 +529,51 @@ def test_exported_names_are_their_submodules_objects():
 @pytest.mark.parametrize("call", ["donorsim.cli.build_parser()",
                                   "donorsim.cli.main(['--help'])",
                                   "donorsim.cli.main(['hahn', '--no-such-flag'])"])
-def test_the_parser_loads_only_config_and_fitkit(call):
+def test_the_parser_loads_only_config(call):
     script = ("import contextlib, io, sys\n"
               "import donorsim.cli\n"
               f"with contextlib.redirect_stdout(io.StringIO()), "
               f"contextlib.redirect_stderr(io.StringIO()):\n    {call}\n" + _loaded("donorsim"))
-    assert _fresh_process(script) == \
-        "['donorsim', 'donorsim.cli', 'donorsim.config', 'donorsim.fitkit']\n"
+    assert _fresh_process(script) == "['donorsim', 'donorsim.cli', 'donorsim.config']\n"
+
+
+#: Runs that ``main`` rejects before any work, by the exit code they give.
+REJECTED_RUNS = {
+    "help": (["--help"], 0),
+    "unknown flag": (["hahn", "--no-such-flag"], 1),
+    "unknown config key": (["hahn", "--config", "CONFIG"], 1),
+    "one point": (["hahn", "--points", "1"], 1),
+}
+
+
+@pytest.mark.parametrize("run", sorted(REJECTED_RUNS))
+def test_a_run_rejected_before_any_work_loads_no_numpy(tmp_path, run):
+    config = tmp_path / "bad.ini"
+    config.write_text("no_such_key = 1\n", encoding="utf-8")
+    argv, code = REJECTED_RUNS[run]
+    argv = [str(config) if arg == "CONFIG" else arg for arg in argv]
+    assert _main_loading(argv, "numpy") == f"{code} []\n"
+
+
+def test_help_loads_no_ctypes():
+    # the heap-top pad is set only for a run that computes
+    assert _main_loading(["--help"], "ctypes") == "0 []\n"
 
 
 #: Subcommand -> the flags of a small run of it, and the package modules
-#: besides ``cli``, ``config``, ``csvio`` and ``fitkit`` that the run loads.
+#: besides ``cli``, ``config`` and ``csvio`` that the run loads; ``pulse``
+#: loads ``fitkit`` for its stretched-exponential envelope.
 #: ``SEQUENCE`` stands for a file holding ``seqdsl.HAHN_TEXT``.
 _ENSEMBLE_RUN = ["--members", "3", "--points", "3"]
+_ENSEMBLE_MODULES = ["fitkit", "noise", "program", "pulse", "spincore"]
 SUBCOMMAND_RUNS = {
     "levels": (["--points", "3"], ["spincore"]),
-    "rf-spectrum": (_ENSEMBLE_RUN, ["noise", "program", "pulse", "spincore"]),
+    "rf-spectrum": (_ENSEMBLE_RUN, _ENSEMBLE_MODULES),
     "optical-spectrum": (["--points", "3"], ["pump"]),
-    "rabi": (_ENSEMBLE_RUN, ["noise", "program", "pulse", "spincore"]),
-    "ramsey": (_ENSEMBLE_RUN, ["noise", "program", "pulse", "spincore"]),
-    "hahn": (_ENSEMBLE_RUN, ["noise", "program", "pulse", "spincore"]),
-    "fit": ([str(ROOT / "tests/golden/hahn_mean_t0_parallel.csv")], []),
+    "rabi": (_ENSEMBLE_RUN, _ENSEMBLE_MODULES),
+    "ramsey": (_ENSEMBLE_RUN, _ENSEMBLE_MODULES),
+    "hahn": (_ENSEMBLE_RUN, _ENSEMBLE_MODULES),
+    "fit": ([str(ROOT / "tests/golden/hahn_mean_t0_parallel.csv")], ["fitkit"]),
     "parse": (["SEQUENCE"], ["program", "seqdsl"]),
     "estimate-field": (["--splitting-khz", "111.819"], ["spincore"]),
 }
@@ -562,7 +586,7 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, command):
     flags, modules = SUBCOMMAND_RUNS[command]
     argv = [command, *(str(sequence) if flag == "SEQUENCE" else flag for flag in flags)]
     want = sorted(["donorsim", *(f"donorsim.{m}" for m in
-                                 ["cli", "config", "csvio", "fitkit", *modules])])
+                                 ["cli", "config", "csvio", *modules])])
     assert _main_loading(argv, "donorsim") == f"0 {want}\n"
 
 
