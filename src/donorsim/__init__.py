@@ -7,12 +7,13 @@ Subpackage map:
 - ``pump``: optical pumping rate equations, steady states, the
   closed-form re-pump transient, photoconductive spectra.
 - ``program`` / ``seqdsl``: pulse-sequence data model and its text format.
-- ``noise``: ensemble specification, member RNG streams, static and
+- ``noise``: member RNG streams and environments, static and
   Ornstein-Uhlenbeck detuning noise.
 - ``pulse``: two-level pulse engine, ensemble experiments, the honest
   4-level integrator, RF spectra.
 - ``fitkit``: damped least-squares fits (stretched exponential, peaks).
-- ``config`` / ``csvio`` / ``cli``: run configuration, CSV I/O, entry point.
+- ``config`` / ``csvio`` / ``cli``: the settings table (the spin, noise,
+  ensemble and pump parameter types) with config files, CSV I/O, entry point.
 
 Start-up is lazy: ``import donorsim`` loads no submodule.  Each name in
 ``__all__`` is imported from its submodule on first access (PEP 562), so a
@@ -26,18 +27,17 @@ __version__ = "0.1.0"
 
 #: Submodule -> the public names it exports here; ``__all__`` is derived from it.
 _EXPORTS = {
-    "config": ("RunConfig", "load_config"),
+    "config": ("EnsembleSpec", "NoiseModel", "PumpConfig", "SpinSystem", "load_config"),
     "fitkit": ("FitResult", "fit_peaks", "fit_stretched_exp"),
-    "noise": ("EnsembleSpec", "NoiseModel"),
     "program": ("Delay", "PhaseCycle", "Pulse", "PulseProgram", "hahn_program",
                 "ramsey_program"),
     "pulse": ("TwoLevelParams", "hahn_experiment", "rabi_experiment", "ramsey_experiment",
               "rf_spectrum", "run_sequence", "simulate_4level"),
-    "pump": ("PopulationState", "PumpConfig", "optical_spectrum", "steady_state"),
+    "pump": ("PopulationState", "optical_spectrum", "steady_state"),
     "seqdsl": ("compile_sequence", "parse_sequence", "pretty_print"),
-    "spincore": ("PHOSPHORUS", "FieldVector", "SpinSystem", "breit_rabi_levels",
-                 "clock_sensitivity", "eigensystems", "estimate_field_from_splitting",
-                 "hamiltonians", "transition_frequency", "transition_table"),
+    "spincore": ("PHOSPHORUS", "FieldVector", "breit_rabi_levels", "clock_sensitivity",
+                 "eigensystems", "estimate_field_from_splitting", "hamiltonians",
+                 "transition_frequency", "transition_table"),
 }
 #: Exported names that their submodule defines under another name.
 _RENAMED = {"compile_sequence": "compile", "parse_sequence": "parse"}

@@ -20,42 +20,34 @@ import functools
 import math
 import re
 import sys
-from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING, Callable, Sequence, TextIO
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Sequence, TextIO
 
-from .config import (PEAK_SHAPES, PUMP_SETTINGS, ConfigError, RunConfig, load_config, parse_int,
-                     parse_number, resolve_seed)
+from .config import (PEAK_SHAPES, PUMP_SETTINGS, SETTINGS, ConfigError, EnsembleSpec, PumpConfig,
+                     SpinSystem, build, load_config, parse_int, parse_number, resolve_seed,
+                     write_text)
 
 if TYPE_CHECKING:
     import numpy as np
 
-    from .noise import EnsembleSpec
+
+def _effective_config(args: argparse.Namespace) -> dict[str, Any]:
+    """The ``--config`` file's settings, then every given setting flag, already
+    parsed; by field name, for ``config.build``."""
+    cfg = load_config(args.config) if getattr(args, "config", None) else {}
+    return {**cfg, **{name: value for name, value in vars(args).items() if name in SETTINGS}}
 
 
-def _effective_config(args: argparse.Namespace) -> RunConfig:
-    """The ``--config`` file (or defaults), then every given setting flag, already parsed."""
-    cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-    return replace(cfg, **{f.name: getattr(args, f.name)
-                           for f in fields(RunConfig) if hasattr(args, f.name)})
-
-
-def _ensemble_spec(args: argparse.Namespace, cfg: RunConfig) -> EnsembleSpec:
-    from .noise import EnsembleSpec
-
-    return EnsembleSpec(
-        n_members=cfg.members,
-        seed=resolve_seed(getattr(args, "seed", None), cfg),
-        noise=cfg.noise_model(),
-        transition=cfg.transition,
-        b0_magnitude_ut=cfg.b0_ut,
-        b0_orientation=cfg.b0_orientation,
-        b1_amplitude_mt=cfg.b1_amplitude_mt,
-    )
+def _ensemble_spec(args: argparse.Namespace, cfg: dict) -> EnsembleSpec:
+    """The run's ensemble.  Its seed resolves only here (flag > DONORSIM_SEED >
+    file > 0), so a bad sweep or ``--workers`` is named before a bad DONORSIM_SEED."""
+    return build(EnsembleSpec, {**cfg, "seed": resolve_seed(getattr(args, "seed", None),
+                                                            cfg.get("seed"))})
 
 
 # --- subcommand implementations ---------------------------------------------
 
-def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -> int:
+def _cmd_sweep(args: argparse.Namespace, cfg: dict, target: str | TextIO) -> int:
     """A CSV row: ``--points`` x over its span, checked before any work, then its y columns."""
     row = _COMMANDS[args.command]
     start, stop = row.span(args)
@@ -72,50 +64,50 @@ def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -
     return 0
 
 
-def _levels(args: argparse.Namespace, cfg: RunConfig, b_mt: np.ndarray) -> list[np.ndarray]:
+def _levels(args: argparse.Namespace, cfg: dict, b_mt: np.ndarray) -> list[np.ndarray]:
     from . import spincore
 
     if args.bmin_mt < 0.0:
         raise ConfigError("need 0 <= --bmin-mt")
     if not math.isfinite(args.bmax_mt * spincore.UT_PER_MT):
         raise ConfigError(f"--bmax-mt {args.bmax_mt!r} overflows when converted to µT")
-    levels = spincore.breit_rabi_levels(cfg.spin_system(), b_mt * spincore.UT_PER_MT)
+    levels = spincore.breit_rabi_levels(build(SpinSystem, cfg), b_mt * spincore.UT_PER_MT)
     return [levels[label] for label in spincore.LABELS]
 
 
-def _rf_spectrum(args: argparse.Namespace, cfg: RunConfig, x: np.ndarray) -> list[np.ndarray]:
+def _rf_spectrum(args: argparse.Namespace, cfg: dict, x: np.ndarray) -> list[np.ndarray]:
     from .pulse import rf_spectrum
 
-    return [rf_spectrum(_ensemble_spec(args, cfg), cfg.spin_system(), x,
+    return [rf_spectrum(_ensemble_spec(args, cfg), build(SpinSystem, cfg), x,
                         kernel_fwhm_khz=args.kernel_fwhm_khz).values]
 
 
-def _optical_spectrum(args: argparse.Namespace, cfg: RunConfig, x: np.ndarray) -> list[np.ndarray]:
+def _optical_spectrum(args: argparse.Namespace, cfg: dict, x: np.ndarray) -> list[np.ndarray]:
     from . import pump
 
     line_s_invcm = args.line_s_invcm
     if line_s_invcm is None:  # the configured hyperfine splitting above the T line
-        line_s_invcm = cfg.hyperfine_a_mhz / pump.MHZ_PER_INV_CM
+        line_s_invcm = build(SpinSystem, cfg).hyperfine_a / pump.MHZ_PER_INV_CM
     return [pump.optical_spectrum(
-        x, line_s_inv_cm=line_s_invcm, line_t_inv_cm=args.line_t_invcm, cfg=cfg.pump_config(),
+        x, line_s_inv_cm=line_s_invcm, line_t_inv_cm=args.line_t_invcm, cfg=build(PumpConfig, cfg),
         pump_setting=args.pump, probe_peak_rate=args.probe_peak_rate,
         pump_peak_rate=args.pump_peak_rate, doublet_split_inv_cm=args.doublet_split_invcm,
     ).values]
 
 
-def _rabi(args: argparse.Namespace, cfg: RunConfig, lengths_s: np.ndarray) -> list[np.ndarray]:
+def _rabi(args: argparse.Namespace, cfg: dict, lengths_s: np.ndarray) -> list[np.ndarray]:
     from .pulse import rabi_experiment
 
-    return [rabi_experiment(_ensemble_spec(args, cfg), cfg.spin_system(), lengths_s).values]
+    return [rabi_experiment(_ensemble_spec(args, cfg), build(SpinSystem, cfg), lengths_s).values]
 
 
-def _ramsey(args: argparse.Namespace, cfg: RunConfig, taus_s: np.ndarray) -> list[np.ndarray]:
+def _ramsey(args: argparse.Namespace, cfg: dict, taus_s: np.ndarray) -> list[np.ndarray]:
     from .pulse import ramsey_experiment
 
-    return [ramsey_experiment(_ensemble_spec(args, cfg), cfg.spin_system(), taus_s).values]
+    return [ramsey_experiment(_ensemble_spec(args, cfg), build(SpinSystem, cfg), taus_s).values]
 
 
-def _hahn(args: argparse.Namespace, cfg: RunConfig, taus_s: np.ndarray) -> list[np.ndarray]:
+def _hahn(args: argparse.Namespace, cfg: dict, taus_s: np.ndarray) -> list[np.ndarray]:
     import numpy as np
 
     from .pulse import hahn_experiment
@@ -126,7 +118,7 @@ def _hahn(args: argparse.Namespace, cfg: RunConfig, taus_s: np.ndarray) -> list[
     # a count below 1 is hahn_experiment's error under either detection
     if args.detection == "mean" and args.shots is not None and args.shots >= 1:
         raise ConfigError("--shots applies only to --detection max")
-    echo = hahn_experiment(_ensemble_spec(args, cfg), cfg.spin_system(), taus_s,
+    echo = hahn_experiment(_ensemble_spec(args, cfg), build(SpinSystem, cfg), taus_s,
                            detection=args.detection, shots_per_point=args.shots)
     return [echo.values, np.full_like(taus_s, echo.shots)]
 
@@ -148,7 +140,7 @@ def _parse_triple(text: str) -> tuple[float, float, float]:
 _MODEL_FLAGS = {"stretched": ("initial", "fix_n"), "peaks": ("k", "shape", "peak", "baseline")}
 
 
-def _cmd_fit(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -> int:
+def _cmd_fit(args: argparse.Namespace, cfg: dict, target: str | TextIO) -> int:
     from . import csvio, fitkit
 
     other = "peaks" if args.model == "stretched" else "stretched"
@@ -178,12 +170,12 @@ def _cmd_fit(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -> 
     lines.append(f"iterations = {result.iterations}")
     lines.append(f"converged = {str(result.converged).lower()}")
     lines += [f"# note: {note}" for note in result.diagnostics]
-    csvio.write_text(target, "\n".join(lines) + "\n")
+    write_text(target, "\n".join(lines) + "\n")
     return 0 if result.converged else 2
 
 
-def _cmd_parse(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -> int:
-    from . import csvio, seqdsl
+def _cmd_parse(args: argparse.Namespace, cfg: dict, target: str | TextIO) -> int:
+    from . import seqdsl
 
     if args.file == "-":
         text = sys.stdin.read()
@@ -199,15 +191,15 @@ def _cmd_parse(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -
         print(f"{args.file}:{diag}", file=sys.stderr)
     if any(d.severity == "error" for d in diagnostics):
         return 1
-    csvio.write_text(target, seqdsl.pretty_print(ast))
+    write_text(target, seqdsl.pretty_print(ast))
     return 0
 
 
-def _cmd_estimate_field(args: argparse.Namespace, cfg: RunConfig, target: str | TextIO) -> int:
-    from . import csvio, spincore
+def _cmd_estimate_field(args: argparse.Namespace, cfg: dict, target: str | TextIO) -> int:
+    from . import spincore
 
-    field_ut = spincore.estimate_field_from_splitting(args.splitting_khz, cfg.spin_system())
-    csvio.write_text(target, f"{field_ut:.3f} µT\n")
+    field_ut = spincore.estimate_field_from_splitting(args.splitting_khz, build(SpinSystem, cfg))
+    write_text(target, f"{field_ut:.3f} µT\n")
     return 0
 
 
@@ -236,9 +228,9 @@ class _Command:
 
     A flag is a dict of ``add_argument`` keywords with its ``name`` (a
     ``parse`` keyword reads the text through ``_ParsedFlag``, whose ``append``
-    lists a repeated flag's values in order), or a tuple of ``RunConfig``
-    fields the subcommand reads, whose flags it adds in field order; a
-    setting it does not read has no flag there.  A CSV row writes the x
+    lists a repeated flag's values in order), or a tuple of the settings
+    (``config.SETTINGS`` names) the subcommand reads, whose flags it adds in
+    that order; a setting it does not read has no flag there.  A CSV row writes the x
     swept over ``span(args)`` and ``compute(args, cfg, x)`` under
     ``columns``; any other row runs ``run(args, cfg, target)``.  Each
     function imports the modules it runs, so a process loads only what its
@@ -251,19 +243,22 @@ class _Command:
     flags: tuple[dict | tuple[str, ...], ...]
     columns: tuple[str, ...] = ()
     span: Callable[[argparse.Namespace], tuple[float, float]] | None = None
-    compute: Callable[[argparse.Namespace, RunConfig, np.ndarray], list[np.ndarray]] | None = None
-    run: Callable[[argparse.Namespace, RunConfig, str | TextIO], int] = _cmd_sweep
+    compute: Callable[[argparse.Namespace, dict, np.ndarray], list[np.ndarray]] | None = None
+    run: Callable[[argparse.Namespace, dict, str | TextIO], int] = _cmd_sweep
 
 
 #: The first flags of every subcommand but ``parse``, and the settings each ensemble
-#: subcommand reads: the spectrum's members and fields, then what each experiment adds.
+#: subcommand reads in ``--help`` order: the spectrum's members, field and internal
+#: field, with what each experiment adds before the internal field.
 _CONFIG = dict(name="--config", metavar="PATH", help="config file (key = value with [section]s)")
 _COMMON = (_CONFIG, ("output",))
-_SPECTRUM = ("seed", "output", "members", "b0_ut", "b0_orientation", "internal_fraction",
-             "internal_field_ut")
-_RABI = (*_SPECTRUM, "transition", "b1_amplitude_mt", "static_detuning_khz")
-_RAMSEY = (*_SPECTRUM, "transition", "static_detuning_khz", "ou_sigma_khz", "ou_tau_c_s")
-_HAHN = (*_RAMSEY, "t2_s", "stretching_n")
+_FIELD = ("seed", "output", "n_members", "b0_magnitude_ut", "b0_orientation")
+_INTERNAL = ("internal_fraction", "internal_field_ut")
+_SPECTRUM = (*_FIELD, *_INTERNAL)
+_RABI = (*_FIELD, "transition", "b1_amplitude_mt", "static_detuning_khz", *_INTERNAL)
+_RAMSEY = (*_FIELD, "transition", "static_detuning_khz", "ou_sigma_khz", "ou_tau_c_s",
+           *_INTERNAL)
+_HAHN = (*_RAMSEY, "phenomenological_t2_s", "stretching_n")
 
 _COMMANDS = {
     "levels": _Command("singlet/triplet energies vs field (CSV)", (*_COMMON,
@@ -389,12 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
                 kwargs = {"action": _ParsedFlag, **flag} if "parse" in flag else dict(flag)
                 p.add_argument(kwargs.pop("name"), **kwargs)
                 continue
-            for f in fields(RunConfig):  # the flags of these settings
-                meta = f.metadata
-                if f.name in flag:
-                    p.add_argument(meta["flag"], action=_ParsedFlag, parse=meta["parse"],
-                                   dest=f.name, default=argparse.SUPPRESS,
-                                   metavar=meta["metavar"], help=meta["help"])
+            for name in flag:  # the flags of these settings
+                meta = SETTINGS[name].metadata
+                p.add_argument(meta["flag"], action=_ParsedFlag, parse=meta["parse"], dest=name,
+                               default=argparse.SUPPRESS, metavar=meta["metavar"],
+                               help=meta["help"])
         p.set_defaults(func=row.run)
     return parser
 
@@ -426,7 +420,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         # One run path: flags over the config, then --output > config output > stdout.
         cfg = _effective_config(args)
-        target = cfg.output if cfg.output is not None else sys.stdout
+        target = cfg.get("output", sys.stdout)
         _pad_heap_top()
         return args.func(args, cfg, target)
     except SystemExit as exc:

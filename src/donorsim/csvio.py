@@ -14,8 +14,9 @@ function of the data.  Line terminator is LF.  Non-finite values are
 refused — a NaN in a data file is always an upstream bug.
 
 ``Series`` is the validated x/y result type the experiments return.  It
-lives here because this module imports nothing else from the package, so
-``pump`` and ``pulse`` can both use it.
+lives here because this module imports no physics module, so ``pump`` and
+``pulse`` can both use it.  Text goes out through ``config.write_text``,
+which numpy-free subcommands (``parse``) call directly.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from dataclasses import dataclass
 from typing import Sequence, TextIO
 
 import numpy as np
+
+from .config import write_text
 
 MAGIC = "# donor-spin-sim v1"
 COLUMNS_PREFIX = "# columns: "
@@ -95,22 +98,6 @@ def render_csv(columns: Sequence[str], data: np.ndarray) -> str:
         # format_value per cell: tolist() gives Python floats, whose repr it is
         lines.append(",".join(map(repr, row.tolist())))
     return "\n".join(lines) + "\n"
-
-
-def write_text(target: str | TextIO, text: str) -> None:
-    """Write text to a path or an open text stream.
-
-    Paths are written as UTF-8 with LF terminators regardless of platform.
-    An unwritable path surfaces as an OSError naming the path.
-    """
-    if isinstance(target, (str, bytes)):
-        try:
-            with open(target, "w", newline="\n", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise OSError(f"cannot write {target!r}: {exc}") from exc
-    else:
-        target.write(text)
 
 
 def emit_csv(target: str | TextIO, columns: Sequence[str], data: np.ndarray) -> None:

@@ -39,96 +39,8 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from . import spincore
-from .spincore import SpinSystem
-
-#: Reserved stream index for draws shared by the whole ensemble (e.g. the
-#: shot-to-shot common-mode echo phase).  Member indices must stay below it.
-COMMON_STREAM_INDEX = 2**63
-
-#: The unit RF drive direction of each geometry, with B0 along z.
-DRIVE_DIRECTIONS = {"parallel": (0.0, 0.0, 1.0), "perpendicular": (1.0, 0.0, 0.0)}
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Noise and decoherence parameters for ensemble experiments.
-
-    Attributes:
-        static_detuning_khz: Gaussian sigma of a per-member frozen detuning.
-        ou_sigma_khz: OU field-noise amplitude, quoted as the detuning sigma
-            it produces on a maximally field-sensitive transition.
-        ou_tau_c_s: OU correlation time (s).
-        internal_fraction: fraction of members carrying an internal field.
-        internal_field_ut: magnitude (uT) of that internal field; orientation
-            is isotropic per member.
-        phenomenological_t2_s: optional closed-form echo decay time; when set,
-            exp(-(2 tau / T2)^n) multiplies the echo signal.
-        stretching_n: stretching exponent n of the phenomenological decay.
-    """
-
-    static_detuning_khz: float = 0.0
-    ou_sigma_khz: float = 0.0
-    ou_tau_c_s: float = 1.0
-    internal_fraction: float = 0.0
-    internal_field_ut: float = 6.0
-    phenomenological_t2_s: float | None = None
-    stretching_n: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.static_detuning_khz < 0 or not math.isfinite(self.static_detuning_khz):
-            raise ValueError("static_detuning_khz must be finite and >= 0")
-        if self.ou_sigma_khz < 0 or not math.isfinite(self.ou_sigma_khz):
-            raise ValueError("ou_sigma_khz must be finite and >= 0")
-        if self.ou_tau_c_s <= 0 or not math.isfinite(self.ou_tau_c_s):
-            raise ValueError("ou_tau_c_s must be finite and > 0")
-        if not 0.0 <= self.internal_fraction <= 1.0:
-            raise ValueError("internal_fraction must lie in [0, 1]")
-        if self.internal_field_ut < 0 or not math.isfinite(self.internal_field_ut):
-            raise ValueError("internal_field_ut must be finite and >= 0")
-        t2 = self.phenomenological_t2_s
-        if t2 is not None and not (math.isfinite(t2) and t2 > 0):
-            raise ValueError("phenomenological_t2_s must be finite and > 0 when set")
-        if self.stretching_n <= 0 or not math.isfinite(self.stretching_n):
-            raise ValueError("stretching_n must be finite and > 0")
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """Which transition is driven, at what field, over how many members.
-
-    The static field B0 lies along z; ``b0_orientation`` names the RF
-    drive direction in ``DRIVE_DIRECTIONS``.
-    """
-
-    n_members: int
-    seed: int
-    noise: NoiseModel = NoiseModel()
-    transition: str = "T0"
-    b0_magnitude_ut: float = 0.0
-    b0_orientation: str = "parallel"
-    b1_amplitude_mt: float = 1e-3
-
-    def __post_init__(self) -> None:
-        if self.n_members < 1:
-            raise ValueError("n_members must be >= 1")
-        if not 0 <= self.seed < COMMON_STREAM_INDEX:
-            raise ValueError(f"seed must lie in [0, 2^63), got {self.seed!r}")
-        if self.transition not in spincore.TRIPLET_LABELS:
-            raise ValueError(
-                f"transition must be one of {spincore.TRIPLET_LABELS}, got {self.transition!r}"
-            )
-        if self.b0_magnitude_ut < 0 or not math.isfinite(self.b0_magnitude_ut):
-            raise ValueError("b0_magnitude_ut must be finite and >= 0")
-        if self.b0_orientation not in DRIVE_DIRECTIONS:
-            raise ValueError(f"b0_orientation must be one of {tuple(DRIVE_DIRECTIONS)}")
-        if self.b1_amplitude_mt <= 0 or not math.isfinite(self.b1_amplitude_mt):
-            raise ValueError("b1_amplitude_mt must be finite and > 0")
-        # the largest components a member's field can take: B0 + B_int along z,
-        # B_int across; their squares must sum without overflow
-        across_ut = self.noise.internal_field_ut if self.noise.internal_fraction > 0.0 else 0.0
-        reach_ut = self.b0_magnitude_ut + across_ut
-        if not math.isfinite(reach_ut * reach_ut + 2.0 * (across_ut * across_ut)):
-            raise ValueError(f"field magnitude up to {reach_ut!r} µT overflows its square")
+from .config import COMMON_STREAM_INDEX, EnsembleSpec, SpinSystem
+from .config import NoiseModel as NoiseModel  # re-exported: the library's import path
 
 
 @dataclass

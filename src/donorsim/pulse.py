@@ -32,6 +32,7 @@ import numpy as np
 
 from . import noise as noise_mod
 from . import spincore
+from .config import DRIVE_DIRECTIONS
 from .csvio import Series, series_axis
 from .fitkit import stretched_exp_model
 from .noise import EnsembleSpec, MemberEnvironment, _ou_coefficients
@@ -110,7 +111,7 @@ def two_level_params_for(spec: EnsembleSpec, system: SpinSystem) -> TwoLevelPara
     """
     _, elements = spincore.singlet_triplet_lines(
         *spincore.eigensystems(system, np.array([[0.0, 0.0, spec.b0_magnitude_ut]])),
-        spincore.drive_operator(system, noise_mod.DRIVE_DIRECTIONS[spec.b0_orientation]))
+        spincore.drive_operator(system, DRIVE_DIRECTIONS[spec.b0_orientation]))
     line = spincore.TRIPLET_LABELS.index(spec.transition)
     return TwoLevelParams(
         rabi_coupling_mhz_per_mt=float(elements[0, line]),
@@ -728,7 +729,7 @@ def rf_spectrum(
     if not (math.isfinite(kernel_fwhm_khz) and half > 0):  # a half of 0 would divide by zero
         raise ValueError(f"kernel_fwhm_khz must be finite and > 0, also when halved, "
                          f"got {kernel_fwhm_khz!r}")
-    op = spincore.drive_operator(system, noise_mod.DRIVE_DIRECTIONS[spec.b0_orientation])
+    op = spincore.drive_operator(system, DRIVE_DIRECTIONS[spec.b0_orientation])
     if offsets.size == 0:
         return Series(x=offsets, values=offsets)
     columns = np.repeat(offsets, 2) if offsets.size == 1 else offsets

@@ -29,17 +29,8 @@ from typing import Callable
 
 import numpy as np
 
-from .config import PUMP_SETTINGS
+from .config import MHZ_PER_INV_CM, PUMP_SETTINGS, PumpConfig
 from .csvio import Series
-
-#: Conversion between wavenumbers and frequency, MHz per cm^-1.
-MHZ_PER_INV_CM = 29979.2458
-
-#: Default spectral response FWHM: 0.001 cm^-1 expressed in MHz.
-DEFAULT_OPTICAL_LINEWIDTH_MHZ = 0.001 * MHZ_PER_INV_CM
-
-#: Fine-structure doublet separation (cm^-1) resolvable in high-resolution scans.
-DOUBLET_SPLITTING_INV_CM = 0.0008
 
 #: Statistical weights the randomization channel drives (n_S, n_T) towards.
 SINGLET_WEIGHT = 0.25
@@ -51,36 +42,6 @@ class NoUniqueSteadyStateError(ValueError, RuntimeError):
 
 class DegenerateLinesWarning(UserWarning):
     """S and T optical lines closer than a tenth of the linewidth."""
-
-
-@dataclass(frozen=True)
-class PumpConfig:
-    """Rate-model parameters (rates in 1/s)."""
-
-    pump_rate_s: float = 0.0
-    pump_rate_t: float = 0.0
-    auger_rate: float = 1e6  # ~1 us bound-exciton lifetime
-    branch_to_s: float = 0.25
-    randomization_rate: float = 0.0
-    gain: float = 1.0
-    optical_linewidth_mhz: float = DEFAULT_OPTICAL_LINEWIDTH_MHZ
-
-    def __post_init__(self) -> None:
-        for name in (
-            "pump_rate_s", "pump_rate_t", "auger_rate", "randomization_rate"
-        ):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        if not 0.0 <= self.branch_to_s <= 1.0:
-            raise ValueError(f"branch_to_s must lie in [0, 1], got {self.branch_to_s}")
-        if not math.isfinite(self.gain):
-            raise ValueError("gain must be finite")
-        # a width whose cm^-1 value underflows to 0 would divide by zero
-        if not (math.isfinite(self.optical_linewidth_mhz)
-                and self.optical_linewidth_mhz / MHZ_PER_INV_CM > 0):
-            raise ValueError("optical_linewidth_mhz must be finite and > 0, also in cm^-1, "
-                             f"got {self.optical_linewidth_mhz!r}")
 
 
 @dataclass(frozen=True)
@@ -141,9 +102,9 @@ def steady_state(cfg: PumpConfig) -> PopulationState:
     """Unique normalized null vector of the rate matrix.
 
     Raises NoUniqueSteadyStateError when the null space is not
-    one-dimensional (e.g. every rate zero, or decoupled subchains).  The
-    residual ||M p|| is verified on the rate-normalized generator so the
-    check is independent of the absolute rate scale.
+    one-dimensional (e.g. decoupled subchains).  The residual ||M p|| is
+    verified on the rate-normalized generator so the check is independent
+    of the absolute rate scale.
     """
     p, checks = _steady_states(rate_matrix(cfg)[None])
     _raise_first_failure(checks)
@@ -175,7 +136,6 @@ def _steady_states(m: np.ndarray) -> tuple[np.ndarray, list[_Check]]:
         residual = np.abs(np.matmul(ms, p[:, :, None])[:, :, 0]).max(axis=1)
     p_total = p.sum(axis=1)
     return p, [
-        (scale == 0.0, NoUniqueSteadyStateError, lambda i: "all rates are zero"),
         (~solvable, np.linalg.LinAlgError, lambda i: "SVD did not converge"),
         (nullity != 1, NoUniqueSteadyStateError,
          lambda i: f"null space dimension {nullity[i]}, expected 1"),

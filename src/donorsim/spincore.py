@@ -37,10 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Default coupling constants for the 31P donor in 28Si.
-HYPERFINE_A_MHZ = 117.53
-GAMMA_S_MHZ_PER_MT = 27.972
-GAMMA_I_MHZ_PER_MT = 0.017251
+from .config import TRIPLET_LABELS, SpinSystem
 
 UT_PER_MT = 1000.0
 
@@ -49,7 +46,6 @@ UT_PER_MT = 1000.0
 REFERENCE_FIELD_UT = 1e-6
 
 LABELS = ("S", "T-", "T0", "T+")
-TRIPLET_LABELS = ("T-", "T0", "T+")
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -69,38 +65,6 @@ _I_VEC = (IX, IY, IZ)
 
 # S.I, precomputed once.
 _S_DOT_I = SX @ IX + SY @ IY + SZ @ IZ
-
-
-@dataclass(frozen=True)
-class SpinSystem:
-    """Coupling constants of the electron-nuclear pair.
-
-    Attributes:
-        hyperfine_a: isotropic hyperfine constant a (MHz), > 0.
-        gamma_s: electron gyromagnetic ratio (MHz/mT), > 0.
-        gamma_i: nuclear gyromagnetic ratio (MHz/mT), >= 0 and < gamma_s.
-    """
-
-    hyperfine_a: float = HYPERFINE_A_MHZ
-    gamma_s: float = GAMMA_S_MHZ_PER_MT
-    gamma_i: float = GAMMA_I_MHZ_PER_MT
-
-    def __post_init__(self) -> None:
-        for name in ("hyperfine_a", "gamma_s", "gamma_i"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.hyperfine_a <= 0:
-            raise ValueError(f"hyperfine_a must be > 0, got {self.hyperfine_a}")
-        if self.gamma_s <= 0:
-            raise ValueError(f"gamma_s must be > 0, got {self.gamma_s}")
-        if self.gamma_i < 0:
-            raise ValueError(f"gamma_i must be >= 0, got {self.gamma_i}")
-        if self.gamma_s <= self.gamma_i:
-            raise ValueError(
-                "gamma_s must exceed gamma_i "
-                f"(got gamma_s={self.gamma_s}, gamma_i={self.gamma_i})"
-            )
 
 
 #: 31P donor defaults.

@@ -259,10 +259,7 @@ def rf_matrix_element(
 def steady_state(cfg: PumpConfig) -> PopulationState:
     """Unique normalized null vector of one rate matrix, from one 3x3 SVD."""
     m = pump.rate_matrix(cfg)
-    scale = float(np.abs(m).max())
-    if scale == 0.0:
-        raise NoUniqueSteadyStateError("all rates are zero")
-    ms = m / scale
+    ms = m / float(np.abs(m).max())
     _, singular_values, vt = np.linalg.svd(ms)
     null_mask = singular_values < 1e-10
     if int(null_mask.sum()) != 1:

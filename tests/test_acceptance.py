@@ -46,9 +46,6 @@ from donorsim.seqdsl import (
     pretty_print,
 )
 from donorsim.spincore import (
-    GAMMA_I_MHZ_PER_MT,
-    GAMMA_S_MHZ_PER_MT,
-    HYPERFINE_A_MHZ,
     PHOSPHORUS,
     FieldVector,
     breit_rabi_levels,
@@ -59,9 +56,9 @@ from donorsim.spincore import (
     transition_table,
 )
 
-A = HYPERFINE_A_MHZ
-GAMMA_SUM = GAMMA_S_MHZ_PER_MT + GAMMA_I_MHZ_PER_MT
-GAMMA_DIFF = GAMMA_S_MHZ_PER_MT - GAMMA_I_MHZ_PER_MT
+A = PHOSPHORUS.hyperfine_a
+GAMMA_SUM = PHOSPHORUS.gamma_s + PHOSPHORUS.gamma_i
+GAMMA_DIFF = PHOSPHORUS.gamma_s - PHOSPHORUS.gamma_i
 
 
 _CAPTURE_MANAGER = None

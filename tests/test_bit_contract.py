@@ -17,7 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from donorsim import fitkit, noise, pulse, spincore
+from donorsim import fitkit, pulse, spincore
+from donorsim.config import DRIVE_DIRECTIONS
 from donorsim.noise import EnsembleSpec
 from donorsim.spincore import LABELS, PHOSPHORUS, REFERENCE_FIELD_UT, TRIPLET_LABELS, FieldVector
 
@@ -110,10 +111,10 @@ def test_one_closed_form_call_over_three_fields_equals_three_scalar_calls(b_ut, 
 @example(1e150)
 def test_line_read_along_z_equals_the_transition_table(b_ut):
     # pulse.two_level_params_for: one line read through spincore.eigensystems,
-    # singlet_triplet_lines and a drive of noise.DRIVE_DIRECTIONS, where it
+    # singlet_triplet_lines and a drive of config.DRIVE_DIRECTIONS, where it
     # picked one element of spincore.transition_table at a field along z
     table = spincore.transition_table(PHOSPHORUS, FieldVector.along_z(b_ut))
-    for orientation in noise.DRIVE_DIRECTIONS:
+    for orientation in DRIVE_DIRECTIONS:
         for line in table:
             spec = EnsembleSpec(n_members=1, seed=0, transition=line.to_label,
                                 b0_magnitude_ut=b_ut, b0_orientation=orientation)

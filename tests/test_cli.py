@@ -7,6 +7,7 @@ import contextlib
 import dataclasses
 import importlib.util
 import io
+import math
 import pathlib
 
 import numpy as np
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 
 from donorsim import cli, noise, pump, spincore
 from donorsim.cli import build_parser, main
-from donorsim.config import RunConfig
+from donorsim.config import (SETTINGS, ConfigError, EnsembleSpec, NoiseModel, PumpConfig,
+                             SpinSystem, build, key_of, parse_config_text)
 from donorsim.csvio import emit_csv, read_csv
 from donorsim.fitkit import peak_model, stretched_exp_model
 from donorsim.seqdsl import HAHN_TEXT
@@ -376,6 +378,18 @@ def test_env_seed_beats_config_seed(tmp_path, monkeypatch):
     assert config_only.read_bytes() != both.read_bytes()
 
 
+@pytest.mark.parametrize("argv, code, err", [
+    # the env seed is read only as the ensemble is built, after the sweep and --workers
+    (["hahn", "--points", "1"], 1, "donorsim: error: --points must be >= 2\n"),
+    (HAHN_SMALL + ["--workers", "0"], 1, "donorsim: error: workers must be >= 1\n"),
+    (HAHN_SMALL, 1, "donorsim: error: DONORSIM_SEED: seed must lie in [0, 2**63)\n"),
+    (["levels", "--points", "3"], 0, ""),  # a subcommand that draws no ensemble ignores it
+])
+def test_a_bad_env_seed_is_read_only_by_an_ensemble(monkeypatch, capsys, argv, code, err):
+    monkeypatch.setenv("DONORSIM_SEED", "-1")
+    assert run(capsys, argv)[::2] == (code, err)
+
+
 def test_output_flag_beats_config_output(tmp_path, capsys):
     decoy = tmp_path / "decoy.csv"
     cfg = tmp_path / "run.cfg"
@@ -643,7 +657,7 @@ def test_no_finite_setting_crashes_the_cli(run):
         assert err.getvalue().endswith("\n") and err.getvalue().count("\n") == 1
 
 
-# One bad value per setting flag: a flagged RunConfig field missing here fails its case.
+# One bad value per setting flag, by config key: a flagged setting missing here fails its case.
 BAD_SETTING_TEXT = {
     "seed": "-1",
     "output": "",
@@ -665,12 +679,12 @@ BAD_SETTING_TEXT = {
     "gain": "inf",
     "optical_linewidth_mhz": "0",
 }
-FLAGGED_SETTINGS = [f for f in dataclasses.fields(RunConfig) if f.metadata["flag"]]
+FLAGGED_SETTINGS = [f for f in SETTINGS.values() if f.metadata["flag"]]
 
 
-@pytest.mark.parametrize("setting", FLAGGED_SETTINGS, ids=lambda f: f.name)
+@pytest.mark.parametrize("setting", FLAGGED_SETTINGS, ids=key_of)
 def test_flag_and_config_key_reject_the_same_text(tmp_path, capsys, setting):
-    name, section, flag = setting.name, setting.metadata["section"], setting.metadata["flag"]
+    name, section, flag = key_of(setting), setting.metadata["section"], setting.metadata["flag"]
     command = next(cmd for cmd in subparsers() if flag in offered_flags(cmd))
     argv = [command, "--points", "3"]
     text = BAD_SETTING_TEXT[name]
@@ -687,6 +701,46 @@ def test_flag_and_config_key_reject_the_same_text(tmp_path, capsys, setting):
     assert flag_err.split(f"{flag}: ", 1)[1] == cfg_err.split(f"{name}: ", 1)[1]
 
 
+#: A value out of bounds of each bounded field, by field name.
+OUT_OF_BOUNDS = {
+    "hyperfine_a": 0.0, "gamma_s": -1.0, "gamma_i": math.inf,
+    "static_detuning_khz": -1.0, "ou_sigma_khz": math.nan, "ou_tau_c_s": 0.0,
+    "internal_fraction": 1.5, "internal_field_ut": -1.0, "phenomenological_t2_s": -3.0,
+    "stretching_n": 0.0, "n_members": 0, "seed": -1, "transition": "T2",
+    "b0_magnitude_ut": math.inf, "b0_orientation": "diagonal", "b1_amplitude_mt": 0.0,
+    "pump_rate_s": -1.0, "pump_rate_t": math.nan, "auger_rate": 0.0, "branch_to_s": -0.5,
+    "randomization_rate": -1.0, "gain": math.inf, "optical_linewidth_mhz": -2.0, "output": "",
+}
+#: (type, row) of each bounded field; ``output`` belongs to no type.
+BOUNDED = [pytest.param(cls, f, id=f.name)
+           for cls in (SpinSystem, NoiseModel, EnsembleSpec, PumpConfig)
+           for f in dataclasses.fields(cls) if "check" in f.metadata]
+BOUNDED.append(pytest.param(None, SETTINGS["output"], id="output"))
+
+
+@pytest.mark.parametrize("cls, setting", BOUNDED)
+def test_one_bound_rejects_with_one_message(capsys, cls, setting):
+    """The config reader, the flag and the constructor share each bound and its message."""
+    meta, value = setting.metadata, OUT_OF_BOUNDS[setting.name]
+    text = str(value)
+    with pytest.raises(ValueError) as exc:
+        meta["check"](value)
+    need = str(exc.value)
+    if meta["section"] is not None:
+        header = f"[{meta['section']}]\n" if meta["section"] else ""
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(f"{header}{key_of(setting)} = {text}\n", source="run.cfg")
+        assert str(exc.value) == f"run.cfg:{1 + bool(header)}: {key_of(setting)}: {need}"
+    if meta["flag"] is not None:
+        command = next(cmd for cmd in subparsers() if meta["flag"] in offered_flags(cmd))
+        assert run(capsys, [command, meta["flag"], text]) == (
+            1, "", f"donorsim: error: {meta['flag']}: {need}\n")
+    if cls is not None:
+        with pytest.raises(ValueError) as exc:
+            build(cls, {"seed": 0, setting.name: value})
+        assert str(exc.value) == f"{setting.name}: {need}"
+
+
 #: A small run of each subcommand that takes settings (all but ``parse``), before its
 #: noise is switched on.
 PROBE_RUNS = {
@@ -699,26 +753,27 @@ PROBE_RUNS = {
     "fit": [str(GOLDEN / "hahn_mean_t0_parallel.csv")],
     "estimate-field": ["--splitting-khz", "111.819"],
 }
-#: The noise of every base run, each setting where it is offered.
+#: The noise of every base run, each setting (by field name) where it is offered.
 NOISE_ON = {"static_detuning_khz": "1.5", "ou_sigma_khz": "0.05", "ou_tau_c_s": "0.2",
-            "internal_fraction": "0.5", "t2_s": "0.05"}
+            "internal_fraction": "0.5", "phenomenological_t2_s": "0.05"}
 #: A good value of each setting flag, other than its value in the base runs.
 PROBE_TEXT = {
-    "seed": "3", "members": "4", "b0_ut": "6", "b0_orientation": "perpendicular",
+    "seed": "3", "n_members": "4", "b0_magnitude_ut": "6", "b0_orientation": "perpendicular",
     "transition": "T+", "b1_amplitude_mt": "2e-3", "static_detuning_khz": "3",
     "ou_sigma_khz": "0.5", "ou_tau_c_s": "0.01", "internal_fraction": "0",
-    "internal_field_ut": "20", "t2_s": "0.01", "stretching_n": "2", "auger_rate": "1e5",
+    "internal_field_ut": "20", "phenomenological_t2_s": "0.01", "stretching_n": "2",
+    "auger_rate": "1e5",
     "branch_to_s": "0.5", "randomization_rate": "100", "gain": "2",
     "optical_linewidth_mhz": "60",
 }
 
 
 def config_text(values: dict[str, str]) -> str:
-    """A config file setting ``values``, each key under its section."""
+    """A config file setting ``values`` (by field name), each key under its section."""
     lines: dict[str, list[str]] = {}
-    for f in dataclasses.fields(RunConfig):
+    for f in SETTINGS.values():
         if f.name in values:
-            lines.setdefault(f.metadata["section"], []).append(f"{f.name} = {values[f.name]}\n")
+            lines.setdefault(f.metadata["section"], []).append(f"{key_of(f)} = {values[f.name]}\n")
     return "".join(f"[{section}]\n" * bool(section) + "".join(keys)
                    for section, keys in sorted(lines.items()))
 

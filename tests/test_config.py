@@ -6,12 +6,19 @@ import inspect
 
 import pytest
 
-from donorsim import cli, config, noise, pulse, pump, spincore
+from donorsim import cli, pulse, pump, spincore
 from donorsim.config import (
     DEFAULT_SEED,
+    DRIVE_DIRECTIONS,
     SEED_ENV_VAR,
+    SETTINGS,
+    TRIPLET_LABELS,
     ConfigError,
-    RunConfig,
+    EnsembleSpec,
+    NoiseModel,
+    PumpConfig,
+    SpinSystem,
+    build,
     load_config,
     parse_config_text,
     resolve_seed,
@@ -55,30 +62,32 @@ stretching_n        = 1.8
 
 
 def test_empty_text_gives_defaults():
-    cfg = parse_config_text("")
-    assert cfg == RunConfig()
-    assert cfg.b0_ut == 4.0
-    assert cfg.transition == "T0"
-    assert cfg.t2_s is None
-    assert cfg.seed is None
+    assert parse_config_text("") == {}
+    # the library defaults, but for the run defaults of the member count and the field
+    assert build(SpinSystem, {}) == spincore.PHOSPHORUS
+    assert build(PumpConfig, {}) == PumpConfig()
+    assert build(EnsembleSpec, {"seed": 0}) == EnsembleSpec(n_members=1000, seed=0,
+                                                            b0_magnitude_ut=4.0)
+    assert EnsembleSpec(n_members=1, seed=0).b0_magnitude_ut == 0.0
 
 
 def test_full_file_parses_every_section():
     cfg = parse_config_text(FULL_TEXT)
-    assert cfg.seed == 42
-    assert cfg.output == "out.csv"
-    assert cfg.b0_ut == 23.0
-    assert cfg.b0_orientation == "perpendicular"
-    assert cfg.transition == "T+"
-    assert cfg.gain == -2.0
-    assert cfg.members == 250
-    assert cfg.t2_s == 10.0
-    assert cfg.stretching_n == 1.8
+    assert cfg["seed"] == 42
+    assert cfg["output"] == "out.csv"
+    assert cfg["b0_magnitude_ut"] == 23.0
+    assert cfg["b0_orientation"] == "perpendicular"
+    assert cfg["transition"] == "T+"
+    assert cfg["gain"] == -2.0
+    assert cfg["n_members"] == 250
+    assert cfg["phenomenological_t2_s"] == 10.0
+    assert cfg["stretching_n"] == 1.8
+    assert len(cfg) == len(SETTINGS)
 
 
 def test_comments_and_blank_lines_ignored():
     cfg = parse_config_text("# lone comment\n\nseed = 7   # trailing comment\n")
-    assert cfg.seed == 7
+    assert cfg == {"seed": 7}
 
 
 @pytest.mark.parametrize("text, lineno, fragment", [
@@ -120,9 +129,8 @@ def test_keys_are_section_scoped():
 
 
 def test_t2_none_and_off():
-    assert parse_config_text("[noise]\nt2_s = none").t2_s is None
-    assert parse_config_text("[noise]\nt2_s = off").t2_s is None
-    assert parse_config_text("[noise]\nt2_s = 0.5").t2_s == 0.5
+    for text, t2_s in (("none", None), ("off", None), ("0.5", 0.5)):
+        assert parse_config_text(f"[noise]\nt2_s = {text}") == {"phenomenological_t2_s": t2_s}
 
 
 def test_invalid_spin_constants_rejected_cross_field():
@@ -132,26 +140,22 @@ def test_invalid_spin_constants_rejected_cross_field():
 
 
 def test_derived_objects_mirror_settings():
+    # each key sets its field, also where the key is not the field's name
     cfg = parse_config_text(FULL_TEXT)
-    spin = cfg.spin_system()
-    assert spin.hyperfine_a == 117.53
-    noise = cfg.noise_model()
-    assert noise.ou_sigma_khz == 0.05
-    assert noise.phenomenological_t2_s == 10.0
-    pump = cfg.pump_config()
-    assert pump.gain == -2.0
+    spin = parse_config_text("[spin]\nhyperfine_a_mhz = 100\ngamma_s_mhz_per_mt = 28\n"
+                             "gamma_i_mhz_per_mt = 0.02\n")
+    assert build(SpinSystem, spin) == SpinSystem(100.0, 28.0, 0.02)
+    spec = build(EnsembleSpec, cfg)
+    assert (spec.n_members, spec.seed, spec.b0_magnitude_ut) == (250, 42, 23.0)
+    assert spec.noise == NoiseModel(1.5, 0.05, 0.2, 0.4, 6.0, 10.0, 1.8)
+    assert build(PumpConfig, cfg).gain == -2.0
 
 
 def test_defaults_are_the_physics_modules_defaults():
-    # config and cli write these facts out so that building the parser loads no physics
-    cfg = RunConfig()
-    assert cfg.spin_system() == spincore.PHOSPHORUS
-    assert cfg.pump_config() == pump.PumpConfig()
-    assert cfg.optical_linewidth_mhz == pump.DEFAULT_OPTICAL_LINEWIDTH_MHZ
     # the geometries and lines a setting accepts, and names when it rejects a text
-    candidates = {*noise.DRIVE_DIRECTIONS, *spincore.LABELS, "antiparallel", "T2", ""}
-    for parse, names in ((config._parse_orientation, noise.DRIVE_DIRECTIONS),
-                         (config._parse_transition, spincore.TRIPLET_LABELS)):
+    candidates = {*DRIVE_DIRECTIONS, *spincore.LABELS, "antiparallel", "T2", ""}
+    for parse, names in ((SETTINGS["b0_orientation"].metadata["parse"], DRIVE_DIRECTIONS),
+                         (SETTINGS["transition"].metadata["parse"], TRIPLET_LABELS)):
         assert [parse(name) for name in names] == list(names)
         for text in candidates.difference(names):
             with pytest.raises(ValueError) as exc:
@@ -187,15 +191,15 @@ def test_load_config_errors_name_the_file(tmp_path):
 
 def test_resolve_seed_precedence(monkeypatch):
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-    assert resolve_seed(None, RunConfig()) == DEFAULT_SEED
-    assert resolve_seed(None, RunConfig(seed=9)) == 9
-    assert resolve_seed(5, RunConfig(seed=9)) == 5
+    assert resolve_seed(None, None) == DEFAULT_SEED
+    assert resolve_seed(None, 9) == 9
+    assert resolve_seed(5, 9) == 5
     monkeypatch.setenv(SEED_ENV_VAR, "77")
-    assert resolve_seed(None, RunConfig()) == 77
-    assert resolve_seed(None, RunConfig(seed=9)) == 77  # env beats file
-    assert resolve_seed(5, RunConfig()) == 5            # flag beats env
+    assert resolve_seed(None, None) == 77
+    assert resolve_seed(None, 9) == 77  # env beats file
+    assert resolve_seed(5, None) == 5   # flag beats env
     monkeypatch.setenv(SEED_ENV_VAR, "charm")
     with pytest.raises(ConfigError) as exc:
-        resolve_seed(None, RunConfig())
+        resolve_seed(None, None)
     assert SEED_ENV_VAR in str(exc.value)
 

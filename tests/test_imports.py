@@ -2,15 +2,16 @@
 and every definition is reachable.
 
 Every import in the package is used in its scope: the module, or the
-function whose body holds it.  Every import anywhere in the package names
-the standard library, numpy or the package itself, and a fit that takes the
-Nelder-Mead rescue loads no scipy, so no lazy import of it can come back
-unnoticed.  A peak fit loads no ``numpy.ma``, which the first ``np.median``
-call of a process imports.
+function whose body holds it; ``from m import x as x`` re-exports ``x`` and
+counts as used.  Every import anywhere in the package names the standard
+library, numpy or the package itself, and a fit that takes the Nelder-Mead
+rescue loads no scipy, so no lazy import of it can come back unnoticed.
+A peak fit loads no ``numpy.ma``, which the first ``np.median`` call of a
+process imports.
 
 Start-up is lazy: ``import donorsim`` loads no submodule, building the CLI
-parser loads only ``config``, a run rejected before any work loads no
-numpy, and a subcommand loads only the modules it runs.
+parser loads only ``config``, a run rejected before any work and ``parse``
+load no numpy, and a subcommand loads only the modules it runs.
 
 Reachability: every module-level function and class of the package, and
 every method of those classes, is reached from a root by a chain of
@@ -34,15 +35,22 @@ constructor, is passed by at least one reached call (by keyword, by
 position, or through ``*`` or ``**``), and every field of a reached
 dataclass is read by reached code other than its own class's
 ``__post_init__``.  Calls and reads match by name, as references do, and
-the benchmark's workload code counts as reached.  Dunder methods are not
-checked, since the runtime calls them.  ``VALUES_ALLOWED`` names the values
-that an open ROADMAP item will set, read or delete, and it cannot go stale
-either.
+the benchmark's workload code counts as reached.  A field that
+``config.build`` fills from a run's settings (``BUILT``) counts as passed,
+since that call names no class.  Dunder methods are not checked, since the
+runtime calls them.  ``VALUES_ALLOWED`` names the values that an open
+ROADMAP item will set, read or delete, and it cannot go stale either.
+
+Names: every name that a module's top level assigns is read by reached
+code or by the benchmark's workload code, matched by name; dunders are
+exempt.  ``NAMES_ALLOWED`` names the ones an open ROADMAP item will read or
+delete, and it cannot go stale either.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import os
 import pathlib
 import subprocess
@@ -51,7 +59,7 @@ import sys
 import pytest
 
 import donorsim
-from donorsim import cli, seqdsl, spincore
+from donorsim import cli, config, seqdsl, spincore
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "donorsim"
@@ -79,8 +87,8 @@ UNREACHED_ALLOWED = {
 #: ROADMAP item that will set, read or delete that value.
 VALUES_ALLOWED = {
     # the pump rates of a readout; optical_spectrum passes its rates apart
-    "pump.PumpConfig.pump_rate_s": "ROADMAP item 12",
-    "pump.PumpConfig.pump_rate_t": "ROADMAP item 12",
+    "config.PumpConfig.pump_rate_s": "ROADMAP item 12",
+    "config.PumpConfig.pump_rate_t": "ROADMAP item 12",
     # the health line of the stats report
     "fitkit.FitResult.rss_trace": "ROADMAP item 4",
     # documented library results, read by library callers; the CLI writes
@@ -88,6 +96,21 @@ VALUES_ALLOWED = {
     "csvio.Series.x": "ROADMAP item 14",
     "spincore.TransitionLine.frequency_mhz": "ROADMAP item 14",
     "spincore.TransitionLine.element_perpendicular_mhz_per_mt": "ROADMAP item 14",
+}
+
+#: ``module.Class.field`` of each field that ``config.build`` passes through
+#: ``**``: every row of the settings table, and a field that holds a settings type.
+BUILT = frozenset(
+    f"config.{cls.__name__}.{f.name}"
+    for cls in (config.EnsembleSpec, config.NoiseModel, config.PumpConfig, config.SpinSystem)
+    for f in dataclasses.fields(cls)
+    if f.name in config.SETTINGS or dataclasses.is_dataclass(f.default))
+
+#: ``module.NAME`` of a module-level name -> the open ROADMAP item that will read
+#: or delete it.
+NAMES_ALLOWED = {
+    # the sequence text of the built-in echo, which ``donorsim run`` will run
+    "seqdsl.HAHN_TEXT": "ROADMAP item 2",
 }
 
 
@@ -100,7 +123,8 @@ def _unused_in(scope: ast.AST, imports: list[ast.stmt]) -> list[str]:
                 bound[alias.asname or alias.name.split(".")[0]] = node.lineno
         elif node.module != "__future__":
             for alias in node.names:
-                bound[alias.asname or alias.name] = node.lineno
+                if alias.asname != alias.name:  # ``x as x`` re-exports x
+                    bound[alias.asname or alias.name] = node.lineno
     used = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
     return [f"line {line}: {name}" for name, line in bound.items() if name not in used]
 
@@ -269,18 +293,26 @@ def _passes(call: ast.Call, name: str, position: int | None) -> bool:
                                         for i, arg in enumerate(call.args))
 
 
+def _reached_code(sources: dict[str, str], roots: set[str], extra: dict[str, str] | None):
+    """``_reach`` on ``sources``, with the whole code of ``extra`` (name ->
+    source) reached as well."""
+    defs, reached, code = _reach(sources, roots)
+    return defs, reached, code + [(ast.parse(text), None, None) for text in (extra or {}).values()]
+
+
 def unused_values(sources: dict[str, str], roots: set[str],
-                  extra: dict[str, str] | None = None) -> dict[str, int]:
+                  extra: dict[str, str] | None = None,
+                  passed: frozenset[str] = frozenset()) -> dict[str, int]:
     """The values of reached definitions that no reached code sets or reads,
     as name -> line, by the value rule of the module docstring.
 
     ``sources`` and ``roots`` are those of ``unreached``.  The code of
     ``extra`` (name -> source) is reached as a whole: its calls and reads
     count.  A parameter is named ``module.function(parameter)`` and a
-    dataclass field ``module.Class.field``.
+    dataclass field ``module.Class.field``; the fields named in ``passed``
+    count as passed.
     """
-    defs, reached, code = _reach(sources, roots)
-    code += [(ast.parse(source), None, None) for source in (extra or {}).values()]
+    defs, reached, code = _reached_code(sources, roots, extra)
     calls: dict[tuple[str, ...], list[ast.Call]] = {}  # callee -> reached calls of it
     reads: dict[tuple[str, ...], set[str | None]] = {}  # attribute -> functions reading it
     for top, owner, function in code:
@@ -310,9 +342,36 @@ def unused_values(sources: dict[str, str], roots: set[str],
         else:
             callers = calls.get((node.name,), []) + calls.get((owner, node.name), [])
         for name, position, default, line in _parameters(node, owner):
-            if default and not any(_passes(call, name, position) for call in callers):
+            if default and f"{qualname}.{name}" not in passed and not any(
+                    _passes(call, name, position) for call in callers):
                 found.setdefault(f"{qualname}.{name}" if isinstance(node, ast.ClassDef)
                                  else f"{qualname}({name})", line)
+    return found
+
+
+def unread_names(sources: dict[str, str], roots: set[str],
+                 extra: dict[str, str] | None = None) -> dict[str, int]:
+    """The names that a module's top level assigns and no reached code reads,
+    as ``module.NAME`` -> line, by the name rule of the module docstring.
+
+    ``sources``, ``roots`` and ``extra`` are those of ``unused_values``.
+    """
+    _, _, code = _reached_code(sources, roots, extra)
+    read = set()
+    for top, _, _ in code:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    found = {}
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            found.update((f"{module}.{target.id}", node.lineno) for target in targets
+                         if isinstance(target, ast.Name) and not _is_dunder(target.id)
+                         and target.id not in read)
     return found
 
 
@@ -358,8 +417,9 @@ def _package_unreached() -> dict[str, int]:
 
 
 def test_checker_flags_an_unused_import():
-    source = "from __future__ import annotations\nimport cmath\nimport math\nmath.pi\n"
-    assert unused_imports(source) == ["line 2: cmath"]
+    source = ("from __future__ import annotations\nimport cmath\nimport math\nmath.pi\n"
+              "from os import sep as sep\nfrom os import linesep as newline\n")
+    assert unused_imports(source) == ["line 2: cmath", "line 6: newline"]
 
 
 def test_checker_flags_an_unused_import_in_a_function_body():
@@ -461,9 +521,28 @@ def test_every_allowed_definition_is_still_defined_and_unreached(qualname):
 
 def test_every_value_is_passed_and_read_or_waits_on_an_open_item():
     sources, roots, workloads = _package()
-    failures = value_failures(unused_values(sources, roots, {"workloads": workloads}),
+    failures = value_failures(unused_values(sources, roots, {"workloads": workloads}, BUILT),
                               VALUES_ALLOWED)
     assert not failures, "values of reached code:\n" + "\n".join(failures)
+
+
+def test_name_checker_flags_module_level_names_no_reached_code_reads():
+    source = ("import math\n__version__ = '1'\nSCALE = 2.0\nLIMIT: float = 3.0\n"
+              "UNUSED = 4\nOTHER = SCALE * 2\nORPHAN = 5\nBENCH = 6\n"
+              "def api():\n    return LIMIT, math.pi\n"
+              "def _unreached():\n    return ORPHAN\n")
+    assert unread_names({"a": source}, {"a.api"}, {"bench": "import a\na.BENCH\n"}) == {
+        "a.UNUSED": 5, "a.OTHER": 6, "a.ORPHAN": 7}
+
+
+def test_every_module_level_name_is_read_or_waits_on_an_open_item():
+    sources, roots, workloads = _package()
+    found = unread_names(sources, roots, {"workloads": workloads})
+    failures = ([f"src/donorsim/{name.split('.')[0]}.py:{line}: {name} is read by no reached "
+                 "code" for name, line in found.items() if name not in NAMES_ALLOWED]
+                + [f"{name} is read, or gone; delete its NAMES_ALLOWED entry"
+                   for name in NAMES_ALLOWED if name not in found])
+    assert not failures, "module-level names:\n" + "\n".join(failures)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -537,22 +616,33 @@ def test_the_parser_loads_only_config(call):
     assert _fresh_process(script) == "['donorsim', 'donorsim.cli', 'donorsim.config']\n"
 
 
-#: Runs that ``main`` rejects before any work, by the exit code they give.
+#: Runs that ``main`` rejects before any work, by the exit code they give;
+#: ``BAD_CONFIG`` and ``CONFIG`` stand for a config file with an unknown key and
+#: a valid one.
 REJECTED_RUNS = {
     "help": (["--help"], 0),
     "unknown flag": (["hahn", "--no-such-flag"], 1),
-    "unknown config key": (["hahn", "--config", "CONFIG"], 1),
+    "unknown config key": (["hahn", "--config", "BAD_CONFIG"], 1),
     "one point": (["hahn", "--points", "1"], 1),
+    "valid config, one point": (["hahn", "--config", "CONFIG", "--points", "1"], 1),
 }
 
 
 @pytest.mark.parametrize("run", sorted(REJECTED_RUNS))
 def test_a_run_rejected_before_any_work_loads_no_numpy(tmp_path, run):
-    config = tmp_path / "bad.ini"
-    config.write_text("no_such_key = 1\n", encoding="utf-8")
+    files = {"BAD_CONFIG": "no_such_key = 1\n", "CONFIG": "seed = 3\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
     argv, code = REJECTED_RUNS[run]
-    argv = [str(config) if arg == "CONFIG" else arg for arg in argv]
+    argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]
     assert _main_loading(argv, "numpy") == f"{code} []\n"
+
+
+@pytest.mark.parametrize("text, code", [(seqdsl.HAHN_TEXT, 0), ("seq s {", 1)])
+def test_parse_loads_no_numpy(tmp_path, text, code):
+    sequence = tmp_path / "s.seq"
+    sequence.write_text(text, encoding="utf-8")
+    assert _main_loading(["parse", str(sequence)], "numpy") == f"{code} []\n"
 
 
 def test_help_loads_no_ctypes():
@@ -561,19 +651,19 @@ def test_help_loads_no_ctypes():
 
 
 #: Subcommand -> the flags of a small run of it, and the package modules
-#: besides ``cli``, ``config`` and ``csvio`` that the run loads; ``pulse``
-#: loads ``fitkit`` for its stretched-exponential envelope.
+#: besides ``cli`` and ``config`` that the run loads; ``pulse`` loads
+#: ``fitkit`` for its stretched-exponential envelope.
 #: ``SEQUENCE`` stands for a file holding ``seqdsl.HAHN_TEXT``.
 _ENSEMBLE_RUN = ["--members", "3", "--points", "3"]
-_ENSEMBLE_MODULES = ["fitkit", "noise", "program", "pulse", "spincore"]
+_ENSEMBLE_MODULES = ["csvio", "fitkit", "noise", "program", "pulse", "spincore"]
 SUBCOMMAND_RUNS = {
-    "levels": (["--points", "3"], ["spincore"]),
+    "levels": (["--points", "3"], ["csvio", "spincore"]),
     "rf-spectrum": (_ENSEMBLE_RUN, _ENSEMBLE_MODULES),
-    "optical-spectrum": (["--points", "3"], ["pump"]),
+    "optical-spectrum": (["--points", "3"], ["csvio", "pump"]),
     "rabi": (_ENSEMBLE_RUN, _ENSEMBLE_MODULES),
     "ramsey": (_ENSEMBLE_RUN, _ENSEMBLE_MODULES),
     "hahn": (_ENSEMBLE_RUN, _ENSEMBLE_MODULES),
-    "fit": ([str(ROOT / "tests/golden/hahn_mean_t0_parallel.csv")], ["fitkit"]),
+    "fit": ([str(ROOT / "tests/golden/hahn_mean_t0_parallel.csv")], ["csvio", "fitkit"]),
     "parse": (["SEQUENCE"], ["program", "seqdsl"]),
     "estimate-field": (["--splitting-khz", "111.819"], ["spincore"]),
 }
@@ -585,8 +675,7 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, command):
     sequence.write_text(seqdsl.HAHN_TEXT, encoding="utf-8")
     flags, modules = SUBCOMMAND_RUNS[command]
     argv = [command, *(str(sequence) if flag == "SEQUENCE" else flag for flag in flags)]
-    want = sorted(["donorsim", *(f"donorsim.{m}" for m in
-                                 ["cli", "config", "csvio", *modules])])
+    want = sorted(["donorsim", *(f"donorsim.{m}" for m in ["cli", "config", *modules])])
     assert _main_loading(argv, "donorsim") == f"0 {want}\n"
 
 

@@ -25,8 +25,6 @@ from donorsim.noise import (
     sensitivity_factor,
 )
 from donorsim.spincore import (
-    GAMMA_I_MHZ_PER_MT,
-    GAMMA_S_MHZ_PER_MT,
     PHOSPHORUS,
     FieldVector,
     eigensystems,
@@ -287,8 +285,8 @@ def test_ou_sigma_scaled_by_line_sensitivity():
 def test_sensitivity_factor_values():
     assert sensitivity_factor(PHOSPHORUS, "T+", 0.0) == pytest.approx(1.0, rel=1e-6)
     assert sensitivity_factor(PHOSPHORUS, "T-", 0.0) == pytest.approx(1.0, rel=1e-6)
-    curvature = (GAMMA_S_MHZ_PER_MT + GAMMA_I_MHZ_PER_MT) ** 2 / 117.53 * 1e-3
-    expected = curvature * 4.0 / ((GAMMA_S_MHZ_PER_MT - GAMMA_I_MHZ_PER_MT) / 2.0)
+    curvature = (PHOSPHORUS.gamma_s + PHOSPHORUS.gamma_i) ** 2 / 117.53 * 1e-3
+    expected = curvature * 4.0 / ((PHOSPHORUS.gamma_s - PHOSPHORUS.gamma_i) / 2.0)
     assert sensitivity_factor(PHOSPHORUS, "T0", 4.0) == pytest.approx(expected, rel=0.01)
 
 

@@ -30,8 +30,6 @@ from donorsim.pulse import (
     two_level_params_for,
 )
 from donorsim.spincore import (
-    GAMMA_I_MHZ_PER_MT,
-    GAMMA_S_MHZ_PER_MT,
     PHOSPHORUS,
     FieldVector,
     transition_frequency,
@@ -201,14 +199,14 @@ def clean_spec(n=1, seed=0, **noise_kwargs):
 def test_two_level_params_from_geometry():
     par = two_level_params_for(clean_spec(), PHOSPHORUS)
     assert par.rabi_coupling_mhz_per_mt == pytest.approx(
-        (GAMMA_S_MHZ_PER_MT + GAMMA_I_MHZ_PER_MT) / 2.0, rel=1e-6)
+        (PHOSPHORUS.gamma_s + PHOSPHORUS.gamma_i) / 2.0, rel=1e-6)
     perp_spec = EnsembleSpec(n_members=1, seed=0, noise=NoiseModel(),
                              transition="T+", b0_magnitude_ut=4.0,
                              b0_orientation="perpendicular", b1_amplitude_mt=1e-3)
     perp = two_level_params_for(perp_spec, PHOSPHORUS)
     # 1e-3 headroom: at 4 µT the Zeeman admixture shifts the element by ~5e-4
     assert perp.rabi_coupling_mhz_per_mt == pytest.approx(
-        (GAMMA_S_MHZ_PER_MT + GAMMA_I_MHZ_PER_MT) / (2 * math.sqrt(2)), rel=1e-3)
+        (PHOSPHORUS.gamma_s + PHOSPHORUS.gamma_i) / (2 * math.sqrt(2)), rel=1e-3)
 
 
 def test_forbidden_geometry_is_rejected():
@@ -399,7 +397,7 @@ def test_4level_matches_two_level_when_well_separated():
     # at 23 µT with the drive 10x below the Zeeman splitting the nominal
     # S->T0 pi pulse must transfer within 1% of the two-level prediction
     b0 = FieldVector(0.4, 0.0, 23.0)
-    coupling = (GAMMA_S_MHZ_PER_MT + GAMMA_I_MHZ_PER_MT) / 2.0
+    coupling = (PHOSPHORUS.gamma_s + PHOSPHORUS.gamma_i) / 2.0
     splitting_mhz = (
         transition_frequency(PHOSPHORUS, "T+", b0.magnitude())
         - transition_frequency(PHOSPHORUS, "T0", b0.magnitude())
@@ -537,7 +535,7 @@ def oracle_4level(program, b0, b1, direction, freq_mhz, dt_us=DT_S * 1e6):
 @pytest.mark.parametrize("b", [(0.4, 0.0, 23.0), (0.4, 0.0, 0.0)])
 def test_4level_step_error_is_below_1e_10_against_half_the_step(b):
     # the drive-4level drive (b1 a tenth of the T+/T0 gap at 23 µT) for 2000 steps
-    coupling = (GAMMA_S_MHZ_PER_MT + GAMMA_I_MHZ_PER_MT) / 2.0
+    coupling = (PHOSPHORUS.gamma_s + PHOSPHORUS.gamma_i) / 2.0
     gap_mhz = (transition_frequency(PHOSPHORUS, "T+", 23.0)
                - transition_frequency(PHOSPHORUS, "T0", 23.0))
     b0 = FieldVector(*b)
@@ -651,7 +649,7 @@ def test_rf_spectrum_internal_subpopulation_adds_fixed_sidebands():
         return rf_spectrum(spec, PHOSPHORUS, offsets, kernel_fwhm_khz=6.0).values
 
     lo, hi = spectrum(1.0), spectrum(2.0)
-    sideband = (GAMMA_S_MHZ_PER_MT - GAMMA_I_MHZ_PER_MT) / 2 * 6.0  # ~83.9 kHz
+    sideband = (PHOSPHORUS.gamma_s - PHOSPHORUS.gamma_i) / 2 * 6.0  # ~83.9 kHz
     window = (offsets > 60) & (offsets < 110)
 
     def band_centroid(values):

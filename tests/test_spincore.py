@@ -12,9 +12,6 @@ from hypothesis import strategies as st
 
 from donorsim import spincore
 from donorsim.spincore import (
-    GAMMA_I_MHZ_PER_MT,
-    GAMMA_S_MHZ_PER_MT,
-    HYPERFINE_A_MHZ,
     PHOSPHORUS,
     FieldVector,
     SpinSystem,
@@ -28,9 +25,9 @@ from donorsim.spincore import (
 )
 from scalar_oracle import rf_matrix_element
 
-A = HYPERFINE_A_MHZ
-GS = GAMMA_S_MHZ_PER_MT
-GI = GAMMA_I_MHZ_PER_MT
+A = PHOSPHORUS.hyperfine_a
+GS = PHOSPHORUS.gamma_s
+GI = PHOSPHORUS.gamma_i
 
 
 def eig_for(field_ut: FieldVector, system: SpinSystem = PHOSPHORUS):
