@@ -29,8 +29,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "config": ("EnsembleSpec", "NoiseModel", "PumpConfig", "SpinSystem", "load_config"),
     "fitkit": ("FitResult", "fit_peaks", "fit_stretched_exp"),
-    "program": ("Delay", "PhaseCycle", "Pulse", "PulseProgram", "hahn_program",
-                "ramsey_program"),
+    "program": ("Delay", "PhaseCycle", "Pulse", "PulseProgram"),
     "pulse": ("TwoLevelParams", "hahn_experiment", "rabi_experiment", "ramsey_experiment",
               "rf_spectrum", "run_sequence", "simulate_4level"),
     "pump": ("PopulationState", "optical_spectrum", "steady_state"),

@@ -210,11 +210,11 @@ class EnsembleSpec(_Checked):
     drive direction in ``DRIVE_DIRECTIONS``.
     """
 
-    n_members: int = _setting(MISSING, _bound(lambda n: n >= 1, "members must be >= 1"),
+    n_members: int = _setting(MISSING, _bound(lambda n: n >= 1, "must be >= 1"),
                               "ensemble", key="members", read=parse_int, run_default=1000,
                               flag="--members", metavar="N", help="ensemble size")
     seed: int = _setting(MISSING, _bound(lambda n: 0 <= n < COMMON_STREAM_INDEX,
-                                         "seed must lie in [0, 2**63)"),
+                                         "must lie in [0, 2**63)"),
                          "", read=parse_int, flag="--seed", metavar="N",
                          help="RNG seed; beats config file and DONORSIM_SEED")
     noise: NoiseModel = NoiseModel()

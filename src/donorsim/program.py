@@ -140,36 +140,3 @@ class PulseProgram:
             expanded.append(PulseProgram(name=self.name, events=events, cycles=()))
         return expanded
 
-
-def hahn_program() -> PulseProgram:
-    """The phase-cycled Hahn echo: +-pi/2 : tau : pi : tau : pi/2.
-
-    The first pulse carries a two-shot phase cycle {0, 180 deg}; adding
-    180 deg to a pi/2 pulse is the same as inverting its rotation sense, so
-    the two shots start with +pi/2 and -pi/2 respectively.
-    """
-    half = math.pi / 2.0
-    return PulseProgram(
-        name="hahn",
-        events=(
-            Pulse(angle_rad=half, phase_rad=0.0, label="p1"),
-            Delay(symbol="tau"),
-            Pulse(angle_rad=math.pi, phase_rad=0.0),
-            Delay(symbol="tau"),
-            Pulse(angle_rad=half, phase_rad=0.0),
-        ),
-        cycles=(PhaseCycle(pulse_label="p1", offsets_rad=(0.0, math.pi)),),
-    )
-
-
-def ramsey_program() -> PulseProgram:
-    """Two pi/2 pulses separated by a symbolic delay tau."""
-    half = math.pi / 2.0
-    return PulseProgram(
-        name="ramsey",
-        events=(
-            Pulse(angle_rad=half, phase_rad=0.0),
-            Delay(symbol="tau"),
-            Pulse(angle_rad=half, phase_rad=0.0),
-        ),
-    )

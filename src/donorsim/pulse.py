@@ -36,7 +36,7 @@ from .config import DRIVE_DIRECTIONS
 from .csvio import Series, series_axis
 from .fitkit import stretched_exp_model
 from .noise import EnsembleSpec, MemberEnvironment, _ou_coefficients
-from .program import Delay, Pulse, PulseProgram, hahn_program, ramsey_program
+from .program import Delay, Pulse, PulseProgram
 from .spincore import FieldVector, SpinSystem
 
 
@@ -447,6 +447,16 @@ def _ensemble_mean(spec: EnsembleSpec, system: SpinSystem, programs: list[list[P
     return (np.zeros(shape) if total is None else total) / spec.n_members
 
 
+def _tau_programs(name: str, taus: np.ndarray) -> list[list[PulseProgram]]:
+    """The built-in text ``name`` compiled, its cycles expanded and ``tau``
+    bound per sweep point: the (points x cycles) grid of shot programs."""
+    from . import seqdsl  # only the experiments that run a text load the DSL
+
+    text = {"ramsey": seqdsl.RAMSEY_TEXT, "hahn": seqdsl.HAHN_TEXT}[name]
+    shots = seqdsl.compile(seqdsl.parse(text)).shots()
+    return [[p.bind({"tau": float(tau)}) for p in shots] for tau in taus]
+
+
 def rabi_experiment(
     spec: EnsembleSpec, system: SpinSystem, lengths_s: np.ndarray
 ) -> Series:
@@ -473,10 +483,9 @@ def rabi_experiment(
 def ramsey_experiment(
     spec: EnsembleSpec, system: SpinSystem, taus_s: np.ndarray
 ) -> Series:
-    """Ensemble-averaged pi/2 : tau : pi/2 fringe (final T population)."""
+    """Ensemble-averaged fringe of ``seqdsl.RAMSEY_TEXT``, pi/2 : tau : pi/2 (final p_T)."""
     taus = series_axis(taus_s)
-    program = ramsey_program()
-    programs = [[program.bind({"tau": float(tau)})] for tau in taus]
+    programs = _tau_programs("ramsey", taus)
     mean = _ensemble_mean(spec, system, programs, lambda p_t: p_t[:, 0, :, 0], taus.shape)
     return Series(x=taus, values=mean)
 
@@ -510,8 +519,8 @@ def hahn_experiment(
 ) -> Series:
     """Phase-cycled Hahn echo decay over an ensemble.
 
-    For every tau the +-pi/2 : tau : pi : tau : pi/2 sequence runs twice per
-    member (first pulse phase cycled by 180 deg); the two p_T readouts are
+    For every tau ``seqdsl.HAHN_TEXT``, +-pi/2 : tau : pi : tau : pi/2, runs twice
+    per member (first pulse phase cycled by 180 deg); the two p_T readouts are
     subtracted and the difference is normalized by its ideal zero-noise,
     zero-tau value of -1, so a clean echo reads 1.0.  The optional
     phenomenological envelope multiplies the per-member cycled signal.
@@ -543,8 +552,7 @@ def hahn_experiment(
         raise ValueError("shots_per_point applies only to detection='max'")
     n_shots = 1 if detection == "mean" else (shots_per_point or 100)
 
-    shot_programs = hahn_program().shots()  # [first pulse +pi/2, first pulse -pi/2]
-    programs = [[p.bind({"tau": float(tau)}) for p in shot_programs] for tau in taus]
+    programs = _tau_programs("hahn", taus)  # cycles: first pulse +pi/2, first pulse -pi/2
     envelope = np.ones_like(taus)
     pheno = spec.noise.phenomenological_t2_s
     if pheno is not None:

@@ -406,7 +406,16 @@ def pretty_print(ast: SequenceAst) -> str:
     return "\n".join(lines) + "\n"
 
 
-#: Canonical phase-cycled Hahn echo source text.
+#: The built-in Ramsey fringe and phase-cycled Hahn echo in canonical form;
+#: ``pulse.ramsey_experiment`` and ``pulse.hahn_experiment`` run them.
+RAMSEY_TEXT = """\
+seq ramsey {
+  pulse angle=90 phase=0;
+  delay tau;
+  pulse angle=90 phase=0;
+}
+"""
+
 HAHN_TEXT = """\
 seq hahn {
   cycle p1 [0, 180];

@@ -382,7 +382,7 @@ def test_env_seed_beats_config_seed(tmp_path, monkeypatch):
     # the env seed is read only as the ensemble is built, after the sweep and --workers
     (["hahn", "--points", "1"], 1, "donorsim: error: --points must be >= 2\n"),
     (HAHN_SMALL + ["--workers", "0"], 1, "donorsim: error: workers must be >= 1\n"),
-    (HAHN_SMALL, 1, "donorsim: error: DONORSIM_SEED: seed must lie in [0, 2**63)\n"),
+    (HAHN_SMALL, 1, "donorsim: error: DONORSIM_SEED: must lie in [0, 2**63)\n"),
     (["levels", "--points", "3"], 0, ""),  # a subcommand that draws no ensemble ignores it
 ])
 def test_a_bad_env_seed_is_read_only_by_an_ensemble(monkeypatch, capsys, argv, code, err):

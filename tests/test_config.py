@@ -97,7 +97,7 @@ def test_comments_and_blank_lines_ignored():
     ("[spin\n", 1, "malformed section header"),
     ("seed 42", 1, "expected 'key = value'"),
     ("seed = charm", 1, "expected an integer"),
-    ("seed = -1", 1, "seed must lie in"),
+    ("seed = -1", 1, "seed: must lie in"),
     ("[field]\nb0_ut = fast", 2, "expected a number"),
     ("[field]\nb0_ut = -1", 2, "non-negative"),
     ("[field]\nb0_orientation = diagonal", 2, "'parallel' or 'perpendicular'"),
@@ -105,7 +105,7 @@ def test_comments_and_blank_lines_ignored():
     ("[pump]\nbranch_to_s = 1.5", 2, "[0, 1]"),
     ("[pump]\npump_rate_s = 1e3", 2, "unknown key 'pump_rate_s' in [pump]"),
     ("[pump]\npump_rate_t = 2e4", 2, "unknown key 'pump_rate_t' in [pump]"),
-    ("[ensemble]\nmembers = 0", 2, "members must be >= 1"),
+    ("[ensemble]\nmembers = 0", 2, "members: must be >= 1"),
     ("[noise]\nou_tau_c_s = 0", 2, "positive"),
     ("[noise]\nstatic_detuning_khz = -1", 2, "non-negative"),
     ("\n\n[noise]\nt2_s = -3", 4, "positive"),

@@ -108,10 +108,7 @@ BUILT = frozenset(
 
 #: ``module.NAME`` of a module-level name -> the open ROADMAP item that will read
 #: or delete it.
-NAMES_ALLOWED = {
-    # the sequence text of the built-in echo, which ``donorsim run`` will run
-    "seqdsl.HAHN_TEXT": "ROADMAP item 2",
-}
+NAMES_ALLOWED: dict[str, str] = {}
 
 
 def _unused_in(scope: ast.AST, imports: list[ast.stmt]) -> list[str]:
@@ -652,7 +649,8 @@ def test_help_loads_no_ctypes():
 
 #: Subcommand -> the flags of a small run of it, and the package modules
 #: besides ``cli`` and ``config`` that the run loads; ``pulse`` loads
-#: ``fitkit`` for its stretched-exponential envelope.
+#: ``fitkit`` for its stretched-exponential envelope, and ``ramsey`` and ``hahn``
+#: load ``seqdsl`` to compile their sequence texts.
 #: ``SEQUENCE`` stands for a file holding ``seqdsl.HAHN_TEXT``.
 _ENSEMBLE_RUN = ["--members", "3", "--points", "3"]
 _ENSEMBLE_MODULES = ["csvio", "fitkit", "noise", "program", "pulse", "spincore"]
@@ -661,8 +659,8 @@ SUBCOMMAND_RUNS = {
     "rf-spectrum": (_ENSEMBLE_RUN, _ENSEMBLE_MODULES),
     "optical-spectrum": (["--points", "3"], ["csvio", "pump"]),
     "rabi": (_ENSEMBLE_RUN, _ENSEMBLE_MODULES),
-    "ramsey": (_ENSEMBLE_RUN, _ENSEMBLE_MODULES),
-    "hahn": (_ENSEMBLE_RUN, _ENSEMBLE_MODULES),
+    "ramsey": (_ENSEMBLE_RUN, [*_ENSEMBLE_MODULES, "seqdsl"]),
+    "hahn": (_ENSEMBLE_RUN, [*_ENSEMBLE_MODULES, "seqdsl"]),
     "fit": ([str(ROOT / "tests/golden/hahn_mean_t0_parallel.csv")], ["csvio", "fitkit"]),
     "parse": (["SEQUENCE"], ["program", "seqdsl"]),
     "estimate-field": (["--splitting-khz", "111.819"], ["spincore"]),

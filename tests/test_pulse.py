@@ -14,10 +14,10 @@ from scipy.linalg import expm
 import scalar_oracle
 from scalar_oracle import propagate_pulse
 
-from donorsim import noise, pulse, spincore
+from donorsim import noise, pulse, seqdsl, spincore
 from donorsim.csvio import Series
 from donorsim.noise import EnsembleSpec, MemberEnvironment, NoiseModel, member_rng
-from donorsim.program import Delay, PhaseCycle, Pulse, PulseProgram, hahn_program
+from donorsim.program import Delay, PhaseCycle, Pulse, PulseProgram
 from donorsim.pulse import (
     TwoLevelParams,
     hahn_experiment,
@@ -117,14 +117,17 @@ def test_generalized_rabi_formula_reproduced():
 
 # --- sequences -----------------------------------------------------------------
 
+HAHN = seqdsl.compile(seqdsl.parse(seqdsl.HAHN_TEXT))
+
+
 def bound_hahn(tau):
-    return [p.bind({"tau": tau}) for p in hahn_program().shots()]
+    return [p.bind({"tau": tau}) for p in HAHN.shots()]
 
 
 def test_run_sequence_rejects_cycles_and_symbols():
     with pytest.raises(ValueError):
-        run_sequence(hahn_program(), params_for())
-    symbolic = hahn_program().shots()[0]
+        run_sequence(HAHN, params_for())
+    symbolic = HAHN.shots()[0]
     with pytest.raises(Exception):
         run_sequence(symbolic, params_for())
 
@@ -260,6 +263,26 @@ def test_hahn_static_disorder_only_echo_is_unity():
     series = hahn_experiment(spec, PHOSPHORUS, taus)
     assert isinstance(series, Series)
     assert np.allclose(series.values, 1.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("experiment, name, line, edited, want", [
+    # a pi pulse about y turns the echo over: the cycled signal reads -1
+    (hahn_experiment, "HAHN_TEXT", "pulse angle=180 phase=0;", "pulse angle=180 phase=90;",
+     -1.0),
+    # a last pi/2 pulse about -x undoes the first: no transfer at zero detuning
+    (ramsey_experiment, "RAMSEY_TEXT", "pulse angle=90 phase=0;\n}",
+     "pulse angle=90 phase=180;\n}", 0.0),
+], ids=["hahn", "ramsey"])
+def test_the_experiments_run_their_sequence_texts(monkeypatch, experiment, name, line, edited,
+                                                   want):
+    spec, taus = clean_spec(n=2), np.array([1e-3, 2e-3])
+    text = getattr(seqdsl, name)
+    assert text.count(line) == 1
+    before = experiment(spec, PHOSPHORUS, taus).values
+    monkeypatch.setattr(seqdsl, name, text.replace(line, edited))
+    after = experiment(spec, PHOSPHORUS, taus).values
+    assert not np.array_equal(after, before)
+    assert np.allclose(after, want, atol=1e-12)
 
 
 def test_hahn_phenomenological_envelope_exact():

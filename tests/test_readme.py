@@ -10,6 +10,7 @@ import pytest
 
 from donorsim.cli import build_parser
 from donorsim.config import parse_config_text
+from donorsim.seqdsl import HAHN_TEXT
 
 README = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
 #: (language, text) of each fenced block.
@@ -53,3 +54,8 @@ def test_readme_config_loads(text):
 @pytest.mark.parametrize("text", numbered("python"))
 def test_readme_python_runs(text):
     exec(compile(text, "README.md", "exec"), {})
+
+
+def test_readme_sequence_text_is_the_built_in_echo():
+    section = README.split("## Sequence text\n", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"^```text\n(.*?)^```", section, re.MULTILINE | re.DOTALL) == [HAHN_TEXT]

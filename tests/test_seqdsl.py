@@ -14,10 +14,10 @@ from donorsim.program import (
     Pulse,
     PulseProgram,
     UnboundSymbolError,
-    hahn_program,
 )
 from donorsim.seqdsl import (
     HAHN_TEXT,
+    RAMSEY_TEXT,
     TIME_UNITS,
     CompileError,
     CycleStmt,
@@ -116,8 +116,9 @@ def test_parse_error_position_on_later_line():
 
 # --- round-trip --------------------------------------------------------------
 
-def test_pretty_print_is_canonical_for_hahn():
-    assert pretty_print(parse(HAHN_TEXT)) == HAHN_TEXT
+@pytest.mark.parametrize("text", [HAHN_TEXT, RAMSEY_TEXT], ids=["hahn", "ramsey"])
+def test_pretty_print_is_canonical_for_hahn(text):
+    assert pretty_print(parse(text)) == text
 
 
 def test_empty_sequence_roundtrip():
@@ -283,8 +284,32 @@ def test_diagnostic_str_and_position():
 
 # --- lowering --------------------------------------------------------------------
 
-def test_compile_hahn_equals_handwritten_program():
-    assert compile_seq(parse(HAHN_TEXT)) == hahn_program()
+# The built-in texts' programs, written out event by event: the phase-cycled
+# Hahn echo +-pi/2 : tau : pi : tau : pi/2 (adding 180 deg to the first pi/2
+# pulse inverts its rotation sense) and the Ramsey fringe pi/2 : tau : pi/2.
+@pytest.mark.parametrize("text, program", [
+    pytest.param(HAHN_TEXT, PulseProgram(
+        name="hahn",
+        events=(
+            Pulse(angle_rad=math.pi / 2, phase_rad=0.0, label="p1"),
+            Delay(symbol="tau"),
+            Pulse(angle_rad=math.pi, phase_rad=0.0),
+            Delay(symbol="tau"),
+            Pulse(angle_rad=math.pi / 2, phase_rad=0.0),
+        ),
+        cycles=(PhaseCycle(pulse_label="p1", offsets_rad=(0.0, math.pi)),),
+    ), id="hahn"),
+    pytest.param(RAMSEY_TEXT, PulseProgram(
+        name="ramsey",
+        events=(
+            Pulse(angle_rad=math.pi / 2, phase_rad=0.0),
+            Delay(symbol="tau"),
+            Pulse(angle_rad=math.pi / 2, phase_rad=0.0),
+        ),
+    ), id="ramsey"),
+])
+def test_compile_hahn_equals_handwritten_program(text, program):
+    assert compile_seq(parse(text)) == program
 
 
 def test_compile_converts_degrees_and_times():
