@@ -30,8 +30,8 @@ _EXPORTS = {
     "config": ("EnsembleSpec", "NoiseModel", "PumpConfig", "SpinSystem", "load_config"),
     "fitkit": ("FitResult", "fit_peaks", "fit_stretched_exp"),
     "program": ("Delay", "PhaseCycle", "Pulse", "PulseProgram"),
-    "pulse": ("TwoLevelParams", "hahn_experiment", "rabi_experiment", "ramsey_experiment",
-              "rf_spectrum", "run_sequence", "simulate_4level"),
+    "pulse": ("hahn_experiment", "rabi_experiment", "ramsey_experiment", "rf_spectrum",
+              "simulate_4level"),
     "pump": ("PopulationState", "optical_spectrum", "steady_state"),
     "seqdsl": ("compile_sequence", "parse_sequence", "pretty_print"),
     "spincore": ("PHOSPHORUS", "FieldVector", "breit_rabi_levels", "clock_sensitivity",

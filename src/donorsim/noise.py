@@ -43,24 +43,13 @@ from .config import COMMON_STREAM_INDEX, EnsembleSpec, SpinSystem
 from .config import NoiseModel as NoiseModel  # re-exported: the library's import path
 
 
-@dataclass
-class MemberEnvironment:
-    """Frozen per-member disorder plus the member's private random stream."""
-
-    rng: Generator
-    static_detuning_khz: float
-    ou_sigma_khz: float
-    ou_tau_c_s: float
-    shot_phase_rad: float = 0.0
-
-
 def member_rng(seed: int, index: int) -> Generator:
     """Counter-based (Philox) stream for one member, keyed by (seed, index).
 
-    A generator of its own, for single runs and ensemble-wide draws; an
-    ``EnvironmentPass`` re-keys one shared generator to the same stream
-    instead (``_restart``), since a new Philox seeds itself from OS entropy
-    before the key replaces that seed.
+    A generator of its own, for the ensemble-wide draws; an ``EnvironmentPass``
+    re-keys one shared generator to the same stream instead (``_restart``),
+    since a new Philox seeds itself from OS entropy before the key replaces
+    that seed.
     """
     if index < 0:
         raise ValueError("member index must be >= 0")

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,88 +34,30 @@ from . import spincore
 from .config import DRIVE_DIRECTIONS
 from .csvio import Series, series_axis
 from .fitkit import stretched_exp_model
-from .noise import EnsembleSpec, MemberEnvironment, _ou_coefficients
+from .noise import EnsembleSpec, _ou_coefficients
 from .program import Delay, Pulse, PulseProgram
 from .spincore import FieldVector, SpinSystem
 
 
-@dataclass(frozen=True)
-class TwoLevelParams:
-    """Driven-transition parameters.
+def _rabi_omega(spec: EnsembleSpec, system: SpinSystem) -> float:
+    """Angular Rabi frequency of the driven line, 2 pi * coupling * RF amplitude.
 
-    Attributes:
-        rabi_coupling_mhz_per_mt: RF matrix element of the line.
-        b1_amplitude_mt: RF amplitude.
-    """
-
-    rabi_coupling_mhz_per_mt: float
-    b1_amplitude_mt: float
-
-    def __post_init__(self) -> None:
-        values = (self.rabi_coupling_mhz_per_mt, self.b1_amplitude_mt)
-        if any(not math.isfinite(v) for v in values):
-            raise ValueError("two-level parameters must be finite")
-        if self.rabi_coupling_mhz_per_mt < 0 or self.b1_amplitude_mt < 0:
-            raise ValueError("coupling and RF amplitude must be >= 0")
-        if not math.isfinite(self.omega_rad_per_s):
-            raise ValueError("Rabi frequency 2 pi * coupling * RF amplitude must be finite")
-
-    @property
-    def omega_rad_per_s(self) -> float:
-        """Angular Rabi frequency, 2 pi * coupling * amplitude."""
-        return 2.0 * math.pi * self.rabi_coupling_mhz_per_mt * self.b1_amplitude_mt * 1e6
-
-
-def run_sequence(
-    program: PulseProgram,
-    params: TwoLevelParams,
-    env: MemberEnvironment | None = None,
-) -> tuple[float, float]:
-    """Run one bound, cycle-free program from |S> and return (p_S, p_T).
-
-    Delays accumulate z phase from the member's frozen detuning and, when
-    the environment carries OU noise, from the exact OU phase integral over
-    the delay; the OU state persists across the events of one run.  A pulse
-    is hard or finite as its duration says (see module docstring); the
-    environment's shot phase, when nonzero, is applied as an extra z
-    rotation just before the final pulse, modelling the net uncancelled
-    common-mode phase of one shot.
-
-    This is the ensemble engine on one member, one sweep point and one
-    shot.  Its OU deviates come from ``env.rng`` (one batched draw), which
-    later calls continue; a program without a delay draws none.  The
-    ensembles draw theirs in the environment pass instead.
-
-    Raises UnboundSymbolError for symbolic delays, ValueError for
-    unexpanded phase cycles and RuntimeError when the run loses its norm.
-    """
-    if env is None:  # no disorder and no stream: nothing draws
-        env = MemberEnvironment(rng=None, static_detuning_khz=0.0, ou_sigma_khz=0.0,
-                                ou_tau_c_s=1.0)
-    # no shot-phase table at phase 0, so a first pulse takes the first-column path
-    shot_phases = None if env.shot_phase_rad == 0.0 else np.array([[env.shot_phase_rad]])
-    n_draws, run = _program_runner(params, [[program]], shot_phases,
-                                   env.ou_sigma_khz, env.ou_tau_c_s)
-    normals = env.rng.standard_normal((1, n_draws)) if n_draws else np.empty((1, 0))
-    ar, ai, p_t = run(np.array([env.static_detuning_khz]), normals)
-    p_s = np.float_power(np.hypot(ar, ai), 2.0)
-    return float(p_s.item()), float(p_t.item())
-
-
-def two_level_params_for(spec: EnsembleSpec, system: SpinSystem) -> TwoLevelParams:
-    """Reduce an ensemble spec to driven-line parameters via the level model.
-
-    The line's RF matrix element at the nominal field along z, read for the
-    drive of ``spec.b0_orientation`` as ``rf_spectrum`` reads lines.
+    The coupling is the line's RF matrix element at the nominal field along
+    z, read for the drive of ``spec.b0_orientation`` as ``rf_spectrum`` reads
+    lines.  A line the geometry does not drive (zero Rabi frequency) raises
+    ValueError.
     """
     _, elements = spincore.singlet_triplet_lines(
         *spincore.eigensystems(system, np.array([[0.0, 0.0, spec.b0_magnitude_ut]])),
         spincore.drive_operator(system, DRIVE_DIRECTIONS[spec.b0_orientation]))
-    line = spincore.TRIPLET_LABELS.index(spec.transition)
-    return TwoLevelParams(
-        rabi_coupling_mhz_per_mt=float(elements[0, line]),
-        b1_amplitude_mt=spec.b1_amplitude_mt,
-    )
+    coupling = float(elements[0, spincore.TRIPLET_LABELS.index(spec.transition)])
+    omega = 2.0 * math.pi * coupling * spec.b1_amplitude_mt * 1e6
+    if omega == 0.0:
+        raise ValueError(
+            f"S -> {spec.transition} is not driven in the {spec.b0_orientation} "
+            "geometry (zero matrix element)"
+        )
+    return omega
 
 
 #: Upper bound on members x sweep points x shots x cycles in one engine block;
@@ -196,7 +137,7 @@ def _check_norm(ar, ai, p_t, shape: tuple[int, int, int, int]) -> None:
 
 
 def _program_runner(
-    params: TwoLevelParams,
+    omega: float,
     programs: list[list[PulseProgram]],
     shot_phases: np.ndarray | None,
     ou_sigma_khz: float,
@@ -208,17 +149,18 @@ def _program_runner(
     cycle entry c; all of them share one event skeleton (the same sequence
     of delays, hard pulses and finite pulses) and differ only in durations,
     angles and phases.  ``shot_phases[k, j]`` is the shot phase of shot j
-    at point k (one shot and no shot phase when None).  The OU step
-    constants are built for ``ou_sigma_khz`` and ``ou_tau_c_s``.
+    at point k (one shot and no shot phase when None).  Finite pulses turn
+    at the angular Rabi frequency ``omega``, which must then be finite; hard
+    pulses do not read it.  The OU step constants are built for
+    ``ou_sigma_khz`` and ``ou_tau_c_s``.
 
-    Returns ``(n_draws, run)``.  ``run(detunings_khz, normals) -> (a_re,
-    a_im, p_T)`` runs members that share those OU parameters: member i has
-    the frozen detuning ``detunings_khz[i]`` and runs, for every k, every
-    shot j and every c in that order, the program (k, c) with the shot phase
-    (k, j).  Row i of the (members, n_draws) ``normals`` holds the deviates
-    its stream gives in that order, one per OU start and two per stepped
-    delay; ``n_draws`` is 0 without OU noise or without a delay, and ``run``
-    then reads no normals.  ``run`` raises RuntimeError when a run loses its
+    Returns ``(n_draws, run)``.  ``run(detunings_khz, normals) -> p_T`` runs
+    members that share those OU parameters: member i has the frozen detuning
+    ``detunings_khz[i]`` and runs, for every k, every shot j and every c in
+    that order, the program (k, c) with the shot phase (k, j).  Row i of the
+    (members, n_draws) ``normals`` holds the deviates its stream gives in
+    that order, one per OU start and two per stepped delay; ``n_draws`` is 0
+    without OU noise or without a delay, and ``run`` then reads no normals.  ``run`` raises RuntimeError when a run loses its
     norm, NaN included, naming the first such run in that order.
 
     The engine's one layout is (K, C, members, shots): every per-program
@@ -228,10 +170,8 @@ def _program_runner(
     coefficients as scalars, and no element's operations depend on the
     layout.  The state starts as the scalars of |S> and takes the shape its
     events give it: a program of hard pulses never widens to the members.
-    A first pulse from |S> is its rotation's first column.  Only p_T leaves
-    ``run`` in the full layout (a broadcast view); the |S> amplitude
-    (a_re, a_im) leaves in the state's own shape, for ``run_sequence``'s
-    p_S, and no ensemble squares it.
+    A first pulse from |S> is its rotation's first column.  p_T leaves
+    ``run`` in the full layout, as a broadcast view.
     """
     n_points, n_cycles = len(programs), len(programs[0])
     skeleton = programs[0][0].events
@@ -247,7 +187,6 @@ def _program_runner(
             if kinds(program.events) != kinds(skeleton):
                 raise ValueError("shot programs must share one event skeleton")
     n_shots = 1 if shot_phases is None else shot_phases.shape[1]
-    omega = params.omega_rad_per_s
 
     def per_program(e: int, fn) -> np.ndarray:
         """fn(event e of each program) as a (K, C, 1, 1) array."""
@@ -266,6 +205,8 @@ def _program_runner(
                          per_program(e, lambda p: math.cos(p.phase_rad)),
                          per_program(e, lambda p: math.sin(p.phase_rad)))
     any_finite = any(finite for finite, *_ in pulses.values())
+    if any_finite and not math.isfinite(omega):
+        raise ValueError("Rabi frequency 2 pi * coupling * RF amplitude must be finite")
     last_pulse = max(pulses, default=None)
     shot_z = None if shot_phases is None else shot_phases.reshape(n_points, 1, 1, n_shots)
     phase_per_khz_s = 2.0 * math.pi * 1e3
@@ -278,7 +219,7 @@ def _program_runner(
 
     # an overflowing phase becomes NaN without a warning; the norm check reports it
     @np.errstate(over="ignore", invalid="ignore")
-    def run(detunings_khz: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def run(detunings_khz: np.ndarray, normals: np.ndarray) -> np.ndarray:
         n_members = len(detunings_khz)
         delta = 2.0 * math.pi * detunings_khz.reshape(n_members, 1) * 1e3
         if any_finite:
@@ -324,7 +265,7 @@ def _program_runner(
         p_t = np.float_power(np.hypot(br, bi), 2.0)
         shape = (n_points, n_cycles, n_members, n_shots)
         _check_norm(ar, ai, p_t, shape)
-        return ar, ai, np.broadcast_to(p_t, shape)
+        return np.broadcast_to(p_t, shape)
 
     return n_draws, run
 
@@ -338,35 +279,31 @@ def _ensemble_blocks(
 ):
     """Run bound shot programs over the whole ensemble, a member block at a time.
 
-    The driven line's ``params`` come from ``two_level_params_for``; a line
-    the geometry does not drive (zero Rabi frequency) raises ValueError
-    before any member is drawn.  ``programs`` and ``shot_phases`` form the
-    grid ``_program_runner`` checks once; each block of members the
-    environment pass draws, OU deviates included, then runs it.  For member
-    i that equals, bit for bit, ``run_sequence(programs[k][c], params,
-    env_i)`` for every k, every shot j and every c in that order, with
-    ``env_i.shot_phase_rad = shot_phases[k, j]``; event e is the same kind
-    (delay, hard or finite pulse) in every program.
+    The driven line's Rabi frequency comes from ``_rabi_omega``; a line the
+    geometry does not drive raises ValueError before any member is drawn.
+    ``programs`` and ``shot_phases`` form the grid ``_program_runner``
+    checks once; each block of members the environment pass draws, OU
+    deviates included, then runs it.  For member i that equals, bit for bit,
+    one scalar run of ``programs[k][c]`` from |S> with the shot phase
+    ``shot_phases[k, j]``, for every k, every shot j and every c in that
+    order, on one environment and one stream (``run_sequence`` in
+    ``tests/scalar_oracle.py``); event e is the same kind (delay, hard or
+    finite pulse) in every program.
 
     Yields p_T arrays in the engine's layout, (K, C, block members, shots),
     blocks in member-index order; a block holds at most
     ``_BLOCK_ELEMENTS`` runs (and at least one member).
     """
-    params = two_level_params_for(spec, system)
-    if params.omega_rad_per_s == 0.0:
-        raise ValueError(
-            f"S -> {spec.transition} is not driven in the {spec.b0_orientation} "
-            "geometry (zero matrix element)"
-        )
+    omega = _rabi_omega(spec, system)
     if not (programs and programs[0]):
         return
     envs = noise_mod.EnvironmentPass(spec, system)
-    n_draws, run = _program_runner(params, programs, shot_phases, envs.ou_sigma_khz,
+    n_draws, run = _program_runner(omega, programs, shot_phases, envs.ou_sigma_khz,
                                    spec.noise.ou_tau_c_s)
     n_shots = 1 if shot_phases is None else shot_phases.shape[1]
     block = max(1, _BLOCK_ELEMENTS // (len(programs) * n_shots * len(programs[0])))
     for members in envs.blocks(block, n_draws):
-        yield run(members.detunings_khz, members.normals)[2]
+        yield run(members.detunings_khz, members.normals)
 
 
 def _ou_tables(delays: dict[int, np.ndarray], shape: tuple[int, int, int],

@@ -10,16 +10,17 @@ across terminals; the matching test pins COLUMNS the same way.
 The result CSVs pin the bytes of small seeded ensemble experiments (Rabi,
 Ramsey, Hahn echo in mean and max detection, two RF spectra with an
 internal-field subpopulation, one at zero applied field over more members
-than one block of the spectrum path), of the level diagram and a pumped optical
-spectrum, and of a phase-cycled CPMG-2 program run member by member through
-the scalar oracle's ``draw_member_environment`` and ``run_sequence``
-(``tests/scalar_oracle.py``), never through the environment pass or the
-engine that golden pins.  Two ``fit`` reports, one per model,
-pin the text output of fitting golden CSVs.  Two more fit the checked-in
-inputs ``fit_rescue_peaks.csv`` (both peak guesses on one line) and
-``fit_rescue_stretched.csv`` (a decay faster than the sampling), on which
-Levenberg-Marquardt stalls and the Nelder-Mead rescue runs; their reports
-carry ``# note: simplex-fallback``.  A three-event program (pulse,
+than one block of the spectrum path), of the level diagram and a pumped
+optical spectrum, and of a phase-cycled CPMG-2 program run member by member
+through the scalar oracle's ``two_level_params``,
+``draw_member_environment`` and ``run_sequence``
+(``tests/scalar_oracle.py``), never through ``pulse``'s line read-out, the
+environment pass or the engine that golden pins.  Two ``fit`` reports, one
+per model, pin the text output of fitting golden CSVs.  Two more fit the
+checked-in inputs ``fit_rescue_peaks.csv`` (both peak guesses on one line)
+and ``fit_rescue_stretched.csv`` (a decay faster than the sampling), on
+which Levenberg-Marquardt stalls and the Nelder-Mead rescue runs; their
+reports carry ``# note: simplex-fallback``.  A three-event program (pulse,
 delay, pulse at phase 90) driven through ``simulate_4level`` near zero field
 pins the 4-level CF4 integrator, with pulses of 101 and 601 steps.  A
 refactor is judged against these bytes; rewrite them only for a deliberate
@@ -148,7 +149,7 @@ def cpmg2_spec() -> EnsembleSpec:
 def cpmg2_csv() -> str:
     """Ensemble-mean p_T per tau and phase-cycle shot, one scalar-oracle run per run."""
     spec = cpmg2_spec()
-    params = pulse.two_level_params_for(spec, PHOSPHORUS)
+    params = scalar_oracle.two_level_params(spec, PHOSPHORUS)
     shots = seqdsl.compile(seqdsl.parse(CPMG2_TEXT)).shots()
     total = np.zeros((len(CPMG2_TAUS_S), len(shots)))
     for index in range(spec.n_members):

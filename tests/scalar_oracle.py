@@ -1,12 +1,14 @@
 """Scalar two-level propagation: the test oracle of the block ensemble engine.
 
 One complex spinor, one event and one OU step at a time, in plain Python
-arithmetic.  ``pulse.run_sequence`` and ``pulse._ensemble_blocks`` must
-equal ``run_sequence`` here bit for bit; ``propagate_pulse`` is checked
-against the matrix exponential and ``ou_step`` against brute-force
-Euler-Maruyama moments.  ``tests/golden/regen.py`` builds
-``cpmg2_run_sequence.csv`` through this module, so that golden does not
-depend on the engine it pins.
+arithmetic.  ``pulse._ensemble_blocks`` must equal ``run_sequence`` here
+bit for bit, looped over members, sweep points, shots and cycle programs;
+``propagate_pulse`` is checked against the matrix exponential and
+``ou_step`` against brute-force Euler-Maruyama moments.  A run takes its
+drive as ``TwoLevelParams`` (``two_level_params`` reads an ensemble's
+driven line) and its member as a ``MemberEnvironment``.
+``tests/golden/regen.py`` builds ``cpmg2_run_sequence.csv`` through this
+module, so that golden does not depend on the engine it pins.
 
 ``draw_member_environment`` and ``eigensystem`` are one member's
 environment and field and one field's eigensolve, one at a time: the oracle of the
@@ -28,17 +30,41 @@ of one line, ``op @ v``, ``vdot`` and a scalar ``abs``: the oracle of
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from donorsim import pump, spincore
+from donorsim.config import DRIVE_DIRECTIONS
 from donorsim.fitkit import JACOBIAN_REL_STEP, ResidualFn, _safe_residual
-from donorsim.noise import EnsembleSpec, MemberEnvironment, _ou_coefficients, member_rng
+from donorsim.noise import EnsembleSpec, _ou_coefficients, member_rng
 from donorsim.program import Delay, Pulse, PulseProgram
-from donorsim.pulse import TwoLevelParams
 from donorsim.pump import NoUniqueSteadyStateError, PopulationState, PumpConfig
 from donorsim.spincore import FieldVector, SpinSystem
+
+
+@dataclass(frozen=True)
+class TwoLevelParams:
+    """Drive of one two-level run: the line's RF matrix element and the RF amplitude."""
+
+    rabi_coupling_mhz_per_mt: float
+    b1_amplitude_mt: float
+
+    @property
+    def omega_rad_per_s(self) -> float:
+        """Angular Rabi frequency, 2 pi * coupling * amplitude."""
+        return 2.0 * math.pi * self.rabi_coupling_mhz_per_mt * self.b1_amplitude_mt * 1e6
+
+
+@dataclass
+class MemberEnvironment:
+    """Frozen per-member disorder plus the member's private random stream."""
+
+    rng: np.random.Generator
+    static_detuning_khz: float
+    ou_sigma_khz: float
+    ou_tau_c_s: float
+    shot_phase_rad: float = 0.0
 
 
 def ou_step(
@@ -235,6 +261,14 @@ def eigensystem(system: SpinSystem, field: FieldVector) -> tuple[np.ndarray, np.
     if field.magnitude() < spincore.REFERENCE_FIELD_UT:
         _, vectors = np.linalg.eigh(hamiltonian(FieldVector.along_z(spincore.REFERENCE_FIELD_UT)))
     return energies, vectors
+
+
+def two_level_params(spec: EnsembleSpec, system: SpinSystem) -> TwoLevelParams:
+    """The driven line's drive: its element at the nominal field along z, one eigensolve."""
+    _, vectors = eigensystem(system, FieldVector.along_z(spec.b0_magnitude_ut))
+    direction = np.array(DRIVE_DIRECTIONS[spec.b0_orientation])
+    return TwoLevelParams(rf_matrix_element(vectors, system, direction, spec.transition),
+                          spec.b1_amplitude_mt)
 
 
 def rf_matrix_element(

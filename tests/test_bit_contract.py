@@ -110,17 +110,22 @@ def test_one_closed_form_call_over_three_fields_equals_three_scalar_calls(b_ut, 
 @example(4.0)
 @example(1e150)
 def test_line_read_along_z_equals_the_transition_table(b_ut):
-    # pulse.two_level_params_for: one line read through spincore.eigensystems,
+    # pulse._rabi_omega: one line read through spincore.eigensystems,
     # singlet_triplet_lines and a drive of config.DRIVE_DIRECTIONS, where it
-    # picked one element of spincore.transition_table at a field along z
+    # picked one element of spincore.transition_table at a field along z;
+    # a line of zero Rabi frequency is not driven
     table = spincore.transition_table(PHOSPHORUS, FieldVector.along_z(b_ut))
     for orientation in DRIVE_DIRECTIONS:
         for line in table:
             spec = EnsembleSpec(n_members=1, seed=0, transition=line.to_label,
                                 b0_magnitude_ut=b_ut, b0_orientation=orientation)
-            params = pulse.two_level_params_for(spec, PHOSPHORUS)
-            want = getattr(line, f"element_{orientation}_mhz_per_mt")
-            assert params.rabi_coupling_mhz_per_mt == want
+            element = getattr(line, f"element_{orientation}_mhz_per_mt")
+            want = 2.0 * math.pi * element * spec.b1_amplitude_mt * 1e6
+            if want == 0.0:
+                with pytest.raises(ValueError, match="is not driven"):
+                    pulse._rabi_omega(spec, PHOSPHORUS)
+            else:
+                assert pulse._rabi_omega(spec, PHOSPHORUS) == want
 
 
 def test_add_reduce_over_a_lone_long_axis_is_pairwise():
@@ -152,9 +157,10 @@ def _unit_spinors(n: int, key: int) -> np.ndarray:
 
 
 def test_float_power_of_hypot_equals_abs_complex_squared():
-    # pulse._program_runner's p_T and pulse.run_sequence's p_S against
-    # scalar_oracle.run_sequence's abs(b) ** 2; np.abs of a complex array is
-    # not Python's abs, so the engine squares np.hypot of the parts instead
+    # pulse._program_runner's p_T and its exact norm rule's p_S against
+    # scalar_oracle.run_sequence's abs(b) ** 2 and abs(a) ** 2; np.abs of a
+    # complex array is not Python's abs, so the engine squares np.hypot of
+    # the parts instead
     ar, ai, br, bi = _unit_spinors(50_000, key=21)
     re = np.concatenate([ar, br, [0.0, -0.0, 1.0, 5e-324, 1e-200, 0.6]])
     im = np.concatenate([ai, bi, [0.0, 0.0, -0.0, 0.0, 3e-201, 0.8]])

@@ -564,8 +564,15 @@ def test_overflowing_delay_phase_fails_the_norm_check_exit_2(capsys):
      "initial n must be finite and > 0, got -1.0"),
     (["fit", (-1.0, -2.0, -3.0)], "taus must be >= 0, got -3.0"),
     (["fit", (-1.0, 0.0, 1.0, 2.0)], "taus must be >= 0, got -1.0"),
+    # a drive amplitude whose Rabi frequency overflows, read by finite pulses only
+    (["rabi", "--members", "3", "--points", "3", "--b1-amplitude-mt", "1e305"],
+     "Rabi frequency 2 pi * coupling * RF amplitude must be finite"),
 ])
-def test_rejected_run_prints_only_the_error_line(tmp_path, capsys, argv, message):
+def test_rejected_run_prints_only_the_error_line(tmp_path, monkeypatch, capsys, argv, message):
+    def draw(*args, **kwargs):
+        raise AssertionError("the ensemble ran before its inputs were checked")
+
+    monkeypatch.setattr(noise, "_restart", draw)  # every ensemble member's stream starts here
     argv = [write_fit_input(tmp_path / "in.csv", a) if isinstance(a, tuple) else a
             for a in argv]
     code, out, err = run(capsys, argv)
@@ -766,6 +773,9 @@ PROBE_TEXT = {
     "branch_to_s": "0.5", "randomization_rate": "100", "gain": "2",
     "optical_linewidth_mhz": "60",
 }
+#: A value of a setting that the subcommands reading it reject; every other
+#: subcommand runs as without it.
+REJECTED_TEXT = {"b1_amplitude_mt": "1e305"}
 
 
 def config_text(values: dict[str, str]) -> str:
@@ -799,11 +809,13 @@ def test_each_subcommand_offers_exactly_the_settings_it_reads(
     # settings not offered switched on
     config = tmp_path / "others.ini"
     other_noise = {f.name: NOISE_ON[f.name] for f in others if f.name in NOISE_ON}
+    probes = [(f.name, PROBE_TEXT[f.name]) for f in others]
+    probes += [(f.name, REJECTED_TEXT[f.name]) for f in others if f.name in REJECTED_TEXT]
     read = []
-    for f in others:
-        config.write_text(config_text({**other_noise, f.name: PROBE_TEXT[f.name]}))
+    for name, text in probes:
+        config.write_text(config_text({**other_noise, name: text}))
         if run(capsys, [*base, "--config", str(config)])[:2] != want:
-            read.append(f.name)
+            read.append(name)
     assert (unread, read) == ([], []), f"{command}: flags unread {unread}, keys read {read}"
 
 

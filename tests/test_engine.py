@@ -2,8 +2,7 @@
 
 ``scalar_oracle.run_sequence`` is the single-run reference: looping it over
 members, sweep points, shots and cycle programs must give the engine's
-per-member p_T bit for bit, and the public ``pulse.run_sequence`` must give
-its (p_S, p_T) and leave the member stream where it does.
+per-member p_T bit for bit.
 ``scalar_oracle.rf_spectrum`` is the reference of the stacked RF spectrum,
 one member and one line at a time.
 """
@@ -24,21 +23,9 @@ from hypothesis import strategies as st
 
 import scalar_oracle
 from donorsim import csvio, noise, pulse, seqdsl
-from donorsim.noise import (
-    EnsembleSpec,
-    MemberEnvironment,
-    NoiseModel,
-    member_rng,
-)
+from donorsim.noise import EnsembleSpec, NoiseModel, member_rng
 from donorsim.program import Delay, PhaseCycle, Pulse, PulseProgram, UnboundSymbolError
-from donorsim.pulse import (
-    TwoLevelParams,
-    hahn_experiment,
-    rabi_experiment,
-    ramsey_experiment,
-    rf_spectrum,
-    two_level_params_for,
-)
+from donorsim.pulse import hahn_experiment, rabi_experiment, ramsey_experiment, rf_spectrum
 from donorsim.spincore import PHOSPHORUS, FieldVector
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -55,7 +42,7 @@ def engine_p_t(spec, programs, **kwargs) -> np.ndarray:
 
 def looped_p_t(spec, programs, shot_phases=None) -> np.ndarray:
     """The scalar reference: one oracle run per member, point, shot and cycle."""
-    params = two_level_params_for(spec, PHOSPHORUS)
+    params = scalar_oracle.two_level_params(spec, PHOSPHORUS)
     n_shots = 1 if shot_phases is None else shot_phases.shape[1]
     out = np.zeros((spec.n_members, len(programs), n_shots, len(programs[0])))
     for i in range(spec.n_members):
@@ -177,7 +164,7 @@ def test_engine_matches_run_sequence_on_a_larger_ensemble(
     )
     shots = seqdsl.compile(seqdsl.parse(regen.CPMG2_TEXT)).shots()
     if finite:  # each pulse lasts its nominal angle at the line's Rabi frequency
-        omega = two_level_params_for(spec, PHOSPHORUS).omega_rad_per_s
+        omega = pulse._rabi_omega(spec, PHOSPHORUS)
         shots = [replace(p, events=tuple(
             replace(ev, duration_s=ev.angle_rad / omega) if isinstance(ev, Pulse) else ev
             for ev in p.events)) for p in shots]
@@ -191,83 +178,19 @@ def test_engine_matches_run_sequence_on_a_larger_ensemble(
     assert got.tolist() == want.tolist()
 
 
-@st.composite
-def _single_runs(draw):
-    """A random bound program of hard and finite pulses."""
-    events = []
-    for kind in draw(st.lists(st.sampled_from(["pulse", "delay"]), max_size=6)):
-        if kind == "pulse":
-            events.append(Pulse(angle_rad=draw(_ANGLES), phase_rad=draw(_PHASES),
-                                duration_s=draw(_DURATIONS)))
-        else:
-            events.append(Delay(duration_s=draw(_DELAYS)))
-    return PulseProgram(name="random", events=tuple(events))
-
-
 def _program(events) -> PulseProgram:
     return PulseProgram(name="pinned", events=events)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    runs=st.lists(_single_runs(), min_size=2, max_size=2),
-    coupling=st.floats(1.0, 30.0), b1=st.floats(1e-4, 5e-3), seed=st.integers(0, 2**32),
-    member=st.one_of(st.none(), st.tuples(
-        st.floats(-55.0, 55.0), st.sampled_from([0.0, 0.3]),
-        st.one_of(st.just(0.0), _PHASES))),
-)
-@example(runs=[_program(_ONE_HARD_PULSE), _program(_ONE_PULSE)], coupling=10.0,
-         b1=1e-3, seed=7, member=(4.5, 0.0, 0.7))
-# a zero shot phase passes no shot-phase table, so the one pulse is a first column
-@example(runs=[_program(_ONE_HARD_PULSE), _program(_ONE_PULSE)], coupling=10.0,
-         b1=1e-3, seed=7, member=(4.5, 0.3, 0.0))
-@example(runs=[_program(_DELAY_FIRST).bind({"tau": 1e-3}),
-               _program(_DELAY_FIRST[1:]).bind({"tau": 1e-3})],
-         coupling=10.0, b1=1e-3, seed=7, member=(1.0, 0.3, 0.0))
-@example(runs=[_program(_HARD_PULSES), _program(_HARD_PULSES[:1])],
-         coupling=10.0, b1=1e-3, seed=7, member=None)
-def test_run_sequence_matches_the_scalar_oracle_bit_for_bit(runs, coupling, b1, seed, member):
-    params = TwoLevelParams(rabi_coupling_mhz_per_mt=coupling, b1_amplitude_mt=b1)
-
-    def environment():
-        if member is None:
-            return None
-        static_khz, sigma_khz, shot_phase = member
-        return MemberEnvironment(rng=member_rng(seed, 0), static_detuning_khz=static_khz,
-                                 ou_sigma_khz=sigma_khz, ou_tau_c_s=0.01,
-                                 shot_phase_rad=shot_phase)
-
-    # two consecutive calls on one environment: the second continues its stream
-    got_env, want_env = environment(), environment()
-    for program in runs:
-        got = pulse.run_sequence(program, params, got_env)
-        want = scalar_oracle.run_sequence(program, params, want_env)
-        assert got == want
-        assert abs(got[0] + got[1] - 1.0) <= 1e-10
-    if member is not None:  # and both streams go on from the same place
-        assert got_env.rng.standard_normal(3).tolist() == want_env.rng.standard_normal(3).tolist()
-
-
-@pytest.mark.parametrize("shot_phase, first_columns", [(0.0, 1), (-0.0, 1), (0.7, 0)])
-def test_run_sequence_applies_a_shot_phase_only_when_nonzero(shot_phase, first_columns):
-    # as scalar_oracle.run_sequence: no z rotation at phase 0, so one pulse
-    # from |S> is its rotation's first column
-    params = TwoLevelParams(rabi_coupling_mhz_per_mt=10.0, b1_amplitude_mt=1e-3)
-    env = MemberEnvironment(rng=member_rng(7, 0), static_detuning_khz=1.5, ou_sigma_khz=0.0,
-                            ou_tau_c_s=1.0, shot_phase_rad=shot_phase)
-    with mock.patch.object(pulse, "_first_column", wraps=pulse._first_column) as first:
-        pulse.run_sequence(_program(_ONE_HARD_PULSE), params, env)
-    assert first.call_count == first_columns
-
-
 def test_a_delay_free_program_draws_no_ou_start():
     # the OU process is read only over delays, so a Rabi program leaves every stream alone
-    params = TwoLevelParams(rabi_coupling_mhz_per_mt=10.0, b1_amplitude_mt=1e-3)
-    env = MemberEnvironment(rng=member_rng(7, 0), static_detuning_khz=1.5, ou_sigma_khz=0.3,
-                            ou_tau_c_s=0.01)
-    pulse.run_sequence(_program(_ONE_PULSE), params, env)
+    params = scalar_oracle.TwoLevelParams(rabi_coupling_mhz_per_mt=10.0, b1_amplitude_mt=1e-3)
+    env = scalar_oracle.MemberEnvironment(rng=member_rng(7, 0), static_detuning_khz=1.5,
+                                          ou_sigma_khz=0.3, ou_tau_c_s=0.01)
+    scalar_oracle.run_sequence(_program(_ONE_PULSE), params, env)
     assert env.rng.standard_normal(3).tolist() == member_rng(7, 0).standard_normal(3).tolist()
-    n_draws, _ = pulse._program_runner(params, [[_program(_ONE_PULSE)]] * 3, None, 0.3, 0.01)
+    n_draws, _ = pulse._program_runner(params.omega_rad_per_s, [[_program(_ONE_PULSE)]] * 3,
+                                       None, 0.3, 0.01)
     assert n_draws == 0
 
 
@@ -379,11 +302,12 @@ _CYCLED = PulseProgram(name="c", events=(Pulse(math.pi, 0.0, duration_s=1e-8, la
     (_CYCLED, ValueError, "program still has phase cycles; expand with .shots() first"),
 ])
 def test_every_engine_rejects_an_unrunnable_program_with_one_message(program, error, message):
-    params = two_level_params_for(EnsembleSpec(n_members=1, seed=0), PHOSPHORUS)
+    spec = EnsembleSpec(n_members=1, seed=0)
+    params = scalar_oracle.two_level_params(spec, PHOSPHORUS)
     runs = [
         program.check_runnable,
-        lambda: engine_p_t(EnsembleSpec(n_members=1, seed=0), [[program]]),
-        lambda: pulse.run_sequence(program, params),
+        lambda: engine_p_t(spec, [[program]]),
+        lambda: pulse._program_runner(params.omega_rad_per_s, [[program]], None, 0.0, 1.0),
         lambda: scalar_oracle.run_sequence(program, params),
         lambda: pulse.simulate_4level(program, PHOSPHORUS, FieldVector(0.0, 0.0, 23.0), 1e-3,
                                       (0.0, 0.0, 1.0), 117.53),
@@ -493,14 +417,12 @@ def test_ramsey_matches_gaussian_static_disorder_closed_form():
 
 def test_a_compiled_dur_pulse_follows_the_generalized_rabi_formula():
     # dur= makes a finite pulse: it turns about the axis the member's detuning tilts
-    params = TwoLevelParams(rabi_coupling_mhz_per_mt=10.0, b1_amplitude_mt=1e-3)
-    omega = params.omega_rad_per_s
+    omega = 2 * math.pi * 10e3  # 10 MHz/mT at 1e-3 mT
     n_eff = math.hypot(omega, 2 * math.pi * 7e3)
     for dur in ("10us", "50us", "200us"):
         program = seqdsl.compile(seqdsl.parse(f"seq s {{ pulse angle=90 phase=0 dur={dur}; }}"))
-        env = MemberEnvironment(rng=member_rng(7, 0), static_detuning_khz=7.0,
-                                ou_sigma_khz=0.0, ou_tau_c_s=1.0)
-        _, p_t = pulse.run_sequence(program, params, env)
+        _, run = pulse._program_runner(omega, [[program]], None, 0.0, 1.0)
+        p_t = run(np.array([7.0]), np.empty((1, 0))).item()  # one member, 7 kHz off
         t = program.events[0].duration_s
         assert p_t == pytest.approx((omega / n_eff) ** 2 * math.sin(n_eff * t / 2) ** 2,
                                     abs=1e-12)
@@ -509,7 +431,7 @@ def test_a_compiled_dur_pulse_follows_the_generalized_rabi_formula():
 def test_disorder_free_rabi_is_sin_squared():
     spec = EnsembleSpec(n_members=5, seed=3, transition="T+", b0_magnitude_ut=4.0,
                         b0_orientation="perpendicular")
-    omega = two_level_params_for(spec, PHOSPHORUS).omega_rad_per_s
+    omega = pulse._rabi_omega(spec, PHOSPHORUS)
     lengths = np.linspace(0.0, 3 * 2 * math.pi / omega, 37)
     curve = rabi_experiment(spec, PHOSPHORUS, lengths)
     assert np.allclose(curve.values, np.sin(omega * lengths / 2) ** 2, rtol=0, atol=1e-12)

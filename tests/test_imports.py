@@ -71,9 +71,6 @@ _DEFINITIONS = (*_FUNCTIONS, ast.ClassDef)
 
 #: Qualified name -> the open ROADMAP item that will call or delete it.
 UNREACHED_ALLOWED = {
-    # the one public way to run a user program until ``donorsim run`` lands
-    "noise.MemberEnvironment": "ROADMAP items 2 and 14",
-    "pulse.run_sequence": "ROADMAP items 2 and 14",
     # the pump populations and closed forms, which the optical readout chain will call
     "pump.PopulationState": "ROADMAP item 12",
     "pump.PopulationState.__post_init__": "ROADMAP item 12",

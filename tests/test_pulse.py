@@ -11,23 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
-import scalar_oracle
-from scalar_oracle import propagate_pulse
+from scalar_oracle import MemberEnvironment, TwoLevelParams, propagate_pulse, run_sequence
 
 from donorsim import noise, pulse, seqdsl, spincore
 from donorsim.csvio import Series
-from donorsim.noise import EnsembleSpec, MemberEnvironment, NoiseModel, member_rng
+from donorsim.noise import EnsembleSpec, NoiseModel, member_rng
 from donorsim.program import Delay, PhaseCycle, Pulse, PulseProgram
 from donorsim.pulse import (
-    TwoLevelParams,
     hahn_experiment,
     max_magnitude_estimate,
     rabi_experiment,
     ramsey_experiment,
     rf_spectrum,
-    run_sequence,
     simulate_4level,
-    two_level_params_for,
 )
 from donorsim.spincore import (
     PHOSPHORUS,
@@ -50,6 +46,12 @@ def detuned(detuning_khz):
     """A member with this frozen detuning and no noise."""
     return MemberEnvironment(rng=None, static_detuning_khz=detuning_khz, ou_sigma_khz=0.0,
                              ou_tau_c_s=1.0)
+
+
+def engine_p_t(program, params, detuning_khz=0.0):
+    """p_T of one noise-free member, run through the ensemble engine."""
+    _, run = pulse._program_runner(params.omega_rad_per_s, [[program]], None, 0.0, 1.0)
+    return run(np.array([detuning_khz]), np.empty((1, 0))).item()
 
 
 # --- single pulses against the matrix-exponential oracle ----------------------
@@ -88,8 +90,8 @@ def test_resonant_pi_pulse_inverts():
 def test_nominal_angle_used_when_no_duration():
     # a pulse without a duration is a hard rotation by its angle, in the engine and the oracle
     program = PulseProgram(name="hard", events=(Pulse(angle_rad=math.pi / 2, phase_rad=0.0),))
-    for run in (run_sequence, scalar_oracle.run_sequence):
-        assert run(program, params_for(), detuned(7.0))[1] == pytest.approx(0.5, abs=1e-12)
+    assert engine_p_t(program, params_for(), 7.0) == pytest.approx(0.5, abs=1e-12)
+    assert run_sequence(program, params_for(), detuned(7.0))[1] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_propagate_pulse_rejects_bad_state():
@@ -126,10 +128,10 @@ def bound_hahn(tau):
 
 def test_run_sequence_rejects_cycles_and_symbols():
     with pytest.raises(ValueError):
-        run_sequence(HAHN, params_for())
+        engine_p_t(HAHN, params_for())
     symbolic = HAHN.shots()[0]
     with pytest.raises(Exception):
-        run_sequence(symbolic, params_for())
+        engine_p_t(symbolic, params_for())
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -138,7 +140,7 @@ def test_run_sequence_reports_a_lost_norm_on_overflow():
     half = Pulse(angle_rad=math.pi / 2, phase_rad=0.0)
     program = PulseProgram(name="overflow", events=(half, Delay(duration_s=1e10), half))
     with pytest.raises(RuntimeError, match="propagation lost norm: nan"):
-        run_sequence(program, params_for(), detuned(1e300))
+        engine_p_t(program, params_for(), 1e300)
 
 
 def test_hahn_refocuses_static_detuning_exactly():
@@ -200,15 +202,17 @@ def clean_spec(n=1, seed=0, **noise_kwargs):
 
 
 def test_two_level_params_from_geometry():
-    par = two_level_params_for(clean_spec(), PHOSPHORUS)
-    assert par.rabi_coupling_mhz_per_mt == pytest.approx(
+    # the Rabi frequency per unit drive, 2 pi * 1e-3 mT * 1e6, is the line's coupling
+    per_coupling = 2 * math.pi * 1e-3 * 1e6
+    parallel = pulse._rabi_omega(clean_spec(), PHOSPHORUS)
+    assert parallel / per_coupling == pytest.approx(
         (PHOSPHORUS.gamma_s + PHOSPHORUS.gamma_i) / 2.0, rel=1e-6)
     perp_spec = EnsembleSpec(n_members=1, seed=0, noise=NoiseModel(),
                              transition="T+", b0_magnitude_ut=4.0,
                              b0_orientation="perpendicular", b1_amplitude_mt=1e-3)
-    perp = two_level_params_for(perp_spec, PHOSPHORUS)
+    perpendicular = pulse._rabi_omega(perp_spec, PHOSPHORUS)
     # 1e-3 headroom: at 4 µT the Zeeman admixture shifts the element by ~5e-4
-    assert perp.rabi_coupling_mhz_per_mt == pytest.approx(
+    assert perpendicular / per_coupling == pytest.approx(
         (PHOSPHORUS.gamma_s + PHOSPHORUS.gamma_i) / (2 * math.sqrt(2)), rel=1e-3)
 
 
@@ -236,8 +240,7 @@ def test_forbidden_geometry_is_rejected_by_the_pulsed_experiments(
 
 def test_rabi_oscillation_matches_formula():
     spec = clean_spec()
-    params = two_level_params_for(spec, PHOSPHORUS)
-    f_rabi = params.omega_rad_per_s / (2 * math.pi)  # ~14 kHz
+    f_rabi = pulse._rabi_omega(spec, PHOSPHORUS) / (2 * math.pi)  # ~14 kHz
     lengths = np.linspace(0.0, 2.0 / f_rabi, 41)
     curve = rabi_experiment(spec, PHOSPHORUS, lengths)
     expected = np.sin(math.pi * f_rabi * lengths) ** 2
@@ -247,8 +250,7 @@ def test_rabi_oscillation_matches_formula():
 def test_rabi_damps_under_static_disorder():
     # disorder comparable to the Rabi frequency washes out later oscillations
     spec = clean_spec(n=400, seed=5, static_detuning_khz=10.0)
-    params = two_level_params_for(spec, PHOSPHORUS)
-    f_rabi = params.omega_rad_per_s / (2 * math.pi)
+    f_rabi = pulse._rabi_omega(spec, PHOSPHORUS) / (2 * math.pi)
     lengths = np.linspace(0.0, 3.0 / f_rabi, 31)
     curve = rabi_experiment(spec, PHOSPHORUS, lengths)
     first_peak = curve.values[np.argmin(np.abs(lengths - 0.5 / f_rabi))]
