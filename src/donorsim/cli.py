@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence, TextIO
 
 from .config import (PEAK_SHAPES, PUMP_SETTINGS, SETTINGS, ConfigError, EnsembleSpec, PumpConfig,
-                     SpinSystem, build, load_config, parse_int, parse_number, resolve_seed,
-                     write_text)
+                     SpinSystem, build, load_config, parse_int, parse_number, read_text,
+                     resolve_seed, write_text)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -177,15 +177,7 @@ def _cmd_fit(args: argparse.Namespace, cfg: dict, target: str | TextIO) -> int:
 def _cmd_parse(args: argparse.Namespace, cfg: dict, target: str | TextIO) -> int:
     from . import seqdsl
 
-    if args.file == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(args.file, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise OSError(f"cannot read {args.file!r}: {exc}") from exc
-    ast = seqdsl.parse(text)
+    ast = seqdsl.parse(read_text(sys.stdin if args.file == "-" else args.file))
     diagnostics = seqdsl.validate(ast)
     for diag in diagnostics:
         print(f"{args.file}:{diag}", file=sys.stderr)

@@ -353,13 +353,8 @@ def parse_config_text(text: str, *, source: str = "<config>") -> dict[str, Any]:
 
 
 def load_config(path: str) -> dict[str, Any]:
-    """Load a config file; missing or unreadable files raise OSError."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise OSError(f"cannot read config {path!r}: {exc}") from exc
-    return parse_config_text(text, source=path)
+    """Load a config file; missing or unreadable files raise OSError (``read_text``)."""
+    return parse_config_text(read_text(path), source=path)
 
 
 def resolve_seed(flag_seed: int | None, file_seed: int | None) -> int:
@@ -373,6 +368,20 @@ def resolve_seed(flag_seed: int | None, file_seed: int | None) -> int:
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV_VAR}: {exc}") from None
     return DEFAULT_SEED if file_seed is None else file_seed
+
+
+def read_text(source: str | TextIO) -> str:
+    """Read the text of a path (UTF-8) or of an open text stream.
+
+    An unreadable path surfaces as an OSError naming the path.
+    """
+    if isinstance(source, (str, bytes)):
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                return fh.read()
+        except OSError as exc:
+            raise OSError(f"cannot read {source!r}: {exc}") from exc
+    return source.read()
 
 
 def write_text(target: str | TextIO, text: str) -> None:

@@ -13,10 +13,12 @@ re-reading an emitted file bit-exact and file contents a deterministic
 function of the data.  Line terminator is LF.  Non-finite values are
 refused — a NaN in a data file is always an upstream bug.
 
-``Series`` is the validated x/y result type the experiments return.  It
-lives here because this module imports no physics module, so ``pump`` and
-``pulse`` can both use it.  Text goes out through ``config.write_text``,
-which numpy-free subcommands (``parse``) call directly.
+``Series`` is the validated result type the experiments return: the
+values over the caller's sweep axis, which the experiment checks on entry
+with ``series_axis``.  It lives here because this module imports no physics
+module, so ``pump`` and ``pulse`` can both use it.  Text goes out through
+``config.write_text`` and comes in through ``config.read_text``, which
+numpy-free subcommands (``parse``) call directly.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .config import write_text
+from .config import read_text, write_text
 
 MAGIC = "# donor-spin-sim v1"
 COLUMNS_PREFIX = "# columns: "
@@ -34,33 +36,29 @@ COLUMNS_PREFIX = "# columns: "
 
 @dataclass(frozen=True)
 class Series:
-    """Result values on a strictly increasing x axis.
+    """Result values, one per point of the caller's sweep axis.
 
-    x carries the producing experiment's unit (seconds, kHz offsets, cm^-1
-    detunings); ``shots`` is the number of shots behind every value (1 unless
-    an estimator repeats shots per point).
+    ``shots`` is the number of shots behind every value (1 unless an
+    estimator repeats shots per point).
     """
 
-    x: np.ndarray
     values: np.ndarray
     shots: int = 1
 
     def __post_init__(self) -> None:
-        x = series_axis(self.x)
         values = np.asarray(self.values, dtype=float)
-        if x.shape != values.shape:
-            raise ValueError("x and values must be 1-d arrays of equal length")
+        if values.ndim != 1:
+            raise ValueError("values must be a 1-d array")
         if not np.all(np.isfinite(values)):
             raise ValueError("series data must be finite")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
-        object.__setattr__(self, "x", x)
         object.__setattr__(self, "values", values)
 
 
 def series_axis(x) -> np.ndarray:
-    """``x`` as a ``Series`` axis: 1-d, finite and strictly increasing.  The
-    experiments check their sweep with it before any member is drawn."""
+    """``x`` as a sweep axis: 1-d, finite and strictly increasing.  The
+    experiments check their sweep with it before any work is done."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("x must be a 1-d array")
@@ -106,16 +104,9 @@ def emit_csv(target: str | TextIO, columns: Sequence[str], data: np.ndarray) -> 
 
 
 def read_csv(source: str | TextIO) -> tuple[list[str], np.ndarray]:
-    """Read a file produced by ``emit_csv``; returns (column names, values)."""
-    if isinstance(source, (str, bytes)):
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise OSError(f"cannot read {source!r}: {exc}") from exc
-    else:
-        text = source.read()
-    lines = text.splitlines()
+    """Read a file produced by ``emit_csv`` from a path or an open text stream
+    (see ``read_text``); returns (column names, values)."""
+    lines = read_text(source).splitlines()
     if not lines or lines[0].strip() != MAGIC:
         raise ValueError(f"not a donor-spin-sim CSV file (missing {MAGIC!r} header)")
     if len(lines) < 2 or not lines[1].startswith(COLUMNS_PREFIX):

@@ -414,7 +414,7 @@ def rabi_experiment(
     mean = np.zeros_like(lengths)
     mean[driven] = _ensemble_mean(spec, system, programs, lambda p_t: p_t[:, 0, :, 0],
                                   driven.shape)
-    return Series(x=lengths, values=mean)
+    return Series(values=mean)
 
 
 def ramsey_experiment(
@@ -424,7 +424,7 @@ def ramsey_experiment(
     taus = series_axis(taus_s)
     programs = _tau_programs("ramsey", taus)
     mean = _ensemble_mean(spec, system, programs, lambda p_t: p_t[:, 0, :, 0], taus.shape)
-    return Series(x=taus, values=mean)
+    return Series(values=mean)
 
 
 def max_magnitude_estimate(shots: np.ndarray) -> np.ndarray | float:
@@ -508,7 +508,7 @@ def hahn_experiment(
         values = per_shot[:, 0]
     else:
         values = np.asarray(max_magnitude_estimate(per_shot))
-    return Series(x=taus, values=values, shots=n_shots)
+    return Series(values=values, shots=n_shots)
 
 
 #: Most CF4 steps whose propagators ``simulate_4level`` stacks at once; both
@@ -650,8 +650,8 @@ def rf_spectrum(
     For every member (including its internal field, if drawn) the three
     S -> T* lines are placed at their frequencies with weights equal to the
     squared RF matrix element for the actual drive direction, then smeared
-    with a unit-peak Lorentzian of the given FWHM.  The x axis is the RF
-    offset from the zero-field hyperfine constant, in kHz.
+    with a unit-peak Lorentzian of the given FWHM.  ``offsets_khz`` are RF
+    offsets from the zero-field hyperfine constant.
 
     Captures the geometry selection rules (S -> T0 needs the drive parallel
     to B0, S -> T+- perpendicular) and the internal-field subpopulation's
@@ -676,7 +676,7 @@ def rf_spectrum(
                          f"got {kernel_fwhm_khz!r}")
     op = spincore.drive_operator(system, DRIVE_DIRECTIONS[spec.b0_orientation])
     if offsets.size == 0:
-        return Series(x=offsets, values=offsets)
+        return Series(values=offsets)
     columns = np.repeat(offsets, 2) if offsets.size == 1 else offsets
     terms = np.zeros((_RF_LINE_RUN + 1, columns.size))
     for members in noise_mod.EnvironmentPass(spec, system).blocks(_RF_BLOCK_MEMBERS):
@@ -696,4 +696,4 @@ def rf_spectrum(
             np.add(1.0, u, out=u)
             np.divide(weights[start:start + n, None], u, out=u)
             terms[0] = np.add.reduce(terms[:n + 1], axis=0)
-    return Series(x=offsets, values=terms[0, :offsets.size] / spec.n_members)
+    return Series(values=terms[0, :offsets.size] / spec.n_members)

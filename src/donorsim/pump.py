@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .config import MHZ_PER_INV_CM, PUMP_SETTINGS, PumpConfig
-from .csvio import Series
+from .csvio import Series, series_axis
 
 #: Statistical weights the randomization channel drives (n_S, n_T) towards.
 SINGLET_WEIGHT = 0.25
@@ -225,6 +225,7 @@ def optical_spectrum(
     ``cfg`` supplies auger/branching/randomization rates, the gain and the
     linewidth; its own pump_rate_s/pump_rate_t entries are ignored here.
     """
+    grid = series_axis(scan_grid_inv_cm)
     if pump_setting not in PUMP_SETTINGS:
         raise ValueError(f"pump_setting must be one of {PUMP_SETTINGS}, got {pump_setting!r}")
     if not (math.isfinite(probe_peak_rate) and probe_peak_rate > 0
@@ -239,7 +240,6 @@ def optical_spectrum(
     if not (math.isfinite(doublet_split_inv_cm) and doublet_split_inv_cm >= 0):
         raise ValueError(
             f"doublet_split_inv_cm must be finite and >= 0, got {doublet_split_inv_cm!r}")
-    grid = np.asarray(scan_grid_inv_cm, dtype=float)
     fwhm = cfg.optical_linewidth_mhz / MHZ_PER_INV_CM
     if abs(line_s_inv_cm - line_t_inv_cm) < fwhm / 10.0:
         warnings.warn(
@@ -271,4 +271,4 @@ def optical_spectrum(
          lambda i, name=name, rate=rate: f"{name} must be finite and >= 0, got {float(rate[i])!r}")
         for name, rate in (("pump_rate_s", rate_s), ("pump_rate_t", rate_t))
     ] + checks)
-    return Series(x=grid, values=cfg.gain * (probe_s * p[:, 0] + probe_t * p[:, 1]))
+    return Series(values=cfg.gain * (probe_s * p[:, 0] + probe_t * p[:, 1]))

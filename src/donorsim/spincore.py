@@ -97,17 +97,14 @@ class FieldVector:
 
 @dataclass(frozen=True)
 class TransitionLine:
-    """S -> T* line: frequency plus RF matrix elements for the two drive geometries.
+    """S -> T* line and its RF matrix element for a drive parallel to B0.
 
-    Matrix elements are |<T*| gamma_s (e.S) - gamma_i (e.I) |S>| in MHz/mT for a
-    unit drive direction e either parallel or perpendicular to B0 (z and x when
-    the field itself vanishes).
+    The element is |<T*| gamma_s (e.S) - gamma_i (e.I) |S>| in MHz/mT for the
+    unit drive direction e along B0 (along z when the field itself vanishes).
     """
 
     to_label: str
-    frequency_mhz: float
     element_parallel_mhz_per_mt: float
-    element_perpendicular_mhz_per_mt: float
 
 
 def zeeman_operator(system: SpinSystem, vector: np.ndarray) -> np.ndarray:
@@ -248,25 +245,21 @@ def singlet_triplet_lines(
     return frequencies, np.hypot(amplitudes.real, amplitudes.imag)
 
 
-def _drive_directions(field: FieldVector) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical (parallel, perpendicular) unit drive directions for a field."""
-    z = np.array([0.0, 0.0, 1.0])
+def _parallel_direction(field: FieldVector) -> np.ndarray:
+    """Unit drive direction along a field (along z below REFERENCE_FIELD_UT)."""
     if field.magnitude() < REFERENCE_FIELD_UT:
-        return z, np.array([1.0, 0.0, 0.0])
-    par = field.as_array() / field.magnitude()
-    perp = np.cross(z, par)
-    norm = np.linalg.norm(perp)
-    if norm < 1e-12:  # field along +-z
-        return par, np.array([1.0, 0.0, 0.0])
-    return par, perp / norm
+        return np.array([0.0, 0.0, 1.0])
+    return field.as_array() / field.magnitude()
 
 
 def transition_table(system: SpinSystem, field: FieldVector) -> list[TransitionLine]:
-    """All three S -> T* lines at the given field.
+    """All three S -> T* lines at the given field, with the RF matrix element
+    for a drive parallel to the field direction (z at zero field).
 
-    Frequencies come from the labelled eigensolve; each line carries RF
-    matrix elements for drive parallel and perpendicular to the field
-    direction (z and x at zero field).
+    A line's frequency is ``transition_frequency`` (closed form) or an
+    energy difference of ``eigensystems``; the element of any other drive,
+    such as ``DRIVE_DIRECTIONS["perpendicular"]``, is one
+    ``singlet_triplet_lines`` call with that ``drive_operator``.
 
     Selection rules in the parallel-field geometry: S -> T0 couples only to
     the parallel drive with element (gamma_s + gamma_i)/2 at zero field, and
@@ -274,20 +267,10 @@ def transition_table(system: SpinSystem, field: FieldVector) -> list[TransitionL
     (gamma_s + gamma_i)/(2 sqrt 2); the forbidden combinations vanish.
     """
     energies, vectors = eigensystems(system, field.as_array()[None])
-    par, perp = _drive_directions(field)
-    frequencies, elements_par = singlet_triplet_lines(
-        energies, vectors, drive_operator(system, par))
-    _, elements_perp = singlet_triplet_lines(energies, vectors, drive_operator(system, perp))
-    return [
-        TransitionLine(
-            to_label=label,
-            frequency_mhz=float(frequency),
-            element_parallel_mhz_per_mt=float(element_par),
-            element_perpendicular_mhz_per_mt=float(element_perp),
-        )
-        for label, frequency, element_par, element_perp
-        in zip(TRIPLET_LABELS, frequencies[0], elements_par[0], elements_perp[0])
-    ]
+    _, elements = singlet_triplet_lines(
+        energies, vectors, drive_operator(system, _parallel_direction(field)))
+    return [TransitionLine(to_label=label, element_parallel_mhz_per_mt=float(element))
+            for label, element in zip(TRIPLET_LABELS, elements[0])]
 
 
 def clock_sensitivity(

@@ -16,6 +16,7 @@ import pytest
 from scipy.linalg import expm
 
 from donorsim.cli import main
+from donorsim.config import DRIVE_DIRECTIONS
 from donorsim.fitkit import fit_peaks, fit_stretched_exp
 from donorsim.noise import EnsembleSpec, NoiseModel
 from donorsim.program import Delay, Pulse, PulseProgram
@@ -49,9 +50,12 @@ from donorsim.spincore import (
     PHOSPHORUS,
     FieldVector,
     breit_rabi_levels,
+    TRIPLET_LABELS,
     clock_sensitivity,
+    drive_operator,
     eigensystems,
     estimate_field_from_splitting,
+    singlet_triplet_lines,
     transition_frequency,
     transition_table,
 )
@@ -155,7 +159,7 @@ def test_04_field_calibration_pipeline():
         b0_magnitude_ut=4.0, b0_orientation="perpendicular", b1_amplitude_mt=1e-3,
     )
     curve = rf_spectrum(spec, PHOSPHORUS, offsets, kernel_fwhm_khz=2.0)
-    fit = fit_peaks(curve.x, curve.values, 2,
+    fit = fit_peaks(offsets, curve.values, 2,
                     initial=[(-50.0, 2.0, 0.5), (50.0, 2.0, 0.5)])
     assert fit.converged
     splitting_khz = fit["center_2"] - fit["center_1"]
@@ -173,12 +177,15 @@ def test_05_selection_rules_and_spectrum_structure():
     for b_ut in (0.0, 23.0):
         lines = {t.to_label: t for t in
                  transition_table(PHOSPHORUS, FieldVector.along_z(b_ut))}
+        _, elements = singlet_triplet_lines(
+            *eigensystems(PHOSPHORUS, np.array([[0.0, 0.0, b_ut]])),
+            drive_operator(PHOSPHORUS, DRIVE_DIRECTIONS["perpendicular"]))
+        perp = dict(zip(TRIPLET_LABELS, elements[0].tolist()))
         allowed_par = lines["T0"].element_parallel_mhz_per_mt
-        allowed_perp = min(lines["T+"].element_perpendicular_mhz_per_mt,
-                           lines["T-"].element_perpendicular_mhz_per_mt)
+        allowed_perp = min(perp["T+"], perp["T-"])
         assert lines["T+"].element_parallel_mhz_per_mt < 1e-12 * allowed_par
         assert lines["T-"].element_parallel_mhz_per_mt < 1e-12 * allowed_par
-        assert lines["T0"].element_perpendicular_mhz_per_mt < 1e-12 * allowed_perp
+        assert perp["T0"] < 1e-12 * allowed_perp
 
     # geometry selects which lines appear in the driven spectrum
     offsets = np.linspace(-120.0, 120.0, 241)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scalar_oracle import rf_matrix_element
 
 from donorsim import fitkit, pulse, spincore
 from donorsim.config import DRIVE_DIRECTIONS
@@ -112,14 +113,17 @@ def test_one_closed_form_call_over_three_fields_equals_three_scalar_calls(b_ut, 
 def test_line_read_along_z_equals_the_transition_table(b_ut):
     # pulse._rabi_omega: one line read through spincore.eigensystems,
     # singlet_triplet_lines and a drive of config.DRIVE_DIRECTIONS, where it
-    # picked one element of spincore.transition_table at a field along z;
-    # a line of zero Rabi frequency is not driven
+    # picked the parallel element of spincore.transition_table at a field
+    # along z, or the per-field oracle's perpendicular element; a line of
+    # zero Rabi frequency is not driven
     table = spincore.transition_table(PHOSPHORUS, FieldVector.along_z(b_ut))
-    for orientation in DRIVE_DIRECTIONS:
+    _, vectors = spincore.eigensystems(PHOSPHORUS, np.array([[0.0, 0.0, b_ut]]))
+    for orientation, direction in DRIVE_DIRECTIONS.items():
         for line in table:
             spec = EnsembleSpec(n_members=1, seed=0, transition=line.to_label,
                                 b0_magnitude_ut=b_ut, b0_orientation=orientation)
-            element = getattr(line, f"element_{orientation}_mhz_per_mt")
+            element = (line.element_parallel_mhz_per_mt if orientation == "parallel" else
+                       rf_matrix_element(vectors[0], PHOSPHORUS, direction, line.to_label))
             want = 2.0 * math.pi * element * spec.b1_amplitude_mt * 1e6
             if want == 0.0:
                 with pytest.raises(ValueError, match="is not driven"):

@@ -17,6 +17,7 @@ from donorsim.csvio import (
     format_value,
     read_csv,
     render_csv,
+    series_axis,
 )
 
 
@@ -138,20 +139,27 @@ def test_unwritable_path_raises_oserror_naming_path(tmp_path):
 
 
 def test_series_converts_and_defaults_to_one_shot():
-    series = Series(x=[0, 1, 2], values=[1, 0.5, 0.25])
-    assert series.x.dtype == series.values.dtype == np.float64
+    series = Series(values=[1, 0.5, 0.25])
+    assert series.values.dtype == np.float64
     assert series.shots == 1
 
 
-@pytest.mark.parametrize("x, values, shots, message", [
-    ([[0.0, 1.0]], [[1.0, 2.0]], 1, "1-d"),
-    ([0.0, 1.0, 2.0], [1.0, 2.0], 1, "equal length"),
-    ([0.0, 1.0], [1.0, np.nan], 1, "finite"),
-    ([0.0, np.inf], [1.0, 2.0], 1, "finite"),
-    ([0.0, 1.0, 1.0], [1.0, 2.0, 3.0], 1, "strictly increasing"),
-    ([1.0, 0.0], [1.0, 2.0], 1, "strictly increasing"),
-    ([0.0, 1.0], [1.0, 2.0], 0, "shots"),
+@pytest.mark.parametrize("values, shots, message", [
+    ([[1.0, 2.0]], 1, "^values must be a 1-d array$"),
+    ([1.0, np.nan], 1, "^series data must be finite$"),
+    ([1.0, 2.0], 0, "^shots must be >= 1$"),
 ])
-def test_series_rejects_invalid_data(x, values, shots, message):
+def test_series_rejects_invalid_data(values, shots, message):
     with pytest.raises(ValueError, match=message):
-        Series(x=x, values=values, shots=shots)
+        Series(values=values, shots=shots)
+
+
+@pytest.mark.parametrize("x, message", [
+    ([[0.0, 1.0]], "^x must be a 1-d array$"),
+    ([0.0, np.inf], "^series data must be finite$"),
+    ([0.0, 1.0, 1.0], "^x must be strictly increasing$"),
+    ([1.0, 0.0], "^x must be strictly increasing$"),
+])
+def test_series_axis_rejects_invalid_axes(x, message):
+    with pytest.raises(ValueError, match=message):
+        series_axis(x)

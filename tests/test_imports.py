@@ -88,11 +88,6 @@ VALUES_ALLOWED = {
     "config.PumpConfig.pump_rate_t": "ROADMAP item 12",
     # the health line of the stats report
     "fitkit.FitResult.rss_trace": "ROADMAP item 4",
-    # documented library results, read by library callers; the CLI writes
-    # its own sweep axis and the benchmark reads one element
-    "csvio.Series.x": "ROADMAP item 14",
-    "spincore.TransitionLine.frequency_mhz": "ROADMAP item 14",
-    "spincore.TransitionLine.element_perpendicular_mhz_per_mt": "ROADMAP item 14",
 }
 
 #: ``module.Class.field`` of each field that ``config.build`` passes through

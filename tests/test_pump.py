@@ -218,6 +218,20 @@ def test_optical_spectrum_rejects_bad_lines_and_split(lines, split, message):
                          doublet_split_inv_cm=split)
 
 
+@pytest.mark.parametrize("grid, message", [
+    ([0.001, math.nan, 0.003], "series data must be finite"),
+    ([[0.001, 0.002]], "x must be a 1-d array"),
+    ([0.003, 0.002, 0.001], "x must be strictly increasing"),
+], ids=["nan", "2-d", "decreasing"])
+def test_optical_spectrum_checks_its_grid_before_any_steady_state(monkeypatch, grid, message):
+    def solve(*args):
+        raise AssertionError("a steady state was solved before the grid was checked")
+
+    monkeypatch.setattr(pump, "_steady_states", solve)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        optical_spectrum(np.array(grid), 0.004, 0.0, PumpConfig(), "off")
+
+
 # --- stacked steady states against the per-point oracle ----------------------------
 
 def assert_same_outcome(got_fn, oracle_fn, *args):
