@@ -56,16 +56,17 @@ class Series:
         object.__setattr__(self, "values", values)
 
 
-def series_axis(x) -> np.ndarray:
+def series_axis(x, name: str) -> np.ndarray:
     """``x`` as a sweep axis: 1-d, finite and strictly increasing.  The
-    experiments check their sweep with it before any work is done."""
+    experiments check their sweep with it before any work is done, and each
+    message names the sweep by the experiment's parameter ``name``."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
-        raise ValueError("x must be a 1-d array")
+        raise ValueError(f"{name} must be a 1-d array")
     if not np.all(np.isfinite(x)):
-        raise ValueError("series data must be finite")
+        raise ValueError(f"{name} must be finite")
     if x.size > 1 and not np.all(np.diff(x) > 0):
-        raise ValueError("x must be strictly increasing")
+        raise ValueError(f"{name} must be strictly increasing")
     return x
 
 

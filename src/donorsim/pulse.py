@@ -160,8 +160,9 @@ def _program_runner(
     that order, the program (k, c) with the shot phase (k, j).  Row i of the
     (members, n_draws) ``normals`` holds the deviates its stream gives in
     that order, one per OU start and two per stepped delay; ``n_draws`` is 0
-    without OU noise or without a delay, and ``run`` then reads no normals.  ``run`` raises RuntimeError when a run loses its
-    norm, NaN included, naming the first such run in that order.
+    without OU noise or without a delay, and ``run`` then reads no normals.
+    ``run`` raises RuntimeError when a run loses its norm, NaN included,
+    naming the first such run in that order.
 
     The engine's one layout is (K, C, members, shots): every per-program
     table is (K, C, 1, 1), the shot-phase table (K, 1, 1, shots), the OU
@@ -402,9 +403,12 @@ def rabi_experiment(
     Each member sees the drive through its frozen detuning (static disorder
     plus internal-field line shift), so the transfer follows the generalized
     Rabi formula member by member; disorder comparable to the Rabi frequency
-    damps the averaged oscillation.
+    damps the averaged oscillation.  Lengths must be finite, >= 0 and increasing.
     """
-    lengths = series_axis(lengths_s)
+    lengths = np.asarray(lengths_s, dtype=float)
+    if not np.all(np.isfinite(lengths) & (lengths >= 0)):
+        raise ValueError("lengths_s must be finite and >= 0")
+    lengths = series_axis(lengths, "lengths_s")
     driven = np.flatnonzero(lengths != 0.0)  # a zero-length pulse transfers nothing
     programs = [
         [PulseProgram(name="rabi", events=(
@@ -420,8 +424,14 @@ def rabi_experiment(
 def ramsey_experiment(
     spec: EnsembleSpec, system: SpinSystem, taus_s: np.ndarray
 ) -> Series:
-    """Ensemble-averaged fringe of ``seqdsl.RAMSEY_TEXT``, pi/2 : tau : pi/2 (final p_T)."""
-    taus = series_axis(taus_s)
+    """Ensemble-averaged fringe of ``seqdsl.RAMSEY_TEXT``, pi/2 : tau : pi/2 (final p_T).
+
+    Taus must be finite, >= 0 and increasing.
+    """
+    taus = np.asarray(taus_s, dtype=float)
+    if not np.all(np.isfinite(taus) & (taus >= 0)):
+        raise ValueError("taus_s must be finite and >= 0")
+    taus = series_axis(taus, "taus_s")
     programs = _tau_programs("ramsey", taus)
     mean = _ensemble_mean(spec, system, programs, lambda p_t: p_t[:, 0, :, 0], taus.shape)
     return Series(values=mean)
@@ -477,7 +487,7 @@ def hahn_experiment(
     taus = np.asarray(taus_s, dtype=float)
     if not np.all(np.isfinite(taus) & (taus > 0)):
         raise ValueError("taus_s must be finite and > 0")
-    taus = series_axis(taus)
+    taus = series_axis(taus, "taus_s")
     if detection not in ("mean", "max"):
         raise ValueError(f"detection must be 'mean' or 'max', got {detection!r}")
     if shots_per_point is not None:
@@ -532,6 +542,12 @@ def _cf4_propagators(times_us: np.ndarray, dt_us: float, igaps: np.ndarray,
     ``u[1, k] @ (u[0, k] @ psi)``.  ``igaps`` is 2 pi i times the level gaps, so
     the interaction-frame coupling at time t is
     ``cos(2 pi f t + phase) * exp(igaps * t) * w``.
+
+    The bits are set by ``np.cos``, ``np.exp``, the complex products by ``w``
+    and by ``-2 pi i dt`` and the two matrix products.  The other operations
+    have a real operand and run exactly on ``.view(float)``: a real scales
+    both parts, and numpy's ``z / k``, ``(re + im*0) * fl(1/k)``, is the view
+    times ``1.0 / k`` (``tests/test_bit_contract.py``).
     """
     two_pi = 2.0 * math.pi
     n = times_us.size
@@ -543,15 +559,18 @@ def _cf4_propagators(times_us: np.ndarray, dt_us: float, igaps: np.ndarray,
     phases = np.ones((2 * n, 4, 4), dtype=complex)
     phases[:, _UPPER[0], _UPPER[1]] = upper
     phases[:, _UPPER[1], _UPPER[0]] = upper.conj()
-    m1, m2 = (drive[:, None, None] * phases * w_mhz).reshape(2, n, 4, 4)
+    phases_re_im = phases.view(float)
+    phases_re_im *= drive[:, None, None]
+    m1, m2 = (phases * w_mhz).view(float).reshape(2, n, 4, 8)
     mats = np.stack([_CF4_ALPHA1 * m1 + _CF4_ALPHA2 * m2, _CF4_ALPHA2 * m1 + _CF4_ALPHA1 * m2])
-    x = -1j * two_pi * dt_us * mats
+    x = -1j * two_pi * dt_us * mats.view(complex)
     x2 = x @ x
     x3_x4 = x2 @ np.concatenate([x, x2], axis=-1)  # x2 @ x and x2 @ x2 in one product
-    u = np.eye(4) + x
-    u += x2 / 2.0
-    u += x3_x4[..., :4] / 6.0
-    u += x3_x4[..., 4:] / 24.0
+    u = x + np.eye(4, dtype=complex)
+    u_re_im, x3_x4_re_im = u.view(float), x3_x4.view(float)
+    u_re_im += x2.view(float) * (1.0 / 2.0)
+    u_re_im += x3_x4_re_im[..., :8] * (1.0 / 6.0)
+    u_re_im += x3_x4_re_im[..., 8:] * (1.0 / 24.0)
     return u
 
 
@@ -606,6 +625,7 @@ def simulate_4level(
 
     psi = np.zeros(4, dtype=complex)
     psi[0] = 1.0  # S
+    half = np.empty_like(psi)  # psi after a step's first sub-step
     t_us = 0.0
     for event, duration_us in zip(program.events, durations_us):
         if isinstance(event, Delay):
@@ -621,7 +641,8 @@ def simulate_4level(
             times = np.fromiter(itertools.islice(clock, n), float, n)
             ua, ub = _cf4_propagators(times, step, igaps, w, rf_frequency_mhz, event.phase_rad)
             for a, b in zip(ua, ub):
-                psi = b.dot(a.dot(psi))
+                a.dot(psi, out=half)
+                b.dot(half, out=psi)
         t_us = next(clock)
     norm = float(np.vdot(psi, psi).real)
     if not abs(norm - 1.0) <= 1e-10:
@@ -669,7 +690,7 @@ def rf_spectrum(
     size.  A term whose ``u * u`` overflows is exactly 0 (its line is too
     narrow to reach the point), so overflow is silenced there.
     """
-    offsets = series_axis(offsets_khz)
+    offsets = series_axis(offsets_khz, "offsets_khz")
     half = kernel_fwhm_khz / 2.0
     if not (math.isfinite(kernel_fwhm_khz) and half > 0):  # a half of 0 would divide by zero
         raise ValueError(f"kernel_fwhm_khz must be finite and > 0, also when halved, "

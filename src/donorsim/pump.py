@@ -225,7 +225,7 @@ def optical_spectrum(
     ``cfg`` supplies auger/branching/randomization rates, the gain and the
     linewidth; its own pump_rate_s/pump_rate_t entries are ignored here.
     """
-    grid = series_axis(scan_grid_inv_cm)
+    grid = series_axis(scan_grid_inv_cm, "scan_grid_inv_cm")
     if pump_setting not in PUMP_SETTINGS:
         raise ValueError(f"pump_setting must be one of {PUMP_SETTINGS}, got {pump_setting!r}")
     if not (math.isfinite(probe_peak_rate) and probe_peak_rate > 0

@@ -262,6 +262,48 @@ def test_np_cos_equals_math_cos_on_the_cf4_drive_phases():
     assert np.cos(phases).tolist() == [math.cos(x) for x in phases.tolist()]
 
 
+def _cf4_like_complex(shape: tuple[int, ...], key: int) -> np.ndarray:
+    """Complex entries of magnitudes 1e-30 to 10, as the CF4 Taylor terms
+    have, with zeros of both signs in some real and imaginary parts."""
+    rng = np.random.Generator(np.random.Philox(key=key))
+    parts = rng.standard_normal((*shape, 2)) * 10.0 ** rng.uniform(-30.0, 1.0, (*shape, 2))
+    parts.reshape(-1)[::97] = 0.0
+    parts.reshape(-1)[::89] = -0.0
+    return parts.view(complex)[..., 0]
+
+
+@pytest.mark.parametrize("k", [2.0, 6.0, 24.0])
+def test_complex_over_a_float_equals_the_float_view_times_the_reciprocal(k):
+    # pulse._cf4_propagators: u_re_im += x2.view(float) * (1.0 / 2.0) and the
+    # two lines after it, for the oracle's x2 / 2.0, (x2 @ x) / 6.0 and
+    # (x2 @ x2) / 24.0; numpy divides z / k as (re + im*0) * fl(1/k)
+    z = _cf4_like_complex((2, 128, 4, 4), key=14)
+    assert (z / k).view(float).tolist() == (z.view(float) * (1.0 / k)).tolist()
+    if k != 2.0:  # a real division by k rounds differently from the product
+        assert (z / k).view(float).tolist() != (z.view(float) / k).tolist()
+
+
+def test_real_times_complex_equals_the_float_view_scaled():
+    # pulse._cf4_propagators: phases_re_im *= drive[:, None, None] for the
+    # oracle's drive * np.exp(...), and the _CF4_ALPHA1/_CF4_ALPHA2 mixes of
+    # the float views m1 and m2 for the oracle's alpha1 * m1 + alpha2 * m2
+    drive = np.cos(_drive_4level_node_phases()[:20_000:40])
+    table = np.exp(1j * np.linspace(-400.0, 400.0, drive.size * 16)).reshape(-1, 4, 4)
+    assert ((drive[:, None, None] * table).view(float).tolist()
+            == (table.view(float) * drive[:, None, None]).tolist())
+    m1, m2 = _cf4_like_complex((2, 128, 4, 4), key=15)
+    for a, b in ((pulse._CF4_ALPHA1, pulse._CF4_ALPHA2), (pulse._CF4_ALPHA2, pulse._CF4_ALPHA1)):
+        assert ((a * m1 + b * m2).view(float).tolist()
+                == (a * m1.view(float) + b * m2.view(float)).tolist())
+
+
+def test_float_identity_plus_complex_equals_complex_identity_added():
+    # pulse._cf4_propagators: u = x + np.eye(4, dtype=complex) for the
+    # oracle's np.eye(4) + x, whose float identity numpy promotes to complex
+    x = _cf4_like_complex((2, 128, 4, 4), key=16)
+    assert (np.eye(4) + x).tolist() == (x + np.eye(4, dtype=complex)).tolist()
+
+
 def test_stacked_matmul_and_vecdot_equal_the_per_field_products():
     # spincore.singlet_triplet_lines: matmul on the (m, 4, 1) singlet columns
     # and vecdot over the triplet columns, against the per-field op @ v and

@@ -155,11 +155,11 @@ def test_series_rejects_invalid_data(values, shots, message):
 
 
 @pytest.mark.parametrize("x, message", [
-    ([[0.0, 1.0]], "^x must be a 1-d array$"),
-    ([0.0, np.inf], "^series data must be finite$"),
-    ([0.0, 1.0, 1.0], "^x must be strictly increasing$"),
-    ([1.0, 0.0], "^x must be strictly increasing$"),
+    ([[0.0, 1.0]], "^offsets_khz must be a 1-d array$"),
+    ([0.0, np.inf], "^offsets_khz must be finite$"),
+    ([0.0, 1.0, 1.0], "^offsets_khz must be strictly increasing$"),
+    ([1.0, 0.0], "^offsets_khz must be strictly increasing$"),
 ])
 def test_series_axis_rejects_invalid_axes(x, message):
     with pytest.raises(ValueError, match=message):
-        series_axis(x)
+        series_axis(x, "offsets_khz")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import tracemalloc
@@ -386,16 +387,26 @@ def test_hahn_max_detection_of_an_empty_sweep_is_an_empty_series(shots, want):
     assert (series.values.size, series.shots) == (0, want)
 
 
-@pytest.mark.parametrize("run", [
-    lambda spec: ramsey_experiment(spec, PHOSPHORUS, [2e-3, 1e-3]),
-    lambda spec: rabi_experiment(spec, PHOSPHORUS, [2e-6, 1e-6]),
-    lambda spec: hahn_experiment(spec, PHOSPHORUS, [2e-3, 1e-3]),
-    lambda spec: hahn_experiment(spec, PHOSPHORUS, [2e-3, 1e-3], detection="max"),
-    lambda spec: rf_spectrum(spec, PHOSPHORUS, [5.0, -5.0]),
+@pytest.mark.parametrize("run, name", [
+    (lambda spec: ramsey_experiment(spec, PHOSPHORUS, [2e-3, 1e-3]), "taus_s"),
+    (lambda spec: rabi_experiment(spec, PHOSPHORUS, [2e-6, 1e-6]), "lengths_s"),
+    (lambda spec: hahn_experiment(spec, PHOSPHORUS, [2e-3, 1e-3]), "taus_s"),
+    (lambda spec: hahn_experiment(spec, PHOSPHORUS, [2e-3, 1e-3], detection="max"), "taus_s"),
+    (lambda spec: rf_spectrum(spec, PHOSPHORUS, [5.0, -5.0]), "offsets_khz"),
 ], ids=["ramsey", "rabi", "hahn-mean", "hahn-max", "rf-spectrum"])
-def test_an_unsorted_sweep_fails_before_any_member_is_drawn(no_member_drawn, run):
-    with pytest.raises(ValueError, match="^x must be strictly increasing$"):
+def test_an_unsorted_sweep_fails_before_any_member_is_drawn(no_member_drawn, run, name):
+    with pytest.raises(ValueError, match=f"^{name} must be strictly increasing$"):
         run(clean_spec(n=500))
+
+
+@pytest.mark.parametrize("experiment, name", [
+    (ramsey_experiment, "taus_s"), (rabi_experiment, "lengths_s")])
+@pytest.mark.parametrize("sweep", [[-1e-3, 1e-3], [math.nan], [1e-3, math.inf]],
+                         ids=["negative", "nan", "inf"])
+def test_rabi_and_ramsey_name_a_bad_sweep_before_any_member_is_drawn(no_member_drawn,
+                                                                     experiment, name, sweep):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0$"):
+        experiment(clean_spec(n=500), PHOSPHORUS, sweep)
 
 
 @pytest.mark.parametrize("run", [
@@ -510,8 +521,9 @@ MULTI_EVENT = PulseProgram(name="multi", events=(
 ))
 
 
-def _cf4_step(psi, t_us, dt_us, w_mhz, gaps_mhz, freq_mhz, phase_rad):
-    """One commutator-free 4th-order Magnus step in the interaction frame."""
+def _cf4_substeps(t_us, dt_us, w_mhz, gaps_mhz, freq_mhz, phase_rad):
+    """The two sub-step propagators of one commutator-free 4th-order Magnus
+    step in the interaction frame, in the order they act."""
     c1 = 0.5 - math.sqrt(3.0) / 6.0
     c2 = 0.5 + math.sqrt(3.0) / 6.0
     alpha1 = 0.25 + math.sqrt(3.0) / 6.0
@@ -524,23 +536,35 @@ def _cf4_step(psi, t_us, dt_us, w_mhz, gaps_mhz, freq_mhz, phase_rad):
 
     m1 = coupling(t_us + c1 * dt_us)
     m2 = coupling(t_us + c2 * dt_us)
+    substeps = []
     for mat in ((alpha1 * m1 + alpha2 * m2), (alpha2 * m1 + alpha1 * m2)):
         x = -1j * two_pi * dt_us * mat
         x2 = x @ x
-        u = np.eye(4) + x + x2 / 2.0 + (x2 @ x) / 6.0 + (x2 @ x2) / 24.0
+        substeps.append(np.eye(4) + x + x2 / 2.0 + (x2 @ x) / 6.0 + (x2 @ x2) / 24.0)
+    return substeps
+
+
+def _cf4_step(psi, t_us, dt_us, w_mhz, gaps_mhz, freq_mhz, phase_rad):
+    """One commutator-free 4th-order Magnus step in the interaction frame."""
+    for u in _cf4_substeps(t_us, dt_us, w_mhz, gaps_mhz, freq_mhz, phase_rad):
         psi = u @ psi
     return psi
 
 
-def oracle_4level(program, b0, b1, direction, freq_mhz, dt_us=DT_S * 1e6):
-    """``simulate_4level`` one scalar CF4 step at a time, each pulse in the
-    fewest equal steps of at most ``dt_us`` (by default ``simulate_4level``'s)."""
+def _oracle_frame(b0, b1, direction):
+    """(level gaps in MHz, drive coupling w in the eigenbasis of H(b0))."""
     energies, vectors = spincore.eigensystems(PHOSPHORUS, b0.as_array()[None])
     energies, vectors = energies[0], vectors[0]
     gaps = energies[:, None] - energies[None, :]
     direction = np.asarray(direction, dtype=float)
     op = spincore.zeeman_operator(PHOSPHORUS, direction / np.linalg.norm(direction))
-    w = b1 * (vectors.conj().T @ op @ vectors)
+    return gaps, b1 * (vectors.conj().T @ op @ vectors)
+
+
+def oracle_4level(program, b0, b1, direction, freq_mhz, dt_us=DT_S * 1e6):
+    """``simulate_4level`` one scalar CF4 step at a time, each pulse in the
+    fewest equal steps of at most ``dt_us`` (by default ``simulate_4level``'s)."""
+    gaps, w = _oracle_frame(b0, b1, direction)
     psi = np.zeros(4, dtype=complex)
     psi[0] = 1.0
     t_us = 0.0
@@ -582,6 +606,58 @@ def test_4level_blocks_match_the_scalar_oracle_exactly(monkeypatch, block, b):
     pops = simulate_4level(MULTI_EVENT, PHOSPHORUS, *args)
     assert pops == oracle_4level(MULTI_EVENT, *args)
     assert 0.01 < pops["T0"] < 0.99 and pops["T+"] > 0.01  # the drive really moved it
+
+
+def _pulse_clock(program, index, dt_us=DT_S * 1e6):
+    """(start times, length) of the CF4 steps of event ``index``, a pulse, clocked
+    by sequential adds from t = 0 as ``simulate_4level`` clocks them."""
+    t_us = 0.0
+    for event in program.events[:index + 1]:
+        duration_us = event.duration_s * 1e6
+        if isinstance(event, Delay):
+            t_us += duration_us
+            continue
+        n_steps = max(1, int(math.ceil(duration_us / dt_us - 1e-12)))
+        step = duration_us / n_steps
+        clock = list(itertools.accumulate(itertools.repeat(step, n_steps), initial=t_us))
+        t_us = clock[-1]
+    return np.array(clock[:-1]), step
+
+
+def _drive_4level_case(b):
+    # the drive-4level pi pulse: b1 a tenth of the T+/T0 gap at 23 µT
+    coupling = (PHOSPHORUS.gamma_s + PHOSPHORUS.gamma_i) / 2.0
+    gap_mhz = (transition_frequency(PHOSPHORUS, "T+", 23.0)
+               - transition_frequency(PHOSPHORUS, "T0", 23.0))
+    b1 = gap_mhz / 10.0 / coupling
+    b0 = FieldVector(*b)
+    return (pi_pulse_program(0.5 / (coupling * b1)), 0,
+            (b0, b1, [0.0, 0.0, 1.0], transition_frequency(PHOSPHORUS, "T0", b0.magnitude())))
+
+
+_MULTI_EVENT_B0 = FieldVector(0.4, 0.0, 2.0)
+
+
+@pytest.mark.parametrize("program, index, args", [
+    _drive_4level_case((0.4, 0.0, 23.0)),
+    _drive_4level_case((0.4, 0.0, 0.0)),
+    # the 301-step pulse, after a pulse, a delay and a pulse
+    (MULTI_EVENT, 3, (_MULTI_EVENT_B0, 0.5, [1.0, 0.3, 1.0],
+                      transition_frequency(PHOSPHORUS, "T0", _MULTI_EVENT_B0.magnitude()))),
+], ids=["drive-4level-23ut", "drive-4level-0ut", "multi-event"])
+def test_cf4_propagators_equal_the_oracle_sub_steps(program, index, args):
+    b0, b1, direction, freq_mhz = args
+    gaps, w = _oracle_frame(b0, b1, direction)
+    igaps = 1j * (2.0 * math.pi) * gaps  # as simulate_4level builds it
+    phase = program.events[index].phase_rad
+    times, step = _pulse_clock(program, index)
+    block = pulse._CF4_BLOCK_STEPS
+    # the first and, of a long pulse, the last block of steps, at the clock's own times
+    for start in sorted({0, max(0, times.size - block)}):
+        chunk = times[start:start + block]
+        got = pulse._cf4_propagators(chunk, step, igaps, w, freq_mhz, phase)
+        want = [_cf4_substeps(t, step, w, gaps, freq_mhz, phase) for t in chunk.tolist()]
+        assert got.transpose(1, 0, 2, 3).tolist() == np.array(want).tolist()
 
 
 @pytest.mark.parametrize("change, message", [

@@ -219,9 +219,9 @@ def test_optical_spectrum_rejects_bad_lines_and_split(lines, split, message):
 
 
 @pytest.mark.parametrize("grid, message", [
-    ([0.001, math.nan, 0.003], "series data must be finite"),
-    ([[0.001, 0.002]], "x must be a 1-d array"),
-    ([0.003, 0.002, 0.001], "x must be strictly increasing"),
+    ([0.001, math.nan, 0.003], "scan_grid_inv_cm must be finite"),
+    ([[0.001, 0.002]], "scan_grid_inv_cm must be a 1-d array"),
+    ([0.003, 0.002, 0.001], "scan_grid_inv_cm must be strictly increasing"),
 ], ids=["nan", "2-d", "decreasing"])
 def test_optical_spectrum_checks_its_grid_before_any_steady_state(monkeypatch, grid, message):
     def solve(*args):
