@@ -171,7 +171,11 @@ def _cmd_fit(args: argparse.Namespace, cfg: dict, target: str | TextIO) -> int:
     lines.append(f"converged = {str(result.converged).lower()}")
     lines += [f"# note: {note}" for note in result.diagnostics]
     write_text(target, "\n".join(lines) + "\n")
-    return 0 if result.converged else 2
+    if result.converged:
+        return 0
+    print(f"donorsim: error: the fit did not converge in {result.iterations} iterations",
+          file=sys.stderr)
+    return 2
 
 
 def _cmd_parse(args: argparse.Namespace, cfg: dict, target: str | TextIO) -> int:

@@ -4,9 +4,10 @@ The workhorse is a damped Gauss-Newton (Levenberg-Marquardt; Marquardt,
 J. SIAM 11, 431 (1963)) loop written out explicitly so its convergence
 record can be inspected: the residual sum of squares over accepted
 iterations is non-increasing by construction and is kept in
-``FitResult.rss_trace``.  When the loop stalls on an ill-conditioned
-Jacobian, a derivative-free Nelder-Mead simplex restart is tried from the
-best point so far, followed by a final Gauss-Newton polish.
+``FitResult.rss_trace``.  It is the only optimizer: a fit it cannot
+finish reports ``converged = False`` at the best point it reached.  A peak
+fit also runs a second start seeded from the data's extrema and keeps the
+lower-RSS minimum.
 
 Residual functions broadcast over a leading axis of parameter vectors:
 a (p,) vector gives (N,) residuals and an (m, p) stack gives (m, N), so
@@ -22,7 +23,7 @@ crashing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -52,7 +53,7 @@ class FitResult:
     converged: bool
     iterations: int
     rss_trace: tuple[float, ...]
-    diagnostics: tuple[str, ...] = field(default=())
+    diagnostics: tuple[str, ...]
 
     def __getitem__(self, name: str) -> float:
         return float(self.params[self.names.index(name)])
@@ -139,89 +140,14 @@ def levenberg_marquardt(
     return p, rss, converged, iterations, trace
 
 
-def _nelder_mead(
-    f: Callable[[np.ndarray], float],
-    x0: np.ndarray,
-    *,
-    maxiter: int,
-    xatol: float,
-    fatol: float,
-) -> tuple[np.ndarray, float, bool]:
-    """Non-adaptive Nelder-Mead; returns (x, f(x), stopped before maxiter).
-
-    Coefficients rho=1, chi=2, psi=0.5, sigma=0.5 (Lagarias, Reeds, Wright &
-    Wright, SIAM J. Optim. 9, 112 (1998)).  The initial simplex, the
-    operation order and the stop test follow scipy's
-    ``minimize(method="Nelder-Mead")`` step for step, so both give the same
-    floats.
-    """
-    def order(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ind = np.argsort(fsim)
-        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
-
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.size
-    sim = np.tile(x0, (n + 1, 1))
-    for k in range(n):
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    # sorted twice, as scipy does: argsort need not keep tied (e.g. inf) vertices in place
-    sim, fsim = order(*order(sim, np.array([f(v) for v in sim])))
-    iterations = 1
-    while iterations < maxiter and not (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                                        and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-        iterations += 1
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]
-        fxr = f(xr)
-        if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
-            fxe = f(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:  # outside contraction
-                xc = 1.5 * xbar - 0.5 * sim[-1]
-                fxc = f(xc)
-                accept = fxc <= fxr
-            else:  # inside contraction
-                xc = 0.5 * xbar + 0.5 * sim[-1]
-                fxc = f(xc)
-                accept = fxc < fsim[-1]
-            if accept:
-                sim[-1], fsim[-1] = xc, fxc
-            else:  # shrink towards the best vertex
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = f(sim[j])
-        sim, fsim = order(sim, fsim)
-    return sim[0], float(np.min(fsim)), iterations < maxiter
-
-
 def least_squares(
     fn: ResidualFn,
     p0: Sequence[float],
     names: Sequence[str],
     n_points: int,
 ) -> FitResult:
-    """LM with a simplex fallback; packages the result with uncertainties.
-
-    When LM stops unconverged, a simplex search from its end point takes
-    over and LM polishes the simplex point.  The polish starts at the
-    simplex value and accepts only steps that do not raise the RSS, so it
-    never ends worse than the simplex.
-    """
+    """LM from ``p0``, packaged with the linearized uncertainties."""
     p, rss, converged, iterations, trace = levenberg_marquardt(fn, p0)
-    notes = []
-    if not converged:
-        x, fun, _ = _nelder_mead(
-            lambda q: _safe_residual(fn, q)[1], p, maxiter=2000, xatol=1e-12, fatol=1e-14
-        )
-        if np.isfinite(fun) and fun <= rss:
-            notes.append("simplex-fallback")
-            p, rss, converged, polish_iterations, polish_trace = levenberg_marquardt(fn, x)
-            trace = trace + polish_trace
-            iterations += polish_iterations
     return FitResult(
         names=tuple(names),
         params=p,
@@ -230,7 +156,7 @@ def least_squares(
         converged=converged,
         iterations=iterations,
         rss_trace=tuple(trace),
-        diagnostics=tuple(notes),
+        diagnostics=(),
     )
 
 
@@ -430,7 +356,7 @@ def fit_peaks(
         # (better) minimum, not a rounding-level retread of the same one
         same_minimum = np.allclose(alt.params, result.params, rtol=1e-6, atol=1e-12)
         if not same_minimum and alt.rss < result.rss * (1.0 - 1e-6):
-            result = replace(alt, diagnostics=alt.diagnostics + ("extrema-start",))
+            result = replace(alt, diagnostics=("extrema-start",))
 
     # report peaks in ascending-center order
     order = np.argsort([result.params[3 * i] for i in range(k)])

@@ -295,6 +295,15 @@ def test_fit_writes_report_to_output_file(tmp_path, capsys):
     assert "t2_s = " in report.read_text()
 
 
+def test_a_fit_that_does_not_converge_writes_its_report_and_exits_2(tmp_path, capsys):
+    report = tmp_path / "fit.txt"
+    code, out, err = run(capsys, ["fit", str(GOLDEN / "fit_rescue_stretched.csv"),
+                                  "--output", str(report)])
+    assert (code, out) == (2, "")
+    assert err == "donorsim: error: the fit did not converge in 200 iterations\n"
+    assert "converged = false" in report.read_text()
+
+
 # --- determinism & precedence ------------------------------------------------------
 
 HAHN_SMALL = [
@@ -596,7 +605,9 @@ def test_tiny_lorentzian_width_prints_no_overflow_warning(capsys, argv, want_cod
 ])
 def test_overflowing_model_term_prints_no_warning(capsys, argv, want_code):
     code, _, err = run(capsys, argv)
-    assert (code, err) == (want_code, "")
+    # the one stderr line of exit 2 is the fit's own
+    want_err = "donorsim: error: the fit did not converge in 200 iterations\n" if code else ""
+    assert (code, err) == (want_code, want_err)
 
 
 @pytest.mark.parametrize("argv", [

@@ -16,7 +16,6 @@ from donorsim.fitkit import (
     PEAK_SHAPES,
     FitResult,
     RankDeficiencyError,
-    _nelder_mead,
     fit_peaks,
     fit_stretched_exp,
     least_squares,
@@ -167,53 +166,47 @@ def test_fit_with_the_column_oracle_jacobian_is_bit_identical(monkeypatch, fit, 
         expected.rss, expected.iterations, expected.rss_trace, expected.diagnostics)
 
 
-# --- Nelder-Mead rescue ----------------------------------------------------------
+# --- the stalled starts of the rescue inputs (see regen.py) ---------------------
 
-def rosenbrock(q):
-    return float(np.sum(100.0 * (q[1:] - q[:-1] ** 2) ** 2 + (1.0 - q[:-1]) ** 2))
-
-
-def walled_rosenbrock(q):
-    """inf past a wall, as _safe_residual reports non-finite residuals."""
-    return np.inf if q[0] + q[1] > 2.4 else rosenbrock(q)
-
-
-@pytest.mark.parametrize("f, x0, maxiter, success", [
-    (rosenbrock, [-1.2, 1.0], 2000, True),
-    (rosenbrock, [0.0, 1.0, -0.5], 2000, True),        # zero component: a 0.00025 step
-    (walled_rosenbrock, [1.2, 1.2, 0.5], 2000, True),  # two tied inf vertices at the start
-    (rosenbrock, [-1.2, 1.0], 40, False),              # stops at maxiter
-], ids=["rosenbrock", "zero-component", "inf-wall", "maxiter"])
-def test_nelder_mead_matches_scipy_bit_for_bit(f, x0, maxiter, success):
-    from scipy.optimize import minimize
-
-    options = {"maxiter": maxiter, "xatol": 1e-12, "fatol": 1e-14}
-    ref = minimize(f, x0, method="Nelder-Mead", options=options)
-    x, fun, ok = _nelder_mead(f, np.array(x0), **options)
-    assert x.tobytes() == ref.x.tobytes()
-    assert fun == ref.fun
-    assert ok == ref.success == success
-
-
-def rescue_problem(name):
-    """Residual and start of a golden input on which LM stalls (see regen.py)."""
+def rescue_data(name):
     _, data = csvio.read_csv(str(GOLDEN / name))
-    x, y = data[:, 0], data[:, 1]
-    if name == "fit_rescue_peaks.csv":
-        p0 = [19.5, 9.5, 0.7, 19.5, 8.3, 0.6, float(np.min(y))]
-        return (lambda p: peak_model(x, p, 2, "lorentzian") - y), p0, x.size
-    p0 = [float(y[0]), 2.0 * float(x[1]), 1.5]  # fit_stretched_exp's own start
-    return (lambda p: stretched_exp_model(x, *np.moveaxis(p, -1, 0)[..., None]) - y), p0, x.size
+    return data[:, 0], data[:, 1]
 
 
-@pytest.mark.parametrize("name", ["fit_rescue_peaks.csv", "fit_rescue_stretched.csv"])
-def test_simplex_rescue_never_raises_the_stalled_rss(name):
-    residual, p0, n_points = rescue_problem(name)
-    _, stalled_rss, converged, _, _ = levenberg_marquardt(residual, p0)
+# the RSS at which the former Nelder-Mead restart of fitkit ended these fits
+@pytest.mark.parametrize("shape, simplex_rss", [
+    ("lorentzian", 0.020399326896512242),
+    ("gaussian", 0.017187326060857256),
+])
+def test_the_extrema_start_finishes_the_peak_fit_the_guesses_stall_on(shape, simplex_rss):
+    fit = fit_peaks(*rescue_data("fit_rescue_peaks.csv"), 2, shape=shape, initial=_RESCUE_PEAKS)
+    assert fit.converged
+    assert "extrema-start" in fit.diagnostics
+    assert fit.rss <= simplex_rss
+
+
+def test_a_stalled_least_squares_ends_where_lm_stops():
+    x, y = rescue_data("fit_rescue_stretched.csv")
+
+    def residual(p):
+        return stretched_exp_model(x, *np.moveaxis(p, -1, 0)[..., None]) - y
+
+    p0 = [float(y[0]), 2.0 * float(x[1]), 1.5]
+    p, rss, converged, iterations, trace = levenberg_marquardt(residual, p0)
+    fit = least_squares(residual, p0, ("amplitude", "t2_s", "n"), x.size)
     assert not converged
-    fit = least_squares(residual, p0, [f"p{i}" for i in range(len(p0))], n_points)
-    assert "simplex-fallback" in fit.diagnostics
-    assert fit.rss <= stalled_rss
+    assert fit.params.tobytes() == p.tobytes()
+    assert (fit.rss, fit.converged, fit.iterations, fit.rss_trace, fit.diagnostics) == (
+        rss, False, iterations, tuple(trace), ())
+
+
+def test_a_free_exponent_on_a_flat_ridge_reports_no_convergence():
+    # the decay is faster than the sampling, so (T2, n) slide along a ridge
+    # of nearly constant RSS and LM stops at its iteration limit
+    fit = fit_stretched_exp(*rescue_data("fit_rescue_stretched.csv"))
+    assert not fit.converged
+    assert fit.iterations == fitkit.MAX_ITERATIONS
+    assert fit_stretched_exp(*rescue_data("fit_rescue_stretched.csv"), fix_n=2.0).converged
 
 
 # --- stretched-exponential fits -------------------------------------------------

@@ -33,7 +33,7 @@ workloads = _load("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
 
 @pytest.mark.parametrize("name", sorted(regen.CLI_CSVS))
 def test_cli_csv_matches_golden(tmp_path, name):
-    text = regen.cli_csv(regen.CLI_CSVS[name], tmp_path / name)
+    text = regen.cli_csv(*regen.CLI_CSVS[name], tmp_path / name)
     assert text.encode("utf-8") == (GOLDEN / name).read_bytes()
 
 

@@ -4,8 +4,8 @@ and every definition is reachable.
 Every import in the package is used in its scope: the module, or the
 function whose body holds it; ``from m import x as x`` re-exports ``x`` and
 counts as used.  Every import anywhere in the package names the standard
-library, numpy or the package itself, and a fit that takes the Nelder-Mead
-rescue loads no scipy, so no lazy import of it can come back unnoticed.
+library, numpy or the package itself, and a fit that Levenberg-Marquardt
+cannot finish loads no scipy, so no lazy import of it can come back unnoticed.
 A peak fit loads no ``numpy.ma``, which the first ``np.median`` call of a
 process imports.
 
@@ -676,8 +676,8 @@ def test_every_subcommand_has_a_pinned_run():
 def test_a_rescued_fit_loads_no_scipy(tmp_path):
     report = tmp_path / "fit.txt"
     argv = ["fit", str(ROOT / "tests/golden/fit_rescue_stretched.csv"), "--output", str(report)]
-    assert _main_loading(argv, "scipy") == "0 []\n"
-    assert "# note: simplex-fallback" in report.read_text(encoding="utf-8")
+    assert _main_loading(argv, "scipy") == "2 []\n"
+    assert "converged = false" in report.read_text(encoding="utf-8")
 
 
 def test_a_peak_fit_loads_no_numpy_ma(tmp_path):

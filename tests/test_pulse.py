@@ -644,7 +644,11 @@ _MULTI_EVENT_B0 = FieldVector(0.4, 0.0, 2.0)
     # the 301-step pulse, after a pulse, a delay and a pulse
     (MULTI_EVENT, 3, (_MULTI_EVENT_B0, 0.5, [1.0, 0.3, 1.0],
                       transition_frequency(PHOSPHORUS, "T0", _MULTI_EVENT_B0.magnitude()))),
-], ids=["drive-4level-23ut", "drive-4level-0ut", "multi-event"])
+    # b1 = 80 mT puts entries of x near 1 in magnitude, so the rounding of the
+    # x^3/6 and x^4/24 terms reaches the last bit of the propagators
+    (MULTI_EVENT, 3, (_MULTI_EVENT_B0, 80.0, [1.0, 0.3, 1.0],
+                      transition_frequency(PHOSPHORUS, "T0", _MULTI_EVENT_B0.magnitude()))),
+], ids=["drive-4level-23ut", "drive-4level-0ut", "multi-event", "strong-drive"])
 def test_cf4_propagators_equal_the_oracle_sub_steps(program, index, args):
     b0, b1, direction, freq_mhz = args
     gaps, w = _oracle_frame(b0, b1, direction)
